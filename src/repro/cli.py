@@ -47,9 +47,9 @@ from . import __version__
 from .core.coupled import MULTIPATH_ALGORITHMS, PAPER_ALGORITHMS
 from .experiments.ascii_plot import ascii_chart, plot_figure
 from .errors import FabricError
-from .experiments.campaign import CAMPAIGN_GRIDS, run_campaign
+from .experiments.campaign import CAMPAIGN_GRIDS
 from .experiments.chaos import ChaosSpec
-from .experiments.fabric import FabricConfig, merge_stores, run_campaign_fabric
+from .experiments.fabric import FabricConfig, drive_campaign, merge_stores
 from .experiments.figures import fig2a_cubic, fig2b_olia, fig2c_fine, figure_with_algorithm
 from .experiments.harness import run_experiment
 from .experiments.multiflow import run_multiflow
@@ -570,14 +570,14 @@ def _command_campaign(args: argparse.Namespace) -> int:
         if total:
             print(f"campaign {grid}: {done}/{total} pending points", file=sys.stderr)
 
-    use_fabric = (
-        args.worker_id is not None
-        or args.point_timeout is not None
-        or args.single_pass
-        or bool(args.chaos)
-    )
     try:
-        if use_fabric:
+        fabric = None
+        if (
+            args.worker_id is not None
+            or args.point_timeout is not None
+            or args.single_pass
+            or args.chaos
+        ):
             fabric = FabricConfig(
                 worker_id=args.worker_id or "",
                 lease_ttl=args.lease_ttl,
@@ -585,26 +585,17 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 point_timeout=args.point_timeout,
                 max_rounds=1 if args.single_pass else None,
             )
-            result = run_campaign_fabric(
-                spec,
-                store_path,
-                fabric=fabric,
-                chaos=_campaign_chaos(args),
-                chunk_size=args.chunk_size,
-                max_workers=args.max_workers,
-                resume=args.resume,
-                progress=progress,
-            )
-        else:
-            result = run_campaign(
-                spec,
-                store_path,
-                chunk_size=args.chunk_size,
-                max_workers=args.max_workers,
-                resume=args.resume,
-                max_attempts=args.max_attempts,
-                progress=progress,
-            )
+        result = drive_campaign(
+            spec,
+            store_path,
+            fabric=fabric,
+            chaos=_campaign_chaos(args),
+            max_attempts=args.max_attempts,
+            chunk_size=args.chunk_size,
+            max_workers=args.max_workers,
+            resume=args.resume,
+            progress=progress,
+        )
     except FabricError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

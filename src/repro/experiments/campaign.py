@@ -10,10 +10,12 @@ module turns those grids into restartable batch jobs:
   expands it into picklable :class:`~repro.experiments.harness.ExperimentConfig`
   / :class:`~repro.experiments.multiflow.MultiFlowConfig` points, each keyed
   by a content hash of its parameters;
-* :func:`run_campaign` executes the points in chunks on top of
-  :func:`~repro.experiments.harness.run_scenarios_parallel`, persisting every
-  finished point to a JSONL :class:`ResultStore` -- re-invoking the campaign
-  skips completed points, so a crashed or extended grid resumes for free;
+* :func:`run_campaign` executes the points in chunks through the one
+  campaign driver (:func:`repro.experiments.fabric.drive_campaign`, on a
+  persistent :class:`~repro.experiments.harness.WorkerPool`), persisting
+  every finished point to a JSONL :class:`ResultStore` -- re-invoking the
+  campaign skips completed points, so a crashed or extended grid resumes
+  for free;
 * every point is cross-validated against the analytical models
   (:mod:`repro.measure.validation`) and the campaign aggregates the error
   distributions into a :class:`~repro.measure.validation.ValidationReport`;
@@ -38,21 +40,17 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, ModelError
 from ..measure.report import sanitize_metrics
-from ..measure.validation import (
-    ValidationReport,
-    validate_experiment,
-    validate_multiflow,
-)
+from ..measure.validation import ValidationReport
 from ..model.bottleneck import ConstraintSystem, build_constraints
 from ..model.paths import PathSet
 from ..netsim.dynamics import DynamicsSpec, LinkRateChange, LossBurst, Schedule
 from ..netsim.topology import Topology
 from ..topologies.generators import shared_bottleneck, wifi_cellular
 from ..topologies.paper import PAPER_DEFAULT_PATH_INDEX, paper_scenario
-from ..workload.runner import WorkloadConfig, run_workload
+from ..workload.runner import WorkloadConfig
 from ..workload.scenarios import WORKLOAD_SCENARIOS
-from .harness import ExperimentConfig, ScenarioPool, run_experiment
-from .multiflow import MultiFlowConfig, run_multiflow
+from .harness import ExperimentConfig
+from .multiflow import MultiFlowConfig
 from .scenarios import COMPETITION_SCENARIOS
 
 #: Single-connection scenario axis values (name -> zero-argument builder).
@@ -528,48 +526,27 @@ def _point_dynamics(
 def _execute_point(point: CampaignPoint) -> dict:
     """Run one grid point and post-process it into a JSON-safe store record.
 
-    Module-level so :func:`run_scenarios_parallel` can ship it to worker
+    Module-level so the driver's worker pool can ship it to worker
     processes; failures become ``status: "error"`` records (the campaign
-    keeps going, and error points re-run on the next invocation).
+    keeps going, and error points re-run on the next invocation).  Every
+    config kind speaks one protocol: ``config.run()`` gives a result with
+    ``summary()``, ``validate()`` (``None`` where no model applies) and
+    ``compare(packet_twin_result)``.
     """
     record: Dict[str, object] = {"key": point.key, "params": dict(point.params)}
     try:
-        if isinstance(point.config, WorkloadConfig):
-            workload_result = run_workload(point.config)
-            record["status"] = "ok"
-            record["summary"] = workload_result.summary()
-            if point.config.backend == "flowlevel":
-                # FCT agreement against the packet-level twin of the same plan.
-                from ..measure.validation import compare_workload_backends
-
-                twin = point.config.with_overrides(backend="packet")
-                record["cross_fidelity_fct"] = compare_workload_backends(
-                    workload_result, run_workload(twin)
-                ).as_dict()
-            return sanitize_metrics(record)  # type: ignore[return-value]
-        if isinstance(point.config, MultiFlowConfig):
-            result = run_multiflow(point.config)
-            validation = validate_multiflow(result)
-        else:
-            result = run_experiment(point.config)
-            validation = validate_experiment(result)
+        result = point.config.run()
+        validation = result.validate()
         record["status"] = "ok"
         record["summary"] = result.summary()
-        record["validation"] = validation.as_dict()
+        if validation is not None:
+            record["validation"] = validation.as_dict()
         if point.config.backend == "flowlevel":
             # A flow-level point also runs its packet-level twin so the
             # record carries the fidelity error, not just the model error.
-            from ..measure.validation import (
-                compare_experiment_backends,
-                compare_multiflow_backends,
-            )
-
             twin = point.config.with_overrides(backend="packet")
-            if isinstance(twin, MultiFlowConfig):
-                comparison = compare_multiflow_backends(result, run_multiflow(twin))
-            else:
-                comparison = compare_experiment_backends(result, run_experiment(twin))
-            record["cross_fidelity"] = comparison.as_dict()
+            comparison = result.compare(twin.run())
+            record[comparison.record_field] = comparison.as_dict()
     except Exception as error:  # noqa: BLE001 - one bad point must not kill the grid
         record["status"] = "error"
         record["error"] = f"{type(error).__name__}: {error}"
@@ -751,8 +728,9 @@ class CampaignResult:
     records: List[dict]
     executed: int
     skipped: int
-    #: Points left pending because another live worker holds their lease
-    #: (fabric runs only; a plain ``run_campaign`` never defers).
+    #: Points left non-terminal for a later invocation: another live worker
+    #: holds their lease, or they failed and the rounds ran out (a plain
+    #: ``run_campaign`` makes one round).
     deferred: int = 0
 
     @property
@@ -876,55 +854,17 @@ def run_campaign(
     max_attempts: int = 3,
     progress: Optional[Callable[[int, int], None]] = None,
 ) -> CampaignResult:
-    """Execute a campaign grid, resuming from the store's completed points.
+    """Execute a campaign grid once, resuming from the store's completed points.
 
-    The pending points run in chunks of ``chunk_size`` through a shared
-    :class:`~repro.experiments.harness.ScenarioPool` -- the worker processes
-    persist across chunks, so the per-point cost is the simulation itself
-    rather than pool startup.  Every finished chunk is flushed to the JSONL
-    store before the next one starts, so a crash loses at most one chunk of
-    work.  ``progress`` is called with ``(points_done,
-    points_pending_total)`` after each chunk (and once with ``(0, total)``
-    up front).
-
-    Failed points carry an ``attempts`` counter across invocations and stop
-    retrying once ``max_attempts`` is reached: the point's record flips to
-    the terminal ``"quarantined"`` status, the rest of the grid still
-    summarises, and :meth:`CampaignResult.summary` surfaces the quarantined
-    count.  For leases, watchdog timeouts and in-invocation backoff see
-    :func:`repro.experiments.fabric.run_campaign_fabric`.
+    This is :func:`repro.experiments.fabric.drive_campaign` without a
+    ``FabricConfig`` -- no leases, watchdog, in-invocation retry or worker
+    stamp; see there for chunking, persistence and the attempt ceiling.
     """
-    if chunk_size < 1:
-        raise ConfigurationError("chunk_size must be at least 1")
-    if max_attempts < 1:
-        raise ConfigurationError("max_attempts must be at least 1")
-    store = store if isinstance(store, ResultStore) else ResultStore(store)
-    points = spec.expand()
-    existing = store.load() if resume else {}
-    done, attempts = _classify_existing(points, existing, store, max_attempts)
-    pending = [point for point in points if point.key not in done]
-    if progress is not None:
-        progress(0, len(pending))
-    completed = 0
-    with ScenarioPool(
-        max_workers=max_workers, runner=_execute_point, expected=len(pending)
-    ) as pool:
-        for chunk in _chunks(pending, chunk_size):
-            records = pool.map(chunk)
-            for record in records:
-                record = _finalize_record(record, attempts, max_attempts)
-                store.append(record)
-                done[record["key"]] = record
-            completed += len(chunk)
-            if progress is not None:
-                progress(completed, len(pending))
-    return CampaignResult(
-        spec=spec,
-        store_path=store.path,
-        points=points,
-        records=[done[point.key] for point in points if point.key in done],
-        executed=len(pending),
-        skipped=len(points) - len(pending),
+    from .fabric import drive_campaign  # the driver module imports this one
+
+    return drive_campaign(
+        spec, store, chunk_size=chunk_size, max_workers=max_workers,
+        resume=resume, max_attempts=max_attempts, progress=progress,
     )
 
 

@@ -1,11 +1,11 @@
-"""Fault-tolerant campaign fabric: leases, watchdogs, retries, store merge.
+"""The campaign driver and its fault-tolerant fabric: leases, watchdog, retries, merge.
 
-:func:`~repro.experiments.campaign.run_campaign` assumes one well-behaved
-process: a crashed worker strands its chunk, a hung point stalls the sweep
-forever, error records retry unconditionally, and two concurrent invocations
-race each other on the same store.  This module upgrades the same
-content-hashed JSONL store to a cooperative *fabric* that many workers can
-share:
+:func:`drive_campaign` is the one loop every campaign runs through.  On its
+own it assumes one well-behaved process: a crashed worker ends the
+invocation, a hung point stalls the sweep, and two concurrent invocations
+race each other on the same store.  A :class:`FabricConfig` upgrades the
+same loop over the same content-hashed JSONL store to a cooperative
+*fabric* that many workers can share:
 
 * **Leases** (:class:`LeaseManager`): before executing a point, a worker
   appends a claim record (worker id + monotonic deadline) to the store.
@@ -13,8 +13,8 @@ share:
   renewing, its leases go stale, and the points become re-claimable.  Claim
   races resolve by append order -- ``O_APPEND`` gives every reader the same
   total order, so racing workers independently agree on the winner.
-* **Watchdog timeouts**: each point runs under
-  :func:`~repro.experiments.harness.run_scenarios_guarded` with an optional
+* **Watchdog timeouts**: each point runs in a supervised
+  :class:`~repro.experiments.harness.WorkerPool` process with an optional
   per-point wall-clock budget; hung points are killed and recorded as
   ``status: "timeout"``, crashed workers as a retryable ``error``.
 * **Bounded retry**: failures back off exponentially with deterministic
@@ -37,6 +37,7 @@ import pathlib
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError, FabricError, LeaseError
@@ -54,7 +55,7 @@ from .campaign import (
     _finalize_record,
 )
 from .chaos import ChaosSpec
-from .harness import run_scenarios_guarded
+from .harness import WorkerPool
 
 #: Exit code of a chaos-injected crash-before-flush (diagnosable in CI logs).
 CHAOS_CRASH_EXIT = 23
@@ -280,7 +281,7 @@ class _Heartbeat:
 # ------------------------------------------------------------------ execution
 @dataclass
 class _FabricTask:
-    """One point plus its chaos action, picklable for the guarded runner."""
+    """One point plus its chaos action, picklable for the worker pool."""
 
     point: CampaignPoint
     chaos_action: Optional[str] = None
@@ -308,16 +309,26 @@ def _error_record(point: CampaignPoint, status: str, message: str) -> dict:
     }
 
 
-def _execute_fabric_task(task: _FabricTask) -> dict:
-    """Worker-process body: inject the chaos action, then run the point."""
+def _execute_task(task: _FabricTask, *, isolated: bool) -> dict:
+    """Inject the task's chaos action, then run the point.
+
+    ``isolated`` says whether this is a worker process the watchdog can kill
+    and replace.  There the fatal actions really happen; in the driver's own
+    process they are simulated as the records the watchdog would have
+    written, so a chaos plan converges the same way without subprocesses.
+    """
     action = task.chaos_action
-    if action == "crash":
-        os._exit(CHAOS_CRASH_EXIT)  # crash-before-flush: no record, no release
-    if action == "torn":
-        _write_torn_tail(task.store_path, task.point.key)
-        os._exit(CHAOS_TORN_EXIT)
+    if action in ("crash", "torn"):
+        if action == "torn":
+            _write_torn_tail(task.store_path, task.point.key)
+        if isolated:
+            # crash-before-flush: no record, no release
+            os._exit(CHAOS_CRASH_EXIT if action == "crash" else CHAOS_TORN_EXIT)
+        return _crash_record(task, f"chaos {action} (simulated in-process)")
     if action == "hang":
-        time.sleep(task.hang_duration)  # the watchdog kills us first
+        if not isolated and task.timeout is not None:
+            return _timeout_record(task)
+        time.sleep(task.hang_duration)  # isolated: the watchdog kills us first
     if action == "error":
         return _error_record(
             task.point, "error", "ChaosInjectedError: injected point failure"
@@ -325,34 +336,11 @@ def _execute_fabric_task(task: _FabricTask) -> dict:
     return _execute_point(task.point)
 
 
-def _execute_fabric_task_serial(task: _FabricTask) -> dict:
-    """In-process fallback: simulate the fatal chaos actions instead of dying."""
-    action = task.chaos_action
-    if action == "crash":
-        return _error_record(
-            task.point, "error", "WorkerCrash: chaos crash (simulated in-process)"
-        )
-    if action == "torn":
-        _write_torn_tail(task.store_path, task.point.key)
-        return _error_record(
-            task.point, "error", "WorkerCrash: chaos torn-tail crash (simulated)"
-        )
-    if action == "hang":
-        if task.timeout is not None:
-            return _timeout_record(task, task.timeout)
-        time.sleep(task.hang_duration)
-    if action == "error":
-        return _error_record(
-            task.point, "error", "ChaosInjectedError: injected point failure"
-        )
-    return _execute_point(task.point)
-
-
-def _timeout_record(task: _FabricTask, timeout: float) -> dict:
+def _timeout_record(task: _FabricTask) -> dict:
     return _error_record(
         task.point,
         "timeout",
-        f"PointTimeout: exceeded the {timeout:g}s wall-clock budget",
+        f"PointTimeout: exceeded the {task.timeout:g}s wall-clock budget",
     )
 
 
@@ -360,13 +348,14 @@ def _crash_record(task: _FabricTask, reason: str) -> dict:
     return _error_record(task.point, "error", f"WorkerCrash: {reason}")
 
 
-# ------------------------------------------------------------------ fabric run
-def run_campaign_fabric(
+# ------------------------------------------------------------------ the driver
+def drive_campaign(
     spec: CampaignSpec,
     store: Union[str, pathlib.Path, ResultStore],
     *,
     fabric: Optional[FabricConfig] = None,
     chaos: Optional[ChaosSpec] = None,
+    max_attempts: int = 3,
     chunk_size: int = 4,
     max_workers: Optional[int] = None,
     resume: bool = True,
@@ -374,36 +363,58 @@ def run_campaign_fabric(
     clock: Optional[Callable[[], float]] = None,
     sleep: Optional[Callable[[float], None]] = None,
 ) -> CampaignResult:
-    """Drive a campaign grid to terminal state under the fault-tolerant fabric.
+    """The one campaign driver: claim, execute, finalize, append, release.
 
-    Per round, the worker claims a chunk of due points (skipping points
-    live-leased to other workers), executes them under the watchdog with
-    per-point timeouts and lease-renewing heartbeats, appends the finalized
-    records (attempt counters, quarantine on exhaustion) and releases the
-    leases.  Failed points re-enter the queue after an exponentially
-    backed-off, jittered delay; the invocation returns when every point is
-    terminal (completed or quarantined), when only foreign-leased points
-    remain un-runnable, or after ``fabric.max_rounds`` rounds.
+    The points the store holds no terminal record for run in chunks of
+    ``chunk_size`` on one :class:`~repro.experiments.harness.WorkerPool`,
+    whose workers persist across chunks and rounds.  Every finished chunk is
+    flushed to the JSONL store before the next starts, so a crash loses at
+    most one chunk of work.  Failed points carry an ``attempts`` counter
+    across invocations and turn ``"quarantined"`` (terminal) at the attempt
+    ceiling.  ``progress`` is called with ``(points_settled,
+    points_pending_total)`` once up front and after each chunk.
 
-    ``chaos`` deterministically injects worker crashes, hangs, torn tail
-    writes and raised errors at chosen grid indices -- the test harness for
-    every recovery path above.  ``clock`` and ``sleep`` are injectable for
-    deterministic tests and default to :func:`time.monotonic` /
-    :func:`time.sleep`.
+    Without a :class:`FabricConfig` that is all: one pass over the grid,
+    ``max_attempts`` being the ceiling.  A ``fabric`` switches on, field by
+    field, what a shared or unattended store needs:
+
+    * ``worker_id`` / ``lease_ttl`` -- each chunk is claimed through lease
+      records before it runs (points live-leased elsewhere are deferred),
+      renewed by a heartbeat meanwhile and released once its records are
+      appended; failure records name the worker;
+    * ``point_timeout`` -- a point past its budget is killed and recorded as
+      ``"timeout"``; set or not, points run in supervised worker processes,
+      so a crashed worker is a retryable ``"error"``, not the end of the run;
+    * ``max_rounds``, ``backoff_*``, ``seed`` -- failed points re-enter the
+      queue after a jittered exponential delay until every point is
+      terminal, only foreign-leased ones remain, or the rounds run out;
+    * ``max_attempts`` -- takes the place of the argument of that name.
+
+    ``chaos`` injects crashes, hangs, torn tail writes and errors at chosen
+    grid indices, driving every recovery path above deterministically;
+    ``clock`` / ``sleep`` default to :func:`time.monotonic` /
+    :func:`time.sleep` and are injectable for the same reason.
     """
     if chunk_size < 1:
         raise ConfigurationError("chunk_size must be at least 1")
-    fabric = fabric or FabricConfig()
+    if max_attempts < 1:
+        raise ConfigurationError("max_attempts must be at least 1")
     clock = clock or time.monotonic
     sleep = sleep or time.sleep
     store = store if isinstance(store, ResultStore) else ResultStore(store)
-    worker = fabric.resolved_worker_id()
-    leases = LeaseManager(store, worker, fabric.lease_ttl, clock=clock)
+    # A plain run is the fabric's policy reduced to a single pass, minus the
+    # three things only a FabricConfig switches on: leases, the worker stamp
+    # and the watchdog.
+    policy = fabric or FabricConfig(max_attempts=max_attempts, max_rounds=1)
+    worker = leases = None
+    if fabric is not None:
+        worker = fabric.resolved_worker_id()
+        leases = LeaseManager(store, worker, fabric.lease_ttl, clock=clock)
 
     points = spec.expand()
     index_by_key = {point.key: index for index, point in enumerate(points)}
     existing = store.load() if resume else {}
-    done, attempts = _classify_existing(points, existing, store, fabric.max_attempts)
+    done, attempts = _classify_existing(points, existing, store, policy.max_attempts)
     # Latest known record per point, terminal or not -- failures that are
     # still pending when the invocation returns (max_rounds, deferral) must
     # surface in the result, not just in the store.
@@ -422,117 +433,113 @@ def run_campaign_fabric(
     if progress is not None:
         progress(0, total_pending)
 
-    def report_progress() -> None:
-        if progress is not None:
-            settled = total_pending - len(pending)
-            progress(settled, total_pending)
-
     def adopt_foreign_results() -> None:
         """Fold in points another worker finished while we were deferred."""
         refreshed = store.load()
         for key in list(pending):
             record = refreshed.get(key)
             if record is not None and record.get("status") in TERMINAL_STATUSES:
-                done[key] = record
                 latest[key] = record
                 pending.pop(key)
                 ready_at.pop(key)
 
-    while pending:
-        if fabric.max_rounds is not None and rounds >= fabric.max_rounds:
-            break
-        rounds += 1
-        if ever_deferred:
-            adopt_foreign_results()
-            if not pending:
+    pool = WorkerPool(
+        runner=partial(_execute_task, isolated=True),
+        serial_runner=partial(_execute_task, isolated=False),
+        max_workers=max_workers,
+        timeout=policy.point_timeout,
+        on_timeout=_timeout_record,
+        on_crash=_crash_record if fabric is not None else None,
+        poll_interval=policy.poll_interval,
+    )
+    with pool:
+        while pending:
+            if policy.max_rounds is not None and rounds >= policy.max_rounds:
                 break
-        now = clock()
-        due = [key for key in pending if ready_at[key] <= now]
-        if not due:
-            wake = min(ready_at[key] for key in pending)
-            sleep(max(wake - now, fabric.poll_interval))
-            continue
-        progressed = False
-        for chunk in _chunks(due, chunk_size):
-            claimed = leases.claim(chunk)
-            lost = set(chunk) - set(claimed)
-            if lost:
-                # Foreign live leases: come back when they can have expired.
-                ever_deferred = True
-                foreign = leases.live_leases()
-                for key in lost:
-                    lease = foreign.get(key)
-                    ready_at[key] = (
-                        float(lease["deadline"]) if lease else clock()
-                    ) + fabric.poll_interval
-            if not claimed:
+            rounds += 1
+            if ever_deferred:
+                adopt_foreign_results()
+                if not pending:
+                    break
+            now = clock()
+            due = [key for key in pending if ready_at[key] <= now]
+            if not due:
+                wake = min(ready_at[key] for key in pending)
+                sleep(max(wake - now, policy.poll_interval))
                 continue
-            progressed = True
-            tasks = [
-                _FabricTask(
-                    point=pending[key],
-                    chaos_action=(
-                        None
-                        if chaos is None
-                        else chaos.action_for(
-                            index_by_key[key], attempts.get(key, 0)
-                        )
-                    ),
-                    hang_duration=(
-                        chaos.hang_duration if chaos is not None else 30.0
-                    ),
-                    store_path=str(store.path),
-                    timeout=fabric.point_timeout,
-                )
-                for key in claimed
-            ]
-            heartbeat = _Heartbeat(leases, claimed)
-            records = run_scenarios_guarded(
-                tasks,
-                runner=_execute_fabric_task,
-                serial_runner=_execute_fabric_task_serial,
-                timeout=fabric.point_timeout,
-                max_workers=max_workers,
-                on_timeout=lambda task: _timeout_record(task, fabric.point_timeout),
-                on_crash=_crash_record,
-                poll_interval=fabric.poll_interval,
-                tick=heartbeat,
-            )
-            for task, record in zip(tasks, records):
-                key = task.point.key
-                record = _finalize_record(
-                    record, attempts, fabric.max_attempts, worker=worker
-                )
-                store.append(record)
-                leases.release([key])
-                executed += 1
-                latest[key] = record
-                if record.get("status") in TERMINAL_STATUSES:
-                    done[key] = record
-                    pending.pop(key)
-                    ready_at.pop(key)
-                else:
-                    ready_at[key] = clock() + backoff_delay(
-                        attempts[key],
-                        base=fabric.backoff_base,
-                        cap=fabric.backoff_cap,
-                        jitter=fabric.backoff_jitter,
-                        seed=fabric.seed,
-                        key=key,
+            progressed = False
+            for chunk in _chunks(due, chunk_size):
+                claimed = chunk if leases is None else leases.claim(chunk)
+                lost = set(chunk) - set(claimed)
+                if lost:
+                    # Foreign live leases: come back when they can have expired.
+                    ever_deferred = True
+                    foreign = leases.live_leases()
+                    for key in lost:
+                        lease = foreign.get(key)
+                        ready_at[key] = (
+                            float(lease["deadline"]) if lease else clock()
+                        ) + policy.poll_interval
+                if not claimed:
+                    continue
+                progressed = True
+                tasks = [
+                    _FabricTask(
+                        point=pending[key],
+                        chaos_action=(
+                            None
+                            if chaos is None
+                            else chaos.action_for(
+                                index_by_key[key], attempts.get(key, 0)
+                            )
+                        ),
+                        hang_duration=(
+                            chaos.hang_duration if chaos is not None else 30.0
+                        ),
+                        store_path=str(store.path),
+                        timeout=policy.point_timeout,
                     )
-            report_progress()
-        if not progressed:
-            if not ever_deferred:  # pragma: no cover - defensive
-                raise FabricError("fabric made no progress on unleased points")
-            # Everything due is foreign-leased; if nothing can free up
-            # before our own backoffs, yield this invocation.
-            adopt_foreign_results()
-            if pending and all(
-                key in leases.live_leases() for key in pending
-            ):
-                break
-            if pending:
-                sleep(fabric.poll_interval)
+                    for key in claimed
+                ]
+                records = pool.map(
+                    tasks,
+                    tick=None if leases is None else _Heartbeat(leases, claimed),
+                )
+                for key, record in zip(claimed, records):
+                    record = _finalize_record(
+                        record, attempts, policy.max_attempts, worker=worker
+                    )
+                    store.append(record)
+                    if leases is not None:
+                        leases.release([key])
+                    executed += 1
+                    latest[key] = record
+                    if record.get("status") in TERMINAL_STATUSES:
+                        pending.pop(key)
+                        ready_at.pop(key)
+                    else:
+                        ready_at[key] = clock() + backoff_delay(
+                            attempts[key],
+                            base=policy.backoff_base,
+                            cap=policy.backoff_cap,
+                            jitter=policy.backoff_jitter,
+                            seed=policy.seed,
+                            key=key,
+                        )
+                if progress is not None:
+                    progress(total_pending - len(pending), total_pending)
+            if not progressed:
+                if not ever_deferred:  # pragma: no cover - defensive
+                    raise FabricError("fabric made no progress on unleased points")
+                # Everything due is foreign-leased; if nothing can free up
+                # before our own backoffs, yield this invocation.
+                adopt_foreign_results()
+                if pending and all(
+                    key in leases.live_leases() for key in pending
+                ):
+                    break
+                if pending:
+                    sleep(policy.poll_interval)
 
     return CampaignResult(
         spec=spec,
@@ -542,6 +549,27 @@ def run_campaign_fabric(
         executed=executed,
         skipped=len(points) - total_pending,
         deferred=len(pending),
+    )
+
+
+def run_campaign_fabric(
+    spec: CampaignSpec,
+    store: Union[str, pathlib.Path, ResultStore],
+    *,
+    fabric: Optional[FabricConfig] = None,
+    chaos: Optional[ChaosSpec] = None,
+    chunk_size: int = 4,
+    max_workers: Optional[int] = None,
+    resume: bool = True,
+    progress: Optional[Callable[[int, int], None]] = None,
+    clock: Optional[Callable[[], float]] = None,
+    sleep: Optional[Callable[[float], None]] = None,
+) -> CampaignResult:
+    """:func:`drive_campaign` under a :class:`FabricConfig` (its defaults if none is given)."""
+    return drive_campaign(
+        spec, store, fabric=fabric or FabricConfig(), chaos=chaos,
+        chunk_size=chunk_size, max_workers=max_workers, resume=resume,
+        progress=progress, clock=clock, sleep=sleep,
     )
 
 
@@ -647,6 +675,7 @@ __all__ = [
     "LeaseManager",
     "MergeReport",
     "backoff_delay",
+    "drive_campaign",
     "merge_stores",
     "run_campaign_fabric",
 ]

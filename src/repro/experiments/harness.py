@@ -9,12 +9,13 @@ series, and compare the result against the analytical optimum.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.connection import MptcpConnection
@@ -25,6 +26,12 @@ from ..measure.dynamics import DynamicsReport, analyze_dynamics
 from ..measure.flowstats import ConnectionStats, connection_stats
 from ..measure.sampling import TimeSeries, per_tag_timeseries, total_timeseries
 from ..measure.signalplane import SignalPlaneReport, signal_plane_report
+from ..measure.validation import (
+    BackendComparison,
+    PointValidation,
+    compare_experiment_backends,
+    validate_experiment,
+)
 from ..model.bottleneck import ConstraintSystem, build_constraints
 from ..model.lp import LpResult, max_total_throughput
 from ..model.paths import PathSet
@@ -108,6 +115,9 @@ class ExperimentConfig:
             return self.scenario()
         return self.scenario
 
+    def run(self) -> "ExperimentResult":
+        return run_experiment(self)
+
 
 @dataclass
 class ExperimentResult:
@@ -145,6 +155,14 @@ class ExperimentResult:
 
     def path_series(self, tag: int) -> TimeSeries:
         return self.per_path_series[tag]
+
+    def validate(self) -> PointValidation:
+        """Cross-validate the measured per-path rates against the model suite."""
+        return validate_experiment(self)
+
+    def compare(self, packet: "ExperimentResult") -> BackendComparison:
+        """Rate agreement of this (flow-level) run with its packet-level twin."""
+        return compare_experiment_backends(self, packet)
 
     def summary(self) -> dict:
         summary = {
@@ -246,74 +264,222 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
-class ScenarioPool:
-    """Reusable worker pool for chunked scenario sweeps.
+class WorkerPool:
+    """Persistent worker processes behind an in-order ``map``, optionally watched.
 
-    :func:`run_scenarios_parallel` tears its process pool down after every
-    call, which is fine for one-shot sweeps but dominates the cost of small
-    campaign chunks: a four-point chunk pays worker spawn plus interpreter
-    import on every chunk.  ``ScenarioPool`` keeps the workers alive across
-    :meth:`map` calls so a chunked campaign pays the startup cost once,
-    while preserving the same fallbacks (serial when multiprocessing is
-    unavailable or the payload cannot be pickled) and in-order results.
+    Each worker takes one configuration at a time over a pipe and replies
+    ``runner(config)`` (a module-level callable, to cross the process
+    boundary).  Workers outlive :meth:`map` calls, so a chunked campaign pays
+    process start -- and, off ``fork``, the interpreter import -- once per
+    worker rather than once per point.
 
-    ``expected`` is the total number of configurations the pool will see
-    across all calls; a pool that will only ever run one configuration (or
-    ``max_workers=1``) stays serial and never spawns workers.
+    ``timeout`` and ``on_crash`` ask for isolation, which costs one worker,
+    never the pool: a task past ``timeout`` seconds has its worker killed and
+    becomes ``on_timeout(config)``; a task whose worker died without replying
+    (crash, OOM-kill, ``os._exit``) or whose runner raised becomes
+    ``on_crash(config, reason)``.  Without ``on_crash`` the rest of the batch
+    still runs and the first failure is then raised as :class:`RuntimeError`.
+
+    Configurations run in this process, through ``serial_runner`` (default:
+    ``runner``), when one worker suffices and no isolation was asked for,
+    when they cannot be pickled (a ``scenario`` lambda) or when no process can
+    be started (restricted sandboxes).  A hang cannot be killed there, but a
+    task that overran ``timeout`` still becomes ``on_timeout(config)``.  Only
+    a failed process start counts as missing subprocess support, never an
+    exception out of the runner.
     """
 
     def __init__(
         self,
         *,
-        max_workers: Optional[int] = None,
         runner: Callable = run_experiment,
-        expected: Optional[int] = None,
+        max_workers: Optional[int] = None,
+        timeout: Optional[float] = None,
+        on_timeout: Optional[Callable] = None,
+        on_crash: Optional[Callable] = None,
+        serial_runner: Optional[Callable] = None,
+        poll_interval: float = 0.05,
     ) -> None:
-        self._max_workers = max_workers
+        if timeout is not None and timeout <= 0:
+            raise ConfigurationError("watchdog timeout must be positive")
+        if timeout is not None and on_timeout is None:
+            raise ConfigurationError("a timeout needs an on_timeout record factory")
         self._runner = runner
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._serial = max_workers == 1 or (expected is not None and expected <= 1)
+        self._serial_runner = serial_runner or runner
+        self._max_workers = max_workers or os.cpu_count() or 1
+        self._timeout = timeout
+        self._on_timeout = on_timeout
+        self._on_crash = on_crash
+        self._poll_interval = poll_interval
+        self._idle: List[Tuple] = []  # (process, pipe) of workers awaiting a task
+        self._can_spawn = True
 
-    def map(self, configs: Sequence) -> List:
-        """Run ``configs`` through the runner, in order; reuses live workers."""
+    def map(self, configs: Sequence, *, tick: Optional[Callable[[], None]] = None) -> List:
+        """Run ``configs`` through the runner, in order, reusing live workers.
+
+        ``tick`` is called at least every ``poll_interval`` seconds while
+        workers run (and after each in-process task): the campaign driver
+        renews its leases there.
+        """
         configs = list(configs)
-        if not configs:
-            return []
-        runner = self._runner
-        if not self._serial:
+        workers = min(self._max_workers, len(configs))
+        in_process = workers <= 1 and self._timeout is None and self._on_crash is None
+        if not in_process:
             try:
-                # Probe picklability up front (a `scenario` lambda is the
-                # common offender) so that real errors raised *inside* the
-                # runner are never mistaken for multiprocessing limitations.
-                pickle.dumps((runner, configs))
+                # Probed up front so the choice does not depend on the start
+                # method (``fork`` never pickles the runner); the next batch
+                # may well be picklable, so the pool stays parallel-capable.
+                pickle.dumps((self._runner, configs))
             except Exception:
-                # This payload cannot cross the process boundary; the next
-                # chunk might, so stay parallel-capable.
-                return [runner(config) for config in configs]
+                in_process = True
+        if in_process:
+            return [self._run_here(config, tick) for config in configs]
+
+        results: List = [None] * len(configs)
+        queue = deque(enumerate(configs))
+        busy: Dict = {}  # pipe -> (process, index, config, time started)
+        failure = None
+        try:
+            while queue or busy:
+                while queue and len(busy) < workers:
+                    worker = self._worker()
+                    if worker is None:
+                        break
+                    process, conn = worker
+                    try:
+                        conn.send((queue[0][1],))
+                    except OSError:  # it died while idle: take the next one
+                        _stop_worker(process, conn)
+                        continue
+                    index, config = queue.popleft()
+                    busy[conn] = (process, index, config, time.monotonic())
+                if not busy:
+                    # No process can be started and nothing is in flight, so
+                    # nothing runs twice: work the queue off here.
+                    index, config = queue.popleft()
+                    results[index] = self._run_here(config, tick)
+                    continue
+                for conn in wait(list(busy), timeout=self._poll_interval):
+                    process, index, config, _ = busy.pop(conn)
+                    try:
+                        ok, payload = conn.recv()
+                        self._idle.append((process, conn))
+                    except (EOFError, OSError):
+                        # The pipe closed without a reply: the worker died
+                        # (os._exit, signal) before flushing anything.
+                        _stop_worker(process, conn)
+                        ok = False
+                        payload = (
+                            "worker process died before reporting "
+                            f"(exit code {process.exitcode})"
+                        )
+                    if ok:
+                        results[index] = payload
+                    elif self._on_crash is not None:
+                        results[index] = self._on_crash(config, payload)
+                    else:
+                        failure = failure or f"worker failed for {config!r}: {payload}"
+                now = time.monotonic()
+                for conn, (process, index, config, started) in list(busy.items()):
+                    if self._timeout is not None and now - started > self._timeout:
+                        del busy[conn]
+                        _stop_worker(process, conn)
+                        results[index] = self._on_timeout(config)
+                if tick is not None:
+                    tick()
+        finally:
+            # Only an exception leaves tasks in flight; a worker holding
+            # stale work cannot be reused.
+            for conn, (process, *_) in busy.items():
+                _stop_worker(process, conn)
+        if failure is not None:
+            raise RuntimeError(failure)
+        return results
+
+    def _run_here(self, config, tick: Optional[Callable[[], None]]):
+        started = time.monotonic()
+        result = self._serial_runner(config)
+        if self._timeout is not None and time.monotonic() - started > self._timeout:
+            result = self._on_timeout(config)
+        if tick is not None:
+            tick()
+        return result
+
+    def _worker(self) -> Optional[Tuple]:
+        """An idle worker, else a fresh one, else ``None``: none can be started."""
+        if self._idle:
+            return self._idle.pop()
+        if self._can_spawn:
             try:
-                if self._pool is None:
-                    self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
-                return list(self._pool.map(runner, configs))
-            except (BrokenProcessPool, PermissionError, OSError):
-                # No subprocess support (restricted sandbox): run in-process
-                # from here on.
-                self._serial = True
-                self.close()
-        return [runner(config) for config in configs]
+                return _start_worker(self._runner)
+            except OSError:  # PermissionError included: no subprocess support
+                self._can_spawn = False
+        return None
 
     def close(self) -> None:
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
+        """Let the workers exit; outside :meth:`map` every one of them is idle."""
+        while self._idle:
+            process, conn = self._idle.pop()
             try:
-                pool.shutdown()
-            except Exception:
-                pass
+                conn.send(None)
+                process.join(timeout=1.0)
+            except OSError:
+                pass  # it died while idle
+            _stop_worker(process, conn)
 
-    def __enter__(self) -> "ScenarioPool":
+    def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _worker_main(conn, parent_conn, runner: Callable) -> None:
+    """Worker body: answer ``(config,)`` with ``(ok, result-or-reason)`` until ``None``."""
+    # Drop the inherited copy of the parent's end: a killed parent then reads
+    # as EOF here instead of leaving this process blocked in recv() for good.
+    parent_conn.close()
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        try:
+            reply = (True, runner(request[0]))
+        except Exception as error:  # noqa: BLE001 - reported to the parent
+            reply = (False, f"{type(error).__name__}: {error}")
+        try:
+            conn.send(reply)
+        except Exception as error:  # noqa: BLE001 - e.g. an unpicklable result
+            conn.send((False, f"{type(error).__name__}: {error}"))
+
+
+def _start_worker(runner: Callable) -> Tuple:
+    """Start one worker: the only place this package creates a process."""
+    ctx = multiprocessing.get_context()
+    conn, child_conn = ctx.Pipe()
+    process = ctx.Process(
+        target=_worker_main, args=(child_conn, conn, runner), daemon=True
+    )
+    try:
+        process.start()
+    except OSError:
+        conn.close()
+        raise
+    finally:
+        child_conn.close()
+    return process, conn
+
+
+def _stop_worker(process, conn) -> None:
+    conn.close()
+    if process.is_alive():
+        process.terminate()
+    process.join(timeout=1.0)
+    if process.is_alive():  # pragma: no cover - ignores SIGTERM
+        process.kill()
 
 
 def run_scenarios_parallel(
@@ -326,194 +492,13 @@ def run_scenarios_parallel(
 
     Each configuration is an independent simulation, so figure-style
     multi-scenario sweeps scale with cores.  Results come back in the order
-    of ``configs``.  ``runner`` maps one configuration to its result
-    (:func:`run_experiment` by default; the campaign layer substitutes its
-    own point executor) and must be a module-level callable to cross the
-    process boundary.
-
-    Falls back to running serially when multiprocessing is unavailable
-    (restricted sandboxes) or when a configuration cannot be pickled (e.g. a
-    ``scenario`` lambda); module-level scenario builders keep configurations
-    picklable.  Callers issuing many small batches should hold a
-    :class:`ScenarioPool` instead, which amortises worker startup.
+    of ``configs``.  This is the one-shot convenience over
+    :class:`WorkerPool`, which see for ``runner`` and for when the sweep runs
+    in this process instead; callers issuing many batches should hold a pool
+    themselves, so that the workers outlive each batch.
     """
-    configs = list(configs)
-    with ScenarioPool(
-        max_workers=max_workers, runner=runner, expected=len(configs)
-    ) as pool:
+    with WorkerPool(runner=runner, max_workers=max_workers) as pool:
         return pool.map(configs)
-
-
-def _guarded_child(conn, runner: Callable, config) -> None:
-    """Child-process body for :func:`run_scenarios_guarded`.
-
-    Ships the runner's result (or a stringified failure) back over the pipe;
-    a process that dies before sending anything is detected by the parent's
-    watchdog as a crash.
-    """
-    try:
-        conn.send(("result", runner(config)))
-    except BaseException as error:  # noqa: BLE001 - report, then let the child die
-        try:
-            conn.send(("raised", f"{type(error).__name__}: {error}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def run_scenarios_guarded(
-    configs: Sequence,
-    *,
-    runner: Callable = run_experiment,
-    timeout: Optional[float] = None,
-    max_workers: Optional[int] = None,
-    on_timeout: Optional[Callable] = None,
-    on_crash: Optional[Callable] = None,
-    serial_runner: Optional[Callable] = None,
-    poll_interval: float = 0.05,
-    tick: Optional[Callable[[], None]] = None,
-) -> List:
-    """Watchdog-supervised variant of :func:`run_scenarios_parallel`.
-
-    Each configuration runs in its **own** worker process (bounded by
-    ``max_workers`` concurrent children) while the parent polls result pipes,
-    liveness and per-point deadlines:
-
-    * a point exceeding ``timeout`` wall-clock seconds is killed
-      (``terminate``) and replaced by ``on_timeout(config)``;
-    * a child that dies without reporting -- crash, OOM-kill, ``os._exit``
-      -- is replaced by ``on_crash(config, reason)``;
-    * ``tick`` (if given) is called on every poll sweep, which is where the
-      campaign fabric renews its leases while long points run.
-
-    This is the enforcement layer under the fabric's per-point budgets: a
-    pool-based map cannot kill a wedged task, a dedicated process can.
-    Results come back in ``configs`` order.  When worker processes are
-    unavailable (restricted sandboxes, unpicklable runners) the scenarios
-    run serially via ``serial_runner`` (default: ``runner``); real hangs
-    cannot be killed in-process, but a point whose serial run exceeded the
-    budget is still reported through ``on_timeout``.
-    """
-    configs = list(configs)
-    if not configs:
-        return []
-    if timeout is not None and timeout <= 0:
-        raise ConfigurationError("watchdog timeout must be positive")
-    if timeout is not None and on_timeout is None:
-        raise ConfigurationError("a timeout needs an on_timeout record factory")
-
-    def run_serial() -> List:
-        fallback = serial_runner or runner
-        results = []
-        for config in configs:
-            started = time.monotonic()
-            result = fallback(config)
-            if timeout is not None and time.monotonic() - started > timeout:
-                result = on_timeout(config)
-            results.append(result)
-            if tick is not None:
-                tick()
-        return results
-
-    try:
-        pickle.dumps((runner, configs))
-    except Exception:
-        return run_serial()
-    import multiprocessing
-    import os as _os
-
-    ctx = multiprocessing.get_context()
-    workers = max(1, min(max_workers or _os.cpu_count() or 1, len(configs)))
-    results: List = [None] * len(configs)
-    queue = deque(enumerate(configs))
-    running: Dict[int, tuple] = {}  # index -> (process, pipe, deadline, config)
-
-    def reap(index: int, result) -> None:
-        process, conn, _, _ = running.pop(index)
-        conn.close()
-        process.join(timeout=1.0)
-        if process.is_alive():  # pragma: no cover - stuck after result/kill
-            process.kill()
-            process.join()
-        results[index] = result
-
-    try:
-        while queue or running:
-            while queue and len(running) < workers:
-                index, config = queue.popleft()
-                receiver, sender = ctx.Pipe(duplex=False)
-                process = ctx.Process(
-                    target=_guarded_child, args=(sender, runner, config)
-                )
-                try:
-                    process.start()
-                except (PermissionError, OSError):
-                    # No subprocess support: drain everything serially.
-                    receiver.close()
-                    sender.close()
-                    for idx, (proc, conn, _, _) in list(running.items()):
-                        proc.terminate()
-                        proc.join()
-                        conn.close()
-                    running.clear()
-                    return run_serial()
-                sender.close()
-                deadline = (
-                    None if timeout is None else time.monotonic() + timeout
-                )
-                running[index] = (process, receiver, deadline, config)
-            progressed = False
-            for index, (process, conn, deadline, config) in list(running.items()):
-                if conn.poll(0):
-                    try:
-                        kind, payload = conn.recv()
-                    except (EOFError, OSError):
-                        # The pipe closed without a result: the child died
-                        # (os._exit, signal) before flushing anything.
-                        kind = "raised"
-                        payload = (
-                            "worker process died before reporting "
-                            f"(exit code {process.exitcode})"
-                        )
-                    if kind == "result":
-                        reap(index, payload)
-                    elif on_crash is not None:
-                        reap(index, on_crash(config, payload))
-                    else:
-                        reap(index, None)
-                        raise RuntimeError(
-                            f"guarded worker failed for {config!r}: {payload}"
-                        )
-                    progressed = True
-                elif not process.is_alive():
-                    reason = f"worker process died (exit code {process.exitcode})"
-                    if on_crash is None:
-                        reap(index, None)
-                        raise RuntimeError(
-                            f"guarded worker crashed for {config!r}: {reason}"
-                        )
-                    reap(index, on_crash(config, reason))
-                    progressed = True
-                elif deadline is not None and time.monotonic() > deadline:
-                    process.terminate()
-                    process.join(timeout=1.0)
-                    if process.is_alive():  # pragma: no cover - ignores SIGTERM
-                        process.kill()
-                    reap(index, on_timeout(config))
-                    progressed = True
-            if tick is not None:
-                tick()
-            if not progressed and running:
-                time.sleep(poll_interval)
-    finally:
-        for process, conn, _, _ in running.values():
-            process.terminate()
-            process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover
-                process.kill()
-            conn.close()
-    return results
 
 
 def paper_experiment(

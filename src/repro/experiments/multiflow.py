@@ -28,6 +28,12 @@ from ..measure.fct import FctReport
 from ..measure.flowstats import ConnectionStats, connection_stats
 from ..measure.sampling import TimeSeries, per_tag_timeseries, throughput_timeseries
 from ..measure.signalplane import SignalPlaneReport, signal_plane_report
+from ..measure.validation import (
+    BackendComparison,
+    PointValidation,
+    compare_multiflow_backends,
+    validate_multiflow,
+)
 from ..model.bottleneck import build_constraints
 from ..model.lp import max_total_throughput
 from ..model.paths import Path, PathSet
@@ -168,6 +174,9 @@ class MultiFlowConfig:
             return self.scenario()
         return self.scenario
 
+    def run(self) -> "MultiFlowResult":
+        return run_multiflow(self)
+
 
 @dataclass
 class FlowResult:
@@ -224,6 +233,14 @@ class MultiFlowResult:
     @property
     def jain_index(self) -> float:
         return self.fairness.jain_index
+
+    def validate(self) -> PointValidation:
+        """Cross-validate the per-base-path rates against the model suite."""
+        return validate_multiflow(self)
+
+    def compare(self, packet: "MultiFlowResult") -> BackendComparison:
+        """Rate agreement of this (flow-level) run with its packet-level twin."""
+        return compare_multiflow_backends(self, packet)
 
     def summary(self) -> dict:
         summary = {

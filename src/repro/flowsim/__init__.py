@@ -14,8 +14,8 @@ not billions of packets.
   flow descriptors and results;
 * :mod:`repro.flowsim.allocator` -- the instantaneous rate-sharing rules
   (``maxmin`` / ``proportional_fair`` / ``fluid``);
-* :mod:`repro.flowsim.workload` -- shim re-exporting the seeded synthetic
-  populations that now live in :mod:`repro.workload.population`;
+* the seeded synthetic populations (:func:`heavy_tailed_workload`,
+  :func:`pareto_size_sampler`) come from :mod:`repro.workload.population`;
 * :mod:`repro.flowsim.backend` -- adapters running an unmodified
   :class:`~repro.experiments.harness.ExperimentConfig` /
   :class:`~repro.experiments.multiflow.MultiFlowConfig` at flow-level
@@ -24,7 +24,7 @@ not billions of packets.
 
 from .allocator import ALLOCATORS, FluidAllocator, MaxMinAllocator, ProportionalFairAllocator
 from .engine import FlowCompletion, FlowDescriptor, FlowLevelResult, FlowLevelSim
-from .workload import heavy_tailed_workload, pareto_size_sampler
+from ..workload.population import heavy_tailed_workload, pareto_size_sampler
 
 __all__ = [
     "ALLOCATORS",

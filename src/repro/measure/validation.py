@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -298,6 +298,9 @@ class BackendComparison:
     backend order the flows the way the packet backend does?".
     """
 
+    #: Field of a campaign point record this comparison is stored under.
+    record_field: ClassVar[str] = "cross_fidelity"
+
     scenario: str
     per_flow: Dict[str, dict] = field(default_factory=dict)
     mean_rel_error: Optional[float] = None
@@ -410,6 +413,9 @@ class FctComparison:
     retransmissions the fluid model abstracts away.  Packet level is the
     ground truth; relative errors are taken against it.
     """
+
+    #: Field of a campaign point record this comparison is stored under.
+    record_field: ClassVar[str] = "cross_fidelity_fct"
 
     scenario: str
     offered: int

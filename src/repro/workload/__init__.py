@@ -14,9 +14,8 @@ either engine:
 * flow level -- :class:`~repro.workload.flowlevel.FlowLevelWorkloadRun` on
   the fluid engine.
 
-Also here: the packet traffic sources (:mod:`~repro.workload.sources`,
-formerly ``repro.traffic``), flat flow populations
-(:mod:`~repro.workload.population`, formerly ``repro.flowsim.workload``) and
+Also here: the packet traffic sources (:mod:`~repro.workload.sources`),
+flat flow populations (:mod:`~repro.workload.population`) and
 named scenarios (:mod:`~repro.workload.scenarios`) behind
 ``repro.cli workload``.
 """

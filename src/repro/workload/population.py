@@ -1,8 +1,7 @@
 """Seeded flat flow populations (sized transfers, no dependencies).
 
-The original home of this code was :mod:`repro.flowsim.workload`; it moved
-here when the backend-agnostic workload layer landed (the old module remains
-as a re-export shim).  :func:`heavy_tailed_workload` generates a flat list of
+:func:`heavy_tailed_workload` (also exported from :mod:`repro.flowsim`,
+whose engine consumes its output) generates a flat list of
 independent sized transfers -- heavy-tailed sizes, Poisson arrivals -- ready
 for the flow-level engine; for request/response sessions with dependency
 edges see :class:`repro.workload.spec.WorkloadSpec`.

@@ -24,6 +24,7 @@ from typing import Callable, List, Optional, Tuple, Union
 from ..errors import ConfigurationError
 from ..flowsim.engine import FlowLevelSim
 from ..measure.fct import FctRecord, FctReport
+from ..measure.validation import FctComparison, compare_workload_backends
 from ..model.paths import PathSet
 from ..netsim.network import Network
 from ..netsim.topology import Topology
@@ -76,6 +77,9 @@ class WorkloadConfig:
             return self.scenario()
         return self.scenario
 
+    def run(self) -> "WorkloadResult":
+        return run_workload(self)
+
 
 @dataclass
 class WorkloadResult:
@@ -100,6 +104,14 @@ class WorkloadResult:
             "events_processed": self.events_processed,
             "fct": self.fct.as_dict(),
         }
+
+    def validate(self) -> None:
+        """No analytical model predicts an FCT distribution: nothing to check."""
+        return None
+
+    def compare(self, packet: "WorkloadResult") -> FctComparison:
+        """FCT agreement of this (flow-level) run with its packet-level twin."""
+        return compare_workload_backends(self, packet)
 
 
 def run_workload(config: WorkloadConfig) -> WorkloadResult:

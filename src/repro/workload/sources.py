@@ -3,10 +3,8 @@
 These are the *open-ended* traffic generators -- rate decided by a
 congestion controller (iperf) or configured outright (UDP/on-off) -- as
 opposed to the sized request/response transfers the rest of this package
-compiles from a :class:`~repro.workload.spec.WorkloadSpec`.  They moved here
-verbatim from the old ``repro.traffic`` package (which re-exports them for
-compatibility) so every way of offering load to the packet engine lives
-under one roof:
+compiles from a :class:`~repro.workload.spec.WorkloadSpec`.  Every way of
+offering load to the packet engine lives under this one roof:
 
 * :class:`IperfClient` -- the paper's measurement tool: a greedy bulk
   transfer over an existing (MP)TCP connection, reported as interval

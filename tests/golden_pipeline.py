@@ -35,7 +35,7 @@ from repro.netsim.dynamics import DynamicsSpec
 from repro.netsim.network import Network
 from repro.topologies.generators import shared_bottleneck
 from repro.topologies.paper import paper_scenario
-from repro.traffic.iperf import IperfClient
+from repro.workload.sources import IperfClient
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_pipeline.json"
 

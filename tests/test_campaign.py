@@ -52,6 +52,47 @@ class TestCampaignSpec:
         assert point_key(params) == point_key(dict(params))
         assert point_key(params) != point_key({**params, "rate_scale": 2.0})
 
+    @pytest.mark.parametrize(
+        "key, axes",
+        [
+            ("58473e56aaadab58", dict(kind="single")),
+            (
+                "975cdad7d35e1ed5",
+                dict(
+                    kind="multiflow",
+                    scenarios=("two_mptcp_competition",),
+                    congestion_controls=("lia",),
+                ),
+            ),
+            (
+                "bc623386f46bd37d",
+                dict(
+                    kind="workload",
+                    scenarios=("web_page_load",),
+                    load_scales=(2.0,),
+                    duration=5.0,
+                ),
+            ),
+            (
+                "be642128d04ed985",
+                dict(
+                    kind="multiflow",
+                    scenarios=("ecn_mptcp_fairness",),
+                    congestion_controls=("sfc",),
+                    queue_kinds=("red",),
+                    ecn_modes=(True,),
+                ),
+            ),
+            ("276aeaf210fffb0d", dict(kind="single", backend="flowlevel")),
+        ],
+        ids=["single", "multiflow", "workload", "signal-plane", "flowlevel"],
+    )
+    def test_point_keys_are_pinned(self, key, axes):
+        """Literals computed before the one-driver refactor (PR 12's parent):
+        a change to any kind's params dict would orphan every existing store."""
+        (point,) = CampaignSpec(name="pin", **{"duration": 0.5, **axes}).expand()
+        assert point.key == key
+
     def test_same_grid_re_expands_to_same_keys(self):
         keys_a = [p.key for p in small_spec(congestion_controls=("cubic", "lia")).expand()]
         keys_b = [p.key for p in small_spec(congestion_controls=("cubic", "lia")).expand()]
@@ -319,6 +360,7 @@ class TestCampaignCli:
 
     def test_error_points_yield_nonzero_exit(self, tmp_path, capsys, monkeypatch):
         from repro.experiments import campaign as campaign_module
+        from repro.experiments import fabric as fabric_module
 
         monkeypatch.setitem(
             campaign_module.CAMPAIGN_GRIDS, "paper_cc_rate", lambda **kw: small_spec(**kw)
@@ -327,7 +369,8 @@ class TestCampaignCli:
         def always_fails(point):
             return {"key": point.key, "params": point.params, "status": "error", "error": "boom"}
 
-        monkeypatch.setattr(campaign_module, "_execute_point", always_fails)
+        # The driver (repro.experiments.fabric) is what looks the executor up.
+        monkeypatch.setattr(fabric_module, "_execute_point", always_fails)
         store = str(tmp_path / "store.jsonl")
         assert cli_main(["campaign", "paper_cc_rate", "--store", store, "--no-plot"]) == 1
         assert "boom" in capsys.readouterr().err

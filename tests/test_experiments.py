@@ -1,13 +1,23 @@
 """Experiment harness, figure regeneration and the CLI (short runs)."""
 
 import json
+import os
+import signal
+import time
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.errors import ConfigurationError
+from repro.experiments import harness
 from repro.experiments.ascii_plot import ascii_chart, plot_figure
 from repro.experiments.figures import fig2c_fine, figure_with_algorithm
-from repro.experiments.harness import ExperimentConfig, paper_experiment, run_experiment
+from repro.experiments.harness import (
+    ExperimentConfig,
+    WorkerPool,
+    paper_experiment,
+    run_experiment,
+)
 from repro.experiments.scenarios import (
     scheduler_comparison,
     summarize_results,
@@ -171,8 +181,42 @@ class TestCli:
             cli_main(["nonsense"])
 
 
-class TestRunScenariosParallel:
-    """Serial fallbacks and the pluggable runner of the sweep executor."""
+def _sleep_runner(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+def _pid_runner(_config):
+    return os.getpid()
+
+
+def _crash_runner(code):
+    os._exit(code)
+
+
+def _raise_runner(config):
+    raise ValueError(f"bad config {config}")
+
+
+def _recording_runner(config):
+    """Leave one line per execution; raise the OSError a bad builder would."""
+    log, name = config
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        os.write(fd, f"{name}\n".encode())
+    finally:
+        os.close(fd)
+    if name == "missing":
+        raise FileNotFoundError(f"no topology file for {name}")
+    return name, os.getpid()
+
+
+def _no_process(*args, **kwargs):
+    raise AssertionError("no worker process may be started")
+
+
+class TestWorkerPool:
+    """The one process runner: in-process choices, ordering, watchdog, crashes."""
 
     @staticmethod
     def _configs(n=2, duration=0.3):
@@ -181,14 +225,9 @@ class TestRunScenariosParallel:
             for i in range(n)
         ]
 
-    def test_unpicklable_scenario_falls_back_to_serial(self, monkeypatch):
-        from repro.experiments import harness
-
-        class _Exploding:
-            def __init__(self, *a, **k):
-                raise AssertionError("process pool must not be constructed")
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _Exploding)
+    # -- when nothing leaves this process
+    def test_unpicklable_scenario_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(harness, "_start_worker", _no_process)
         configs = [
             ExperimentConfig(
                 name=f"lambda-{i}", scenario=lambda: make_two_path_scenario(), duration=0.3
@@ -199,46 +238,164 @@ class TestRunScenariosParallel:
         assert [r.config.name for r in results] == ["lambda-0", "lambda-1"]
         assert all(r.optimum.total == pytest.approx(90.0) for r in results)
 
-    def test_max_workers_one_runs_serially(self, monkeypatch):
-        from repro.experiments import harness
+    def test_unpicklable_configs_go_to_the_serial_runner_even_when_isolated(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "_start_worker", _no_process)
+        pool = WorkerPool(
+            runner=_sleep_runner,
+            serial_runner=lambda config: config(),
+            on_crash=lambda config, reason: reason,
+        )
+        assert pool.map([lambda: 1, lambda: 2]) == [1, 2]  # lambdas cannot cross processes
 
-        class _Exploding:
-            def __init__(self, *a, **k):
-                raise AssertionError("process pool must not be constructed")
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _Exploding)
+    def test_max_workers_one_without_isolation_starts_no_process(self, monkeypatch):
+        monkeypatch.setattr(harness, "_start_worker", _no_process)
         results = harness.run_scenarios_parallel(self._configs(), max_workers=1)
         assert [r.config.name for r in results] == ["p0", "p1"]
 
-    def test_broken_process_pool_falls_back_to_serial(self, monkeypatch):
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.experiments import harness
-
-        class _BrokenPool:
-            def __init__(self, *a, **k):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *a):
-                return False
-
-            def map(self, fn, items):
-                raise BrokenProcessPool("no subprocess support")
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", _BrokenPool)
-        results = harness.run_scenarios_parallel(self._configs())
-        assert [r.config.name for r in results] == ["p0", "p1"]
+    def test_single_config_starts_no_process(self, monkeypatch):
+        monkeypatch.setattr(harness, "_start_worker", _no_process)
+        assert harness.run_scenarios_parallel([0.0], runner=_sleep_runner) == [0.0]
 
     def test_custom_runner_is_applied(self):
-        from repro.experiments.harness import run_scenarios_parallel
-
-        names = run_scenarios_parallel(
+        names = harness.run_scenarios_parallel(
             self._configs(), max_workers=1, runner=lambda config: config.name
         )
         assert names == ["p0", "p1"]
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    def test_no_subprocess_support_falls_back_to_in_process(self, monkeypatch, isolated):
+        """A sandbox that refuses to start processes: each config still runs
+        exactly once, and the pool stops trying."""
+        attempts = []
+
+        def refuse(runner):
+            attempts.append(runner)
+            raise PermissionError("no subprocess support")
+
+        monkeypatch.setattr(harness, "_start_worker", refuse)
+        ran = []
+        pool = WorkerPool(
+            runner=_sleep_runner,
+            serial_runner=lambda config: ran.append(config) or config,
+            max_workers=2,
+            on_crash=(lambda config, reason: reason) if isolated else None,
+        )
+        with pool:
+            assert pool.map([0.0, 0.1, 0.2]) == [0.0, 0.1, 0.2]
+            assert pool.map([0.3, 0.4]) == [0.3, 0.4]
+        assert ran == [0.0, 0.1, 0.2, 0.3, 0.4]
+        assert len(attempts) == 1
+
+    def test_serial_run_still_reports_over_budget_points(self):
+        pool = WorkerPool(
+            runner=_sleep_runner,
+            serial_runner=lambda config: config(),
+            timeout=0.05,
+            on_timeout=lambda config: "timed-out",
+        )
+        assert pool.map([lambda: time.sleep(0.2) or "slow"]) == ["timed-out"]
+
+    # -- worker processes
+    def test_results_come_back_in_config_order(self):
+        results = harness.run_scenarios_parallel(
+            [0.2, 0.0, 0.1], runner=_sleep_runner, max_workers=3
+        )
+        assert results == [0.2, 0.0, 0.1]
+
+    def test_workers_persist_across_map_calls(self):
+        with WorkerPool(runner=_pid_runner, max_workers=2) as pool:
+            first = set(pool.map(range(4)))
+            second = set(pool.map(range(4)))
+        assert os.getpid() not in first
+        assert 1 <= len(first) <= 2
+        assert second <= first  # no worker was started for the second batch
+
+    def test_worker_that_died_while_idle_is_replaced(self):
+        with WorkerPool(runner=_pid_runner, max_workers=2) as pool:
+            first = pool.map(range(2))
+            for pid in set(first):
+                os.kill(pid, signal.SIGKILL)
+            time.sleep(0.2)
+            second = pool.map(range(2))
+        assert len(second) == 2 and not set(second) & set(first)
+
+    def test_runner_oserror_is_not_mistaken_for_missing_subprocess_support(
+        self, tmp_path
+    ):
+        """Regression: an OSError raised *inside* the runner (a scenario
+        builder's FileNotFoundError) used to be caught as "cannot start
+        processes": the whole batch silently ran a second time in the
+        parent and the pool went serial for good."""
+        log = str(tmp_path / "executions.log")
+        names = ["a", "missing", "b", "c"]
+        with WorkerPool(runner=_recording_runner, max_workers=2) as pool:
+            with pytest.raises(RuntimeError, match="FileNotFoundError: no topology file"):
+                pool.map([(log, name) for name in names])
+            with open(log, encoding="utf-8") as handle:
+                assert sorted(handle.read().split()) == sorted(names)  # each exactly once
+            # Parallelism survived: the next batch still runs in worker processes.
+            later = pool.map([(log, "d"), (log, "e")])
+        assert [name for name, _ in later] == ["d", "e"]
+        assert all(pid != os.getpid() for _, pid in later)
+
+    def test_runner_oserror_routes_to_on_crash(self, tmp_path):
+        log = str(tmp_path / "executions.log")
+        names = ["a", "missing", "b"]
+        with WorkerPool(
+            runner=_recording_runner,
+            max_workers=2,
+            on_crash=lambda config, reason: ("crash", reason),
+        ) as pool:
+            results = pool.map([(log, name) for name in names])
+        assert results[0][0] == "a" and results[2][0] == "b"
+        assert results[1][0] == "crash" and "FileNotFoundError" in results[1][1]
+        with open(log, encoding="utf-8") as handle:
+            assert sorted(handle.read().split()) == sorted(names)
+
+    def test_hung_task_is_killed_and_costs_one_worker_not_the_pool(self):
+        started = time.monotonic()
+        with WorkerPool(
+            runner=_sleep_runner,
+            max_workers=2,
+            timeout=0.5,
+            on_timeout=lambda config: ("timeout", config),
+        ) as pool:
+            assert pool.map([0.0, 30.0]) == [0.0, ("timeout", 30.0)]
+            assert time.monotonic() - started < 10.0  # nowhere near the 30s hang
+            assert pool.map([0.0, 0.1, 0.0]) == [0.0, 0.1, 0.0]
+
+    def test_crashed_worker_is_reported_via_on_crash_and_replaced(self):
+        with WorkerPool(
+            runner=_crash_runner,
+            max_workers=1,
+            on_crash=lambda config, reason: ("crash", config, reason),
+        ) as pool:
+            for code in (23, 24):  # the second task needs a respawned worker
+                (result,) = pool.map([code])
+                assert result[:2] == ("crash", code)
+                assert f"exit code {code}" in result[2]
+
+    def test_raised_exception_routes_to_on_crash(self):
+        pool = WorkerPool(runner=_raise_runner, on_crash=lambda config, reason: reason)
+        with pool:
+            assert "ValueError: bad config x" in pool.map(["x"])[0]
+
+    def test_raised_exception_without_handler_raises(self):
+        with pytest.raises(RuntimeError, match="bad config"):
+            harness.run_scenarios_parallel(["x", "y"], runner=_raise_runner)
+
+    # -- arguments
+    def test_timeout_validation(self):
+        with pytest.raises(ConfigurationError):
+            WorkerPool(runner=_sleep_runner, timeout=0.0, on_timeout=lambda c: None)
+        with pytest.raises(ConfigurationError):
+            WorkerPool(runner=_sleep_runner, timeout=1.0)
+
+    def test_empty_configs(self):
+        assert harness.run_scenarios_parallel([], runner=_sleep_runner) == []
+        assert WorkerPool(on_crash=lambda config, reason: reason).map([]) == []
 
 
 class TestCliJsonNanSafety:

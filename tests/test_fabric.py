@@ -2,9 +2,7 @@
 
 import json
 import multiprocessing
-import os
 import threading
-import time
 
 import pytest
 
@@ -23,7 +21,6 @@ from repro.experiments.fabric import (
     merge_stores,
     run_campaign_fabric,
 )
-from repro.experiments.harness import run_scenarios_guarded
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -162,6 +159,40 @@ class TestStoreFormatCompatibility:
             assert fabric_field not in results[0]
 
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            dict(congestion_controls=("cubic", "lia"), rate_scales=(0.5, 1.0, 2.0)),
+            dict(
+                kind="multiflow",
+                scenarios=("ecn_mptcp_fairness",),
+                congestion_controls=("sfc",),
+                queue_kinds=("droptail", "red"),
+                ecn_modes=(True,),
+            ),
+        ],
+        ids=["single", "multiflow-signal-plane"],
+    )
+    def test_both_entry_points_write_the_same_result_lines(self, tmp_path, axes):
+        """One driver behind two front doors: a fault-free grid yields
+        byte-identical result lines, the fabric adding only lease lines."""
+        spec = small_spec(**axes)
+        plain, leased = tmp_path / "plain.jsonl", tmp_path / "leased.jsonl"
+        run_campaign(spec, plain, max_workers=1)
+        run_campaign_fabric(
+            spec, leased, fabric=FabricConfig(worker_id="w1", lease_ttl=60.0),
+            max_workers=1,
+        )
+        plain_lines = plain.read_bytes().splitlines()
+        leased_lines = leased.read_bytes().splitlines()
+        assert len(plain_lines) == spec.size
+        assert b"record_type" not in plain.read_bytes()
+        assert [
+            line for line in leased_lines if b'"record_type": "lease"' not in line
+        ] == plain_lines
+        assert len(leased_lines) == 3 * spec.size  # claim, result, release per point
+
+
 # ---------------------------------------------------------------------- leases
 class TestLeaseManager:
     def manager(self, tmp_path, worker="w1", ttl=30.0, clock=None):
@@ -262,9 +293,11 @@ def _always_fails(point):
 
 class TestRetryAndQuarantine:
     def patch_executor(self, monkeypatch):
-        from repro.experiments import campaign as campaign_module
+        # The one driver lives in repro.experiments.fabric and looks the
+        # point executor up there, for plain runs too.
+        from repro.experiments import fabric as fabric_module
 
-        monkeypatch.setattr(campaign_module, "_execute_point", _always_fails)
+        monkeypatch.setattr(fabric_module, "_execute_point", _always_fails)
 
     def test_failures_quarantine_after_max_attempts(self, tmp_path, monkeypatch):
         """Regression: error records used to re-run on every invocation,
@@ -329,85 +362,6 @@ class TestRetryAndQuarantine:
             run_campaign(small_spec(), tmp_path / "s.jsonl", max_attempts=0)
 
 
-# -------------------------------------------------------------------- watchdog
-def _sleep_runner(seconds):
-    time.sleep(seconds)
-    return seconds
-
-
-def _crash_runner(code):
-    os._exit(code)
-
-
-def _raise_runner(config):
-    raise ValueError(f"bad config {config}")
-
-
-class TestRunScenariosGuarded:
-    def test_results_come_back_in_config_order(self):
-        results = run_scenarios_guarded([0.2, 0.0, 0.1], runner=_sleep_runner)
-        assert results == [0.2, 0.0, 0.1]
-
-    def test_hung_point_is_killed_and_reported_via_on_timeout(self):
-        started = time.monotonic()
-        results = run_scenarios_guarded(
-            [0.0, 30.0],
-            runner=_sleep_runner,
-            timeout=0.5,
-            on_timeout=lambda config: ("timeout", config),
-        )
-        assert results == [0.0, ("timeout", 30.0)]
-        assert time.monotonic() - started < 10.0  # nowhere near the 30s hang
-
-    def test_crashed_worker_is_reported_via_on_crash(self):
-        results = run_scenarios_guarded(
-            [23],
-            runner=_crash_runner,
-            on_crash=lambda config, reason: ("crash", config, reason),
-        )
-        assert results[0][:2] == ("crash", 23)
-        assert "exit code" in results[0][2]
-
-    def test_raised_exception_routes_to_on_crash(self):
-        results = run_scenarios_guarded(
-            ["x"],
-            runner=_raise_runner,
-            on_crash=lambda config, reason: reason,
-        )
-        assert "bad config x" in results[0]
-
-    def test_raised_exception_without_handler_raises(self):
-        with pytest.raises(RuntimeError, match="bad config"):
-            run_scenarios_guarded(["x"], runner=_raise_runner)
-
-    def test_unpicklable_configs_fall_back_to_the_serial_runner(self):
-        configs = [lambda: 1, lambda: 2]  # lambdas cannot cross processes
-        results = run_scenarios_guarded(
-            configs, runner=_sleep_runner, serial_runner=lambda config: config()
-        )
-        assert results == [1, 2]
-
-    def test_serial_fallback_still_reports_over_budget_points(self):
-        results = run_scenarios_guarded(
-            [lambda: time.sleep(0.2) or "slow"],
-            runner=_sleep_runner,
-            serial_runner=lambda config: config(),
-            timeout=0.05,
-            on_timeout=lambda config: "timed-out",
-        )
-        assert results == ["timed-out"]
-
-    def test_timeout_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_scenarios_guarded([1], runner=_sleep_runner, timeout=0.0,
-                                  on_timeout=lambda c: None)
-        with pytest.raises(ConfigurationError):
-            run_scenarios_guarded([1], runner=_sleep_runner, timeout=1.0)
-
-    def test_empty_configs(self):
-        assert run_scenarios_guarded([], runner=_sleep_runner) == []
-
-
 # ---------------------------------------------------------------------- fabric
 class TestRunCampaignFabric:
     def test_fault_free_run_completes_and_resumes(self, tmp_path):
@@ -470,6 +424,31 @@ class TestRunCampaignFabric:
         done_keys = {r["key"] for r in result.records}
         assert points[0].key not in done_keys
         assert points[1].key in done_keys
+
+    def test_workers_outlive_chunks_and_a_crash_costs_one_respawn(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import harness
+
+        started = []
+        start_worker = harness._start_worker
+        monkeypatch.setattr(
+            harness, "_start_worker",
+            lambda runner: started.append(runner) or start_worker(runner),
+        )
+        spec = small_spec(congestion_controls=("cubic", "lia", "olia"))
+        fabric = FabricConfig(worker_id="w1", lease_ttl=60.0, backoff_base=0.0)
+        clean = run_campaign_fabric(
+            spec, tmp_path / "clean.jsonl", fabric=fabric, chunk_size=1, max_workers=1
+        )
+        assert clean.executed == 3 and len(started) == 1  # three chunks, one worker
+        del started[:]
+        crashed = run_campaign_fabric(
+            spec, tmp_path / "crashed.jsonl", fabric=fabric,
+            chaos=ChaosSpec(crash_points=(1,)), chunk_size=1, max_workers=1,
+        )
+        assert crashed.executed == 4 and not crashed.error_records
+        assert len(started) == 2  # the dead worker's replacement, nothing more
 
     def test_invalid_chunk_size_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -6,10 +6,8 @@ from repro.core.connection import MptcpConnection
 from repro.errors import ConfigurationError
 from repro.netsim.network import Network
 from repro.tcp.connection import TcpConnection
-from repro.traffic.iperf import IperfClient
-from repro.traffic.onoff import OnOffSource
-from repro.traffic.udp import UdpConstantBitRate
 from repro.topologies.paper import paper_scenario
+from repro.workload.sources import IperfClient, OnOffSource, UdpConstantBitRate
 
 from .conftest import make_chain_topology
 

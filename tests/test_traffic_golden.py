@@ -1,8 +1,8 @@
 """Golden-equivalence tests for the traffic-source move under ``repro.workload``.
 
-The iperf / UDP / on-off sources migrated from ``repro.traffic`` to
-``repro.workload.sources`` (the old modules are re-export shims), and the
-TCP/MPTCP transports grew transfer-queue hooks for the workload driver.
+The iperf / UDP / on-off sources migrated from ``repro.traffic`` (since
+removed) to ``repro.workload.sources``, and the TCP/MPTCP transports grew
+transfer-queue hooks for the workload driver.
 ``tests/data/golden_pipeline.json`` pinned the observable output of three
 traffic-heavy scenarios *before* that refactor; these tests require the
 refactored tree to reproduce it bit-identically.
@@ -10,28 +10,7 @@ refactored tree to reproduce it bit-identically.
 
 import pytest
 
-from repro.traffic import IperfClient, OnOffSource, UdpConstantBitRate, UdpSink
-from repro.workload import sources
-
 from tests import golden_pipeline
-
-
-class TestTrafficShims:
-    """The legacy ``repro.traffic`` names must stay importable and identical."""
-
-    def test_traffic_names_are_the_workload_sources(self):
-        assert IperfClient is sources.IperfClient
-        assert UdpConstantBitRate is sources.UdpConstantBitRate
-        assert UdpSink is sources.UdpSink
-        assert OnOffSource is sources.OnOffSource
-
-    def test_submodule_shims_reexport(self):
-        from repro.traffic import iperf, onoff, udp
-
-        assert iperf.IperfClient is sources.IperfClient
-        assert iperf.IperfReport is sources.IperfReport
-        assert udp.UdpConstantBitRate is sources.UdpConstantBitRate
-        assert onoff.OnOffSource is sources.OnOffSource
 
 
 @pytest.mark.usefixtures("each_kernel")
