@@ -131,12 +131,14 @@ def override(mode: str):
 def maybe_run_network(network, until: float) -> Optional[float]:
     """Native whole-window run of ``network``; None means "use Python".
 
-    The compiled bypass is exact (see :mod:`repro.kernel.pipeline`): on a
-    non-None return the network state matches what the Python event loop
-    would have produced.
+    On a non-None return the network's observable state matches what the
+    Python event loop would have produced (the contract is spelled out in
+    :mod:`repro.kernel.pipeline`).  Either way ``network.bypass_outcome``
+    is set to ``"native"`` or to the reason the bypass declined.
     """
     ext = compiled_module()
     if ext is None:
+        network.bypass_outcome = "python kernel is active"
         return None
     from .pipeline import run_network
 

@@ -14,10 +14,10 @@
  *                  recovery, RTO, CUBIC/Reno) and packet captures, driven by
  *                  an internal event heap without touching a single Python
  *                  object per event.  repro.kernel.pipeline imports eligible
- *                  network states into a Scene, runs it, and writes the
- *                  resulting state back so the Python objects end up
- *                  byte-identical to what the pure-Python loop would have
- *                  produced.
+ *                  network states into a Scene, runs it, and copies the
+ *                  observable state back (stats, transport state, packet
+ *                  fields, pending events -- not caches, packet ids or
+ *                  allocator pools; the contract is in pipeline.py).
  *
  * Byte-identity ground rules (keep in sync with the Python modules):
  *   - every float expression copies the Python operation order verbatim;
@@ -273,11 +273,38 @@ ksim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)self;
 }
 
+/* Pending entries own bound methods of links and agents that in turn own
+ * the simulator, so the heap is the collector's way into that cycle. */
+static int
+ksim_traverse(KernelSimObject *self, visitproc visit, void *arg)
+{
+    for (Py_ssize_t i = 0; i < self->heap_len; i++) {
+        KEntry *e = &self->heap[i];
+        Py_VISIT(e->cb);
+        Py_VISIT(e->args);
+        for (int j = 0; j < e->nargs; j++)
+            Py_VISIT(e->a[j]);
+    }
+    return 0;
+}
+
+/* Entries leave the heap before their references drop: a destructor that
+ * schedules on this simulator finds a consistent heap. */
+static int
+ksim_clear(KernelSimObject *self)
+{
+    while (self->heap_len > 0) {
+        KEntry e = self->heap[--self->heap_len];
+        kentry_clear(&e);
+    }
+    return 0;
+}
+
 static void
 ksim_dealloc(KernelSimObject *self)
 {
-    for (Py_ssize_t i = 0; i < self->heap_len; i++)
-        kentry_clear(&self->heap[i]);
+    PyObject_GC_UnTrack(self);
+    ksim_clear(self);
     PyMem_Free(self->heap);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -572,9 +599,7 @@ ksim_export_entries(KernelSimObject *self, PyObject *Py_UNUSED(ignored))
 static PyObject *
 ksim_clear_pending(KernelSimObject *self, PyObject *Py_UNUSED(ignored))
 {
-    for (Py_ssize_t i = 0; i < self->heap_len; i++)
-        kentry_clear(&self->heap[i]);
-    self->heap_len = 0;
+    ksim_clear(self);
     Py_RETURN_NONE;
 }
 
@@ -685,10 +710,12 @@ static PyTypeObject KernelSimType = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.kernel._ckernel.KernelSim",
     .tp_basicsize = sizeof(KernelSimObject),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Compiled drop-in for repro.netsim.engine.Simulator.",
     .tp_new = ksim_new,
     .tp_dealloc = (destructor)ksim_dealloc,
+    .tp_traverse = (traverseproc)ksim_traverse,
+    .tp_clear = (inquiry)ksim_clear,
     .tp_repr = (reprfunc)ksim_repr,
     .tp_members = ksim_members,
     .tp_methods = ksim_methods,
@@ -700,7 +727,7 @@ static PyTypeObject KernelSimType = {
  * A fully native single-path TCP pipeline.  repro.kernel.pipeline builds a
  * Scene from an eligible Network (quiescent start: idle links, empty send
  * windows, only sender-start and cancelled events pending), runs it to the
- * horizon, and writes every counter, window, queue and pending event back
+ * horizon, and copies every counter, window, queue and pending event back
  * into the Python objects.  All the protocol logic below mirrors the Python
  * hot path statement by statement; see the module docstring for the
  * float-identity rules.
@@ -727,38 +754,62 @@ typedef struct {
     int32_t next_free;
 } CPkt;
 
-typedef struct { int64_t enq, deq, dropped, bytes_enq, bytes_drop, max_depth; } QStats;
-typedef struct { int64_t pkts_sent, bytes_sent, pkts_dropped; double busy_time; } LStats;
-typedef struct { int64_t received, forwarded, delivered, routing_drops; } NStats;
+/* ---- state tables ----
+ *
+ * Every record that crosses the Python boundary lists its state once, as
+ * rows of (wire type, member).  The list expands to the struct members and
+ * to a Field table whose dict key is the member name; add_* (dict ->
+ * struct) and export_* (struct -> dict) walk that table, so a new signal
+ * is one row here and one row in pipeline.py.  Optional[float] state
+ * travels as NaN for None. */
+
+typedef enum { FT_I32, FT_I64, FT_F64, FT_BOOL } FieldType;
+typedef struct { const char *name; size_t off; FieldType type; } Field;
+
+#define CT_I32 int32_t
+#define CT_I64 int64_t
+#define CT_F64 double
+#define CT_BOOL int8_t
+#define FIELD_MEMBER(type, name, S) CT_##type name;
+#define FIELD_ROW(type, name, S) {#name, offsetof(S, name), FT_##type},
 
 typedef struct {
     int32_t *buf;
     int32_t head, len, cap;
 } Ring;
 
+#define LINK_FIELDS(X, S)                                                   \
+    X(I32, dst, S) X(F64, rate_bps, S) X(F64, delay, S) X(I64, qcap, S)     \
+    X(F64, busy_until, S) X(F64, serve_at, S) X(BOOL, serving, S)           \
+    /* LinkStats */                                                         \
+    X(I64, pkts_sent, S) X(I64, bytes_sent, S) X(I64, pkts_dropped, S)      \
+    X(F64, busy_time, S)                                                    \
+    /* QueueStats */                                                        \
+    X(I64, q_enqueued, S) X(I64, q_dequeued, S) X(I64, q_dropped, S)        \
+    X(I64, q_bytes_enqueued, S) X(I64, q_bytes_dropped, S)                  \
+    X(I64, q_max_depth, S) X(I64, qbytes, S)
+
 typedef struct {
-    int32_t src, dst;
-    double rate_bps, delay;
-    double busy_until, serve_at;
-    int8_t serving;
-    LStats stats;
-    QStats qstats;
-    int64_t qbytes;
-    int64_t qcap;
+    LINK_FIELDS(FIELD_MEMBER, )
     Ring q;
     Ring fl;
 } CLink;
+static const Field LINK_TABLE[] = {LINK_FIELDS(FIELD_ROW, CLink) {NULL, 0, 0}};
 
-typedef struct { int32_t dst; int64_t tag; int32_t link; int64_t hits; } FwdEnt;
+typedef struct { int32_t dst; int64_t tag; int32_t link; } FwdEnt;
 typedef struct { int64_t flow, subflow; int32_t kind, idx; } AgentEnt;
 
+#define NODE_FIELDS(X, S)                                                   \
+    X(I64, received, S) X(I64, forwarded, S) X(I64, delivered, S)           \
+    X(I64, routing_drops, S)
+
 typedef struct {
-    int8_t is_host;
-    NStats stats;
+    NODE_FIELDS(FIELD_MEMBER, )
     FwdEnt *fwd; int32_t nfwd, fwdcap;
     AgentEnt *agents; int32_t nagents, agcap;
     int32_t *caps; int32_t ncaps, capscap;
 } CNode;
+static const Field NODE_TABLE[] = {NODE_FIELDS(FIELD_ROW, CNode) {NULL, 0, 0}};
 
 typedef struct {
     int64_t seq, length, dsn;
@@ -771,57 +822,57 @@ typedef struct {
     int32_t head, len, cap;
 } SegRing;
 
+#define SENDER_FIELDS(X, S)                                                 \
+    X(I32, host, S) X(I32, dst, S) X(I64, flow, S) X(I64, subflow, S)       \
+    X(I64, tag, S) X(I32, route_link, S) X(I64, mss, S)                     \
+    /* BulkDataAdapter; total_bytes -1 == unbounded */                      \
+    X(I64, total_bytes, S) X(I64, offset, S) X(I64, prov_acked, S)          \
+    X(F64, prov_last_ack, S)                                                \
+    /* RttEstimator; srtt, rttvar, rtt_min, latest NaN until sampled */     \
+    X(F64, alpha, S) X(F64, beta, S) X(F64, min_rto, S) X(F64, max_rto, S)  \
+    X(F64, srtt, S) X(F64, rttvar, S) X(F64, rtt_min, S) X(F64, latest, S)  \
+    X(I64, samples, S) X(F64, rto_cache, S)                                 \
+    /* congestion control; epoch_start, cc_min_rtt NaN when unset */        \
+    X(I32, cc_kind, S) X(I64, cc_mss, S)                                    \
+    X(F64, cwnd, S) X(F64, ssthresh, S) X(F64, cc_srtt, S)                  \
+    X(I64, losses, S) X(I64, cc_timeouts, S) X(I64, acked_total, S)         \
+    X(BOOL, fast_conv, S) X(BOOL, tcp_friendly, S) X(BOOL, hystart, S)      \
+    X(F64, w_max, S) X(F64, k, S) X(F64, epoch_start, S) X(F64, w_est, S)   \
+    X(F64, acks_in_epoch, S) X(F64, cc_min_rtt, S)                          \
+    /* window state */                                                      \
+    X(I64, snd_una, S) X(I64, snd_nxt, S)                                   \
+    X(I64, sacked_bytes, S) X(I64, lost_pending_bytes, S)                   \
+    X(I64, dupacks, S) X(BOOL, in_recovery, S) X(I64, recover, S)           \
+    X(F64, rto_deadline, S) X(F64, rto_fire_at, S) X(F64, rto_backoff, S)   \
+    X(BOOL, started, S) X(BOOL, closed, S)                                  \
+    /* SenderStats */                                                       \
+    X(I64, st_segments_sent, S) X(I64, st_bytes_sent, S)                    \
+    X(I64, st_bytes_acked, S) X(I64, st_retrans, S)                         \
+    X(I64, st_fast_retrans, S) X(I64, st_timeouts, S) X(I64, st_dupacks, S)
+
 typedef struct {
-    int32_t host, dst_node;
-    int64_t flow, subflow, tag;     /* tag -1 == None */
-    int32_t route_link;
-    int64_t mss;
-    /* BulkDataAdapter */
-    int64_t total_bytes;            /* -1 == unbounded */
-    int64_t offset, prov_acked;
-    double prov_last_ack;
-    /* RttEstimator */
-    double alpha, beta, min_rto, max_rto;
-    double srtt, rttvar, rtt_min, latest;
-    int8_t has_srtt, has_min, has_latest;
-    int64_t samples;
-    double rto_cache;
-    /* congestion control */
-    int8_t cc_kind;
-    int64_t cc_mss;
-    double cwnd, ssthresh, cc_srtt;
-    int64_t losses, cc_timeouts, acked_total;
-    int8_t fast_conv, tcp_friendly, hystart;
-    double w_max, k, epoch_start, w_est, acks_in_epoch, cc_min_rtt;
-    int8_t has_epoch, has_cc_min;
-    /* window state */
-    int64_t snd_una, snd_nxt;
+    SENDER_FIELDS(FIELD_MEMBER, )
     SegRing segs;
-    int64_t sacked_bytes, lost_pending_bytes;
-    int64_t dupacks;
-    int8_t in_recovery;
-    int64_t recover;
-    int8_t rto_live;
+    int8_t rto_live;            /* the heap entry with rto_seq is the live RTO */
     int64_t rto_seq;
-    double rto_deadline, rto_fire_at, rto_backoff;
-    int8_t started, closed;
-    /* SenderStats */
-    int64_t st_segments_sent, st_bytes_sent, st_bytes_acked, st_retrans,
-            st_fast_retrans, st_timeouts, st_dupacks;
 } CSender;
+static const Field SENDER_TABLE[] = {SENDER_FIELDS(FIELD_ROW, CSender) {NULL, 0, 0}};
 
 typedef struct { int64_t seq, length, dsn; } OooEnt;
 
+#define RECV_FIELDS(X, S)                                                   \
+    X(I32, host, S) X(I32, peer, S) X(I64, flow, S) X(I64, subflow, S)      \
+    X(I64, tag, S) X(I32, route_link, S) X(I64, ack_size, S)                \
+    X(I64, rcv_nxt, S) X(I64, last_dack, S)                                 \
+    /* ReceiverStats */                                                     \
+    X(I64, st_segs, S) X(I64, st_bytes, S) X(I64, st_dups, S)               \
+    X(I64, st_ooo, S) X(I64, st_acks, S)
+
 typedef struct {
-    int32_t host, peer_node;
-    int64_t flow, subflow, tag;
-    int32_t route_link;
-    int64_t ack_size;
-    int64_t rcv_nxt, last_dack;
+    RECV_FIELDS(FIELD_MEMBER, )
     OooEnt *ooo; int32_t nooo, ooocap;
-    /* ReceiverStats */
-    int64_t st_segs, st_bytes, st_dups, st_ooo, st_acks;
 } CRecv;
+static const Field RECV_TABLE[] = {RECV_FIELDS(FIELD_ROW, CRecv) {NULL, 0, 0}};
 
 typedef struct {
     int8_t data_only, has_filter;
@@ -836,13 +887,7 @@ typedef struct {
     PyObject_HEAD
     double now;
     int64_t seq;
-    int64_t processed;
     int64_t header_size;
-    /* Mirror of the Python simulator's entry free list *length* (the pool
-     * holds recycled heap entries; only its size is observable).  Appends
-     * and pops are replayed at the same points as the Python run loop. */
-    int64_t pool_len, pool_cap;
-    int8_t running;
     PEv *heap; Py_ssize_t hlen, hcap;
     CPkt *arena; int32_t acap, a_used, free_head;
     CLink *links; int32_t nlinks, lcap;
@@ -861,50 +906,76 @@ scene_err(const char *msg)
     return -1;
 }
 
-static int64_t
-dget_ll(PyObject *d, const char *k, int *err)
+static int
+fields_import(void *base, const Field *f, PyObject *d)
 {
-    PyObject *v = PyDict_GetItemString(d, k);
-    if (v == NULL) {
-        PyErr_Format(PyExc_KeyError, "scene import missing key %s", k);
-        *err = 1;
-        return 0;
+    for (; f->name != NULL; f++) {
+        PyObject *v = PyDict_GetItemString(d, f->name);
+        if (v == NULL) {
+            PyErr_Format(PyExc_KeyError, "scene import missing key %s", f->name);
+            return -1;
+        }
+        char *p = (char *)base + f->off;
+        switch (f->type) {
+        case FT_I32: *(int32_t *)p = (int32_t)PyLong_AsLongLong(v); break;
+        case FT_I64: *(int64_t *)p = (int64_t)PyLong_AsLongLong(v); break;
+        case FT_F64: *(double *)p = PyFloat_AsDouble(v); break;
+        case FT_BOOL: *(int8_t *)p = (int8_t)(PyObject_IsTrue(v) > 0); break;
+        }
+        if (PyErr_Occurred())
+            return -1;
     }
-    long long r = PyLong_AsLongLong(v);
-    if (r == -1 && PyErr_Occurred()) {
-        *err = 1;
-        return 0;
-    }
-    return (int64_t)r;
+    return 0;
 }
 
-static double
-dget_d(PyObject *d, const char *k, int *err)
+/* Store a new reference under key; consumes it, and the dict on failure. */
+static PyObject *
+dict_put(PyObject *d, const char *key, PyObject *v)
 {
-    PyObject *v = PyDict_GetItemString(d, k);
-    if (v == NULL) {
-        PyErr_Format(PyExc_KeyError, "scene import missing key %s", k);
-        *err = 1;
-        return 0.0;
-    }
-    double r = PyFloat_AsDouble(v);
-    if (r == -1.0 && PyErr_Occurred()) {
-        *err = 1;
-        return 0.0;
-    }
-    return r;
+    if (d != NULL && (v == NULL || PyDict_SetItemString(d, key, v) < 0))
+        Py_CLEAR(d);
+    Py_XDECREF(v);
+    return d;
 }
 
-#define GROW(ptr, count, cap, type, start)                                  \
-    do {                                                                    \
-        if ((count) == (cap)) {                                             \
-            int32_t newcap__ = (cap) ? (cap) * 2 : (start);                 \
-            type *p__ = (type *)PyMem_Realloc((ptr), (size_t)newcap__ * sizeof(type)); \
-            if (p__ == NULL) { PyErr_NoMemory(); return -1; }               \
-            (ptr) = p__;                                                    \
-            (cap) = newcap__;                                               \
-        }                                                                   \
-    } while (0)
+static PyObject *
+fields_export(const void *base, const Field *f)
+{
+    PyObject *d = PyDict_New();
+    for (; d != NULL && f->name != NULL; f++) {
+        const char *p = (const char *)base + f->off;
+        PyObject *v = NULL;
+        switch (f->type) {
+        case FT_I32: v = PyLong_FromLong(*(const int32_t *)p); break;
+        case FT_I64: v = PyLong_FromLongLong(*(const int64_t *)p); break;
+        case FT_F64: v = PyFloat_FromDouble(*(const double *)p); break;
+        case FT_BOOL: v = PyBool_FromLong(*(const int8_t *)p); break;
+        }
+        d = dict_put(d, f->name, v);
+    }
+    return d;
+}
+
+/* Zeroed slot at index *count of a growable array (the caller bumps the
+ * count once the slot is filled); NULL with MemoryError set. */
+static void *
+vec_slot(void *arr_p, int32_t count, int32_t *cap, size_t elem)
+{
+    void **arr = (void **)arr_p;
+    if (count == *cap) {
+        int32_t ncap = *cap ? *cap * 2 : 8;
+        void *p = PyMem_Realloc(*arr, (size_t)ncap * elem);
+        if (p == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        *arr = p;
+        *cap = ncap;
+    }
+    void *slot = (char *)*arr + (size_t)count * elem;
+    memset(slot, 0, elem);
+    return slot;
+}
 
 /* ---- rings ---- */
 
@@ -1000,10 +1071,6 @@ seg_find(SegRing *r, int64_t seq)
 static int
 ev_push(SceneObject *s, double t, int64_t seq, int32_t kind, int32_t idx)
 {
-    /* Every schedule during the run pops a recycled entry when the Python
-     * pool is non-empty (build-time pushes import pre-existing entries). */
-    if (s->running && s->pool_len > 0)
-        s->pool_len -= 1;
     if (s->hlen == s->hcap) {
         Py_ssize_t cap = s->hcap ? s->hcap * 2 : 64;
         PEv *heap = (PEv *)PyMem_Realloc(s->heap, (size_t)cap * sizeof(PEv));
@@ -1083,17 +1150,13 @@ static void
 rtt_update(CSender *S, double sample)
 {
     S->latest = sample;
-    S->has_latest = 1;
     S->samples += 1;
-    if (!S->has_min || sample < S->rtt_min) {
+    if (isnan(S->rtt_min) || sample < S->rtt_min)
         S->rtt_min = sample;
-        S->has_min = 1;
-    }
     double srtt, rttvar;
-    if (!S->has_srtt) {
+    if (isnan(S->srtt)) {
         S->srtt = srtt = sample;
         S->rttvar = rttvar = sample / 2.0;
-        S->has_srtt = 1;
     }
     else {
         double diff = S->srtt - sample;
@@ -1114,9 +1177,8 @@ static void
 cubic_congestion_avoidance(CSender *S, double acked_segments, double srtt, double now)
 {
     double rtt = srtt > 1e-4 ? srtt : 1e-4;
-    if (!S->has_epoch) {
+    if (isnan(S->epoch_start)) {
         S->epoch_start = now;
-        S->has_epoch = 1;
         if (S->cwnd < S->w_max)
             S->k = pow((S->w_max - S->cwnd) / 0.4, 1.0 / 3.0);
         else {
@@ -1153,10 +1215,8 @@ cc_on_ack(CSender *S, int64_t acked_bytes, double srtt, double now)
     if (acked_bytes <= 0)
         return;
     if (S->cc_kind == CC_CUBIC && srtt > 0) {
-        if (!S->has_cc_min || srtt < S->cc_min_rtt) {
+        if (isnan(S->cc_min_rtt) || srtt < S->cc_min_rtt)
             S->cc_min_rtt = srtt;
-            S->has_cc_min = 1;
-        }
         if (S->hystart && S->cwnd < S->ssthresh &&
             srtt > S->cc_min_rtt * 1.125 + 0.002) {
             S->ssthresh = S->cwnd > 2.0 ? S->cwnd : 2.0;
@@ -1192,7 +1252,7 @@ cc_on_loss(CSender *S, double now)
             S->w_max = S->cwnd;
         double cw = S->cwnd * 0.7;
         S->cwnd = cw > 2.0 ? cw : 2.0;
-        S->has_epoch = 0;
+        S->epoch_start = NAN;
         S->acks_in_epoch = 0.0;
     }
     else {
@@ -1213,7 +1273,7 @@ cc_on_timeout(CSender *S, double now)
     if (S->cc_kind == CC_CUBIC) {
         if (S->cwnd > S->w_max)
             S->w_max = S->cwnd;
-        S->has_epoch = 0;
+        S->epoch_start = NAN;
         S->acks_in_epoch = 0.0;
     }
 }
@@ -1236,8 +1296,8 @@ link_send(SceneObject *s, int32_t li, int32_t pi, int *accepted)
         CPkt *p = &s->arena[pi];
         int acc;
         if ((int64_t)L->q.len >= L->qcap) {
-            L->qstats.dropped += 1;
-            L->qstats.bytes_drop += p->size;
+            L->q_dropped += 1;
+            L->q_bytes_dropped += p->size;
             /* Python never recycles a dropped packet (it falls to the GC);
              * the arena slot is reclaimed here because slot identity is
              * unobservable from Python. */
@@ -1249,10 +1309,10 @@ link_send(SceneObject *s, int32_t li, int32_t pi, int *accepted)
             if (ring_push(&L->q, pi) < 0)
                 return -1;
             L->qbytes += p->size;
-            L->qstats.enq += 1;
-            L->qstats.bytes_enq += p->size;
-            if ((int64_t)L->q.len > L->qstats.max_depth)
-                L->qstats.max_depth = L->q.len;
+            L->q_enqueued += 1;
+            L->q_bytes_enqueued += p->size;
+            if ((int64_t)L->q.len > L->q_max_depth)
+                L->q_max_depth = L->q.len;
             acc = 1;
         }
         if (acc && !L->serving) {
@@ -1270,9 +1330,9 @@ link_send(SceneObject *s, int32_t li, int32_t pi, int *accepted)
     double tx_time = (double)size * 8.0 / L->rate_bps;
     double tx_end = now + tx_time;
     L->busy_until = tx_end;
-    L->stats.busy_time += tx_time;
-    L->stats.pkts_sent += 1;
-    L->stats.bytes_sent += size;
+    L->busy_time += tx_time;
+    L->pkts_sent += 1;
+    L->bytes_sent += size;
     if (ring_push(&L->fl, pi) < 0)
         return -1;
     double deliver_at = tx_end + L->delay;
@@ -1345,7 +1405,7 @@ transmit_segment(SceneObject *s, int32_t si, int64_t seq, int64_t length,
         return -1;
     CPkt *p = &s->arena[pi];
     p->src = S->host;
-    p->dst = S->dst_node;
+    p->dst = S->dst;
     p->size = length + s->header_size;
     p->tag = S->tag;
     p->flow = S->flow;
@@ -1475,7 +1535,7 @@ try_send(SceneObject *s, int32_t si)
             return -1;
         CPkt *p = &s->arena[pi];
         p->src = S->host;
-        p->dst = S->dst_node;
+        p->dst = S->dst;
         p->size = length + s->header_size;
         p->tag = S->tag;
         p->flow = S->flow;
@@ -1611,7 +1671,7 @@ on_new_ack(SceneObject *s, int32_t si, int64_t ack, double now)
     S->snd_una = ack;
     S->dupacks = 0;
     S->rto_backoff = 1.0;
-    double srtt = S->has_srtt ? S->srtt : 0.01;
+    double srtt = isnan(S->srtt) ? 0.01 : S->srtt;
     if (S->in_recovery) {
         if (ack >= S->recover) {
             /* _exit_fast_recovery */
@@ -1853,7 +1913,7 @@ recv_handle(SceneObject *s, int32_t ri, int32_t pi)
         return -1;
     CPkt *a = &s->arena[ai];
     a->src = R->host;
-    a->dst = R->peer_node;
+    a->dst = R->peer;
     a->size = R->ack_size;
     a->tag = R->tag;
     a->flow = R->flow;
@@ -1883,10 +1943,10 @@ static int
 node_receive(SceneObject *s, int32_t ni, int32_t pi)
 {
     CNode *N = &s->nodes[ni];
-    N->stats.received += 1;
+    N->received += 1;
     CPkt *p = &s->arena[pi];
     if (p->dst == ni) {
-        N->stats.delivered += 1;
+        N->delivered += 1;
         for (int32_t c = 0; c < N->ncaps; c++) {
             if (cap_record(s, N->caps[c], pi) < 0)
                 return -1;
@@ -1904,11 +1964,10 @@ node_receive(SceneObject *s, int32_t ni, int32_t pi)
          * the GC, never pooled).  Unreachable under eligibility. */
         return 0;
     }
-    N->stats.forwarded += 1;
+    N->forwarded += 1;
     for (int32_t f = 0; f < N->nfwd; f++) {
         FwdEnt *e = &N->fwd[f];
         if (e->dst == p->dst && e->tag == p->tag) {
-            e->hits += 1;
             int accepted;
             return link_send(s, e->link, pi, &accepted);
         }
@@ -1938,13 +1997,13 @@ scene_step(SceneObject *s, PEv ev)
         int32_t pi = ring_pop(&L->q);
         int64_t size = s->arena[pi].size;
         L->qbytes -= size;
-        L->qstats.deq += 1;
+        L->q_dequeued += 1;
         double tx_time = (double)size * 8.0 / L->rate_bps;
         double tx_end = s->now + tx_time;
         L->busy_until = tx_end;
-        L->stats.busy_time += tx_time;
-        L->stats.pkts_sent += 1;
-        L->stats.bytes_sent += size;
+        L->busy_time += tx_time;
+        L->pkts_sent += 1;
+        L->bytes_sent += size;
         if (ring_push(&L->fl, pi) < 0)
             return -1;
         double deliver_at = tx_end + L->delay;
@@ -1994,10 +2053,11 @@ static PyObject *
 scene_run(SceneObject *self, PyObject *args)
 {
     double until;
-    if (!PyArg_ParseTuple(args, "d", &until))
+    long long seq;
+    if (!PyArg_ParseTuple(args, "dLd", &self->now, &seq, &until))
         return NULL;
-    int64_t processed = 0;
-    self->running = 1;
+    self->seq = (int64_t)seq;
+    long long processed = 0;
     while (self->hlen > 0) {
         PEv top = self->heap[0];
         if (top.kind == EV_CANCELLED ||
@@ -2005,29 +2065,19 @@ scene_run(SceneObject *self, PyObject *args)
              (!self->snds[top.idx].rto_live ||
               top.seq != self->snds[top.idx].rto_seq))) {
             ev_pop(self);
-            /* Python recycles drained cancelled entries into the pool. */
-            if (self->pool_len < self->pool_cap)
-                self->pool_len += 1;
             continue;
         }
         if (top.t > until)
             break;
         ev_pop(self);
         self->now = top.t;
-        if (scene_step(self, top) < 0) {
-            self->running = 0;
+        if (scene_step(self, top) < 0)
             return NULL;
-        }
         processed += 1;
-        /* Fired entries are recycled after the handler returns. */
-        if (self->pool_len < self->pool_cap)
-            self->pool_len += 1;
     }
-    self->running = 0;
     if (self->now < until)
         self->now = until;
-    self->processed += processed;
-    return PyLong_FromLongLong((long long)processed);
+    return Py_BuildValue("(dLL)", self->now, (long long)self->seq, processed);
 }
 
 /* ---- construction ---- */
@@ -2087,68 +2137,46 @@ scene_dealloc(SceneObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-static PyObject *
-scene_add_node(SceneObject *self, PyObject *args)
+/* add_* for a table-driven record: import the state dict into a fresh slot
+ * and return it, or NULL; the caller bumps the count when it is done. */
+static void *
+record_add(PyObject *state, void *arr_p, int32_t count, int32_t *cap,
+           size_t elem, const Field *table)
 {
-    int is_host;
-    long long recv, fwd, deliv, rdrops;
-    if (!PyArg_ParseTuple(args, "pLLLL", &is_host, &recv, &fwd, &deliv, &rdrops))
+    if (!PyDict_Check(state)) {
+        PyErr_SetString(PyExc_TypeError, "scene state must be a dict");
         return NULL;
-    if (self->nnodes == self->nodecap) {
-        int32_t cap = self->nodecap ? self->nodecap * 2 : 8;
-        CNode *p = (CNode *)PyMem_Realloc(self->nodes, (size_t)cap * sizeof(CNode));
-        if (p == NULL)
-            return PyErr_NoMemory();
-        self->nodes = p;
-        self->nodecap = cap;
     }
-    CNode *N = &self->nodes[self->nnodes];
-    memset(N, 0, sizeof(CNode));
-    N->is_host = (int8_t)is_host;
-    N->stats.received = recv;
-    N->stats.forwarded = fwd;
-    N->stats.delivered = deliv;
-    N->stats.routing_drops = rdrops;
+    void *slot = vec_slot(arr_p, count, cap, elem);
+    if (slot == NULL || fields_import(slot, table, state) < 0)
+        return NULL;
+    return slot;
+}
+
+static CNode *
+node_at(SceneObject *self, int node)
+{
+    if (node < 0 || node >= self->nnodes) {
+        PyErr_SetString(PyExc_IndexError, "node index out of range");
+        return NULL;
+    }
+    return &self->nodes[node];
+}
+
+static PyObject *
+scene_add_node(SceneObject *self, PyObject *state)
+{
+    if (record_add(state, &self->nodes, self->nnodes, &self->nodecap,
+                   sizeof(CNode), NODE_TABLE) == NULL)
+        return NULL;
     return PyLong_FromLong(self->nnodes++);
 }
 
 static PyObject *
-scene_add_link(SceneObject *self, PyObject *args)
+scene_add_link(SceneObject *self, PyObject *state)
 {
-    PyObject *d;
-    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &d))
-        return NULL;
-    if (self->nlinks == self->lcap) {
-        int32_t cap = self->lcap ? self->lcap * 2 : 8;
-        CLink *p = (CLink *)PyMem_Realloc(self->links, (size_t)cap * sizeof(CLink));
-        if (p == NULL)
-            return PyErr_NoMemory();
-        self->links = p;
-        self->lcap = cap;
-    }
-    CLink *L = &self->links[self->nlinks];
-    memset(L, 0, sizeof(CLink));
-    int err = 0;
-    L->src = (int32_t)dget_ll(d, "src", &err);
-    L->dst = (int32_t)dget_ll(d, "dst", &err);
-    L->rate_bps = dget_d(d, "rate_bps", &err);
-    L->delay = dget_d(d, "delay", &err);
-    L->qcap = dget_ll(d, "qcap", &err);
-    L->busy_until = dget_d(d, "busy_until", &err);
-    L->serving = 0;
-    L->serve_at = dget_d(d, "serve_at", &err);
-    L->stats.pkts_sent = dget_ll(d, "pkts_sent", &err);
-    L->stats.bytes_sent = dget_ll(d, "bytes_sent", &err);
-    L->stats.pkts_dropped = dget_ll(d, "pkts_dropped", &err);
-    L->stats.busy_time = dget_d(d, "busy_time", &err);
-    L->qstats.enq = dget_ll(d, "q_enqueued", &err);
-    L->qstats.deq = dget_ll(d, "q_dequeued", &err);
-    L->qstats.dropped = dget_ll(d, "q_dropped", &err);
-    L->qstats.bytes_enq = dget_ll(d, "q_bytes_enqueued", &err);
-    L->qstats.bytes_drop = dget_ll(d, "q_bytes_dropped", &err);
-    L->qstats.max_depth = dget_ll(d, "q_max_depth", &err);
-    L->qbytes = dget_ll(d, "qbytes", &err);
-    if (err)
+    if (record_add(state, &self->links, self->nlinks, &self->lcap,
+                   sizeof(CLink), LINK_TABLE) == NULL)
         return NULL;
     return PyLong_FromLong(self->nlinks++);
 }
@@ -2160,23 +2188,15 @@ scene_add_fwd(SceneObject *self, PyObject *args)
     long long tag;
     if (!PyArg_ParseTuple(args, "iiLi", &node, &dst, &tag, &link))
         return NULL;
-    if (node < 0 || node >= self->nnodes) {
-        PyErr_SetString(PyExc_IndexError, "node index out of range");
+    CNode *N = node_at(self, node);
+    if (N == NULL)
         return NULL;
-    }
-    CNode *N = &self->nodes[node];
-    if (N->nfwd == N->fwdcap) {
-        int32_t cap = N->fwdcap ? N->fwdcap * 2 : 8;
-        FwdEnt *p = (FwdEnt *)PyMem_Realloc(N->fwd, (size_t)cap * sizeof(FwdEnt));
-        if (p == NULL)
-            return PyErr_NoMemory();
-        N->fwd = p;
-        N->fwdcap = cap;
-    }
-    N->fwd[N->nfwd].dst = dst;
-    N->fwd[N->nfwd].tag = (int64_t)tag;
-    N->fwd[N->nfwd].link = link;
-    N->fwd[N->nfwd].hits = 0;
+    FwdEnt *e = vec_slot(&N->fwd, N->nfwd, &N->fwdcap, sizeof(FwdEnt));
+    if (e == NULL)
+        return NULL;
+    e->dst = dst;
+    e->tag = (int64_t)tag;
+    e->link = link;
     N->nfwd += 1;
     Py_RETURN_NONE;
 }
@@ -2188,16 +2208,9 @@ scene_add_capture(SceneObject *self, PyObject *args)
     long long filter;
     if (!PyArg_ParseTuple(args, "ppL", &data_only, &has_filter, &filter))
         return NULL;
-    if (self->ncaps == self->capcap) {
-        int32_t cap = self->capcap ? self->capcap * 2 : 4;
-        CCap *p = (CCap *)PyMem_Realloc(self->caps, (size_t)cap * sizeof(CCap));
-        if (p == NULL)
-            return PyErr_NoMemory();
-        self->caps = p;
-        self->capcap = cap;
-    }
-    CCap *C = &self->caps[self->ncaps];
-    memset(C, 0, sizeof(CCap));
+    CCap *C = vec_slot(&self->caps, self->ncaps, &self->capcap, sizeof(CCap));
+    if (C == NULL)
+        return NULL;
     C->data_only = (int8_t)data_only;
     C->has_filter = (int8_t)has_filter;
     C->filter = (int64_t)filter;
@@ -2215,175 +2228,67 @@ scene_attach_capture(SceneObject *self, PyObject *args)
         return NULL;
     }
     CNode *N = &self->nodes[node];
-    if (N->ncaps == N->capscap) {
-        int32_t cap = N->capscap ? N->capscap * 2 : 4;
-        int32_t *p = (int32_t *)PyMem_Realloc(N->caps, (size_t)cap * sizeof(int32_t));
-        if (p == NULL)
-            return PyErr_NoMemory();
-        N->caps = p;
-        N->capscap = cap;
-    }
-    N->caps[N->ncaps++] = cap_idx;
+    int32_t *slot = vec_slot(&N->caps, N->ncaps, &N->capscap, sizeof(int32_t));
+    if (slot == NULL)
+        return NULL;
+    *slot = cap_idx;
+    N->ncaps += 1;
     Py_RETURN_NONE;
 }
 
-static PyObject *
-scene_add_agent(SceneObject *self, PyObject *args)
+/* Node dispatch finds an agent by (flow, subflow) on its host. */
+static int
+attach_agent(SceneObject *self, int32_t host, int64_t flow, int64_t subflow,
+             int32_t kind, int32_t idx)
 {
-    int node, kind, idx;
-    long long flow, subflow;
-    if (!PyArg_ParseTuple(args, "iLLii", &node, &flow, &subflow, &kind, &idx))
-        return NULL;
-    if (node < 0 || node >= self->nnodes) {
-        PyErr_SetString(PyExc_IndexError, "node index out of range");
-        return NULL;
-    }
-    CNode *N = &self->nodes[node];
-    if (N->nagents == N->agcap) {
-        int32_t cap = N->agcap ? N->agcap * 2 : 4;
-        AgentEnt *p = (AgentEnt *)PyMem_Realloc(N->agents, (size_t)cap * sizeof(AgentEnt));
-        if (p == NULL)
-            return PyErr_NoMemory();
-        N->agents = p;
-        N->agcap = cap;
-    }
-    AgentEnt *A = &N->agents[N->nagents];
-    A->flow = (int64_t)flow;
-    A->subflow = (int64_t)subflow;
+    CNode *N = node_at(self, host);
+    if (N == NULL)
+        return -1;
+    AgentEnt *A = vec_slot(&N->agents, N->nagents, &N->agcap, sizeof(AgentEnt));
+    if (A == NULL)
+        return -1;
+    A->flow = flow;
+    A->subflow = subflow;
     A->kind = kind;
     A->idx = idx;
     N->nagents += 1;
-    Py_RETURN_NONE;
+    return 0;
 }
 
 static PyObject *
-scene_add_sender(SceneObject *self, PyObject *args)
+scene_add_sender(SceneObject *self, PyObject *state)
 {
-    PyObject *d;
-    if (!PyArg_ParseTuple(args, "O!", &PyDict_Type, &d))
+    CSender *S = record_add(state, &self->snds, self->nsnd, &self->sndcap,
+                            sizeof(CSender), SENDER_TABLE);
+    if (S == NULL ||
+        attach_agent(self, S->host, S->flow, S->subflow, AGENT_SENDER, self->nsnd) < 0)
         return NULL;
-    if (self->nsnd == self->sndcap) {
-        int32_t cap = self->sndcap ? self->sndcap * 2 : 4;
-        CSender *p = (CSender *)PyMem_Realloc(self->snds, (size_t)cap * sizeof(CSender));
-        if (p == NULL)
-            return PyErr_NoMemory();
-        self->snds = p;
-        self->sndcap = cap;
-    }
-    CSender *S = &self->snds[self->nsnd];
-    memset(S, 0, sizeof(CSender));
-    int err = 0;
-    S->host = (int32_t)dget_ll(d, "host", &err);
-    S->dst_node = (int32_t)dget_ll(d, "dst", &err);
-    S->flow = dget_ll(d, "flow", &err);
-    S->subflow = dget_ll(d, "subflow", &err);
-    S->tag = dget_ll(d, "tag", &err);
-    S->route_link = (int32_t)dget_ll(d, "route_link", &err);
-    S->mss = dget_ll(d, "mss", &err);
-    S->total_bytes = dget_ll(d, "total_bytes", &err);
-    S->offset = dget_ll(d, "offset", &err);
-    S->prov_acked = dget_ll(d, "prov_acked", &err);
-    S->prov_last_ack = dget_d(d, "prov_last_ack", &err);
-    S->alpha = dget_d(d, "alpha", &err);
-    S->beta = dget_d(d, "beta", &err);
-    S->min_rto = dget_d(d, "min_rto", &err);
-    S->max_rto = dget_d(d, "max_rto", &err);
-    S->srtt = dget_d(d, "srtt", &err);
-    S->rttvar = dget_d(d, "rttvar", &err);
-    S->rtt_min = dget_d(d, "rtt_min", &err);
-    S->latest = dget_d(d, "latest", &err);
-    S->has_srtt = (int8_t)dget_ll(d, "has_srtt", &err);
-    S->has_min = (int8_t)dget_ll(d, "has_min", &err);
-    S->has_latest = (int8_t)dget_ll(d, "has_latest", &err);
-    S->samples = dget_ll(d, "samples", &err);
-    S->rto_cache = dget_d(d, "rto_cache", &err);
-    S->cc_kind = (int8_t)dget_ll(d, "cc_kind", &err);
-    S->cc_mss = dget_ll(d, "cc_mss", &err);
-    S->cwnd = dget_d(d, "cwnd", &err);
-    S->ssthresh = dget_d(d, "ssthresh", &err);
-    S->cc_srtt = dget_d(d, "cc_srtt", &err);
-    S->losses = dget_ll(d, "losses", &err);
-    S->cc_timeouts = dget_ll(d, "cc_timeouts", &err);
-    S->acked_total = dget_ll(d, "acked_total", &err);
-    S->fast_conv = (int8_t)dget_ll(d, "fast_conv", &err);
-    S->tcp_friendly = (int8_t)dget_ll(d, "tcp_friendly", &err);
-    S->hystart = (int8_t)dget_ll(d, "hystart", &err);
-    S->w_max = dget_d(d, "w_max", &err);
-    S->k = dget_d(d, "k", &err);
-    S->epoch_start = dget_d(d, "epoch_start", &err);
-    S->has_epoch = (int8_t)dget_ll(d, "has_epoch", &err);
-    S->w_est = dget_d(d, "w_est", &err);
-    S->acks_in_epoch = dget_d(d, "acks_in_epoch", &err);
-    S->cc_min_rtt = dget_d(d, "cc_min_rtt", &err);
-    S->has_cc_min = (int8_t)dget_ll(d, "has_cc_min", &err);
-    S->snd_una = dget_ll(d, "snd_una", &err);
-    S->snd_nxt = dget_ll(d, "snd_nxt", &err);
-    S->sacked_bytes = dget_ll(d, "sacked_bytes", &err);
-    S->lost_pending_bytes = dget_ll(d, "lost_pending_bytes", &err);
-    S->dupacks = dget_ll(d, "dupacks", &err);
-    S->in_recovery = (int8_t)dget_ll(d, "in_recovery", &err);
-    S->recover = dget_ll(d, "recover", &err);
-    S->rto_backoff = dget_d(d, "rto_backoff", &err);
-    S->rto_deadline = dget_d(d, "rto_deadline", &err);
-    S->rto_fire_at = dget_d(d, "rto_fire_at", &err);
-    S->started = (int8_t)dget_ll(d, "started", &err);
-    S->closed = (int8_t)dget_ll(d, "closed", &err);
-    S->st_segments_sent = dget_ll(d, "st_segments_sent", &err);
-    S->st_bytes_sent = dget_ll(d, "st_bytes_sent", &err);
-    S->st_bytes_acked = dget_ll(d, "st_bytes_acked", &err);
-    S->st_retrans = dget_ll(d, "st_retrans", &err);
-    S->st_fast_retrans = dget_ll(d, "st_fast_retrans", &err);
-    S->st_timeouts = dget_ll(d, "st_timeouts", &err);
-    S->st_dupacks = dget_ll(d, "st_dupacks", &err);
-    if (err)
-        return NULL;
-    S->rto_live = 0;
-    S->rto_seq = -1;
     return PyLong_FromLong(self->nsnd++);
 }
 
+/* add_receiver(state, ooo): ooo is the out-of-order buffer as
+ * (seq, length, dsn) tuples. */
 static PyObject *
 scene_add_receiver(SceneObject *self, PyObject *args)
 {
-    PyObject *d;
+    PyObject *state;
     PyObject *ooo_list;
-    if (!PyArg_ParseTuple(args, "O!O!", &PyDict_Type, &d, &PyList_Type, &ooo_list))
+    if (!PyArg_ParseTuple(args, "OO!", &state, &PyList_Type, &ooo_list))
         return NULL;
-    if (self->nrcv == self->rcvcap) {
-        int32_t cap = self->rcvcap ? self->rcvcap * 2 : 4;
-        CRecv *p = (CRecv *)PyMem_Realloc(self->rcvs, (size_t)cap * sizeof(CRecv));
-        if (p == NULL)
-            return PyErr_NoMemory();
-        self->rcvs = p;
-        self->rcvcap = cap;
-    }
-    CRecv *R = &self->rcvs[self->nrcv];
-    memset(R, 0, sizeof(CRecv));
-    int err = 0;
-    R->host = (int32_t)dget_ll(d, "host", &err);
-    R->peer_node = (int32_t)dget_ll(d, "peer", &err);
-    R->flow = dget_ll(d, "flow", &err);
-    R->subflow = dget_ll(d, "subflow", &err);
-    R->tag = dget_ll(d, "tag", &err);
-    R->route_link = (int32_t)dget_ll(d, "route_link", &err);
-    R->ack_size = dget_ll(d, "ack_size", &err);
-    R->rcv_nxt = dget_ll(d, "rcv_nxt", &err);
-    R->last_dack = dget_ll(d, "last_dack", &err);
-    R->st_segs = dget_ll(d, "st_segs", &err);
-    R->st_bytes = dget_ll(d, "st_bytes", &err);
-    R->st_dups = dget_ll(d, "st_dups", &err);
-    R->st_ooo = dget_ll(d, "st_ooo", &err);
-    R->st_acks = dget_ll(d, "st_acks", &err);
-    if (err)
+    CRecv *R = record_add(state, &self->rcvs, self->nrcv, &self->rcvcap,
+                          sizeof(CRecv), RECV_TABLE);
+    if (R == NULL)
         return NULL;
+    int ok = 1;
     Py_ssize_t n = PyList_GET_SIZE(ooo_list);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *item = PyList_GET_ITEM(ooo_list, i);
+    for (Py_ssize_t i = 0; ok && i < n; i++) {
         long long oseq, olen, odsn;
-        if (!PyArg_ParseTuple(item, "LLL", &oseq, &olen, &odsn))
-            return NULL;
-        if (ooo_insert_if_absent(R, (int64_t)oseq, (int64_t)olen, (int64_t)odsn) < 0)
-            return NULL;
+        ok = PyArg_ParseTuple(PyList_GET_ITEM(ooo_list, i), "LLL", &oseq, &olen, &odsn) &&
+             ooo_insert_if_absent(R, (int64_t)oseq, (int64_t)olen, (int64_t)odsn) == 0;
+    }
+    if (!ok || attach_agent(self, R->host, R->flow, R->subflow, AGENT_RECEIVER, self->nrcv) < 0) {
+        PyMem_Free(R->ooo);
+        return NULL;
     }
     return PyLong_FromLong(self->nrcv++);
 }
@@ -2401,48 +2306,24 @@ scene_add_event(SceneObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-scene_set_clock(SceneObject *self, PyObject *args)
-{
-    double now;
-    long long seq;
-    long long pool_len = 0, pool_cap = 0;
-    if (!PyArg_ParseTuple(args, "dL|LL", &now, &seq, &pool_len, &pool_cap))
-        return NULL;
-    self->now = now;
-    self->seq = (int64_t)seq;
-    self->pool_len = (int64_t)pool_len;
-    self->pool_cap = (int64_t)pool_cap;
-    Py_RETURN_NONE;
-}
-
 /* ---- exports ---- */
 
 static PyObject *
 export_packet(SceneObject *s, int32_t pi)
 {
     CPkt *p = &s->arena[pi];
-    PyObject *sack;
-    if (p->nsack == 0) {
-        sack = PyTuple_New(0);
-    }
-    else {
-        sack = PyTuple_New(p->nsack);
-        if (sack == NULL)
-            return NULL;
-        for (int32_t b = 0; b < p->nsack; b++) {
-            PyObject *blk = Py_BuildValue("(LL)",
-                                          (long long)p->sack[2 * b],
-                                          (long long)p->sack[2 * b + 1]);
-            if (blk == NULL) {
-                Py_DECREF(sack);
-                return NULL;
-            }
-            PyTuple_SET_ITEM(sack, b, blk);
-        }
-    }
+    PyObject *sack = PyTuple_New(p->nsack);
     if (sack == NULL)
         return NULL;
+    for (int32_t b = 0; b < p->nsack; b++) {
+        PyObject *blk = Py_BuildValue("(LL)", (long long)p->sack[2 * b],
+                                      (long long)p->sack[2 * b + 1]);
+        if (blk == NULL) {
+            Py_DECREF(sack);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(sack, b, blk);
+    }
     return Py_BuildValue(
         "{s:i,s:i,s:L,s:L,s:L,s:L,s:L,s:L,s:i,s:L,s:L,s:L,s:i,s:N,s:d,s:d,s:d,s:L}",
         "src", p->src, "dst", p->dst, "size", (long long)p->size,
@@ -2456,11 +2337,17 @@ export_packet(SceneObject *s, int32_t pi)
 }
 
 static PyObject *
-scene_export_clock(SceneObject *self, PyObject *Py_UNUSED(ignored))
+export_packets(SceneObject *s, const Ring *r)
 {
-    return Py_BuildValue("(dLLL)", self->now, (long long)self->seq,
-                         (long long)self->processed,
-                         (long long)self->pool_len);
+    PyObject *out = PyList_New(r->len);
+    for (int32_t j = 0; out != NULL && j < r->len; j++) {
+        PyObject *pkt = export_packet(s, ring_get(r, j));
+        if (pkt == NULL)
+            Py_CLEAR(out);
+        else
+            PyList_SET_ITEM(out, j, pkt);
+    }
+    return out;
 }
 
 static PyObject *
@@ -2485,205 +2372,89 @@ scene_export_events(SceneObject *self, PyObject *Py_UNUSED(ignored))
     return out;
 }
 
+/* export_*(i) for a table-driven record: the state dict of element i,
+ * the element itself through *record when the caller has more to add. */
 static PyObject *
-scene_export_node(SceneObject *self, PyObject *args)
+record_export(PyObject *index, const void *arr, int32_t count, size_t elem,
+              const Field *table, const void **record)
 {
-    int i;
-    if (!PyArg_ParseTuple(args, "i", &i))
+    Py_ssize_t i = PyNumber_AsSsize_t(index, PyExc_IndexError);
+    if (i == -1 && PyErr_Occurred())
         return NULL;
-    if (i < 0 || i >= self->nnodes) {
-        PyErr_SetString(PyExc_IndexError, "node index out of range");
+    if (i < 0 || i >= count) {
+        PyErr_SetString(PyExc_IndexError, "scene record index out of range");
         return NULL;
     }
-    NStats *st = &self->nodes[i].stats;
-    return Py_BuildValue("(LLLL)", (long long)st->received, (long long)st->forwarded,
-                         (long long)st->delivered, (long long)st->routing_drops);
+    const void *rec = (const char *)arr + (size_t)i * elem;
+    if (record != NULL)
+        *record = rec;
+    return fields_export(rec, table);
 }
 
 static PyObject *
-scene_export_fwd_hits(SceneObject *self, PyObject *args)
+scene_export_node(SceneObject *self, PyObject *index)
 {
-    int i;
-    if (!PyArg_ParseTuple(args, "i", &i))
-        return NULL;
-    if (i < 0 || i >= self->nnodes) {
-        PyErr_SetString(PyExc_IndexError, "node index out of range");
-        return NULL;
-    }
-    CNode *N = &self->nodes[i];
-    PyObject *out = PyList_New(N->nfwd);
-    if (out == NULL)
-        return NULL;
-    for (int32_t f = 0; f < N->nfwd; f++) {
-        FwdEnt *e = &N->fwd[f];
-        PyObject *item = Py_BuildValue("(iLiL)", e->dst, (long long)e->tag,
-                                       e->link, (long long)e->hits);
-        if (item == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, f, item);
-    }
-    return out;
+    return record_export(index, self->nodes, self->nnodes, sizeof(CNode), NODE_TABLE, NULL);
 }
 
 static PyObject *
-scene_export_link(SceneObject *self, PyObject *args)
+scene_export_link(SceneObject *self, PyObject *index)
 {
-    int i;
-    if (!PyArg_ParseTuple(args, "i", &i))
+    const void *rec;
+    PyObject *d = record_export(index, self->links, self->nlinks, sizeof(CLink),
+                                LINK_TABLE, &rec);
+    if (d == NULL)
         return NULL;
-    if (i < 0 || i >= self->nlinks) {
-        PyErr_SetString(PyExc_IndexError, "link index out of range");
-        return NULL;
-    }
-    CLink *L = &self->links[i];
-    PyObject *q = PyList_New(L->q.len);
-    if (q == NULL)
-        return NULL;
-    for (int32_t j = 0; j < L->q.len; j++) {
-        PyObject *pkt = export_packet(self, ring_get(&L->q, j));
-        if (pkt == NULL) {
-            Py_DECREF(q);
-            return NULL;
-        }
-        PyList_SET_ITEM(q, j, pkt);
-    }
-    PyObject *fl = PyList_New(L->fl.len);
-    if (fl == NULL) {
-        Py_DECREF(q);
-        return NULL;
-    }
-    for (int32_t j = 0; j < L->fl.len; j++) {
-        PyObject *pkt = export_packet(self, ring_get(&L->fl, j));
-        if (pkt == NULL) {
-            Py_DECREF(q);
-            Py_DECREF(fl);
-            return NULL;
-        }
-        PyList_SET_ITEM(fl, j, pkt);
-    }
-    return Py_BuildValue(
-        "{s:d,s:i,s:d,s:L,s:L,s:L,s:d,s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:N,s:N}",
-        "busy_until", L->busy_until, "serving", (int)L->serving,
-        "serve_at", L->serve_at,
-        "pkts_sent", (long long)L->stats.pkts_sent,
-        "bytes_sent", (long long)L->stats.bytes_sent,
-        "pkts_dropped", (long long)L->stats.pkts_dropped,
-        "busy_time", L->stats.busy_time,
-        "q_enqueued", (long long)L->qstats.enq,
-        "q_dequeued", (long long)L->qstats.deq,
-        "q_dropped", (long long)L->qstats.dropped,
-        "q_bytes_enqueued", (long long)L->qstats.bytes_enq,
-        "q_bytes_dropped", (long long)L->qstats.bytes_drop,
-        "q_max_depth", (long long)L->qstats.max_depth,
-        "qbytes", (long long)L->qbytes,
-        "queue", q, "in_flight", fl);
+    const CLink *L = rec;
+    d = dict_put(d, "queue", export_packets(self, &L->q));
+    return dict_put(d, "in_flight", export_packets(self, &L->fl));
 }
 
 static PyObject *
-scene_export_sender(SceneObject *self, PyObject *args)
+scene_export_sender(SceneObject *self, PyObject *index)
 {
-    int i;
-    if (!PyArg_ParseTuple(args, "i", &i))
+    const void *rec;
+    PyObject *d = record_export(index, self->snds, self->nsnd, sizeof(CSender),
+                                SENDER_TABLE, &rec);
+    if (d == NULL)
         return NULL;
-    if (i < 0 || i >= self->nsnd) {
-        PyErr_SetString(PyExc_IndexError, "sender index out of range");
-        return NULL;
-    }
-    CSender *S = &self->snds[i];
-    PyObject *segs = PyList_New(S->segs.len);
-    if (segs == NULL)
-        return NULL;
-    for (int32_t j = 0; j < S->segs.len; j++) {
-        CSeg *g = seg_at(&S->segs, j);
+    SegRing *ring = &((CSender *)rec)->segs;
+    PyObject *segs = PyList_New(ring->len);
+    for (int32_t j = 0; segs != NULL && j < ring->len; j++) {
+        CSeg *g = seg_at(ring, j);
         PyObject *item = Py_BuildValue(
             "(LLLdiiiii)", (long long)g->seq, (long long)g->length,
             (long long)g->dsn, g->sent_at, (int)g->retransmitted,
             (int)g->sacked, (int)g->lost, (int)g->lost_pending,
             (int)g->retx_in_recovery);
-        if (item == NULL) {
-            Py_DECREF(segs);
-            return NULL;
-        }
-        PyList_SET_ITEM(segs, j, item);
+        if (item == NULL)
+            Py_CLEAR(segs);
+        else
+            PyList_SET_ITEM(segs, j, item);
     }
-    return Py_BuildValue(
-        "{s:L,s:L,s:L,s:d,"
-        "s:d,s:d,s:d,s:d,s:i,s:i,s:i,s:L,s:d,"
-        "s:d,s:d,s:d,s:L,s:L,s:L,"
-        "s:d,s:d,s:d,s:i,s:d,s:d,s:d,s:i,"
-        "s:L,s:L,s:L,s:L,s:L,s:i,s:L,"
-        "s:i,s:L,s:d,s:d,s:d,s:i,"
-        "s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:N}",
-        "total_bytes", (long long)S->total_bytes,
-        "offset", (long long)S->offset,
-        "prov_acked", (long long)S->prov_acked,
-        "prov_last_ack", S->prov_last_ack,
-        "srtt", S->srtt, "rttvar", S->rttvar, "rtt_min", S->rtt_min,
-        "latest", S->latest, "has_srtt", (int)S->has_srtt,
-        "has_min", (int)S->has_min, "has_latest", (int)S->has_latest,
-        "samples", (long long)S->samples, "rto_cache", S->rto_cache,
-        "cwnd", S->cwnd, "ssthresh", S->ssthresh, "cc_srtt", S->cc_srtt,
-        "losses", (long long)S->losses, "cc_timeouts", (long long)S->cc_timeouts,
-        "acked_total", (long long)S->acked_total,
-        "w_max", S->w_max, "k", S->k, "epoch_start", S->epoch_start,
-        "has_epoch", (int)S->has_epoch, "w_est", S->w_est,
-        "acks_in_epoch", S->acks_in_epoch, "cc_min_rtt", S->cc_min_rtt,
-        "has_cc_min", (int)S->has_cc_min,
-        "snd_una", (long long)S->snd_una, "snd_nxt", (long long)S->snd_nxt,
-        "sacked_bytes", (long long)S->sacked_bytes,
-        "lost_pending_bytes", (long long)S->lost_pending_bytes,
-        "dupacks", (long long)S->dupacks,
-        "in_recovery", (int)S->in_recovery,
-        "recover", (long long)S->recover,
-        "rto_live", (int)S->rto_live, "rto_seq", (long long)S->rto_seq,
-        "rto_deadline", S->rto_deadline, "rto_fire_at", S->rto_fire_at,
-        "rto_backoff", S->rto_backoff, "started", (int)S->started,
-        "st_segments_sent", (long long)S->st_segments_sent,
-        "st_bytes_sent", (long long)S->st_bytes_sent,
-        "st_bytes_acked", (long long)S->st_bytes_acked,
-        "st_retrans", (long long)S->st_retrans,
-        "st_fast_retrans", (long long)S->st_fast_retrans,
-        "st_timeouts", (long long)S->st_timeouts,
-        "st_dupacks", (long long)S->st_dupacks,
-        "segments", segs);
+    return dict_put(d, "segments", segs);
 }
 
 static PyObject *
-scene_export_receiver(SceneObject *self, PyObject *args)
+scene_export_receiver(SceneObject *self, PyObject *index)
 {
-    int i;
-    if (!PyArg_ParseTuple(args, "i", &i))
+    const void *rec;
+    PyObject *d = record_export(index, self->rcvs, self->nrcv, sizeof(CRecv),
+                                RECV_TABLE, &rec);
+    if (d == NULL)
         return NULL;
-    if (i < 0 || i >= self->nrcv) {
-        PyErr_SetString(PyExc_IndexError, "receiver index out of range");
-        return NULL;
-    }
-    CRecv *R = &self->rcvs[i];
+    const CRecv *R = rec;
     PyObject *ooo = PyList_New(R->nooo);
-    if (ooo == NULL)
-        return NULL;
-    for (int32_t j = 0; j < R->nooo; j++) {
+    for (int32_t j = 0; ooo != NULL && j < R->nooo; j++) {
         PyObject *item = Py_BuildValue("(LLL)", (long long)R->ooo[j].seq,
                                        (long long)R->ooo[j].length,
                                        (long long)R->ooo[j].dsn);
-        if (item == NULL) {
-            Py_DECREF(ooo);
-            return NULL;
-        }
-        PyList_SET_ITEM(ooo, j, item);
+        if (item == NULL)
+            Py_CLEAR(ooo);
+        else
+            PyList_SET_ITEM(ooo, j, item);
     }
-    return Py_BuildValue(
-        "{s:L,s:L,s:L,s:L,s:L,s:L,s:L,s:N}",
-        "rcv_nxt", (long long)R->rcv_nxt,
-        "last_dack", (long long)R->last_dack,
-        "st_segs", (long long)R->st_segs,
-        "st_bytes", (long long)R->st_bytes,
-        "st_dups", (long long)R->st_dups,
-        "st_ooo", (long long)R->st_ooo,
-        "st_acks", (long long)R->st_acks,
-        "ooo", ooo);
+    return dict_put(d, "ooo", ooo);
 }
 
 static PyObject *
@@ -2713,9 +2484,9 @@ scene_export_capture(SceneObject *self, PyObject *args)
 }
 
 static PyMethodDef scene_methods[] = {
-    {"add_node", (PyCFunction)scene_add_node, METH_VARARGS,
-     "add_node(is_host, received, forwarded, delivered, routing_drops) -> idx"},
-    {"add_link", (PyCFunction)scene_add_link, METH_VARARGS,
+    {"add_node", (PyCFunction)scene_add_node, METH_O,
+     "add_node(state_dict) -> idx"},
+    {"add_link", (PyCFunction)scene_add_link, METH_O,
      "add_link(state_dict) -> idx"},
     {"add_fwd", (PyCFunction)scene_add_fwd, METH_VARARGS,
      "add_fwd(node, dst_node, tag, link)"},
@@ -2723,36 +2494,29 @@ static PyMethodDef scene_methods[] = {
      "add_capture(data_only, has_filter, filter) -> idx"},
     {"attach_capture", (PyCFunction)scene_attach_capture, METH_VARARGS,
      "attach_capture(node, capture_idx)"},
-    {"add_agent", (PyCFunction)scene_add_agent, METH_VARARGS,
-     "add_agent(node, flow, subflow, kind, idx)"},
-    {"add_sender", (PyCFunction)scene_add_sender, METH_VARARGS,
+    {"add_sender", (PyCFunction)scene_add_sender, METH_O,
      "add_sender(state_dict) -> idx"},
     {"add_receiver", (PyCFunction)scene_add_receiver, METH_VARARGS,
      "add_receiver(state_dict, ooo_list) -> idx"},
     {"add_event", (PyCFunction)scene_add_event, METH_VARARGS,
      "add_event(kind, t, seq, idx)"},
-    {"set_clock", (PyCFunction)scene_set_clock, METH_VARARGS,
-     "set_clock(now, seq)"},
     {"run", (PyCFunction)scene_run, METH_VARARGS,
-     "run(until) -> events processed"},
-    {"export_clock", (PyCFunction)scene_export_clock, METH_NOARGS,
-     "-> (now, seq, processed)"},
+     "run(now, seq, until) -> (now, seq, events processed)"},
     {"export_events", (PyCFunction)scene_export_events, METH_NOARGS,
      "-> [(kind, t, seq, idx), ...]"},
-    {"export_node", (PyCFunction)scene_export_node, METH_VARARGS,
-     "export_node(i) -> (received, forwarded, delivered, routing_drops)"},
-    {"export_fwd_hits", (PyCFunction)scene_export_fwd_hits, METH_VARARGS,
-     "export_fwd_hits(i) -> [(dst, tag, link, hits), ...]"},
-    {"export_link", (PyCFunction)scene_export_link, METH_VARARGS,
+    {"export_node", (PyCFunction)scene_export_node, METH_O,
+     "export_node(i) -> state dict"},
+    {"export_link", (PyCFunction)scene_export_link, METH_O,
      "export_link(i) -> state dict with queue/in_flight packet dicts"},
-    {"export_sender", (PyCFunction)scene_export_sender, METH_VARARGS,
-     "export_sender(i) -> state dict"},
-    {"export_receiver", (PyCFunction)scene_export_receiver, METH_VARARGS,
-     "export_receiver(i) -> state dict"},
+    {"export_sender", (PyCFunction)scene_export_sender, METH_O,
+     "export_sender(i) -> state dict with the segment list"},
+    {"export_receiver", (PyCFunction)scene_export_receiver, METH_O,
+     "export_receiver(i) -> state dict with the out-of-order buffer"},
     {"export_capture", (PyCFunction)scene_export_capture, METH_VARARGS,
      "export_capture(i) -> column bytes dict"},
     {NULL, NULL, 0, NULL},
 };
+
 
 static PyTypeObject SceneType = {
     PyVarObject_HEAD_INIT(NULL, 0)
@@ -2795,9 +2559,7 @@ PyInit__ckernel(void)
         PyModule_AddIntConstant(mod, "EV_START", EV_START) < 0 ||
         PyModule_AddIntConstant(mod, "EV_CANCELLED", EV_CANCELLED) < 0 ||
         PyModule_AddIntConstant(mod, "CC_RENO", CC_RENO) < 0 ||
-        PyModule_AddIntConstant(mod, "CC_CUBIC", CC_CUBIC) < 0 ||
-        PyModule_AddIntConstant(mod, "AGENT_SENDER", AGENT_SENDER) < 0 ||
-        PyModule_AddIntConstant(mod, "AGENT_RECEIVER", AGENT_RECEIVER) < 0) {
+        PyModule_AddIntConstant(mod, "CC_CUBIC", CC_CUBIC) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

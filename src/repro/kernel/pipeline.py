@@ -4,32 +4,40 @@ The compiled kernel cannot call back into Python per event, so instead of
 accelerating individual callbacks the whole simulation window is handed to
 the C extension: the network's current state (clock, pending events, links,
 queues, TCP agents, captures) is imported into a native ``Scene``, the
-window runs entirely in C, and the final state is written back onto the
-Python objects.  The bypass is exact -- every counter, queue entry, pending
-event, RTT estimate and capture row matches the pure-Python run bit for bit
--- but it only understands the packet-level hot path the paper's scenarios
-exercise: static links with drop-tail queues, single-path TCP senders over
-bulk transfers, Reno or Cubic, tag/static routing.
+window runs entirely in C, and the final state is copied back onto the
+Python objects.  It only understands the packet-level hot path the paper's
+scenarios exercise: static links with drop-tail queues, single-path TCP
+senders over bulk transfers, Reno or Cubic, tag/static routing, on the
+``KernelSim`` that :class:`Network` builds when the compiled kernel is
+active.
+
+The contract is **observable state**.  After a native window these match
+the pure-Python run bit for bit: result JSON, capture columns,
+link/queue/node/agent stats, RTT/CC/SACK/recovery state, the fields of
+in-flight and queued packets, pending events with their ``(time, seq)``,
+and the simulator's ``now``/``_seq``/``events_processed``.  Not preserved,
+because no result can see them: hop caches and agents' route memos (later
+windows refill them lazily), packet ids (rebuilt packets take fresh ids
+from the counter and are never pooled) and allocator pools.
 
 Anything else -- dynamic links, UDP or MPTCP agents, custom callbacks in
-the event heap, mid-flight state from an earlier window -- makes the scene
-ineligible: :func:`run_network` returns ``None`` and the caller falls back
-to the Python event loop.  Eligibility is checked conservatively with exact
-type tests, so a subclass with changed behaviour can never be captured by
-the native fast path.
+the event heap, mid-flight state from an earlier window, a pinned Python
+``Simulator`` -- makes the scene ineligible: :func:`run_network` returns
+``None``, the caller falls back to the event loop, and
+``network.bypass_outcome`` says why (``"native"`` after a native window).
+Eligibility is checked conservatively with exact type tests, so a subclass
+with changed behaviour can never be captured by the native fast path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
-from heapq import heapify
+from operator import attrgetter
 from typing import Optional
 
 from ..netsim import packet as packet_mod
 from ..netsim.capture import PacketCapture
-from ..netsim.engine import _POOL_LIMIT, Event, Simulator
 from ..netsim.link import Link
 from ..netsim.node import Host, Router
 from ..netsim.packet import Packet
@@ -41,6 +49,7 @@ from ..tcp.cc.reno import RenoCongestionControl
 from ..tcp.receiver import TcpReceiver
 from ..tcp.rtt import RttEstimator
 from ..tcp.sender import TcpSender, _SegmentInfo
+from . import _mode
 
 #: ``tag`` is Optional[int] on the Python side; the native scene stores
 #: int64, so None maps to a sentinel no real tag can collide with.
@@ -60,21 +69,166 @@ def _tag_py(tag: int):
     return None if tag == _NO_TAG else tag
 
 
+# ---------------------------------------------------------------- state tables
+# One row per scene key: (key, owner path from the record's Python object,
+# attribute[, (to_scene, from_scene)]).  The same rows drive the import in
+# _build_scene and the copy in _write_back; the C side has the matching
+# table beside each struct (_ckernel.c "state tables").  *_CONFIG rows are
+# imported only: the scene never changes them.
+
+#: Optional[float] travels as NaN (the scene tests isnan where Python tests None).
+_OPT = (lambda v: math.nan if v is None else v, lambda v: None if v != v else v)
+#: BulkDataAdapter.total_bytes: None (unbounded) is -1 in the scene.
+_UNBOUNDED = (lambda v: -1 if v is None else v, None)
+
+
+def _table(*rows):
+    return tuple(
+        (key, attrgetter(owner) if owner else None, attr, codec[0] if codec else None)
+        for key, owner, attr, *codec in rows
+    )
+
+
+def _read(obj, *tables, **state) -> dict:
+    """Scene state dict of ``obj``: the tables' rows on top of ``state``."""
+    for table in tables:
+        for key, owner, attr, codec in table:
+            value = getattr(owner(obj) if owner else obj, attr)
+            state[key] = codec[0](value) if codec else value
+    return state
+
+
+def _write(obj, table, state: dict) -> None:
+    for key, owner, attr, codec in table:
+        value = state[key]
+        setattr(owner(obj) if owner else obj, attr, codec[1](value) if codec else value)
+
+
+_NODE_STATE = _table(
+    ("received", "stats", "received"),
+    ("forwarded", "stats", "forwarded"),
+    ("delivered", "stats", "delivered"),
+    ("routing_drops", "stats", "routing_drops"),
+)
+
+_LINK_CONFIG = _table(
+    ("rate_bps", "", "rate_bps"),
+    ("delay", "", "delay"),
+    ("qcap", "queue", "capacity_packets"),
+)
+_LINK_STATE = _table(
+    ("busy_until", "", "_busy_until"),
+    ("serving", "", "_serving"),
+    ("serve_at", "", "_serve_at"),
+    ("pkts_sent", "stats", "packets_sent"),
+    ("bytes_sent", "stats", "bytes_sent"),
+    ("pkts_dropped", "stats", "packets_dropped"),
+    ("busy_time", "stats", "busy_time"),
+    ("q_enqueued", "queue.stats", "enqueued"),
+    ("q_dequeued", "queue.stats", "dequeued"),
+    ("q_dropped", "queue.stats", "dropped"),
+    ("q_bytes_enqueued", "queue.stats", "bytes_enqueued"),
+    ("q_bytes_dropped", "queue.stats", "bytes_dropped"),
+    ("q_max_depth", "queue.stats", "max_depth"),
+    ("qbytes", "queue", "_bytes"),
+)
+
+_SENDER_CONFIG = _table(
+    ("flow", "", "flow_id"),
+    ("subflow", "", "subflow_id"),
+    ("mss", "", "mss"),
+    ("total_bytes", "data_provider", "total_bytes", _UNBOUNDED),
+    ("alpha", "rtt", "alpha"),
+    ("beta", "rtt", "beta"),
+    ("min_rto", "rtt", "min_rto"),
+    ("max_rto", "rtt", "max_rto"),
+    ("cc_mss", "cc", "mss"),
+    ("closed", "", "closed"),
+)
+_SENDER_STATE = _table(
+    ("offset", "data_provider", "offset"),
+    ("prov_acked", "data_provider", "acked_bytes"),
+    ("prov_last_ack", "data_provider", "last_ack_time"),
+    ("srtt", "rtt", "srtt", _OPT),
+    ("rttvar", "rtt", "rttvar", _OPT),
+    ("rtt_min", "rtt", "min_rtt", _OPT),
+    ("latest", "rtt", "latest_rtt", _OPT),
+    ("samples", "rtt", "samples"),
+    ("rto_cache", "rtt", "_rto"),
+    ("cwnd", "cc", "cwnd"),
+    ("ssthresh", "cc", "ssthresh"),
+    ("cc_srtt", "cc", "srtt"),
+    ("losses", "cc", "losses"),
+    ("cc_timeouts", "cc", "timeouts"),
+    ("acked_total", "cc", "acked_bytes_total"),
+    ("snd_una", "", "snd_una"),
+    ("snd_nxt", "", "snd_nxt"),
+    ("sacked_bytes", "", "_sacked_bytes"),
+    ("lost_pending_bytes", "", "_lost_pending_bytes"),
+    ("dupacks", "", "_dupacks"),
+    ("in_recovery", "", "_in_fast_recovery"),
+    ("recover", "", "_recover"),
+    ("rto_deadline", "", "_rto_deadline"),
+    ("rto_fire_at", "", "_rto_fire_at"),
+    ("rto_backoff", "", "_rto_backoff"),
+    ("started", "", "_started"),
+    ("st_segments_sent", "stats", "segments_sent"),
+    ("st_bytes_sent", "stats", "bytes_sent"),
+    ("st_bytes_acked", "stats", "bytes_acked"),
+    ("st_retrans", "stats", "retransmissions"),
+    ("st_fast_retrans", "stats", "fast_retransmits"),
+    ("st_timeouts", "stats", "timeouts"),
+    ("st_dupacks", "stats", "dupacks"),
+)
+#: Reno senders import these as zeros and never copy them back.
+_CUBIC_CONFIG = _table(
+    ("fast_conv", "cc", "fast_convergence"),
+    ("tcp_friendly", "cc", "tcp_friendliness"),
+    ("hystart", "cc", "hystart"),
+)
+_CUBIC_STATE = _table(
+    ("w_max", "cc", "_w_max"),
+    ("k", "cc", "_k"),
+    ("epoch_start", "cc", "_epoch_start", _OPT),
+    ("w_est", "cc", "_w_est"),
+    ("acks_in_epoch", "cc", "_acks_in_epoch"),
+    ("cc_min_rtt", "cc", "_min_rtt", _OPT),
+)
+
+_RECEIVER_CONFIG = _table(
+    ("flow", "", "flow_id"),
+    ("subflow", "", "subflow_id"),
+    ("ack_size", "", "ack_size"),
+)
+_RECEIVER_STATE = _table(
+    ("rcv_nxt", "", "rcv_nxt"),
+    ("last_dack", "", "_last_dack"),
+    ("st_segs", "stats", "segments_received"),
+    ("st_bytes", "stats", "bytes_received"),
+    ("st_dups", "stats", "duplicates"),
+    ("st_ooo", "stats", "out_of_order"),
+    ("st_acks", "stats", "acks_sent"),
+)
+
+#: Scene capture column -> PacketCapture array attribute.
+_CAPTURE_COLUMNS = ("time", "size", "payload", "tag", "flow", "subflow", "flags", "seq", "dsn")
+
+
+# ----------------------------------------------------------------- eligibility
 class _Ineligible(Exception):
     """Internal control flow: scene cannot be represented natively."""
 
 
-def _require(cond: bool) -> None:
+def _require(cond, who: str, why: str) -> None:
     if not cond:
-        raise _Ineligible
+        raise _Ineligible(f"{who}: {why}")
 
 
-def _int64(value) -> int:
-    _require(type(value) is int and -(1 << 62) < value < (1 << 62))
-    return value
+def _int64(value, who: str, what: str) -> None:
+    _require(type(value) is int and -(1 << 62) < value < (1 << 62), who, f"{what} is not an int64")
 
 
-def _probe_route(network, routing, src_name: str, dst_name: str, tag):
+def _probe_route(network, routing, who: str, src_name: str, dst_name: str, tag):
     """Resolve the full hop sequence ``src -> dst`` for ``(dst, tag)``.
 
     Returns a list of ``(node_name, link)`` pairs (the link taken *from*
@@ -88,285 +242,180 @@ def _probe_route(network, routing, src_name: str, dst_name: str, tag):
     current = src_name
     for _ in range(len(network.nodes) + 1):
         if current == dst_name:
+            _require(hops, who, "peer is its own host")
             return hops
         next_hop = routing.next_hop(current, probe)
-        _require(next_hop is not None)
-        link = network.nodes[current].links.get(next_hop)
-        _require(link is not None)
+        link = None if next_hop is None else network.nodes[current].links.get(next_hop)
+        _require(link is not None, who, f"no route from {current} to {dst_name}")
         hops.append((current, link))
         current = next_hop
-    raise _Ineligible  # routing loop
-
-
-def _rtt_state(rtt: RttEstimator) -> dict:
-    srtt, min_rtt, latest = rtt.srtt, rtt.min_rtt, rtt.latest_rtt
-    return {
-        "alpha": rtt.alpha,
-        "beta": rtt.beta,
-        "min_rto": rtt.min_rto,
-        "max_rto": rtt.max_rto,
-        "srtt": 0.0 if srtt is None else srtt,
-        "rttvar": 0.0 if rtt.rttvar is None else rtt.rttvar,
-        "rtt_min": 0.0 if min_rtt is None else min_rtt,
-        "latest": 0.0 if latest is None else latest,
-        "has_srtt": 0 if srtt is None else 1,
-        "has_min": 0 if min_rtt is None else 1,
-        "has_latest": 0 if latest is None else 1,
-        "samples": rtt.samples,
-        "rto_cache": rtt._rto,
-    }
-
-
-def _cc_state(cc) -> dict:
-    if type(cc) is RenoCongestionControl:
-        kind = 0
-        extra = {
-            "fast_conv": 0,
-            "tcp_friendly": 0,
-            "hystart": 0,
-            "w_max": 0.0,
-            "k": 0.0,
-            "epoch_start": 0.0,
-            "has_epoch": 0,
-            "w_est": 0.0,
-            "acks_in_epoch": 0.0,
-            "cc_min_rtt": 0.0,
-            "has_cc_min": 0,
-        }
-    elif type(cc) is CubicCongestionControl:
-        kind = 1
-        epoch = cc._epoch_start
-        min_rtt = cc._min_rtt
-        extra = {
-            "fast_conv": 1 if cc.fast_convergence else 0,
-            "tcp_friendly": 1 if cc.tcp_friendliness else 0,
-            "hystart": 1 if cc.hystart else 0,
-            "w_max": cc._w_max,
-            "k": cc._k,
-            "epoch_start": 0.0 if epoch is None else epoch,
-            "has_epoch": 0 if epoch is None else 1,
-            "w_est": cc._w_est,
-            "acks_in_epoch": float(cc._acks_in_epoch),
-            "cc_min_rtt": 0.0 if min_rtt is None else min_rtt,
-            "has_cc_min": 0 if min_rtt is None else 1,
-        }
-    else:
-        raise _Ineligible
-    state = {
-        "cc_kind": kind,
-        "cc_mss": cc.mss,
-        "cwnd": cc.cwnd,
-        "ssthresh": cc.ssthresh,
-        "cc_srtt": cc.srtt,
-        "losses": cc.losses,
-        "cc_timeouts": cc.timeouts,
-        "acked_total": cc.acked_bytes_total,
-    }
-    state.update(extra)
-    return state
+    raise _Ineligible(f"{who}: routing loop towards {dst_name}")
 
 
 class _Plan:
     """Everything resolved during the eligibility walk, for the write-back."""
 
-    __slots__ = (
-        "node_list",
-        "node_idx",
-        "link_list",
-        "link_idx",
-        "senders",
-        "receivers",
-        "captures",
-        "start_events",
-        "cancelled",
-        "rversion",
-    )
-
     def __init__(self) -> None:
         self.node_list = []
         self.node_idx = {}
+        self.hosts = []
         self.link_list = []
         self.link_idx = {}
-        self.senders = []  # (sender, route_link, memo_was_stale, sent_before)
-        self.receivers = []  # (receiver, route_link, memo_was_stale, acks_before)
+        self.senders = []  # (sender, hops)
+        self.receivers = []  # (receiver, hops)
         self.captures = []  # PacketCapture, aligned with scene capture index
-        self.start_events = []  # (t, seq, sender)
+        self.start_events = []  # (t, seq, sender index)
         self.cancelled = []  # (t, seq)
-        self.rversion = 0
 
 
 def _plan_scene(network, sim, entries) -> _Plan:
     """Validate eligibility and collect the import plan (raises _Ineligible)."""
     plan = _Plan()
     routing = network.routing
-    _require(type(routing) in (TagRoutingTable, StaticRoutingTable))
-    _require(routing.hop_cache_safe())
-    plan.rversion = routing.version
+    _require(
+        type(routing) in (TagRoutingTable, StaticRoutingTable) and routing.hop_cache_safe(),
+        "routing",
+        f"{type(routing).__name__} is not a stock tag/static table",
+    )
 
     now = sim.now
     for name, node in network.nodes.items():
-        _require(type(node) in (Host, Router))
-        _require(node.routing is routing)
-        _require(node.sim is sim)
-        _require(node._hop_cache is not None)
+        who = f"node {name}"
+        _require(type(node) in (Host, Router), who, f"is a {type(node).__name__}")
+        _require(node.routing is routing and node.sim is sim, who, "foreign routing or simulator")
+        _require(node._hop_cache is not None, who, "hop cache disabled")
         plan.node_idx[name] = len(plan.node_list)
         plan.node_list.append(node)
 
     for link in network.links.values():
-        _require(type(link) is Link)
-        _require(link.sim is sim)
-        _require(link.up and not link._impaired and not link._dynamic)
-        _require(not link._deadlines)
-        _require(not link._serving and link._busy_until <= now)
-        _require(not link._in_flight)
-        _require(type(link.queue) is DropTailQueue)
-        _require(not link.queue._queue)
-        _require(link.src.name in plan.node_idx and link.dst.name in plan.node_idx)
+        who = f"link {link.src.name}->{link.dst.name}"
+        _require(type(link) is Link and link.sim is sim, who, "not a stock Link on this simulator")
+        static = link.up and not link._impaired and not link._dynamic
+        _require(static, who, "down, impaired or dynamic")
+        _require(not link._deadlines, who, "impairment deadlines pending")
+        _require(not link._serving and link._busy_until <= now, who, "transmitter busy")
+        _require(not link._in_flight, who, "packets in flight")
+        _require(type(link.queue) is DropTailQueue, who, f"queue is {type(link.queue).__name__}")
+        _require(not link.queue._queue, who, "packets queued")
+        _require(
+            link.src.name in plan.node_idx and link.dst.name in plan.node_idx,
+            who,
+            "endpoint outside the network",
+        )
         plan.link_idx[id(link)] = len(plan.link_list)
         plan.link_list.append(link)
 
     # Transport agents: quiescent single-path TCP endpoints only.
-    sender_set = {}
-    for node in plan.node_list:
-        if not isinstance(node, Host):
-            continue
+    sender_idx = {}
+    plan.hosts = hosts = [node for node in plan.node_list if isinstance(node, Host)]
+    for node in hosts:
         for agent in node._agents.values():
             atype = type(agent)
+            is_tcp = atype in (TcpSender, TcpReceiver)
+            _require(is_tcp, f"agent on {node.name}", f"is a {atype.__name__}")
+            who = f"{'sender' if atype is TcpSender else 'receiver'} {node.name}#{agent.flow_id}"
+            _require(agent.host is node and agent.sim is sim, who, "foreign host or simulator")
+            _require(agent._route_enabled, who, "route memo disabled")
+            _require(_tag_c(agent.tag) is not None, who, "tag is not an int64")
+            _int64(agent.flow_id, who, "flow_id")
+            _int64(agent.subflow_id, who, "subflow_id")
             if atype is TcpSender:
-                _require(agent.host is node and agent.sim is sim)
-                _require(type(agent.data_provider) is BulkDataAdapter)
-                _require(type(agent.rtt) is RttEstimator)
-                _require(agent.snd_una == agent.snd_nxt)
-                _require(not agent._segments and not agent._seg_queue)
-                _require(agent._rto_event is None)
-                _require(not agent._in_fast_recovery)
-                _require(agent._sacked_bytes == 0 and agent._lost_pending_bytes == 0)
-                _require(agent.on_idle is None)
-                _require(not agent.closed and not agent.path_down)
-                _require(agent._route_enabled)
-                _require(agent.dst in plan.node_idx)
-                _require(_tag_c(agent.tag) is not None)
-                _int64(agent.flow_id)
-                _int64(agent.subflow_id)
+                bulk = type(agent.data_provider) is BulkDataAdapter
+                _require(bulk, who, "data provider is not a bulk transfer")
+                _require(type(agent.rtt) is RttEstimator, who, "custom RTT estimator")
+                _require(
+                    type(agent.cc) in (RenoCongestionControl, CubicCongestionControl),
+                    who,
+                    f"congestion control is {type(agent.cc).__name__}",
+                )
+                _require(
+                    agent.snd_una == agent.snd_nxt and not agent._segments and not agent._seg_queue,
+                    who,
+                    "segments in flight",
+                )
+                _require(agent._rto_event is None, who, "retransmission timer armed")
+                _require(
+                    not agent._in_fast_recovery
+                    and agent._sacked_bytes == 0
+                    and agent._lost_pending_bytes == 0,
+                    who,
+                    "loss recovery in progress",
+                )
+                _require(agent.on_idle is None, who, "on_idle callback set")
+                _require(not agent.closed and not agent.path_down, who, "closed or path down")
+                _require(agent.dst in plan.node_idx, who, f"unknown destination {agent.dst}")
                 total = agent.data_provider.total_bytes
-                _require(total is None or type(total) is int)
-                sender_set[id(agent)] = len(plan.senders)
-                hops = _probe_route(network, routing, node.name, agent.dst, agent.tag)
-                _require(hops)
-                memo_stale = (
-                    agent._route_link is None
-                    or agent._route_version != plan.rversion
-                )
-                plan.senders.append(
-                    (agent, hops, memo_stale, agent.stats.segments_sent)
-                )
-            elif atype is TcpReceiver:
-                _require(agent.host is node and agent.sim is sim)
-                _require(agent.connection_sink is None)
-                _require(agent._route_enabled)
-                _require(agent.peer in plan.node_idx)
-                _require(_tag_c(agent.tag) is not None)
-                _int64(agent.flow_id)
-                _int64(agent.subflow_id)
-                for seq, (length, dsn) in agent._out_of_order.items():
-                    _int64(seq), _int64(length), _int64(dsn)
-                hops = _probe_route(network, routing, node.name, agent.peer, agent.tag)
-                _require(hops)
-                memo_stale = (
-                    agent._route_link is None
-                    or agent._route_version != plan.rversion
-                )
-                plan.receivers.append(
-                    (agent, hops, memo_stale, agent.stats.acks_sent)
-                )
+                _require(total is None or type(total) is int, who, "total_bytes is not an int")
+                sender_idx[id(agent)] = len(plan.senders)
+                hops = _probe_route(network, routing, who, node.name, agent.dst, agent.tag)
+                plan.senders.append((agent, hops))
             else:
-                raise _Ineligible
+                _require(agent.connection_sink is None, who, "feeds a connection-level sink")
+                _require(agent.peer in plan.node_idx, who, f"unknown peer {agent.peer}")
+                for seq, (length, dsn) in agent._out_of_order.items():
+                    for value in (seq, length, dsn):
+                        _int64(value, who, "out-of-order entry")
+                hops = _probe_route(network, routing, who, node.name, agent.peer, agent.tag)
+                plan.receivers.append((agent, hops))
 
     # Captures: stock PacketCapture taps only.
-    for node in plan.node_list:
-        if not isinstance(node, Host):
-            continue
+    for node in hosts:
         for cb in node._captures:
-            func = getattr(cb, "__func__", None)
-            _require(func is PacketCapture.on_packet)
-            cap = cb.__self__
-            _require(type(cap) is PacketCapture)
-            _require(cap.flow_id is None or type(cap.flow_id) is int)
+            who = f"capture on {node.name}"
+            _require(
+                getattr(cb, "__func__", None) is PacketCapture.on_packet
+                and type(cb.__self__) is PacketCapture,
+                who,
+                "not a stock PacketCapture tap",
+            )
+            flow_id = cb.__self__.flow_id
+            _require(flow_id is None or type(flow_id) is int, who, "flow filter is not an int")
 
     # Pending events: only cancelled entries and TcpSender.start handles.
     for t, seq, cb, cb_args in entries:
         if cb is None:
             plan.cancelled.append((t, seq))
             continue
-        func = getattr(cb, "__func__", None)
-        _require(func is TcpSender.start and cb_args == ())
-        sender = cb.__self__
-        _require(id(sender) in sender_set)
-        plan.start_events.append((t, seq, sender))
+        _require(
+            getattr(cb, "__func__", None) is TcpSender.start
+            and cb_args == ()
+            and id(cb.__self__) in sender_idx,
+            f"event at t={t}",
+            f"pending {getattr(cb, '__qualname__', cb)!s} is not a sender start",
+        )
+        plan.start_events.append((t, seq, sender_idx[id(cb.__self__)]))
 
     return plan
 
 
-def _build_scene(ext, network, sim, plan, entries_pool_len: int):
+# ---------------------------------------------------------------- import / run
+def _build_scene(ext, plan):
     from ..units import HEADER_SIZE
 
     scene = ext.Scene(header_size=HEADER_SIZE)
+    node_idx, link_idx = plan.node_idx, plan.link_idx
     for node in plan.node_list:
-        st = node.stats
-        idx = scene.add_node(
-            isinstance(node, Host),
-            st.received,
-            st.forwarded,
-            st.delivered,
-            st.routing_drops,
-        )
-        assert idx == plan.node_idx[node.name]
-
+        scene.add_node(_read(node, _NODE_STATE))
     for link in plan.link_list:
-        st, qst = link.stats, link.queue.stats
-        scene.add_link(
-            {
-                "src": plan.node_idx[link.src.name],
-                "dst": plan.node_idx[link.dst.name],
-                "rate_bps": link.rate_bps,
-                "delay": link.delay,
-                "qcap": link.queue.capacity_packets,
-                "busy_until": link._busy_until,
-                "serve_at": link._serve_at,
-                "pkts_sent": st.packets_sent,
-                "bytes_sent": st.bytes_sent,
-                "pkts_dropped": st.packets_dropped,
-                "busy_time": st.busy_time,
-                "q_enqueued": qst.enqueued,
-                "q_dequeued": qst.dequeued,
-                "q_dropped": qst.dropped,
-                "q_bytes_enqueued": qst.bytes_enqueued,
-                "q_bytes_dropped": qst.bytes_dropped,
-                "q_max_depth": qst.max_depth,
-                "qbytes": link.queue._bytes,
-            }
-        )
+        scene.add_link(_read(link, _LINK_CONFIG, _LINK_STATE, dst=node_idx[link.dst.name]))
 
     # Forwarding entries: every intermediate hop of every probed route.
     # The packet's destination terminates the walk; every node before it
-    # (except the origin, which sends via the agent's route memo) forwards
+    # (except the origin, which sends via its own first hop) forwards
     # through its probed link.
     fwd_seen = set()
-    for agent, hops, _stale, _before in plan.senders + plan.receivers:
-        dst_idx = plan.node_idx[agent.dst if type(agent) is TcpSender else agent.peer]
+    for agent, hops in plan.senders + plan.receivers:
+        dst_idx = node_idx[agent.dst if type(agent) is TcpSender else agent.peer]
         tag_c = _tag_c(agent.tag)
         for node_name, link in hops[1:]:
-            key = (plan.node_idx[node_name], dst_idx, tag_c)
-            if key in fwd_seen:
-                continue
-            fwd_seen.add(key)
-            scene.add_fwd(key[0], dst_idx, tag_c, plan.link_idx[id(link)])
+            key = (node_idx[node_name], dst_idx, tag_c)
+            if key not in fwd_seen:
+                fwd_seen.add(key)
+                scene.add_fwd(key[0], dst_idx, tag_c, link_idx[id(link)])
 
     # Captures (deduped: one scene capture per PacketCapture object).
     cap_idx_by_id = {}
-    for node in plan.node_list:
-        if not isinstance(node, Host):
-            continue
+    for node in plan.hosts:
         for cb in node._captures:
             cap = cb.__self__
             idx = cap_idx_by_id.get(id(cap))
@@ -378,91 +427,49 @@ def _build_scene(ext, network, sim, plan, entries_pool_len: int):
                 )
                 cap_idx_by_id[id(cap)] = idx
                 plan.captures.append(cap)
-            scene.attach_capture(plan.node_idx[node.name], idx)
+            scene.attach_capture(node_idx[node.name], idx)
 
-    for i, (snd, hops, _stale, _before) in enumerate(plan.senders):
-        prov = snd.data_provider
-        total = prov.total_bytes
-        state = {
-            "host": plan.node_idx[snd.host.name],
-            "dst": plan.node_idx[snd.dst],
-            "flow": snd.flow_id,
-            "subflow": snd.subflow_id,
-            "tag": _tag_c(snd.tag),
-            "route_link": plan.link_idx[id(hops[0][1])],
-            "mss": snd.mss,
-            "total_bytes": -1 if total is None else total,
-            "offset": prov.offset,
-            "prov_acked": prov.acked_bytes,
-            "prov_last_ack": prov.last_ack_time,
-            "snd_una": snd.snd_una,
-            "snd_nxt": snd.snd_nxt,
-            "sacked_bytes": snd._sacked_bytes,
-            "lost_pending_bytes": snd._lost_pending_bytes,
-            "dupacks": snd._dupacks,
-            "in_recovery": 0,
-            "recover": snd._recover,
-            "rto_backoff": snd._rto_backoff,
-            "rto_deadline": snd._rto_deadline,
-            "rto_fire_at": snd._rto_fire_at,
-            "started": 1 if snd._started else 0,
-            "closed": 0,
-            "st_segments_sent": snd.stats.segments_sent,
-            "st_bytes_sent": snd.stats.bytes_sent,
-            "st_bytes_acked": snd.stats.bytes_acked,
-            "st_retrans": snd.stats.retransmissions,
-            "st_fast_retrans": snd.stats.fast_retransmits,
-            "st_timeouts": snd.stats.timeouts,
-            "st_dupacks": snd.stats.dupacks,
-        }
-        state.update(_rtt_state(snd.rtt))
-        state.update(_cc_state(snd.cc))
-        idx = scene.add_sender(state)
-        assert idx == i
-        scene.add_agent(
-            plan.node_idx[snd.host.name], snd.flow_id, snd.subflow_id, 0, idx
+    cubic_rows = _CUBIC_CONFIG + _CUBIC_STATE
+    for snd, hops in plan.senders:
+        cubic = type(snd.cc) is CubicCongestionControl
+        state = _read(
+            snd,
+            _SENDER_CONFIG,
+            _SENDER_STATE,
+            cubic_rows if cubic else (),
+            host=node_idx[snd.host.name],
+            dst=node_idx[snd.dst],
+            tag=_tag_c(snd.tag),
+            route_link=link_idx[id(hops[0][1])],
+            cc_kind=ext.CC_CUBIC if cubic else ext.CC_RENO,
         )
+        if not cubic:
+            state.update(dict.fromkeys((row[0] for row in cubic_rows), 0))
+        scene.add_sender(state)
 
-    for i, (rcv, hops, _stale, _before) in enumerate(plan.receivers):
-        state = {
-            "host": plan.node_idx[rcv.host.name],
-            "peer": plan.node_idx[rcv.peer],
-            "flow": rcv.flow_id,
-            "subflow": rcv.subflow_id,
-            "tag": _tag_c(rcv.tag),
-            "route_link": plan.link_idx[id(hops[0][1])],
-            "ack_size": rcv.ack_size,
-            "rcv_nxt": rcv.rcv_nxt,
-            "last_dack": rcv._last_dack,
-            "st_segs": rcv.stats.segments_received,
-            "st_bytes": rcv.stats.bytes_received,
-            "st_dups": rcv.stats.duplicates,
-            "st_ooo": rcv.stats.out_of_order,
-            "st_acks": rcv.stats.acks_sent,
-        }
-        ooo = [
-            (seq, length, dsn)
-            for seq, (length, dsn) in sorted(rcv._out_of_order.items())
-        ]
-        idx = scene.add_receiver(state, ooo)
-        assert idx == i
-        scene.add_agent(
-            plan.node_idx[rcv.host.name], rcv.flow_id, rcv.subflow_id, 1, idx
+    for rcv, hops in plan.receivers:
+        state = _read(
+            rcv,
+            _RECEIVER_CONFIG,
+            _RECEIVER_STATE,
+            host=node_idx[rcv.host.name],
+            peer=node_idx[rcv.peer],
+            tag=_tag_c(rcv.tag),
+            route_link=link_idx[id(hops[0][1])],
         )
+        ooo = [(seq, length, dsn) for seq, (length, dsn) in sorted(rcv._out_of_order.items())]
+        scene.add_receiver(state, ooo)
 
-    sender_pos = {id(s): i for i, (s, _h, _m, _b) in enumerate(plan.senders)}
     for t, seq in plan.cancelled:
         scene.add_event(ext.EV_CANCELLED, t, seq, 0)
     for t, seq, sender in plan.start_events:
-        scene.add_event(ext.EV_START, t, seq, sender_pos[id(sender)])
-
-    scene.set_clock(sim.now, sim._seq, entries_pool_len, _POOL_LIMIT)
+        scene.add_event(ext.EV_START, t, seq, sender)
     return scene
 
 
-def _mk_packet(d: dict, node_list, pid: int) -> Packet:
+def _mk_packet(d: dict, node_list) -> Packet:
     p = Packet.__new__(Packet)
-    p.packet_id = pid
+    p.packet_id = next(packet_mod._packet_counter)
     p.src = node_list[d["src"]].name
     p.dst = node_list[d["dst"]].name
     p.size = d["size"]
@@ -490,44 +497,13 @@ def _mk_packet(d: dict, node_list, pid: int) -> Packet:
     return p
 
 
-def _write_back(ext, network, sim, plan, scene, is_ksim: bool) -> float:
-    routing = network.routing
-    rversion = plan.rversion
-    now, seq, processed, pool_len = scene.export_clock()
-
-    # -- transport agents (before the heap: live RTO events attach handles)
-    acquires = 0
-    for i, (snd, hops, memo_stale, sent_before) in enumerate(plan.senders):
+def _write_back(ext, sim, plan, scene, clock) -> float:
+    for i, (snd, _hops) in enumerate(plan.senders):
         st = scene.export_sender(i)
-        prov = snd.data_provider
-        prov.offset = st["offset"]
-        prov.acked_bytes = st["prov_acked"]
-        prov.last_ack_time = st["prov_last_ack"]
-        rtt = snd.rtt
-        rtt.srtt = st["srtt"] if st["has_srtt"] else None
-        rtt.rttvar = st["rttvar"] if st["has_srtt"] else None
-        rtt.min_rtt = st["rtt_min"] if st["has_min"] else None
-        rtt.latest_rtt = st["latest"] if st["has_latest"] else None
-        rtt.samples = st["samples"]
-        rtt._rto = st["rto_cache"]
-        cc = snd.cc
-        cc.cwnd = st["cwnd"]
-        cc.ssthresh = st["ssthresh"]
-        cc.srtt = st["cc_srtt"]
-        cc.losses = st["losses"]
-        cc.timeouts = st["cc_timeouts"]
-        cc.acked_bytes_total = st["acked_total"]
-        if type(cc) is CubicCongestionControl:
-            cc._w_max = st["w_max"]
-            cc._k = st["k"]
-            cc._epoch_start = st["epoch_start"] if st["has_epoch"] else None
-            cc._w_est = st["w_est"]
-            cc._acks_in_epoch = st["acks_in_epoch"]
-            cc._min_rtt = st["cc_min_rtt"] if st["has_cc_min"] else None
-        snd.snd_una = st["snd_una"]
-        snd.snd_nxt = st["snd_nxt"]
+        _write(snd, _SENDER_STATE, st)
+        if type(snd.cc) is CubicCongestionControl:
+            _write(snd, _CUBIC_STATE, st)
         segments = {}
-        seg_queue = deque()
         for sseq, length, dsn, sent_at, retx, sacked, lost, lostp, rir in st["segments"]:
             info = _SegmentInfo(sseq, length, dsn, sent_at)
             info.retransmitted = bool(retx)
@@ -536,223 +512,90 @@ def _write_back(ext, network, sim, plan, scene, is_ksim: bool) -> float:
             info.lost_pending = bool(lostp)
             info.retx_in_recovery = bool(rir)
             segments[sseq] = info
-            seg_queue.append(info)
         snd._segments = segments
-        snd._seg_queue = seg_queue
-        snd._sacked_bytes = st["sacked_bytes"]
-        snd._lost_pending_bytes = st["lost_pending_bytes"]
-        snd._dupacks = st["dupacks"]
-        snd._in_fast_recovery = bool(st["in_recovery"])
-        snd._recover = st["recover"]
-        snd._rto_event = None  # live RTO handle re-attached by the heap pass
-        snd._rto_deadline = st["rto_deadline"]
-        snd._rto_fire_at = st["rto_fire_at"]
-        snd._rto_backoff = st["rto_backoff"]
-        snd._started = bool(st["started"])
-        s = snd.stats
-        sent_delta = st["st_segments_sent"] - sent_before
-        acquires += sent_delta
-        s.segments_sent = st["st_segments_sent"]
-        s.bytes_sent = st["st_bytes_sent"]
-        s.bytes_acked = st["st_bytes_acked"]
-        s.retransmissions = st["st_retrans"]
-        s.fast_retransmits = st["st_fast_retrans"]
-        s.timeouts = st["st_timeouts"]
-        s.dupacks = st["st_dupacks"]
-        if sent_delta > 0:
-            snd._route_link = hops[0][1]
-            snd._route_version = rversion
-            if memo_stale:
-                # The first Python send would have gone through Node.send,
-                # syncing the host cache version and memoising the hop.
-                host = snd.host
-                if host._hop_version != rversion:
-                    host._hop_cache.clear()
-                    host._hop_version = rversion
-                host._hop_cache[snd._route_key] = hops[0][1]
+        snd._seg_queue = deque(segments.values())
+        snd._rto_event = None  # a live RTO re-attaches its handle below
 
-    for i, (rcv, hops, memo_stale, acks_before) in enumerate(plan.receivers):
+    for i, (rcv, _hops) in enumerate(plan.receivers):
         st = scene.export_receiver(i)
-        rcv.rcv_nxt = st["rcv_nxt"]
-        rcv._last_dack = st["last_dack"]
-        rcv._out_of_order = {seq_: (length, dsn) for seq_, length, dsn in st["ooo"]}
-        s = rcv.stats
-        acks_delta = st["st_acks"] - acks_before
-        acquires += acks_delta
-        s.segments_received = st["st_segs"]
-        s.bytes_received = st["st_bytes"]
-        s.duplicates = st["st_dups"]
-        s.out_of_order = st["st_ooo"]
-        s.acks_sent = st["st_acks"]
-        if acks_delta > 0:
-            rcv._route_link = hops[0][1]
-            rcv._route_version = rversion
-            if memo_stale:
-                host = rcv.host
-                if host._hop_version != rversion:
-                    host._hop_cache.clear()
-                    host._hop_version = rversion
-                host._hop_cache[rcv._route_key] = hops[0][1]
+        _write(rcv, _RECEIVER_STATE, st)
+        rcv._out_of_order = {seq: (length, dsn) for seq, length, dsn in st["ooo"]}
 
-    # -- node stats and hop caches (only routes actually traversed)
-    for i, node in enumerate(plan.node_list):
-        received, forwarded, delivered, rdrops = scene.export_node(i)
-        st = node.stats
-        st.received = received
-        st.forwarded = forwarded
-        st.delivered = delivered
-        st.routing_drops = rdrops
-        hit_entries = [
-            (dst, tag, link)
-            for dst, tag, link, hits in scene.export_fwd_hits(i)
-            if hits > 0
-        ]
-        if hit_entries:
-            if node._hop_version != rversion:
-                node._hop_cache.clear()
-                node._hop_version = rversion
-            for dst, tag, link in hit_entries:
-                key = (plan.node_list[dst].name, _tag_py(tag))
-                node._hop_cache[key] = plan.link_list[link]
+    node_list = plan.node_list
+    for i, node in enumerate(node_list):
+        _write(node, _NODE_STATE, scene.export_node(i))
 
-    # -- packet id counter: mirror the ids the Python run would have burned
-    next_id = next(packet_mod._packet_counter)
-    pid = next_id
-
-    # -- links (queue contents and in-flight packets rebuilt)
     for i, link in enumerate(plan.link_list):
         st = scene.export_link(i)
-        link._busy_until = st["busy_until"]
-        link._serving = bool(st["serving"])
-        link._serve_at = st["serve_at"]
-        ls = link.stats
-        ls.packets_sent = st["pkts_sent"]
-        ls.bytes_sent = st["bytes_sent"]
-        ls.packets_dropped = st["pkts_dropped"]
-        ls.busy_time = st["busy_time"]
-        qs = link.queue.stats
-        qs.enqueued = st["q_enqueued"]
-        qs.dequeued = st["q_dequeued"]
-        qs.dropped = st["q_dropped"]
-        qs.bytes_enqueued = st["q_bytes_enqueued"]
-        qs.bytes_dropped = st["q_bytes_dropped"]
-        qs.max_depth = st["q_max_depth"]
-        link.queue._bytes = st["qbytes"]
-        node_list = plan.node_list
-        q = link.queue._queue
-        q.clear()
-        for d in st["queue"]:
-            q.append(_mk_packet(d, node_list, pid))
-            pid += 1
-        fl = link._in_flight
-        fl.clear()
-        for d in st["in_flight"]:
-            fl.append(_mk_packet(d, node_list, pid))
-            pid += 1
-    packet_mod._packet_counter = itertools.count(next_id + acquires)
+        _write(link, _LINK_STATE, st)
+        queue = link.queue._queue
+        queue.clear()
+        queue.extend(_mk_packet(d, node_list) for d in st["queue"])
+        link._in_flight.clear()
+        link._in_flight.extend(_mk_packet(d, node_list) for d in st["in_flight"])
 
-    # -- captures (append-only columns; C rows are this window's packets)
+    # Captures: append-only columns; the scene's rows are this window's packets.
     for idx, cap in enumerate(plan.captures):
         cols = scene.export_capture(idx)
         if cols["n"]:
-            cap._time.frombytes(cols["time"])
-            cap._size.frombytes(cols["size"])
-            cap._payload.frombytes(cols["payload"])
-            cap._tag.frombytes(cols["tag"])
-            cap._flow.frombytes(cols["flow"])
-            cap._subflow.frombytes(cols["subflow"])
-            cap._flags.frombytes(cols["flags"])
-            cap._seq.frombytes(cols["seq"])
-            cap._dsn.frombytes(cols["dsn"])
+            for name in _CAPTURE_COLUMNS:
+                getattr(cap, "_" + name).frombytes(cols[name])
             cap._record_cache = None
 
-    # -- clock and pending events
-    sender_list = [s for s, _h, _m, _b in plan.senders]
-    events = scene.export_events()
-    if is_ksim:
-        sim._clear_pending()
-        for kind, t, eseq, idx in events:
-            if kind == ext.EV_CANCELLED:
-                sim._push_entry(t, eseq, None, ())
-            elif kind == ext.EV_DELIVER:
-                sim._push_entry(t, eseq, plan.link_list[idx]._deliver, ())
-            elif kind == ext.EV_SERVE:
-                sim._push_entry(t, eseq, plan.link_list[idx]._serve_queue, ())
-            elif kind == ext.EV_RTO:
-                handle = sim._push_entry(t, eseq, sender_list[idx]._fire_rto, ())
-                sender_list[idx]._rto_event = handle
-            elif kind == ext.EV_START:
-                sim._push_entry(t, eseq, sender_list[idx].start, ())
-            else:  # pragma: no cover - defensive
-                raise RuntimeError("unknown exported event kind")
-        sim._advance(now, seq, processed)
-    else:
-        heap = []
-        for kind, t, eseq, idx in events:
-            if kind == ext.EV_CANCELLED:
-                heap.append([t, eseq, None, ()])
-            elif kind == ext.EV_DELIVER:
-                heap.append([t, eseq, plan.link_list[idx]._deliver, ()])
-            elif kind == ext.EV_SERVE:
-                heap.append([t, eseq, plan.link_list[idx]._serve_queue, ()])
-            elif kind == ext.EV_RTO:
-                snd = sender_list[idx]
-                entry = [t, eseq, snd._fire_rto, ()]
-                heap.append(entry)
-                snd._rto_event = Event(entry)
-            elif kind == ext.EV_START:
-                heap.append([t, eseq, sender_list[idx].start, ()])
-            else:  # pragma: no cover - defensive
-                raise RuntimeError("unknown exported event kind")
-        heapify(heap)
-        sim._heap = heap
-        pool = sim._pool
-        pool.clear()
-        for _ in range(pool_len):
-            pool.append([0.0, -1, None, ()])
-        sim.now = now
-        sim._seq = seq
-        sim.events_processed += processed
-        sim._stopped = False
-    return now
+    # Clock and pending events.
+    senders = [snd for snd, _hops in plan.senders]
+    callbacks = {
+        ext.EV_DELIVER: lambda idx: plan.link_list[idx]._deliver,
+        ext.EV_SERVE: lambda idx: plan.link_list[idx]._serve_queue,
+        ext.EV_RTO: lambda idx: senders[idx]._fire_rto,
+        ext.EV_START: lambda idx: senders[idx].start,
+        ext.EV_CANCELLED: lambda idx: None,
+    }
+    sim._clear_pending()
+    for kind, t, seq, idx in scene.export_events():
+        handle = sim._push_entry(t, seq, callbacks[kind](idx), ())
+        if kind == ext.EV_RTO:
+            senders[idx]._rto_event = handle
+    sim._advance(*clock)
+    return clock[0]
+
+
+def _decline(network, reason: str) -> None:
+    network.bypass_outcome = reason
+    return None
 
 
 def run_network(network, until: float, ext) -> Optional[float]:
     """Run ``network`` up to ``until`` natively; None means "fall back".
 
-    On success the network's Python state is exactly what the pure-Python
-    event loop would have produced and the final simulation time is
-    returned.  On ineligibility nothing has been touched.
+    On success the network's observable state (module docstring) is what
+    the Python event loop would have produced and the final simulation time
+    is returned.  On a decline nothing has been touched.  Either way the
+    outcome is left on ``network.bypass_outcome``.
     """
     sim = network.sim
-    ksim_type = getattr(ext, "KernelSim", None)
-    is_ksim = ksim_type is not None and type(sim) is ksim_type
-    if is_ksim:
-        if sim._running:
-            return None
-        entries = sim._export_entries()
-        pool_len = 0
-    elif type(sim) is Simulator:
-        if sim._running:
-            return None
-        entries = sim._heap
-        pool_len = len(sim._pool)
-    else:
-        return None
+    if type(sim) is not ext.KernelSim:
+        return _decline(network, "simulator is not KernelSim")
+    if sim._running:
+        return _decline(network, "simulator is already running")
     if not math.isfinite(until):
-        return None
+        return _decline(network, "horizon is not finite")
 
     try:
-        plan = _plan_scene(network, sim, entries)
-        scene = _build_scene(ext, network, sim, plan, pool_len)
-    except _Ineligible:
-        return None
+        plan = _plan_scene(network, sim, sim._export_entries())
+        scene = _build_scene(ext, plan)
+    except _Ineligible as exc:
+        return _decline(network, str(exc))
 
-    # From here on any error is a bug, but the scene owns all mutated
-    # state: the Python network is untouched, so falling back is safe.
+    # A failing scene.run is a bug in the C kernel.  The scene owns all
+    # mutated state, so the Python network is untouched and falling back is
+    # safe -- but a hard-pinned compiled kernel must not hide the bug.
     try:
-        scene.run(until)
-    except Exception:
-        return None
+        clock = scene.run(sim.now, sim._seq, until)
+    except Exception as exc:
+        if _mode() == "compiled":
+            raise
+        return _decline(network, f"native run failed: {exc!r}")
 
-    return _write_back(ext, network, sim, plan, scene, is_ksim)
+    network.bypass_outcome = "native"
+    return _write_back(ext, sim, plan, scene, clock)

@@ -61,6 +61,9 @@ class Network:
         self.links: Dict[Tuple[str, str], Link] = {}
         self._captures: Dict[Tuple[str, Optional[int]], PacketCapture] = {}
         self._dynamics_listeners: List[DynamicsListener] = []
+        #: How the last :meth:`run` window executed: ``"native"`` when the
+        #: compiled whole-window bypass took it, else why it declined.
+        self.bypass_outcome: Optional[str] = None
         self._build()
 
     # ------------------------------------------------------------------ build

@@ -1,0 +1,108 @@
+"""Observable state of a packet-level network, for kernel-equivalence tests.
+
+"Byte-identical under both kernels" means :func:`snapshot` compares equal:
+clock and event accounting, pending events with their ``(time, seq)``,
+transport state (window, segments, RTT, congestion control, recovery,
+receiver buffer), link/queue/node stats, the fields of queued and in-flight
+packets, and capture rows.  Caches (hop caches, route memos), packet ids and
+allocator pools (engine free list, packet pool) are deliberately absent: no
+result can see them and the compiled kernel does not reproduce them.
+"""
+
+from __future__ import annotations
+
+
+def packet_fields(p) -> list:
+    return [p.src, p.dst, p.size, p.tag, p.flow_id, p.subflow_id, p.seq,
+            p.payload_len, p.is_ack, p.ack, p.dsn, p.dack,
+            p.is_retransmission, list(map(list, p.sack_blocks)), p.ts_echo,
+            p.created_at, p.enqueued_at, p.hops]
+
+
+def sender_state(snd) -> dict:
+    cc = snd.cc
+    return {
+        "snd_una": snd.snd_una, "snd_nxt": snd.snd_nxt,
+        "segments": [[g.seq, g.length, g.dsn, g.sent_at, g.retransmitted,
+                      g.sacked, g.lost, g.lost_pending, g.retx_in_recovery]
+                     for g in snd._seg_queue],
+        "segment_index": sorted(snd._segments),
+        "sacked": snd._sacked_bytes, "lostp": snd._lost_pending_bytes,
+        "dupacks": snd._dupacks, "in_rec": snd._in_fast_recovery,
+        "recover": snd._recover, "backoff": snd._rto_backoff,
+        "rto_deadline": snd._rto_deadline, "rto_fire_at": snd._rto_fire_at,
+        "rto_event": None if snd._rto_event is None else "live",
+        "started": snd._started,
+        "stats": [snd.stats.segments_sent, snd.stats.bytes_sent,
+                  snd.stats.bytes_acked, snd.stats.retransmissions,
+                  snd.stats.fast_retransmits, snd.stats.timeouts,
+                  snd.stats.dupacks],
+        "rtt": [snd.rtt.srtt, snd.rtt.rttvar, snd.rtt.min_rtt,
+                snd.rtt.latest_rtt, snd.rtt.samples, snd.rtt._rto],
+        "cc": [cc.cwnd, repr(cc.ssthresh), cc.srtt, cc.losses, cc.timeouts,
+               cc.acked_bytes_total],
+        "cubic": ([cc._w_max, cc._k, cc._epoch_start, cc._w_est,
+                   cc._acks_in_epoch, cc._min_rtt]
+                  if hasattr(cc, "_w_max") else None),
+        "prov": [snd.data_provider.offset, snd.data_provider.acked_bytes,
+                 snd.data_provider.last_ack_time],
+    }
+
+
+def receiver_state(rcv) -> dict:
+    return {
+        "rcv_nxt": rcv.rcv_nxt, "last_dack": rcv._last_dack,
+        "ooo": sorted([k, v[0], v[1]] for k, v in rcv._out_of_order.items()),
+        "stats": [rcv.stats.segments_received, rcv.stats.bytes_received,
+                  rcv.stats.duplicates, rcv.stats.out_of_order,
+                  rcv.stats.acks_sent],
+    }
+
+
+def snapshot(network, connections, captures) -> dict:
+    """Every observable of ``network`` after a run (module docstring)."""
+    sim = network.sim
+    entries = (sim._export_entries() if hasattr(sim, "_export_entries")
+               else sim._heap)
+    return {
+        "sim": {
+            "now": sim.now,
+            "seq": sim._seq,
+            "processed": sim.events_processed,
+            "pending": sim.pending_events,
+        },
+        # Callbacks are identified by method and owner (links have names,
+        # agents flow ids); a cancelled entry has neither.
+        "heap": sorted(
+            [t, s, getattr(cb, "__qualname__", None),
+             getattr(getattr(cb, "__self__", None), "name", None),
+             getattr(getattr(cb, "__self__", None), "flow_id", None)]
+            for t, s, cb, _args in entries
+        ),
+        "senders": [sender_state(c.sender) for c in connections],
+        "receivers": [receiver_state(c.receiver) for c in connections],
+        "links": {
+            f"{a}->{b}": {
+                "busy_until": link._busy_until, "serving": link._serving,
+                "serve_at": link._serve_at,
+                "stats": [link.stats.packets_sent, link.stats.bytes_sent,
+                          link.stats.packets_dropped, link.stats.busy_time],
+                "qstats": link.queue.stats.as_dict(),
+                "qbytes": link.queue._bytes,
+                "queue": [packet_fields(p) for p in link.queue._queue],
+                "in_flight": [packet_fields(p) for p in link._in_flight],
+            }
+            for (a, b), link in network.links.items()
+        },
+        "nodes": {
+            name: [node.stats.received, node.stats.forwarded,
+                   node.stats.delivered, node.stats.routing_drops]
+            for name, node in network.nodes.items()
+        },
+        "captures": [
+            [[r.time, r.size, r.payload_len, r.tag, r.flow_id, r.subflow_id,
+              r.is_ack, r.is_retransmission, r.seq, r.dsn]
+             for r in capture.records]
+            for capture in captures
+        ],
+    }

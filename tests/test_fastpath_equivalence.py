@@ -692,7 +692,10 @@ class TestAqmDeclinesNativeBypass:
             assert ext is not None
             network = self.build_network(queue_kind)
             assert run_network(network, 0.5, ext) is None
+            queue_class = {"red": "REDQueue", "codel": "CoDelQueue"}[queue_kind]
+            assert network.bypass_outcome == f"link s->r1: queue is {queue_class}"
             # Positive control: the same scene with drop-tail queues runs
             # natively, so the decline above is the queue discipline's doing.
             control = self.build_network("droptail")
             assert run_network(control, 0.5, ext) is not None
+            assert control.bypass_outcome == "native"

@@ -5,12 +5,13 @@ Three layers of guarantees:
 * the ``repro.kernel`` facade honours ``REPRO_KERNEL`` / ``override`` and
   fails loudly when a hard-pinned compiled kernel is unavailable;
 * ``KernelSim`` is a drop-in :class:`~repro.netsim.engine.Simulator`
-  (scheduling, cancellation, until-bounded runs, event accounting);
+  (scheduling, cancellation, until-bounded runs, event accounting) and,
+  like it, lets the collector reclaim a finished run's object graph;
 * the whole-window native bypass (:mod:`repro.kernel.pipeline`) leaves the
-  network in *exactly* the state the Python event loop would have produced
-  -- checked field by field, including the engine free list, the packet
-  pool interplay across compiled/fallback window boundaries, and
-  double-release safety of packets rebuilt by the write-back.
+  network in the *observable* state the Python event loop would have
+  produced -- :func:`tests.kernel_state.snapshot`, compared field by field
+  across compiled/fallback window boundaries -- says why whenever it
+  declines, and rebuilds packets that are safe to release twice.
 
 Compiled-only tests skip (never silently pass on the fallback) when the
 extension cannot be built.
@@ -18,14 +19,22 @@ extension cannot be built.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import kernel
+from repro.core.connection import MptcpConnection
+from repro.kernel import maybe_run_network
+from repro.kernel.pipeline import run_network
 from repro.netsim import packet as packet_mod
 from repro.netsim.engine import Simulator, make_simulator
 from repro.netsim.network import Network
 from repro.netsim.topology import Topology
-from repro.tcp.connection import TcpConnection
+from repro.tcp.connection import TcpConnection, TransferQueueAdapter
+from repro.topologies.paper import paper_scenario
+from tests.kernel_state import snapshot
 
 compiled_ok, compiled_reason = kernel.compiled_available()
 needs_compiled = pytest.mark.skipif(
@@ -33,131 +42,49 @@ needs_compiled = pytest.mark.skipif(
 )
 
 
-def micro_network(sim=None) -> Network:
-    """The bench micro-scenario: s -- r -- d, 100 Mbps, 1 ms, qcap 100."""
+def micro_network(sim=None, *, queue_packets: int = 100, flows: int = 1) -> Network:
+    """The bench micro-scenario: s -- r -- d, 100 Mbps, 1 ms, one tag per flow."""
     topology = Topology("micro")
     topology.add_host("s")
     topology.add_host("d")
     topology.add_router("r")
-    topology.add_link("s", "r", 100.0, 0.001, 100)
-    topology.add_link("r", "d", 100.0, 0.001, 100)
+    topology.add_link("s", "r", 100.0, 0.001, queue_packets)
+    topology.add_link("r", "d", 100.0, 0.001, queue_packets)
     network = Network(topology, sim=sim)
-    network.install_path(["s", "r", "d"], tag=1, as_default=True)
+    for flow in range(flows):
+        network.install_path(["s", "r", "d"], tag=flow + 1, as_default=flow == 0)
     return network
 
 
 def run_micro(mode: str, *, cc: str = "cubic", duration: float = 1.0,
-              windows: int = 1, pin_sim: bool = True) -> dict:
-    """Run the micro-scenario under ``mode`` and capture full state.
+              windows: int = 1, flows: int = 1, queue_packets: int = 100,
+              total_bytes=None, pin_sim: bool = False):
+    """Run the micro-scenario under ``mode``: (observable state, outcomes).
 
-    ``pin_sim`` forces a Python :class:`Simulator` even in compiled mode so
-    every observable (including the engine free list) is comparable; the
-    compiled bypass accepts it.  With ``windows > 1`` only the first window
-    starts quiescent -- later windows exercise the mid-flight Python
-    fallback against state written back by the compiled kernel.
+    Un-pinned, ``compiled`` is a native first window on ``KernelSim`` and
+    ``python`` the reference ``Simulator``.  With ``windows > 1`` only the
+    first window starts quiescent -- later windows run the Python handlers
+    on ``KernelSim`` over state the native window copied back.  ``outcomes``
+    is ``network.bypass_outcome`` after each window.
     """
     with kernel.override(mode):
-        network = micro_network(sim=Simulator() if pin_sim else None)
+        network = micro_network(Simulator() if pin_sim else None,
+                                queue_packets=queue_packets, flows=flows)
         capture = network.attach_capture("d", data_only=False)
         # Pin flow_id: it is drawn from a process-global counter, so two
         # runs in one process would differ on an id that is not kernel state.
-        connection = TcpConnection(network, "s", "d", cc=cc, tag=1, flow_id=7)
-        connection.start(0.0)
+        connections = [
+            TcpConnection(network, "s", "d", cc=cc, tag=flow + 1, flow_id=7 + flow,
+                          total_bytes=total_bytes)
+            for flow in range(flows)
+        ]
+        for connection in connections:
+            connection.start(0.0)
+        outcomes = []
         for _ in range(windows):
             network.run(duration / windows)
-    return snapshot(network, connection, capture)
-
-
-def packet_fields(p) -> list:
-    # packet_id is deliberately excluded: absolute ids depend on how many
-    # packets earlier tests acquired from the process-global counter.
-    return [p.src, p.dst, p.size, p.tag, p.flow_id, p.subflow_id, p.seq,
-            p.payload_len, p.is_ack, p.ack, p.dsn, p.dack,
-            p.is_retransmission, list(map(list, p.sack_blocks)), p.ts_echo,
-            p.created_at, p.enqueued_at, p.hops]
-
-
-def snapshot(network: Network, connection: TcpConnection, capture) -> dict:
-    """Every observable of the micro-scenario, pool and heap included."""
-    sim = network.sim
-    snd, rcv = connection.sender, connection.receiver
-    state = {
-        "sim": {
-            "now": sim.now,
-            "seq": sim._seq,
-            "processed": sim.events_processed,
-            "pending": sim.pending_events,
-            "free_list": sim.free_list_size,
-        },
-        "sender": {
-            "snd_una": snd.snd_una, "snd_nxt": snd.snd_nxt,
-            "segments": [[g.seq, g.length, g.dsn, g.sent_at, g.retransmitted,
-                          g.sacked, g.lost, g.lost_pending, g.retx_in_recovery]
-                         for g in snd._seg_queue],
-            "sacked": snd._sacked_bytes, "lostp": snd._lost_pending_bytes,
-            "dupacks": snd._dupacks, "in_rec": snd._in_fast_recovery,
-            "recover": snd._recover, "backoff": snd._rto_backoff,
-            "rto_deadline": snd._rto_deadline, "rto_fire_at": snd._rto_fire_at,
-            "rto_event": None if snd._rto_event is None else "live",
-            "stats": [snd.stats.segments_sent, snd.stats.bytes_sent,
-                      snd.stats.bytes_acked, snd.stats.retransmissions,
-                      snd.stats.fast_retransmits, snd.stats.timeouts,
-                      snd.stats.dupacks],
-            "rtt": [snd.rtt.srtt, snd.rtt.rttvar, snd.rtt.min_rtt,
-                    snd.rtt.latest_rtt, snd.rtt.samples, snd.rtt._rto],
-            "cc": [snd.cc.cwnd, repr(snd.cc.ssthresh), snd.cc.srtt,
-                   snd.cc.losses, snd.cc.timeouts, snd.cc.acked_bytes_total],
-            "cubic": ([snd.cc._w_max, snd.cc._k, snd.cc._epoch_start,
-                       snd.cc._w_est, snd.cc._acks_in_epoch, snd.cc._min_rtt]
-                      if hasattr(snd.cc, "_w_max") else None),
-            "prov": [snd.data_provider.offset, snd.data_provider.acked_bytes,
-                     snd.data_provider.last_ack_time],
-        },
-        "receiver": {
-            "rcv_nxt": rcv.rcv_nxt, "last_dack": rcv._last_dack,
-            "ooo": sorted([k, v[0], v[1]] for k, v in rcv._out_of_order.items()),
-            "stats": [rcv.stats.segments_received, rcv.stats.bytes_received,
-                      rcv.stats.duplicates, rcv.stats.out_of_order,
-                      rcv.stats.acks_sent],
-        },
-        "links": {
-            f"{a}->{b}": {
-                "busy_until": link._busy_until, "serving": link._serving,
-                "serve_at": link._serve_at,
-                "stats": [link.stats.packets_sent, link.stats.bytes_sent,
-                          link.stats.packets_dropped, link.stats.busy_time],
-                "qstats": link.queue.stats.as_dict(),
-                "qbytes": link.queue._bytes,
-                "queue": [packet_fields(p) for p in link.queue._queue],
-                "in_flight": [packet_fields(p) for p in link._in_flight],
-            }
-            for (a, b), link in network.links.items()
-        },
-        "nodes": {
-            name: {
-                "stats": [node.stats.received, node.stats.forwarded,
-                          node.stats.delivered, node.stats.routing_drops],
-                "hop_cache": sorted(
-                    [str(k), v.name] for k, v in (node._hop_cache or {}).items()
-                ),
-                "hop_version": node._hop_version,
-            }
-            for name, node in network.nodes.items()
-        },
-        "capture": [
-            [r.time, r.size, r.payload_len, r.tag, r.flow_id, r.subflow_id,
-             r.is_ack, r.is_retransmission, r.seq, r.dsn]
-            for r in capture.records
-        ],
-    }
-    entries = (sim._export_entries() if hasattr(sim, "_export_entries")
-               else sim._heap)
-    state["heap"] = sorted(
-        [t, s, getattr(cb, "__qualname__", None),
-         getattr(getattr(cb, "__self__", None), "name", None)]
-        for t, s, cb, _args in entries
-    )
-    return state
+            outcomes.append(network.bypass_outcome)
+    return snapshot(network, connections, [capture]), outcomes
 
 
 class TestKernelFacade:
@@ -259,46 +186,174 @@ class TestKernelSimSemantics:
         assert sim.free_list_size == 0
 
 
+class TestRunObjectGraphIsCollectable:
+    """Pending events own bound methods of links and agents, which own the
+    simulator: a cycle the collector must be able to see on either kernel."""
+
+    def test_network_with_pending_events_is_collected(self, each_kernel):
+        # MPTCP: the subflow agents reach the network through their
+        # connection, and the scene runs the Python handlers on either kernel.
+        topology, paths = paper_scenario()
+        network = Network(topology)
+        connection = MptcpConnection(network, paths.src, paths.dst, paths,
+                                     congestion_control="lia")
+        connection.start(at=0.0)
+        network.run(0.2)
+        assert network.sim.pending_events > 0
+        ref = weakref.ref(network)
+        del network, connection
+        gc.collect()
+        assert ref() is None
+
+
 @needs_compiled
 class TestCompiledBypassEquivalence:
-    """The native whole-window bypass must be byte-identical to Python.
+    """A native window must leave the observable state Python would have."""
 
-    Every case pins a Python ``Simulator`` so the write-back path (heap,
-    event free list, packet pool) is fully observable and comparable.
-    """
+    def assert_equivalent(self, **scene):
+        compiled, outcomes = run_micro("compiled", **scene)
+        python, reference = run_micro("python", **scene)
+        assert outcomes[0] == "native"
+        assert set(reference) == {"python kernel is active"}
+        assert compiled == python
+        return compiled, outcomes
 
     @pytest.mark.parametrize("cc", ["cubic", "reno"])
     def test_full_state_identical_after_one_window(self, cc):
-        assert run_micro("compiled", cc=cc) == run_micro("python", cc=cc)
+        state, _ = self.assert_equivalent(cc=cc)
+        assert state["heap"] and state["senders"][0]["segments"]
+        assert any(link["in_flight"] for link in state["links"].values())
 
-    def test_multi_window_compiled_plus_fallback_identical(self):
-        # Window 1 runs natively; windows 2..4 start mid-flight and fall
-        # back to the Python loop over written-back state -- the free list
-        # and packet pool must survive the round trip exactly.
-        compiled = run_micro("compiled", windows=4)
-        python = run_micro("python", windows=4)
-        assert compiled == python
-        assert compiled["sim"]["free_list"] == python["sim"]["free_list"]
+    def test_multi_window_native_then_fallback_identical(self):
+        # Window 1 runs natively; windows 2..4 start mid-flight and run the
+        # Python handlers on KernelSim over the copied-back state.
+        _, outcomes = self.assert_equivalent(windows=4)
+        assert all(o.startswith("link s->r: ") for o in outcomes[1:]), outcomes
 
-    def test_kernel_sim_window_matches_python(self):
-        # Unpinned: the compiled run drives a KernelSim end to end.  The
-        # engine free list is the one defined observable difference.
-        compiled = run_micro("compiled", pin_sim=False)
-        python = run_micro("python", pin_sim=False)
-        compiled["sim"]["free_list"] = python["sim"]["free_list"] = None
-        assert compiled == python
+    def test_four_concurrent_senders_share_the_line(self):
+        state, _ = self.assert_equivalent(flows=4, duration=0.5)
+        assert all(s["stats"][2] > 0 for s in state["senders"])
+        assert state["links"]["s->r"]["qstats"]["dropped"] > 0
+
+    def test_bounded_transfer_finishes_inside_the_window(self):
+        state, _ = self.assert_equivalent(total_bytes=300_000)
+        sender = state["senders"][0]
+        assert sender["prov"][:2] == [300_000, 300_000]
+        assert sender["segments"] == [] and sender["rto_event"] is None
+        assert state["receivers"][0]["rcv_nxt"] == 300_000
+
+    def test_reno_recovers_from_small_queue_losses(self):
+        state, _ = self.assert_equivalent(cc="reno", queue_packets=8, duration=2.0)
+        assert state["senders"][0]["stats"][3] > 0  # retransmissions
+        assert state["links"]["s->r"]["qstats"]["dropped"] > 0
+
+    def test_pinned_python_simulator_declines_and_matches_python(self):
+        compiled, outcomes = run_micro("compiled", pin_sim=True)
+        assert outcomes == ["simulator is not KernelSim"]
+        assert compiled == run_micro("python")[0]
 
     def test_bypass_refuses_mid_flight_windows(self):
-        from repro.kernel import maybe_run_network
-
         with kernel.override("compiled"):
-            network = micro_network(sim=Simulator())
-            connection = TcpConnection(network, "s", "d", cc="cubic", tag=1)
+            network = micro_network()
+            connection = TcpConnection(network, "s", "d", cc="cubic", tag=1, flow_id=7)
             connection.start(0.0)
             network.run(0.5)
+            assert network.bypass_outcome == "native"
             # Mid-flight state (segments in flight, pending deliveries) is
             # not expressible as a quiescent Scene: the bypass must decline.
             assert maybe_run_network(network, 1.0) is None
+            assert network.bypass_outcome in (
+                "link s->r: transmitter busy", "link s->r: packets in flight")
+
+
+@needs_compiled
+class TestDeclineReasons:
+    """Every decline names the object and the requirement it failed."""
+
+    def outcome(self, *, data=None, prepare=lambda network, connection: None):
+        with kernel.override("compiled"):
+            network = micro_network()
+            connection = TcpConnection(network, "s", "d", cc="cubic", tag=1, flow_id=7,
+                                       data=data)
+            connection.start(0.0)
+            prepare(network, connection)
+            assert maybe_run_network(network, 0.1) is None
+        return network.bypass_outcome
+
+    def test_custom_data_provider(self):
+        reason = self.outcome(data=TransferQueueAdapter())
+        assert reason == "sender s#7: data provider is not a bulk transfer"
+
+    def test_connection_level_sink(self):
+        def attach_sink(network, connection):
+            connection.receiver.connection_sink = lambda *args: None
+
+        assert self.outcome(prepare=attach_sink) == (
+            "receiver d#7: feeds a connection-level sink")
+
+    def test_foreign_pending_event(self):
+        def schedule_probe(network, connection):
+            network.sim.schedule(0.05, print)
+
+        assert self.outcome(prepare=schedule_probe) == (
+            "event at t=0.05: pending print is not a sender start")
+
+    def test_python_kernel_says_so(self):
+        with kernel.override("python"):
+            network = micro_network()
+            network.run(0.01)
+        assert network.bypass_outcome == "python kernel is active"
+
+
+class FailingScene:
+    """A Scene whose ``run`` raises, as a bug in the C kernel would."""
+
+    def __init__(self, scene):
+        self._scene = scene
+
+    def __getattr__(self, name):
+        return getattr(self._scene, name)
+
+    def run(self, *args):
+        raise RuntimeError("injected scene failure")
+
+
+class FailingExt:
+    def __init__(self, ext):
+        self._ext = ext
+
+    def __getattr__(self, name):
+        return getattr(self._ext, name)
+
+    def Scene(self, **kwargs):
+        return FailingScene(self._ext.Scene(**kwargs))
+
+
+@needs_compiled
+class TestFailingNativeRun:
+    """A failing ``scene.run`` is a bug: loud when pinned, recorded on auto."""
+
+    def started_network(self):
+        network = micro_network()
+        connection = TcpConnection(network, "s", "d", cc="cubic", tag=1, flow_id=7)
+        connection.start(0.0)
+        return network
+
+    def test_compiled_mode_raises(self):
+        with kernel.override("compiled"):
+            network = self.started_network()
+            with pytest.raises(RuntimeError, match="injected scene failure"):
+                run_network(network, 0.2, FailingExt(kernel.compiled_module()))
+
+    def test_auto_mode_falls_back_and_records_why(self):
+        with kernel.override("auto"):
+            network = self.started_network()
+            ext = FailingExt(kernel.compiled_module())
+            assert run_network(network, 0.2, ext) is None
+            assert network.bypass_outcome.startswith("native run failed: RuntimeError")
+            # Nothing was touched: the real kernel still takes the window.
+            network.run(0.2)
+            assert network.bypass_outcome == "native"
 
 
 @needs_compiled
@@ -307,10 +362,11 @@ class TestPacketPoolUnderCompiledKernel:
 
     def run_window(self, duration=0.2):
         with kernel.override("compiled"):
-            network = micro_network(sim=Simulator())
+            network = micro_network()
             connection = TcpConnection(network, "s", "d", cc="cubic", tag=1)
             connection.start(0.0)
             network.run(duration)
+        assert network.bypass_outcome == "native"
         return network
 
     def in_flight_packets(self, network):
@@ -345,10 +401,10 @@ class TestPacketPoolUnderCompiledKernel:
         assert len(packet_mod._pool) == first
 
     def test_packet_counter_advances_past_written_back_ids(self):
-        # New ids after a compiled window must never collide with the ids
-        # assigned to written-back in-flight packets.
+        # Rebuilt in-flight packets take fresh, distinct ids from the
+        # counter, so ids handed out afterwards can never collide with them.
         network = self.run_window()
-        existing = {p.packet_id for p in self.in_flight_packets(network)}
+        existing = [p.packet_id for p in self.in_flight_packets(network)]
+        assert len(set(existing)) == len(existing)
         fresh = packet_mod.Packet(src="s", dst="d", size=40, tag=1)
-        assert fresh.packet_id not in existing
         assert fresh.packet_id > max(existing)
