@@ -459,6 +459,13 @@ def _worker_main(conn, parent_conn, runner: Callable) -> None:
 def _start_worker(runner: Callable) -> Tuple:
     """Start one worker: the only place this package creates a process."""
     ctx = multiprocessing.get_context()
+    if ctx.get_start_method() == "fork":
+        # Every point's validation solves with scipy.optimize (~0.3 s to
+        # import): load it once here and each forked worker inherits it.
+        try:
+            import scipy.optimize  # noqa: F401
+        except ImportError:
+            pass  # the model layer then uses its scipy-free solvers
     conn, child_conn = ctx.Pipe()
     process = ctx.Process(
         target=_worker_main, args=(child_conn, conn, runner), daemon=True

@@ -215,18 +215,19 @@ class ProportionalFairAllocator(RateAllocator):
         for column, index in enumerate(populated):
             for link in demands[index].links:
                 rows.setdefault(link, []).append((column, demands[index].count))
-        constraints = []
-        for link, terms in sorted(rows.items()):
-            coefficients = np.zeros(len(populated))
-            for column, count in terms:
-                coefficients[column] += count
-            budget = max(remaining[link], 0.0)
-            constraints.append(
-                {
-                    "type": "ineq",
-                    "fun": lambda x, c=coefficients, b=budget: b - float(c @ x),
-                }
-            )
+        # One stacked constraint budget - A x >= 0 whose Jacobian is exactly -A.
+        links = sorted(rows)
+        matrix = np.zeros((len(links), len(populated)))
+        for row, link in enumerate(links):
+            for column, count in rows[link]:
+                matrix[row, column] += count
+        budget = np.asarray([max(remaining[link], 0.0) for link in links])
+        jacobian = -matrix
+        constraints = {
+            "type": "ineq",
+            "fun": lambda x: budget - matrix @ x,
+            "jac": lambda x: jacobian,
+        }
         bounds = [
             (self.min_rate, demands[i].cap if demands[i].cap is not None else None)
             for i in populated

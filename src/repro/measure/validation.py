@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..model.bottleneck import ConstraintSystem, build_constraints
-from ..model.fluid import FluidModel
+from ..model.fluid import FLUID_FAMILIES, FluidModel
 from ..model.lp import max_total_throughput, proportional_fair_rates
 from ..model.maxmin import max_min_fair_rates
 from .sampling import TimeSeries
@@ -45,15 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: The reference allocations a measurement is held against, in report order.
 VALIDATION_MODELS = ("lp", "max_min", "proportional_fair", "fluid")
-
-#: Packet-level congestion control -> fluid-model algorithm family.
-_FLUID_ALGORITHM = {
-    "cubic": "uncoupled",
-    "reno": "uncoupled",
-    "uncoupled": "uncoupled",
-    "lia": "lia",
-    "olia": "olia",
-}
 
 
 def relative_error(measured: float, predicted: float) -> Optional[float]:
@@ -214,7 +205,7 @@ def validate_against_models(
         # than fail the whole point.
         pass
     fluid = FluidModel(system, rtts).run(
-        _FLUID_ALGORITHM.get(algorithm.lower(), "uncoupled"),
+        FLUID_FAMILIES.get(algorithm.lower(), "uncoupled"),
         duration=fluid_duration,
     )
     predictions["fluid"] = _prediction("fluid", fluid.mean_rates(0.25))

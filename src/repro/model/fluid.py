@@ -19,6 +19,7 @@ the network at equilibrium, which matches the ordering observed in the paper
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -34,8 +35,7 @@ class FluidResult:
     """Trajectory and equilibrium of a fluid-model run.
 
     ``times`` is a 1-D array of log timestamps and ``rates_mbps`` a 2-D array
-    with one row per logged step and one column per path.  Both are
-    preallocated by :meth:`FluidModel.run` instead of growing per step.
+    with one row per logged step and one column per path.
     """
 
     times: np.ndarray
@@ -68,6 +68,17 @@ class FluidResult:
         return float(sum(self.mean_rates(last_fraction)))
 
 
+#: Congestion-control name -> fluid family.  The one table: :meth:`FluidModel.run`
+#: rejects names outside it, model validation defaults them to ``uncoupled``.
+FLUID_FAMILIES = {
+    "uncoupled": "uncoupled",
+    "reno": "uncoupled",
+    "cubic": "uncoupled",
+    "lia": "lia",
+    "olia": "olia",
+}
+
+
 class FluidModel:
     """Discrete-time fluid simulation of coupled/uncoupled MPTCP.
 
@@ -98,34 +109,19 @@ class FluidModel:
         if len(rtts) != self.n:
             raise ModelError("rtts length must match the number of paths")
         self.rtts = [float(r) for r in rtts]
+        if not all(0.0 < r < math.inf for r in self.rtts):
+            raise ModelError(f"rtts must be positive and finite, got {list(rtts)}")
         self.mss = mss
         self.loss_sharpness = loss_sharpness
-        self._a = system.matrix()
-        self._capacity_mbps = system.rhs()
-
-    # ------------------------------------------------------------------
-    def _window_to_mbps(self, windows: np.ndarray) -> np.ndarray:
-        packets_per_second = windows / np.asarray(self.rtts)
-        return packets_per_second * bytes_to_bits(self.mss) / 1e6
-
-    def _loss_probability(self, rates_mbps: np.ndarray) -> np.ndarray:
-        """Per-path loss probability from link overload.
-
-        A link that receives more traffic than it can carry drops the excess
-        fraction ``(load - capacity) / load``; ``loss_sharpness`` steepens the
-        onset so that the equilibrium sits close to full utilisation.
-        """
-        link_load = self._a @ rates_mbps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            excess_fraction = np.where(
-                link_load > 0,
-                np.maximum(link_load - self._capacity_mbps, 0.0) / np.maximum(link_load, 1e-9),
-                0.0,
-            )
-        link_loss = np.minimum(excess_fraction * max(self.loss_sharpness / 20.0, 1.0), 1.0)
-        # A path's loss probability is approximately the sum over its links.
-        path_loss = self._a.T @ link_loss
-        return np.minimum(path_loss, 1.0)
+        # The constraint matrix by its non-zeros: the paths crossing each
+        # link and the links each path crosses.
+        self._links = [
+            (sorted(set(c.path_indices)), c.capacity) for c in system.constraints
+        ]
+        self._path_links = [
+            [link for link, (members, _) in enumerate(self._links) if path in members]
+            for path in range(self.n)
+        ]
 
     # ------------------------------------------------------------------
     def run(
@@ -136,51 +132,90 @@ class FluidModel:
         dt: float = 0.005,
         initial_window: float = 2.0,
     ) -> FluidResult:
-        """Integrate the window dynamics and return the rate trajectory."""
+        """Integrate the window dynamics and return the rate trajectory.
+
+        One scalar step over the constraint matrix's non-zeros.  The paths
+        are too few for array operations to pay for their dispatch, and
+        plain left-to-right float sums make the trajectory the same on every
+        platform (a BLAS picks its own order -- OpenBLAS pairs the terms from
+        4 up -- and the model's limit cycle amplifies the last bit).
+
+        A link that receives more traffic than it can carry drops the excess
+        fraction ``(load - capacity) / load``; ``loss_sharpness`` steepens the
+        onset so that the equilibrium sits close to full utilisation.  A
+        path's loss probability is approximately the sum over its links.
+        """
         algorithm = algorithm.lower()
-        if algorithm not in ("uncoupled", "reno", "cubic", "lia", "olia"):
+        family = FLUID_FAMILIES.get(algorithm)
+        if family is None:
             raise ModelError(f"unknown fluid algorithm {algorithm!r}")
+        if not 0.0 < dt < math.inf:
+            raise ModelError(f"dt must be positive and finite, got {dt}")
+        if not dt <= duration < math.inf:
+            raise ModelError(f"duration must cover at least one step of dt={dt}, got {duration}")
+        if not 0.0 < initial_window < math.inf:
+            raise ModelError(f"initial_window must be positive and finite, got {initial_window}")
         steps = int(duration / dt)
-        windows = np.full(self.n, float(initial_window))
-        rtts = np.asarray(self.rtts)
-        # Preallocated trajectory log: one row per logged step (every 10th).
-        log_size = (steps + 9) // 10
-        times = np.empty(log_size, dtype=np.float64)
-        rates_log = np.empty((log_size, self.n), dtype=np.float64)
-        logged = 0
+        paths = range(self.n)
+        rtts = self.rtts
+        rtts_squared = [r * r for r in rtts]
+        segment_bits = bytes_to_bits(self.mss)
+        links = self._links
+        path_links = self._path_links
+        sharpness = max(self.loss_sharpness / 20.0, 1.0)
+        windows = [float(initial_window)] * self.n
+        rates_log = []  # one row per logged step (every 10th)
 
         for step in range(steps):
-            rates_mbps = self._window_to_mbps(windows)
-            loss = self._loss_probability(rates_mbps)
-            acks_per_second = windows * (1.0 - loss) / rtts
-            increase = self._increase_per_ack(algorithm, windows, rtts) * acks_per_second
-            loss_events_per_second = windows * loss / rtts
-            decrease = loss_events_per_second * windows / 2.0
-            windows = np.maximum(windows + dt * (increase - decrease), 1.0)
+            rates_mbps = [windows[p] / rtts[p] * segment_bits / 1e6 for p in paths]
+            link_loss = []
+            for members, capacity in links:
+                load = 0.0
+                for p in members:
+                    load += rates_mbps[p]
+                excess = load - capacity
+                if excess > 0.0 and load > 0.0:
+                    link_loss.append(min(excess / max(load, 1e-9) * sharpness, 1.0))
+                else:
+                    link_loss.append(0.0)
+            if family != "uncoupled":
+                total_rate = total_window = best = 0.0
+                for p in paths:
+                    total_rate += windows[p] / rtts[p]
+                    total_window += windows[p]
+                    best = max(best, windows[p] / rtts_squared[p])
+                total_rate_squared = total_rate ** 2
+                if family == "lia":
+                    # RFC 6356: alpha / total window, alpha = total * best / rate^2.
+                    coupled = total_window * best / total_rate_squared / total_window
+            updated = []
+            for p in paths:
+                window = windows[p]
+                loss = 0.0
+                for link in path_links[p]:
+                    loss += link_loss[link]
+                loss = min(loss, 1.0)
+                if family == "uncoupled":
+                    increase_per_ack = 1.0 / window
+                elif family == "lia":
+                    increase_per_ack = min(coupled, 1.0 / window)
+                else:
+                    increase_per_ack = window / rtts_squared[p] / total_rate_squared
+                increase = increase_per_ack * (window * (1.0 - loss) / rtts[p])
+                decrease = window * loss / rtts[p] * window / 2.0
+                updated.append(max(window + dt * (increase - decrease), 1.0))
+            windows = updated
 
             if step % 10 == 0:
-                times[logged] = step * dt
-                rates_log[logged] = self._window_to_mbps(windows)
-                logged += 1
+                rates_log.append(
+                    [windows[p] / rtts[p] * segment_bits / 1e6 for p in paths]
+                )
 
         return FluidResult(
-            times=times[:logged], rates_mbps=rates_log[:logged], algorithm=algorithm
+            times=np.array([step * dt for step in range(0, steps, 10)]),
+            rates_mbps=np.array(rates_log),
+            algorithm=algorithm,
         )
-
-    # ------------------------------------------------------------------
-    def _increase_per_ack(self, algorithm: str, windows: np.ndarray, rtts: np.ndarray) -> np.ndarray:
-        if algorithm in ("uncoupled", "reno", "cubic"):
-            return 1.0 / windows
-        total_rate = float(np.sum(windows / rtts))
-        if total_rate <= 0:
-            return 1.0 / np.maximum(windows, 1.0)
-        if algorithm == "lia":
-            alpha = float(np.sum(windows)) * float(np.max(windows / rtts ** 2)) / (total_rate ** 2)
-            coupled = alpha / float(np.sum(windows))
-            return np.minimum(coupled, 1.0 / windows)
-        if algorithm == "olia":
-            return (windows / rtts ** 2) / (total_rate ** 2)
-        raise ModelError(f"unknown fluid algorithm {algorithm!r}")  # pragma: no cover
 
 
 def compare_equilibria(

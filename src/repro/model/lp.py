@@ -13,6 +13,7 @@ designed around fairness rather than raw throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib.util import find_spec
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -21,12 +22,9 @@ from ..errors import ModelError
 from .bottleneck import Constraint, ConstraintSystem
 from .polytope import maximize_over_vertices
 
-try:  # pragma: no cover - exercised implicitly
-    from scipy.optimize import linprog, minimize
-
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - scipy is an install-time dependency
-    _HAVE_SCIPY = False
+#: scipy.optimize costs ~0.3 s to import, so only the functions that solve
+#: load it; WorkerPool loads it once in the parent before forking workers.
+_HAVE_SCIPY = find_spec("scipy") is not None
 
 
 @dataclass
@@ -81,6 +79,8 @@ def max_total_throughput(
         raise ModelError("scipy is not available for the 'highs' solver")
 
     if use_scipy:
+        from scipy.optimize import linprog
+
         result = linprog(
             c=[-w for w in weights],
             A_ub=system.matrix(),
@@ -117,6 +117,8 @@ def proportional_fair_rates(
     """
     if not _HAVE_SCIPY:
         raise ModelError("proportional fairness requires scipy")
+    from scipy.optimize import minimize
+
     system.validate()
     n = system.path_count
     a = system.matrix()
@@ -128,10 +130,9 @@ def proportional_fair_rates(
     def gradient(x: np.ndarray) -> np.ndarray:
         return -1.0 / np.maximum(x, 1e-12)
 
-    constraints = [
-        {"type": "ineq", "fun": lambda x, row=row: c[row] - float(a[row] @ x)}
-        for row in range(a.shape[0])
-    ]
+    # One stacked constraint c - A x >= 0 whose Jacobian is exactly -A.
+    jacobian = -a
+    constraints = {"type": "ineq", "fun": lambda x: c - a @ x, "jac": lambda x: jacobian}
     start = np.full(n, max(min_rate, float(np.min(c)) / (2.0 * n)))
     result = minimize(
         negative_log_utility,

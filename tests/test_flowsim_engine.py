@@ -118,6 +118,47 @@ class TestAllocatorFactory:
         rates = alloc.solve(demands, [40.0])
         assert rates == pytest.approx([20.0, 20.0], rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "demands, capacity, parent_rates",
+        [
+            (  # weights, counts and a cap
+                [
+                    ClassDemand(links=(0, 1), count=40),
+                    ClassDemand(links=(1, 2), count=25, weight=2.0),
+                    ClassDemand(links=(0, 2), count=10, cap=3.0),
+                ],
+                [100.0, 60.0, 80.0],
+                [0.6666666666671711, 1.3333333333343422, 2.9999999999973044],
+            ),
+            (  # a CBR class served first, an empty class
+                [
+                    ClassDemand(links=(0,), count=2, cap=5.0, responsive=False),
+                    ClassDemand(links=(0, 1), count=3),
+                    ClassDemand(links=(1,), count=0),
+                    ClassDemand(links=(1,), count=1, weight=0.5),
+                ],
+                [50.0, 30.0],
+                [5.0, 8.571428537408146, 0.0, 4.285714387775543],
+            ),
+            (  # the paper's overlapping paths as three one-flow classes
+                [
+                    ClassDemand(links=(0, 2), count=1),
+                    ClassDemand(links=(0, 1), count=1),
+                    ClassDemand(links=(1,), count=1),
+                ],
+                [40.0, 60.0, 40.0],
+                [24.30498319096862, 15.695016809031387, 44.30498319096861],
+            ),
+        ],
+    )
+    def test_proportional_fair_matches_the_finite_difference_solve(
+        self, demands, capacity, parent_rates
+    ):
+        """Rates recorded before SLSQP was given the exact constraint Jacobian."""
+        pytest.importorskip("scipy")
+        rates = make_allocator("proportional_fair").solve(demands, capacity)
+        assert rates == pytest.approx(parent_rates, rel=1e-9, abs=0.0)
+
 
 class TestFlowDescriptorValidation:
     def test_needs_routes(self):

@@ -20,6 +20,7 @@ from repro.measure.validation import (
 )
 from repro.model.bottleneck import build_constraints
 from repro.topologies.paper import build_paper_topology, paper_paths
+from tests import golden_validation
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,20 @@ class TestValidateAgainstModels:
         )
         assert validation.predictions["fluid"].total > 0.0
 
+    def test_fluid_run_shorter_than_one_step_names_the_duration(self, paper_system):
+        # Used to surface as "measured and predicted rate vectors differ in
+        # length": the empty trajectory's mean_rates() is [].
+        with pytest.raises(ModelError, match="duration"):
+            validate_against_models(paper_system, [30.0, 10.0, 50.0], fluid_duration=0.001)
+
+    def test_without_scipy_the_proportional_fair_reference_is_skipped(
+        self, paper_system, monkeypatch
+    ):
+        monkeypatch.setattr("repro.model.lp._HAVE_SCIPY", False)
+        validation = validate_against_models(paper_system, [30.0, 10.0, 50.0])
+        assert set(validation.predictions) == {"lp", "max_min", "fluid"}
+        assert validation.predictions["lp"].total == pytest.approx(90.0)
+
 
 class TestValidateRuns:
     def test_validate_experiment_paper_run(self):
@@ -160,3 +175,15 @@ class TestValidationReport:
         )
         payload = json.dumps(report.as_dict(), allow_nan=False)
         assert math.isfinite(json.loads(payload)["models"]["lp"]["mean_rel_error"])
+
+
+class TestGoldenValidationEquivalence:
+    """Predictions equal the pre-rewrite model layer's, to the last bit.
+
+    ``tests/data/golden_validation.json`` was recorded with the numpy fluid
+    integrator and the finite-difference SLSQP Jacobian; see
+    ``tests/golden_validation.py`` for what it covers.
+    """
+
+    def test_validation_golden_exact(self, each_kernel):
+        assert golden_validation.compute_golden() == golden_validation.load_golden()

@@ -141,6 +141,35 @@ class TestProportionalFairness:
         fair = proportional_fair_rates(system)
         assert fair.total == pytest.approx(80.0, rel=1e-2)
 
+    def test_rates_equal_the_finite_difference_solve(self, paper_system):
+        # Recorded before SLSQP was given the exact Jacobian (bit-identical on
+        # the recording machine; the tolerance is for other scipy builds).
+        fair = proportional_fair_rates(paper_system)
+        assert fair.rates == pytest.approx(
+            [24.30498319096862, 15.695016809031387, 44.30498319096861], rel=1e-9
+        )
+
+
+class TestWithoutScipy:
+    """The scipy-missing path, taken by patching the availability check."""
+
+    @pytest.fixture(autouse=True)
+    def no_scipy(self, monkeypatch):
+        monkeypatch.setattr("repro.model.lp._HAVE_SCIPY", False)
+
+    def test_max_total_falls_back_to_the_vertex_solver(self, paper_system):
+        result = max_total_throughput(paper_system)
+        assert result.solver == "vertex"
+        assert result.total == pytest.approx(90.0)
+
+    def test_asking_for_highs_is_an_error(self, paper_system):
+        with pytest.raises(ModelError, match="scipy"):
+            max_total_throughput(paper_system, solver="highs")
+
+    def test_proportional_fairness_is_an_error(self, paper_system):
+        with pytest.raises(ModelError, match="scipy"):
+            proportional_fair_rates(paper_system)
+
 
 class TestConstraintSystemValidate:
     """A path crossing no capacity constraint must fail with a named error."""
