@@ -851,6 +851,7 @@ def _command_info(args: argparse.Namespace) -> int:
         print(f"extension: {kernel['extension']}")
     else:
         print(f"extension: not loaded ({kernel['compiled_reason']})")
+    print(f"links:     {kernel['link_handlers']} handlers ({kernel['link_handlers_reason']})")
     if baseline["status"] == "missing":
         print(
             f"baseline:  none recorded for the {kernel['kernel']} kernel "

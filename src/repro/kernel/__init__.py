@@ -8,9 +8,13 @@ The simulator has two interchangeable kernels:
 ``compiled``
     A hand-written C extension (:mod:`repro.kernel._ckernel`) built lazily
     with the system compiler.  It provides ``KernelSim`` (a drop-in
-    :class:`~repro.netsim.engine.Simulator`) and a whole-window native
-    bypass for :meth:`Network.run` (see :mod:`repro.kernel.pipeline`).
-    Results are byte-identical to the Python kernel.
+    :class:`~repro.netsim.engine.Simulator`), the link type every link on a
+    ``KernelSim`` is built as (``KernelSim.link_type``: forwarding,
+    drop-tail queueing and host dispatch run in C for every scene, calling
+    Python for agents, taps, AQM verdicts and overrides) and a whole-window
+    native bypass for :meth:`Network.run` that quiescent single-path TCP
+    scenes take (see :mod:`repro.kernel.pipeline`).  Results are
+    byte-identical to the Python kernel.
 
 Selection is controlled by the ``REPRO_KERNEL`` environment variable:
 
@@ -106,11 +110,19 @@ def kernel_info() -> dict:
         module, reason = None, "disabled by REPRO_KERNEL=python"
     else:
         module, reason = _load()
+    compiled = module is not None
     return {
         "mode": mode,
-        "kernel": "compiled" if module is not None else "python",
+        "kernel": "compiled" if compiled else "python",
         "compiled_reason": reason,
         "extension": getattr(module, "__file__", None),
+        # Which bodies of Link.send/_serve_queue/_deliver a new scene runs.
+        "link_handlers": "native" if compiled else "python",
+        "link_handlers_reason": (
+            "every Link on a KernelSim is KernelSim.link_type, whose handlers are C"
+            if compiled
+            else f"no compiled kernel: {reason}"
+        ),
     }
 
 

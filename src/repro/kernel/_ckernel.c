@@ -1,6 +1,6 @@
 /* Compiled kernel for the repro packet-level simulator.
  *
- * Two layers live in this extension:
+ * Three layers live in this extension:
  *
  *   KernelSim   -- a drop-in replacement for repro.netsim.engine.Simulator:
  *                  the (time, seq) calendar heap, the schedule/schedule_fast
@@ -8,6 +8,16 @@
  *                  the vectorcall protocol.  Semantics (event ordering,
  *                  events_processed counting, cancellation, GC pause, error
  *                  messages) mirror the pure-Python engine exactly.
+ *
+ *   native links -- the link type every scene on a KernelSim runs on: a
+ *                  slot-compatible subclass of repro.netsim.link.Link whose
+ *                  send / _serve_queue / _deliver are C functions, fired
+ *                  from heap entries that carry the link and no callable.
+ *                  Forwarding, drop-tail queueing and host dispatch execute
+ *                  no Python frame; policy (agents, capture taps, AQM
+ *                  verdicts, impairment, overrides, routing misses) is
+ *                  called from C at the step where it occurs.  State lives
+ *                  in the Python objects' __slots__ and nowhere else.
  *
  *   Scene       -- a fully native single-path-TCP pipeline: links, queues,
  *                  hosts/routers, TCP senders/receivers (SACK, fast
@@ -35,6 +45,45 @@
 #include <math.h>
 #include <string.h>
 #include <stdint.h>
+
+#if PY_VERSION_HEX < 0x030A0000
+/* CPython 3.9 lacks these four; same contracts as the 3.10 originals. */
+static inline PyObject *
+Py_NewRef(PyObject *o)
+{
+    Py_INCREF(o);
+    return o;
+}
+
+static int
+PyModule_AddObjectRef(PyObject *mod, const char *name, PyObject *value)
+{
+    Py_INCREF(value);
+    if (PyModule_AddObject(mod, name, value) < 0) {
+        Py_DECREF(value);
+        return -1;
+    }
+    return 0;
+}
+
+static int
+gc_call(const char *name)
+{
+    PyObject *res = NULL;
+    PyObject *gc = PyImport_ImportModule("gc");
+    if (gc != NULL) {
+        res = PyObject_CallMethod(gc, name, NULL);
+        Py_DECREF(gc);
+    }
+    int truth = res != NULL && PyObject_IsTrue(res) > 0;
+    Py_XDECREF(res);
+    PyErr_Clear();
+    return truth;
+}
+#define PyGC_IsEnabled() gc_call("isenabled")
+#define PyGC_Disable() gc_call("disable")
+#define PyGC_Enable() gc_call("enable")
+#endif
 
 /* ------------------------------------------------------------------ errors */
 
@@ -160,14 +209,21 @@ typedef struct {
     PyObject *cb;               /* NULL = cancelled at creation */
     PyObject *args;             /* owned tuple when nargs == -1 */
     PyObject *a[KSIM_INLINE_ARGS]; /* owned inline args when nargs >= 0 */
-    int nargs;                  /* -1: use args tuple; >= 0: inline count */
+    int nargs;                  /* -1: use args tuple; >= 0: inline count;
+                                   KN_*: native entry, cb is the link */
     KernelEventObject *handle;  /* owned, may be NULL */
 } KEntry;
+
+/* Native entry kinds (the "native links" section below): the link's
+ * _deliver / _serve_queue body runs in C, no callable is stored. */
+#define KN_DELIVER (-2)
+#define KN_SERVE (-3)
 
 typedef struct {
     PyObject_HEAD
     double now;
     int64_t events_processed;
+    int64_t events_native;      /* of those, dispatched without a callable */
     int64_t seq;
     KEntry *heap;
     Py_ssize_t heap_len;
@@ -264,6 +320,7 @@ ksim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     self->now = 0.0;
     self->events_processed = 0;
+    self->events_native = 0;
     self->seq = 0;
     self->heap = NULL;
     self->heap_len = 0;
@@ -309,21 +366,33 @@ ksim_dealloc(KernelSimObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* Shared push: builds the entry from (t, callback, args...) and pushes it.
- * make_handle: return a KernelEvent (schedule/schedule_at) or None. */
+/* The "native links" section below. */
+static int native_kind(PyObject *cb, PyObject **link);
+static int nl_deliver(PyObject *link);
+static int nl_serve(PyObject *link);
+static PyObject *ksim_get_link_type(PyObject *self, void *closure);
+
+/* Shared push: builds the entry from (t, seq, callback, args...) and pushes
+ * it.  A bound _deliver / _serve_queue of a native link becomes a native
+ * entry.  make_handle: return a KernelEvent or None. */
 static PyObject *
-ksim_push_event(KernelSimObject *self, double t, PyObject *cb,
+ksim_push_event(KernelSimObject *self, double t, int64_t seq, PyObject *cb,
                 PyObject *const *extra, Py_ssize_t nextra, int make_handle)
 {
     if (kheap_reserve(self, self->heap_len + 1) < 0)
         return NULL;
     KEntry e;
     e.t = t;
-    e.seq = self->seq;
-    e.cb = Py_NewRef(cb);
+    e.seq = seq;
     e.args = NULL;
     e.handle = NULL;
-    if (nextra <= KSIM_INLINE_ARGS) {
+    PyObject *link;
+    int kind = nextra == 0 ? native_kind(cb, &link) : 0;
+    e.cb = Py_NewRef(kind ? link : cb);
+    if (kind) {
+        e.nargs = kind;
+    }
+    else if (nextra <= KSIM_INLINE_ARGS) {
         e.nargs = (int)nextra;
         for (Py_ssize_t i = 0; i < nextra; i++)
             e.a[i] = Py_NewRef(extra[i]);
@@ -351,7 +420,6 @@ ksim_push_event(KernelSimObject *self, double t, PyObject *cb,
     else {
         result = Py_NewRef(Py_None);
     }
-    self->seq += 1;
     kheap_push(self, e);
     return result;
 }
@@ -369,6 +437,12 @@ ksim_schedule_common(KernelSimObject *self, PyObject *const *args,
     if (value == -1.0 && PyErr_Occurred())
         return NULL;
     double t;
+    if (value != value) {
+        /* value < now is false for NaN: the heap would fire out of order. */
+        raise_sim_error_obj(PyUnicode_FromFormat(
+            "cannot schedule an event at a NaN time (got %S)", args[0]));
+        return NULL;
+    }
     if (absolute) {
         if (value < self->now) {
             PyObject *now_obj = PyFloat_FromDouble(self->now);
@@ -392,7 +466,11 @@ ksim_schedule_common(KernelSimObject *self, PyObject *const *args,
         }
         t = self->now + value;
     }
-    return ksim_push_event(self, t, args[1], args + 2, nargs - 2, make_handle);
+    PyObject *result = ksim_push_event(self, t, self->seq, args[1], args + 2, nargs - 2,
+                                       make_handle);
+    if (result != NULL)
+        self->seq += 1;
+    return result;
 }
 
 static PyObject *
@@ -474,7 +552,7 @@ ksim_run(KernelSimObject *self, PyObject *args, PyObject *kwds)
     int gc_was_enabled = PyGC_IsEnabled();
     if (gc_was_enabled)
         PyGC_Disable();
-    long long processed = 0;
+    long long processed = 0, native = 0;
     int ok = 1;
     while (self->heap_len > 0) {
         KEntry *top = &self->heap[0];
@@ -489,17 +567,23 @@ ksim_run(KernelSimObject *self, PyObject *args, PyObject *kwds)
             break;
         KEntry e = kheap_pop(self);
         self->now = e.t;
-        PyObject *res;
-        if (e.nargs >= 0)
-            res = PyObject_Vectorcall(e.cb, e.a, (size_t)e.nargs, NULL);
-        else
-            res = PyObject_CallObject(e.cb, e.args);
-        if (res == NULL) {
+        int failed;
+        if (e.nargs < -1) {
+            failed = (e.nargs == KN_DELIVER ? nl_deliver(e.cb) : nl_serve(e.cb)) < 0;
+            native += !failed;
+        }
+        else {
+            PyObject *res = e.nargs >= 0
+                ? PyObject_Vectorcall(e.cb, e.a, (size_t)e.nargs, NULL)
+                : PyObject_CallObject(e.cb, e.args);
+            failed = res == NULL;
+            Py_XDECREF(res);
+        }
+        if (failed) {
             kentry_clear(&e);
             ok = 0;
             break;
         }
-        Py_DECREF(res);
         processed += 1;
         kentry_clear(&e);
         if (self->stopped)
@@ -509,6 +593,7 @@ ksim_run(KernelSimObject *self, PyObject *args, PyObject *kwds)
     }
     self->running = 0;
     self->events_processed += processed;
+    self->events_native += native;
     if (gc_was_enabled)
         PyGC_Enable();
     if (!ok)
@@ -568,6 +653,13 @@ ksim_export_entries(KernelSimObject *self, PyObject *Py_UNUSED(ignored))
             cb = Py_NewRef(Py_None);
             tup_args = PyTuple_New(0);
         }
+        else if (e->nargs < -1) {
+            /* Native entries read as the bound method they stand for, so
+             * pending events compare equal across kernels. */
+            cb = PyObject_GetAttrString(
+                e->cb, e->nargs == KN_DELIVER ? "_deliver" : "_serve_queue");
+            tup_args = cb == NULL ? NULL : PyTuple_New(0);
+        }
         else {
             cb = Py_NewRef(e->cb);
             if (e->nargs >= 0) {
@@ -582,7 +674,7 @@ ksim_export_entries(KernelSimObject *self, PyObject *Py_UNUSED(ignored))
             }
         }
         if (tup_args == NULL) {
-            Py_DECREF(cb);
+            Py_XDECREF(cb);
             Py_DECREF(out);
             return NULL;
         }
@@ -612,38 +704,15 @@ ksim_push_entry(KernelSimObject *self, PyObject *args)
     PyObject *cb_args;
     if (!PyArg_ParseTuple(args, "dLOO!", &t, &seq, &cb, &PyTuple_Type, &cb_args))
         return NULL;
-    if (kheap_reserve(self, self->heap_len + 1) < 0)
-        return NULL;
-    KEntry e;
-    e.t = t;
-    e.seq = (int64_t)seq;
-    e.args = NULL;
-    e.nargs = 0;
-    e.handle = NULL;
     if (cb == Py_None) {
-        e.cb = NULL;
+        if (kheap_reserve(self, self->heap_len + 1) < 0)
+            return NULL;
+        KEntry e = {t, (int64_t)seq, NULL, NULL, {NULL, NULL, NULL}, 0, NULL};
         kheap_push(self, e);
         Py_RETURN_NONE;
     }
-    e.cb = Py_NewRef(cb);
-    Py_ssize_t n = PyTuple_GET_SIZE(cb_args);
-    if (n <= KSIM_INLINE_ARGS) {
-        e.nargs = (int)n;
-        for (Py_ssize_t i = 0; i < n; i++)
-            e.a[i] = Py_NewRef(PyTuple_GET_ITEM(cb_args, i));
-    }
-    else {
-        e.nargs = -1;
-        e.args = Py_NewRef(cb_args);
-    }
-    KernelEventObject *ev = kevent_new(t, e.seq);
-    if (ev == NULL) {
-        kentry_clear(&e);
-        return NULL;
-    }
-    e.handle = (KernelEventObject *)Py_NewRef((PyObject *)ev);
-    kheap_push(self, e);
-    return (PyObject *)ev;
+    return ksim_push_event(self, t, (int64_t)seq, cb, ((PyTupleObject *)cb_args)->ob_item,
+                           PyTuple_GET_SIZE(cb_args), 1);
 }
 
 static PyObject *
@@ -665,6 +734,8 @@ static PyMemberDef ksim_members[] = {
      "Current simulation time in seconds."},
     {"events_processed", T_LONGLONG, offsetof(KernelSimObject, events_processed), 0,
      "Number of callbacks executed by completed run() calls."},
+    {"events_native", T_LONGLONG, offsetof(KernelSimObject, events_native), READONLY,
+     "Of events_processed, those dispatched in C without a Python callable."},
     {"_seq", T_LONGLONG, offsetof(KernelSimObject, seq), 0,
      "Next event sequence number."},
     {NULL, 0, 0, 0, NULL},
@@ -701,6 +772,8 @@ static PyGetSetDef ksim_getset[] = {
      "Number of events still in the heap (including cancelled ones).", NULL},
     {"free_list_size", (getter)ksim_get_free_list, NULL,
      "Always 0: the compiled heap stores entries by value.", NULL},
+    {"link_type", ksim_get_link_type, NULL,
+     "The Link subclass whose handlers run in C; Link(sim, ...) selects it.", NULL},
     {"_running", (getter)ksim_get_running, NULL, NULL, NULL},
     {"_stopped", (getter)ksim_get_stopped, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
@@ -721,6 +794,780 @@ static PyTypeObject KernelSimType = {
     .tp_methods = ksim_methods,
     .tp_getset = ksim_getset,
 };
+
+/* ------------------------------------------------------------ native links
+ *
+ * repro.netsim.link.Link's send / _serve_queue / _deliver for links on a
+ * KernelSim, with the stock Node.receive, hop-cache forward, Host dispatch
+ * and DropTailQueue bodies fused in.  The link type is a subclass of the
+ * Python Link created here, so every instance has Link's slots and
+ * properties and inherits its dynamics methods; only the three handlers
+ * differ, and their heap entries are KN_DELIVER / KN_SERVE.
+ *
+ * All state is read and written in place, in the __slots__ of the Python
+ * Link / LinkStats / Node / NodeStats / Host / Queue / QueueStats / Packet
+ * objects, through member offsets resolved once (nl_bind).  Counters move
+ * through PyNumber_Add on the stored objects, so any value the Python
+ * bodies accept behaves the same here.  Every function mirrors its Python
+ * twin statement by statement (link.py, node.py, queues.py: keep in sync),
+ * and calls Python wherever the twin calls something it does not define.
+ */
+
+enum { T_LINK, T_LSTATS, T_NODE, T_NSTATS, T_HOST, T_PACKET, T_QUEUE, T_QSTATS,
+       T_DROPTAIL, T_COUNT };
+
+static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
+    {"repro.netsim.link", "Link"}, {"repro.netsim.link", "LinkStats"},
+    {"repro.netsim.node", "Node"}, {"repro.netsim.node", "NodeStats"},
+    {"repro.netsim.node", "Host"}, {"repro.netsim.packet", "Packet"},
+    {"repro.netsim.queues", "Queue"}, {"repro.netsim.queues", "QueueStats"},
+    {"repro.netsim.queues", "DropTailQueue"},
+};
+
+#define NL_SLOTS(X)                                                         \
+    X(LINK, sim) X(LINK, dst) X(LINK, rate_bps) X(LINK, delay)              \
+    X(LINK, queue) X(LINK, _enqueue) X(LINK, stats) X(LINK, _busy_until)    \
+    X(LINK, _serving) X(LINK, _dst_receive) X(LINK, _fused_receive)         \
+    X(LINK, _fused_host) X(LINK, _in_flight) X(LINK, _impaired)             \
+    X(LINK, _dynamic) X(LINK, _deadlines) X(LINK, _serve_at)                \
+    X(LSTATS, packets_sent) X(LSTATS, bytes_sent) X(LSTATS, busy_time)      \
+    X(NODE, name) X(NODE, sim) X(NODE, routing) X(NODE, stats)              \
+    X(NODE, _hop_cache) X(NODE, _hop_version)                               \
+    X(NSTATS, received) X(NSTATS, forwarded) X(NSTATS, delivered)           \
+    X(HOST, _agents_by_flow) X(HOST, _sole_agent) X(HOST, _sole_flow)       \
+    X(HOST, _sole_subflow) X(HOST, _captures)                               \
+    X(PACKET, dst) X(PACKET, size) X(PACKET, tag) X(PACKET, flow_id)        \
+    X(PACKET, subflow_id) X(PACKET, enqueued_at) X(PACKET, hops)            \
+    X(QUEUE, capacity_packets) X(QUEUE, stats) X(QUEUE, _queue)             \
+    X(QUEUE, _bytes)                                                        \
+    X(QSTATS, enqueued) X(QSTATS, dequeued) X(QSTATS, dropped)              \
+    X(QSTATS, bytes_enqueued) X(QSTATS, bytes_dropped) X(QSTATS, max_depth)
+
+#define NL_ENUM(T, name) O_##T##_##name,
+#define NL_ROW(T, name) {T_##T, #name},
+enum { NL_SLOTS(NL_ENUM) O_COUNT };
+static const struct { int type; const char *name; } NL_SLOT_TABLE[O_COUNT] = {NL_SLOTS(NL_ROW)};
+
+#define NL_NAMES(X)                                                         \
+    X(append) X(popleft) X(send) X(dequeue) X(handle_packet) X(version)     \
+    X(now) X(_queue) X(_admit_impaired) X(_deliver_locally)
+
+#define NL_NAME_MEMBER(name) PyObject *s_##name;
+static struct {
+    PyTypeObject *type[T_COUNT];    /* the Python classes */
+    Py_ssize_t off[O_COUNT];        /* slot offsets inside their instances */
+    PyTypeObject *link_type;        /* the subclass of Link defined here */
+    PyObject *droptail_enqueue;     /* DropTailQueue.enqueue, the function */
+    PyObject *one;
+    NL_NAMES(NL_NAME_MEMBER)
+} NL;
+
+#define NL_SLOT(obj, T, name) (*(PyObject **)((char *)(obj) + NL.off[O_##T##_##name]))
+
+static int
+nl_unset(const char *name)
+{
+    PyErr_Format(PyExc_AttributeError, "native link: slot %s is unset", name);
+    return -1;
+}
+
+/* Borrowed slot value into a new local; an unset slot is AttributeError. */
+#define NL_GET(var, obj, T, name)                                           \
+    PyObject *var = NL_SLOT(obj, T, name);                                  \
+    if (var == NULL)                                                        \
+        return nl_unset(#name)
+
+/* Offsets are only valid inside instances of the class they came from. */
+static int
+nl_expect(PyObject *obj, int type, const char *what)
+{
+    if (PyObject_TypeCheck(obj, NL.type[type]))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "native link: %s must be a %s, not %s", what,
+                 NL.type[type]->tp_name, Py_TYPE(obj)->tp_name);
+    return -1;
+}
+
+#define NL_GET_AS(var, obj, T, name, AS)                                    \
+    NL_GET(var, obj, T, name);                                              \
+    if (nl_expect(var, T_##AS, #name) < 0)                                  \
+        return -1
+
+/* *slot = value, which is stolen; NULL passes an error through. */
+static int
+nl_set(PyObject **slot, PyObject *value)
+{
+    if (value == NULL)
+        return -1;
+    PyObject *old = *slot;
+    *slot = value;
+    Py_XDECREF(old);
+    return 0;
+}
+
+/* *slot += delta */
+static int
+nl_iadd(PyObject **slot, PyObject *delta, const char *name)
+{
+    if (*slot == NULL)
+        return nl_unset(name);
+    return nl_set(slot, PyNumber_Add(*slot, delta));
+}
+
+#define NL_IADD(obj, T, name, delta) nl_iadd(&NL_SLOT(obj, T, name), delta, #name)
+#define NL_SET(obj, T, name, value) nl_set(&NL_SLOT(obj, T, name), value)
+
+static inline int
+nl_true(PyObject *v)
+{
+    return v == Py_True ? 1 : v == Py_False ? 0 : PyObject_IsTrue(v);
+}
+
+/* -1.0 with an exception set on failure, like PyFloat_AsDouble. */
+static inline double
+nl_double(PyObject *v)
+{
+    return PyFloat_CheckExact(v) ? PyFloat_AS_DOUBLE(v) : PyFloat_AsDouble(v);
+}
+
+#define NL_FAILED(x) ((x) == -1.0 && PyErr_Occurred())
+
+/* Discard a call's result; -1 when the call raised. */
+static int
+nl_done(PyObject *res)
+{
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+static KernelSimObject *
+nl_sim(PyObject *link)
+{
+    PyObject *sim = NL_SLOT(link, LINK, sim);
+    if (sim == NULL || !Py_IS_TYPE(sim, &KernelSimType)) {
+        PyErr_SetString(PyExc_TypeError, "native link: sim must be the link's KernelSim");
+        return NULL;
+    }
+    return (KernelSimObject *)sim;
+}
+
+/* The raw heap pushes of link.py: no past-time check, one seq consumed. */
+static int
+nl_push(KernelSimObject *sim, double t, PyObject *link, int kind)
+{
+    if (kheap_reserve(sim, sim->heap_len + 1) < 0)
+        return -1;
+    KEntry e;
+    e.t = t;
+    e.seq = sim->seq++;
+    e.cb = Py_NewRef(link);
+    e.args = NULL;
+    e.nargs = kind;
+    e.handle = NULL;
+    kheap_push(sim, e);
+    return 0;
+}
+
+/* len(container) <op> bound */
+static int
+nl_len_cmp(Py_ssize_t len, PyObject *bound, int op)
+{
+    PyObject *len_obj = PyLong_FromSsize_t(len);
+    int res = len_obj == NULL ? -1 : PyObject_RichCompareBool(len_obj, bound, op);
+    Py_XDECREF(len_obj);
+    return res;
+}
+
+/* ---- DropTailQueue.enqueue / Queue.dequeue (queues.py) ---- */
+
+static int
+nl_droptail_enqueue(PyObject *q, PyObject *packet, PyObject *now, int *accepted)
+{
+    NL_GET(queue, q, QUEUE, _queue);
+    NL_GET_AS(stats, q, QUEUE, stats, QSTATS);
+    NL_GET(size, packet, PACKET, size);
+    NL_GET(capacity, q, QUEUE, capacity_packets);
+    Py_ssize_t depth = PyObject_Size(queue);
+    if (depth < 0)
+        return -1;
+    int full = nl_len_cmp(depth, capacity, Py_GE);
+    if (full < 0)
+        return -1;
+    *accepted = !full;
+    if (full) {
+        if (NL_IADD(stats, QSTATS, dropped, NL.one) < 0)
+            return -1;
+        return NL_IADD(stats, QSTATS, bytes_dropped, size);
+    }
+    if (NL_SET(packet, PACKET, enqueued_at, Py_NewRef(now)) < 0 ||
+        nl_done(PyObject_CallMethodOneArg(queue, NL.s_append, packet)) < 0 ||
+        NL_IADD(q, QUEUE, _bytes, size) < 0 ||
+        NL_IADD(stats, QSTATS, enqueued, NL.one) < 0 ||
+        NL_IADD(stats, QSTATS, bytes_enqueued, size) < 0)
+        return -1;
+    NL_GET(max_depth, stats, QSTATS, max_depth);
+    int deeper = nl_len_cmp(depth + 1, max_depth, Py_GT);
+    if (deeper > 0)
+        return NL_SET(stats, QSTATS, max_depth, PyLong_FromSsize_t(depth + 1));
+    return deeper;
+}
+
+/* *packet is a new reference, or NULL for an empty queue (Python's None). */
+static int
+nl_droptail_dequeue(PyObject *q, PyObject **packet)
+{
+    *packet = NULL;
+    NL_GET(queue, q, QUEUE, _queue);
+    NL_GET_AS(stats, q, QUEUE, stats, QSTATS);
+    NL_GET(bytes, q, QUEUE, _bytes);
+    int empty = PyObject_Not(queue);
+    if (empty)
+        return empty < 0 ? -1 : 0;
+    PyObject *head = PyObject_CallMethodNoArgs(queue, NL.s_popleft);
+    if (head == NULL)
+        return -1;
+    int rc = nl_expect(head, T_PACKET, "queued item");
+    if (rc == 0) {
+        PyObject *size = NL_SLOT(head, PACKET, size);
+        rc = size == NULL ? nl_unset("size")
+                          : NL_SET(q, QUEUE, _bytes, PyNumber_Subtract(bytes, size));
+    }
+    if (rc == 0)
+        rc = NL_IADD(stats, QSTATS, dequeued, NL.one);
+    if (rc < 0)
+        Py_DECREF(head);
+    else
+        *packet = head;
+    return rc;
+}
+
+/* ---- Link (link.py) ---- */
+
+/* The transmit body shared by send() (idle transmitter) and _serve_queue():
+ * serialisation accounting, the in-flight append and the single merged
+ * delivery event.  *tx_end is the new _busy_until. */
+static int
+nl_transmit(KernelSimObject *sim, PyObject *link, PyObject *packet, double now,
+            double *tx_end)
+{
+    NL_GET(size, packet, PACKET, size);
+    NL_GET(rate_obj, link, LINK, rate_bps);
+    NL_GET(delay_obj, link, LINK, delay);
+    NL_GET_AS(stats, link, LINK, stats, LSTATS);
+    NL_GET(in_flight, link, LINK, _in_flight);
+    NL_GET(dynamic, link, LINK, _dynamic);
+    double bytes = nl_double(size), rate = nl_double(rate_obj), delay = nl_double(delay_obj);
+    if (NL_FAILED(bytes) || NL_FAILED(rate) || NL_FAILED(delay))
+        return -1;
+    if (rate == 0.0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+        return -1;
+    }
+    double tx_time = bytes * 8.0 / rate;
+    *tx_end = now + tx_time;
+    PyObject *tx_obj = PyFloat_FromDouble(tx_time);
+    if (tx_obj == NULL)
+        return -1;
+    Py_INCREF(size);    /* outlives a reassignment of packet.size */
+    int rc = -1;
+    if (NL_SET(link, LINK, _busy_until, PyFloat_FromDouble(*tx_end)) < 0 ||
+        NL_IADD(stats, LSTATS, busy_time, tx_obj) < 0 ||
+        NL_IADD(stats, LSTATS, packets_sent, NL.one) < 0 ||
+        NL_IADD(stats, LSTATS, bytes_sent, size) < 0 ||
+        nl_done(PyObject_CallMethodOneArg(in_flight, NL.s_append, packet)) < 0)
+        goto done;
+    double deliver_at = *tx_end + delay;
+    int dyn = nl_true(dynamic);
+    if (dyn < 0)
+        goto done;
+    if (dyn) {
+        /* Non-decreasing deadline clamp: the link never reorders. */
+        PyObject *deadlines = NL_SLOT(link, LINK, _deadlines);
+        Py_ssize_t n = deadlines == NULL ? nl_unset("_deadlines") : PyObject_Size(deadlines);
+        if (n < 0)
+            goto done;
+        if (n > 0) {
+            PyObject *last_obj = PySequence_GetItem(deadlines, n - 1);
+            if (last_obj == NULL)
+                goto done;
+            double last = nl_double(last_obj);
+            Py_DECREF(last_obj);
+            if (NL_FAILED(last))
+                goto done;
+            if (deliver_at < last)
+                deliver_at = last;
+        }
+        PyObject *deadline = PyFloat_FromDouble(deliver_at);
+        if (deadline == NULL)
+            goto done;
+        int appended = nl_done(PyObject_CallMethodOneArg(deadlines, NL.s_append, deadline));
+        Py_DECREF(deadline);
+        if (appended < 0)
+            goto done;
+    }
+    rc = nl_push(sim, deliver_at, link, KN_DELIVER);
+done:
+    Py_DECREF(size);
+    Py_DECREF(tx_obj);
+    return rc;
+}
+
+/* send() on a busy transmitter: the queue's verdict, and the serve event
+ * armed behind the first queued packet for the instant the transmitter
+ * frees.  The drop-tail enqueue bound at construction runs here. */
+static int
+nl_enqueue(KernelSimObject *sim, PyObject *link, PyObject *packet, double now)
+{
+    NL_GET(enqueue, link, LINK, _enqueue);
+    PyObject *now_obj = PyFloat_FromDouble(now);
+    if (now_obj == NULL)
+        return -1;
+    int accepted;
+    if (PyMethod_Check(enqueue) && PyMethod_GET_FUNCTION(enqueue) == NL.droptail_enqueue &&
+        Py_IS_TYPE(PyMethod_GET_SELF(enqueue), NL.type[T_DROPTAIL])) {
+        if (nl_droptail_enqueue(PyMethod_GET_SELF(enqueue), packet, now_obj, &accepted) < 0)
+            accepted = -1;
+    }
+    else {
+        PyObject *verdict = PyObject_CallFunctionObjArgs(enqueue, packet, now_obj, NULL);
+        accepted = verdict == NULL ? -1 : PyObject_IsTrue(verdict);
+        Py_XDECREF(verdict);
+    }
+    Py_DECREF(now_obj);
+    if (accepted <= 0)
+        return accepted;
+    NL_GET(serving_obj, link, LINK, _serving);
+    NL_GET(free_obj, link, LINK, _busy_until);
+    int serving = nl_true(serving_obj);
+    if (serving < 0)
+        return -1;
+    if (!serving) {
+        double free_at = nl_double(free_obj);
+        if (NL_FAILED(free_at) ||
+            NL_SET(link, LINK, _serving, Py_NewRef(Py_True)) < 0 ||
+            NL_SET(link, LINK, _serve_at, Py_NewRef(free_obj)) < 0 ||
+            nl_push(sim, free_at, link, KN_SERVE) < 0)
+            return -1;
+    }
+    return 1;
+}
+
+/* Link.send: 1 accepted, 0 dropped (queue, outage or loss burst), -1 raised. */
+static int
+nl_send(PyObject *link, PyObject *packet)
+{
+    if (nl_expect(packet, T_PACKET, "packet") < 0)
+        return -1;
+    NL_GET(impaired, link, LINK, _impaired);
+    int imp = nl_true(impaired);
+    if (imp < 0)
+        return -1;
+    if (imp) {
+        PyObject *admit = PyObject_CallMethodOneArg(link, NL.s__admit_impaired, packet);
+        int admitted = admit == NULL ? -1 : PyObject_IsTrue(admit);
+        Py_XDECREF(admit);
+        if (admitted <= 0)
+            return admitted;
+    }
+    KernelSimObject *sim = nl_sim(link);
+    if (sim == NULL)
+        return -1;
+    double now = sim->now, tx_end;
+    NL_GET(busy_obj, link, LINK, _busy_until);
+    NL_GET(serving_obj, link, LINK, _serving);
+    double busy_until = nl_double(busy_obj);
+    int serving = nl_true(serving_obj);
+    if (NL_FAILED(busy_until) || serving < 0)
+        return -1;
+    if (now < busy_until || serving)
+        return nl_enqueue(sim, link, packet, now);
+    return nl_transmit(sim, link, packet, now, &tx_end) < 0 ? -1 : 1;
+}
+
+/* Link._serve_queue: the transmitter frees while packets are queued. */
+static int
+nl_serve(PyObject *link)
+{
+    KernelSimObject *sim = nl_sim(link);
+    if (sim == NULL)
+        return -1;
+    double now = sim->now;
+    NL_GET(dynamic, link, LINK, _dynamic);
+    int dyn = nl_true(dynamic);
+    if (dyn < 0)
+        return -1;
+    if (dyn) {
+        /* Only the event armed for _serve_at is live; a rate reduction may
+         * have moved the transmitter-free time past it. */
+        NL_GET(serve_obj, link, LINK, _serve_at);
+        NL_GET(busy_obj, link, LINK, _busy_until);
+        double serve_at = nl_double(serve_obj), busy_until = nl_double(busy_obj);
+        if (NL_FAILED(serve_at) || NL_FAILED(busy_until))
+            return -1;
+        if (now != serve_at)
+            return 0;
+        if (now < busy_until) {
+            if (NL_SET(link, LINK, _serve_at, Py_NewRef(busy_obj)) < 0)
+                return -1;
+            return nl_push(sim, busy_until, link, KN_SERVE);
+        }
+    }
+    NL_GET(queue, link, LINK, queue);
+    int stock = Py_IS_TYPE(queue, NL.type[T_DROPTAIL]);
+    PyObject *packet;
+    if (stock) {
+        if (nl_droptail_dequeue(queue, &packet) < 0)
+            return -1;
+    }
+    else {
+        PyObject *now_obj = PyFloat_FromDouble(now);
+        if (now_obj == NULL)
+            return -1;
+        packet = PyObject_CallMethodOneArg(queue, NL.s_dequeue, now_obj);
+        Py_DECREF(now_obj);
+        if (packet == NULL)
+            return -1;
+        if (packet == Py_None)
+            Py_CLEAR(packet);
+    }
+    if (packet == NULL)     /* drained elsewhere, or shed by the AQM law */
+        return NL_SET(link, LINK, _serving, Py_NewRef(Py_False));
+    Py_INCREF(queue);
+    double tx_end;
+    int rc = nl_expect(packet, T_PACKET, "dequeued item");
+    if (rc == 0)
+        rc = nl_transmit(sim, link, packet, now, &tx_end);
+    Py_DECREF(packet);
+    if (rc == 0) {
+        /* `not queue._queue`: friend access to the backing deque. */
+        PyObject *backing = PyObject_GetAttr(queue, NL.s__queue);
+        int empty = backing == NULL ? -1 : PyObject_Not(backing);
+        Py_XDECREF(backing);
+        if (empty < 0)
+            rc = -1;
+        else if (empty)
+            rc = NL_SET(link, LINK, _serving, Py_NewRef(Py_False));
+        else if (NL_SET(link, LINK, _serve_at, PyFloat_FromDouble(tx_end)) < 0)
+            rc = -1;
+        else
+            rc = nl_push(sim, tx_end, link, KN_SERVE);
+    }
+    Py_DECREF(queue);
+    return rc;
+}
+
+/* ---- Node.receive / Host._deliver_locally (node.py), fused ---- */
+
+/* Host._deliver_locally: capture fan-out, then sole-agent or per-flow
+ * dispatch.  Unknown flows are delivered but ignored. */
+static int
+nl_deliver_locally(PyObject *host, PyObject *packet)
+{
+    NL_GET(captures, host, HOST, _captures);
+    if (!PyList_CheckExact(captures))
+        return nl_done(PyObject_CallMethodOneArg(host, NL.s__deliver_locally, packet));
+    if (PyList_GET_SIZE(captures) > 0) {
+        NL_GET(node_sim, host, NODE, sim);
+        PyObject *now = Py_IS_TYPE(node_sim, &KernelSimType)
+            ? PyFloat_FromDouble(((KernelSimObject *)node_sim)->now)
+            : PyObject_GetAttr(node_sim, NL.s_now);
+        if (now == NULL)
+            return -1;
+        PyObject *argv[2] = {packet, now};
+        Py_INCREF(captures);
+        int rc = 0;
+        for (Py_ssize_t i = 0; rc == 0 && i < PyList_GET_SIZE(captures); i++) {
+            PyObject *tap = Py_NewRef(PyList_GET_ITEM(captures, i));
+            rc = nl_done(PyObject_Vectorcall(tap, argv, 2, NULL));
+            Py_DECREF(tap);
+        }
+        Py_DECREF(captures);
+        Py_DECREF(now);
+        if (rc < 0)
+            return -1;
+    }
+    NL_GET(sole, host, HOST, _sole_agent);
+    NL_GET(flow_id, packet, PACKET, flow_id);
+    NL_GET(subflow_id, packet, PACKET, subflow_id);
+    PyObject *agent = NULL;
+    if (sole != Py_None) {
+        NL_GET(sole_flow, host, HOST, _sole_flow);
+        NL_GET(sole_subflow, host, HOST, _sole_subflow);
+        int match = PyObject_RichCompareBool(flow_id, sole_flow, Py_EQ);
+        if (match > 0)
+            match = PyObject_RichCompareBool(subflow_id, sole_subflow, Py_EQ);
+        if (match < 0)
+            return -1;
+        if (match)
+            agent = sole;
+    }
+    else {
+        NL_GET(by_flow, host, HOST, _agents_by_flow);
+        /* A table that is not a dict falls into the type error below. */
+        PyObject *per_flow = PyDict_CheckExact(by_flow)
+            ? PyDict_GetItemWithError(by_flow, flow_id) : by_flow;
+        if (per_flow != NULL && per_flow != Py_None) {
+            if (!PyDict_CheckExact(per_flow)) {
+                PyErr_SetString(PyExc_TypeError, "native link: agent tables must be dicts");
+                return -1;
+            }
+            agent = PyDict_GetItemWithError(per_flow, subflow_id);
+        }
+        if (agent == NULL && PyErr_Occurred())
+            return -1;
+    }
+    if (agent == NULL || agent == Py_None)
+        return 0;
+    Py_INCREF(agent);
+    int rc = nl_done(PyObject_CallMethodOneArg(agent, NL.s_handle_packet, packet));
+    Py_DECREF(agent);
+    return rc;
+}
+
+/* Node.receive on a packet that is not for this node: the hop-cache hit
+ * sends on the cached link, anything else is Node.send's business. */
+static int
+nl_forward(PyObject *node, PyObject *packet)
+{
+    NL_GET(cache, node, NODE, _hop_cache);
+    if (PyDict_CheckExact(cache)) {
+        NL_GET(routing, node, NODE, routing);
+        NL_GET(hop_version, node, NODE, _hop_version);
+        PyObject *version = PyObject_GetAttr(routing, NL.s_version);
+        if (version == NULL)
+            return -1;
+        int current = PyObject_RichCompareBool(hop_version, version, Py_EQ);
+        Py_DECREF(version);
+        if (current < 0)
+            return -1;
+        if (current) {
+            NL_GET(dst, packet, PACKET, dst);
+            NL_GET(tag, packet, PACKET, tag);
+            PyObject *key = PyTuple_Pack(2, dst, tag);
+            if (key == NULL)
+                return -1;
+            PyObject *next = PyDict_GetItemWithError(cache, key);
+            Py_DECREF(key);
+            if (next == NULL && PyErr_Occurred())
+                return -1;
+            if (next != NULL && next != Py_None) {
+                Py_INCREF(next);
+                int rc = Py_IS_TYPE(next, NL.link_type)
+                    ? nl_send(next, packet)
+                    : nl_done(PyObject_CallMethodOneArg(next, NL.s_send, packet));
+                Py_DECREF(next);
+                return rc < 0 ? -1 : 0;
+            }
+        }
+    }
+    return nl_done(PyObject_CallMethodOneArg(node, NL.s_send, packet));
+}
+
+/* _deliver from `packet.hops += 1` on: the virtual receive, or the stock
+ * Node.receive fused in. */
+static int
+nl_arrive(PyObject *link, PyObject *packet)
+{
+    if (nl_expect(packet, T_PACKET, "in-flight item") < 0 ||
+        NL_IADD(packet, PACKET, hops, NL.one) < 0)
+        return -1;
+    NL_GET(fused_obj, link, LINK, _fused_receive);
+    NL_GET(fused_host_obj, link, LINK, _fused_host);
+    int fused = nl_true(fused_obj), fused_host = nl_true(fused_host_obj);
+    if (fused < 0 || fused_host < 0)
+        return -1;
+    if (!fused) {
+        NL_GET(receive, link, LINK, _dst_receive);
+        return nl_done(PyObject_CallFunctionObjArgs(receive, packet, link, NULL));
+    }
+    NL_GET_AS(node, link, LINK, dst, NODE);
+    NL_GET_AS(stats, node, NODE, stats, NSTATS);
+    NL_GET(dst, packet, PACKET, dst);
+    NL_GET(name, node, NODE, name);
+    if (NL_IADD(stats, NSTATS, received, NL.one) < 0)
+        return -1;
+    int local = PyObject_RichCompareBool(dst, name, Py_EQ);
+    if (local < 0 ||
+        (local ? NL_IADD(stats, NSTATS, delivered, NL.one)
+               : NL_IADD(stats, NSTATS, forwarded, NL.one)) < 0)
+        return -1;
+    Py_INCREF(node);    /* a handler may drop the link's reference */
+    int rc;
+    if (!local)
+        rc = nl_forward(node, packet);
+    else if (fused_host && PyObject_TypeCheck(node, NL.type[T_HOST]))
+        rc = nl_deliver_locally(node, packet);
+    else
+        rc = nl_done(PyObject_CallMethodOneArg(node, NL.s__deliver_locally, packet));
+    Py_DECREF(node);
+    return rc;
+}
+
+/* Link._deliver. */
+static int
+nl_deliver(PyObject *link)
+{
+    KernelSimObject *sim = nl_sim(link);
+    if (sim == NULL)
+        return -1;
+    NL_GET(dynamic, link, LINK, _dynamic);
+    NL_GET(in_flight, link, LINK, _in_flight);
+    int dyn = nl_true(dynamic);
+    if (dyn < 0)
+        return -1;
+    if (dyn) {
+        /* Deadline-driven: an extra event is swallowed when nothing is in
+         * flight and bounced until the head packet is actually due. */
+        NL_GET(deadlines, link, LINK, _deadlines);
+        int idle = PyObject_Not(in_flight);
+        if (idle)
+            return idle < 0 ? -1 : 0;
+        PyObject *head = PySequence_GetItem(deadlines, 0);
+        if (head == NULL)
+            return -1;
+        double deadline = nl_double(head);
+        Py_DECREF(head);
+        if (NL_FAILED(deadline))
+            return -1;
+        if (sim->now < deadline)
+            return nl_push(sim, deadline, link, KN_DELIVER);
+        if (nl_done(PyObject_CallMethodNoArgs(deadlines, NL.s_popleft)) < 0)
+            return -1;
+    }
+    PyObject *packet = PyObject_CallMethodNoArgs(in_flight, NL.s_popleft);
+    if (packet == NULL)
+        return -1;
+    int rc = nl_arrive(link, packet);
+    Py_DECREF(packet);
+    return rc;
+}
+
+/* ---- the link type and its binding ---- */
+
+static PyObject *
+nlink_send(PyObject *self, PyObject *packet)
+{
+    int accepted = nl_send(self, packet);
+    return accepted < 0 ? NULL : PyBool_FromLong(accepted);
+}
+
+static PyObject *
+nlink_serve_queue(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (nl_serve(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+nlink_deliver(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (nl_deliver(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* A bound _deliver / _serve_queue of a native link: its entry kind, with
+ * the link borrowed into *link; 0 for any other callable. */
+static int
+native_kind(PyObject *cb, PyObject **link)
+{
+    if (!PyCFunction_Check(cb))
+        return 0;
+    PyCFunction fn = PyCFunction_GET_FUNCTION(cb);
+    int kind = fn == (PyCFunction)nlink_deliver ? KN_DELIVER
+             : fn == (PyCFunction)nlink_serve_queue ? KN_SERVE : 0;
+    if (kind)
+        *link = PyCFunction_GET_SELF(cb);
+    return kind;
+}
+
+static PyMethodDef nlink_methods[] = {
+    {"send", (PyCFunction)nlink_send, METH_O,
+     "Offer packet to the link; False if it was dropped."},
+    {"_serve_queue", (PyCFunction)nlink_serve_queue, METH_NOARGS,
+     "Runs at the instant the transmitter frees while packets are queued."},
+    {"_deliver", (PyCFunction)nlink_deliver, METH_NOARGS,
+     "Hand the head in-flight packet to the downstream node."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyType_Slot nlink_slots[] = {
+    {Py_tp_doc, "repro.netsim.link.Link with send/_serve_queue/_deliver in C."},
+    {Py_tp_methods, nlink_methods},
+    {0, NULL},
+};
+
+/* Named Link so bound handlers read `Link._deliver` on either kernel. */
+static PyType_Spec nlink_spec = {
+    .name = "repro.kernel._ckernel.Link",
+    .flags = Py_TPFLAGS_DEFAULT,
+    .slots = nlink_slots,
+};
+
+/* Resolve the Python classes, their slot offsets and the link type; once. */
+static int
+nl_bind(void)
+{
+    if (NL.link_type != NULL)
+        return 0;
+    for (int t = 0; t < T_COUNT; t++) {
+        PyObject *mod = PyImport_ImportModule(NL_TYPE_NAMES[t][0]);
+        PyObject *cls = mod == NULL ? NULL : PyObject_GetAttrString(mod, NL_TYPE_NAMES[t][1]);
+        Py_XDECREF(mod);
+        if (cls == NULL)
+            return -1;
+        Py_XSETREF(NL.type[t], (PyTypeObject *)cls);
+        if (!PyType_Check(cls)) {
+            PyErr_Format(PyExc_TypeError, "%s is not a class", NL_TYPE_NAMES[t][1]);
+            return -1;
+        }
+    }
+    for (int o = 0; o < O_COUNT; o++) {
+        PyTypeObject *owner = NL.type[NL_SLOT_TABLE[o].type];
+        PyObject *descr = PyObject_GetAttrString((PyObject *)owner, NL_SLOT_TABLE[o].name);
+        if (descr == NULL)
+            return -1;
+        int is_slot = Py_IS_TYPE(descr, &PyMemberDescr_Type) &&
+                      ((PyMemberDescrObject *)descr)->d_member->type == T_OBJECT_EX;
+        if (is_slot)
+            NL.off[o] = ((PyMemberDescrObject *)descr)->d_member->offset;
+        Py_DECREF(descr);
+        if (!is_slot) {
+            PyErr_Format(PyExc_TypeError, "native link: %s.%s is not a __slots__ member",
+                         owner->tp_name, NL_SLOT_TABLE[o].name);
+            return -1;
+        }
+    }
+#define NL_NAME_INTERN(name)                                                \
+    if (NL.s_##name == NULL &&                                              \
+        (NL.s_##name = PyUnicode_InternFromString(#name)) == NULL)          \
+        return -1;
+    NL_NAMES(NL_NAME_INTERN)
+#undef NL_NAME_INTERN
+    if (NL.one == NULL && (NL.one = PyLong_FromLong(1)) == NULL)
+        return -1;
+    Py_XSETREF(NL.droptail_enqueue,
+               PyObject_GetAttrString((PyObject *)NL.type[T_DROPTAIL], "enqueue"));
+    if (NL.droptail_enqueue == NULL)
+        return -1;
+    PyObject *bases = PyTuple_Pack(1, NL.type[T_LINK]);
+    if (bases == NULL)
+        return -1;
+    NL.link_type = (PyTypeObject *)PyType_FromSpecWithBases(&nlink_spec, bases);
+    Py_DECREF(bases);
+    return NL.link_type == NULL ? -1 : 0;
+}
+
+static PyObject *
+ksim_get_link_type(PyObject *self, void *closure)
+{
+    if (nl_bind() < 0)
+        return NULL;
+    return Py_NewRef((PyObject *)NL.link_type);
+}
 
 /* ------------------------------------------------------------------- Scene
  *
@@ -1592,32 +2439,32 @@ sample_rtt_karn(CSender *S, int64_t ack, double now)
 static void
 apply_sack(CSender *S, const int64_t *blocks, int32_t nblocks)
 {
-    int64_t hse = 0;
-    for (int32_t b = 0; b < nblocks; b++) {
-        int64_t start = blocks[2 * b];
-        int64_t end = blocks[2 * b + 1];
-        if (b == 0 || end > hse)
-            hse = end;
-        for (int32_t j = 0; j < S->segs.len; j++) {
-            CSeg *g = seg_at(&S->segs, j);
-            if (g->sacked)
-                continue;
-            if (g->seq >= start && g->seq + g->length <= end) {
-                g->sacked = 1;
-                S->sacked_bytes += g->length;
-                if (g->lost_pending) {
-                    g->lost_pending = 0;
-                    S->lost_pending_bytes -= g->length;
-                }
-            }
-        }
+    int64_t hse = blocks[1];
+    for (int32_t b = 1; b < nblocks; b++) {
+        if (blocks[2 * b + 1] > hse)
+            hse = blocks[2 * b + 1];
     }
-    /* FACK-style marking below the highest SACKed end */
+    /* One pass in ascending seq: SACKed inside a block, else FACK-style
+     * lost when wholly below the highest SACKed end. */
     for (int32_t j = 0; j < S->segs.len; j++) {
         CSeg *g = seg_at(&S->segs, j);
-        if (g->sacked || g->lost)
+        if (g->seq > hse)
+            break;
+        if (g->sacked)
             continue;
-        if (g->seq + g->length <= hse) {
+        int64_t seg_end = g->seq + g->length;
+        int32_t b = 0;
+        while (b < nblocks && !(g->seq >= blocks[2 * b] && seg_end <= blocks[2 * b + 1]))
+            b++;
+        if (b < nblocks) {
+            g->sacked = 1;
+            S->sacked_bytes += g->length;
+            if (g->lost_pending) {
+                g->lost_pending = 0;
+                S->lost_pending_bytes -= g->length;
+            }
+        }
+        else if (!g->lost && seg_end <= hse) {
             g->lost = 1;
             g->lost_pending = 1;
             S->lost_pending_bytes += g->length;

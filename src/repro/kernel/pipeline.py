@@ -1,15 +1,17 @@
 """Native-scene bypass for :meth:`repro.netsim.network.Network.run`.
 
-The compiled kernel cannot call back into Python per event, so instead of
-accelerating individual callbacks the whole simulation window is handed to
-the C extension: the network's current state (clock, pending events, links,
-queues, TCP agents, captures) is imported into a native ``Scene``, the
-window runs entirely in C, and the final state is copied back onto the
-Python objects.  It only understands the packet-level hot path the paper's
-scenarios exercise: static links with drop-tail queues, single-path TCP
+Every scene on a ``KernelSim`` already runs its link events in C, calling
+Python per event for agents, taps and queue policy (``_ckernel.c``, "native
+links").  This module is the step beyond that for the scenes that need no
+Python at all: the whole simulation window is handed to the C extension --
+the network's current state (clock, pending events, links, queues, TCP
+agents, captures) is imported into a native ``Scene``, the window runs
+entirely in C, and the final state is copied back onto the Python objects.
+It only understands static links with drop-tail queues, single-path TCP
 senders over bulk transfers, Reno or Cubic, tag/static routing, on the
 ``KernelSim`` that :class:`Network` builds when the compiled kernel is
-active.
+active -- and it is frozen at that: MPTCP, AQM and dynamics scenes get
+their speed from the native links, not from a larger ``Scene``.
 
 The contract is **observable state**.  After a native window these match
 the pure-Python run bit for bit: result JSON, capture columns,
@@ -25,6 +27,11 @@ the event heap, mid-flight state from an earlier window, a pinned Python
 ``Simulator`` -- makes the scene ineligible: :func:`run_network` returns
 ``None``, the caller falls back to the event loop, and
 ``network.bypass_outcome`` says why (``"native"`` after a native window).
+Pending link events cross the boundary as what they are on either kernel,
+``link._deliver`` / ``link._serve_queue``: ``_export_entries`` shows a
+native heap entry as that bound method and ``_push_entry`` turns it back
+into a native entry, so the window after a native one delivers the rebuilt
+in-flight packets without a Python frame.
 Eligibility is checked conservatively with exact type tests, so a subclass
 with changed behaviour can never be captured by the native fast path.
 """
@@ -38,7 +45,6 @@ from typing import Optional
 
 from ..netsim import packet as packet_mod
 from ..netsim.capture import PacketCapture
-from ..netsim.link import Link
 from ..netsim.node import Host, Router
 from ..netsim.packet import Packet
 from ..netsim.queues import DropTailQueue
@@ -289,7 +295,8 @@ def _plan_scene(network, sim, entries) -> _Plan:
 
     for link in network.links.values():
         who = f"link {link.src.name}->{link.dst.name}"
-        _require(type(link) is Link and link.sim is sim, who, "not a stock Link on this simulator")
+        stock = type(link) is sim.link_type and link.sim is sim
+        _require(stock, who, "not a stock Link on this simulator")
         static = link.up and not link._impaired and not link._dynamic
         _require(static, who, "down, impaired or dynamic")
         _require(not link._deadlines, who, "impairment deadlines pending")

@@ -45,6 +45,20 @@ _POOL_LIMIT = 4096
 # two in sync when changing it.
 
 
+def _bad_time(value: float, now: Optional[float]) -> str:
+    """Why a ``schedule*`` call refused ``value`` (a delay when ``now`` is None).
+
+    A NaN would sit in the heap comparing false against everything, so
+    events around it fire out of time order; ``inf`` is legal and parks the
+    event.  The compiled kernel raises the same messages.
+    """
+    if value != value:
+        return f"cannot schedule an event at a NaN time (got {value})"
+    if now is None:
+        return f"cannot schedule an event {value} seconds in the past"
+    return f"cannot schedule an event at t={value} before the current time t={now}"
+
+
 class Event:
     """A cancellation handle for a scheduled callback.
 
@@ -116,8 +130,8 @@ class Simulator:
     # ------------------------------------------------------------------ API
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
+        if not delay >= 0:  # negative, or NaN (which no ordering test catches)
+            raise SimulationError(_bad_time(delay, None))
         pool = self._pool
         if pool:
             entry = pool.pop()
@@ -133,10 +147,8 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run at absolute simulation ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule an event at t={time} before the current time t={self.now}"
-            )
+        if not time >= self.now:  # in the past, or NaN
+            raise SimulationError(_bad_time(time, self.now))
         pool = self._pool
         if pool:
             entry = pool.pop()
@@ -155,8 +167,8 @@ class Simulator:
 
         Use for callbacks that are never cancelled (per-packet link events).
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
+        if not delay >= 0:  # negative, or NaN (which no ordering test catches)
+            raise SimulationError(_bad_time(delay, None))
         pool = self._pool
         if pool:
             entry = pool.pop()
@@ -171,10 +183,8 @@ class Simulator:
 
     def schedule_fast_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
         """Absolute-time variant of :meth:`schedule_fast`."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule an event at t={time} before the current time t={self.now}"
-            )
+        if not time >= self.now:  # in the past, or NaN
+            raise SimulationError(_bad_time(time, self.now))
         pool = self._pool
         if pool:
             entry = pool.pop()

@@ -38,6 +38,13 @@ Static links pay exactly two predictable branches per packet for all of
 this (``_impaired`` in :meth:`send`, ``_dynamic`` in :meth:`_deliver`); the
 event layout, pooling and delivery timing are unchanged until an event
 fires.
+
+Kernels: this class is the Python kernel's link and the reference.  On a
+compiled simulator ``Link(sim, ...)`` builds ``sim.link_type`` instead -- a
+subclass with the same slots whose :meth:`send`, :meth:`_serve_queue` and
+:meth:`_deliver` are the C twins of the bodies below (``kernel/_ckernel.c``,
+"native links"; keep the two in sync).  Everything else, dynamics included,
+is inherited from here, and all state stays in these slots.
 """
 
 from __future__ import annotations
@@ -129,8 +136,13 @@ class Link:
         "_loss_rate",
         "_loss_until",
         "_loss_rng",
-        "_native_sim",
     )
+
+    def __new__(cls, sim: "Simulator", *args, **kwargs) -> "Link":
+        native = getattr(sim, "link_type", None)
+        if cls is Link and native is not None:
+            cls = native
+        return object.__new__(cls)
 
     def __init__(
         self,
@@ -190,11 +202,6 @@ class Link:
         self._loss_rate = 0.0
         self._loss_until = 0.0
         self._loss_rng: Optional[random.Random] = None
-        # The inlined event pushes below reach into the Python simulator's
-        # heap/pool internals; a compiled simulator (repro.kernel KernelSim)
-        # exposes the same scheduling API but not those internals, so its
-        # links go through schedule_fast_at instead.
-        self._native_sim = not hasattr(sim, "_pool")
 
     # ------------------------------------------------------------------
     @property
@@ -241,9 +248,6 @@ class Link:
             if deadlines and deliver_at < deadlines[-1]:
                 deliver_at = deadlines[-1]
             deadlines.append(deliver_at)
-        if self._native_sim:
-            sim.schedule_fast_at(deliver_at, self._deliver)
-            return True
         pool = sim._pool
         if pool:
             entry = pool.pop()
@@ -303,14 +307,6 @@ class Link:
             if deadlines and deliver_at < deadlines[-1]:
                 deliver_at = deadlines[-1]
             deadlines.append(deliver_at)
-        if self._native_sim:
-            sim.schedule_fast_at(deliver_at, self._deliver)
-            if not queue._queue:
-                self._serving = False
-            else:
-                self._serve_at = tx_end
-                sim.schedule_fast_at(tx_end, self._serve_queue)
-            return
         pool = sim._pool
         if pool:
             entry = pool.pop()

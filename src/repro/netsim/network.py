@@ -249,10 +249,13 @@ class Network:
     def run(self, duration: float) -> float:
         """Run the simulation for ``duration`` seconds (from the current time).
 
-        When the compiled kernel is active and the whole window is
-        expressible natively (static links, single-path TCP, tag/static
-        routing -- see :mod:`repro.kernel.pipeline`), the run bypasses the
-        Python event loop entirely; results are byte-identical either way.
+        When the compiled kernel is active the links built in
+        :meth:`_build` are ``KernelSim.link_type``, so forwarding, drop-tail
+        queueing and host dispatch run in C for every scene; when the whole
+        window is also expressible natively (static links, single-path TCP,
+        tag/static routing -- see :mod:`repro.kernel.pipeline`), the run
+        bypasses the event loop entirely.  Results are byte-identical
+        either way.
         """
         until = self.sim.now + duration
         from ..kernel import maybe_run_network  # lazy: kernel builds on first use

@@ -507,29 +507,36 @@ class TcpSender:
         self._try_send()
 
     def _apply_sack(self, blocks) -> None:
+        """SACK scoreboard update plus FACK-style loss inference, in one pass.
+
+        ``_seg_queue`` is in ascending ``seq`` order, so nothing beyond the
+        highest SACKed end can be SACKed or inferred lost: a segment inside
+        a block is SACKed, an unSACKed one wholly below the highest SACKed
+        end is lost.
+        """
         if not blocks:
             return
-        for start, end in blocks:
-            for seq, info in self._segments.items():
-                if info.sacked:
-                    continue
-                if seq >= start and seq + info.length <= end:
+        highest_sacked_end = max(end for _, end in blocks)
+        for info in self._seg_queue:
+            seq = info.seq
+            if seq > highest_sacked_end:
+                break
+            if info.sacked:
+                continue
+            seg_end = seq + info.length
+            for start, end in blocks:
+                if seq >= start and seg_end <= end:
                     info.sacked = True
                     self._sacked_bytes += info.length
                     if info.lost_pending:
                         info.lost_pending = False
                         self._lost_pending_bytes -= info.length
-        self._mark_lost_segments(max(end for _, end in blocks))
-
-    def _mark_lost_segments(self, highest_sacked_end: int) -> None:
-        """FACK-style loss inference: unSACKed bytes below the highest SACK block."""
-        for seq, info in self._segments.items():
-            if info.sacked or info.lost:
-                continue
-            if seq + info.length <= highest_sacked_end:
-                info.lost = True
-                info.lost_pending = True
-                self._lost_pending_bytes += info.length
+                    break
+            else:
+                if not info.lost and seg_end <= highest_sacked_end:
+                    info.lost = True
+                    info.lost_pending = True
+                    self._lost_pending_bytes += info.length
 
     def _sacked_above_una(self) -> int:
         return self._sacked_bytes

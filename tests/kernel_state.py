@@ -3,10 +3,12 @@
 "Byte-identical under both kernels" means :func:`snapshot` compares equal:
 clock and event accounting, pending events with their ``(time, seq)``,
 transport state (window, segments, RTT, congestion control, recovery,
-receiver buffer), link/queue/node stats, the fields of queued and in-flight
-packets, and capture rows.  Caches (hop caches, route memos), packet ids and
-allocator pools (engine free list, packet pool) are deliberately absent: no
-result can see them and the compiled kernel does not reproduce them.
+receiver buffer), link/queue/node stats, a link's dynamics state (up,
+impaired, dynamic mode, delivery deadlines), the fields of queued and
+in-flight packets, and capture rows.  Caches (hop caches, route memos),
+packet ids and allocator pools (engine free list, packet pool) are
+deliberately absent: no result can see them and the compiled kernel does not
+reproduce them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ def packet_fields(p) -> list:
     return [p.src, p.dst, p.size, p.tag, p.flow_id, p.subflow_id, p.seq,
             p.payload_len, p.is_ack, p.ack, p.dsn, p.dack,
             p.is_retransmission, list(map(list, p.sack_blocks)), p.ts_echo,
-            p.created_at, p.enqueued_at, p.hops]
+            p.created_at, p.enqueued_at, p.hops, int(p.ecn)]
 
 
 def sender_state(snd) -> dict:
@@ -85,6 +87,8 @@ def snapshot(network, connections, captures) -> dict:
             f"{a}->{b}": {
                 "busy_until": link._busy_until, "serving": link._serving,
                 "serve_at": link._serve_at,
+                "dynamics": [link.up, link._impaired, link._dynamic,
+                             list(link._deadlines)],
                 "stats": [link.stats.packets_sent, link.stats.bytes_sent,
                           link.stats.packets_dropped, link.stats.busy_time],
                 "qstats": link.queue.stats.as_dict(),

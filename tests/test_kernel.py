@@ -106,13 +106,17 @@ class TestKernelFacade:
 
     def test_kernel_info_shape(self):
         info = kernel.kernel_info()
-        assert set(info) == {"mode", "kernel", "compiled_reason", "extension"}
+        assert set(info) == {"mode", "kernel", "compiled_reason", "extension",
+                             "link_handlers", "link_handlers_reason"}
         assert info["kernel"] in ("compiled", "python")
+        # Link handlers are native exactly when the kernel is compiled.
+        assert info["link_handlers"] == {"compiled": "native", "python": "python"}[info["kernel"]]
+        assert info["link_handlers_reason"]
 
     def test_python_mode_reports_disabled(self):
         with kernel.override("python"):
             info = kernel.kernel_info()
-        assert info["kernel"] == "python"
+        assert info["kernel"] == info["link_handlers"] == "python"
         assert info["extension"] is None
 
     @needs_compiled
@@ -200,6 +204,21 @@ class TestRunObjectGraphIsCollectable:
         connection.start(at=0.0)
         network.run(0.2)
         assert network.sim.pending_events > 0
+        ref = weakref.ref(network)
+        del network, connection
+        gc.collect()
+        assert ref() is None
+
+    def test_pending_link_events_are_collected(self, each_kernel):
+        # On KernelSim a pending delivery owns its link directly, with no
+        # bound method in between: link -> sim -> heap entry -> link.
+        network = micro_network()
+        connection = TcpConnection(network, "s", "d", cc="cubic", tag=1, flow_id=7)
+        connection.start(0.0)
+        network.sim.run(until=0.2)
+        assert any(link._in_flight for link in network.links.values())
+        if each_kernel == "compiled":
+            assert network.sim.events_native > 0
         ref = weakref.ref(network)
         del network, connection
         gc.collect()

@@ -1,0 +1,427 @@
+"""Tier-boundary tests for the compiled kernel's native link events.
+
+On a ``KernelSim`` every link is ``KernelSim.link_type``: ``send``,
+``_serve_queue`` and ``_deliver`` run in C and call Python only where the
+Python bodies call something they do not define -- an agent, a capture tap,
+an AQM queue, an impaired link's admission, an overridden ``receive``, a
+routing miss.  Each scene here crosses one of those boundaries mid-run and
+must leave the observable state (:func:`tests.kernel_state.snapshot`, or the
+result JSON for whole experiments) that the Python kernel leaves.
+
+Every test runs under ``each_kernel`` and compares against a reference
+computed on the Python kernel, so the ``python`` leg pins determinism and the
+``compiled`` leg pins equivalence.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro import kernel
+from repro.errors import SimulationError
+from repro.experiments import run_experiment, run_multiflow
+from repro.experiments.scenarios import (
+    aqm_vs_droptail,
+    ecn_mptcp_fairness,
+    link_flap_failover,
+    mptcp_vs_tcp_shared_bottleneck,
+)
+from repro.netsim.engine import make_simulator
+from repro.netsim.link import Link
+from repro.netsim.network import Network
+from repro.netsim.node import Host, Router
+from repro.netsim.packet import Packet
+from repro.netsim.queues import DropTailQueue
+from repro.netsim.routing import TagRoutingTable
+from repro.netsim.topology import Topology
+from repro.tcp.connection import TcpConnection
+from tests.kernel_state import snapshot
+from tests.test_kernel import run_micro
+
+
+def line_network(queue_kind: str = "droptail", queue_packets: int = 20) -> Network:
+    """s -- r -- d with the bottleneck (and so the queue) on r -> d."""
+    topology = Topology("line")
+    topology.add_host("s")
+    topology.add_host("d")
+    topology.add_router("r")
+    topology.add_link("s", "r", 100.0, 0.001, 100)
+    topology.add_link("r", "d", 20.0, 0.002, queue_packets, queue_kind)
+    network = Network(topology)
+    network.install_path(["s", "r", "d"], tag=1, as_default=True)
+    return network
+
+
+class Scene:
+    """One network with TCP flows s -> d, run on the event loop directly.
+
+    ``sim.run`` rather than ``Network.run``: these scenes are about link
+    events under Python handlers, not about the whole-window bypass.
+    """
+
+    def __init__(self, mode: str, *, flows: int = 1, ecn: bool = False, **line) -> None:
+        self.mode = mode
+        with kernel.override(mode):
+            self.network = line_network(**line)
+            self.capture = self.network.attach_capture("d", data_only=False)
+            self.connections = [
+                TcpConnection(self.network, "s", "d", cc="cubic", tag=1, flow_id=7 + i,
+                              subflow_id=i, ecn=ecn)
+                for i in range(flows)
+            ]
+            for connection in self.connections:
+                connection.start(0.0)
+        self.sim = self.network.sim
+        self.bottleneck = self.network.link("r", "d")
+
+    def run(self, until: float, **kwargs) -> "Scene":
+        with kernel.override(self.mode):
+            self.sim.run(until=until, **kwargs)
+        return self
+
+    def state(self) -> dict:
+        return snapshot(self.network, self.connections, [self.capture])
+
+
+def both(each_kernel: str, script, **scene_options) -> Scene:
+    """Run ``script(scene)`` on this leg's kernel and on the Python reference;
+    assert the two states equal and return this leg's scene."""
+    scenes = []
+    for mode in (each_kernel, "python"):
+        scene = Scene(mode, **scene_options)
+        script(scene)
+        scenes.append(scene)
+    assert scenes[0].state() == scenes[1].state()
+    if each_kernel == "compiled":
+        assert type(scenes[0].bottleneck) is scenes[0].sim.link_type
+        assert 0 < scenes[0].sim.events_native <= scenes[0].sim.events_processed
+    else:
+        assert type(scenes[0].bottleneck) is Link
+    return scenes[0]
+
+
+class TestLinkTypeSelection:
+    def test_link_constructor_picks_the_simulators_link_type(self, each_kernel):
+        sim = make_simulator()
+        routing = TagRoutingTable()
+        a, b = Host("a", sim, routing), Host("b", sim, routing)
+        link = Link(sim, a, b, rate_bps=1e6, delay=0.001)
+        assert isinstance(link, Link) and isinstance(link.queue, DropTailQueue)
+        if each_kernel == "compiled":
+            assert type(link) is sim.link_type is not Link
+            assert not hasattr(link, "__dict__")
+            assert type(link).send is not Link.send
+        else:
+            assert type(link) is Link and not hasattr(sim, "link_type")
+
+    def test_native_link_rejects_what_it_cannot_read(self, each_kernel):
+        if each_kernel != "compiled":
+            pytest.skip("the Python link is duck-typed")
+        link = line_network().link("s", "r")
+        with pytest.raises(TypeError, match="packet must be a"):
+            link.send(object())
+        del link.stats
+        with pytest.raises(AttributeError, match="stats"):
+            link.send(Packet("s", "d", 100))
+
+
+class TestDynamicsMidRun:
+    """A link goes dynamic at t > 0 with packets in flight and queued."""
+
+    def test_rate_down_then_up(self, each_kernel):
+        def script(scene):
+            scene.sim.schedule_at(0.30, scene.network.set_link_rate, "r", "d", 5.0)
+            scene.sim.schedule_at(0.55, scene.network.set_link_rate, "r", "d", 40.0)
+            scene.run(0.30)
+            assert scene.bottleneck._in_flight and scene.bottleneck.queue._queue
+            scene.run(0.8)
+
+        scene = both(each_kernel, script)
+        assert scene.bottleneck._dynamic and scene.bottleneck.rate_bps == 40e6
+
+    def test_delay_cut_never_reorders(self, each_kernel):
+        # 2 ms -> 0.2 ms is more than a serialisation time (0.6 ms): packets
+        # sent after the cut would overtake those on the wire without the
+        # non-decreasing deadline clamp.
+        def script(scene):
+            scene.sim.schedule_at(0.30, scene.network.set_link_delay, "r", "d", 0.0002)
+            scene.run(0.30)
+            scene.before = len(scene.capture.records)
+            scene.run(0.6)
+
+        scene = both(each_kernel, script)
+        times = [r.time for r in scene.capture.records]
+        assert times == sorted(times) and len(times) > scene.before
+        seqs = [r.seq for r in scene.capture.records[scene.before:scene.before + 20]]
+        assert seqs == sorted(seqs)
+
+    def test_down_parked_then_up(self, each_kernel):
+        def script(scene):
+            scene.sim.schedule_at(0.30, lambda: scene.network.set_link_down(
+                "r", "d", bidirectional=False, flush="park"))
+            scene.sim.schedule_at(0.45, lambda: scene.network.set_link_up(
+                "r", "d", bidirectional=False))
+            scene.run(0.40)
+            assert not scene.bottleneck.up and scene.bottleneck.queue._queue
+            scene.run(1.0)
+
+        scene = both(each_kernel, script)
+        assert scene.bottleneck.up and scene.bottleneck.stats.packets_dropped > 0
+
+    def test_seeded_loss_burst(self, each_kernel):
+        def script(scene):
+            scene.sim.schedule_at(0.30, lambda: scene.network.start_loss_burst(
+                "r", "d", 0.2, 0.3, seed=11))
+            scene.run(0.9)
+
+        scene = both(each_kernel, script)
+        assert scene.bottleneck.stats.packets_dropped > 0
+        assert not scene.bottleneck._impaired  # cleared lazily by a later send
+
+
+class TestServeChainEdges:
+    """Branches of ``_serve_queue`` no schedule reaches: state is set by hand,
+    identically on both kernels."""
+
+    def test_live_serve_event_rearms_past_a_moved_busy_until(self, each_kernel):
+        def script(scene):
+            scene.run(0.30)
+            link = scene.bottleneck
+            assert link._serving and link.queue._queue
+            link._go_dynamic()
+            link._busy_until += 0.001  # as a re-plan of the in-service packet would
+            scene.run(0.6)
+
+        both(each_kernel, script)
+
+    def test_queue_drained_elsewhere_ends_the_serve_chain(self, each_kernel):
+        def script(scene):
+            scene.run(0.30)
+            queue = scene.bottleneck.queue
+            assert scene.bottleneck._serving and queue._queue
+            # Nothing new may arrive before the pending serve event fires.
+            scene.network.set_link_down("s", "r", bidirectional=False)
+            upstream = scene.network.link("s", "r")
+            upstream._in_flight.clear()
+            upstream._deadlines.clear()
+            queue._queue.clear()
+            queue._bytes = 0
+            scene.run(0.31)
+            assert not scene.bottleneck._serving
+            scene.network.set_link_up("s", "r", bidirectional=False)
+            scene.run(1.2)
+
+        scene = both(each_kernel, script)
+        assert scene.connections[0].sender.stats.retransmissions > 0
+
+
+class TestPolicyStaysPython:
+    @pytest.mark.parametrize("queue_kind", ["red", "codel"])
+    def test_aqm_queue_verdicts(self, each_kernel, queue_kind):
+        scene = both(each_kernel, lambda scene: scene.run(1.0),
+                     queue_kind=queue_kind, queue_packets=40, ecn=True)
+        stats = scene.bottleneck.queue.stats
+        assert stats.ecn_marks + stats.early_drops > 0 and stats.queue_delay_sum > 0
+
+    def test_plain_function_tap_beside_a_packet_capture(self, each_kernel):
+        seen = {}
+
+        def script(scene):
+            rows = seen.setdefault(scene.mode + str(len(seen)), [])
+            scene.network.host("d").add_capture(
+                lambda packet, now: rows.append((now, packet.seq, packet.hops)))
+            scene.run(0.4)
+
+        scene = both(each_kernel, script)
+        first, second = seen.values()
+        assert first == second and len(first) == len(scene.capture.records)
+
+    def test_two_agents_and_an_unknown_flow(self, each_kernel):
+        def script(scene):
+            stray = Packet("s", "d", 200, tag=1, flow_id=999)
+            scene.sim.schedule_at(0.2, scene.network.host("s").send, stray)
+            scene.run(0.5)
+
+        scene = both(each_kernel, script, flows=2)
+        host = scene.network.host("d")
+        assert host._sole_agent is None and len(host._agents) == 2
+        assert all(c.receiver.stats.bytes_received > 0 for c in scene.connections)
+        assert host.stats.delivered == len(scene.capture.records)
+
+    def test_sole_agent_ignores_its_flows_other_subflows(self, each_kernel):
+        def script(scene):
+            stray = Packet("s", "d", 200, tag=1, flow_id=7, subflow_id=3, seq=10**9)
+            scene.sim.schedule_at(0.2, scene.network.host("s").send, stray)
+            scene.run(0.4)
+
+        scene = both(each_kernel, script)
+        host = scene.network.host("d")
+        assert host._sole_agent is scene.connections[0].receiver
+        assert host.stats.delivered == scene.connections[0].receiver.stats.segments_received + 1
+
+    def test_install_path_bumps_the_routing_version(self, each_kernel):
+        def script(scene):
+            scene.sim.schedule_at(0.25, scene.network.install_path, ["s", "r", "d"], 5)
+            scene.run(0.25)
+            scene.hits_before = scene.network.node("r").stats.forwarded
+            scene.run(0.5)
+
+        scene = both(each_kernel, script)
+        router = scene.network.node("r")
+        assert router._hop_version == scene.network.routing.version > 1
+        assert router.stats.forwarded > scene.hits_before
+
+    def test_overridden_receive_is_called_not_fused(self, each_kernel):
+        class CountingRouter(Router):
+            __slots__ = ("seen",)
+
+            def receive(self, packet, link=None):
+                self.seen.append((packet.seq, link.name))
+                super().receive(packet, link)
+
+        def chain(mode):
+            with kernel.override(mode):
+                sim = make_simulator()
+                routing = TagRoutingTable()
+                routing.install_path(["s", "r", "d"], 1)
+                s, d = Host("s", sim, routing), Host("d", sim, routing)
+                r = CountingRouter("r", sim, routing)
+                r.seen = []
+                for a, b in ((s, r), (r, d)):
+                    a.attach_link(Link(sim, a, b, rate_bps=1e7, delay=0.001))
+                got = []
+                d.add_capture(lambda packet, now: got.append((now, packet.seq, packet.hops)))
+                for seq in range(5):
+                    sim.schedule_at(seq * 1e-4, s.send, Packet("s", "d", 1000, tag=1, seq=seq))
+                sim.run()
+                stats = [(n.stats.received, n.stats.forwarded, n.stats.delivered)
+                         for n in (s, r, d)]
+                return r.seen, got, stats, sim.events_processed, sim._seq
+
+        assert chain(each_kernel) == chain("python")
+        assert len(chain(each_kernel)[0]) == 5
+
+
+class TestRunLoopContract:
+    def test_raising_handler_leaves_a_reusable_simulator(self, each_kernel):
+        class Boom(RuntimeError):
+            pass
+
+        errors = []
+
+        def script(scene):
+            original = scene.connections[0].receiver.handle_packet
+            calls = []
+
+            def flaky(packet):
+                calls.append(packet.seq)
+                if len(calls) == 40:
+                    raise Boom(f"segment {packet.seq} at t={scene.sim.now}")
+                original(packet)
+
+            host = scene.network.host("d")
+            host.unregister_agent(7, 0)
+            host.register_agent(7, 0, type("Agent", (), {"handle_packet": staticmethod(flaky)})())
+            with pytest.raises(Boom) as caught:
+                scene.run(0.5)
+            errors.append(str(caught.value))
+            assert not scene.sim._running and scene.sim.now < 0.5
+            scene.run(0.5)
+
+        both(each_kernel, script)
+        assert errors[0] == errors[1] and errors[0].startswith("segment ")
+
+    def test_stop_from_inside_handle_packet(self, each_kernel):
+        def script(scene):
+            sender = scene.connections[0].sender
+            original = sender.handle_packet
+            acks = []
+
+            def stopping(packet):
+                original(packet)
+                acks.append(packet.ack)
+                if len(acks) == 25:
+                    scene.sim.stop()
+
+            host = scene.network.host("s")
+            host.unregister_agent(7, 0)
+            host.register_agent(7, 0, type("Agent", (), {"handle_packet": staticmethod(stopping)})())
+            scene.run(0.5)
+            scene.stopped_at = scene.sim.now
+            assert scene.stopped_at < 0.5 and scene.sim.pending_events
+            scene.run(0.5)
+
+        both(each_kernel, script)
+
+    def test_max_events_lands_between_a_deliver_and_its_serve(self, each_kernel):
+        # One event per run() call, both kernels in lockstep: wherever the
+        # budget runs out -- a delivery made, its link's serve still pending
+        # -- the states agree.
+        scenes = [Scene(each_kernel).run(0.2), Scene("python").run(0.2)]
+        between = 0
+        for _ in range(80):
+            for scene in scenes:
+                scene.run(None, max_events=1)
+            assert scenes[0].state() == scenes[1].state()
+            pending = {name for _t, _s, name, owner, _f in scenes[0].state()["heap"]
+                       if owner == "r->d"}
+            between += pending == {"Link._deliver", "Link._serve_queue"}
+        assert between and scenes[0].sim.now < 0.3
+
+    def test_nan_times_are_rejected_and_inf_parks(self, each_kernel):
+        sim = make_simulator()
+        fired = []
+        for name in ("schedule", "schedule_at", "schedule_fast", "schedule_fast_at"):
+            with pytest.raises(SimulationError, match="NaN time .got nan"):
+                getattr(sim, name)(float("nan"), fired.append, name)
+        sim.schedule_fast_at(float("inf"), fired.append, "parked")
+        sim.schedule_fast(1.0, fired.append, "one")
+        assert sim.run(until=3.0) == 3.0 and fired == ["one"]
+        assert sim.pending_events == 1
+
+
+class TestWholeExperiments:
+    """MPTCP, AQM/ECN and link-flap scenes: the result JSON is the contract."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: mptcp_vs_tcp_shared_bottleneck(duration=0.6),
+        lambda: aqm_vs_droptail(queue_kind="red", ecn=True, duration=0.6),
+        lambda: ecn_mptcp_fairness(queue_kind="codel", congestion_control_a="sfc",
+                                   congestion_control_b="telehaptic", duration=0.6),
+    ], ids=["mptcp-vs-tcp", "red-ecn", "codel-sfc-telehaptic"])
+    def test_multiflow_result_json(self, each_kernel, make):
+        with kernel.override("python"):
+            reference = json.dumps(run_multiflow(make()).summary(), sort_keys=True)
+        assert json.dumps(run_multiflow(make()).summary(), sort_keys=True) == reference
+
+    def test_link_flap_result_json(self, each_kernel):
+        with kernel.override("python"):
+            reference = json.dumps(run_experiment(link_flap_failover(duration=1.0)).summary(),
+                                   sort_keys=True)
+        result = run_experiment(link_flap_failover(duration=1.0))
+        assert json.dumps(result.summary(), sort_keys=True) == reference
+
+
+class TestAfterANativeSceneWindow:
+    def test_second_window_delivers_rebuilt_packets_by_native_events(self, each_kernel):
+        state, outcomes = run_micro(each_kernel, windows=2)
+        assert state == run_micro("python", windows=2)[0]
+        if each_kernel == "compiled":
+            assert outcomes[0] == "native" and outcomes[1] != "native"
+
+    def test_written_back_entries_are_native(self, each_kernel):
+        if each_kernel != "compiled":
+            pytest.skip("the Python heap holds bound methods only")
+        network = line_network()
+        connection = TcpConnection(network, "s", "d", cc="cubic", tag=1, flow_id=7)
+        connection.start(0.0)
+        network.run(0.3)
+        assert network.bypass_outcome == "native"
+        sim = network.sim
+        before = sim.events_native
+        pending = [cb.__qualname__ for _t, _s, cb, _a in sim._export_entries() if cb]
+        assert "Link._deliver" in pending
+        sim.run(until=0.35)
+        assert sim.events_native > before
