@@ -852,6 +852,10 @@ def _command_info(args: argparse.Namespace) -> int:
     else:
         print(f"extension: not loaded ({kernel['compiled_reason']})")
     print(f"links:     {kernel['link_handlers']} handlers ({kernel['link_handlers_reason']})")
+    print(
+        f"transport: {kernel['transport_handlers']} handlers "
+        f"({kernel['transport_handlers_reason']})"
+    )
     if baseline["status"] == "missing":
         print(
             f"baseline:  none recorded for the {kernel['kernel']} kernel "

@@ -38,6 +38,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - not POSIX: appends stay unserialised
+    fcntl = None
+
 from ..errors import ConfigurationError, ModelError
 from ..measure.report import sanitize_metrics
 from ..measure.validation import ValidationReport
@@ -694,6 +699,12 @@ class ResultStore:
         data = (line + "\n").encode("utf-8")
         fd = os.open(str(self.path), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
+            if fcntl is not None:
+                # One appender at a time, check and write together: a tail
+                # without its newline is then a *crashed* writer's fragment,
+                # never a live appender's half-finished write (which the
+                # healing newline below would cut in two).  Released by close.
+                fcntl.flock(fd, fcntl.LOCK_EX)
             if self._tail_is_torn():
                 # Heal a crashed writer's partial line: without this, the next
                 # record would fuse onto the fragment and *both* would be lost.

@@ -460,8 +460,11 @@ def _start_worker(runner: Callable) -> Tuple:
     """Start one worker: the only place this package creates a process."""
     ctx = multiprocessing.get_context()
     if ctx.get_start_method() == "fork":
-        # Every point's validation solves with scipy.optimize (~0.3 s to
-        # import): load it once here and each forked worker inherits it.
+        # Every point builds a Network (networkx, ~0.15 s to import) and its
+        # validation solves with scipy.optimize (~0.3 s): load them once here
+        # and each forked worker inherits them.
+        import networkx  # noqa: F401
+
         try:
             import scipy.optimize  # noqa: F401
         except ImportError:

@@ -11,10 +11,17 @@ The simulator has two interchangeable kernels:
     :class:`~repro.netsim.engine.Simulator`), the link type every link on a
     ``KernelSim`` is built as (``KernelSim.link_type``: forwarding,
     drop-tail queueing and host dispatch run in C for every scene, calling
-    Python for agents, taps, AQM verdicts and overrides) and a whole-window
-    native bypass for :meth:`Network.run` that quiescent single-path TCP
-    scenes take (see :mod:`repro.kernel.pipeline`).  Results are
-    byte-identical to the Python kernel.
+    Python for taps, AQM verdicts and overrides), the agent types every
+    ``TcpSender`` / ``TcpReceiver`` on a ``KernelSim`` is built as
+    (``KernelSim.sender_type`` / ``receiver_type``: ACK clocking, the SACK
+    scoreboard, recovery, the retransmission timer, RTT estimation and packet
+    build/recycle run in C over the Python objects' slots, calling Python
+    for the congestion controller, the data provider and the connection
+    sink) and a whole-window native bypass for :meth:`Network.run` that
+    quiescent single-path TCP scenes take (see :mod:`repro.kernel.pipeline`).
+    The transport exists once in C (``_transport.h``), instantiated for the
+    agent types and for the bypass.  Results are byte-identical to the
+    Python kernel.
 
 Selection is controlled by the ``REPRO_KERNEL`` environment variable:
 
@@ -120,6 +127,14 @@ def kernel_info() -> dict:
         "link_handlers": "native" if compiled else "python",
         "link_handlers_reason": (
             "every Link on a KernelSim is KernelSim.link_type, whose handlers are C"
+            if compiled
+            else f"no compiled kernel: {reason}"
+        ),
+        # Which bodies of TcpSender/TcpReceiver.handle_packet a new scene runs.
+        "transport_handlers": "native" if compiled else "python",
+        "transport_handlers_reason": (
+            "every TcpSender/TcpReceiver on a KernelSim is KernelSim.sender_type/"
+            "receiver_type, whose ACK clocking is C (Python subclasses keep their bodies)"
             if compiled
             else f"no compiled kernel: {reason}"
         ),

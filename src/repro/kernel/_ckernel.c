@@ -1,6 +1,6 @@
 /* Compiled kernel for the repro packet-level simulator.
  *
- * Three layers live in this extension:
+ * Four layers live in this extension (and one template beside it):
  *
  *   KernelSim   -- a drop-in replacement for repro.netsim.engine.Simulator:
  *                  the (time, seq) calendar heap, the schedule/schedule_fast
@@ -14,20 +14,45 @@
  *                  send / _serve_queue / _deliver are C functions, fired
  *                  from heap entries that carry the link and no callable.
  *                  Forwarding, drop-tail queueing and host dispatch execute
- *                  no Python frame; policy (agents, capture taps, AQM
- *                  verdicts, impairment, overrides, routing misses) is
- *                  called from C at the step where it occurs.  State lives
- *                  in the Python objects' __slots__ and nowhere else.
+ *                  no Python frame; policy (capture taps, AQM verdicts,
+ *                  impairment, overrides, routing misses, agents that are
+ *                  not the native ones) is called from C at the step where
+ *                  it occurs.  State lives in the Python objects' __slots__
+ *                  and nowhere else.
+ *
+ *   native transport -- the agent types every scene on a KernelSim runs on:
+ *                  slot-compatible subclasses of repro.tcp.sender.TcpSender
+ *                  and repro.tcp.receiver.TcpReceiver whose handle_packet /
+ *                  _try_send / _fire_rto / _on_rto are C, with the
+ *                  retransmission timer a heap entry that carries the sender
+ *                  and no callable.  ACK clocking, the SACK scoreboard,
+ *                  recovery, RTT estimation and packet build/recycle execute
+ *                  no Python frame; policy (the congestion controller, the
+ *                  data provider, the connection sink, on_idle, a non-stock
+ *                  estimator) is called from C where the Python body calls
+ *                  it.  State lives in the Python objects' __slots__.
  *
  *   Scene       -- a fully native single-path-TCP pipeline: links, queues,
- *                  hosts/routers, TCP senders/receivers (SACK, fast
- *                  recovery, RTO, CUBIC/Reno) and packet captures, driven by
- *                  an internal event heap without touching a single Python
- *                  object per event.  repro.kernel.pipeline imports eligible
- *                  network states into a Scene, runs it, and copies the
- *                  observable state back (stats, transport state, packet
- *                  fields, pending events -- not caches, packet ids or
- *                  allocator pools; the contract is in pipeline.py).
+ *                  hosts/routers, TCP senders/receivers (CUBIC/Reno) and
+ *                  packet captures, driven by an internal event heap without
+ *                  touching a single Python object per event.
+ *                  repro.kernel.pipeline imports eligible network states
+ *                  into a Scene, runs it, and copies the observable state
+ *                  back (stats, transport state, packet fields, pending
+ *                  events -- not caches, packet ids or allocator pools; the
+ *                  contract is in pipeline.py).
+ *
+ *   _transport.h -- the TCP transport itself, written once: every sender
+ *                  and receiver body (rtt_update, emit, retransmit,
+ *                  retransmit_next_hole, arm_rto, try_send, sample_rtt,
+ *                  apply_sack, enter/exit_fast_recovery, on_new_ack,
+ *                  on_dupack, sender_handle, back_off, on_rto, fire_rto,
+ *                  deliver, drain_buffer, receiver_handle) is shared.  This
+ *                  file includes it twice: as slot_* behind the native
+ *                  transport's accessor layer (state in Python slots) and as
+ *                  scn_* behind the Scene's (state in CSender / CRecv).
+ *                  Only sack_blocks(), which both layers call to build an
+ *                  ACK, and the accessor layers themselves live here.
  *
  * Byte-identity ground rules (keep in sync with the Python modules):
  *   - every float expression copies the Python operation order verbatim;
@@ -88,31 +113,44 @@ gc_call(const char *name)
 /* ------------------------------------------------------------------ errors */
 
 static PyObject *SimulationErrorType = NULL;
+static PyObject *ProtocolErrorType = NULL;
 
 static int
 load_error_types(void)
 {
-    if (SimulationErrorType != NULL)
+    if (ProtocolErrorType != NULL)
         return 0;
     PyObject *mod = PyImport_ImportModule("repro.errors");
     if (mod == NULL)
         return -1;
-    SimulationErrorType = PyObject_GetAttrString(mod, "SimulationError");
+    Py_XSETREF(SimulationErrorType, PyObject_GetAttrString(mod, "SimulationError"));
+    if (SimulationErrorType != NULL)
+        ProtocolErrorType = PyObject_GetAttrString(mod, "ProtocolError");
     Py_DECREF(mod);
-    return SimulationErrorType == NULL ? -1 : 0;
+    return ProtocolErrorType == NULL ? -1 : 0;
+}
+
+/* Raise *type (a repro.errors class) with msg, which is stolen. */
+static void
+raise_error_obj(PyObject **type, PyObject *msg)
+{
+    if (msg != NULL && load_error_types() == 0)
+        PyErr_SetObject(*type, msg);
+    Py_XDECREF(msg);
 }
 
 static void
 raise_sim_error_obj(PyObject *msg)
 {
-    if (msg == NULL)
-        return;
-    if (load_error_types() < 0) {
-        Py_DECREF(msg);
-        return;
-    }
-    PyErr_SetObject(SimulationErrorType, msg);
-    Py_DECREF(msg);
+    raise_error_obj(&SimulationErrorType, msg);
+}
+
+/* The transport bodies' `raise ProtocolError(...)`; always -1. */
+static int
+raise_protocol_error(PyObject *msg)
+{
+    raise_error_obj(&ProtocolErrorType, msg);
+    return -1;
 }
 
 /* ------------------------------------------------------------- KernelEvent */
@@ -210,14 +248,17 @@ typedef struct {
     PyObject *args;             /* owned tuple when nargs == -1 */
     PyObject *a[KSIM_INLINE_ARGS]; /* owned inline args when nargs >= 0 */
     int nargs;                  /* -1: use args tuple; >= 0: inline count;
-                                   KN_*: native entry, cb is the link */
+                                   KN_*: native entry, cb is the link or
+                                   the sender */
     KernelEventObject *handle;  /* owned, may be NULL */
 } KEntry;
 
-/* Native entry kinds (the "native links" section below): the link's
- * _deliver / _serve_queue body runs in C, no callable is stored. */
+/* Native entry kinds (the "native links" and "native transport" sections
+ * below): a link's _deliver / _serve_queue or a sender's _fire_rto body
+ * runs in C, no callable is stored. */
 #define KN_DELIVER (-2)
 #define KN_SERVE (-3)
+#define KN_RTO (-4)
 
 typedef struct {
     PyObject_HEAD
@@ -366,15 +407,18 @@ ksim_dealloc(KernelSimObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* The "native links" section below. */
-static int native_kind(PyObject *cb, PyObject **link);
-static int nl_deliver(PyObject *link);
-static int nl_serve(PyObject *link);
+/* The "native links" and "native transport" sections below. */
+static int native_kind(PyObject *cb, PyObject **owner);
+static int native_fire(int kind, PyObject *owner);
+static const char *native_method(int kind);
 static PyObject *ksim_get_link_type(PyObject *self, void *closure);
+static PyObject *ksim_get_sender_type(PyObject *self, void *closure);
+static PyObject *ksim_get_receiver_type(PyObject *self, void *closure);
 
 /* Shared push: builds the entry from (t, seq, callback, args...) and pushes
- * it.  A bound _deliver / _serve_queue of a native link becomes a native
- * entry.  make_handle: return a KernelEvent or None. */
+ * it.  A bound _deliver / _serve_queue of a native link, or _fire_rto of a
+ * native sender, becomes a native entry.  make_handle: return a KernelEvent
+ * or None. */
 static PyObject *
 ksim_push_event(KernelSimObject *self, double t, int64_t seq, PyObject *cb,
                 PyObject *const *extra, Py_ssize_t nextra, int make_handle)
@@ -569,7 +613,7 @@ ksim_run(KernelSimObject *self, PyObject *args, PyObject *kwds)
         self->now = e.t;
         int failed;
         if (e.nargs < -1) {
-            failed = (e.nargs == KN_DELIVER ? nl_deliver(e.cb) : nl_serve(e.cb)) < 0;
+            failed = native_fire(e.nargs, e.cb) < 0;
             native += !failed;
         }
         else {
@@ -656,8 +700,7 @@ ksim_export_entries(KernelSimObject *self, PyObject *Py_UNUSED(ignored))
         else if (e->nargs < -1) {
             /* Native entries read as the bound method they stand for, so
              * pending events compare equal across kernels. */
-            cb = PyObject_GetAttrString(
-                e->cb, e->nargs == KN_DELIVER ? "_deliver" : "_serve_queue");
+            cb = PyObject_GetAttrString(e->cb, native_method(e->nargs));
             tup_args = cb == NULL ? NULL : PyTuple_New(0);
         }
         else {
@@ -774,6 +817,12 @@ static PyGetSetDef ksim_getset[] = {
      "Always 0: the compiled heap stores entries by value.", NULL},
     {"link_type", ksim_get_link_type, NULL,
      "The Link subclass whose handlers run in C; Link(sim, ...) selects it.", NULL},
+    {"sender_type", ksim_get_sender_type, NULL,
+     "The TcpSender subclass whose ACK clocking runs in C; TcpSender(host, ...) selects it.",
+     NULL},
+    {"receiver_type", ksim_get_receiver_type, NULL,
+     "The TcpReceiver subclass whose handle_packet runs in C; TcpReceiver(host, ...) selects it.",
+     NULL},
     {"_running", (getter)ksim_get_running, NULL, NULL, NULL},
     {"_stopped", (getter)ksim_get_stopped, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
@@ -813,8 +862,10 @@ static PyTypeObject KernelSimType = {
  * and calls Python wherever the twin calls something it does not define.
  */
 
+/* The link layer's classes, then (from T_SENDER) the transport's: the two
+ * halves bind separately, each on the first use of its native type. */
 enum { T_LINK, T_LSTATS, T_NODE, T_NSTATS, T_HOST, T_PACKET, T_QUEUE, T_QSTATS,
-       T_DROPTAIL, T_COUNT };
+       T_DROPTAIL, T_SENDER, T_SSTATS, T_SEG, T_RTT, T_RECV, T_RSTATS, T_COUNT };
 
 static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     {"repro.netsim.link", "Link"}, {"repro.netsim.link", "LinkStats"},
@@ -822,6 +873,9 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     {"repro.netsim.node", "Host"}, {"repro.netsim.packet", "Packet"},
     {"repro.netsim.queues", "Queue"}, {"repro.netsim.queues", "QueueStats"},
     {"repro.netsim.queues", "DropTailQueue"},
+    {"repro.tcp.sender", "TcpSender"}, {"repro.tcp.sender", "SenderStats"},
+    {"repro.tcp.sender", "_SegmentInfo"}, {"repro.tcp.rtt", "RttEstimator"},
+    {"repro.tcp.receiver", "TcpReceiver"}, {"repro.tcp.receiver", "ReceiverStats"},
 };
 
 #define NL_SLOTS(X)                                                         \
@@ -843,14 +897,58 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     X(QSTATS, enqueued) X(QSTATS, dequeued) X(QSTATS, dropped)              \
     X(QSTATS, bytes_enqueued) X(QSTATS, bytes_dropped) X(QSTATS, max_depth)
 
+/* What the transport reads on top of that ("native transport" below). */
+#define NT_SLOTS(X)                                                         \
+    X(SENDER, host) X(SENDER, sim) X(SENDER, _host_send)                    \
+    X(SENDER, _route_enabled) X(SENDER, _route_key) X(SENDER, _route_link)  \
+    X(SENDER, _route_version) X(SENDER, dst) X(SENDER, flow_id)             \
+    X(SENDER, subflow_id) X(SENDER, cc) X(SENDER, data_provider)            \
+    X(SENDER, tag) X(SENDER, mss) X(SENDER, ecn) X(SENDER, rtt)             \
+    X(SENDER, stats) X(SENDER, snd_una) X(SENDER, snd_nxt)                  \
+    X(SENDER, _segments) X(SENDER, _seg_queue) X(SENDER, _sacked_bytes)     \
+    X(SENDER, _lost_pending_bytes) X(SENDER, _dupacks)                      \
+    X(SENDER, _in_fast_recovery) X(SENDER, _recover) X(SENDER, _ecn_recover) \
+    X(SENDER, _rto_event) X(SENDER, _rto_deadline) X(SENDER, _rto_fire_at)  \
+    X(SENDER, _rto_backoff) X(SENDER, closed) X(SENDER, path_down)          \
+    X(SENDER, on_idle)                                                      \
+    X(SSTATS, segments_sent) X(SSTATS, bytes_sent) X(SSTATS, bytes_acked)   \
+    X(SSTATS, retransmissions) X(SSTATS, fast_retransmits)                  \
+    X(SSTATS, timeouts) X(SSTATS, dupacks) X(SSTATS, ecn_echoes)            \
+    X(SEG, seq) X(SEG, length) X(SEG, dsn) X(SEG, sent_at)                  \
+    X(SEG, retransmitted) X(SEG, sacked) X(SEG, lost) X(SEG, lost_pending)  \
+    X(SEG, retx_in_recovery)                                                \
+    X(RTT, alpha) X(RTT, beta) X(RTT, min_rto) X(RTT, max_rto) X(RTT, srtt) \
+    X(RTT, rttvar) X(RTT, min_rtt) X(RTT, latest_rtt) X(RTT, samples)       \
+    X(RTT, _rto)                                                            \
+    X(RECV, host) X(RECV, sim) X(RECV, _host_send) X(RECV, _route_enabled)  \
+    X(RECV, _route_key) X(RECV, _route_link) X(RECV, _route_version)        \
+    X(RECV, peer) X(RECV, flow_id) X(RECV, subflow_id) X(RECV, tag)         \
+    X(RECV, connection_sink) X(RECV, ack_size) X(RECV, stats)               \
+    X(RECV, rcv_nxt) X(RECV, _out_of_order) X(RECV, _last_dack)             \
+    X(RSTATS, segments_received) X(RSTATS, bytes_received)                  \
+    X(RSTATS, duplicates) X(RSTATS, out_of_order) X(RSTATS, acks_sent)      \
+    X(RSTATS, ce_received)                                                  \
+    X(PACKET, packet_id) X(PACKET, src) X(PACKET, protocol) X(PACKET, seq)  \
+    X(PACKET, payload_len) X(PACKET, is_ack) X(PACKET, ack) X(PACKET, dsn)  \
+    X(PACKET, dack) X(PACKET, is_retransmission) X(PACKET, sack_blocks)     \
+    X(PACKET, ts_echo) X(PACKET, created_at) X(PACKET, ecn)                 \
+    X(PACKET, _poolable)
+
 #define NL_ENUM(T, name) O_##T##_##name,
 #define NL_ROW(T, name) {T_##T, #name},
-enum { NL_SLOTS(NL_ENUM) O_COUNT };
-static const struct { int type; const char *name; } NL_SLOT_TABLE[O_COUNT] = {NL_SLOTS(NL_ROW)};
+enum { NL_SLOTS(NL_ENUM) O_LINK_COUNT, O_LINK_LAST = O_LINK_COUNT - 1,
+       NT_SLOTS(NL_ENUM) O_COUNT };
+static const struct { int type; const char *name; } NL_SLOT_TABLE[O_COUNT] = {
+    NL_SLOTS(NL_ROW) NT_SLOTS(NL_ROW)
+};
 
 #define NL_NAMES(X)                                                         \
     X(append) X(popleft) X(send) X(dequeue) X(handle_packet) X(version)     \
-    X(now) X(_queue) X(_admit_impaired) X(_deliver_locally)
+    X(now) X(_queue) X(_admit_impaired) X(_deliver_locally)                 \
+    /* the transport's */                                                   \
+    X(cwnd) X(mss) X(in_slow_start) X(on_ack) X(on_loss) X(on_ecn)          \
+    X(on_timeout) X(request_data) X(on_data_acked) X(on_subflow_data)       \
+    X(update) X(samples) X(srtt) X(_rto) X(cancel) X(get) X(tcp)
 
 #define NL_NAME_MEMBER(name) PyObject *s_##name;
 static struct {
@@ -858,7 +956,19 @@ static struct {
     Py_ssize_t off[O_COUNT];        /* slot offsets inside their instances */
     PyTypeObject *link_type;        /* the subclass of Link defined here */
     PyObject *droptail_enqueue;     /* DropTailQueue.enqueue, the function */
+    PyTypeObject *deque_type;       /* collections.deque and its two */
+    PyObject *deque_append;         /*   method descriptors every hop uses */
+    PyObject *deque_popleft;
     PyObject *one;
+    /* native transport */
+    PyTypeObject *sender_type;      /* the subclasses of TcpSender and */
+    PyTypeObject *receiver_type;    /*   TcpReceiver defined here */
+    PyObject *packet_pool;          /* repro.netsim.packet._pool and its */
+    PyObject *pool_pop;             /*   bound pop / append */
+    PyObject *pool_append;
+    PyObject *packet_counter;       /* repro.netsim.packet._packet_counter */
+    int64_t header_size;            /* repro.units.HEADER_SIZE */
+    PyObject *two, *empty, *f_zero, *f_minus_one;
     NL_NAMES(NL_NAME_MEMBER)
 } NL;
 
@@ -942,6 +1052,26 @@ nl_done(PyObject *res)
     return 0;
 }
 
+/* deque.append / deque.popleft through the method descriptors resolved in
+ * nl_bind (no lookup by name per hop); any other container gets the call. */
+static int
+nl_append(PyObject *container, PyObject *item)
+{
+    if (PyObject_TypeCheck(container, NL.deque_type)) {
+        PyObject *argv[2] = {container, item};
+        return nl_done(PyObject_Vectorcall(NL.deque_append, argv, 2, NULL));
+    }
+    return nl_done(PyObject_CallMethodOneArg(container, NL.s_append, item));
+}
+
+static PyObject *
+nl_popleft(PyObject *container)
+{
+    if (PyObject_TypeCheck(container, NL.deque_type))
+        return PyObject_Vectorcall(NL.deque_popleft, &container, 1, NULL);
+    return PyObject_CallMethodNoArgs(container, NL.s_popleft);
+}
+
 static KernelSimObject *
 nl_sim(PyObject *link)
 {
@@ -1002,7 +1132,7 @@ nl_droptail_enqueue(PyObject *q, PyObject *packet, PyObject *now, int *accepted)
         return NL_IADD(stats, QSTATS, bytes_dropped, size);
     }
     if (NL_SET(packet, PACKET, enqueued_at, Py_NewRef(now)) < 0 ||
-        nl_done(PyObject_CallMethodOneArg(queue, NL.s_append, packet)) < 0 ||
+        nl_append(queue, packet) < 0 ||
         NL_IADD(q, QUEUE, _bytes, size) < 0 ||
         NL_IADD(stats, QSTATS, enqueued, NL.one) < 0 ||
         NL_IADD(stats, QSTATS, bytes_enqueued, size) < 0)
@@ -1025,7 +1155,7 @@ nl_droptail_dequeue(PyObject *q, PyObject **packet)
     int empty = PyObject_Not(queue);
     if (empty)
         return empty < 0 ? -1 : 0;
-    PyObject *head = PyObject_CallMethodNoArgs(queue, NL.s_popleft);
+    PyObject *head = nl_popleft(queue);
     if (head == NULL)
         return -1;
     int rc = nl_expect(head, T_PACKET, "queued item");
@@ -1076,7 +1206,7 @@ nl_transmit(KernelSimObject *sim, PyObject *link, PyObject *packet, double now,
         NL_IADD(stats, LSTATS, busy_time, tx_obj) < 0 ||
         NL_IADD(stats, LSTATS, packets_sent, NL.one) < 0 ||
         NL_IADD(stats, LSTATS, bytes_sent, size) < 0 ||
-        nl_done(PyObject_CallMethodOneArg(in_flight, NL.s_append, packet)) < 0)
+        nl_append(in_flight, packet) < 0)
         goto done;
     double deliver_at = *tx_end + delay;
     int dyn = nl_true(dynamic);
@@ -1102,7 +1232,7 @@ nl_transmit(KernelSimObject *sim, PyObject *link, PyObject *packet, double now,
         PyObject *deadline = PyFloat_FromDouble(deliver_at);
         if (deadline == NULL)
             goto done;
-        int appended = nl_done(PyObject_CallMethodOneArg(deadlines, NL.s_append, deadline));
+        int appended = nl_append(deadlines, deadline);
         Py_DECREF(deadline);
         if (appended < 0)
             goto done;
@@ -1260,6 +1390,10 @@ nl_serve(PyObject *link)
 
 /* ---- Node.receive / Host._deliver_locally (node.py), fused ---- */
 
+/* handle_packet of the native agents ("native transport" below). */
+static int nt_sender_receive(PyObject *sender, PyObject *packet);
+static int nt_receiver_receive(PyObject *receiver, PyObject *packet);
+
 /* Host._deliver_locally: capture fan-out, then sole-agent or per-flow
  * dispatch.  Unknown flows are delivered but ignored. */
 static int
@@ -1321,7 +1455,9 @@ nl_deliver_locally(PyObject *host, PyObject *packet)
     if (agent == NULL || agent == Py_None)
         return 0;
     Py_INCREF(agent);
-    int rc = nl_done(PyObject_CallMethodOneArg(agent, NL.s_handle_packet, packet));
+    int rc = Py_IS_TYPE(agent, NL.sender_type) ? nt_sender_receive(agent, packet)
+           : Py_IS_TYPE(agent, NL.receiver_type) ? nt_receiver_receive(agent, packet)
+           : nl_done(PyObject_CallMethodOneArg(agent, NL.s_handle_packet, packet));
     Py_DECREF(agent);
     return rc;
 }
@@ -1433,10 +1569,10 @@ nl_deliver(PyObject *link)
             return -1;
         if (sim->now < deadline)
             return nl_push(sim, deadline, link, KN_DELIVER);
-        if (nl_done(PyObject_CallMethodNoArgs(deadlines, NL.s_popleft)) < 0)
+        if (nl_done(nl_popleft(deadlines)) < 0)
             return -1;
     }
-    PyObject *packet = PyObject_CallMethodNoArgs(in_flight, NL.s_popleft);
+    PyObject *packet = nl_popleft(in_flight);
     if (packet == NULL)
         return -1;
     int rc = nl_arrive(link, packet);
@@ -1469,21 +1605,6 @@ nlink_deliver(PyObject *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
-/* A bound _deliver / _serve_queue of a native link: its entry kind, with
- * the link borrowed into *link; 0 for any other callable. */
-static int
-native_kind(PyObject *cb, PyObject **link)
-{
-    if (!PyCFunction_Check(cb))
-        return 0;
-    PyCFunction fn = PyCFunction_GET_FUNCTION(cb);
-    int kind = fn == (PyCFunction)nlink_deliver ? KN_DELIVER
-             : fn == (PyCFunction)nlink_serve_queue ? KN_SERVE : 0;
-    if (kind)
-        *link = PyCFunction_GET_SELF(cb);
-    return kind;
-}
-
 static PyMethodDef nlink_methods[] = {
     {"send", (PyCFunction)nlink_send, METH_O,
      "Offer packet to the link; False if it was dropped."},
@@ -1507,13 +1628,11 @@ static PyType_Spec nlink_spec = {
     .slots = nlink_slots,
 };
 
-/* Resolve the Python classes, their slot offsets and the link type; once. */
+/* Resolve the Python classes [t0, t1) and the slot offsets [o0, o1). */
 static int
-nl_bind(void)
+nl_resolve(int t0, int t1, int o0, int o1)
 {
-    if (NL.link_type != NULL)
-        return 0;
-    for (int t = 0; t < T_COUNT; t++) {
+    for (int t = t0; t < t1; t++) {
         PyObject *mod = PyImport_ImportModule(NL_TYPE_NAMES[t][0]);
         PyObject *cls = mod == NULL ? NULL : PyObject_GetAttrString(mod, NL_TYPE_NAMES[t][1]);
         Py_XDECREF(mod);
@@ -1525,7 +1644,7 @@ nl_bind(void)
             return -1;
         }
     }
-    for (int o = 0; o < O_COUNT; o++) {
+    for (int o = o0; o < o1; o++) {
         PyTypeObject *owner = NL.type[NL_SLOT_TABLE[o].type];
         PyObject *descr = PyObject_GetAttrString((PyObject *)owner, NL_SLOT_TABLE[o].name);
         if (descr == NULL)
@@ -1536,11 +1655,49 @@ nl_bind(void)
             NL.off[o] = ((PyMemberDescrObject *)descr)->d_member->offset;
         Py_DECREF(descr);
         if (!is_slot) {
-            PyErr_Format(PyExc_TypeError, "native link: %s.%s is not a __slots__ member",
+            PyErr_Format(PyExc_TypeError, "native kernel: %s.%s is not a __slots__ member",
                          owner->tp_name, NL_SLOT_TABLE[o].name);
             return -1;
         }
     }
+    return 0;
+}
+
+/* *slot = module.name, once. */
+static int
+nl_import(PyObject **slot, const char *module, const char *name)
+{
+    if (*slot != NULL)
+        return 0;
+    PyObject *mod = PyImport_ImportModule(module);
+    if (mod != NULL) {
+        *slot = PyObject_GetAttrString(mod, name);
+        Py_DECREF(mod);
+    }
+    return *slot == NULL ? -1 : 0;
+}
+
+/* The subclass of NL.type[base] that spec describes. */
+static PyTypeObject *
+nl_subtype(PyType_Spec *spec, int base)
+{
+    PyObject *bases = PyTuple_Pack(1, NL.type[base]);
+    if (bases == NULL)
+        return NULL;
+    PyObject *type = PyType_FromSpecWithBases(spec, bases);
+    Py_DECREF(bases);
+    return (PyTypeObject *)type;
+}
+
+/* Resolve the link layer's classes, their slot offsets and the link type;
+ * once. */
+static int
+nl_bind(void)
+{
+    if (NL.link_type != NULL)
+        return 0;
+    if (nl_resolve(0, T_SENDER, 0, O_LINK_COUNT) < 0)
+        return -1;
 #define NL_NAME_INTERN(name)                                                \
     if (NL.s_##name == NULL &&                                              \
         (NL.s_##name = PyUnicode_InternFromString(#name)) == NULL)          \
@@ -1551,13 +1708,16 @@ nl_bind(void)
         return -1;
     Py_XSETREF(NL.droptail_enqueue,
                PyObject_GetAttrString((PyObject *)NL.type[T_DROPTAIL], "enqueue"));
-    if (NL.droptail_enqueue == NULL)
+    if (NL.droptail_enqueue == NULL ||
+        nl_import((PyObject **)&NL.deque_type, "collections", "deque") < 0)
         return -1;
-    PyObject *bases = PyTuple_Pack(1, NL.type[T_LINK]);
-    if (bases == NULL)
+    if (NL.deque_append == NULL)
+        NL.deque_append = PyObject_GetAttrString((PyObject *)NL.deque_type, "append");
+    if (NL.deque_popleft == NULL)
+        NL.deque_popleft = PyObject_GetAttrString((PyObject *)NL.deque_type, "popleft");
+    if (NL.deque_append == NULL || NL.deque_popleft == NULL)
         return -1;
-    NL.link_type = (PyTypeObject *)PyType_FromSpecWithBases(&nlink_spec, bases);
-    Py_DECREF(bases);
+    NL.link_type = nl_subtype(&nlink_spec, T_LINK);
     return NL.link_type == NULL ? -1 : 0;
 }
 
@@ -1567,6 +1727,1217 @@ ksim_get_link_type(PyObject *self, void *closure)
     if (nl_bind() < 0)
         return NULL;
     return Py_NewRef((PyObject *)NL.link_type);
+}
+
+/* -------------------------------------------------------- native transport
+ *
+ * repro.tcp.sender.TcpSender / repro.tcp.receiver.TcpReceiver for the agents
+ * of a KernelSim: subclasses of the Python classes created here (same slots,
+ * no dict; TcpSender.__new__ / TcpReceiver.__new__ select them for the exact
+ * classes only, so a Python subclass keeps its Python bodies) whose
+ * handle_packet, _try_send, _fire_rto and _on_rto are C.  The bodies are the
+ * shared ones of _transport.h, instantiated here over the *slot* accessor
+ * layer: every read and write goes to the __slots__ of the Python objects
+ * (offsets resolved once in nt_bind, NULL- and type-checked like the native
+ * links'), so Python code -- the MPTCP scheduler, close_subflow, the
+ * inherited start/resume/close/on_path_restored, a test -- sees and may
+ * change the same state between any two events.  Python is called exactly
+ * where the Python body calls something it does not define: cc.*,
+ * data_provider.*, connection_sink.on_subflow_data, on_idle, a non-stock
+ * rtt, a link that is not native, host.send on a route-memo miss.
+ *
+ * The retransmission timer is a native heap entry (KN_RTO, cb = the sender)
+ * whose cancellation handle sits in _rto_event, so the inherited Python
+ * _cancel_rto works on it unchanged.
+ */
+
+typedef struct { int64_t seq, length, dsn; } OooEnt;
+
+/* TcpReceiver._sack_blocks: RFC 2018 merge over the seq-sorted reorder
+ * buffer, truncated to four blocks; returns the block count, blocks holds
+ * (start, end) pairs. */
+static int
+sack_blocks(const OooEnt *ooo, Py_ssize_t n, int64_t blocks[8])
+{
+    int nb = 0;
+    int64_t start = ooo[0].seq;
+    int64_t end = start + ooo[0].length;
+    for (Py_ssize_t j = 1; j < n; j++) {
+        int64_t seq = ooo[j].seq;
+        if (seq != end) {
+            if (nb < 4) {
+                blocks[2 * nb] = start;
+                blocks[2 * nb + 1] = end;
+                nb++;
+            }
+            start = seq;
+        }
+        end = seq + ooo[j].length;
+    }
+    if (nb < 4) {
+        blocks[2 * nb] = start;
+        blocks[2 * nb + 1] = end;
+        nb++;
+    }
+    return nb;
+}
+
+/* ---- slot values ---- */
+
+static int
+nt_type_error(const char *name, const char *want, PyObject *v)
+{
+    PyErr_Format(PyExc_TypeError, "native transport: %s must be %s, not %s", name, want,
+                 Py_TYPE(v)->tp_name);
+    return -1;
+}
+
+static inline int
+nt_i64(PyObject *v, int64_t *out, const char *name)
+{
+    if (v == NULL)
+        return nl_unset(name);
+    if (!PyLong_Check(v))
+        return nt_type_error(name, "an int", v);
+    long long x = PyLong_AsLongLong(v);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    *out = x;
+    return 0;
+}
+
+static inline int
+nt_f64(PyObject *v, double *out, const char *name)
+{
+    if (v == NULL)
+        return nl_unset(name);
+    *out = nl_double(v);
+    return NL_FAILED(*out) ? -1 : 0;
+}
+
+/* Optional[float]: None reads as NaN, as in the Scene's state tables. */
+static inline int
+nt_opt_f64(PyObject *v, double *out, const char *name)
+{
+    if (v == Py_None) {
+        *out = Py_NAN;
+        return 0;
+    }
+    return nt_f64(v, out, name);
+}
+
+static inline int
+nt_flag(PyObject *v, const char *name)
+{
+    return v == NULL ? nl_unset(name) : nl_true(v);
+}
+
+/* Writes keep the stored object when the value does not move: most fields
+ * of most ACKs (_dupacks 0, _rto_backoff 1.0, min_rtt, a clamped _rto). */
+static inline int
+nt_set_i64(PyObject **slot, int64_t v)
+{
+    PyObject *old = *slot;
+    if (old != NULL && PyLong_CheckExact(old)) {
+        int overflow;
+        long long cur = PyLong_AsLongLongAndOverflow(old, &overflow);
+        if (!overflow && cur == v)
+            return 0;
+    }
+    return nl_set(slot, PyLong_FromLongLong(v));
+}
+
+static inline int
+nt_set_f64(PyObject **slot, double v)
+{
+    PyObject *old = *slot;
+    if (old != NULL && PyFloat_CheckExact(old) &&
+        memcmp(&((PyFloatObject *)old)->ob_fval, &v, sizeof v) == 0)
+        return 0;
+    return nl_set(slot, PyFloat_FromDouble(v));
+}
+
+static inline int
+nt_set_opt_f64(PyObject **slot, double v)
+{
+    if (v != v)
+        return *slot == Py_None ? 0 : nl_set(slot, Py_NewRef(Py_None));
+    return nt_set_f64(slot, v);
+}
+
+static inline int
+nt_set_flag(PyObject **slot, int v)
+{
+    PyObject *value = v ? Py_True : Py_False;
+    return *slot == value ? 0 : nl_set(slot, Py_NewRef(value));
+}
+
+/* counter += delta on the stats object in the agent's `stats` slot. */
+static int
+nt_stat_add(PyObject *agent, int stats_slot, int stats_type, int counter, int64_t delta,
+            const char *name)
+{
+    PyObject *stats = *(PyObject **)((char *)agent + NL.off[stats_slot]);
+    if (stats == NULL)
+        return nl_unset("stats");
+    if (nl_expect(stats, stats_type, "stats") < 0)
+        return -1;
+    PyObject **slot = (PyObject **)((char *)stats + NL.off[counter]);
+    int64_t value;
+    if (nt_i64(*slot, &value, name) < 0)
+        return -1;
+    return nl_set(slot, PyLong_FromLongLong(value + delta));
+}
+
+#define NT_I64(var, obj, T, name)                                           \
+    int64_t var;                                                            \
+    if (nt_i64(NL_SLOT(obj, T, name), &var, #name) < 0)                     \
+        return -1
+#define NT_F64(var, obj, T, name)                                           \
+    double var;                                                             \
+    if (nt_f64(NL_SLOT(obj, T, name), &var, #name) < 0)                     \
+        return -1
+#define NT_FLAG(var, obj, T, name)                                          \
+    int var = nt_flag(NL_SLOT(obj, T, name), #name);                        \
+    if (var < 0)                                                            \
+        return -1
+#define NT_CHECKED(call)                                                    \
+    do {                                                                    \
+        if ((call) < 0)                                                     \
+            return -1;                                                      \
+    } while (0)
+
+/* ---- packets (netsim/packet.py acquire_data / acquire_ack / release) ---- */
+
+#define NT_PSET(packet, name, value) NL_SET(packet, PACKET, name, Py_NewRef(value))
+
+/* A pooled or fresh Packet with the fields acquire_data and acquire_ack set
+ * alike; the caller sets the rest.  New reference. */
+static PyObject *
+nt_packet_acquire(PyObject *host, PyObject *dst, PyObject *tag, PyObject *flow_id,
+                  PyObject *subflow_id, double now)
+{
+    Py_ssize_t pooled = PyObject_Size(NL.packet_pool);
+    if (pooled < 0)
+        return NULL;
+    PyTypeObject *cls = NL.type[T_PACKET];
+    PyObject *packet = pooled ? PyObject_CallNoArgs(NL.pool_pop) : cls->tp_alloc(cls, 0);
+    if (packet == NULL)
+        return NULL;
+    PyObject *src = NL_SLOT(host, NODE, name);
+    PyObject *created_at = PyFloat_FromDouble(now);
+    int ok = created_at != NULL && nl_expect(packet, T_PACKET, "pooled item") == 0 &&
+             (src != NULL || nl_unset("name") == 0) &&
+             NL_SET(packet, PACKET, packet_id, PyIter_Next(NL.packet_counter)) == 0 &&
+             NT_PSET(packet, src, src) == 0 && NT_PSET(packet, dst, dst) == 0 &&
+             NT_PSET(packet, tag, tag) == 0 && NT_PSET(packet, flow_id, flow_id) == 0 &&
+             NT_PSET(packet, subflow_id, subflow_id) == 0 &&
+             NT_PSET(packet, protocol, NL.s_tcp) == 0 &&
+             NT_PSET(packet, created_at, created_at) == 0 &&
+             NT_PSET(packet, enqueued_at, NL.f_zero) == 0 &&
+             NL_SET(packet, PACKET, hops, PyLong_FromLong(0)) == 0 &&
+             NT_PSET(packet, ecn, Py_False) == 0 && NT_PSET(packet, _poolable, Py_True) == 0;
+    Py_XDECREF(created_at);
+    if (!ok)
+        Py_CLEAR(packet);
+    return packet;
+}
+
+/* Packet.release inlined, as in both handle_packet bodies. */
+static int
+slot_pkt_recycle(KernelSimObject *sim, PyObject *packet)
+{
+    NT_FLAG(poolable, packet, PACKET, _poolable);
+    if (!poolable)
+        return 0;
+    if (NT_PSET(packet, _poolable, Py_False) < 0)
+        return -1;
+    return nl_done(PyObject_CallOneArg(NL.pool_append, packet));
+}
+
+/* _send_packet of either agent: the memoised egress link, re-validated
+ * against the routing table's mutation version only. */
+typedef struct { int host, host_send, enabled, key, link, version; } RouteSlots;
+static const RouteSlots SENDER_ROUTE = {
+    O_SENDER_host, O_SENDER__host_send, O_SENDER__route_enabled,
+    O_SENDER__route_key, O_SENDER__route_link, O_SENDER__route_version,
+};
+static const RouteSlots RECV_ROUTE = {
+    O_RECV_host, O_RECV__host_send, O_RECV__route_enabled,
+    O_RECV__route_key, O_RECV__route_link, O_RECV__route_version,
+};
+#define NT_AT(obj, o) (*(PyObject **)((char *)(obj) + NL.off[o]))
+
+static int
+nt_egress(PyObject *agent, const RouteSlots *r, PyObject *packet)
+{
+    PyObject *enabled = NT_AT(agent, r->enabled), *host_send = NT_AT(agent, r->host_send);
+    PyObject *host = NT_AT(agent, r->host), *link = NT_AT(agent, r->link);
+    PyObject *memo_version = NT_AT(agent, r->version), *key = NT_AT(agent, r->key);
+    if (enabled == NULL || host_send == NULL || host == NULL || link == NULL ||
+        memo_version == NULL || key == NULL)
+        return nl_unset("_route_*");
+    int memo = nl_true(enabled);
+    if (memo < 0)
+        return -1;
+    if (!memo)
+        return nl_done(PyObject_CallOneArg(host_send, packet));
+    if (nl_expect(host, T_NODE, "host") < 0)
+        return -1;
+    NL_GET(routing, host, NODE, routing);
+    PyObject *version = PyObject_GetAttr(routing, NL.s_version);
+    if (version == NULL)
+        return -1;
+    int rc = -1;
+    if (link != Py_None) {
+        int current = PyObject_RichCompareBool(memo_version, version, Py_EQ);
+        if (current < 0)
+            goto done;
+        if (current) {
+            Py_INCREF(link);
+            rc = Py_IS_TYPE(link, NL.link_type)
+                ? nl_send(link, packet)
+                : nl_done(PyObject_CallMethodOneArg(link, NL.s_send, packet));
+            Py_DECREF(link);
+            rc = rc < 0 ? -1 : 0;
+            goto done;
+        }
+    }
+    if (nl_done(PyObject_CallOneArg(host_send, packet)) < 0)
+        goto done;
+    /* Adopt whatever the host's hop cache resolved (None on a routing
+     * drop: stays on the slow path and retries). */
+    PyObject *cache = NL_SLOT(host, NODE, _hop_cache);
+    if (cache == NULL) {
+        nl_unset("_hop_cache");
+        goto done;
+    }
+    PyObject *resolved = PyObject_CallMethodOneArg(cache, NL.s_get, key);
+    if (resolved == NULL)
+        goto done;
+    nl_set(&NT_AT(agent, r->link), resolved);
+    nl_set(&NT_AT(agent, r->version), Py_NewRef(version));
+    rc = 0;
+done:
+    Py_DECREF(version);
+    return rc;
+}
+
+/* ---- the slot accessor layer (contract: _transport.h) ---- */
+
+#define TP(name) slot_##name
+#define TP_CTX KernelSimObject *
+#define TP_SND PyObject *
+#define TP_RCV PyObject *
+#define TP_SEG PyObject *
+#define TP_PKT PyObject *
+#define TP_NOW(c) ((c)->now)
+#define TP_ECN 1
+
+#define SND_I64(var, S, name) NT_I64(var, S, SENDER, name)
+#define SND_F64(var, S, name) NT_F64(var, S, SENDER, name)
+#define SND_FLAG(var, S, name) NT_FLAG(var, S, SENDER, name)
+#define SND_SET_I64(S, name, v) NT_CHECKED(nt_set_i64(&NL_SLOT(S, SENDER, name), v))
+#define SND_SET_F64(S, name, v) NT_CHECKED(nt_set_f64(&NL_SLOT(S, SENDER, name), v))
+#define SND_SET_FLAG(S, name, v) NT_CHECKED(nt_set_flag(&NL_SLOT(S, SENDER, name), v))
+#define SND_STAT_ADD(S, name, d)                                            \
+    NT_CHECKED(nt_stat_add(S, O_SENDER_stats, T_SSTATS, O_SSTATS_##name, d, #name))
+#define SND_PATH_DOWN(var, S) NT_FLAG(var, S, SENDER, path_down)
+#define RCV_I64(var, R, name) NT_I64(var, R, RECV, name)
+#define RCV_SET_I64(R, name, v) NT_CHECKED(nt_set_i64(&NL_SLOT(R, RECV, name), v))
+#define RCV_STAT_ADD(R, name, d)                                            \
+    NT_CHECKED(nt_stat_add(R, O_RECV_stats, T_RSTATS, O_RSTATS_##name, d, #name))
+#define SEG_I64(var, g, name) NT_I64(var, g, SEG, name)
+#define SEG_F64(var, g, name) NT_F64(var, g, SEG, name)
+#define SEG_FLAG(var, g, name) NT_FLAG(var, g, SEG, name)
+#define SEG_SET_F64(g, name, v) NT_CHECKED(nt_set_f64(&NL_SLOT(g, SEG, name), v))
+#define SEG_SET_FLAG(g, name, v) NT_CHECKED(nt_set_flag(&NL_SLOT(g, SEG, name), v))
+#define PKT_I64(var, c, p, name) NT_I64(var, p, PACKET, name)
+#define PKT_F64(var, c, p, name) NT_F64(var, p, PACKET, name)
+#define PKT_FLAG(var, c, p, name) NT_FLAG(var, p, PACKET, name)
+
+/* _seg_queue (a deque, in ascending seq) and _segments (its index by seq).
+ * Records are borrowed from the deque, which owns them while they are in
+ * it; no body keeps one across a call that can retire it. */
+static PyObject *
+nt_segq(PyObject *S)
+{
+    PyObject *queue = NL_SLOT(S, SENDER, _seg_queue);
+    if (queue == NULL)
+        nl_unset("_seg_queue");
+    else if (!PyObject_TypeCheck(queue, NL.deque_type)) {
+        nt_type_error("_seg_queue", "a deque", queue);
+        queue = NULL;
+    }
+    return queue;
+}
+
+static PyObject *
+nt_segments(PyObject *S)
+{
+    PyObject *segments = NL_SLOT(S, SENDER, _segments);
+    if (segments == NULL)
+        nl_unset("_segments");
+    else if (!PyDict_Check(segments)) {
+        nt_type_error("_segments", "a dict", segments);
+        segments = NULL;
+    }
+    return segments;
+}
+
+static Py_ssize_t
+nt_segq_len(PyObject *S)
+{
+    PyObject *queue = nt_segq(S);
+    return queue == NULL ? -1 : PyObject_Size(queue);
+}
+
+static PyObject *
+nt_segq_at(PyObject *S, Py_ssize_t j)
+{
+    PyObject *queue = nt_segq(S);
+    PyObject *g = queue == NULL ? NULL : PySequence_GetItem(queue, j);
+    if (g == NULL)
+        return NULL;
+    Py_DECREF(g);
+    return nl_expect(g, T_SEG, "_seg_queue item") < 0 ? NULL : g;
+}
+
+/* _segments.get(seq) into *g (NULL when absent). */
+static int
+nt_segq_find(PyObject *S, int64_t seq, PyObject **g)
+{
+    PyObject *segments = nt_segments(S);
+    PyObject *key = segments == NULL ? NULL : PyLong_FromLongLong(seq);
+    if (key == NULL)
+        return -1;
+    *g = PyDict_GetItemWithError(segments, key);
+    Py_DECREF(key);
+    if (*g == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    return nl_expect(*g, T_SEG, "_segments value");
+}
+
+#define SEGQ_LEN(n, S)                                                      \
+    Py_ssize_t n = nt_segq_len(S);                                          \
+    if (n < 0)                                                              \
+        return -1
+#define SEGQ_AT(g, S, j)                                                    \
+    PyObject *g = nt_segq_at(S, j);                                         \
+    if (g == NULL)                                                          \
+        return -1
+#define SEGQ_FIND(g, S, seq)                                                \
+    PyObject *g;                                                            \
+    if (nt_segq_find(S, seq, &g) < 0)                                       \
+        return -1
+
+/* A fresh record appended at snd_nxt (the Python body recycles records
+ * through a free list; here they are simply allocated and dropped). */
+static int
+slot_segq_push(PyObject *S, int64_t seq, int64_t length, int64_t dsn, double now)
+{
+    PyObject *queue = nt_segq(S), *segments = nt_segments(S);
+    if (queue == NULL || segments == NULL)
+        return -1;
+    PyTypeObject *cls = NL.type[T_SEG];
+    PyObject *g = cls->tp_alloc(cls, 0);
+    if (g == NULL)
+        return -1;
+    int rc = -1;
+    if (NL_SET(g, SEG, seq, PyLong_FromLongLong(seq)) == 0 &&
+        NL_SET(g, SEG, length, PyLong_FromLongLong(length)) == 0 &&
+        NL_SET(g, SEG, dsn, PyLong_FromLongLong(dsn)) == 0 &&
+        NL_SET(g, SEG, sent_at, PyFloat_FromDouble(now)) == 0 &&
+        NL_SET(g, SEG, retransmitted, Py_NewRef(Py_False)) == 0 &&
+        NL_SET(g, SEG, sacked, Py_NewRef(Py_False)) == 0 &&
+        NL_SET(g, SEG, lost, Py_NewRef(Py_False)) == 0 &&
+        NL_SET(g, SEG, lost_pending, Py_NewRef(Py_False)) == 0 &&
+        NL_SET(g, SEG, retx_in_recovery, Py_NewRef(Py_False)) == 0 &&
+        PyDict_SetItem(segments, NL_SLOT(g, SEG, seq), g) == 0)
+        rc = nl_append(queue, g);
+    Py_DECREF(g);
+    return rc;
+}
+
+/* queue.popleft(); del segments[info.seq] */
+static int
+slot_segq_popleft(PyObject *S)
+{
+    PyObject *queue = nt_segq(S), *segments = nt_segments(S);
+    PyObject *g = queue == NULL || segments == NULL ? NULL : nl_popleft(queue);
+    if (g == NULL)
+        return -1;
+    PyObject *seq = nl_expect(g, T_SEG, "_seg_queue item") < 0 ? NULL : NL_SLOT(g, SEG, seq);
+    int rc = seq == NULL ? (PyErr_Occurred() ? -1 : nl_unset("seq"))
+                         : PyDict_DelItem(segments, seq);
+    Py_DECREF(g);
+    return rc;
+}
+
+/* The estimator: the stock RttEstimator's slots, or the attributes and the
+ * update() of whatever else sits in `rtt`. */
+typedef struct {
+    double alpha, beta, min_rto, max_rto, srtt, rttvar, min_rtt, latest_rtt, _rto;
+    int64_t samples;
+} RttView;
+
+static int
+nt_rtt_load(PyObject *rtt, RttView *v)
+{
+    return nt_f64(NL_SLOT(rtt, RTT, alpha), &v->alpha, "alpha") < 0 ||
+           nt_f64(NL_SLOT(rtt, RTT, beta), &v->beta, "beta") < 0 ||
+           nt_f64(NL_SLOT(rtt, RTT, min_rto), &v->min_rto, "min_rto") < 0 ||
+           nt_f64(NL_SLOT(rtt, RTT, max_rto), &v->max_rto, "max_rto") < 0 ||
+           nt_opt_f64(NL_SLOT(rtt, RTT, srtt), &v->srtt, "srtt") < 0 ||
+           nt_opt_f64(NL_SLOT(rtt, RTT, rttvar), &v->rttvar, "rttvar") < 0 ||
+           nt_opt_f64(NL_SLOT(rtt, RTT, min_rtt), &v->min_rtt, "min_rtt") < 0 ||
+           nt_i64(NL_SLOT(rtt, RTT, samples), &v->samples, "samples") < 0 ? -1 : 0;
+}
+
+static int
+nt_rtt_store(PyObject *rtt, const RttView *v)
+{
+    return nt_set_f64(&NL_SLOT(rtt, RTT, latest_rtt), v->latest_rtt) < 0 ||
+           nt_set_i64(&NL_SLOT(rtt, RTT, samples), v->samples) < 0 ||
+           nt_set_opt_f64(&NL_SLOT(rtt, RTT, min_rtt), v->min_rtt) < 0 ||
+           nt_set_opt_f64(&NL_SLOT(rtt, RTT, srtt), v->srtt) < 0 ||
+           nt_set_opt_f64(&NL_SLOT(rtt, RTT, rttvar), v->rttvar) < 0 ||
+           nt_set_f64(&NL_SLOT(rtt, RTT, _rto), v->_rto) < 0 ? -1 : 0;
+}
+
+static int
+nt_rtt_update_py(PyObject *rtt, double sample)
+{
+    PyObject *arg = PyFloat_FromDouble(sample);
+    if (arg == NULL)
+        return -1;
+    Py_INCREF(rtt);
+    int rc = nl_done(PyObject_CallMethodOneArg(rtt, NL.s_update, arg));
+    Py_DECREF(rtt);
+    Py_DECREF(arg);
+    return rc;
+}
+
+/* rtt.<name> as a double: by slot on the stock estimator, by attribute
+ * otherwise; None reads as NaN. */
+static int
+nt_rtt_attr(PyObject *S, int slot, PyObject *name, double *out)
+{
+    NL_GET(rtt, S, SENDER, rtt);
+    if (Py_IS_TYPE(rtt, NL.type[T_RTT]))
+        return nt_opt_f64(NT_AT(rtt, slot), out, NL_SLOT_TABLE[slot].name);
+    PyObject *value = PyObject_GetAttr(rtt, name);
+    if (value == NULL)
+        return -1;
+    int rc = nt_opt_f64(value, out, NL_SLOT_TABLE[slot].name);
+    Py_DECREF(value);
+    return rc;
+}
+
+#define RTT_OPEN(S, sample)                                                 \
+    NL_GET(rtt__, S, SENDER, rtt);                                          \
+    if (!Py_IS_TYPE(rtt__, NL.type[T_RTT]))                                 \
+        return nt_rtt_update_py(rtt__, sample);                             \
+    RttView view__;                                                         \
+    if (nt_rtt_load(rtt__, &view__) < 0)                                    \
+        return -1
+#define RTT(field) (view__.field)
+#define RTT_CLOSE(S) NT_CHECKED(nt_rtt_store(rtt__, &view__))
+#define RTT_RTO(var, S)                                                     \
+    double var;                                                             \
+    if (nt_rtt_attr(S, O_RTT__rto, NL.s__rto, &var) < 0)                    \
+        return -1
+#define RTT_SAMPLES(var, S)                                                 \
+    double var;                                                             \
+    if (nt_rtt_attr(S, O_RTT_samples, NL.s_samples, &var) < 0)              \
+        return -1
+#define RTT_SRTT(var, S, unsampled)                                         \
+    double var;                                                             \
+    if (nt_rtt_attr(S, O_RTT_srtt, NL.s_srtt, &var) < 0)                    \
+        return -1;                                                          \
+    if (var != var)                                                         \
+        var = unsampled
+
+/* The retransmission timer: _rto_event holds the KernelEvent of the live
+ * KN_RTO entry, or None. */
+#define RTO_LIVE(var, S)                                                    \
+    NL_GET(event__##var, S, SENDER, _rto_event);                            \
+    int var = event__##var != Py_None
+
+static int
+slot_rto_cancel(PyObject *S)
+{
+    NL_GET(event, S, SENDER, _rto_event);
+    if (Py_IS_TYPE(event, &KernelEventType)) {
+        ((KernelEventObject *)event)->cancelled = 1;
+        return 0;
+    }
+    return nl_done(PyObject_CallMethodNoArgs(event, NL.s_cancel));
+}
+
+static void
+slot_rto_forget(PyObject *S)
+{
+    nl_set(&NL_SLOT(S, SENDER, _rto_event), Py_NewRef(Py_None));
+}
+
+/* _cancel_rto */
+static int
+slot_rto_clear(PyObject *S)
+{
+    NL_GET(event, S, SENDER, _rto_event);
+    if (event != Py_None) {
+        if (slot_rto_cancel(S) < 0)
+            return -1;
+        slot_rto_forget(S);
+    }
+    return 0;
+}
+
+/* self._rto_event = self.sim.schedule_at(deadline, self._fire_rto) */
+static int
+slot_rto_schedule(KernelSimObject *sim, PyObject *S, double deadline)
+{
+    if (deadline != deadline || deadline < sim->now) {
+        PyObject *when = PyFloat_FromDouble(deadline);
+        PyObject *now = PyFloat_FromDouble(sim->now);
+        if (when != NULL && now != NULL)
+            raise_sim_error_obj(deadline != deadline
+                ? PyUnicode_FromFormat("cannot schedule an event at a NaN time (got %S)", when)
+                : PyUnicode_FromFormat(
+                      "cannot schedule an event at t=%S before the current time t=%S",
+                      when, now));
+        Py_XDECREF(when);
+        Py_XDECREF(now);
+        return -1;
+    }
+    if (kheap_reserve(sim, sim->heap_len + 1) < 0)
+        return -1;
+    KernelEventObject *handle = kevent_new(deadline, sim->seq);
+    if (handle == NULL)
+        return -1;
+    KEntry e;
+    e.t = deadline;
+    e.seq = sim->seq++;
+    e.cb = Py_NewRef(S);
+    e.args = NULL;
+    e.nargs = KN_RTO;
+    e.handle = (KernelEventObject *)Py_NewRef((PyObject *)handle);
+    kheap_push(sim, e);
+    return nl_set(&NL_SLOT(S, SENDER, _rto_event), (PyObject *)handle);
+}
+
+/* The congestion controller: always Python, called per ACK.
+ * cc.<name>(*argv[1..nargs]); the arguments are new references (NULL when
+ * their allocation failed), released here; argv[0] is for the controller. */
+static int
+nt_cc_call(PyObject *S, PyObject *name, PyObject **argv, size_t nargs)
+{
+    PyObject *cc = NL_SLOT(S, SENDER, cc);
+    int rc = cc == NULL ? nl_unset("cc") : 0;
+    for (size_t i = 1; i <= nargs; i++) {
+        if (argv[i] == NULL)
+            rc = -1;
+    }
+    if (rc == 0) {
+        argv[0] = cc;
+        Py_INCREF(cc);
+        rc = nl_done(PyObject_VectorcallMethod(name, argv, nargs + 1, NULL));
+        Py_DECREF(cc);
+    }
+    for (size_t i = 1; i <= nargs; i++)
+        Py_XDECREF(argv[i]);
+    return rc;
+}
+
+/* cc.cwnd * cc.mss */
+static int
+slot_cc_cwnd_bytes(PyObject *S, double *out)
+{
+    NL_GET(cc, S, SENDER, cc);
+    PyObject *cwnd = PyObject_GetAttr(cc, NL.s_cwnd);
+    PyObject *mss = cwnd == NULL ? NULL : PyObject_GetAttr(cc, NL.s_mss);
+    PyObject *product = mss == NULL ? NULL : PyNumber_Multiply(cwnd, mss);
+    Py_XDECREF(cwnd);
+    Py_XDECREF(mss);
+    if (product == NULL)
+        return -1;
+    *out = nl_double(product);
+    Py_DECREF(product);
+    return NL_FAILED(*out) ? -1 : 0;
+}
+
+static int
+slot_cc_in_slow_start(PyObject *S, int *out)
+{
+    NL_GET(cc, S, SENDER, cc);
+    PyObject *value = PyObject_GetAttr(cc, NL.s_in_slow_start);
+    if (value == NULL)
+        return -1;
+    *out = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return *out < 0 ? -1 : 0;
+}
+
+static int
+slot_cc_on_ack(PyObject *S, int64_t acked_bytes, double srtt, double now)
+{
+    PyObject *argv[4] = {NULL, PyLong_FromLongLong(acked_bytes), PyFloat_FromDouble(srtt),
+                         PyFloat_FromDouble(now)};
+    return nt_cc_call(S, NL.s_on_ack, argv, 3);
+}
+
+static int
+slot_cc_on_loss(PyObject *S, double now)
+{
+    PyObject *argv[2] = {NULL, PyFloat_FromDouble(now)};
+    return nt_cc_call(S, NL.s_on_loss, argv, 1);
+}
+
+static int
+slot_cc_on_ecn(PyObject *S, double now)
+{
+    PyObject *argv[2] = {NULL, PyFloat_FromDouble(now)};
+    return nt_cc_call(S, NL.s_on_ecn, argv, 1);
+}
+
+static int
+slot_cc_on_timeout(PyObject *S, double now)
+{
+    PyObject *argv[2] = {NULL, PyFloat_FromDouble(now)};
+    return nt_cc_call(S, NL.s_on_timeout, argv, 1);
+}
+
+/* grant = data_provider.request_data(self, mss) */
+static int
+slot_request_data(KernelSimObject *sim, PyObject *S, int64_t mss, int *granted,
+                  int64_t *dsn, int64_t *length)
+{
+    NL_GET(provider, S, SENDER, data_provider);
+    NL_GET(mss_obj, S, SENDER, mss);
+    PyObject *argv[3] = {provider, S, mss_obj};
+    Py_INCREF(provider);
+    PyObject *grant = PyObject_VectorcallMethod(NL.s_request_data, argv, 3, NULL);
+    Py_DECREF(provider);
+    if (grant == NULL)
+        return -1;
+    int rc = 0;
+    *granted = grant != Py_None;
+    if (*granted) {
+        /* dsn, length = grant */
+        PyObject *pair = PySequence_Fast(grant, "cannot unpack non-iterable grant");
+        if (pair == NULL)
+            rc = -1;
+        else if (PySequence_Fast_GET_SIZE(pair) != 2) {
+            PyErr_Format(PyExc_ValueError, "expected a (dsn, length) grant, got %zd values",
+                         PySequence_Fast_GET_SIZE(pair));
+            rc = -1;
+        }
+        else if (nt_i64(PySequence_Fast_GET_ITEM(pair, 0), dsn, "granted dsn") < 0 ||
+                 nt_i64(PySequence_Fast_GET_ITEM(pair, 1), length, "granted length") < 0)
+            rc = -1;
+        Py_XDECREF(pair);
+    }
+    Py_DECREF(grant);
+    return rc;
+}
+
+/* data_provider.on_data_acked(self, dsn, length, now) */
+static int
+slot_data_acked(KernelSimObject *sim, PyObject *S, int64_t dsn, int64_t length, double now)
+{
+    NL_GET(provider, S, SENDER, data_provider);
+    PyObject *argv[5] = {provider, S, PyLong_FromLongLong(dsn), PyLong_FromLongLong(length),
+                         PyFloat_FromDouble(now)};
+    int rc = -1;
+    if (argv[2] != NULL && argv[3] != NULL && argv[4] != NULL) {
+        Py_INCREF(provider);
+        rc = nl_done(PyObject_VectorcallMethod(NL.s_on_data_acked, argv, 5, NULL));
+        Py_DECREF(provider);
+    }
+    Py_XDECREF(argv[2]);
+    Py_XDECREF(argv[3]);
+    Py_XDECREF(argv[4]);
+    return rc;
+}
+
+/* The provider refused: with nothing in flight either, the sender is idle. */
+static int
+slot_idle(KernelSimObject *sim, PyObject *S)
+{
+    NL_GET(on_idle, S, SENDER, on_idle);
+    if (on_idle == Py_None)
+        return 0;
+    SND_I64(snd_nxt, S, snd_nxt);
+    SND_I64(snd_una, S, snd_una);
+    if (snd_nxt != snd_una)
+        return 0;
+    Py_INCREF(on_idle);
+    int rc = nl_done(PyObject_CallOneArg(on_idle, S));
+    Py_DECREF(on_idle);
+    return rc;
+}
+
+/* self._last_dack = sink.on_subflow_data(subflow_id, dsn, length, now) */
+static int
+slot_sink_deliver(KernelSimObject *sim, PyObject *R, int64_t dsn, int64_t length, double now)
+{
+    NL_GET(sink, R, RECV, connection_sink);
+    if (sink == Py_None)
+        return 0;
+    NL_GET(subflow_id, R, RECV, subflow_id);
+    PyObject *argv[5] = {sink, subflow_id, PyLong_FromLongLong(dsn),
+                         PyLong_FromLongLong(length), PyFloat_FromDouble(now)};
+    PyObject *dack = NULL;
+    if (argv[2] != NULL && argv[3] != NULL && argv[4] != NULL) {
+        Py_INCREF(sink);
+        dack = PyObject_VectorcallMethod(NL.s_on_subflow_data, argv, 5, NULL);
+        Py_DECREF(sink);
+    }
+    Py_XDECREF(argv[2]);
+    Py_XDECREF(argv[3]);
+    Py_XDECREF(argv[4]);
+    return NL_SET(R, RECV, _last_dack, dack);
+}
+
+/* The reorder buffer: _out_of_order, a dict seq -> (length, dsn). */
+static PyObject *
+nt_ooo(PyObject *R)
+{
+    PyObject *buffer = NL_SLOT(R, RECV, _out_of_order);
+    if (buffer == NULL)
+        nl_unset("_out_of_order");
+    else if (!PyDict_Check(buffer)) {
+        nt_type_error("_out_of_order", "a dict", buffer);
+        buffer = NULL;
+    }
+    return buffer;
+}
+
+static int
+slot_ooo_nonempty(PyObject *R, int *out)
+{
+    PyObject *buffer = nt_ooo(R);
+    if (buffer == NULL)
+        return -1;
+    *out = PyDict_GET_SIZE(buffer) > 0;
+    return 0;
+}
+
+static int
+slot_ooo_setdefault(PyObject *R, int64_t seq, int64_t length, int64_t dsn)
+{
+    PyObject *buffer = nt_ooo(R);
+    PyObject *key = buffer == NULL ? NULL : PyLong_FromLongLong(seq);
+    PyObject *value = key == NULL ? NULL : Py_BuildValue("(LL)", (long long)length,
+                                                         (long long)dsn);
+    int rc = value == NULL || PyDict_SetDefault(buffer, key, value) == NULL ? -1 : 0;
+    Py_XDECREF(key);
+    Py_XDECREF(value);
+    return rc;
+}
+
+/* length, dsn = buffer.pop(seq), when seq is a key. */
+static int
+slot_ooo_pop(PyObject *R, int64_t seq, int *found, int64_t *length, int64_t *dsn)
+{
+    PyObject *buffer = nt_ooo(R);
+    *found = 0;
+    if (buffer == NULL)
+        return -1;
+    if (PyDict_GET_SIZE(buffer) == 0)
+        return 0;
+    PyObject *key = PyLong_FromLongLong(seq);
+    if (key == NULL)
+        return -1;
+    int rc = 0;
+    PyObject *entry = PyDict_GetItemWithError(buffer, key);
+    if (entry == NULL)
+        rc = PyErr_Occurred() ? -1 : 0;
+    else if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2)
+        rc = nt_type_error("_out_of_order value", "a (length, dsn) tuple", entry);
+    else if (nt_i64(PyTuple_GET_ITEM(entry, 0), length, "buffered length") < 0 ||
+             nt_i64(PyTuple_GET_ITEM(entry, 1), dsn, "buffered dsn") < 0)
+        rc = -1;
+    else {
+        *found = 1;
+        rc = PyDict_DelItem(buffer, key);
+    }
+    Py_DECREF(key);
+    return rc;
+}
+
+static int
+ooo_by_seq(const void *a, const void *b)
+{
+    int64_t x = ((const OooEnt *)a)->seq, y = ((const OooEnt *)b)->seq;
+    return (x > y) - (x < y);
+}
+
+/* self._sack_blocks() as the tuple of (start, end) tuples; new reference. */
+static PyObject *
+nt_sack_tuple(PyObject *buffer)
+{
+    Py_ssize_t n = PyDict_GET_SIZE(buffer);
+    OooEnt small[16];
+    OooEnt *ooo = n <= 16 ? small : PyMem_Malloc((size_t)n * sizeof(OooEnt));
+    if (ooo == NULL)
+        return PyErr_NoMemory();
+    PyObject *key, *value, *out = NULL;
+    Py_ssize_t pos = 0, i = 0;
+    while (PyDict_Next(buffer, &pos, &key, &value)) {
+        if (!PyTuple_Check(value) || PyTuple_GET_SIZE(value) != 2) {
+            nt_type_error("_out_of_order value", "a (length, dsn) tuple", value);
+            goto done;
+        }
+        if (nt_i64(key, &ooo[i].seq, "buffered seq") < 0 ||
+            nt_i64(PyTuple_GET_ITEM(value, 0), &ooo[i].length, "buffered length") < 0)
+            goto done;
+        i++;
+    }
+    qsort(ooo, (size_t)n, sizeof(OooEnt), ooo_by_seq);
+    int64_t blocks[8];
+    int nb = sack_blocks(ooo, n, blocks);
+    out = PyTuple_New(nb);
+    for (int b = 0; out != NULL && b < nb; b++) {
+        PyObject *block = Py_BuildValue("(LL)", (long long)blocks[2 * b],
+                                        (long long)blocks[2 * b + 1]);
+        if (block == NULL)
+            Py_CLEAR(out);
+        else
+            PyTuple_SET_ITEM(out, b, block);
+    }
+done:
+    if (ooo != small)
+        PyMem_Free(ooo);
+    return out;
+}
+
+/* Delivered packets.  CE is `packet.ecn == 2` (ECE, the ACK's truthy `ecn`,
+ * reads as a flag). */
+#define PKT_CE(var, c, p)                                                   \
+    NL_GET(ecn__##var, p, PACKET, ecn);                                     \
+    int var = PyObject_RichCompareBool(ecn__##var, NL.two, Py_EQ);          \
+    if (var < 0)                                                            \
+        return -1
+
+static int slot_apply_sack(PyObject *S, const int64_t *blocks, Py_ssize_t nblocks);
+
+/* if packet.sack_blocks: self._apply_sack(packet.sack_blocks) */
+static int
+slot_pkt_sack(KernelSimObject *sim, PyObject *S, PyObject *packet)
+{
+    NL_GET(carried, packet, PACKET, sack_blocks);
+    if (carried == NL.empty)
+        return 0;
+    PyObject *seq = PySequence_Fast(carried, "sack_blocks must be a sequence of pairs");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
+    int64_t small[16];
+    int64_t *blocks = n <= 8 ? small : PyMem_Malloc((size_t)n * 2 * sizeof(int64_t));
+    int rc = blocks == NULL ? (PyErr_NoMemory(), -1) : 0;
+    for (Py_ssize_t b = 0; rc == 0 && b < n; b++) {
+        PyObject *block = PySequence_Fast_GET_ITEM(seq, b);
+        if (!PyTuple_Check(block) || PyTuple_GET_SIZE(block) != 2)
+            rc = nt_type_error("a SACK block", "a (start, end) tuple", block);
+        else if (nt_i64(PyTuple_GET_ITEM(block, 0), &blocks[2 * b], "SACK start") < 0 ||
+                 nt_i64(PyTuple_GET_ITEM(block, 1), &blocks[2 * b + 1], "SACK end") < 0)
+            rc = -1;
+    }
+    if (rc == 0 && n > 0)
+        rc = slot_apply_sack(S, blocks, n);
+    if (blocks != small)
+        PyMem_Free(blocks);
+    Py_DECREF(seq);
+    return rc;
+}
+
+/* _acquire_data(...) [+ ECT] + _send_packet */
+static int
+slot_send_data(KernelSimObject *sim, PyObject *S, int64_t seq, int64_t length, int64_t dsn,
+               int is_retransmission, double now)
+{
+    NL_GET_AS(host, S, SENDER, host, NODE);
+    NL_GET(dst, S, SENDER, dst);
+    NL_GET(tag, S, SENDER, tag);
+    NL_GET(flow_id, S, SENDER, flow_id);
+    NL_GET(subflow_id, S, SENDER, subflow_id);
+    SND_FLAG(ecn, S, ecn);
+    PyObject *packet = nt_packet_acquire(host, dst, tag, flow_id, subflow_id, now);
+    if (packet == NULL)
+        return -1;
+    int rc = -1;
+    if (NL_SET(packet, PACKET, size, PyLong_FromLongLong(length + NL.header_size)) == 0 &&
+        NL_SET(packet, PACKET, seq, PyLong_FromLongLong(seq)) == 0 &&
+        NL_SET(packet, PACKET, payload_len, PyLong_FromLongLong(length)) == 0 &&
+        NT_PSET(packet, is_ack, Py_False) == 0 &&
+        NL_SET(packet, PACKET, ack, PyLong_FromLong(0)) == 0 &&
+        NL_SET(packet, PACKET, dsn, PyLong_FromLongLong(dsn)) == 0 &&
+        NL_SET(packet, PACKET, dack, PyLong_FromLong(0)) == 0 &&
+        NT_PSET(packet, is_retransmission, is_retransmission ? Py_True : Py_False) == 0 &&
+        NT_PSET(packet, sack_blocks, NL.empty) == 0 &&
+        NT_PSET(packet, ts_echo, NL.f_minus_one) == 0 &&
+        /* ECT: the segment may be CE-marked instead of dropped. */
+        (!ecn || NT_PSET(packet, ecn, NL.one) == 0))
+        rc = nt_egress(S, &SENDER_ROUTE, packet);
+    Py_DECREF(packet);
+    return rc;
+}
+
+/* _acquire_ack(...) [+ ECE] + _send_packet */
+static int
+slot_send_ack(KernelSimObject *sim, PyObject *R, double ts_echo, double now, int ece)
+{
+    NL_GET_AS(host, R, RECV, host, NODE);
+    NL_GET(peer, R, RECV, peer);
+    NL_GET(tag, R, RECV, tag);
+    NL_GET(flow_id, R, RECV, flow_id);
+    NL_GET(subflow_id, R, RECV, subflow_id);
+    NL_GET(ack_size, R, RECV, ack_size);
+    NL_GET(rcv_nxt, R, RECV, rcv_nxt);
+    NL_GET(last_dack, R, RECV, _last_dack);
+    PyObject *buffer = nt_ooo(R);
+    if (buffer == NULL)
+        return -1;
+    /* Pure-ACK fast path: an empty buffer carries the shared empty tuple. */
+    PyObject *sack = PyDict_GET_SIZE(buffer) ? nt_sack_tuple(buffer) : Py_NewRef(NL.empty);
+    if (sack == NULL)
+        return -1;
+    PyObject *packet = nt_packet_acquire(host, peer, tag, flow_id, subflow_id, now);
+    int rc = -1;
+    if (packet != NULL &&
+        NT_PSET(packet, size, ack_size) == 0 &&
+        NL_SET(packet, PACKET, seq, PyLong_FromLong(0)) == 0 &&
+        NL_SET(packet, PACKET, payload_len, PyLong_FromLong(0)) == 0 &&
+        NT_PSET(packet, is_ack, Py_True) == 0 &&
+        NT_PSET(packet, ack, rcv_nxt) == 0 &&
+        NL_SET(packet, PACKET, dsn, PyLong_FromLong(0)) == 0 &&
+        NT_PSET(packet, dack, last_dack) == 0 &&
+        NT_PSET(packet, is_retransmission, Py_False) == 0 &&
+        NT_PSET(packet, sack_blocks, sack) == 0 &&
+        NL_SET(packet, PACKET, ts_echo, PyFloat_FromDouble(ts_echo)) == 0 &&
+        (!ece || NT_PSET(packet, ecn, Py_True) == 0))
+        rc = nt_egress(R, &RECV_ROUTE, packet);
+    Py_XDECREF(packet);
+    Py_DECREF(sack);
+    return rc;
+}
+
+#include "_transport.h"
+
+/* ---- the agent types and their binding ---- */
+
+/* The agent's simulator, which must be a KernelSim. */
+static KernelSimObject *
+nt_agent_sim(PyObject *agent, int sim_slot)
+{
+    PyObject *sim = NT_AT(agent, sim_slot);
+    if (sim == NULL || !Py_IS_TYPE(sim, &KernelSimType)) {
+        PyErr_SetString(PyExc_TypeError, "native transport: sim must be the agent's KernelSim");
+        return NULL;
+    }
+    return (KernelSimObject *)sim;
+}
+
+static int
+nt_sender_receive(PyObject *sender, PyObject *packet)
+{
+    KernelSimObject *sim = nt_agent_sim(sender, O_SENDER_sim);
+    if (sim == NULL || nl_expect(packet, T_PACKET, "packet") < 0)
+        return -1;
+    return slot_sender_handle(sim, sender, packet);
+}
+
+static int
+nt_receiver_receive(PyObject *receiver, PyObject *packet)
+{
+    KernelSimObject *sim = nt_agent_sim(receiver, O_RECV_sim);
+    if (sim == NULL || nl_expect(packet, T_PACKET, "packet") < 0)
+        return -1;
+    return slot_receiver_handle(sim, receiver, packet);
+}
+
+static PyObject *
+none_unless_failed(int rc)
+{
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+nsender_handle_packet(PyObject *self, PyObject *packet)
+{
+    return none_unless_failed(nt_sender_receive(self, packet));
+}
+
+static PyObject *
+nsender_run(PyObject *self, int (*body)(KernelSimObject *, PyObject *))
+{
+    KernelSimObject *sim = nt_agent_sim(self, O_SENDER_sim);
+    return none_unless_failed(sim == NULL ? -1 : body(sim, self));
+}
+
+static PyObject *
+nsender_try_send(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return nsender_run(self, slot_try_send);
+}
+
+static PyObject *
+nsender_fire_rto(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return nsender_run(self, slot_fire_rto);
+}
+
+static PyObject *
+nsender_on_rto(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return nsender_run(self, slot_on_rto);
+}
+
+static PyObject *
+nreceiver_handle_packet(PyObject *self, PyObject *packet)
+{
+    return none_unless_failed(nt_receiver_receive(self, packet));
+}
+
+static PyMethodDef nsender_methods[] = {
+    {"handle_packet", (PyCFunction)nsender_handle_packet, METH_O,
+     "Entry point for packets delivered to this sender (ACKs)."},
+    {"_try_send", (PyCFunction)nsender_try_send, METH_NOARGS,
+     "Transmit while the window allows: holes first, then fresh data."},
+    {"_fire_rto", (PyCFunction)nsender_fire_rto, METH_NOARGS,
+     "The timer event: re-arm at a pushed deadline, or time out."},
+    {"_on_rto", (PyCFunction)nsender_on_rto, METH_NOARGS,
+     "The retransmission timeout reaction."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyType_Slot nsender_slots[] = {
+    {Py_tp_doc, "repro.tcp.sender.TcpSender with the per-ACK bodies in C."},
+    {Py_tp_methods, nsender_methods},
+    {0, NULL},
+};
+
+/* Named as the Python classes, so bound methods, cProfile and the ledger's
+ * kernel bucket read `TcpSender._fire_rto` on either kernel. */
+static PyType_Spec nsender_spec = {
+    .name = "repro.kernel._ckernel.TcpSender",
+    .flags = Py_TPFLAGS_DEFAULT,
+    .slots = nsender_slots,
+};
+
+static PyMethodDef nreceiver_methods[] = {
+    {"handle_packet", (PyCFunction)nreceiver_handle_packet, METH_O,
+     "Entry point for packets delivered to this receiver (data segments)."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyType_Slot nreceiver_slots[] = {
+    {Py_tp_doc, "repro.tcp.receiver.TcpReceiver with handle_packet in C."},
+    {Py_tp_methods, nreceiver_methods},
+    {0, NULL},
+};
+
+static PyType_Spec nreceiver_spec = {
+    .name = "repro.kernel._ckernel.TcpReceiver",
+    .flags = Py_TPFLAGS_DEFAULT,
+    .slots = nreceiver_slots,
+};
+
+/* Resolve the transport's classes, slot offsets, packet pool and the two
+ * agent types; once, on the first TcpSender / TcpReceiver of a KernelSim. */
+static int
+nt_bind(void)
+{
+    if (NL.receiver_type != NULL)
+        return 0;
+    if (nl_bind() < 0 || nl_resolve(T_SENDER, T_COUNT, O_LINK_COUNT, O_COUNT) < 0 ||
+        nl_import(&NL.packet_pool, "repro.netsim.packet", "_pool") < 0 ||
+        nl_import(&NL.packet_counter, "repro.netsim.packet", "_packet_counter") < 0)
+        return -1;
+    PyObject *header = NULL;
+    if (nl_import(&header, "repro.units", "HEADER_SIZE") < 0)
+        return -1;
+    NL.header_size = PyLong_AsLongLong(header);
+    Py_DECREF(header);
+    if (NL.header_size == -1 && PyErr_Occurred())
+        return -1;
+#define NT_CONST(member, expr)                                              \
+    if (NL.member == NULL && (NL.member = (expr)) == NULL)                  \
+        return -1;
+    NT_CONST(pool_pop, PyObject_GetAttrString(NL.packet_pool, "pop"))
+    NT_CONST(pool_append, PyObject_GetAttrString(NL.packet_pool, "append"))
+    NT_CONST(two, PyLong_FromLong(2))
+    NT_CONST(empty, PyTuple_New(0))
+    NT_CONST(f_zero, PyFloat_FromDouble(0.0))
+    NT_CONST(f_minus_one, PyFloat_FromDouble(-1.0))
+#undef NT_CONST
+    if (NL.sender_type == NULL)
+        NL.sender_type = nl_subtype(&nsender_spec, T_SENDER);
+    if (NL.sender_type == NULL)
+        return -1;
+    NL.receiver_type = nl_subtype(&nreceiver_spec, T_RECV);
+    return NL.receiver_type == NULL ? -1 : 0;
+}
+
+static PyObject *
+ksim_get_sender_type(PyObject *self, void *closure)
+{
+    if (nt_bind() < 0)
+        return NULL;
+    return Py_NewRef((PyObject *)NL.sender_type);
+}
+
+static PyObject *
+ksim_get_receiver_type(PyObject *self, void *closure)
+{
+    if (nt_bind() < 0)
+        return NULL;
+    return Py_NewRef((PyObject *)NL.receiver_type);
+}
+
+/* ---- native heap entries ---- */
+
+/* A bound _deliver / _serve_queue of a native link or _fire_rto of a native
+ * sender: its entry kind, with the owner borrowed into *owner; 0 for any
+ * other callable. */
+static int
+native_kind(PyObject *cb, PyObject **owner)
+{
+    if (!PyCFunction_Check(cb))
+        return 0;
+    PyCFunction fn = PyCFunction_GET_FUNCTION(cb);
+    int kind = fn == (PyCFunction)nlink_deliver ? KN_DELIVER
+             : fn == (PyCFunction)nlink_serve_queue ? KN_SERVE
+             : fn == (PyCFunction)nsender_fire_rto ? KN_RTO : 0;
+    if (kind)
+        *owner = PyCFunction_GET_SELF(cb);
+    return kind;
+}
+
+static int
+native_fire(int kind, PyObject *owner)
+{
+    switch (kind) {
+    case KN_DELIVER:
+        return nl_deliver(owner);
+    case KN_SERVE:
+        return nl_serve(owner);
+    default: {
+        KernelSimObject *sim = nt_agent_sim(owner, O_SENDER_sim);
+        return sim == NULL ? -1 : slot_fire_rto(sim, owner);
+    }
+    }
+}
+
+/* The bound method a native entry stands for (_export_entries). */
+static const char *
+native_method(int kind)
+{
+    return kind == KN_DELIVER ? "_deliver" : kind == KN_SERVE ? "_serve_queue" : "_fire_rto";
 }
 
 /* ------------------------------------------------------------------- Scene
@@ -1593,7 +2964,7 @@ typedef struct {
 
 typedef struct {
     int32_t src, dst;           /* node indices */
-    int64_t size, tag, flow, subflow, seq, payload, ack, dsn, dack, hops;
+    int64_t size, tag, flow, subflow, seq, payload_len, ack, dsn, dack, hops;
     double ts_echo, created_at, enqueued_at;
     int8_t is_ack, is_retx;
     int32_t nsack;              /* SACK blocks: nsack pairs in sack[] */
@@ -1669,16 +3040,18 @@ typedef struct {
     int32_t head, len, cap;
 } SegRing;
 
+/* Window, estimator and counter members are named as the Python attributes
+ * they mirror: the shared transport bodies (_transport.h) address both. */
 #define SENDER_FIELDS(X, S)                                                 \
     X(I32, host, S) X(I32, dst, S) X(I64, flow, S) X(I64, subflow, S)       \
     X(I64, tag, S) X(I32, route_link, S) X(I64, mss, S)                     \
     /* BulkDataAdapter; total_bytes -1 == unbounded */                      \
     X(I64, total_bytes, S) X(I64, offset, S) X(I64, prov_acked, S)          \
     X(F64, prov_last_ack, S)                                                \
-    /* RttEstimator; srtt, rttvar, rtt_min, latest NaN until sampled */     \
+    /* RttEstimator; srtt, rttvar, min_rtt, latest_rtt NaN until sampled */ \
     X(F64, alpha, S) X(F64, beta, S) X(F64, min_rto, S) X(F64, max_rto, S)  \
-    X(F64, srtt, S) X(F64, rttvar, S) X(F64, rtt_min, S) X(F64, latest, S)  \
-    X(I64, samples, S) X(F64, rto_cache, S)                                 \
+    X(F64, srtt, S) X(F64, rttvar, S) X(F64, min_rtt, S)                    \
+    X(F64, latest_rtt, S) X(I64, samples, S) X(F64, _rto, S)                \
     /* congestion control; epoch_start, cc_min_rtt NaN when unset */        \
     X(I32, cc_kind, S) X(I64, cc_mss, S)                                    \
     X(F64, cwnd, S) X(F64, ssthresh, S) X(F64, cc_srtt, S)                  \
@@ -1688,14 +3061,15 @@ typedef struct {
     X(F64, acks_in_epoch, S) X(F64, cc_min_rtt, S)                          \
     /* window state */                                                      \
     X(I64, snd_una, S) X(I64, snd_nxt, S)                                   \
-    X(I64, sacked_bytes, S) X(I64, lost_pending_bytes, S)                   \
-    X(I64, dupacks, S) X(BOOL, in_recovery, S) X(I64, recover, S)           \
-    X(F64, rto_deadline, S) X(F64, rto_fire_at, S) X(F64, rto_backoff, S)   \
-    X(BOOL, started, S) X(BOOL, closed, S)                                  \
+    X(I64, _sacked_bytes, S) X(I64, _lost_pending_bytes, S)                 \
+    X(I64, _dupacks, S) X(BOOL, _in_fast_recovery, S) X(I64, _recover, S)   \
+    X(F64, _rto_deadline, S) X(F64, _rto_fire_at, S)                        \
+    X(F64, _rto_backoff, S) X(BOOL, _started, S) X(BOOL, closed, S)         \
     /* SenderStats */                                                       \
     X(I64, st_segments_sent, S) X(I64, st_bytes_sent, S)                    \
-    X(I64, st_bytes_acked, S) X(I64, st_retrans, S)                         \
-    X(I64, st_fast_retrans, S) X(I64, st_timeouts, S) X(I64, st_dupacks, S)
+    X(I64, st_bytes_acked, S) X(I64, st_retransmissions, S)                 \
+    X(I64, st_fast_retransmits, S) X(I64, st_timeouts, S)                   \
+    X(I64, st_dupacks, S)
 
 typedef struct {
     SENDER_FIELDS(FIELD_MEMBER, )
@@ -1705,15 +3079,14 @@ typedef struct {
 } CSender;
 static const Field SENDER_TABLE[] = {SENDER_FIELDS(FIELD_ROW, CSender) {NULL, 0, 0}};
 
-typedef struct { int64_t seq, length, dsn; } OooEnt;
-
 #define RECV_FIELDS(X, S)                                                   \
     X(I32, host, S) X(I32, peer, S) X(I64, flow, S) X(I64, subflow, S)      \
     X(I64, tag, S) X(I32, route_link, S) X(I64, ack_size, S)                \
-    X(I64, rcv_nxt, S) X(I64, last_dack, S)                                 \
+    X(I64, rcv_nxt, S) X(I64, _last_dack, S)                                \
     /* ReceiverStats */                                                     \
-    X(I64, st_segs, S) X(I64, st_bytes, S) X(I64, st_dups, S)               \
-    X(I64, st_ooo, S) X(I64, st_acks, S)
+    X(I64, st_segments_received, S) X(I64, st_bytes_received, S)            \
+    X(I64, st_duplicates, S) X(I64, st_out_of_order, S)                     \
+    X(I64, st_acks_sent, S)
 
 typedef struct {
     RECV_FIELDS(FIELD_MEMBER, )
@@ -1893,22 +3266,23 @@ seg_at(SegRing *r, int32_t i)
 }
 
 /* Segments are kept in ascending-seq order (appended at snd_nxt, retired as
- * a prefix), so dict lookups become a binary search. */
-static int32_t
+ * a prefix), so the _segments dict lookup becomes a binary search; NULL when
+ * seq is not a segment start. */
+static CSeg *
 seg_find(SegRing *r, int64_t seq)
 {
     int32_t lo = 0, hi = r->len - 1;
     while (lo <= hi) {
         int32_t mid = (lo + hi) / 2;
-        int64_t v = seg_at(r, mid)->seq;
-        if (v == seq)
-            return mid;
-        if (v < seq)
+        CSeg *g = seg_at(r, mid);
+        if (g->seq == seq)
+            return g;
+        if (g->seq < seq)
             lo = mid + 1;
         else
             hi = mid - 1;
     }
-    return -1;
+    return NULL;
 }
 
 /* ---- event heap ---- */
@@ -1989,33 +3363,6 @@ pkt_free(SceneObject *s, int32_t i)
 {
     s->arena[i].next_free = s->free_head;
     s->free_head = i;
-}
-
-/* ---- RttEstimator.update ---- */
-
-static void
-rtt_update(CSender *S, double sample)
-{
-    S->latest = sample;
-    S->samples += 1;
-    if (isnan(S->rtt_min) || sample < S->rtt_min)
-        S->rtt_min = sample;
-    double srtt, rttvar;
-    if (isnan(S->srtt)) {
-        S->srtt = srtt = sample;
-        S->rttvar = rttvar = sample / 2.0;
-    }
-    else {
-        double diff = S->srtt - sample;
-        if (diff < 0)
-            diff = -diff;
-        S->rttvar = rttvar = (1.0 - S->beta) * S->rttvar + S->beta * diff;
-        S->srtt = srtt = (1.0 - S->alpha) * S->srtt + S->alpha * sample;
-    }
-    double dev = 4.0 * rttvar;
-    double rto = srtt + (dev > 0.0001 ? dev : 0.0001);
-    double x = rto > S->min_rto ? rto : S->min_rto;
-    S->rto_cache = x < S->max_rto ? x : S->max_rto;
 }
 
 /* ---- congestion control ---- */
@@ -2125,12 +3472,6 @@ cc_on_timeout(CSender *S, double now)
     }
 }
 
-/* ---- forward declarations ---- */
-
-static int link_send(SceneObject *s, int32_t li, int32_t pi, int *accepted);
-static int try_send(SceneObject *s, int32_t si);
-static int arm_rto(SceneObject *s, int32_t si, int restart);
-
 /* ---- link transmit / queue / deliver (netsim/link.py, static mode) ---- */
 
 static int
@@ -2228,7 +3569,7 @@ cap_record(SceneObject *s, int32_t ci, int32_t pi)
     int32_t n = C->n;
     C->c_time[n] = s->now;
     C->c_size[n] = p->size;
-    C->c_payload[n] = p->payload;
+    C->c_payload[n] = p->payload_len;
     C->c_tag[n] = p->tag;       /* -1 already encodes the untagged sentinel */
     C->c_flow[n] = p->flow;
     C->c_sub[n] = p->subflow;
@@ -2239,407 +3580,180 @@ cap_record(SceneObject *s, int32_t ci, int32_t pi)
     return 0;
 }
 
-/* ---- sender (tcp/sender.py) ---- */
+/* ---- transport: the struct accessor layer (contract: _transport.h) ----
+ *
+ * The Scene's senders and receivers run the shared transport bodies over
+ * CSender / CRecv / CSeg / CPkt.  The controller is cc_* above, the data
+ * provider the inlined BulkDataAdapter; eligibility (pipeline.py) excludes
+ * what this layer answers with a constant: ECN, path_down, on_idle, a
+ * connection sink.
+ */
+
+#define TP(name) scn_##name
+#define TP_CTX SceneObject *
+#define TP_SND CSender *
+#define TP_RCV CRecv *
+#define TP_SEG CSeg *
+#define TP_PKT int32_t
+#define TP_NOW(c) ((c)->now)
+
+#define SND_I64(var, S, name) int64_t var = (S)->name
+#define SND_F64(var, S, name) double var = (S)->name
+#define SND_FLAG(var, S, name) int var = (S)->name
+#define SND_SET_I64(S, name, v) ((S)->name = (v))
+#define SND_SET_F64(S, name, v) ((S)->name = (v))
+#define SND_SET_FLAG(S, name, v) ((S)->name = (v))
+#define SND_STAT_ADD(S, name, d) ((S)->st_##name += (d))
+#define SND_PATH_DOWN(var, S) int var = 0
+#define RCV_I64(var, R, name) int64_t var = (R)->name
+#define RCV_SET_I64(R, name, v) ((R)->name = (v))
+#define RCV_STAT_ADD(R, name, d) ((R)->st_##name += (d))
+#define SEG_I64(var, g, name) int64_t var = (g)->name
+#define SEG_F64(var, g, name) double var = (g)->name
+#define SEG_FLAG(var, g, name) int var = (g)->name
+#define SEG_SET_F64(g, name, v) ((g)->name = (v))
+#define SEG_SET_FLAG(g, name, v) ((g)->name = (v))
+#define SEGQ_LEN(n, S) Py_ssize_t n = (S)->segs.len
+#define SEGQ_AT(g, S, j) CSeg *g = seg_at(&(S)->segs, (int32_t)(j))
+#define SEGQ_FIND(g, S, seq) CSeg *g = seg_find(&(S)->segs, seq)
+#define PKT_I64(var, c, p, name) int64_t var = (c)->arena[p].name
+#define PKT_F64(var, c, p, name) double var = (c)->arena[p].name
+#define PKT_FLAG(var, c, p, name) int var = (c)->arena[p].name
+#define RTT_OPEN(S, sample)
+#define RTT(field) ((S)->field)
+#define RTT_CLOSE(S)
+#define RTT_RTO(var, S) double var = (S)->_rto
+#define RTT_SAMPLES(var, S) int64_t var = (S)->samples
+#define RTT_SRTT(var, S, unsampled) double var = isnan((S)->srtt) ? (unsampled) : (S)->srtt
+#define RTO_LIVE(var, S) int var = (S)->rto_live
 
 static int
-transmit_segment(SceneObject *s, int32_t si, int64_t seq, int64_t length,
-                 int64_t dsn, int is_retx)
+scn_segq_push(CSender *S, int64_t seq, int64_t length, int64_t dsn, double now)
 {
-    CSender *S = &s->snds[si];
-    double now = s->now;
-    int32_t pi = pkt_alloc(s);
-    if (pi < 0)
-        return -1;
-    CPkt *p = &s->arena[pi];
-    p->src = S->host;
-    p->dst = S->dst;
-    p->size = length + s->header_size;
-    p->tag = S->tag;
-    p->flow = S->flow;
-    p->subflow = S->subflow;
-    p->seq = seq;
-    p->payload = length;
-    p->is_ack = 0;
-    p->ack = 0;
-    p->dsn = dsn;
-    p->dack = 0;
-    p->is_retx = (int8_t)is_retx;
-    p->ts_echo = -1.0;
-    p->created_at = now;
-    p->enqueued_at = 0.0;
-    p->hops = 0;
-    p->nsack = 0;
-    int32_t j = seg_find(&S->segs, seq);
-    if (j < 0) {
-        CSeg seg = {seq, length, dsn, now, 0, 0, 0, 0, 0};
-        if (is_retx)
-            seg.retransmitted = 1;
-        if (segring_push(&S->segs, seg) < 0)
-            return -1;
-    }
-    else {
-        CSeg *g = seg_at(&S->segs, j);
-        g->sent_at = now;
-        if (is_retx)
-            g->retransmitted = 1;
-    }
-    if (is_retx)
-        S->st_retrans += 1;
-    S->st_segments_sent += 1;
-    S->st_bytes_sent += length;
-    int accepted;
-    if (link_send(s, S->route_link, pi, &accepted) < 0)
-        return -1;
-    if (!S->rto_live)
-        return arm_rto(s, si, 0);
-    return 0;
+    CSeg seg = {seq, length, dsn, now, 0, 0, 0, 0, 0};
+    return segring_push(&S->segs, seg);
 }
 
 static int
-retransmit_next_hole(SceneObject *s, int32_t si, int *did)
+scn_segq_popleft(CSender *S)
 {
-    CSender *S = &s->snds[si];
-    int64_t recover = S->recover;
-    for (int32_t j = 0; j < S->segs.len; j++) {
-        CSeg *g = seg_at(&S->segs, j);
-        if (g->seq >= recover)
-            break;
-        if (g->sacked || !g->lost || g->retx_in_recovery)
-            continue;
-        g->retx_in_recovery = 1;
-        if (g->lost_pending) {
-            g->lost_pending = 0;
-            S->lost_pending_bytes -= g->length;
-        }
-        int64_t seq = g->seq, length = g->length, dsn = g->dsn;
-        if (transmit_segment(s, si, seq, length, dsn, 1) < 0)
-            return -1;
-        *did = 1;
-        return 0;
-    }
-    *did = 0;
+    segring_popleft(&S->segs);
     return 0;
 }
 
+/* The live timer is the heap entry whose seq is rto_seq; a re-armed or
+ * cleared one goes stale where Python cancels its handle. */
 static int
-arm_rto(SceneObject *s, int32_t si, int restart)
+scn_rto_schedule(SceneObject *s, CSender *S, double deadline)
 {
-    CSender *S = &s->snds[si];
-    if (S->rto_live && !restart)
-        return 0;
-    double deadline = s->now + S->rto_cache * S->rto_backoff;
-    S->rto_deadline = deadline;
-    if (S->rto_live) {
-        if (S->rto_fire_at <= deadline)
-            return 0;
-        /* Python cancels the pending event; here it goes stale via rto_seq */
-    }
     S->rto_seq = s->seq;
     S->rto_live = 1;
-    if (ev_push(s, deadline, s->seq, EV_RTO, si) < 0)
-        return -1;
-    s->seq += 1;
-    S->rto_fire_at = deadline;
+    return ev_push(s, deadline, s->seq++, EV_RTO, (int32_t)(S - s->snds));
+}
+
+static int
+scn_rto_cancel(CSender *S)
+{
     return 0;
 }
 
-static int
-try_send(SceneObject *s, int32_t si)
-{
-    CSender *S = &s->snds[si];
-    int64_t mss = S->mss;
-    double cwnd_bytes = S->cwnd * (double)S->cc_mss;
-    for (;;) {
-        int64_t pipe = S->snd_nxt - S->snd_una - S->sacked_bytes - S->lost_pending_bytes;
-        if (pipe < 0)
-            pipe = 0;
-        if ((double)(pipe + mss) > cwnd_bytes)
-            return 0;
-        if (S->in_recovery) {
-            int did;
-            if (retransmit_next_hole(s, si, &did) < 0)
-                return -1;
-            if (did)
-                continue;
-        }
-        /* BulkDataAdapter.request_data inlined */
-        int64_t length;
-        if (S->total_bytes >= 0) {
-            int64_t remaining = S->total_bytes - S->offset;
-            if (remaining <= 0)
-                return 0;   /* provider refused; on_idle is None (eligibility) */
-            length = mss < remaining ? mss : remaining;
-        }
-        else {
-            length = mss;
-        }
-        int64_t dsn = S->offset;
-        S->offset += length;
-        int64_t seq = S->snd_nxt;
-        double now = s->now;
-        int32_t pi = pkt_alloc(s);
-        if (pi < 0)
-            return -1;
-        CPkt *p = &s->arena[pi];
-        p->src = S->host;
-        p->dst = S->dst;
-        p->size = length + s->header_size;
-        p->tag = S->tag;
-        p->flow = S->flow;
-        p->subflow = S->subflow;
-        p->seq = seq;
-        p->payload = length;
-        p->is_ack = 0;
-        p->ack = 0;
-        p->dsn = dsn;
-        p->dack = 0;
-        p->is_retx = 0;
-        p->ts_echo = -1.0;
-        p->created_at = now;
-        p->enqueued_at = 0.0;
-        p->hops = 0;
-        p->nsack = 0;
-        CSeg seg = {seq, length, dsn, now, 0, 0, 0, 0, 0};
-        if (segring_push(&S->segs, seg) < 0)
-            return -1;
-        S->st_segments_sent += 1;
-        S->st_bytes_sent += length;
-        int accepted;
-        if (link_send(s, S->route_link, pi, &accepted) < 0)
-            return -1;
-        if (!S->rto_live) {
-            if (arm_rto(s, si, 0) < 0)
-                return -1;
-        }
-        S->snd_nxt = seq + length;
-    }
-}
-
 static void
-sample_rtt_karn(CSender *S, int64_t ack, double now)
+scn_rto_forget(CSender *S)
 {
-    int found = 0;
-    double best_sent = 0.0;
-    for (int32_t j = 0; j < S->segs.len; j++) {
-        CSeg *g = seg_at(&S->segs, j);
-        if (g->seq + g->length <= ack && !g->retransmitted) {
-            if (!found || g->sent_at > best_sent) {
-                found = 1;
-                best_sent = g->sent_at;
-            }
-        }
-    }
-    if (found) {
-        double sample = now - best_sent;
-        if (sample > 0)
-            rtt_update(S, sample);
-    }
-}
-
-static void
-apply_sack(CSender *S, const int64_t *blocks, int32_t nblocks)
-{
-    int64_t hse = blocks[1];
-    for (int32_t b = 1; b < nblocks; b++) {
-        if (blocks[2 * b + 1] > hse)
-            hse = blocks[2 * b + 1];
-    }
-    /* One pass in ascending seq: SACKed inside a block, else FACK-style
-     * lost when wholly below the highest SACKed end. */
-    for (int32_t j = 0; j < S->segs.len; j++) {
-        CSeg *g = seg_at(&S->segs, j);
-        if (g->seq > hse)
-            break;
-        if (g->sacked)
-            continue;
-        int64_t seg_end = g->seq + g->length;
-        int32_t b = 0;
-        while (b < nblocks && !(g->seq >= blocks[2 * b] && seg_end <= blocks[2 * b + 1]))
-            b++;
-        if (b < nblocks) {
-            g->sacked = 1;
-            S->sacked_bytes += g->length;
-            if (g->lost_pending) {
-                g->lost_pending = 0;
-                S->lost_pending_bytes -= g->length;
-            }
-        }
-        else if (!g->lost && seg_end <= hse) {
-            g->lost = 1;
-            g->lost_pending = 1;
-            S->lost_pending_bytes += g->length;
-        }
-    }
-}
-
-static int
-enter_fast_recovery(SceneObject *s, int32_t si, double now)
-{
-    CSender *S = &s->snds[si];
-    S->in_recovery = 1;
-    S->recover = S->snd_nxt;
-    S->st_fast_retrans += 1;
-    cc_on_loss(S, now);
-    int32_t j = seg_find(&S->segs, S->snd_una);
-    if (j >= 0) {
-        CSeg *front = seg_at(&S->segs, j);
-        if (!front->sacked && !front->lost) {
-            front->lost = 1;
-            front->lost_pending = 1;
-            S->lost_pending_bytes += front->length;
-        }
-    }
-    int did;
-    return retransmit_next_hole(s, si, &did);
-}
-
-static int
-on_new_ack(SceneObject *s, int32_t si, int64_t ack, double now)
-{
-    CSender *S = &s->snds[si];
-    int64_t newly = ack - S->snd_una;
-    S->st_bytes_acked += newly;
-    if (S->samples == 0)
-        sample_rtt_karn(S, ack, now);
-    while (S->segs.len > 0) {
-        CSeg *g = seg_at(&S->segs, 0);
-        if (g->seq + g->length > ack)
-            break;
-        int64_t length = g->length;
-        if (g->sacked)
-            S->sacked_bytes -= length;
-        if (g->lost_pending)
-            S->lost_pending_bytes -= length;
-        /* BulkDataAdapter.on_data_acked inlined */
-        S->prov_acked += length;
-        S->prov_last_ack = now;
-        segring_popleft(&S->segs);
-    }
-    S->snd_una = ack;
-    S->dupacks = 0;
-    S->rto_backoff = 1.0;
-    double srtt = isnan(S->srtt) ? 0.01 : S->srtt;
-    if (S->in_recovery) {
-        if (ack >= S->recover) {
-            /* _exit_fast_recovery */
-            S->in_recovery = 0;
-            for (int32_t j = 0; j < S->segs.len; j++)
-                seg_at(&S->segs, j)->retx_in_recovery = 0;
-        }
-        else if (S->cwnd < S->ssthresh) {
-            cc_on_ack(S, newly, srtt, now);
-        }
-    }
-    else {
-        cc_on_ack(S, newly, srtt, now);
-    }
-    if (S->snd_nxt == ack)
-        S->rto_live = 0;    /* _cancel_rto */
-    else if (arm_rto(s, si, 1) < 0)
-        return -1;
-    return 0;
-}
-
-static int
-sender_handle(SceneObject *s, int32_t si, int32_t pi)
-{
-    CPkt *p = &s->arena[pi];
-    if (!p->is_ack)
-        return 0;   /* Python leaks a stray data packet; unreachable here */
-    CSender *S = &s->snds[si];
-    int64_t ack = p->ack;
-    double now = s->now;
-    if (ack > S->snd_nxt)
-        return scene_err("compiled pipeline: ACK beyond snd_nxt");
-    double ts_echo = p->ts_echo;
-    int64_t blocks[8];
-    int32_t nblocks = p->nsack;
-    for (int32_t b = 0; b < 2 * nblocks; b++)
-        blocks[b] = p->sack[b];
-    pkt_free(s, pi);    /* Python recycles after dispatch; order unobservable */
-    if (ts_echo >= 0) {
-        double sample = now - ts_echo;
-        if (sample > 0)
-            rtt_update(S, sample);
-    }
-    if (nblocks > 0)
-        apply_sack(S, blocks, nblocks);
-    int64_t snd_una = S->snd_una;
-    if (ack > snd_una) {
-        if (on_new_ack(s, si, ack, now) < 0)
-            return -1;
-    }
-    else if (ack == snd_una && S->snd_nxt > snd_una) {
-        /* _on_dupack */
-        S->dupacks += 1;
-        S->st_dupacks += 1;
-        if (!S->in_recovery) {
-            int lost_hint = S->dupacks >= 3;
-            int sack_hint = S->sacked_bytes >= 3 * S->mss;
-            if (lost_hint || sack_hint) {
-                if (enter_fast_recovery(s, si, now) < 0)
-                    return -1;
-            }
-        }
-    }
-    return try_send(s, si);
-}
-
-static int
-on_rto(SceneObject *s, int32_t si)
-{
-    CSender *S = &s->snds[si];
     S->rto_live = 0;
-    if (S->snd_nxt - S->snd_una == 0 || S->closed)
-        return 0;
-    double now = s->now;
-    S->st_timeouts += 1;
-    cc_on_timeout(S, now);
-    S->dupacks = 0;
-    /* _exit_fast_recovery */
-    S->in_recovery = 0;
-    for (int32_t j = 0; j < S->segs.len; j++)
-        seg_at(&S->segs, j)->retx_in_recovery = 0;
-    S->sacked_bytes = 0;
-    S->lost_pending_bytes = 0;
-    for (int32_t j = 0; j < S->segs.len; j++) {
-        CSeg *g = seg_at(&S->segs, j);
-        g->sacked = 0;
-        g->lost = 1;
-        g->lost_pending = 1;
-        S->lost_pending_bytes += g->length;
-    }
-    S->in_recovery = 1;
-    S->recover = S->snd_nxt;
-    double backoff = S->rto_backoff * 2.0;
-    S->rto_backoff = backoff < 64.0 ? backoff : 64.0;
-    int did;
-    if (retransmit_next_hole(s, si, &did) < 0)
-        return -1;
-    return arm_rto(s, si, 1);
-}
-
-/* ---- receiver (tcp/receiver.py) ---- */
-
-static int32_t
-ooo_find(CRecv *R, int64_t seq)
-{
-    int32_t lo = 0, hi = R->nooo - 1;
-    while (lo <= hi) {
-        int32_t mid = (lo + hi) / 2;
-        int64_t v = R->ooo[mid].seq;
-        if (v == seq)
-            return mid;
-        if (v < seq)
-            lo = mid + 1;
-        else
-            hi = mid - 1;
-    }
-    return -1;
 }
 
 static int
-ooo_insert_if_absent(CRecv *R, int64_t seq, int64_t length, int64_t dsn)
+scn_rto_clear(CSender *S)
+{
+    S->rto_live = 0;
+    return 0;
+}
+
+static int
+scn_cc_cwnd_bytes(CSender *S, double *out)
+{
+    *out = S->cwnd * (double)S->cc_mss;
+    return 0;
+}
+
+static int
+scn_cc_in_slow_start(CSender *S, int *out)
+{
+    *out = S->cwnd < S->ssthresh;
+    return 0;
+}
+
+static int
+scn_cc_on_ack(CSender *S, int64_t acked_bytes, double srtt, double now)
+{
+    cc_on_ack(S, acked_bytes, srtt, now);
+    return 0;
+}
+
+static int
+scn_cc_on_loss(CSender *S, double now)
+{
+    cc_on_loss(S, now);
+    return 0;
+}
+
+static int
+scn_cc_on_timeout(CSender *S, double now)
+{
+    cc_on_timeout(S, now);
+    return 0;
+}
+
+/* BulkDataAdapter.request_data / on_data_acked */
+static int
+scn_request_data(SceneObject *s, CSender *S, int64_t mss, int *granted, int64_t *dsn,
+                 int64_t *length)
+{
+    *length = mss;
+    if (S->total_bytes >= 0) {
+        int64_t remaining = S->total_bytes - S->offset;
+        if (remaining < mss)
+            *length = remaining;
+    }
+    *granted = *length > 0;
+    if (*granted) {
+        *dsn = S->offset;
+        S->offset += *length;
+    }
+    return 0;
+}
+
+static int
+scn_data_acked(SceneObject *s, CSender *S, int64_t dsn, int64_t length, double now)
+{
+    S->prov_acked += length;
+    S->prov_last_ack = now;
+    return 0;
+}
+
+static int
+scn_idle(SceneObject *s, CSender *S)
+{
+    return 0;
+}
+
+static int
+scn_sink_deliver(SceneObject *s, CRecv *R, int64_t dsn, int64_t length, double now)
+{
+    return 0;
+}
+
+/* The reorder buffer: entries sorted by seq. */
+static int
+scn_ooo_nonempty(CRecv *R, int *out)
+{
+    *out = R->nooo > 0;
+    return 0;
+}
+
+static int
+scn_ooo_setdefault(CRecv *R, int64_t seq, int64_t length, int64_t dsn)
 {
     /* dict.setdefault: the first buffered (length, dsn) wins */
     int32_t lo = 0, hi = R->nooo;
@@ -2667,122 +3781,113 @@ ooo_insert_if_absent(CRecv *R, int64_t seq, int64_t length, int64_t dsn)
     return 0;
 }
 
-static void
-drain_buffer(CRecv *R)
+static int
+scn_ooo_pop(CRecv *R, int64_t seq, int *found, int64_t *length, int64_t *dsn)
 {
-    /* `while rcv_nxt in buffer`: stale entries below rcv_nxt stay put and
-     * keep appearing in SACK blocks, exactly like the Python dict. */
-    for (;;) {
-        int32_t j = ooo_find(R, R->rcv_nxt);
-        if (j < 0)
-            return;
-        int64_t length = R->ooo[j].length;
-        memmove(&R->ooo[j], &R->ooo[j + 1], (size_t)(R->nooo - j - 1) * sizeof(OooEnt));
-        R->nooo -= 1;
-        if (length > 0) {
-            R->rcv_nxt += length;
-            R->st_bytes += length;
+    int32_t lo = 0, hi = R->nooo - 1;
+    *found = 0;
+    while (lo <= hi) {
+        int32_t mid = (lo + hi) / 2;
+        int64_t v = R->ooo[mid].seq;
+        if (v == seq) {
+            *found = 1;
+            *length = R->ooo[mid].length;
+            *dsn = R->ooo[mid].dsn;
+            memmove(&R->ooo[mid], &R->ooo[mid + 1],
+                    (size_t)(R->nooo - mid - 1) * sizeof(OooEnt));
+            R->nooo -= 1;
+            return 0;
         }
+        if (v < seq)
+            lo = mid + 1;
+        else
+            hi = mid - 1;
     }
+    return 0;
 }
 
-static void
-sack_blocks_into(CRecv *R, CPkt *a)
+/* A packet from the arena with the fields both kinds set alike (the sack[]
+ * of a recycled slot is stale beyond nsack, which nothing reads). */
+static CPkt *
+scn_packet(SceneObject *s, int32_t src, int32_t dst, int64_t tag, int64_t flow,
+           int64_t subflow, double now, int32_t *pi)
 {
-    /* RFC 2018 merge over the seq-sorted buffer, truncated to 4 blocks */
-    int32_t nb = 0;
-    int64_t start = R->ooo[0].seq;
-    int64_t end = start + R->ooo[0].length;
-    for (int32_t j = 1; j < R->nooo; j++) {
-        int64_t q = R->ooo[j].seq;
-        if (q == end) {
-            end = q + R->ooo[j].length;
-        }
-        else {
-            if (nb < 4) {
-                a->sack[2 * nb] = start;
-                a->sack[2 * nb + 1] = end;
-                nb++;
-            }
-            start = q;
-            end = q + R->ooo[j].length;
-        }
-    }
-    if (nb < 4) {
-        a->sack[2 * nb] = start;
-        a->sack[2 * nb + 1] = end;
-        nb++;
-    }
-    a->nsack = nb;
+    *pi = pkt_alloc(s);
+    if (*pi < 0)
+        return NULL;
+    CPkt *p = &s->arena[*pi];
+    p->src = src;
+    p->dst = dst;
+    p->tag = tag;
+    p->flow = flow;
+    p->subflow = subflow;
+    p->created_at = now;
+    p->enqueued_at = 0.0;
+    p->hops = 0;
+    p->nsack = 0;
+    return p;
 }
 
 static int
-recv_handle(SceneObject *s, int32_t ri, int32_t pi)
+scn_send_data(SceneObject *s, CSender *S, int64_t seq, int64_t length, int64_t dsn,
+              int is_retransmission, double now)
 {
-    CPkt *p = &s->arena[pi];
-    if (p->is_ack)
-        return 0;   /* Python leaks a stray ACK; unreachable here */
-    CRecv *R = &s->rcvs[ri];
-    double now = s->now;
-    R->st_segs += 1;
-    int64_t seq = p->seq, length = p->payload, dsn = p->dsn;
-    double ts_echo = p->created_at;
-    pkt_free(s, pi);
-    int64_t rcv_nxt = R->rcv_nxt;
-    if (seq == rcv_nxt) {
-        if (length > 0) {
-            R->rcv_nxt = seq + length;
-            R->st_bytes += length;
-            /* connection_sink is None under eligibility: _last_dack frozen */
-        }
-        if (R->nooo)
-            drain_buffer(R);
-    }
-    else if (seq > rcv_nxt) {
-        R->st_ooo += 1;
-        if (ooo_insert_if_absent(R, seq, length, dsn) < 0)
-            return -1;
-    }
-    else {
-        R->st_dups += 1;
-        if (seq + length > rcv_nxt) {
-            int64_t overlap = rcv_nxt - seq;
-            int64_t dl = length - overlap;
-            if (dl > 0) {
-                R->rcv_nxt = rcv_nxt + dl;
-                R->st_bytes += dl;
-            }
-            drain_buffer(R);
-        }
-    }
-    int32_t ai = pkt_alloc(s);
-    if (ai < 0)
+    int32_t pi;
+    CPkt *p = scn_packet(s, S->host, S->dst, S->tag, S->flow, S->subflow, now, &pi);
+    if (p == NULL)
         return -1;
-    CPkt *a = &s->arena[ai];
-    a->src = R->host;
-    a->dst = R->peer;
+    p->size = length + s->header_size;
+    p->seq = seq;
+    p->payload_len = length;
+    p->is_ack = 0;
+    p->ack = 0;
+    p->dsn = dsn;
+    p->dack = 0;
+    p->is_retx = (int8_t)is_retransmission;
+    p->ts_echo = -1.0;
+    int accepted;
+    return link_send(s, S->route_link, pi, &accepted);
+}
+
+static int
+scn_send_ack(SceneObject *s, CRecv *R, double ts_echo, double now, int ece)
+{
+    int32_t pi;
+    CPkt *a = scn_packet(s, R->host, R->peer, R->tag, R->flow, R->subflow, now, &pi);
+    if (a == NULL)
+        return -1;
     a->size = R->ack_size;
-    a->tag = R->tag;
-    a->flow = R->flow;
-    a->subflow = R->subflow;
     a->seq = 0;
-    a->payload = 0;
+    a->payload_len = 0;
     a->is_ack = 1;
     a->ack = R->rcv_nxt;
     a->dsn = 0;
-    a->dack = R->last_dack;
+    a->dack = R->_last_dack;
     a->is_retx = 0;
     a->ts_echo = ts_echo;
-    a->created_at = now;
-    a->enqueued_at = 0.0;
-    a->hops = 0;
-    a->nsack = 0;
     if (R->nooo)
-        sack_blocks_into(R, a);
-    R->st_acks += 1;
+        a->nsack = sack_blocks(R->ooo, R->nooo, a->sack);
     int accepted;
-    return link_send(s, R->route_link, ai, &accepted);
+    return link_send(s, R->route_link, pi, &accepted);
 }
+
+static int
+scn_pkt_recycle(SceneObject *s, int32_t pi)
+{
+    pkt_free(s, pi);
+    return 0;
+}
+
+static int scn_apply_sack(CSender *S, const int64_t *blocks, Py_ssize_t nblocks);
+
+static int
+scn_pkt_sack(SceneObject *s, CSender *S, int32_t pi)
+{
+    CPkt *p = &s->arena[pi];
+    return p->nsack ? scn_apply_sack(S, p->sack, p->nsack) : 0;
+}
+
+#include "_transport.h"
 
 /* ---- node dispatch (netsim/node.py receive fused into link delivery) ---- */
 
@@ -2803,8 +3908,8 @@ node_receive(SceneObject *s, int32_t ni, int32_t pi)
             AgentEnt *ag = &N->agents[a];
             if (ag->flow == p->flow && ag->subflow == p->subflow) {
                 if (ag->kind == AGENT_SENDER)
-                    return sender_handle(s, ag->idx, pi);
-                return recv_handle(s, ag->idx, pi);
+                    return scn_sender_handle(s, &s->snds[ag->idx], pi);
+                return scn_receiver_handle(s, &s->rcvs[ag->idx], pi);
             }
         }
         /* No matching agent: Python silently drops the packet (leaked to
@@ -2869,28 +3974,17 @@ scene_step(SceneObject *s, PEv ev)
         return 0;
     }
     case EV_RTO: {
-        /* _fire_rto: the lazy deadline check */
         CSender *S = &s->snds[ev.idx];
-        S->rto_live = 0;
-        double deadline = S->rto_deadline;
-        if (s->now < deadline) {
-            S->rto_seq = s->seq;
-            S->rto_live = 1;
-            if (ev_push(s, deadline, s->seq, EV_RTO, ev.idx) < 0)
-                return -1;
-            s->seq += 1;
-            S->rto_fire_at = deadline;
-            return 0;
-        }
-        return on_rto(s, ev.idx);
+        S->rto_live = 0;    /* this entry has fired */
+        return scn_fire_rto(s, S);
     }
     case EV_START: {
         /* TcpSender.start */
         CSender *S = &s->snds[ev.idx];
-        if (S->started || S->closed)
+        if (S->_started || S->closed)
             return 0;
-        S->started = 1;
-        return try_send(s, ev.idx);
+        S->_started = 1;
+        return scn_try_send(s, S);
     }
     }
     return scene_err("compiled pipeline: unknown event kind");
@@ -3131,7 +4225,7 @@ scene_add_receiver(SceneObject *self, PyObject *args)
     for (Py_ssize_t i = 0; ok && i < n; i++) {
         long long oseq, olen, odsn;
         ok = PyArg_ParseTuple(PyList_GET_ITEM(ooo_list, i), "LLL", &oseq, &olen, &odsn) &&
-             ooo_insert_if_absent(R, (int64_t)oseq, (int64_t)olen, (int64_t)odsn) == 0;
+             scn_ooo_setdefault(R, (int64_t)oseq, (int64_t)olen, (int64_t)odsn) == 0;
     }
     if (!ok || attach_agent(self, R->host, R->flow, R->subflow, AGENT_RECEIVER, self->nrcv) < 0) {
         PyMem_Free(R->ooo);
@@ -3176,7 +4270,7 @@ export_packet(SceneObject *s, int32_t pi)
         "src", p->src, "dst", p->dst, "size", (long long)p->size,
         "tag", (long long)p->tag, "flow", (long long)p->flow,
         "subflow", (long long)p->subflow, "seq", (long long)p->seq,
-        "payload", (long long)p->payload, "is_ack", (int)p->is_ack,
+        "payload", (long long)p->payload_len, "is_ack", (int)p->is_ack,
         "ack", (long long)p->ack, "dsn", (long long)p->dsn,
         "dack", (long long)p->dack, "is_retx", (int)p->is_retx,
         "sack", sack, "ts_echo", p->ts_echo, "created_at", p->created_at,

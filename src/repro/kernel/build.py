@@ -27,6 +27,8 @@ import sysconfig
 from typing import Optional, Tuple
 
 _SOURCE = pathlib.Path(__file__).with_name("_ckernel.c")
+#: What ``_ckernel.c`` includes from beside it (hashed with it, not compiled).
+_INCLUDED = (_SOURCE.with_name("_transport.h"),)
 
 #: Bump to force a rebuild when the build recipe (not the source) changes.
 _RECIPE = "1"
@@ -35,7 +37,8 @@ _RECIPE = "1"
 def _source_key() -> str:
     digest = hashlib.sha256()
     digest.update(_RECIPE.encode())
-    digest.update(_SOURCE.read_bytes())
+    for path in (_SOURCE,) + _INCLUDED:
+        digest.update(path.read_bytes())
     return digest.hexdigest()[:12]
 
 
@@ -56,8 +59,9 @@ def _compiler_command() -> list:
 
 def build_extension() -> Tuple[Optional[str], str]:
     """Return ``(path_to_shared_object, reason)``; path is None on failure."""
-    if not _SOURCE.exists():
-        return None, f"kernel source missing: {_SOURCE}"
+    for path in (_SOURCE,) + _INCLUDED:
+        if not path.exists():
+            return None, f"kernel source missing: {path}"
     try:
         key = _source_key()
     except OSError as exc:  # pragma: no cover - unreadable source

@@ -1,17 +1,22 @@
 """Native-scene bypass for :meth:`repro.netsim.network.Network.run`.
 
-Every scene on a ``KernelSim`` already runs its link events in C, calling
-Python per event for agents, taps and queue policy (``_ckernel.c``, "native
-links").  This module is the step beyond that for the scenes that need no
+Every scene on a ``KernelSim`` already runs its link events and its TCP
+agents in C, calling Python per event for congestion control, data providers,
+taps and queue policy (``_ckernel.c``, "native links" and "native
+transport").  This module is the step beyond that for the scenes that need no
 Python at all: the whole simulation window is handed to the C extension --
 the network's current state (clock, pending events, links, queues, TCP
 agents, captures) is imported into a native ``Scene``, the window runs
 entirely in C, and the final state is copied back onto the Python objects.
 It only understands static links with drop-tail queues, single-path TCP
-senders over bulk transfers, Reno or Cubic, tag/static routing, on the
-``KernelSim`` that :class:`Network` builds when the compiled kernel is
-active -- and it is frozen at that: MPTCP, AQM and dynamics scenes get
-their speed from the native links, not from a larger ``Scene``.
+senders over bulk transfers, Reno or Cubic, no ECN, tag/static routing, on
+the ``KernelSim`` that :class:`Network` builds when the compiled kernel is
+active -- and it is frozen at that: MPTCP, AQM/ECN and dynamics scenes get
+their speed from the native links and agents, not from a larger ``Scene``.
+The Scene has no transport of its own: its senders and receivers run the
+same C bodies as the native agents (``_transport.h``), over structs instead
+of slots, so the state tables below name each window, estimator and counter
+field as the Python attribute it mirrors.
 
 The contract is **observable state**.  After a native window these match
 the pure-Python run bit for bit: result JSON, capture columns,
@@ -32,8 +37,10 @@ Pending link events cross the boundary as what they are on either kernel,
 native heap entry as that bound method and ``_push_entry`` turns it back
 into a native entry, so the window after a native one delivers the rebuilt
 in-flight packets without a Python frame.
-Eligibility is checked conservatively with exact type tests, so a subclass
-with changed behaviour can never be captured by the native fast path.
+Eligibility is checked conservatively with exact type tests
+(``sim.link_type``, ``sim.sender_type``, ``sim.receiver_type``: what the
+stock constructors build on this simulator), so a subclass with changed
+behaviour can never be captured by the native fast path.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from collections import deque
 from operator import attrgetter
 from typing import Optional
 
-from ..netsim import packet as packet_mod
 from ..netsim.capture import PacketCapture
 from ..netsim.node import Host, Router
 from ..netsim.packet import Packet
@@ -52,7 +58,6 @@ from ..netsim.routing import StaticRoutingTable, TagRoutingTable
 from ..tcp.connection import BulkDataAdapter
 from ..tcp.cc.cubic import CubicCongestionControl
 from ..tcp.cc.reno import RenoCongestionControl
-from ..tcp.receiver import TcpReceiver
 from ..tcp.rtt import RttEstimator
 from ..tcp.sender import TcpSender, _SegmentInfo
 from . import _mode
@@ -157,10 +162,10 @@ _SENDER_STATE = _table(
     ("prov_last_ack", "data_provider", "last_ack_time"),
     ("srtt", "rtt", "srtt", _OPT),
     ("rttvar", "rtt", "rttvar", _OPT),
-    ("rtt_min", "rtt", "min_rtt", _OPT),
-    ("latest", "rtt", "latest_rtt", _OPT),
+    ("min_rtt", "rtt", "min_rtt", _OPT),
+    ("latest_rtt", "rtt", "latest_rtt", _OPT),
     ("samples", "rtt", "samples"),
-    ("rto_cache", "rtt", "_rto"),
+    ("_rto", "rtt", "_rto"),
     ("cwnd", "cc", "cwnd"),
     ("ssthresh", "cc", "ssthresh"),
     ("cc_srtt", "cc", "srtt"),
@@ -169,20 +174,20 @@ _SENDER_STATE = _table(
     ("acked_total", "cc", "acked_bytes_total"),
     ("snd_una", "", "snd_una"),
     ("snd_nxt", "", "snd_nxt"),
-    ("sacked_bytes", "", "_sacked_bytes"),
-    ("lost_pending_bytes", "", "_lost_pending_bytes"),
-    ("dupacks", "", "_dupacks"),
-    ("in_recovery", "", "_in_fast_recovery"),
-    ("recover", "", "_recover"),
-    ("rto_deadline", "", "_rto_deadline"),
-    ("rto_fire_at", "", "_rto_fire_at"),
-    ("rto_backoff", "", "_rto_backoff"),
-    ("started", "", "_started"),
+    ("_sacked_bytes", "", "_sacked_bytes"),
+    ("_lost_pending_bytes", "", "_lost_pending_bytes"),
+    ("_dupacks", "", "_dupacks"),
+    ("_in_fast_recovery", "", "_in_fast_recovery"),
+    ("_recover", "", "_recover"),
+    ("_rto_deadline", "", "_rto_deadline"),
+    ("_rto_fire_at", "", "_rto_fire_at"),
+    ("_rto_backoff", "", "_rto_backoff"),
+    ("_started", "", "_started"),
     ("st_segments_sent", "stats", "segments_sent"),
     ("st_bytes_sent", "stats", "bytes_sent"),
     ("st_bytes_acked", "stats", "bytes_acked"),
-    ("st_retrans", "stats", "retransmissions"),
-    ("st_fast_retrans", "stats", "fast_retransmits"),
+    ("st_retransmissions", "stats", "retransmissions"),
+    ("st_fast_retransmits", "stats", "fast_retransmits"),
     ("st_timeouts", "stats", "timeouts"),
     ("st_dupacks", "stats", "dupacks"),
 )
@@ -208,12 +213,12 @@ _RECEIVER_CONFIG = _table(
 )
 _RECEIVER_STATE = _table(
     ("rcv_nxt", "", "rcv_nxt"),
-    ("last_dack", "", "_last_dack"),
-    ("st_segs", "stats", "segments_received"),
-    ("st_bytes", "stats", "bytes_received"),
-    ("st_dups", "stats", "duplicates"),
-    ("st_ooo", "stats", "out_of_order"),
-    ("st_acks", "stats", "acks_sent"),
+    ("_last_dack", "", "_last_dack"),
+    ("st_segments_received", "stats", "segments_received"),
+    ("st_bytes_received", "stats", "bytes_received"),
+    ("st_duplicates", "stats", "duplicates"),
+    ("st_out_of_order", "stats", "out_of_order"),
+    ("st_acks_sent", "stats", "acks_sent"),
 )
 
 #: Scene capture column -> PacketCapture array attribute.
@@ -318,15 +323,16 @@ def _plan_scene(network, sim, entries) -> _Plan:
     for node in hosts:
         for agent in node._agents.values():
             atype = type(agent)
-            is_tcp = atype in (TcpSender, TcpReceiver)
-            _require(is_tcp, f"agent on {node.name}", f"is a {atype.__name__}")
-            who = f"{'sender' if atype is TcpSender else 'receiver'} {node.name}#{agent.flow_id}"
+            is_tcp = atype in (sim.sender_type, sim.receiver_type)
+            _require(is_tcp, f"agent on {node.name}", f"is not a stock {atype.__name__}")
+            is_sender = atype is sim.sender_type
+            who = f"{'sender' if is_sender else 'receiver'} {node.name}#{agent.flow_id}"
             _require(agent.host is node and agent.sim is sim, who, "foreign host or simulator")
             _require(agent._route_enabled, who, "route memo disabled")
             _require(_tag_c(agent.tag) is not None, who, "tag is not an int64")
             _int64(agent.flow_id, who, "flow_id")
             _int64(agent.subflow_id, who, "subflow_id")
-            if atype is TcpSender:
+            if is_sender:
                 bulk = type(agent.data_provider) is BulkDataAdapter
                 _require(bulk, who, "data provider is not a bulk transfer")
                 _require(type(agent.rtt) is RttEstimator, who, "custom RTT estimator")
@@ -349,6 +355,7 @@ def _plan_scene(network, sim, entries) -> _Plan:
                     "loss recovery in progress",
                 )
                 _require(agent.on_idle is None, who, "on_idle callback set")
+                _require(not agent.ecn, who, "ECN-capable (the scene's packets carry no ECT)")
                 _require(not agent.closed and not agent.path_down, who, "closed or path down")
                 _require(agent.dst in plan.node_idx, who, f"unknown destination {agent.dst}")
                 total = agent.data_provider.total_bytes
@@ -412,7 +419,7 @@ def _build_scene(ext, plan):
     # through its probed link.
     fwd_seen = set()
     for agent, hops in plan.senders + plan.receivers:
-        dst_idx = node_idx[agent.dst if type(agent) is TcpSender else agent.peer]
+        dst_idx = node_idx[agent.dst if isinstance(agent, TcpSender) else agent.peer]
         tag_c = _tag_c(agent.tag)
         for node_name, link in hops[1:]:
             key = (node_idx[node_name], dst_idx, tag_c)
@@ -475,32 +482,29 @@ def _build_scene(ext, plan):
 
 
 def _mk_packet(d: dict, node_list) -> Packet:
-    p = Packet.__new__(Packet)
-    p.packet_id = next(packet_mod._packet_counter)
-    p.src = node_list[d["src"]].name
-    p.dst = node_list[d["dst"]].name
-    p.size = d["size"]
-    p.tag = _tag_py(d["tag"])
-    p.flow_id = d["flow"]
-    p.subflow_id = d["subflow"]
-    p.protocol = "tcp"
-    p.seq = d["seq"]
-    p.payload_len = d["payload"]
-    p.is_ack = bool(d["is_ack"])
-    p.ack = d["ack"]
-    p.dsn = d["dsn"]
-    p.dack = d["dack"]
-    p.is_retransmission = bool(d["is_retx"])
-    p.sack_blocks = d["sack"]
-    p.ts_echo = d["ts_echo"]
-    p.created_at = d["created_at"]
-    p.enqueued_at = d["enqueued_at"]
-    p.hops = d["hops"]
-    p.ecn = False
     # Rebuilt wire/queue packets were pool-acquired in the Python run, but
     # re-pooling them here could alias a live object if the caller keeps a
-    # reference; constructor semantics (never pooled) are the safe subset.
-    p._poolable = False
+    # reference; the plain constructor (never pooled) is the safe subset.
+    p = Packet(
+        node_list[d["src"]].name,
+        node_list[d["dst"]].name,
+        d["size"],
+        tag=_tag_py(d["tag"]),
+        flow_id=d["flow"],
+        subflow_id=d["subflow"],
+        seq=d["seq"],
+        payload_len=d["payload"],
+        is_ack=bool(d["is_ack"]),
+        ack=d["ack"],
+        dsn=d["dsn"],
+        dack=d["dack"],
+        is_retransmission=bool(d["is_retx"]),
+        sack_blocks=d["sack"],
+        ts_echo=d["ts_echo"],
+        created_at=d["created_at"],
+    )
+    p.enqueued_at = d["enqueued_at"]
+    p.hops = d["hops"]
     return p
 
 

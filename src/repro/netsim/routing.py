@@ -10,18 +10,23 @@ destination default route when the tag is unknown.
 :class:`StaticRoutingTable` provides plain shortest-path forwarding and
 :class:`EcmpRoutingTable` hashes flows across equal-cost next hops, which is
 the other tagging realisation mentioned in the paper (ECMP hashing).
+
+:mod:`networkx` loads when a shortest-path table is built (every
+:class:`~repro.netsim.network.Network` builds one as its fallback), not when
+this module is imported.
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import RoutingError
 from .packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 class RoutingTable(ABC):
@@ -54,6 +59,8 @@ class StaticRoutingTable(RoutingTable):
     """Shortest-path routing computed once from a topology graph."""
 
     def __init__(self, graph: nx.Graph, weight: Optional[str] = None) -> None:
+        import networkx as nx
+
         self._next: Dict[Tuple[str, str], str] = {}
         for dst in graph.nodes:
             paths = nx.shortest_path(graph, target=dst, weight=weight)
@@ -161,6 +168,8 @@ class EcmpRoutingTable(RoutingTable):
     """
 
     def __init__(self, graph: nx.Graph, weight: Optional[str] = None, salt: int = 0) -> None:
+        import networkx as nx
+
         self._candidates: Dict[Tuple[str, str], List[str]] = {}
         self._salt = salt
         lengths = dict(nx.all_pairs_dijkstra_path_length(graph, weight=weight))

@@ -4,18 +4,21 @@ A :class:`Topology` is a lightweight description of hosts, routers and
 bidirectional links (capacity, delay, queue size) that is later instantiated
 into simulator objects by :class:`repro.netsim.network.Network`.  It is backed
 by a :mod:`networkx` graph so path enumeration and shortest-path queries are
-available directly.
+available directly.  :mod:`networkx` loads on the first graph query, never at
+import: declaring topologies, expanding a campaign grid and resuming a
+finished store need no graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
 from ..units import DEFAULT_CAPACITY_MBPS, DEFAULT_LINK_DELAY, DEFAULT_QUEUE_PACKETS, mbps
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,8 @@ class Topology:
     # ------------------------------------------------------------------ graph
     def graph(self) -> nx.DiGraph:
         """Return a directed networkx view with capacity/delay attributes."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for node in self._nodes.values():
             g.add_node(node.name, kind=node.kind, **node.metadata)
@@ -236,10 +241,14 @@ class Topology:
 
     def undirected_graph(self) -> nx.Graph:
         """Undirected view (used for shortest-path routing and path search)."""
+        import networkx as nx
+
         return nx.Graph(self.graph())
 
     # ------------------------------------------------------------------ paths
     def shortest_path(self, src: str, dst: str, weight: Optional[str] = None) -> List[str]:
+        import networkx as nx
+
         try:
             return nx.shortest_path(self.undirected_graph(), src, dst, weight=weight)
         except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
@@ -247,10 +256,14 @@ class Topology:
 
     def simple_paths(self, src: str, dst: str, cutoff: Optional[int] = None) -> Iterator[List[str]]:
         """All simple paths from ``src`` to ``dst`` (optionally length-bounded)."""
+        import networkx as nx
+
         return nx.all_simple_paths(self.undirected_graph(), src, dst, cutoff=cutoff)
 
     def k_shortest_paths(self, src: str, dst: str, k: int) -> List[List[str]]:
         """The ``k`` shortest simple paths by hop count."""
+        import networkx as nx
+
         generator = nx.shortest_simple_paths(self.undirected_graph(), src, dst)
         paths: List[List[str]] = []
         for path in generator:

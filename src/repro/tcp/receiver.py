@@ -6,6 +6,14 @@ ACKs for out-of-order arrivals are what drives the sender's fast retransmit).
 For MPTCP subflows the receiver forwards the connection-level data sequence
 ranges it delivers to an optional *connection sink* so the MPTCP receiver can
 perform data-level reassembly and goodput accounting.
+
+Kernels: this class is the Python kernel's receiver and the reference.  On a
+compiled simulator ``TcpReceiver(host, ...)`` builds ``sim.receiver_type``
+instead -- a subclass with the same slots whose
+:meth:`~TcpReceiver.handle_packet` is the C twin of the body below
+(``kernel/_transport.h``; keep the two in sync), calling
+``connection_sink.on_subflow_data`` where it is called here.  A Python
+*subclass* keeps its Python bodies.
 """
 
 from __future__ import annotations
@@ -71,6 +79,12 @@ class TcpReceiver:
         "_out_of_order",
         "_last_dack",
     )
+
+    def __new__(cls, host: "Host", *args, **kwargs) -> "TcpReceiver":
+        native = getattr(host.sim, "receiver_type", None)
+        if cls is TcpReceiver and native is not None:
+            cls = native
+        return object.__new__(cls)
 
     def __init__(
         self,

@@ -4,6 +4,11 @@ Implements the classic Jacobson/Karels estimator used by Linux TCP
 (RFC 6298): exponentially weighted moving averages of the RTT (SRTT) and of
 its deviation (RTTVAR), with the retransmission timeout clamped to
 ``[min_rto, max_rto]``.
+
+On the compiled kernel a sender holding exactly this class runs
+:meth:`RttEstimator.update` as C over these slots (``kernel/_transport.h``,
+``rtt_update``; keep the two in sync); a subclass, or any other object with
+``update``/``samples``/``srtt``/``_rto``, is called and read as Python.
 """
 
 from __future__ import annotations

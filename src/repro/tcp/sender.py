@@ -12,6 +12,19 @@ Data to transmit is pulled from a *data provider* -- an object exposing
 ``request_data(sender, max_bytes) -> Optional[tuple[dsn, length]]`` -- which
 is how the MPTCP connection (or a bulk traffic source) hands byte ranges with
 their connection-level data sequence numbers to the subflow.
+
+Kernels: this class is the Python kernel's sender and the reference every
+test compares against.  On a compiled simulator ``TcpSender(host, ...)``
+builds ``sim.sender_type`` instead -- a subclass with the same slots whose
+:meth:`~TcpSender.handle_packet`, :meth:`~TcpSender._try_send`,
+:meth:`~TcpSender._fire_rto` and :meth:`~TcpSender._on_rto` run the C twins
+of the bodies below over these very slots (``kernel/_transport.h``, shared
+with the whole-window Scene; keep the two in sync, :class:`_SegmentInfo`,
+:class:`SenderStats` and :class:`~repro.tcp.rtt.RttEstimator` included).
+Everything else -- ``start``/``resume``/``close``/``on_path_restored``, the
+properties -- is inherited from here, and the congestion controller, the data
+provider and ``on_idle`` are called from C exactly where they are called
+below.  A Python *subclass* keeps all of its Python bodies on either kernel.
 """
 
 from __future__ import annotations
@@ -177,6 +190,12 @@ class TcpSender:
         "path_down",
         "on_idle",
     )
+
+    def __new__(cls, host: "Host", *args, **kwargs) -> "TcpSender":
+        native = getattr(host.sim, "sender_type", None)
+        if cls is TcpSender and native is not None:
+            cls = native
+        return object.__new__(cls)
 
     def __init__(
         self,

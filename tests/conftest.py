@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.model.paths import Path, PathSet
 from repro.netsim.engine import Simulator
 from repro.netsim.network import Network
 from repro.netsim.topology import Topology
 from repro.topologies.paper import paper_scenario
+
+
+#: ``pytest --hypothesis-profile=deep``: the local soak of the differential
+#: kernel fuzzer (tests/test_kernel_differential.py); random, not derandomised.
+settings.register_profile(
+    "deep",
+    max_examples=3000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
 
 
 @pytest.fixture

@@ -34,20 +34,23 @@ def sender_state(snd) -> dict:
         "recover": snd._recover, "backoff": snd._rto_backoff,
         "rto_deadline": snd._rto_deadline, "rto_fire_at": snd._rto_fire_at,
         "rto_event": None if snd._rto_event is None else "live",
-        "started": snd._started,
+        "started": snd._started, "closed": snd.closed,
+        "path_down": snd.path_down, "ecn_recover": snd._ecn_recover,
         "stats": [snd.stats.segments_sent, snd.stats.bytes_sent,
                   snd.stats.bytes_acked, snd.stats.retransmissions,
                   snd.stats.fast_retransmits, snd.stats.timeouts,
-                  snd.stats.dupacks],
+                  snd.stats.dupacks, snd.stats.ecn_echoes],
         "rtt": [snd.rtt.srtt, snd.rtt.rttvar, snd.rtt.min_rtt,
                 snd.rtt.latest_rtt, snd.rtt.samples, snd.rtt._rto],
         "cc": [cc.cwnd, repr(cc.ssthresh), cc.srtt, cc.losses, cc.timeouts,
-               cc.acked_bytes_total],
+               cc.ecn_signals, cc.acked_bytes_total],
         "cubic": ([cc._w_max, cc._k, cc._epoch_start, cc._w_est,
                    cc._acks_in_epoch, cc._min_rtt]
                   if hasattr(cc, "_w_max") else None),
-        "prov": [snd.data_provider.offset, snd.data_provider.acked_bytes,
-                 snd.data_provider.last_ack_time],
+        # A bulk/transfer-queue adapter; an MPTCP connection (the provider
+        # of its subflows) keeps none of these and reads None.
+        "prov": [getattr(snd.data_provider, name, None)
+                 for name in ("offset", "acked_bytes", "last_ack_time")],
     }
 
 
@@ -57,13 +60,42 @@ def receiver_state(rcv) -> dict:
         "ooo": sorted([k, v[0], v[1]] for k, v in rcv._out_of_order.items()),
         "stats": [rcv.stats.segments_received, rcv.stats.bytes_received,
                   rcv.stats.duplicates, rcv.stats.out_of_order,
-                  rcv.stats.acks_sent],
+                  rcv.stats.acks_sent, rcv.stats.ce_received],
     }
 
 
-def snapshot(network, connections, captures) -> dict:
+def network_snapshot(network) -> dict:
+    """:func:`snapshot` of every TCP agent and capture registered on the
+    network's hosts, found by walking them (scenes built by an experiment
+    runner hand out no connection objects)."""
+    from repro.netsim.capture import PacketCapture
+    from repro.netsim.node import Host
+    from repro.tcp.receiver import TcpReceiver
+    from repro.tcp.sender import TcpSender
+
+    senders, receivers, captures = [], [], []
+    for name in sorted(network.nodes):
+        host = network.nodes[name]
+        if not isinstance(host, Host):
+            continue
+        for key in sorted(host._agents):
+            agent = host._agents[key]
+            if isinstance(agent, TcpSender):
+                senders.append(agent)
+            elif isinstance(agent, TcpReceiver):
+                receivers.append(agent)
+        for tap in host._captures:
+            owner = getattr(tap, "__self__", None)
+            if isinstance(owner, PacketCapture) and owner not in captures:
+                captures.append(owner)
+    return snapshot(network, (), captures, senders=senders, receivers=receivers)
+
+
+def snapshot(network, connections, captures, *, senders=(), receivers=()) -> dict:
     """Every observable of ``network`` after a run (module docstring)."""
     sim = network.sim
+    senders = [c.sender for c in connections] + list(senders)
+    receivers = [c.receiver for c in connections] + list(receivers)
     entries = (sim._export_entries() if hasattr(sim, "_export_entries")
                else sim._heap)
     return {
@@ -81,8 +113,8 @@ def snapshot(network, connections, captures) -> dict:
              getattr(getattr(cb, "__self__", None), "flow_id", None)]
             for t, s, cb, _args in entries
         ),
-        "senders": [sender_state(c.sender) for c in connections],
-        "receivers": [receiver_state(c.receiver) for c in connections],
+        "senders": [sender_state(snd) for snd in senders],
+        "receivers": [receiver_state(rcv) for rcv in receivers],
         "links": {
             f"{a}->{b}": {
                 "busy_until": link._busy_until, "serving": link._serving,

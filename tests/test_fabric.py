@@ -51,10 +51,13 @@ class FakeClock:
 
 # ---------------------------------------------------------------- atomic append
 def _append_burst(path, worker, count):
+    # 3000-byte records straddle page boundaries, where a reader can see the
+    # first pages of another appender's write before the rest: the window in
+    # which an unlocked torn-tail check "healed" a live write in two.
     store = ResultStore(path)
     for i in range(count):
         store.append(
-            {"key": f"{worker}-{i}", "status": "ok", "payload": "x" * 512}
+            {"key": f"{worker}-{i}", "status": "ok", "payload": "x" * 3000}
         )
 
 

@@ -1,6 +1,7 @@
-"""scipy.optimize (~0.3 s) loads only where something is solved.
+"""scipy.optimize (~0.3 s) loads only where something is solved, networkx
+(~0.15 s) only where a graph is queried.
 
-Each check needs an interpreter that has not imported scipy yet, so each runs
+Each check needs an interpreter that has not imported them yet, so each runs
 a short script in a fresh subprocess and reads what it prints.
 """
 
@@ -26,10 +27,17 @@ def _run_python(*args: str) -> str:
     return done.stdout
 
 
-def _loaded_scipy_modules(script: str) -> str:
-    """Run ``script``, then report the scipy modules its interpreter holds."""
-    report = "\nimport sys\nprint('LOADED', sorted(m for m in sys.modules if m.startswith('scipy')))"
+def _loaded_modules(script: str, package: str) -> str:
+    """Run ``script``, then report the ``package`` modules its interpreter holds."""
+    report = (
+        "\nimport sys\n"
+        f"print('LOADED', sorted(m for m in sys.modules if m.startswith({package!r})))"
+    )
     return _run_python("-c", script + report).splitlines()[-1]
+
+
+def _loaded_scipy_modules(script: str) -> str:
+    return _loaded_modules(script, "scipy")
 
 
 class TestScipyStaysUnloaded:
@@ -55,14 +63,36 @@ class TestScipyStaysUnloaded:
         assert "'scipy.optimize'" in _loaded_scipy_modules(script)
 
 
+class TestNetworkxStaysUnloaded:
+    def test_importing_the_cli_loads_no_networkx(self):
+        assert _loaded_modules("import repro.cli", "networkx") == "LOADED []"
+
+    def test_resuming_a_finished_campaign_loads_no_networkx(self, tmp_path):
+        store = str(tmp_path / "store.jsonl")
+        campaign = ["campaign", "paper_cc_rate", "--duration", "0.3", "--store", store, "--no-plot"]
+        assert "9 executed, 0 resumed" in _run_python("-m", "repro.cli", *campaign)
+        resumed = _loaded_modules(
+            f"from repro.cli import main\nassert main({campaign!r}) == 0", "networkx"
+        )
+        assert resumed == "LOADED []"
+
+    def test_building_a_network_loads_it(self):
+        script = (
+            "from repro.netsim.network import Network\n"
+            "from repro.topologies.paper import paper_scenario\n"
+            "Network(paper_scenario()[0])"
+        )
+        assert "'networkx'" in _loaded_modules(script, "networkx")
+
+
 _FORKED_WORKER_SCRIPT = """
 import sys
 from repro.experiments.harness import WorkerPool
 
 def loaded(_):
-    return "scipy.optimize" in sys.modules
+    return "scipy.optimize" in sys.modules and "networkx" in sys.modules
 
-assert not loaded(None)  # nothing in this process has solved anything
+assert not loaded(None)  # nothing in this process has solved or built anything
 print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
 """
 
@@ -72,5 +102,6 @@ print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
     reason="only forked workers inherit the parent's modules",
 )
 def test_forked_workers_start_with_scipy_optimize_loaded():
-    """Without the pre-fork load every worker would import it on its first solve."""
+    """Without the pre-fork load every worker would import scipy.optimize on its
+    first solve and networkx on its first network."""
     assert _run_python("-c", _FORKED_WORKER_SCRIPT).splitlines()[-1] == "WORKERS [True, True]"

@@ -33,6 +33,7 @@ from repro.netsim.engine import Simulator, make_simulator
 from repro.netsim.network import Network
 from repro.netsim.topology import Topology
 from repro.tcp.connection import TcpConnection, TransferQueueAdapter
+from repro.tcp.sender import TcpSender
 from repro.topologies.paper import paper_scenario
 from tests.kernel_state import snapshot
 
@@ -107,16 +108,18 @@ class TestKernelFacade:
     def test_kernel_info_shape(self):
         info = kernel.kernel_info()
         assert set(info) == {"mode", "kernel", "compiled_reason", "extension",
-                             "link_handlers", "link_handlers_reason"}
+                             "link_handlers", "link_handlers_reason",
+                             "transport_handlers", "transport_handlers_reason"}
         assert info["kernel"] in ("compiled", "python")
-        # Link handlers are native exactly when the kernel is compiled.
-        assert info["link_handlers"] == {"compiled": "native", "python": "python"}[info["kernel"]]
-        assert info["link_handlers_reason"]
+        # Link and transport handlers are native exactly when the kernel is compiled.
+        tier = {"compiled": "native", "python": "python"}[info["kernel"]]
+        assert info["link_handlers"] == info["transport_handlers"] == tier
+        assert info["link_handlers_reason"] and info["transport_handlers_reason"]
 
     def test_python_mode_reports_disabled(self):
         with kernel.override("python"):
             info = kernel.kernel_info()
-        assert info["kernel"] == info["link_handlers"] == "python"
+        assert info["kernel"] == info["link_handlers"] == info["transport_handlers"] == "python"
         assert info["extension"] is None
 
     @needs_compiled
@@ -223,6 +226,29 @@ class TestRunObjectGraphIsCollectable:
         del network, connection
         gc.collect()
         assert ref() is None
+
+    def test_pending_retransmission_timers_are_collected(self, each_kernel):
+        # On KernelSim an armed timer is a native entry that owns its sender,
+        # and the sender's _rto_event the entry's handle:
+        # sender -> sim -> heap entry -> sender.
+        network = micro_network()
+        connection = TcpConnection(network, "s", "d", cc="cubic", tag=1, flow_id=7)
+        connection.start(0.0)
+        network.sim.run(until=0.2)
+        sender = connection.sender
+        assert sender._rto_event is not None
+        if each_kernel == "compiled":
+            assert [cb.__self__ for _t, _seq, cb, _args in network.sim._export_entries()
+                    if cb is not None and cb.__qualname__ == "TcpSender._fire_rto"] == [sender]
+
+        def live_senders():  # slotted, so not weak-referenceable: count them
+            return sum(isinstance(o, TcpSender) for o in gc.get_objects())
+
+        gc.collect()
+        before = live_senders()
+        del network, connection, sender
+        gc.collect()
+        assert live_senders() == before - 1
 
 
 @needs_compiled
