@@ -34,8 +34,13 @@
  *
  *   Scene       -- a fully native single-path-TCP pipeline: links, queues,
  *                  hosts/routers, TCP senders/receivers (CUBIC/Reno) and
- *                  packet captures, driven by an internal event heap without
- *                  touching a single Python object per event.
+ *                  packet captures, driven by an internal calendar without
+ *                  touching a single Python object per event.  The calendar
+ *                  is a (time, seq) heap over per-link lanes: a link's
+ *                  in-flight ring holds its deliveries in firing order and
+ *                  only the ring's head is in the heap, so the heap is
+ *                  O(links), not O(packets in flight), and pops in the
+ *                  Python engine's exact order ("event heap" below).
  *                  repro.kernel.pipeline imports eligible network states
  *                  into a Scene, runs it, and copies the observable state
  *                  back (stats, transport state, packet fields, pending
@@ -2996,6 +3001,18 @@ typedef struct {
     int32_t head, len, cap;
 } Ring;
 
+/* A packet on the wire and the delivery it is owed, fixed when it was sent. */
+typedef struct {
+    double t;
+    int64_t seq;
+    int32_t pkt;
+} Flight;
+
+typedef struct {
+    Flight *buf;
+    int32_t head, len, cap;
+} Lane;
+
 #define LINK_FIELDS(X, S)                                                   \
     X(I32, dst, S) X(F64, rate_bps, S) X(F64, delay, S) X(I64, qcap, S)     \
     X(F64, busy_until, S) X(F64, serve_at, S) X(BOOL, serving, S)           \
@@ -3010,7 +3027,7 @@ typedef struct {
 typedef struct {
     LINK_FIELDS(FIELD_MEMBER, )
     Ring q;
-    Ring fl;
+    Lane fl;                    /* in flight, oldest first: the link's calendar lane */
 } CLink;
 static const Field LINK_TABLE[] = {LINK_FIELDS(FIELD_ROW, CLink) {NULL, 0, 0}};
 
@@ -3197,23 +3214,48 @@ vec_slot(void *arr_p, int32_t count, int32_t *cap, size_t elem)
     return slot;
 }
 
-/* ---- rings ---- */
+/* ---- rings ----
+ *
+ * Three element types, one shape: {buf, head, len, cap} with cap zero or a
+ * power of two, so an index wraps with & (cap - 1) instead of a division. */
+
+/* Make room in a full ring: double it (from first, a power of two) and
+ * unroll the entries to head 0. */
+static int
+ring_grow(void *buf_p, int32_t *head, int32_t *cap, size_t elem, int32_t first)
+{
+    char **buf = (char **)buf_p;
+    int32_t ncap = *cap ? *cap * 2 : first;
+    char *nbuf = (char *)PyMem_Malloc((size_t)ncap * elem);
+    if (nbuf == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (*cap) {
+        size_t tail = (size_t)(*cap - *head) * elem;
+        memcpy(nbuf, *buf + (size_t)*head * elem, tail);
+        memcpy(nbuf + tail, *buf, (size_t)*head * elem);
+    }
+    PyMem_Free(*buf);
+    *buf = nbuf;
+    *cap = ncap;
+    *head = 0;
+    return 0;
+}
+
+#define RING_ROOM(r, first)                                                    \
+    ((r)->len < (r)->cap ||                                                    \
+     ring_grow(&(r)->buf, &(r)->head, &(r)->cap, sizeof *(r)->buf, first) == 0)
+#define RING_AT(r, i) ((r)->buf[((r)->head + (i)) & ((r)->cap - 1)])
+/* Drop the head; the caller has checked len > 0. */
+#define RING_DROP(r) ((r)->head = ((r)->head + 1) & ((r)->cap - 1), (r)->len -= 1)
 
 static int
 ring_push(Ring *r, int32_t v)
 {
-    if (r->len == r->cap) {
-        int32_t cap = r->cap ? r->cap * 2 : 16;
-        int32_t *buf = (int32_t *)PyMem_Malloc((size_t)cap * sizeof(int32_t));
-        if (buf == NULL) { PyErr_NoMemory(); return -1; }
-        for (int32_t i = 0; i < r->len; i++)
-            buf[i] = r->buf[(r->head + i) % (r->cap ? r->cap : 1)];
-        PyMem_Free(r->buf);
-        r->buf = buf;
-        r->cap = cap;
-        r->head = 0;
-    }
-    r->buf[(r->head + r->len) % r->cap] = v;
+    if (!RING_ROOM(r, 16))
+        return -1;
+    RING_AT(r, r->len) = v;
     r->len += 1;
     return 0;
 }
@@ -3222,32 +3264,26 @@ static int32_t
 ring_pop(Ring *r)
 {
     int32_t v = r->buf[r->head];
-    r->head = (r->head + 1) % r->cap;
-    r->len -= 1;
+    RING_DROP(r);
     return v;
 }
 
-static int32_t
-ring_get(const Ring *r, int32_t i)
+static int
+lane_push(Lane *r, Flight f)
 {
-    return r->buf[(r->head + i) % r->cap];
+    if (!RING_ROOM(r, 16))
+        return -1;
+    RING_AT(r, r->len) = f;
+    r->len += 1;
+    return 0;
 }
 
 static int
 segring_push(SegRing *r, CSeg seg)
 {
-    if (r->len == r->cap) {
-        int32_t cap = r->cap ? r->cap * 2 : 32;
-        CSeg *buf = (CSeg *)PyMem_Malloc((size_t)cap * sizeof(CSeg));
-        if (buf == NULL) { PyErr_NoMemory(); return -1; }
-        for (int32_t i = 0; i < r->len; i++)
-            buf[i] = r->buf[(r->head + i) % (r->cap ? r->cap : 1)];
-        PyMem_Free(r->buf);
-        r->buf = buf;
-        r->cap = cap;
-        r->head = 0;
-    }
-    r->buf[(r->head + r->len) % r->cap] = seg;
+    if (!RING_ROOM(r, 32))
+        return -1;
+    RING_AT(r, r->len) = seg;
     r->len += 1;
     return 0;
 }
@@ -3255,14 +3291,13 @@ segring_push(SegRing *r, CSeg seg)
 static void
 segring_popleft(SegRing *r)
 {
-    r->head = (r->head + 1) % r->cap;
-    r->len -= 1;
+    RING_DROP(r);
 }
 
 static CSeg *
 seg_at(SegRing *r, int32_t i)
 {
-    return &r->buf[(r->head + i) % r->cap];
+    return &RING_AT(r, i);
 }
 
 /* Segments are kept in ascending-seq order (appended at snd_nxt, retired as
@@ -3285,7 +3320,25 @@ seg_find(SegRing *r, int64_t seq)
     return NULL;
 }
 
-/* ---- event heap ---- */
+/* ---- event heap ----
+ *
+ * The calendar pops in the Python engine's (time, seq) order but does not
+ * hold every event.  A link's deliveries wait in its in-flight ring
+ * (CLink.fl, the link's lane), each with the (t, seq) it was given when its
+ * packet was sent, and only the lane's head has a heap entry: firing it arms
+ * the entry behind it under that entry's own (t, seq).  So the heap holds at
+ * most one delivery and one serve per link, plus timers, starts and cancelled
+ * entries, whatever the bandwidth-delay product.
+ *
+ * Why the order is still exact: every delivery of a link is created by that
+ * link's transmitter (link_transmit) at tx_end + delay, and on a Scene link
+ * (static by eligibility) tx_end only grows, delay is constant and seq only
+ * grows.  Lane order is therefore (t, seq) order, a delivery behind the head
+ * is later than the head, and the minimum over heap entries is the minimum
+ * over all pending events.  link_transmit checks the premise on every push;
+ * scene_add_event keeps imported deliveries out, so a lane entry and a
+ * pending delivery stay one to one (scene_export_events reads them back from
+ * the lanes). */
 
 #define PLESS(x, y) ((x).t < (y).t || ((x).t == (y).t && (x).seq < (y).seq))
 
@@ -3474,6 +3527,31 @@ cc_on_timeout(CSender *S, double now)
 
 /* ---- link transmit / queue / deliver (netsim/link.py, static mode) ---- */
 
+/* Start serialising packet pi now: the transmit body of Link.send's idle
+ * branch and of _serve_queue.  The delivery takes its seq here, as in Python,
+ * and joins the link's lane; it gets a heap entry only as the lane's head,
+ * now if the wire is empty, else when the delivery ahead of it fires. */
+static int
+link_transmit(SceneObject *s, int32_t li, int32_t pi)
+{
+    CLink *L = &s->links[li];
+    int64_t size = s->arena[pi].size;
+    double tx_time = (double)size * 8.0 / L->rate_bps;
+    double tx_end = s->now + tx_time;
+    L->busy_until = tx_end;
+    L->busy_time += tx_time;
+    L->pkts_sent += 1;
+    L->bytes_sent += size;
+    Flight f = {tx_end + L->delay, s->seq++, pi};
+    if (L->fl.len > 0) {
+        if (!PLESS(RING_AT(&L->fl, L->fl.len - 1), f))
+            return scene_err("compiled pipeline: delivery out of lane order");
+    }
+    else if (ev_push(s, f.t, f.seq, EV_DELIVER, li) < 0)
+        return -1;
+    return lane_push(&L->fl, f);
+}
+
 static int
 link_send(SceneObject *s, int32_t li, int32_t pi, int *accepted)
 {
@@ -3513,22 +3591,8 @@ link_send(SceneObject *s, int32_t li, int32_t pi, int *accepted)
         *accepted = acc;
         return 0;
     }
-    /* idle transmitter */
-    int64_t size = s->arena[pi].size;
-    double tx_time = (double)size * 8.0 / L->rate_bps;
-    double tx_end = now + tx_time;
-    L->busy_until = tx_end;
-    L->busy_time += tx_time;
-    L->pkts_sent += 1;
-    L->bytes_sent += size;
-    if (ring_push(&L->fl, pi) < 0)
-        return -1;
-    double deliver_at = tx_end + L->delay;
-    if (ev_push(s, deliver_at, s->seq, EV_DELIVER, li) < 0)
-        return -1;
-    s->seq += 1;
     *accepted = 1;
-    return 0;
+    return link_transmit(s, li, pi);    /* idle transmitter */
 }
 
 /* ---- capture tap (netsim/capture.py on_packet) ---- */
@@ -3935,39 +3999,34 @@ scene_step(SceneObject *s, PEv ev)
     switch (ev.kind) {
     case EV_DELIVER: {
         CLink *L = &s->links[ev.idx];
-        int32_t pi = ring_pop(&L->fl);
+        Lane *fl = &L->fl;
+        if (fl->len == 0)
+            return scene_err("compiled pipeline: delivery on an empty wire");
+        int32_t pi = fl->buf[fl->head].pkt;
+        RING_DROP(fl);
+        /* The packet behind becomes the lane's head: arm it under the
+         * (t, seq) it was given when sent, before the receiver can push. */
+        if (fl->len > 0 &&
+            ev_push(s, fl->buf[fl->head].t, fl->buf[fl->head].seq, EV_DELIVER, ev.idx) < 0)
+            return -1;
         s->arena[pi].hops += 1;
         return node_receive(s, L->dst, pi);
     }
     case EV_SERVE: {
         CLink *L = &s->links[ev.idx];
-        if (L->q.len == 0) {
-            /* queue.dequeue() returned None: defensive, mirrors Python */
-            L->serving = 0;
-            return 0;
-        }
+        if (L->q.len == 0)
+            return scene_err("compiled pipeline: serve on an empty queue");
         int32_t pi = ring_pop(&L->q);
-        int64_t size = s->arena[pi].size;
-        L->qbytes -= size;
+        L->qbytes -= s->arena[pi].size;
         L->q_dequeued += 1;
-        double tx_time = (double)size * 8.0 / L->rate_bps;
-        double tx_end = s->now + tx_time;
-        L->busy_until = tx_end;
-        L->busy_time += tx_time;
-        L->pkts_sent += 1;
-        L->bytes_sent += size;
-        if (ring_push(&L->fl, pi) < 0)
+        if (link_transmit(s, ev.idx, pi) < 0)
             return -1;
-        double deliver_at = tx_end + L->delay;
-        if (ev_push(s, deliver_at, s->seq, EV_DELIVER, ev.idx) < 0)
-            return -1;
-        s->seq += 1;
         if (L->q.len == 0) {
             L->serving = 0;
         }
         else {
-            L->serve_at = tx_end;
-            if (ev_push(s, tx_end, s->seq, EV_SERVE, ev.idx) < 0)
+            L->serve_at = L->busy_until;
+            if (ev_push(s, L->busy_until, s->seq, EV_SERVE, ev.idx) < 0)
                 return -1;
             s->seq += 1;
         }
@@ -4234,6 +4293,9 @@ scene_add_receiver(SceneObject *self, PyObject *args)
     return PyLong_FromLong(self->nrcv++);
 }
 
+/* Import a pending event.  Deliveries and serves are refused: the scene
+ * creates them with their lane entry and their queued packet, and a window
+ * starts with idle links (pipeline.py eligibility). */
 static PyObject *
 scene_add_event(SceneObject *self, PyObject *args)
 {
@@ -4242,6 +4304,24 @@ scene_add_event(SceneObject *self, PyObject *args)
     long long seq;
     if (!PyArg_ParseTuple(args, "idLi", &kind, &t, &seq, &idx))
         return NULL;
+    switch (kind) {
+    case EV_DELIVER:
+    case EV_SERVE:
+        PyErr_SetString(PyExc_ValueError, "link events are created by the scene");
+        return NULL;
+    case EV_RTO:
+    case EV_START:
+        if (idx < 0 || idx >= self->nsnd) {
+            PyErr_SetString(PyExc_IndexError, "sender index out of range");
+            return NULL;
+        }
+        break;
+    case EV_CANCELLED:
+        break;
+    default:
+        PyErr_SetString(PyExc_ValueError, "unknown event kind");
+        return NULL;
+    }
     if (ev_push(self, t, (int64_t)seq, kind, idx) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -4277,12 +4357,14 @@ export_packet(SceneObject *s, int32_t pi)
         "enqueued_at", p->enqueued_at, "hops", (long long)p->hops);
 }
 
+/* The packets queued on L or, with in_flight set, on its wire; oldest first. */
 static PyObject *
-export_packets(SceneObject *s, const Ring *r)
+export_packets(SceneObject *s, const CLink *L, int in_flight)
 {
-    PyObject *out = PyList_New(r->len);
-    for (int32_t j = 0; out != NULL && j < r->len; j++) {
-        PyObject *pkt = export_packet(s, ring_get(r, j));
+    int32_t n = in_flight ? L->fl.len : L->q.len;
+    PyObject *out = PyList_New(n);
+    for (int32_t j = 0; out != NULL && j < n; j++) {
+        PyObject *pkt = export_packet(s, in_flight ? RING_AT(&L->fl, j).pkt : RING_AT(&L->q, j));
         if (pkt == NULL)
             Py_CLEAR(out);
         else
@@ -4291,25 +4373,39 @@ export_packets(SceneObject *s, const Ring *r)
     return out;
 }
 
+static int
+export_event(PyObject *out, int32_t kind, double t, int64_t seq, int32_t idx)
+{
+    PyObject *item = Py_BuildValue("(idLi)", kind, t, (long long)seq, idx);
+    int rc = item == NULL ? -1 : PyList_Append(out, item);
+    Py_XDECREF(item);
+    return rc;
+}
+
+/* Every pending event: the heap's entries, and each delivery from its lane
+ * (the heap's own EV_DELIVER entries are the lanes' heads over again). */
 static PyObject *
 scene_export_events(SceneObject *self, PyObject *Py_UNUSED(ignored))
 {
-    PyObject *out = PyList_New(self->hlen);
-    if (out == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < self->hlen; i++) {
+    PyObject *out = PyList_New(0);
+    int rc = out == NULL ? -1 : 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < self->hlen; i++) {
         PEv *e = &self->heap[i];
         int32_t kind = e->kind;
+        if (kind == EV_DELIVER)
+            continue;
         if (kind == EV_RTO &&
             (!self->snds[e->idx].rto_live || e->seq != self->snds[e->idx].rto_seq))
             kind = EV_CANCELLED;
-        PyObject *item = Py_BuildValue("(idLi)", kind, e->t, (long long)e->seq, e->idx);
-        if (item == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, i, item);
+        rc = export_event(out, kind, e->t, e->seq, e->idx);
     }
+    for (int32_t li = 0; li < self->nlinks; li++) {
+        const Lane *fl = &self->links[li].fl;
+        for (int32_t j = 0; rc == 0 && j < fl->len; j++)
+            rc = export_event(out, EV_DELIVER, RING_AT(fl, j).t, RING_AT(fl, j).seq, li);
+    }
+    if (rc < 0)
+        Py_CLEAR(out);
     return out;
 }
 
@@ -4347,8 +4443,8 @@ scene_export_link(SceneObject *self, PyObject *index)
     if (d == NULL)
         return NULL;
     const CLink *L = rec;
-    d = dict_put(d, "queue", export_packets(self, &L->q));
-    return dict_put(d, "in_flight", export_packets(self, &L->fl));
+    d = dict_put(d, "queue", export_packets(self, L, 0));
+    return dict_put(d, "in_flight", export_packets(self, L, 1));
 }
 
 static PyObject *
@@ -4458,6 +4554,11 @@ static PyMethodDef scene_methods[] = {
     {NULL, NULL, 0, NULL},
 };
 
+static PyMemberDef scene_members[] = {
+    {"heap_len", T_PYSSIZET, offsetof(SceneObject, hlen), READONLY,
+     "entries in the event heap: one delivery per busy link, not per packet in flight"},
+    {NULL, 0, 0, 0, NULL},
+};
 
 static PyTypeObject SceneType = {
     PyVarObject_HEAD_INIT(NULL, 0)
@@ -4468,6 +4569,7 @@ static PyTypeObject SceneType = {
     .tp_new = scene_new,
     .tp_dealloc = (destructor)scene_dealloc,
     .tp_methods = scene_methods,
+    .tp_members = scene_members,
 };
 
 /* ------------------------------------------------------------------ module */

@@ -144,17 +144,17 @@ class PacketCapture:
             return
         if self.flow_id is not None and packet.flow_id != self.flow_id:
             return
+        tag = packet.tag
+        if tag is None:
+            tag = _NO_TAG
+        elif tag < 0:
+            # Before the first append: a row is nine columns or none.
+            raise ValueError(f"negative path tags are reserved by the capture, got {tag}")
         a = self._appenders
         a[0](now)
         a[1](packet.size)
         a[2](packet.payload_len)
-        tag = packet.tag
-        if tag is None:
-            a[3](_NO_TAG)
-        elif tag >= 0:
-            a[3](tag)
-        else:
-            raise ValueError(f"negative path tags are reserved by the capture, got {tag}")
+        a[3](tag)
         a[4](packet.flow_id)
         a[5](packet.subflow_id)
         a[6]((_FLAG_ACK if is_ack else 0) | (_FLAG_RETX if packet.is_retransmission else 0))

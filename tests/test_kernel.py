@@ -11,7 +11,10 @@ Three layers of guarantees:
   network in the *observable* state the Python event loop would have
   produced -- :func:`tests.kernel_state.snapshot`, compared field by field
   across compiled/fallback window boundaries -- says why whenever it
-  declines, and rebuilds packets that are safe to release twice.
+  declines, and rebuilds packets that are safe to release twice; its
+  calendar (one heap entry per link, the in-flight rings as lanes) pops in
+  the Python engine's order however deep the lanes, and the ``Scene`` type
+  refuses events it cannot fire instead of crashing on them.
 
 Compiled-only tests skip (never silently pass on the fallback) when the
 extension cannot be built.
@@ -43,14 +46,15 @@ needs_compiled = pytest.mark.skipif(
 )
 
 
-def micro_network(sim=None, *, queue_packets: int = 100, flows: int = 1) -> Network:
+def micro_network(sim=None, *, queue_packets: int = 100, flows: int = 1,
+                  mbps: float = 100.0, delay: float = 0.001) -> Network:
     """The bench micro-scenario: s -- r -- d, 100 Mbps, 1 ms, one tag per flow."""
     topology = Topology("micro")
     topology.add_host("s")
     topology.add_host("d")
     topology.add_router("r")
-    topology.add_link("s", "r", 100.0, 0.001, queue_packets)
-    topology.add_link("r", "d", 100.0, 0.001, queue_packets)
+    topology.add_link("s", "r", mbps, delay, queue_packets)
+    topology.add_link("r", "d", mbps, delay, queue_packets)
     network = Network(topology, sim=sim)
     for flow in range(flows):
         network.install_path(["s", "r", "d"], tag=flow + 1, as_default=flow == 0)
@@ -59,18 +63,19 @@ def micro_network(sim=None, *, queue_packets: int = 100, flows: int = 1) -> Netw
 
 def run_micro(mode: str, *, cc: str = "cubic", duration: float = 1.0,
               windows: int = 1, flows: int = 1, queue_packets: int = 100,
-              total_bytes=None, pin_sim: bool = False):
-    """Run the micro-scenario under ``mode``: (observable state, outcomes).
+              total_bytes=None, pin_sim: bool = False, **line):
+    """Run the micro-scenario under ``mode``: (observable states, outcomes).
 
     Un-pinned, ``compiled`` is a native first window on ``KernelSim`` and
     ``python`` the reference ``Simulator``.  With ``windows > 1`` only the
-    first window starts quiescent -- later windows run the Python handlers
-    on ``KernelSim`` over state the native window copied back.  ``outcomes``
-    is ``network.bypass_outcome`` after each window.
+    first window starts quiescent -- later windows run the per-event handlers
+    on ``KernelSim`` over state the native window copied back.  ``states``
+    is the snapshot and ``outcomes`` ``network.bypass_outcome`` after each
+    window; ``line`` is ``mbps`` / ``delay`` of :func:`micro_network`.
     """
     with kernel.override(mode):
         network = micro_network(Simulator() if pin_sim else None,
-                                queue_packets=queue_packets, flows=flows)
+                                queue_packets=queue_packets, flows=flows, **line)
         capture = network.attach_capture("d", data_only=False)
         # Pin flow_id: it is drawn from a process-global counter, so two
         # runs in one process would differ on an id that is not kernel state.
@@ -81,11 +86,12 @@ def run_micro(mode: str, *, cc: str = "cubic", duration: float = 1.0,
         ]
         for connection in connections:
             connection.start(0.0)
-        outcomes = []
+        states, outcomes = [], []
         for _ in range(windows):
             network.run(duration / windows)
+            states.append(snapshot(network, connections, [capture]))
             outcomes.append(network.bypass_outcome)
-    return snapshot(network, connections, [capture]), outcomes
+    return states, outcomes
 
 
 class TestKernelFacade:
@@ -261,7 +267,7 @@ class TestCompiledBypassEquivalence:
         assert outcomes[0] == "native"
         assert set(reference) == {"python kernel is active"}
         assert compiled == python
-        return compiled, outcomes
+        return compiled[-1], outcomes
 
     @pytest.mark.parametrize("cc", ["cubic", "reno"])
     def test_full_state_identical_after_one_window(self, cc):
@@ -309,6 +315,115 @@ class TestCompiledBypassEquivalence:
             assert maybe_run_network(network, 1.0) is None
             assert network.bypass_outcome in (
                 "link s->r: transmitter busy", "link s->r: packets in flight")
+
+
+#: A line whose every link direction holds > 400 packets once the pipe is
+#: full: 1 Gbps x 5 ms, a queue deep enough for slow start to fill it.
+FAT_LINE = dict(mbps=1000.0, delay=0.005, queue_packets=2000)
+
+
+class TestSceneCalendar:
+    """The Scene keeps a link's pending deliveries in its in-flight ring and
+    only the ring's head in the heap; pop order, sequence numbers and the
+    written-back heap must be what the all-in-one-heap engines produce."""
+
+    def windows(self, each_kernel, **scene):
+        """Per-window states under ``each_kernel``, equal to the reference's."""
+        states, outcomes = run_micro(each_kernel, **scene)
+        reference, _ = run_micro("python", **scene)
+        for window, (state, expected) in enumerate(zip(states, reference)):
+            assert state == expected, f"window {window}"
+        if each_kernel == "compiled":
+            # One native window; the rest start mid-flight and run per event.
+            assert outcomes[0] == "native" and "native" not in outcomes[1:]
+        return states
+
+    def test_deep_lanes_cut_at_a_horizon_then_run_on_per_event(self, each_kernel):
+        states = self.windows(each_kernel, duration=0.6, windows=3, **FAT_LINE)
+        for state in states:
+            depths = {name: len(link["in_flight"]) for name, link in state["links"].items()}
+            assert min(depths.values()) >= 300, depths
+            # Every in-flight packet is a pending delivery with its own (t, seq).
+            deliveries = [e for e in state["heap"] if e[2] == "Link._deliver"]
+            assert len(deliveries) == sum(depths.values())
+            assert state["sim"]["pending"] == len(state["heap"])
+        assert states[0]["links"]["s->r"]["queue"]  # a serve chain is pending too
+
+    def test_serve_delivery_and_timer_entries_interleave(self, each_kernel):
+        # Four senders start at t = 0 (ties broken by seq alone) into a
+        # 10-packet queue: drops, fast retransmits, timeouts and re-armed
+        # (stale) timers share the heap with the lanes' heads.
+        states = self.windows(each_kernel, flows=4, queue_packets=10, duration=1.5, windows=3)
+        first = states[0]
+        pending = {entry[2] for entry in first["heap"]}
+        assert pending == {"Link._deliver", "Link._serve_queue", "TcpSender._fire_rto", None}
+        assert sum(s["stats"][3] for s in first["senders"]) > 0  # retransmissions
+        assert sum(s["stats"][5] for s in first["senders"]) > 0  # timeouts
+        assert first["links"]["s->r"]["qstats"]["dropped"] > 0
+
+    def test_equal_time_deliveries_on_two_lanes_fire_in_seq_order(self, each_kernel):
+        # A line whose times are exact: a 1460-byte segment serialises in
+        # 2**-10 s and a hop is four of those, so the s->r delivery of segment
+        # k + 5 and the r->d delivery of segment k fall on the same instant and
+        # only their seq decides which link's lane fires first (the later
+        # events' seq numbers, which the heap snapshot compares, follow from it).
+        states = self.windows(each_kernel, mbps=11.96032, delay=2.0 ** -8, duration=0.3)
+        times = [t for t, _seq, name, *_owner in states[0]["heap"] if name == "Link._deliver"]
+        assert len(set(times)) < len(times)  # still tied at the cut
+
+    @needs_compiled
+    def test_heap_is_bounded_by_links_not_by_packets_in_flight(self):
+        with kernel.override("compiled"):
+            network = micro_network(**FAT_LINE)
+            connection = TcpConnection(network, "s", "d", cc="cubic", tag=1, flow_id=7)
+            connection.start(0.0)
+            ext = KeepingExt(kernel.compiled_module())
+            assert run_network(network, 0.2, ext) == 0.2
+        (scene,) = ext.scenes
+        events = scene.export_events()
+        in_flight = [len(link._in_flight) for link in network.links.values()]
+        assert min(in_flight) >= 300
+        deliveries = sum(kind == ext.EV_DELIVER for kind, _t, _seq, _idx in events)
+        cancelled = sum(kind == ext.EV_CANCELLED for kind, _t, _seq, _idx in events)
+        # export_events still counts every packet in flight ...
+        assert deliveries == sum(in_flight) > 1200
+        assert network.sim.pending_events == len(events)
+        # ... while the heap holds one delivery per busy link beside the rest.
+        assert scene.heap_len == len(events) - deliveries + len(in_flight)
+        senders = 1
+        assert scene.heap_len <= 2 * len(network.links) + senders + cancelled
+
+
+@needs_compiled
+class TestSceneRefusesEventsItCannotFire:
+    """``Scene.add_event`` is reachable from Python: a bad kind or index must
+    raise, not index a table that has no such row (a segfault before)."""
+
+    def test_bad_events_raise_and_the_process_carries_on(self):
+        with kernel.override("compiled"):
+            ext = kernel.compiled_module()
+        scene = ext.Scene()
+        for kind in (ext.EV_DELIVER, ext.EV_SERVE):
+            # Link events come with a lane entry / a queued packet: only the
+            # scene can create them, and a window starts with idle links.
+            with pytest.raises(ValueError, match="created by the scene"):
+                scene.add_event(kind, 0.5, 1, 7)
+        for kind in (ext.EV_RTO, ext.EV_START):
+            for sender in (0, 7, -1):
+                with pytest.raises(IndexError, match="sender index out of range"):
+                    scene.add_event(kind, 0.5, 1, sender)
+        for kind in (5, -1, 1 << 20):
+            with pytest.raises(ValueError, match="unknown event kind"):
+                scene.add_event(kind, 0.5, 1, 0)
+        assert scene.heap_len == 0
+        scene.add_event(ext.EV_CANCELLED, 0.5, 1, 7)  # carries no index
+        assert scene.run(0.0, 2, 1.0) == (1.0, 2, 0)
+        assert scene.heap_len == 0 and scene.export_events() == []
+        with pytest.raises(AttributeError):
+            scene.heap_len = 3
+        # A real scene still runs natively afterwards.
+        states, outcomes = run_micro("compiled", duration=0.1)
+        assert outcomes == ["native"] and states[0]["sim"]["processed"] > 0
 
 
 @needs_compiled
@@ -363,15 +478,25 @@ class FailingScene:
         raise RuntimeError("injected scene failure")
 
 
-class FailingExt:
+class KeepingExt:
+    """The extension, keeping hold of the Scenes it builds (``run_network``
+    drops its own once the state is written back)."""
+
     def __init__(self, ext):
         self._ext = ext
+        self.scenes = []
 
     def __getattr__(self, name):
         return getattr(self._ext, name)
 
     def Scene(self, **kwargs):
-        return FailingScene(self._ext.Scene(**kwargs))
+        self.scenes.append(self._ext.Scene(**kwargs))
+        return self.scenes[-1]
+
+
+class FailingExt(KeepingExt):
+    def Scene(self, **kwargs):
+        return FailingScene(super().Scene(**kwargs))
 
 
 @needs_compiled

@@ -9,7 +9,11 @@ a queue discipline, ECN on or off, greedy or bytes-limited transfers, and an
 optional :mod:`repro.netsim.dynamics` schedule -- runs it through
 ``run_multiflow`` under ``REPRO_KERNEL=python`` and ``=compiled`` and demands
 the same result JSON and the same observable network state
-(:func:`tests.kernel_state.network_snapshot`).
+(:func:`tests.kernel_state.network_snapshot`).  A second, smaller draw keeps
+to what the whole-window Scene takes (single-path reno/cubic over drop-tail,
+no ECN, no dynamics) and makes the links fat and long -- to 1 Gbps, to 20 ms,
+hundreds of packets per link direction, the depth the Scene's calendar lanes
+hold -- which only those scenes can afford on the reference kernel.
 
 Budget: the default run draws a fixed (derandomised) set of examples in well
 under a minute; ``--hypothesis-profile=deep`` is the local soak (random, a
@@ -59,9 +63,22 @@ _SETTINGS = (
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
 )
+#: The fat draw: a gigabit example costs the reference kernel up to a second.
+_FAT_SETTINGS = settings(_SETTINGS, max_examples=_SETTINGS.max_examples // 10)
 
 
 # ----------------------------------------------------------------- the scene
+def scene_is_native(scene: dict) -> bool:
+    """Whether the compiled kernel runs ``scene`` as one whole-window Scene
+    (``pipeline._plan_scene``'s eligibility, on the axes drawn here)."""
+    return (
+        scene["queue_kind"] == "droptail"
+        and not scene["ecn"]
+        and not scene["dynamics"]
+        and all(f["kind"] == "tcp" and f["cc"] in ("reno", "cubic") for f in scene["flows"])
+    )
+
+
 def scene_topology(scene: dict):
     """``s -- r<i> [-- x] -- d`` per branch; ``x`` is the overlapping tail."""
     topology = Topology("fuzz")
@@ -155,14 +172,16 @@ def run_scene(scene: dict, mode: str):
     with kernel.override(mode), mock.patch.object(multiflow_module, "Network", recording_network):
         result = run_multiflow(scene_config(scene))
     (network,) = built
-    return json.dumps(result.summary(), sort_keys=True), network_snapshot(network)
+    native = network.bypass_outcome == "native"
+    return json.dumps(result.summary(), sort_keys=True), network_snapshot(network), native
 
 
 def assert_kernels_agree(scene: dict) -> None:
-    reference_json, reference_state = run_scene(scene, "python")
-    compiled_json, compiled_state = run_scene(scene, "compiled")
+    reference_json, reference_state, _ = run_scene(scene, "python")
+    compiled_json, compiled_state, native = run_scene(scene, "compiled")
     assert compiled_state == reference_state
     assert compiled_json == reference_json
+    assert native == scene_is_native(scene)
 
 
 # -------------------------------------------------------------- the strategy
@@ -201,6 +220,29 @@ scenes = st.fixed_dictionaries({
     "duration": st.sampled_from((0.4, 0.8, 1.5)),
 })
 
+# Fattest first: hypothesis draws (and shrinks) towards the first element.
+_fat_link = st.fixed_dictionaries({
+    "mbps": st.sampled_from((1000.0, 300.0, 90.0)),
+    "delay": st.sampled_from((0.005, 0.02, 0.002)),
+    "queue": st.sampled_from((2000, 100, 12)),
+})
+fat_scenes = st.fixed_dictionaries({
+    "branches": st.lists(_fat_link, min_size=1, max_size=2),
+    "tail": st.one_of(st.none(), _fat_link),
+    "queue_kind": st.just("droptail"),
+    "ecn": st.just(False),
+    "flows": st.lists(
+        st.fixed_dictionaries({
+            "kind": st.just("tcp"), "cc": st.sampled_from(("reno", "cubic")),
+            "path": st.integers(0, 1), "bytes": st.sampled_from((None, None, 400_000)),
+            "start": _start,
+        }),
+        min_size=1, max_size=3,
+    ),
+    "dynamics": st.just([]),
+    "duration": st.sampled_from((0.4, 0.6)),
+})
+
 
 # ------------------------------------------------------------------ the tests
 @pytest.fixture(autouse=True, scope="module")
@@ -213,6 +255,13 @@ def _needs_both_kernels():
 @_SETTINGS
 @given(scenes)
 def test_kernels_agree_on_arbitrary_scenes(scene):
+    assert_kernels_agree(scene)
+
+
+@_FAT_SETTINGS
+@given(fat_scenes)
+def test_kernels_agree_on_fat_long_scene_windows(scene):
+    assert scene_is_native(scene)
     assert_kernels_agree(scene)
 
 

@@ -105,3 +105,22 @@ class TestDataOnlyCapture:
         packet, t = data_packet(tag=1, retx=True)
         cap.on_packet(packet, t)
         assert cap.records[0].is_retransmission
+
+
+class TestRejectedPacketLeavesNoPartialRow:
+    def test_negative_tag_is_refused_before_any_column_grows(self, capture):
+        before = len(capture)
+        bad, t = data_packet(tag=-3, time=0.3)
+        with pytest.raises(ValueError, match="negative path tags"):
+            capture.on_packet(bad, t)
+        assert len(capture) == before
+        good, t = data_packet(tag=2, subflow_id=1, time=0.4, dsn=77)
+        capture.on_packet(good, t)
+        columns = (capture._time, capture._size, capture._payload, capture._tag,
+                   capture._flow, capture._subflow, capture._flags, capture._seq,
+                   capture._dsn)
+        assert {len(column) for column in columns} == {before + 1}
+        # The row reads back aligned through every view.
+        assert capture.records[-1].time == 0.4 and capture.records[-1].dsn == 77
+        assert len(capture.filter(tag=2)) == 4
+        assert capture.columns(tag=2).time[-1] == 0.4
