@@ -57,6 +57,7 @@ from .experiments.scenarios import (
     COMPETITION_SCENARIOS,
     DYNAMICS_SCENARIOS,
     cc_comparison,
+    competition_config,
     olia_default_path_sweep,
     summarize_results,
 )
@@ -80,6 +81,39 @@ def _dumps(payload: object) -> str:
     instead of emitting a bare ``NaN`` token (invalid JSON).
     """
     return json.dumps(sanitize_metrics(payload), indent=2, allow_nan=False)
+
+
+def _cell(value: Optional[float], spec: str = ".4f") -> str:
+    """A table cell: ``-`` where the run has no such metric."""
+    return "-" if value is None else format(value, spec)
+
+
+def _scenario_command(
+    subparsers, name: str, registry: dict, *, help: str, metavar: str = "scenario", also: str = ""
+) -> argparse.ArgumentParser:
+    """A sub-command that runs one named entry of ``registry``.
+
+    Declares what :func:`_resolve_scenario` reads -- the optional positional
+    name and ``--list`` -- plus ``--json``.
+    """
+    command = subparsers.add_parser(name, help=help)
+    command.add_argument(
+        "scenario",
+        nargs="?",
+        metavar=metavar,
+        help=f"one of: {', '.join(sorted(registry))}{also}",
+    )
+    command.add_argument(
+        "--list", action="store_true", help=f"list the available {metavar}s and exit"
+    )
+    command.add_argument("--json", action="store_true")
+    return command
+
+
+def _add_backend(command: argparse.ArgumentParser, default: Optional[str], help: str) -> None:
+    command.add_argument(
+        "--backend", default=default, choices=("packet", "flowlevel"), help=help
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,17 +144,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--duration", type=float, default=4.0)
     sweep.add_argument("--json", action="store_true")
 
-    fairness = subparsers.add_parser(
-        "fairness", help="run a multi-flow competition scenario and report fairness"
-    )
-    fairness.add_argument(
-        "scenario",
-        nargs="?",
-        metavar="scenario",
-        help=f"one of: {', '.join(sorted(COMPETITION_SCENARIOS))}",
-    )
-    fairness.add_argument(
-        "--list", action="store_true", help="list the available scenarios and exit"
+    fairness = _scenario_command(
+        subparsers,
+        "fairness",
+        COMPETITION_SCENARIOS,
+        help="run a multi-flow competition scenario and report fairness",
     )
     fairness.add_argument(
         "--cc",
@@ -130,26 +158,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fairness.add_argument("--duration", type=float, default=4.0)
     fairness.add_argument("--bottleneck-mbps", type=float, default=50.0)
-    fairness.add_argument(
-        "--backend",
-        default="packet",
-        choices=("packet", "flowlevel"),
-        help="simulation fidelity: per-packet ground truth or the flow-level fluid backend",
+    _add_backend(
+        fairness,
+        "packet",
+        "simulation fidelity: per-packet ground truth or the flow-level fluid backend",
     )
-    fairness.add_argument("--json", action="store_true")
 
-    dynamics = subparsers.add_parser(
+    dynamics = _scenario_command(
+        subparsers,
         "dynamics",
+        DYNAMICS_SCENARIOS,
         help="run a network-dynamics scenario (failover / capacity step / handover)",
-    )
-    dynamics.add_argument(
-        "scenario",
-        nargs="?",
-        metavar="scenario",
-        help=f"one of: {', '.join(sorted(DYNAMICS_SCENARIOS))}",
-    )
-    dynamics.add_argument(
-        "--list", action="store_true", help="list the available scenarios and exit"
     )
     dynamics.add_argument(
         "--cc",
@@ -159,27 +178,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dynamics.add_argument("--duration", type=float, default=5.0)
     dynamics.add_argument("--no-plot", action="store_true", help="skip the terminal plot")
-    dynamics.add_argument("--json", action="store_true")
 
-    campaign = subparsers.add_parser(
+    campaign = _scenario_command(
+        subparsers,
         "campaign",
+        CAMPAIGN_GRIDS,
         help="run a sharded, resumable parameter-sweep grid with model validation",
-    )
-    campaign.add_argument(
-        "scenario",
-        nargs="?",
         metavar="grid",
-        help=f"one of: {', '.join(sorted(CAMPAIGN_GRIDS))}; or 'merge' to "
-        "merge/compact shard stores",
+        also="; or 'merge' to merge/compact shard stores",
     )
     campaign.add_argument(
         "sources",
         nargs="*",
         metavar="store",
         help="shard stores to combine (campaign merge only)",
-    )
-    campaign.add_argument(
-        "--list", action="store_true", help="list the available campaign grids and exit"
     )
     campaign.add_argument(
         "--into",
@@ -198,12 +210,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip points already completed in the store (default: on)",
     )
     campaign.add_argument("--duration", type=float, default=None, help="per-point duration")
-    campaign.add_argument(
-        "--backend",
-        default="packet",
-        choices=("packet", "flowlevel"),
-        help="run every grid point at this fidelity; flowlevel points also "
-        "run their packet twin and record the cross-fidelity error",
+    _add_backend(
+        campaign,
+        None,
+        "run every grid point at this fidelity (default: the grid's own); flowlevel "
+        "points also run their packet twin and record the cross-fidelity error",
     )
     campaign.add_argument("--chunk-size", type=int, default=4)
     campaign.add_argument("--max-workers", type=int, default=None)
@@ -258,26 +269,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sleep length of injected hangs (must exceed --point-timeout)",
     )
     campaign.add_argument("--no-plot", action="store_true", help="skip the error plot")
-    campaign.add_argument("--json", action="store_true")
 
-    workload = subparsers.add_parser(
+    workload = _scenario_command(
+        subparsers,
         "workload",
+        WORKLOAD_SCENARIOS,
         help="run a named workload scenario and report flow completion times",
     )
-    workload.add_argument(
-        "scenario",
-        nargs="?",
-        metavar="scenario",
-        help=f"one of: {', '.join(sorted(WORKLOAD_SCENARIOS))}",
-    )
-    workload.add_argument(
-        "--list", action="store_true", help="list the available workloads and exit"
-    )
-    workload.add_argument(
-        "--backend",
-        default="flowlevel",
-        choices=("packet", "flowlevel"),
-        help="simulation fidelity (default: the fast flow-level backend)",
+    _add_backend(
+        workload, "flowlevel", "simulation fidelity (default: the fast flow-level backend)"
     )
     workload.add_argument(
         "--duration", type=float, default=None, help="run length (scenario default if omitted)"
@@ -293,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the other fidelity and report the cross-backend FCT error",
     )
-    workload.add_argument("--json", action="store_true")
 
     info = subparsers.add_parser(
         "info",
@@ -311,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_scenario(args: argparse.Namespace, registry: dict, kind: str) -> Optional[str]:
-    """Shared scenario-name handling for ``fairness`` and ``dynamics``.
+    """Scenario-name handling of every :func:`_scenario_command`.
 
     Returns the scenario name, or None when the command should exit instead
     (after ``--list`` or an error message); ``args.exit_code`` carries the
@@ -439,14 +438,10 @@ def _command_fairness(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args, COMPETITION_SCENARIOS, "fairness")
     if scenario is None:
         return args.exit_code
-    builder = COMPETITION_SCENARIOS[scenario]
-    kwargs = {"duration": args.duration, "bottleneck_mbps": args.bottleneck_mbps}
-    if args.scenario in ("two_mptcp_competition", "ecn_mptcp_fairness"):
-        kwargs["congestion_control_a"] = args.cc
-        kwargs["congestion_control_b"] = args.cc
-    else:
-        kwargs["congestion_control"] = args.cc
-    result = run_multiflow(builder(**kwargs).with_overrides(backend=args.backend))
+    config = competition_config(
+        scenario, args.cc, duration=args.duration, bottleneck_mbps=args.bottleneck_mbps
+    )
+    result = run_multiflow(config.with_overrides(backend=args.backend))
 
     if args.json:
         print(_dumps(result.summary()))
@@ -459,9 +454,7 @@ def _command_fairness(args: argparse.Namespace) -> int:
             flow.kind,
             f"{flow.mean_mbps:.2f}",
             f"{fairness.shares.get(flow.name, 0.0):.3f}",
-            "-"
-            if fairness.settle_times.get(flow.name) is None
-            else f"{fairness.settle_times[flow.name]:.1f}",
+            _cell(fairness.settle_times.get(flow.name), ".1f"),
             flow.retransmissions,
         ]
         for flow in result.flows
@@ -508,8 +501,8 @@ def _command_dynamics(args: argparse.Namespace) -> int:
     rows = [
         [
             f"{epoch.epoch:.2f}",
-            "-" if epoch.failover_gap_s is None else f"{epoch.failover_gap_s:.2f}",
-            "-" if epoch.reconvergence_s is None else f"{epoch.reconvergence_s:.2f}",
+            _cell(epoch.failover_gap_s, ".2f"),
+            _cell(epoch.reconvergence_s, ".2f"),
         ]
         for epoch in report.epochs
     ]
@@ -562,7 +555,10 @@ def _command_campaign(args: argparse.Namespace) -> int:
     if grid is None:
         return args.exit_code
     kwargs = {} if args.duration is None else {"duration": args.duration}
-    kwargs["backend"] = args.backend
+    if args.backend is not None:
+        # Left out, the grid's own fidelity stands: workload_fct is
+        # flow-level by default, the other grids packet-level.
+        kwargs["backend"] = args.backend
     spec = CAMPAIGN_GRIDS[grid](**kwargs)
     store_path = args.store or f"campaign_{grid}.jsonl"
 
@@ -638,10 +634,8 @@ def _command_campaign(args: argparse.Namespace) -> int:
                 record.get("status"),
                 validation.get("measured_total"),
                 lp.get("total"),
-                "-" if rel_error is None else f"{rel_error:.4f}",
-                "-"
-                if lp.get("rank_agreement") is None
-                else f"{lp['rank_agreement']:.2f}",
+                _cell(rel_error),
+                _cell(lp.get("rank_agreement"), ".2f"),
             ]
         )
     print(
@@ -744,25 +738,16 @@ def _command_workload(args: argparse.Namespace) -> int:
     )
     print()
     rows = [
-        ["mean", "-" if fct.mean_fct_s is None else f"{fct.mean_fct_s:.4f}"],
-        *[
-            [name, "-" if value is None else f"{value:.4f}"]
-            for name, value in fct.percentiles.items()
-        ],
+        ["mean", _cell(fct.mean_fct_s)],
+        *[[name, _cell(value)] for name, value in fct.percentiles.items()],
     ]
     print(format_table(["FCT", "seconds"], rows))
     if fct.pages:
         print()
         page_rows = [
             ["pages", str(fct.pages)],
-            [
-                "mean load",
-                "-" if fct.mean_page_load_s is None else f"{fct.mean_page_load_s:.4f}",
-            ],
-            *[
-                [name, "-" if value is None else f"{value:.4f}"]
-                for name, value in fct.page_load_percentiles.items()
-            ],
+            ["mean load", _cell(fct.mean_page_load_s)],
+            *[[name, _cell(value)] for name, value in fct.page_load_percentiles.items()],
         ]
         print(format_table(["page load", "value"], page_rows))
     if fct.size_deciles:

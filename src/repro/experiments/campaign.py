@@ -6,7 +6,8 @@ control on every topology across link rates, delays, loss and dynamics.  This
 module turns those grids into restartable batch jobs:
 
 * :class:`CampaignSpec` declares a grid (scenario x congestion control x
-  link rate/delay scale x loss rate x dynamics schedule x path manager) and
+  link rate/delay scale x loss rate x dynamics schedule x path manager x
+  ..., each axis one row of ``_AXES``) and
   expands it into picklable :class:`~repro.experiments.harness.ExperimentConfig`
   / :class:`~repro.experiments.multiflow.MultiFlowConfig` points, each keyed
   by a content hash of its parameters;
@@ -31,24 +32,29 @@ from deep inside a worker process.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import os
 import pathlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 try:
     import fcntl
 except ImportError:  # pragma: no cover - not POSIX: appends stay unserialised
     fcntl = None
 
+from ..core.coupled import MULTIPATH_ALGORITHMS
+from ..core.path_manager import FailoverPathManager
 from ..errors import ConfigurationError, ModelError
 from ..measure.report import sanitize_metrics
 from ..measure.validation import ValidationReport
 from ..model.bottleneck import ConstraintSystem, build_constraints
 from ..model.paths import PathSet
 from ..netsim.dynamics import DynamicsSpec, LinkRateChange, LossBurst, Schedule
+from ..netsim.queues import QUEUE_KINDS
 from ..netsim.topology import Topology
 from ..topologies.generators import shared_bottleneck, wifi_cellular
 from ..topologies.paper import PAPER_DEFAULT_PATH_INDEX, paper_scenario
@@ -56,7 +62,7 @@ from ..workload.runner import WorkloadConfig
 from ..workload.scenarios import WORKLOAD_SCENARIOS
 from .harness import ExperimentConfig
 from .multiflow import MultiFlowConfig
-from .scenarios import COMPETITION_SCENARIOS
+from .scenarios import COMPETITION_SCENARIOS, competition_config
 
 #: Single-connection scenario axis values (name -> zero-argument builder).
 SINGLE_SCENARIOS: Dict[str, Callable[[], Tuple[Topology, PathSet]]] = {
@@ -70,6 +76,90 @@ DYNAMICS_CHOICES = ("none", "bottleneck_step")
 
 #: Path-manager axis values ("failover" is single-connection only).
 PATH_MANAGER_CHOICES = ("default", "failover")
+
+#: Campaign kinds, each with the registry its scenario names come from.
+_SCENARIO_REGISTRIES: Dict[str, Dict[str, Callable]] = {
+    "single": SINGLE_SCENARIOS,
+    "multiflow": COMPETITION_SCENARIOS,
+    "workload": WORKLOAD_SCENARIOS,
+}
+_EVERY_KIND = tuple(_SCENARIO_REGISTRIES)
+_CONNECTION_KINDS = ("single", "multiflow")
+
+
+class _Axis(NamedTuple):
+    """One sweepable dimension of a :class:`CampaignSpec`: a row of ``_AXES``."""
+
+    #: The spec attribute holding the swept values.
+    field: str
+    #: The value's name in ``CampaignPoint.params``, hence in the point key.
+    param: str
+    #: What an unswept axis holds.  ``None`` means "the scenario's own
+    #: setting" and is the neutral value a *new* axis must take: ``None``
+    #: stays out of the key, so stores written before the axis stay addressable.
+    neutral: object
+    #: Applied to every swept value other than ``None``.
+    coerce: Callable
+    #: Campaign kinds that may sweep the axis and carry it in their keys.
+    kinds: Tuple[str, ...]
+    #: The value's part of ``CampaignPoint.label()``.
+    label: Callable[[object], str]
+    #: Kind -> the values the axis admits (``None``: anything ``coerce`` takes).
+    choices: Optional[Callable[[str], Collection]] = None
+    #: What the "unknown ..." error calls a value (may use ``{kind}``).
+    noun: str = ""
+    #: Labelled even at the neutral value.
+    always_labelled: bool = False
+    #: Shapes the built scenario: these (scenario, rate, delay) vary slowest
+    #: in ``expand`` and are built and validated once per combination.
+    topology: bool = False
+
+
+#: Every axis, in label order.  Validation, ``size``, ``expand``, the point
+#: params (an axis enters the key iff it applies to the kind and its value is
+#: not ``None``) and the labels are all read off this table.
+_AXES: Tuple[_Axis, ...] = (
+    _Axis(
+        "scenarios", "scenario", "paper", str, _EVERY_KIND, str,
+        choices=_SCENARIO_REGISTRIES.__getitem__, noun="{kind} campaign scenario",
+        always_labelled=True, topology=True,
+    ),
+    _Axis(
+        "congestion_controls", "congestion_control", "cubic", str, _EVERY_KIND, str,
+        choices=lambda kind: MULTIPATH_ALGORITHMS, noun="congestion control",
+        always_labelled=True,
+    ),
+    _Axis(
+        "rate_scales", "rate_scale", 1.0, float, _EVERY_KIND, "x{:g}".format,
+        always_labelled=True, topology=True,
+    ),
+    _Axis("delay_scales", "delay_scale", 1.0, float, _EVERY_KIND, "d{:g}".format, topology=True),
+    _Axis("loss_rates", "loss_rate", 0.0, float, _CONNECTION_KINDS, "loss{:g}".format),
+    _Axis(
+        "dynamics", "dynamics", "none", str, _CONNECTION_KINDS, str,
+        choices=lambda kind: DYNAMICS_CHOICES, noun="dynamics choice",
+    ),
+    _Axis(
+        "path_managers", "path_manager", "default", str, _CONNECTION_KINDS, str,
+        choices=lambda kind: PATH_MANAGER_CHOICES, noun="path manager",
+    ),
+    _Axis(
+        "queue_kinds", "queue_kind", None, str, _CONNECTION_KINDS, str,
+        choices=lambda kind: QUEUE_KINDS, noun="queue discipline",
+    ),
+    _Axis(
+        "ecn_modes", "ecn", None, bool, _CONNECTION_KINDS,
+        lambda on: "ecn" if on else "noecn",
+    ),
+    _Axis(
+        "load_scales", "load_scale", 1.0, float, ("workload",), "load{:g}".format,
+        always_labelled=True,
+    ),
+    _Axis(
+        "size_scales", "size_scale", 1.0, float, ("workload",), "size{:g}".format,
+        always_labelled=True,
+    ),
+)
 
 
 def _build_single_scenario(
@@ -108,28 +198,12 @@ class CampaignPoint:
 
     def label(self) -> str:
         """Compact human-readable identification of the point."""
-        parts = [
-            str(self.params.get("scenario", "?")),
-            str(self.params.get("congestion_control", "?")),
-            f"x{self.params.get('rate_scale', 1.0):g}",
-        ]
-        if self.params.get("delay_scale", 1.0) != 1.0:
-            parts.append(f"d{self.params['delay_scale']:g}")
-        if self.params.get("loss_rate", 0.0):
-            parts.append(f"loss{self.params['loss_rate']:g}")
-        if self.params.get("dynamics", "none") != "none":
-            parts.append(str(self.params["dynamics"]))
-        if self.params.get("path_manager", "default") != "default":
-            parts.append(str(self.params["path_manager"]))
-        if self.params.get("queue_kind") is not None:
-            parts.append(str(self.params["queue_kind"]))
-        if self.params.get("ecn") is not None:
-            parts.append("ecn" if self.params["ecn"] else "noecn")
-        if self.params.get("load_scale") is not None:
-            parts.append(f"load{self.params['load_scale']:g}")
-        if self.params.get("size_scale") is not None:
-            parts.append(f"size{self.params['size_scale']:g}")
-        return "/".join(parts)
+        return "/".join(
+            axis.label(self.params[axis.param])
+            for axis in _AXES
+            if axis.param in self.params
+            and (axis.always_labelled or self.params[axis.param] != axis.neutral)
+        )
 
 
 @dataclass
@@ -177,7 +251,7 @@ class CampaignSpec:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("single", "multiflow", "workload"):
+        if self.kind not in _SCENARIO_REGISTRIES:
             raise ConfigurationError(
                 f"unknown campaign kind {self.kind!r}; "
                 "choose 'single', 'multiflow' or 'workload'"
@@ -188,83 +262,32 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"unknown campaign backend {self.backend!r}; choose from {BACKENDS}"
             )
-        for axis in (
-            "scenarios",
-            "congestion_controls",
-            "rate_scales",
-            "delay_scales",
-            "loss_rates",
-            "dynamics",
-            "path_managers",
-            "queue_kinds",
-            "ecn_modes",
-            "load_scales",
-            "size_scales",
-        ):
-            if not list(getattr(self, axis)):
-                raise ConfigurationError(f"campaign axis {axis!r} must not be empty")
-        from ..netsim.queues import QUEUE_KINDS
-
-        for queue_kind in self.queue_kinds:
-            if queue_kind is not None and queue_kind not in QUEUE_KINDS:
+        for axis in _AXES:
+            values = list(getattr(self, axis.field))
+            if not values:
+                raise ConfigurationError(f"campaign axis {axis.field!r} must not be empty")
+            if self.kind not in axis.kinds and values != [axis.neutral]:
                 raise ConfigurationError(
-                    f"unknown queue discipline {queue_kind!r}; "
-                    f"choose from {QUEUE_KINDS} (or None for the scenario default)"
+                    f"campaign axis {axis.field!r} is swept by {' / '.join(axis.kinds)} "
+                    f"campaigns; in a {self.kind} campaign it must stay at its default"
                 )
-        from ..core.coupled import MULTIPATH_ALGORITHMS
-
-        for congestion_control in self.congestion_controls:
-            if congestion_control not in MULTIPATH_ALGORITHMS:
-                raise ConfigurationError(
-                    f"unknown congestion control {congestion_control!r}; "
-                    f"choose from {sorted(MULTIPATH_ALGORITHMS)}"
-                )
-        if self.kind != "workload" and (
-            tuple(self.load_scales) != (1.0,) or tuple(self.size_scales) != (1.0,)
-        ):
-            raise ConfigurationError(
-                "load_scales / size_scales are workload-kind axes"
-            )
-        if self.kind == "workload":
-            for axis, neutral in (
-                ("loss_rates", (0.0,)),
-                ("dynamics", ("none",)),
-                ("path_managers", ("default",)),
-                ("queue_kinds", (None,)),
-                ("ecn_modes", (None,)),
-            ):
-                if tuple(getattr(self, axis)) != neutral:
+            if axis.choices is None:
+                continue
+            choices = axis.choices(self.kind)
+            for value in values:
+                if value is None and axis.neutral is None:
+                    continue  # the scenario's own setting
+                if value not in choices:
                     raise ConfigurationError(
-                        f"workload campaigns sweep load/size scales; "
-                        f"axis {axis!r} must stay at its default"
+                        f"unknown {axis.noun.format(kind=self.kind)} {value!r}; "
+                        f"choose from {sorted(choices)}"
                     )
-        if self.kind == "single":
-            registry = SINGLE_SCENARIOS
-        elif self.kind == "multiflow":
-            registry = COMPETITION_SCENARIOS
-        else:
-            registry = WORKLOAD_SCENARIOS
-        for scenario in self.scenarios:
-            if scenario not in registry:
-                raise ConfigurationError(
-                    f"unknown {self.kind} campaign scenario {scenario!r}; "
-                    f"choose from {sorted(registry)}"
-                )
-        for name in self.dynamics:
-            if name not in DYNAMICS_CHOICES:
-                raise ConfigurationError(
-                    f"unknown dynamics choice {name!r}; choose from {DYNAMICS_CHOICES}"
-                )
-        for name in self.path_managers:
-            if name not in PATH_MANAGER_CHOICES:
-                raise ConfigurationError(
-                    f"unknown path manager {name!r}; choose from {PATH_MANAGER_CHOICES}"
-                )
-            if name == "failover" and self.kind == "multiflow":
+        if "failover" in self.path_managers:
+            if self.kind == "multiflow":
                 raise ConfigurationError(
                     "the 'failover' path manager applies to single-connection points only"
                 )
-            if name == "failover" and self.backend == "flowlevel":
+            if self.backend == "flowlevel":
                 raise ConfigurationError(
                     "the flow-level backend has no subflow lifecycle; "
                     "'failover' grids need backend='packet'"
@@ -273,19 +296,7 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
-        return (
-            len(list(self.scenarios))
-            * len(list(self.congestion_controls))
-            * len(list(self.rate_scales))
-            * len(list(self.delay_scales))
-            * len(list(self.loss_rates))
-            * len(list(self.dynamics))
-            * len(list(self.path_managers))
-            * len(list(self.queue_kinds))
-            * len(list(self.ecn_modes))
-            * len(list(self.load_scales))
-            * len(list(self.size_scales))
-        )
+        return math.prod(len(list(getattr(self, axis.field))) for axis in _AXES)
 
     def expand(self) -> List[CampaignPoint]:
         """Expand the grid into validated, picklable simulation points.
@@ -296,58 +307,37 @@ class CampaignSpec:
         degenerate combination raises :class:`ConfigurationError` naming the
         offending point's parameters.
         """
+        # Stable sort: the topology axes vary slowest, the rest keep table order.
+        axes = sorted(_AXES, key=lambda axis: not axis.topology)
         points: List[CampaignPoint] = []
-        scenario_cache: Dict[Tuple, Tuple[Topology, PathSet, ConstraintSystem]] = {}
-        for scenario in self.scenarios:
-            for rate_scale in self.rate_scales:
-                for delay_scale in self.delay_scales:
-                    cache_key = (scenario, float(rate_scale), float(delay_scale))
-                    if cache_key not in scenario_cache:
-                        scenario_cache[cache_key] = self._built_scenario(
-                            scenario, rate_scale, delay_scale
-                        )
-                    topology, paths, system = scenario_cache[cache_key]
-                    for congestion_control in self.congestion_controls:
-                        for loss_rate in self.loss_rates:
-                            for dynamics_name in self.dynamics:
-                                for path_manager in self.path_managers:
-                                    for queue_kind in self.queue_kinds:
-                                        for ecn in self.ecn_modes:
-                                            for load_scale in self.load_scales:
-                                                for size_scale in self.size_scales:
-                                                    points.append(
-                                                        self._point(
-                                                            scenario=scenario,
-                                                            congestion_control=congestion_control,
-                                                            rate_scale=float(rate_scale),
-                                                            delay_scale=float(delay_scale),
-                                                            loss_rate=float(loss_rate),
-                                                            dynamics_name=dynamics_name,
-                                                            path_manager=path_manager,
-                                                            queue_kind=queue_kind,
-                                                            ecn=ecn,
-                                                            load_scale=float(load_scale),
-                                                            size_scale=float(size_scale),
-                                                            paths=paths,
-                                                            system=system,
-                                                        )
-                                                    )
+        built: Dict[Tuple, Tuple[PathSet, ConstraintSystem]] = {}
+        for combination in itertools.product(*(getattr(self, axis.field) for axis in axes)):
+            values = {
+                axis.param: None if value is None else axis.coerce(value)
+                for axis, value in zip(axes, combination)
+            }
+            shape = tuple(values[axis.param] for axis in axes if axis.topology)
+            if shape not in built:
+                built[shape] = self._built_scenario(*shape)
+            points.append(self._point(values, *built[shape]))
         return points
 
     # ------------------------------------------------------------------
     def _built_scenario(
         self, scenario: str, rate_scale: float, delay_scale: float
-    ) -> Tuple[Topology, PathSet, ConstraintSystem]:
+    ) -> Tuple[PathSet, ConstraintSystem]:
         if self.kind == "single":
             topology, paths = _build_single_scenario(scenario, rate_scale, delay_scale)
-        elif self.kind == "workload":
-            config = WORKLOAD_SCENARIOS[scenario](duration=self.duration)
-            topology, paths = config.build_scenario()
-            topology.scale_links(rate=rate_scale, delay=delay_scale)
         else:
-            config = _competition_config(
-                scenario, "lia", self.duration, self.sampling_interval
-            )
+            if self.kind == "workload":
+                config = WORKLOAD_SCENARIOS[scenario](duration=self.duration)
+            else:
+                config = competition_config(
+                    scenario,
+                    "lia",
+                    duration=self.duration,
+                    sampling_interval=self.sampling_interval,
+                )
             topology, paths = config.build_scenario()
             topology.scale_links(rate=rate_scale, delay=delay_scale)
         system = build_constraints(topology, paths)
@@ -363,133 +353,81 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"degenerate campaign grid point {json.dumps(params, sort_keys=True)}: {error}"
             ) from error
-        return topology, paths, system
+        return paths, system
 
     def _point(
-        self,
-        *,
-        scenario: str,
-        congestion_control: str,
-        rate_scale: float,
-        delay_scale: float,
-        loss_rate: float,
-        dynamics_name: str,
-        path_manager: str,
-        queue_kind: Optional[str] = None,
-        ecn: Optional[bool] = None,
-        load_scale: float = 1.0,
-        size_scale: float = 1.0,
-        paths: PathSet,
-        system: ConstraintSystem,
+        self, values: Dict[str, object], paths: PathSet, system: ConstraintSystem
     ) -> CampaignPoint:
+        """The grid point at one combination of axis values (by param name)."""
+        # The key rule, once: an axis enters the content hash iff it applies
+        # to this kind and holds a concrete value.  ``None`` (the scenario's
+        # own discipline / ECN setting) stays out, and so does the default
+        # backend: every key recorded before those existed stays addressable.
+        params: Dict[str, object] = {"kind": self.kind}
+        params.update(
+            (axis.param, values[axis.param])
+            for axis in _AXES
+            if self.kind in axis.kinds and values[axis.param] is not None
+        )
+        params["duration"] = float(self.duration)
+        if self.backend != "packet":
+            params["backend"] = self.backend
+        scenario = values["scenario"]
+        congestion_control = values["congestion_control"]
+        rate_scale, delay_scale = values["rate_scale"], values["delay_scale"]
         if self.kind == "workload":
-            params = {
-                "kind": self.kind,
-                "scenario": scenario,
-                "congestion_control": congestion_control,
-                "rate_scale": rate_scale,
-                "delay_scale": delay_scale,
-                "duration": float(self.duration),
-                "load_scale": load_scale,
-                "size_scale": size_scale,
-            }
-            if self.backend != "packet":
-                params["backend"] = self.backend
-            workload_config = WORKLOAD_SCENARIOS[scenario](
+            config = WORKLOAD_SCENARIOS[scenario](
                 duration=self.duration, backend=self.backend
             )
-            topology, base_paths = workload_config.build_scenario()
+            topology, base_paths = config.build_scenario()
             topology.scale_links(rate=rate_scale, delay=delay_scale)
-            workload_config = workload_config.with_overrides(
+            config = config.with_overrides(
                 name=f"{self.name}-{scenario}",
                 scenario=(topology, base_paths),
-                spec=workload_config.spec.scaled(load=load_scale, size=size_scale),
+                spec=config.spec.scaled(
+                    load=values["load_scale"], size=values["size_scale"]
+                ),
                 congestion_control=congestion_control,
             )
-            return CampaignPoint(
-                key=point_key(params), params=params, config=workload_config
-            )
-        params = {
-            "kind": self.kind,
-            "scenario": scenario,
-            "congestion_control": congestion_control,
-            "rate_scale": rate_scale,
-            "delay_scale": delay_scale,
-            "loss_rate": loss_rate,
-            "dynamics": dynamics_name,
-            "path_manager": path_manager,
-            "duration": float(self.duration),
-            "sampling_interval": float(self.sampling_interval),
+            return CampaignPoint(key=point_key(params), params=params, config=config)
+        params["sampling_interval"] = float(self.sampling_interval)
+        overrides: Dict[str, object] = {
+            "name": f"{self.name}-{scenario}-{congestion_control}",
+            "dynamics": _point_dynamics(
+                values["dynamics"], values["loss_rate"], system, self.duration
+            ),
+            "backend": self.backend,
         }
-        if self.backend != "packet":
-            # Only non-default backends enter the content hash, so every key
-            # recorded by pre-flowlevel campaigns stays addressable.
-            params["backend"] = self.backend
-        # Same key-stability rule for the signal-plane axes: ``None`` (use
-        # the scenario's own discipline / ECN setting) stays out of the hash.
-        if queue_kind is not None:
-            params["queue_kind"] = queue_kind
-        if ecn is not None:
-            params["ecn"] = bool(ecn)
-        signal_overrides: Dict[str, object] = {}
-        if queue_kind is not None:
-            signal_overrides["queue_kind"] = queue_kind
-        if ecn is not None:
-            signal_overrides["ecn"] = bool(ecn)
-        spec = _point_dynamics(dynamics_name, loss_rate, system, self.duration)
+        overrides.update(
+            (name, values[name]) for name in ("queue_kind", "ecn") if values[name] is not None
+        )
         if self.kind == "single":
-            manager = None
-            if path_manager == "failover":
-                from ..core.path_manager import FailoverPathManager
-
-                manager = FailoverPathManager(list(paths))
-            config: Union[ExperimentConfig, MultiFlowConfig] = ExperimentConfig(
-                name=f"{self.name}-{scenario}-{congestion_control}",
-                scenario=partial(
-                    _build_single_scenario, scenario, rate_scale, delay_scale
-                ),
+            config = ExperimentConfig(
+                scenario=partial(_build_single_scenario, scenario, rate_scale, delay_scale),
                 congestion_control=congestion_control,
                 duration=self.duration,
                 sampling_interval=self.sampling_interval,
                 default_path_index=(
                     PAPER_DEFAULT_PATH_INDEX if scenario == "paper" else 0
                 ),
-                path_manager=manager,
-                dynamics=spec,
-                backend=self.backend,
-                **signal_overrides,
+                path_manager=(
+                    FailoverPathManager(list(paths))
+                    if values["path_manager"] == "failover"
+                    else None
+                ),
+                **overrides,
             )
         else:
-            config = _competition_config(
-                scenario, congestion_control, self.duration, self.sampling_interval
+            config = competition_config(
+                scenario,
+                congestion_control,
+                duration=self.duration,
+                sampling_interval=self.sampling_interval,
             )
             topology, base_paths = config.build_scenario()
             topology.scale_links(rate=rate_scale, delay=delay_scale)
-            config = config.with_overrides(
-                name=f"{self.name}-{scenario}-{congestion_control}",
-                scenario=(topology, base_paths),
-                dynamics=spec,
-                backend=self.backend,
-                **signal_overrides,
-            )
+            config = config.with_overrides(scenario=(topology, base_paths), **overrides)
         return CampaignPoint(key=point_key(params), params=params, config=config)
-
-
-def _competition_config(
-    scenario: str, congestion_control: str, duration: float, sampling_interval: float
-) -> MultiFlowConfig:
-    """Instantiate a named competition scenario with one controller everywhere."""
-    builder = COMPETITION_SCENARIOS[scenario]
-    kwargs: Dict[str, object] = {
-        "duration": duration,
-        "sampling_interval": sampling_interval,
-    }
-    if scenario in ("two_mptcp_competition", "ecn_mptcp_fairness"):
-        kwargs["congestion_control_a"] = congestion_control
-        kwargs["congestion_control_b"] = congestion_control
-    else:
-        kwargs["congestion_control"] = congestion_control
-    return builder(**kwargs)
 
 
 def _most_shared_link(system: ConstraintSystem) -> Tuple[Tuple[str, str], float]:

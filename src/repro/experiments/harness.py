@@ -14,7 +14,7 @@ import os
 import pickle
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -88,7 +88,6 @@ class ExperimentConfig:
     #: ECN-capable transport: senders mark segments ECT, AQM queues CE-mark
     #: instead of dropping, and the ECE echo drives ``cc.on_ecn``.
     ecn: bool = False
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         from ..flowsim.backend import BACKENDS

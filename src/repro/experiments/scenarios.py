@@ -364,40 +364,22 @@ def aqm_vs_droptail(
     congestion_control: str = "lia",
     queue_kind: str = "red",
     ecn: bool = True,
-    n_paths: int = 2,
-    bottleneck_mbps: float = 50.0,
-    access_mbps: float = 100.0,
-    duration: float = 4.0,
-    sampling_interval: float = 0.1,
-    warmup: float = 0.0,
+    **scenario_kwargs,
 ) -> MultiFlowConfig:
     """The MPTCP-vs-TCP fairness contest under an AQM discipline.
 
-    Identical to :func:`mptcp_vs_tcp_shared_bottleneck` except every link
-    runs ``queue_kind`` (RED by default) and, with ``ecn=True``, the
-    transports negotiate ECN -- so congestion shows up as CE marks and rate
-    reductions instead of drops and retransmissions.  Comparing this run
-    against the drop-tail baseline isolates what the signal plane changes:
-    queueing delay, loss, and whether the fairness split survives.
+    Identical to :func:`mptcp_vs_tcp_shared_bottleneck` (which takes every
+    other keyword) except every link runs ``queue_kind`` (RED by default)
+    and, with ``ecn=True``, the transports negotiate ECN -- so congestion
+    shows up as CE marks and rate reductions instead of drops and
+    retransmissions.  Comparing this run against the drop-tail baseline
+    isolates what the signal plane changes: queueing delay, loss, and
+    whether the fairness split survives.
     """
-    topology, paths = shared_bottleneck(n_paths + 1, bottleneck_mbps, access_mbps)
-    flows = [
-        FlowSpec(
-            kind="mptcp",
-            name="mptcp",
-            paths=list(paths)[:n_paths],
-            congestion_control=congestion_control,
-        ),
-        FlowSpec(kind="tcp", name="tcp", path_index=n_paths),
-    ]
-    return MultiFlowConfig(
+    return mptcp_vs_tcp_shared_bottleneck(
+        congestion_control=congestion_control, **scenario_kwargs
+    ).with_overrides(
         name=f"aqm-{queue_kind}{'-ecn' if ecn else ''}-{congestion_control}",
-        scenario=(topology, paths),
-        flows=flows,
-        duration=duration,
-        sampling_interval=sampling_interval,
-        warmup=warmup,
-        bottleneck_link=("agg", "core"),
         queue_kind=queue_kind,
         ecn=ecn,
     )
@@ -409,44 +391,22 @@ def ecn_mptcp_fairness(
     congestion_control_b: str = "lia",
     queue_kind: str = "red",
     ecn: bool = True,
-    subflows_each: int = 2,
-    bottleneck_mbps: float = 50.0,
-    access_mbps: float = 100.0,
-    duration: float = 4.0,
-    sampling_interval: float = 0.1,
-    warmup: float = 0.0,
+    **scenario_kwargs,
 ) -> MultiFlowConfig:
     """Two MPTCP connections on an ECN-marking bottleneck.
 
-    The two-connection competition of :func:`two_mptcp_competition` with an
-    AQM bottleneck and ECN-capable transports: both coupled controllers see
-    the same mark stream, so an asymmetric split reveals a controller that
-    under- or over-reacts to marks relative to its competitor.
+    The two-connection competition of :func:`two_mptcp_competition` (which
+    takes every other keyword) with an AQM bottleneck and ECN-capable
+    transports: both coupled controllers see the same mark stream, so an
+    asymmetric split reveals a controller that under- or over-reacts to
+    marks relative to its competitor.
     """
-    topology, paths = shared_bottleneck(2 * subflows_each, bottleneck_mbps, access_mbps)
-    path_list = list(paths)
-    flows = [
-        FlowSpec(
-            kind="mptcp",
-            name="mptcp-a",
-            paths=path_list[:subflows_each],
-            congestion_control=congestion_control_a,
-        ),
-        FlowSpec(
-            kind="mptcp",
-            name="mptcp-b",
-            paths=path_list[subflows_each:],
-            congestion_control=congestion_control_b,
-        ),
-    ]
-    return MultiFlowConfig(
+    return two_mptcp_competition(
+        congestion_control_a=congestion_control_a,
+        congestion_control_b=congestion_control_b,
+        **scenario_kwargs,
+    ).with_overrides(
         name=f"ecn-fairness-{congestion_control_a}-vs-{congestion_control_b}",
-        scenario=(topology, paths),
-        flows=flows,
-        duration=duration,
-        sampling_interval=sampling_interval,
-        warmup=warmup,
-        bottleneck_link=("agg", "core"),
         queue_kind=queue_kind,
         ecn=ecn,
     )
@@ -461,6 +421,19 @@ COMPETITION_SCENARIOS: Dict[str, Callable[..., MultiFlowConfig]] = {
     "aqm_vs_droptail": aqm_vs_droptail,
     "ecn_mptcp_fairness": ecn_mptcp_fairness,
 }
+
+
+def competition_config(scenario: str, congestion_control: str, **kwargs) -> MultiFlowConfig:
+    """A named competition scenario with one controller on every MPTCP flow.
+
+    The two-connection scenarios name a controller per connection; this is
+    the one place that knows which keyword a scenario's controller goes by.
+    """
+    if scenario in ("two_mptcp_competition", "ecn_mptcp_fairness"):
+        kwargs["congestion_control_a"] = kwargs["congestion_control_b"] = congestion_control
+    else:
+        kwargs["congestion_control"] = congestion_control
+    return COMPETITION_SCENARIOS[scenario](**kwargs)
 
 
 # ------------------------------------------------------------------ dynamics

@@ -4153,14 +4153,21 @@ record_add(PyObject *state, void *arr_p, int32_t count, int32_t *cap,
     return slot;
 }
 
+/* Node and link indices are checked here, where add_* takes them in:
+ * scene_run indexes nodes[] and links[] with them unchecked. */
+static int
+index_ok(int32_t i, int32_t count, const char *what)
+{
+    if (i >= 0 && i < count)
+        return 1;
+    PyErr_Format(PyExc_IndexError, "%s index %d out of range", what, (int)i);
+    return 0;
+}
+
 static CNode *
 node_at(SceneObject *self, int node)
 {
-    if (node < 0 || node >= self->nnodes) {
-        PyErr_SetString(PyExc_IndexError, "node index out of range");
-        return NULL;
-    }
-    return &self->nodes[node];
+    return index_ok(node, self->nnodes, "node") ? &self->nodes[node] : NULL;
 }
 
 static PyObject *
@@ -4175,8 +4182,9 @@ scene_add_node(SceneObject *self, PyObject *state)
 static PyObject *
 scene_add_link(SceneObject *self, PyObject *state)
 {
-    if (record_add(state, &self->links, self->nlinks, &self->lcap,
-                   sizeof(CLink), LINK_TABLE) == NULL)
+    CLink *L = record_add(state, &self->links, self->nlinks, &self->lcap,
+                          sizeof(CLink), LINK_TABLE);
+    if (L == NULL || !index_ok(L->dst, self->nnodes, "node"))
         return NULL;
     return PyLong_FromLong(self->nlinks++);
 }
@@ -4189,7 +4197,8 @@ scene_add_fwd(SceneObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "iiLi", &node, &dst, &tag, &link))
         return NULL;
     CNode *N = node_at(self, node);
-    if (N == NULL)
+    if (N == NULL || !index_ok(dst, self->nnodes, "node") ||
+        !index_ok(link, self->nlinks, "link"))
         return NULL;
     FwdEnt *e = vec_slot(&N->fwd, N->nfwd, &N->fwdcap, sizeof(FwdEnt));
     if (e == NULL)
@@ -4260,7 +4269,8 @@ scene_add_sender(SceneObject *self, PyObject *state)
 {
     CSender *S = record_add(state, &self->snds, self->nsnd, &self->sndcap,
                             sizeof(CSender), SENDER_TABLE);
-    if (S == NULL ||
+    if (S == NULL || !index_ok(S->dst, self->nnodes, "node") ||
+        !index_ok(S->route_link, self->nlinks, "link") ||
         attach_agent(self, S->host, S->flow, S->subflow, AGENT_SENDER, self->nsnd) < 0)
         return NULL;
     return PyLong_FromLong(self->nsnd++);
@@ -4277,7 +4287,8 @@ scene_add_receiver(SceneObject *self, PyObject *args)
         return NULL;
     CRecv *R = record_add(state, &self->rcvs, self->nrcv, &self->rcvcap,
                           sizeof(CRecv), RECV_TABLE);
-    if (R == NULL)
+    if (R == NULL || !index_ok(R->peer, self->nnodes, "node") ||
+        !index_ok(R->route_link, self->nlinks, "link"))
         return NULL;
     int ok = 1;
     Py_ssize_t n = PyList_GET_SIZE(ooo_list);

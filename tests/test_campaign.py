@@ -19,6 +19,7 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.experiments.multiflow import MultiFlowConfig
+from tests import golden_campaign_points
 
 
 def small_spec(**overrides) -> CampaignSpec:
@@ -92,6 +93,16 @@ class TestCampaignSpec:
         a change to any kind's params dict would orphan every existing store."""
         (point,) = CampaignSpec(name="pin", **{"duration": 0.5, **axes}).expand()
         assert point.key == key
+
+    def test_expansion_matches_the_golden_points(self):
+        """Point order, key, label and config of the stock grids on both
+        backends and of one all-axes spec per kind, as recorded before the
+        per-axis plumbing became the ``_AXES`` table."""
+        golden = golden_campaign_points.load_golden()
+        fresh = golden_campaign_points.compute_golden()
+        assert list(fresh) == list(golden)
+        for name, rows in golden.items():
+            assert fresh[name] == rows, name
 
     def test_same_grid_re_expands_to_same_keys(self):
         keys_a = [p.key for p in small_spec(congestion_controls=("cubic", "lia")).expand()]
@@ -357,6 +368,17 @@ class TestCampaignCli:
         assert payload["campaign"]["executed"] == 0
         assert payload["campaign"]["skipped"] == 1
         assert payload["points"][0]["status"] == "ok"
+
+    def test_backend_left_out_keeps_the_grids_own(self, tmp_path, capsys):
+        # workload_fct declares backend="flowlevel"; a --backend that
+        # defaulted to "packet" ran it at packet fidelity with no FCT agreement.
+        store = str(tmp_path / "store.jsonl")
+        argv = ["campaign", "workload_fct", "--duration", "2", "--max-workers", "1"]
+        assert cli_main([*argv, "--store", store, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["campaign"]["backend"] == "flowlevel"
+        assert [record["status"] for record in payload["points"]] == ["ok"] * 6
+        assert all("cross_fidelity_fct" in record for record in payload["points"])
 
     def test_error_points_yield_nonzero_exit(self, tmp_path, capsys, monkeypatch):
         from repro.experiments import campaign as campaign_module

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from functools import partial
 
 import pytest
 
@@ -426,6 +427,50 @@ class TestSceneRefusesEventsItCannotFire:
         assert outcomes == ["native"] and states[0]["sim"]["processed"] > 0
 
 
+#: One out-of-range node or link index per ``Scene.add_*`` argument that
+#: ``scene.run`` later indexes ``nodes[]`` / ``links[]`` with.
+BAD_SCENE_INDICES = {
+    "link.dst": ("add_link", lambda bad, state: ({**state, "dst": bad},)),
+    "fwd.node": ("add_fwd", lambda bad, node, dst, tag, link: (bad, dst, tag, link)),
+    "fwd.dst": ("add_fwd", lambda bad, node, dst, tag, link: (node, bad, tag, link)),
+    "fwd.link": ("add_fwd", lambda bad, node, dst, tag, link: (node, dst, tag, bad)),
+    "sender.host": ("add_sender", lambda bad, state: ({**state, "host": bad},)),
+    "sender.dst": ("add_sender", lambda bad, state: ({**state, "dst": bad},)),
+    "sender.route_link": ("add_sender", lambda bad, state: ({**state, "route_link": bad},)),
+    "receiver.host": ("add_receiver", lambda bad, state, ooo: ({**state, "host": bad}, ooo)),
+    "receiver.peer": ("add_receiver", lambda bad, state, ooo: ({**state, "peer": bad}, ooo)),
+    "receiver.route_link": (
+        "add_receiver", lambda bad, state, ooo: ({**state, "route_link": bad}, ooo)),
+}
+
+
+@needs_compiled
+class TestSceneChecksIndicesWhereTheyEnter:
+    """``pipeline._build_scene`` hands the Scene node and link indices; one
+    that names no row must raise in ``add_*`` (before: the scene built, and
+    ``scene.run`` indexed past the table and took the interpreter down)."""
+
+    @pytest.mark.parametrize("bad", [10**6, -1])
+    @pytest.mark.parametrize("case", sorted(BAD_SCENE_INDICES))
+    def test_out_of_range_index_raises(self, case, bad):
+        method, corrupt = BAD_SCENE_INDICES[case]
+        with kernel.override("compiled"):
+            network = micro_network()
+            TcpConnection(network, "s", "d", cc="cubic", tag=1, flow_id=7).start(0.0)
+            ext = CorruptingExt(kernel.compiled_module(), method, partial(corrupt, bad))
+            with pytest.raises(IndexError, match="(node|link) index -?\\d+ out of range"):
+                run_network(network, 0.2, ext)
+            # Nothing ran and nothing was touched: the real kernel takes the window.
+            network.run(0.2)
+            assert network.bypass_outcome == "native"
+
+    def test_an_empty_scene_has_no_row_zero(self):
+        with kernel.override("compiled"):
+            scene = kernel.compiled_module().Scene()
+        with pytest.raises(IndexError, match="node index 0 out of range"):
+            scene.add_fwd(0, 0, 1, 0)
+
+
 @needs_compiled
 class TestDeclineReasons:
     """Every decline names the object and the requirement it failed."""
@@ -497,6 +542,29 @@ class KeepingExt:
 class FailingExt(KeepingExt):
     def Scene(self, **kwargs):
         return FailingScene(super().Scene(**kwargs))
+
+
+class CorruptingExt(KeepingExt):
+    """The extension, its Scenes passing ``method``'s arguments through
+    ``corrupt`` first."""
+
+    def __init__(self, ext, method, corrupt):
+        super().__init__(ext)
+        self._method, self._corrupt = method, corrupt
+
+    def Scene(self, **kwargs):
+        return CorruptingScene(super().Scene(**kwargs), self._method, self._corrupt)
+
+
+class CorruptingScene:
+    def __init__(self, scene, method, corrupt):
+        self._scene, self._method, self._corrupt = scene, method, corrupt
+
+    def __getattr__(self, name):
+        target = getattr(self._scene, name)
+        if name != self._method:
+            return target
+        return lambda *args: target(*self._corrupt(*args))
 
 
 @needs_compiled
