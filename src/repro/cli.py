@@ -841,6 +841,11 @@ def _command_info(args: argparse.Namespace) -> int:
         f"transport: {kernel['transport_handlers']} handlers "
         f"({kernel['transport_handlers_reason']})"
     )
+    print(f"capture:   {kernel['capture_tap']} tap ({kernel['capture_tap_reason']})")
+    print(
+        f"fluid:     {kernel['fluid_integrator']} integrator "
+        f"({kernel['fluid_integrator_reason']})"
+    )
     if baseline["status"] == "missing":
         print(
             f"baseline:  none recorded for the {kernel['kernel']} kernel "

@@ -17,7 +17,11 @@ The simulator has two interchangeable kernels:
     scoreboard, recovery, the retransmission timer, RTT estimation and packet
     build/recycle run in C over the Python objects' slots, calling Python
     for the congestion controller, the data provider and the connection
-    sink) and a whole-window native bypass for :meth:`Network.run` that
+    sink), the stock capture tap (``PacketCapture.on_packet`` of an exact
+    ``PacketCapture``, run where a ``KernelSim`` host fans a delivery out to
+    its taps), the fluid integrator (``fluid_run``, the loop of
+    :meth:`repro.model.fluid.FluidModel.run`, in ``_fluid.h``) and a
+    whole-window native bypass for :meth:`Network.run` that
     quiescent single-path TCP scenes take (see :mod:`repro.kernel.pipeline`).
     The transport exists once in C (``_transport.h``), instantiated for the
     agent types and for the bypass.  Results are byte-identical to the
@@ -110,6 +114,27 @@ def active_kernel() -> str:
     return "compiled" if compiled_module() is not None else "python"
 
 
+#: Bodies with a C twin, and what "native" means for each (``kernel_info``).
+_NATIVE_BODIES = (
+    # Which bodies of Link.send/_serve_queue/_deliver a new scene runs.
+    ("link_handlers", "every Link on a KernelSim is KernelSim.link_type, whose handlers are C"),
+    # Which bodies of TcpSender/TcpReceiver.handle_packet a new scene runs.
+    (
+        "transport_handlers",
+        "every TcpSender/TcpReceiver on a KernelSim is KernelSim.sender_type/"
+        "receiver_type, whose ACK clocking is C (Python subclasses keep their bodies)",
+    ),
+    # Which body of PacketCapture.on_packet writes a new scene's rows.
+    (
+        "capture_tap",
+        "a KernelSim host runs the stock PacketCapture.on_packet in C "
+        "(a subclass's or any other tap is called)",
+    ),
+    # Which body of FluidModel.run's loop produces a fluid prediction.
+    ("fluid_integrator", "FluidModel.run hands its loop to the extension's fluid_run"),
+)
+
+
 def kernel_info() -> dict:
     """Diagnostic snapshot for ``repro.cli info`` and test reports."""
     mode = _mode()
@@ -118,27 +143,16 @@ def kernel_info() -> dict:
     else:
         module, reason = _load()
     compiled = module is not None
-    return {
+    info = {
         "mode": mode,
         "kernel": "compiled" if compiled else "python",
         "compiled_reason": reason,
         "extension": getattr(module, "__file__", None),
-        # Which bodies of Link.send/_serve_queue/_deliver a new scene runs.
-        "link_handlers": "native" if compiled else "python",
-        "link_handlers_reason": (
-            "every Link on a KernelSim is KernelSim.link_type, whose handlers are C"
-            if compiled
-            else f"no compiled kernel: {reason}"
-        ),
-        # Which bodies of TcpSender/TcpReceiver.handle_packet a new scene runs.
-        "transport_handlers": "native" if compiled else "python",
-        "transport_handlers_reason": (
-            "every TcpSender/TcpReceiver on a KernelSim is KernelSim.sender_type/"
-            "receiver_type, whose ACK clocking is C (Python subclasses keep their bodies)"
-            if compiled
-            else f"no compiled kernel: {reason}"
-        ),
     }
+    for body, native_reason in _NATIVE_BODIES:
+        info[body] = "native" if compiled else "python"
+        info[body + "_reason"] = native_reason if compiled else f"no compiled kernel: {reason}"
+    return info
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 /* Compiled kernel for the repro packet-level simulator.
  *
- * Four layers live in this extension (and one template beside it):
+ * Four layers live in this extension (and one template and one integrator
+ * beside it):
  *
  *   KernelSim   -- a drop-in replacement for repro.netsim.engine.Simulator:
  *                  the (time, seq) calendar heap, the schedule/schedule_fast
@@ -13,12 +14,14 @@
  *                  slot-compatible subclass of repro.netsim.link.Link whose
  *                  send / _serve_queue / _deliver are C functions, fired
  *                  from heap entries that carry the link and no callable.
- *                  Forwarding, drop-tail queueing and host dispatch execute
- *                  no Python frame; policy (capture taps, AQM verdicts,
- *                  impairment, overrides, routing misses, agents that are
- *                  not the native ones) is called from C at the step where
- *                  it occurs.  State lives in the Python objects' __slots__
- *                  and nowhere else.
+ *                  Forwarding, drop-tail queueing, host dispatch and the
+ *                  stock capture tap (PacketCapture.on_packet of an exact
+ *                  PacketCapture: one packed row appended to its bytearray)
+ *                  execute no Python frame; policy (any other tap, AQM
+ *                  verdicts, impairment, overrides, routing misses, agents
+ *                  that are not the native ones) is called from C at the
+ *                  step where it occurs.  State lives in the Python objects'
+ *                  __slots__ and nowhere else.
  *
  *   native transport -- the agent types every scene on a KernelSim runs on:
  *                  slot-compatible subclasses of repro.tcp.sender.TcpSender
@@ -59,10 +62,17 @@
  *                  Only sack_blocks(), which both layers call to build an
  *                  ACK, and the accessor layers themselves live here.
  *
+ *   _fluid.h     -- the fluid reference model's integrator (module function
+ *                  fluid_run): the loop of repro.model.fluid.FluidModel.run,
+ *                  no part of the simulator, under the same ground rules.
+ *
  * Byte-identity ground rules (keep in sync with the Python modules):
  *   - every float expression copies the Python operation order verbatim;
  *   - ** 3 and ** (1.0/3.0) become libm pow() (CPython float_pow does the
- *     same), never x*x*x or cbrt();
+ *     same), never x*x*x or cbrt(); ** 2 too, through a pointer, because the
+ *     compiler folds pow(x, 2.0) into x*x (_fluid.h);
+ *   - a * b + c is two roundings: build.py passes -ffp-contract=off, so no
+ *     target contracts it into a fused multiply-add;
  *   - min()/max() pick the same operand Python would, which is value-equal
  *     for doubles, so plain comparisons suffice;
  *   - sequence numbers are consumed at exactly the same call sites as the
@@ -870,7 +880,8 @@ static PyTypeObject KernelSimType = {
 /* The link layer's classes, then (from T_SENDER) the transport's: the two
  * halves bind separately, each on the first use of its native type. */
 enum { T_LINK, T_LSTATS, T_NODE, T_NSTATS, T_HOST, T_PACKET, T_QUEUE, T_QSTATS,
-       T_DROPTAIL, T_SENDER, T_SSTATS, T_SEG, T_RTT, T_RECV, T_RSTATS, T_COUNT };
+       T_DROPTAIL, T_CAPTURE, T_SENDER, T_SSTATS, T_SEG, T_RTT, T_RECV, T_RSTATS,
+       T_COUNT };
 
 static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     {"repro.netsim.link", "Link"}, {"repro.netsim.link", "LinkStats"},
@@ -878,6 +889,7 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     {"repro.netsim.node", "Host"}, {"repro.netsim.packet", "Packet"},
     {"repro.netsim.queues", "Queue"}, {"repro.netsim.queues", "QueueStats"},
     {"repro.netsim.queues", "DropTailQueue"},
+    {"repro.netsim.capture", "PacketCapture"},
     {"repro.tcp.sender", "TcpSender"}, {"repro.tcp.sender", "SenderStats"},
     {"repro.tcp.sender", "_SegmentInfo"}, {"repro.tcp.rtt", "RttEstimator"},
     {"repro.tcp.receiver", "TcpReceiver"}, {"repro.tcp.receiver", "ReceiverStats"},
@@ -897,10 +909,14 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     X(HOST, _sole_subflow) X(HOST, _captures)                               \
     X(PACKET, dst) X(PACKET, size) X(PACKET, tag) X(PACKET, flow_id)        \
     X(PACKET, subflow_id) X(PACKET, enqueued_at) X(PACKET, hops)            \
+    X(PACKET, seq) X(PACKET, payload_len) X(PACKET, is_ack) X(PACKET, dsn)  \
+    X(PACKET, is_retransmission)                                            \
     X(QUEUE, capacity_packets) X(QUEUE, stats) X(QUEUE, _queue)             \
     X(QUEUE, _bytes)                                                        \
     X(QSTATS, enqueued) X(QSTATS, dequeued) X(QSTATS, dropped)              \
-    X(QSTATS, bytes_enqueued) X(QSTATS, bytes_dropped) X(QSTATS, max_depth)
+    X(QSTATS, bytes_enqueued) X(QSTATS, bytes_dropped) X(QSTATS, max_depth) \
+    X(CAPTURE, data_only) X(CAPTURE, flow_id) X(CAPTURE, _rows)             \
+    X(CAPTURE, _record_cache)
 
 /* What the transport reads on top of that ("native transport" below). */
 #define NT_SLOTS(X)                                                         \
@@ -933,11 +949,9 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     X(RSTATS, segments_received) X(RSTATS, bytes_received)                  \
     X(RSTATS, duplicates) X(RSTATS, out_of_order) X(RSTATS, acks_sent)      \
     X(RSTATS, ce_received)                                                  \
-    X(PACKET, packet_id) X(PACKET, src) X(PACKET, protocol) X(PACKET, seq)  \
-    X(PACKET, payload_len) X(PACKET, is_ack) X(PACKET, ack) X(PACKET, dsn)  \
-    X(PACKET, dack) X(PACKET, is_retransmission) X(PACKET, sack_blocks)     \
-    X(PACKET, ts_echo) X(PACKET, created_at) X(PACKET, ecn)                 \
-    X(PACKET, _poolable)
+    X(PACKET, packet_id) X(PACKET, src) X(PACKET, protocol) X(PACKET, ack)  \
+    X(PACKET, dack) X(PACKET, sack_blocks) X(PACKET, ts_echo)               \
+    X(PACKET, created_at) X(PACKET, ecn) X(PACKET, _poolable)
 
 #define NL_ENUM(T, name) O_##T##_##name,
 #define NL_ROW(T, name) {T_##T, #name},
@@ -961,6 +975,7 @@ static struct {
     Py_ssize_t off[O_COUNT];        /* slot offsets inside their instances */
     PyTypeObject *link_type;        /* the subclass of Link defined here */
     PyObject *droptail_enqueue;     /* DropTailQueue.enqueue, the function */
+    PyObject *capture_on_packet;    /* PacketCapture.on_packet, the function */
     PyTypeObject *deque_type;       /* collections.deque and its two */
     PyObject *deque_append;         /*   method descriptors every hop uses */
     PyObject *deque_popleft;
@@ -1393,14 +1408,105 @@ nl_serve(PyObject *link)
     return rc;
 }
 
+/* ---- PacketCapture.on_packet (capture.py) ---- */
+
+/* One captured packet: capture.py's _ROW ("=d5qb7x2q"), the layout written
+ * once more for C (keep in sync; a test holds CAPTURE_ROW_SIZE to
+ * _ROW.size).  Explicit padding, so a row built by initialiser has none
+ * that is undefined. */
+typedef struct {
+    double time;
+    int64_t size, payload_len, tag, flow_id, subflow_id;
+    int8_t flags, pad[7];
+    int64_t seq, dsn;
+} CapRow;
+
+/* An exact int that fits int64_t; 0 leaves any other value to Python. */
+static int
+nl_int64(PyObject *v, int64_t *out)
+{
+    if (v == NULL || !PyLong_CheckExact(v))
+        return 0;
+    int overflow;
+    *out = PyLong_AsLongLongAndOverflow(v, &overflow);
+    return !overflow;
+}
+
+/* A tap that is the stock bound on_packet of an exact PacketCapture. */
+static inline int
+nl_stock_tap(PyObject *tap)
+{
+    return PyMethod_Check(tap) && PyMethod_GET_FUNCTION(tap) == NL.capture_on_packet &&
+           Py_IS_TYPE(PyMethod_GET_SELF(tap), NL.type[T_CAPTURE]);
+}
+
+/* PacketCapture.on_packet(packet, now) for a stock tap, `now` an exact float.
+ * A field struct.pack would have to convert or refuse (not an exact int in
+ * int64 range) and rows that are not a bytearray go to the Python body
+ * before anything is written, so every such outcome is Python's own. */
+static int
+nl_capture(PyObject *cap, PyObject *packet, PyObject *now)
+{
+    NL_GET(is_ack_obj, packet, PACKET, is_ack);
+    NL_GET(data_only, cap, CAPTURE, data_only);
+    int is_ack = nl_true(is_ack_obj);
+    if (is_ack < 0)
+        return -1;
+    if (is_ack) {
+        int only = nl_true(data_only);
+        if (only)
+            return only < 0 ? -1 : 0;
+    }
+    NL_GET(filter, cap, CAPTURE, flow_id);
+    NL_GET(flow_id, packet, PACKET, flow_id);
+    if (filter != Py_None) {
+        int other = PyObject_RichCompareBool(flow_id, filter, Py_NE);
+        if (other)
+            return other < 0 ? -1 : 0;
+    }
+    NL_GET(tag, packet, PACKET, tag);
+    NL_GET(retx_obj, packet, PACKET, is_retransmission);
+    NL_GET(rows, cap, CAPTURE, _rows);
+    CapRow row = {.time = PyFloat_AS_DOUBLE(now), .tag = -1};   /* _NO_TAG */
+    if (tag != Py_None) {
+        if (!nl_int64(tag, &row.tag))
+            goto python;
+        if (row.tag < 0) {
+            PyErr_Format(PyExc_ValueError,
+                         "negative path tags are reserved by the capture, got %S", tag);
+            return -1;
+        }
+    }
+    int retx = nl_true(retx_obj);
+    if (retx < 0)
+        return -1;
+    row.flags = (int8_t)((is_ack ? 1 : 0) | (retx ? 2 : 0));
+    if (!nl_int64(NL_SLOT(packet, PACKET, size), &row.size) ||
+        !nl_int64(NL_SLOT(packet, PACKET, payload_len), &row.payload_len) ||
+        !nl_int64(flow_id, &row.flow_id) ||
+        !nl_int64(NL_SLOT(packet, PACKET, subflow_id), &row.subflow_id) ||
+        !nl_int64(NL_SLOT(packet, PACKET, seq), &row.seq) ||
+        !nl_int64(NL_SLOT(packet, PACKET, dsn), &row.dsn) ||
+        !PyByteArray_CheckExact(rows))
+        goto python;
+    Py_ssize_t used = PyByteArray_GET_SIZE(rows);
+    if (PyByteArray_Resize(rows, used + (Py_ssize_t)sizeof(CapRow)) < 0)
+        return -1;      /* BufferError under a live view, as `+=` raises it */
+    memcpy(PyByteArray_AS_STRING(rows) + used, &row, sizeof(CapRow));
+    return NL_SET(cap, CAPTURE, _record_cache, Py_NewRef(Py_None));
+python:
+    return nl_done(PyObject_CallFunctionObjArgs(NL.capture_on_packet, cap, packet, now, NULL));
+}
+
 /* ---- Node.receive / Host._deliver_locally (node.py), fused ---- */
 
 /* handle_packet of the native agents ("native transport" below). */
 static int nt_sender_receive(PyObject *sender, PyObject *packet);
 static int nt_receiver_receive(PyObject *receiver, PyObject *packet);
 
-/* Host._deliver_locally: capture fan-out, then sole-agent or per-flow
- * dispatch.  Unknown flows are delivered but ignored. */
+/* Host._deliver_locally: capture fan-out (the stock tap runs here, any
+ * other callable is called), then sole-agent or per-flow dispatch.  Unknown
+ * flows are delivered but ignored. */
 static int
 nl_deliver_locally(PyObject *host, PyObject *packet)
 {
@@ -1419,7 +1525,9 @@ nl_deliver_locally(PyObject *host, PyObject *packet)
         int rc = 0;
         for (Py_ssize_t i = 0; rc == 0 && i < PyList_GET_SIZE(captures); i++) {
             PyObject *tap = Py_NewRef(PyList_GET_ITEM(captures, i));
-            rc = nl_done(PyObject_Vectorcall(tap, argv, 2, NULL));
+            rc = nl_stock_tap(tap) && PyFloat_CheckExact(now)
+                ? nl_capture(PyMethod_GET_SELF(tap), packet, now)
+                : nl_done(PyObject_Vectorcall(tap, argv, 2, NULL));
             Py_DECREF(tap);
         }
         Py_DECREF(captures);
@@ -1713,7 +1821,9 @@ nl_bind(void)
         return -1;
     Py_XSETREF(NL.droptail_enqueue,
                PyObject_GetAttrString((PyObject *)NL.type[T_DROPTAIL], "enqueue"));
-    if (NL.droptail_enqueue == NULL ||
+    Py_XSETREF(NL.capture_on_packet,
+               PyObject_GetAttrString((PyObject *)NL.type[T_CAPTURE], "on_packet"));
+    if (NL.droptail_enqueue == NULL || NL.capture_on_packet == NULL ||
         nl_import((PyObject **)&NL.deque_type, "collections", "deque") < 0)
         return -1;
     if (NL.deque_append == NULL)
@@ -3114,9 +3224,7 @@ static const Field RECV_TABLE[] = {RECV_FIELDS(FIELD_ROW, CRecv) {NULL, 0, 0}};
 typedef struct {
     int8_t data_only, has_filter;
     int64_t filter;
-    double *c_time;
-    int64_t *c_size, *c_payload, *c_tag, *c_flow, *c_sub, *c_seq, *c_dsn;
-    int8_t *c_flags;
+    CapRow *rows;
     int32_t n, cap;
 } CCap;
 
@@ -3608,39 +3716,18 @@ cap_record(SceneObject *s, int32_t ci, int32_t pi)
         return 0;
     if (C->n == C->cap) {
         int32_t cap = C->cap ? C->cap * 2 : 1024;
-        double *t = (double *)PyMem_Realloc(C->c_time, (size_t)cap * sizeof(double));
-        if (t == NULL) { PyErr_NoMemory(); return -1; }
-        C->c_time = t;
-#define GROW_COL(field)                                                        \
-        do {                                                                   \
-            int64_t *c__ = (int64_t *)PyMem_Realloc(C->field, (size_t)cap * sizeof(int64_t)); \
-            if (c__ == NULL) { PyErr_NoMemory(); return -1; }                  \
-            C->field = c__;                                                    \
-        } while (0)
-        GROW_COL(c_size);
-        GROW_COL(c_payload);
-        GROW_COL(c_tag);
-        GROW_COL(c_flow);
-        GROW_COL(c_sub);
-        GROW_COL(c_seq);
-        GROW_COL(c_dsn);
-#undef GROW_COL
-        int8_t *f = (int8_t *)PyMem_Realloc(C->c_flags, (size_t)cap * sizeof(int8_t));
-        if (f == NULL) { PyErr_NoMemory(); return -1; }
-        C->c_flags = f;
+        CapRow *rows = (CapRow *)PyMem_Realloc(C->rows, (size_t)cap * sizeof(CapRow));
+        if (rows == NULL) { PyErr_NoMemory(); return -1; }
+        C->rows = rows;
         C->cap = cap;
     }
-    int32_t n = C->n;
-    C->c_time[n] = s->now;
-    C->c_size[n] = p->size;
-    C->c_payload[n] = p->payload_len;
-    C->c_tag[n] = p->tag;       /* -1 already encodes the untagged sentinel */
-    C->c_flow[n] = p->flow;
-    C->c_sub[n] = p->subflow;
-    C->c_flags[n] = (int8_t)((p->is_ack ? 1 : 0) | (p->is_retx ? 2 : 0));
-    C->c_seq[n] = p->seq;
-    C->c_dsn[n] = p->dsn;
-    C->n = n + 1;
+    C->rows[C->n++] = (CapRow){
+        .time = s->now, .size = p->size, .payload_len = p->payload_len,
+        .tag = p->tag,      /* -1 already encodes the untagged sentinel */
+        .flow_id = p->flow, .subflow_id = p->subflow,
+        .flags = (int8_t)((p->is_ack ? 1 : 0) | (p->is_retx ? 2 : 0)),
+        .seq = p->seq, .dsn = p->dsn,
+    };
     return 0;
 }
 
@@ -4121,18 +4208,8 @@ scene_dealloc(SceneObject *self)
     for (int32_t i = 0; i < self->nrcv; i++)
         PyMem_Free(self->rcvs[i].ooo);
     PyMem_Free(self->rcvs);
-    for (int32_t i = 0; i < self->ncaps; i++) {
-        CCap *C = &self->caps[i];
-        PyMem_Free(C->c_time);
-        PyMem_Free(C->c_size);
-        PyMem_Free(C->c_payload);
-        PyMem_Free(C->c_tag);
-        PyMem_Free(C->c_flow);
-        PyMem_Free(C->c_sub);
-        PyMem_Free(C->c_seq);
-        PyMem_Free(C->c_dsn);
-        PyMem_Free(C->c_flags);
-    }
+    for (int32_t i = 0; i < self->ncaps; i++)
+        PyMem_Free(self->caps[i].rows);
     PyMem_Free(self->caps);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
@@ -4516,19 +4593,8 @@ scene_export_capture(SceneObject *self, PyObject *args)
         return NULL;
     }
     CCap *C = &self->caps[i];
-    Py_ssize_t n = C->n;
-    return Py_BuildValue(
-        "{s:n,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#}",
-        "n", n,
-        "time", (const char *)C->c_time, n * (Py_ssize_t)sizeof(double),
-        "size", (const char *)C->c_size, n * (Py_ssize_t)sizeof(int64_t),
-        "payload", (const char *)C->c_payload, n * (Py_ssize_t)sizeof(int64_t),
-        "tag", (const char *)C->c_tag, n * (Py_ssize_t)sizeof(int64_t),
-        "flow", (const char *)C->c_flow, n * (Py_ssize_t)sizeof(int64_t),
-        "subflow", (const char *)C->c_sub, n * (Py_ssize_t)sizeof(int64_t),
-        "flags", (const char *)C->c_flags, n * (Py_ssize_t)sizeof(int8_t),
-        "seq", (const char *)C->c_seq, n * (Py_ssize_t)sizeof(int64_t),
-        "dsn", (const char *)C->c_dsn, n * (Py_ssize_t)sizeof(int64_t));
+    return PyBytes_FromStringAndSize((const char *)C->rows,
+                                     (Py_ssize_t)C->n * (Py_ssize_t)sizeof(CapRow));
 }
 
 static PyMethodDef scene_methods[] = {
@@ -4561,7 +4627,7 @@ static PyMethodDef scene_methods[] = {
     {"export_receiver", (PyCFunction)scene_export_receiver, METH_O,
      "export_receiver(i) -> state dict with the out-of-order buffer"},
     {"export_capture", (PyCFunction)scene_export_capture, METH_VARARGS,
-     "export_capture(i) -> column bytes dict"},
+     "export_capture(i) -> this window's rows as bytes"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -4585,11 +4651,21 @@ static PyTypeObject SceneType = {
 
 /* ------------------------------------------------------------------ module */
 
+#include "_fluid.h"
+
+static PyMethodDef ckernel_methods[] = {
+    {"fluid_run", fluid_run, METH_VARARGS,
+     "fluid_run(members, link_offsets, capacities, path_links, path_offsets, rtts, family, "
+     "steps, dt, initial_window, segment_bits, sharpness) -> bytearray of float64 rows"},
+    {NULL, NULL, 0, NULL},
+};
+
 static PyModuleDef ckernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.kernel._ckernel",
-    .m_doc = "Compiled event-loop kernel (engine + TCP pipeline).",
+    .m_doc = "Compiled event-loop kernel (engine + TCP pipeline + fluid integrator).",
     .m_size = -1,
+    .m_methods = ckernel_methods,
 };
 
 PyMODINIT_FUNC
@@ -4613,7 +4689,8 @@ PyInit__ckernel(void)
         PyModule_AddIntConstant(mod, "EV_START", EV_START) < 0 ||
         PyModule_AddIntConstant(mod, "EV_CANCELLED", EV_CANCELLED) < 0 ||
         PyModule_AddIntConstant(mod, "CC_RENO", CC_RENO) < 0 ||
-        PyModule_AddIntConstant(mod, "CC_CUBIC", CC_CUBIC) < 0) {
+        PyModule_AddIntConstant(mod, "CC_CUBIC", CC_CUBIC) < 0 ||
+        PyModule_AddIntConstant(mod, "CAPTURE_ROW_SIZE", sizeof(CapRow)) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -28,10 +28,10 @@ from typing import Optional, Tuple
 
 _SOURCE = pathlib.Path(__file__).with_name("_ckernel.c")
 #: What ``_ckernel.c`` includes from beside it (hashed with it, not compiled).
-_INCLUDED = (_SOURCE.with_name("_transport.h"),)
+_INCLUDED = (_SOURCE.with_name("_transport.h"), _SOURCE.with_name("_fluid.h"))
 
 #: Bump to force a rebuild when the build recipe (not the source) changes.
-_RECIPE = "1"
+_RECIPE = "2"
 
 
 def _source_key() -> str:
@@ -88,6 +88,9 @@ def build_extension() -> Tuple[Optional[str], str]:
         tmp = directory / f".{filename}.tmp{os.getpid()}"
         cmd = _compiler_command() + [
             "-O2",
+            # Byte identity with CPython's floats: a * b + c stays two roundings
+            # where the target has FMA (GCC's default contracts it into one).
+            "-ffp-contract=off",
             "-fPIC",
             "-shared",
             "-fno-strict-aliasing",

@@ -19,7 +19,7 @@ of slots, so the state tables below name each window, estimator and counter
 field as the Python attribute it mirrors.
 
 The contract is **observable state**.  After a native window these match
-the pure-Python run bit for bit: result JSON, capture columns,
+the pure-Python run bit for bit: result JSON, capture rows,
 link/queue/node/agent stats, RTT/CC/SACK/recovery state, the fields of
 in-flight and queued packets, pending events with their ``(time, seq)``,
 and the simulator's ``now``/``_seq``/``events_processed``.  Not preserved,
@@ -220,9 +220,6 @@ _RECEIVER_STATE = _table(
     ("st_out_of_order", "stats", "out_of_order"),
     ("st_acks_sent", "stats", "acks_sent"),
 )
-
-#: Scene capture column -> PacketCapture array attribute.
-_CAPTURE_COLUMNS = ("time", "size", "payload", "tag", "flow", "subflow", "flags", "seq", "dsn")
 
 
 # ----------------------------------------------------------------- eligibility
@@ -545,12 +542,11 @@ def _write_back(ext, sim, plan, scene, clock) -> float:
         link._in_flight.clear()
         link._in_flight.extend(_mk_packet(d, node_list) for d in st["in_flight"])
 
-    # Captures: append-only columns; the scene's rows are this window's packets.
+    # Captures: append-only rows; the scene's are this window's packets.
     for idx, cap in enumerate(plan.captures):
-        cols = scene.export_capture(idx)
-        if cols["n"]:
-            for name in _CAPTURE_COLUMNS:
-                getattr(cap, "_" + name).frombytes(cols[name])
+        rows = scene.export_capture(idx)
+        if rows:
+            cap._rows += rows
             cap._record_cache = None
 
     # Clock and pending events.

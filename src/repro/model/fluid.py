@@ -20,12 +20,14 @@ the network at equilibrium, which matches the ordering observed in the paper
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import ModelError
+from ..kernel import compiled_module
 from ..units import DEFAULT_MSS, bytes_to_bits
 from .bottleneck import ConstraintSystem
 
@@ -79,6 +81,15 @@ FLUID_FAMILIES = {
 }
 
 
+def _compressed_rows(rows) -> tuple:
+    """``rows`` of indices end to end, and where each row starts and ends."""
+    values, offsets = array("q"), array("q", [0])
+    for row in rows:
+        values.extend(row)
+        offsets.append(len(values))
+    return values, offsets
+
+
 class FluidModel:
     """Discrete-time fluid simulation of coupled/uncoupled MPTCP.
 
@@ -118,10 +129,21 @@ class FluidModel:
         self._links = [
             (sorted(set(c.path_indices)), c.capacity) for c in system.constraints
         ]
+        for members, _ in self._links:
+            if not all(0 <= p < self.n for p in members):
+                raise ModelError(
+                    f"constraint path indices must be in range({self.n}), got {members}"
+                )
         self._path_links = [
             [link for link, (members, _) in enumerate(self._links) if path in members]
             for path in range(self.n)
         ]
+        # The same non-zeros in compressed rows, as the compiled loop takes them.
+        self._nonzeros = (
+            *_compressed_rows(members for members, _ in self._links),
+            array("d", [capacity for _, capacity in self._links]),
+            *_compressed_rows(self._path_links),
+        )
 
     # ------------------------------------------------------------------
     def run(
@@ -163,6 +185,17 @@ class FluidModel:
         links = self._links
         path_links = self._path_links
         sharpness = max(self.loss_sharpness / 20.0, 1.0)
+        times = np.array([step * dt for step in range(0, steps, 10)])
+        ext = compiled_module()
+        if ext is not None:
+            # The loop below, mirrored statement by statement in C
+            # (kernel/_fluid.h: keep the two in sync).
+            log = ext.fluid_run(
+                *self._nonzeros, array("d", rtts), family, steps, dt,
+                float(initial_window), segment_bits, sharpness,
+            )
+            rates = np.frombuffer(log, dtype=np.float64).reshape(len(times), self.n)
+            return FluidResult(times=times, rates_mbps=rates, algorithm=algorithm)
         windows = [float(initial_window)] * self.n
         rates_log = []  # one row per logged step (every 10th)
 
@@ -211,11 +244,7 @@ class FluidModel:
                     [windows[p] / rtts[p] * segment_bits / 1e6 for p in paths]
                 )
 
-        return FluidResult(
-            times=np.array([step * dt for step in range(0, steps, 10)]),
-            rates_mbps=np.array(rates_log),
-            algorithm=algorithm,
-        )
+        return FluidResult(times=times, rates_mbps=np.array(rates_log), algorithm=algorithm)
 
 
 def compare_equilibria(

@@ -5,19 +5,19 @@ filters the captured packets by tag to determine how MPTCP split the traffic
 among subflows.  :class:`PacketCapture` records one packet per delivery and
 offers the same filter-then-bin workflow.
 
-Storage is columnar: instead of one :class:`CaptureRecord` object per packet,
-the capture appends to nine typed columns (time, size, payload_len, tag,
-flow_id, subflow_id, flags, seq, dsn) backed by :mod:`array` buffers that
-numpy can view zero-copy.  The record-oriented API (``records``, ``filter``)
-is kept as a lazy view materialised on demand, so existing callers keep
-working, while the measurement layer bins throughput directly from the
-columns via :meth:`PacketCapture.columns`.
+Storage is one packed row per packet: instead of one :class:`CaptureRecord`
+object each, the capture appends fixed 72-byte rows (time, size, payload_len,
+tag, flow_id, subflow_id, flags, seq, dsn) to a single :class:`bytearray`
+that numpy views zero-copy as a structured array.  The record-oriented API
+(``records``, ``filter``) is kept as a lazy view materialised on demand, so
+existing callers keep working, while the measurement layer bins throughput
+directly from the columns via :meth:`PacketCapture.columns`.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -30,6 +30,12 @@ _NO_TAG = -1
 #: Bit layout of the flags column.
 _FLAG_ACK = 1
 _FLAG_RETX = 2
+
+#: One captured packet.  The layout is written once per language: this is the
+#: Python one, ``CapRow`` in ``kernel/_ckernel.c`` the C one (the native tap
+#: and the whole-window Scene write it), and a test holds their sizes equal.
+_ROW = struct.Struct("=d5qb7x2q")
+_pack_row = _ROW.pack
 
 
 @dataclass(frozen=True)
@@ -93,12 +99,30 @@ class CaptureColumns:
         )
 
 
+#: :data:`_ROW` as numpy reads it: the fields of :class:`CaptureColumns`,
+#: naturally aligned (which is where ``7x`` puts the padding).
+_ROW_DTYPE = np.dtype(
+    list(
+        zip(
+            (field.name for field in fields(CaptureColumns)),
+            ("f8", "i8", "i8", "i8", "i8", "i8", "i1", "i8", "i8"),
+        )
+    ),
+    align=True,
+)
+
+
 class PacketCapture:
-    """Collects per-packet records at a host, stored column-wise.
+    """Collects per-packet records at a host, stored as packed rows.
 
     Attach it with ``host.add_capture(capture.on_packet)`` or via
-    :meth:`repro.netsim.network.Network.attach_capture`.
+    :meth:`repro.netsim.network.Network.attach_capture`.  On the compiled
+    kernel a host runs the stock ``on_packet`` of an exact ``PacketCapture``
+    in C over these slots (``nl_capture`` in ``kernel/_ckernel.c``: keep the
+    two in sync); a subclass's or any other tap is called.
     """
+
+    __slots__ = ("name", "data_only", "flow_id", "_rows", "_record_cache")
 
     def __init__(
         self,
@@ -112,28 +136,7 @@ class PacketCapture:
         #: When set, only packets of this flow are recorded (a per-flow tap,
         #: the equivalent of a tshark capture filter on one connection).
         self.flow_id = flow_id
-        self._time = array("d")
-        self._size = array("q")
-        self._payload = array("q")
-        self._tag = array("q")
-        self._flow = array("q")
-        self._subflow = array("q")
-        self._flags = array("b")
-        self._seq = array("q")
-        self._dsn = array("q")
-        # Bound append methods, hoisted once: on_packet runs per delivered
-        # packet and must not pay nine attribute lookups each time.
-        self._appenders = (
-            self._time.append,
-            self._size.append,
-            self._payload.append,
-            self._tag.append,
-            self._flow.append,
-            self._subflow.append,
-            self._flags.append,
-            self._seq.append,
-            self._dsn.append,
-        )
+        self._rows = bytearray()
         self._record_cache: Optional[Tuple[CaptureRecord, ...]] = None
 
     # ------------------------------------------------------------------
@@ -148,37 +151,26 @@ class PacketCapture:
         if tag is None:
             tag = _NO_TAG
         elif tag < 0:
-            # Before the first append: a row is nine columns or none.
             raise ValueError(f"negative path tags are reserved by the capture, got {tag}")
-        a = self._appenders
-        a[0](now)
-        a[1](packet.size)
-        a[2](packet.payload_len)
-        a[3](tag)
-        a[4](packet.flow_id)
-        a[5](packet.subflow_id)
-        a[6]((_FLAG_ACK if is_ack else 0) | (_FLAG_RETX if packet.is_retransmission else 0))
-        a[7](packet.seq)
-        a[8](packet.dsn)
+        self._rows += _pack_row(
+            now,
+            packet.size,
+            packet.payload_len,
+            tag,
+            packet.flow_id,
+            packet.subflow_id,
+            (_FLAG_ACK if is_ack else 0) | (_FLAG_RETX if packet.is_retransmission else 0),
+            packet.seq,
+            packet.dsn,
+        )
         self._record_cache = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._time)
+        return len(self._rows) // _ROW.size
 
     def clear(self) -> None:
-        for column in (
-            self._time,
-            self._size,
-            self._payload,
-            self._tag,
-            self._flow,
-            self._subflow,
-            self._flags,
-            self._seq,
-            self._dsn,
-        ):
-            del column[:]
+        del self._rows[:]
         self._record_cache = None
 
     # ------------------------------------------------------------------ views
@@ -216,62 +208,51 @@ class PacketCapture:
             mask = np.ones(len(cols), dtype=bool)
         return cols.select(mask)
 
-    def _all_columns(self) -> CaptureColumns:
-        """Zero-copy numpy views over every captured packet.
+    def _view(self) -> np.ndarray:
+        """Every captured packet as one zero-copy structured array.
 
-        Internal use only: the views alias the append-mode buffers and must
+        Internal use only: the view aliases the append-mode buffer and must
         not outlive the calling method (appending while a view is alive is a
         BufferError).  Everything returned to callers is a compacted copy.
         """
-        # np.frombuffer on an empty array buffer is fine (length 0).
-        return CaptureColumns(
-            time=np.frombuffer(self._time, dtype=np.float64),
-            size=np.frombuffer(self._size, dtype=np.int64),
-            payload_len=np.frombuffer(self._payload, dtype=np.int64),
-            tag=np.frombuffer(self._tag, dtype=np.int64),
-            flow_id=np.frombuffer(self._flow, dtype=np.int64),
-            subflow_id=np.frombuffer(self._subflow, dtype=np.int64),
-            flags=np.frombuffer(self._flags, dtype=np.int8),
-            seq=np.frombuffer(self._seq, dtype=np.int64),
-            dsn=np.frombuffer(self._dsn, dtype=np.int64),
-        )
+        # np.frombuffer on an empty buffer is fine (length 0).
+        return np.frombuffer(self._rows, dtype=_ROW_DTYPE)
+
+    def _all_columns(self) -> CaptureColumns:
+        """:meth:`_view` by field; the same aliasing rule applies."""
+        rows = self._view()
+        return CaptureColumns(*(rows[name] for name in _ROW_DTYPE.names))
 
     @property
     def records(self) -> Tuple[CaptureRecord, ...]:
         """Record-oriented view, materialised lazily and cached.
 
-        A read-only tuple: the columns are the storage, so mutating a record
+        A read-only tuple: the rows are the storage, so mutating a record
         list could never feed back into ``len``/``filter``/binning.
         """
         cached = self._record_cache
         if cached is None:
-            cached = tuple(self._materialize(range(len(self._time))))
+            cached = tuple(self._materialize(self._view()))
             self._record_cache = cached
         return cached
 
-    def _materialize(self, indices: Iterable[int]) -> List[CaptureRecord]:
-        time_, size, payload = self._time, self._size, self._payload
-        tag, flow, subflow = self._tag, self._flow, self._subflow
-        flags, seq, dsn = self._flags, self._seq, self._dsn
-        out = []
-        for i in indices:
-            t = tag[i]
-            f = flags[i]
-            out.append(
-                CaptureRecord(
-                    time=time_[i],
-                    size=size[i],
-                    payload_len=payload[i],
-                    tag=None if t == _NO_TAG else t,
-                    flow_id=flow[i],
-                    subflow_id=subflow[i],
-                    is_ack=bool(f & _FLAG_ACK),
-                    seq=seq[i],
-                    dsn=dsn[i],
-                    is_retransmission=bool(f & _FLAG_RETX),
-                )
+    @staticmethod
+    def _materialize(rows: np.ndarray) -> List[CaptureRecord]:
+        return [
+            CaptureRecord(
+                time=time_,
+                size=size,
+                payload_len=payload,
+                tag=None if tag == _NO_TAG else tag,
+                flow_id=flow,
+                subflow_id=subflow,
+                is_ack=bool(flags & _FLAG_ACK),
+                seq=seq,
+                dsn=dsn,
+                is_retransmission=bool(flags & _FLAG_RETX),
             )
-        return out
+            for time_, size, payload, tag, flow, subflow, flags, seq, dsn in rows.tolist()
+        ]
 
     # ------------------------------------------------------------------
     def filter(
@@ -284,19 +265,19 @@ class PacketCapture:
         predicate: Optional[Callable[[CaptureRecord], bool]] = None,
     ) -> List[CaptureRecord]:
         """Return records matching the given filters (tshark display filter)."""
-        if not len(self._time):
+        if not self._rows:
             return []
-        cols = self._all_columns()
-        mask = np.ones(len(cols), dtype=bool)
+        rows = self._view()
+        mask = np.ones(len(rows), dtype=bool)
         if data_only:
-            mask &= (cols.flags & _FLAG_ACK) == 0
+            mask &= (rows["flags"] & _FLAG_ACK) == 0
         if tag is not None:
-            mask &= cols.tag == tag
+            mask &= rows["tag"] == tag
         if subflow_id is not None:
-            mask &= cols.subflow_id == subflow_id
+            mask &= rows["subflow_id"] == subflow_id
         if flow_id is not None:
-            mask &= cols.flow_id == flow_id
-        selected = self._materialize(np.flatnonzero(mask).tolist())
+            mask &= rows["flow_id"] == flow_id
+        selected = self._materialize(rows[mask])
         if predicate is not None:
             selected = [record for record in selected if predicate(record)]
         return selected
@@ -327,7 +308,7 @@ class PacketCapture:
         return sum(r.payload_len for r in records)
 
     def first_time(self) -> float:
-        return self._time[0] if len(self._time) else 0.0
+        return float(self._view()["time"][0]) if self._rows else 0.0
 
     def last_time(self) -> float:
-        return self._time[-1] if len(self._time) else 0.0
+        return float(self._view()["time"][-1]) if self._rows else 0.0

@@ -135,6 +135,9 @@ def snapshot(network, connections, captures, *, senders=(), receivers=()) -> dic
                    node.stats.delivered, node.stats.routing_drops]
             for name, node in network.nodes.items()
         },
+        # The stored bytes themselves (struct.pack, the native tap and the
+        # Scene each write them), then what the readers make of them.
+        "capture_rows": [bytes(capture._rows) for capture in captures],
         "captures": [
             [[r.time, r.size, r.payload_len, r.tag, r.flow_id, r.subflow_id,
               r.is_ack, r.is_retransmission, r.seq, r.dsn]

@@ -116,17 +116,22 @@ class TestKernelFacade:
         info = kernel.kernel_info()
         assert set(info) == {"mode", "kernel", "compiled_reason", "extension",
                              "link_handlers", "link_handlers_reason",
-                             "transport_handlers", "transport_handlers_reason"}
+                             "transport_handlers", "transport_handlers_reason",
+                             "capture_tap", "capture_tap_reason",
+                             "fluid_integrator", "fluid_integrator_reason"}
         assert info["kernel"] in ("compiled", "python")
-        # Link and transport handlers are native exactly when the kernel is compiled.
+        # Every body with a C twin is native exactly when the kernel is compiled.
         tier = {"compiled": "native", "python": "python"}[info["kernel"]]
-        assert info["link_handlers"] == info["transport_handlers"] == tier
-        assert info["link_handlers_reason"] and info["transport_handlers_reason"]
+        bodies = ("link_handlers", "transport_handlers", "capture_tap", "fluid_integrator")
+        assert {info[body] for body in bodies} == {tier}
+        assert all(info[body + "_reason"] for body in bodies)
 
     def test_python_mode_reports_disabled(self):
         with kernel.override("python"):
             info = kernel.kernel_info()
         assert info["kernel"] == info["link_handlers"] == info["transport_handlers"] == "python"
+        assert info["capture_tap"] == info["fluid_integrator"] == "python"
+        assert "REPRO_KERNEL=python" in info["fluid_integrator_reason"]
         assert info["extension"] is None
 
     @needs_compiled

@@ -1,10 +1,14 @@
 """Fluid models of uncoupled / LIA / OLIA congestion control."""
 
 import random
+import sys
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import kernel
 from repro.errors import ModelError
 from repro.model.bottleneck import Constraint, ConstraintSystem, build_constraints
 from repro.model.fluid import FLUID_FAMILIES, FluidModel, compare_equilibria
@@ -211,3 +215,205 @@ class TestScalarIntegratorMatchesNumpyReference:
             result = FluidModel(system, rtts, **options).run(algorithm, **run)
             reference = numpy_reference_run(system, rtts, algorithm, **options, **run)
             assert np.array_equal(result.rates_mbps, reference)
+
+
+# ------------------------------------------------------------------ the C twin
+# FluidModel.run hands its loop to the compiled kernel when there is one
+# (kernel/_fluid.h).  The Python loop above is the specification; these tests
+# hold the C body to it bit for bit, errors included.
+
+_DEEP = settings.get_profile("deep")
+_TWIN_SETTINGS = (
+    _DEEP
+    if settings.default is _DEEP
+    else settings(
+        max_examples=100,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def compiled_ext():
+    """The extension module, whatever ``REPRO_KERNEL`` says; skips without one."""
+    available, reason = kernel.compiled_available()
+    if not available:
+        pytest.skip(f"compiled kernel unavailable: {reason}")
+    with kernel.override("compiled"):
+        return kernel.compiled_module()
+
+
+@st.composite
+def fluid_cases(draw):
+    """A constraint system, a model over it and one ``run`` call."""
+    paths = draw(st.integers(1, 6))
+    links = draw(
+        st.lists(
+            st.tuples(
+                st.sets(st.integers(0, paths - 1), min_size=1),
+                st.floats(0.1, 1e4, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    system = ConstraintSystem(
+        [Path((f"s{p}", f"d{p}")) for p in range(paths)],
+        [
+            Constraint(link=("l", str(i)), capacity=capacity, path_indices=tuple(members))
+            for i, (members, capacity) in enumerate(links)
+        ],
+    )
+    rtts = draw(st.lists(st.floats(1e-4, 1.0), min_size=paths, max_size=paths))
+    model = FluidModel(system, rtts, loss_sharpness=draw(st.floats(1.0, 200.0)))
+    dt = draw(st.floats(1e-4, 0.05))
+    # One step, a handful (never a multiple of ten), or a long run.
+    steps = draw(st.one_of(st.just(1), st.integers(2, 9), st.integers(1, 3000)))
+    run = dict(
+        duration=(steps + 0.5) * dt, dt=dt, initial_window=draw(st.floats(1.0, 100.0))
+    )
+    return model, draw(st.sampled_from(sorted(set(FLUID_FAMILIES.values())))), run
+
+
+def outcome(mode, model, family, **run):
+    """Everything ``run`` produces under one kernel mode, as comparable bytes."""
+    with kernel.override(mode):
+        try:
+            result = model.run(family, **run)
+        except ArithmeticError as error:
+            return type(error), str(error)
+    return result.times.tobytes(), result.rates_mbps.tobytes(), result.rates_mbps.shape
+
+
+def line_system(paths=1):
+    return ConstraintSystem(
+        [Path((f"s{p}", f"d{p}")) for p in range(paths)],
+        [Constraint(link=("s", "d"), capacity=10.0, path_indices=tuple(range(paths)))],
+    )
+
+
+class TestCompiledIntegratorIsTheSameFunction:
+    @_TWIN_SETTINGS
+    @given(fluid_cases())
+    def test_trajectories_are_byte_identical(self, compiled_ext, case):
+        model, family, run = case
+        python = outcome("python", model, family, **run)
+        assert python == outcome("compiled", model, family, **run)
+        assert python[2] == (len(range(0, int(run["duration"] / run["dt"]), 10)), model.n)
+
+    def test_result_arrays_are_writable_on_both_tiers(self, compiled_ext, paper_system):
+        for mode in ("python", "compiled"):
+            with kernel.override(mode):
+                result = FluidModel(paper_system).run("olia", duration=0.5)
+            result.rates_mbps[0, 0] = 1.0
+            assert result.rates_mbps.shape == (10, 3) and result.rates_mbps.dtype == np.float64
+
+    @pytest.mark.parametrize("algorithm", ["uncoupled", "lia", "olia"])
+    def test_fluid_allocator_solves_equal(self, compiled_ext, algorithm):
+        from repro.flowsim.allocator import ClassDemand, FluidAllocator
+
+        demands = [
+            ClassDemand(links=(0,), count=2),
+            ClassDemand(links=(0, 1), count=3),
+            ClassDemand(links=(1,), count=1),
+        ]
+        rates = []
+        for mode in ("python", "compiled"):
+            with kernel.override(mode):
+                rates.append(FluidAllocator(algorithm).solve(demands, [40.0, 25.0]))
+        assert rates[0] == rates[1] and all(rate > 0.0 for rate in rates[0])
+
+    @pytest.mark.parametrize(
+        "rtt, family, error",
+        [
+            # (2 / 1e-160) ** 2 leaves the doubles: float.__pow__ raises, so must C.
+            (1e-160, "lia", OverflowError),
+            (1e-160, "olia", OverflowError),
+            # 1e-200 squared underflows to 0.0: the division before the power raises.
+            (1e-200, "lia", ZeroDivisionError),
+            # (2 / 1e300) ** 2 underflows to 0.0 -- not an error -- and then divides.
+            (1e300, "olia", ZeroDivisionError),
+        ],
+    )
+    def test_arithmetic_errors_are_the_python_loops(self, compiled_ext, rtt, family, error):
+        model = FluidModel(line_system(), rtts=[rtt])
+        python = outcome("python", model, family, duration=0.1)
+        assert python == outcome("compiled", model, family, duration=0.1)
+        assert python[0] is error
+        # No power and no squared RTT in the uncoupled family: it runs.
+        assert len(outcome("compiled", model, "uncoupled", duration=0.1)) == 3
+
+    def test_nan_takes_pythons_side_of_min_and_max(self, compiled_ext):
+        # 1e10 / 1e-300 is inf, inf / inf a NaN share; min(nan, 1.0) and
+        # max(nan, 1.0) are nan in Python (the first operand unless the second
+        # compares past it), so the windows go NaN instead of clamping to 1.0.
+        model = FluidModel(line_system(), rtts=[1e-300])
+        python = outcome("python", model, "uncoupled", duration=0.1, initial_window=1e10)
+        assert python == outcome("compiled", model, "uncoupled", duration=0.1, initial_window=1e10)
+        assert np.isnan(np.frombuffer(python[1])).all()
+
+    @pytest.mark.parametrize("bad", [(0, 3), (-1,), (0, 1.5)])
+    def test_constraint_indices_are_checked_at_construction(self, bad):
+        system = line_system(2)
+        system.constraints[0] = Constraint(link=("s", "d"), capacity=10.0, path_indices=bad)
+        with pytest.raises((ModelError, TypeError), match="range|integer"):
+            FluidModel(system)
+
+
+class TestFluidRunBoundaries:
+    """``fluid_run`` is reachable with any arguments: it validates, never reads out of range."""
+
+    #: Two links over two paths: link 0 carries both, link 1 only path 1.
+    GOOD = dict(
+        members=array("q", [0, 1, 1]),
+        link_offsets=array("q", [0, 2, 3]),
+        capacities=array("d", [10.0, 5.0]),
+        path_links=array("q", [0, 0, 1]),
+        path_offsets=array("q", [0, 1, 3]),
+        rtts=array("d", [0.01, 0.02]),
+    )
+
+    @staticmethod
+    def call(ext, family="lia", steps=25, **changed):
+        arrays = {**TestFluidRunBoundaries.GOOD, **changed}
+        return ext.fluid_run(*arrays.values(), family, steps, 0.005, 2.0, 11200.0, 1.0)
+
+    def test_good_call_returns_one_row_per_tenth_step(self, compiled_ext):
+        log = self.call(compiled_ext)
+        assert type(log) is bytearray and len(log) == 3 * 2 * 8
+        assert len(self.call(compiled_ext, steps=1)) == 1 * 2 * 8
+
+    @pytest.mark.parametrize(
+        "changed, error",
+        [
+            (dict(members=array("q", [0, 2, 1])), IndexError),  # a path that does not exist
+            (dict(members=array("q", [0, -1, 1])), IndexError),
+            (dict(path_links=array("q", [0, 0, 2])), IndexError),  # a link that does not exist
+            (dict(link_offsets=array("q", [0, 5, 3])), ValueError),  # not monotone
+            (dict(path_offsets=array("q", [0, -2, 3])), ValueError),
+            (dict(link_offsets=array("q", [0, 2, 4])), ValueError),  # runs past the members
+            (dict(link_offsets=array("q", [1, 2, 3])), ValueError),  # does not start at 0
+            (dict(link_offsets=array("q", [0, 3])), ValueError),  # one link, two capacities
+            (dict(capacities=array("d", [10.0, 5.0, 1.0])), ValueError),
+            (dict(rtts=array("d", [0.01, 0.02, 0.03])), ValueError),  # three paths, two rows
+            (dict(rtts=array("d", [0.01])), IndexError),  # one path: member 1 is past it
+            (dict(link_offsets=array("q")), ValueError),
+            (dict(steps=0), ValueError),
+            (dict(steps=-5), ValueError),
+            (dict(family="bbr"), ValueError),
+            (dict(members=array("i", [0, 1, 1])), TypeError),  # 4-byte items
+            (dict(rtts=array("q", [1, 2])), TypeError),  # ints where doubles go
+            (dict(capacities=[10.0, 5.0]), TypeError),  # not a buffer
+        ],
+    )
+    def test_malformed_arguments_raise(self, compiled_ext, changed, error):
+        with pytest.raises(error):
+            self.call(compiled_ext, **changed)
+
+    def test_a_log_too_large_to_address_is_a_memory_error(self, compiled_ext):
+        # rows * paths * 8 overflows Py_ssize_t: refused before any allocation.
+        with pytest.raises(MemoryError):
+            self.call(compiled_ext, steps=sys.maxsize)

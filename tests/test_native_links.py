@@ -28,6 +28,8 @@ from repro.experiments.scenarios import (
     link_flap_failover,
     mptcp_vs_tcp_shared_bottleneck,
 )
+from repro.netsim import capture as capture_module
+from repro.netsim.capture import PacketCapture
 from repro.netsim.engine import make_simulator
 from repro.netsim.link import Link
 from repro.netsim.network import Network
@@ -75,6 +77,7 @@ class Scene:
                 connection.start(0.0)
         self.sim = self.network.sim
         self.bottleneck = self.network.link("r", "d")
+        self.extras = []  # captures a script attached; compared like self.capture
 
     def run(self, until: float, **kwargs) -> "Scene":
         with kernel.override(self.mode):
@@ -82,7 +85,7 @@ class Scene:
         return self
 
     def state(self) -> dict:
-        return snapshot(self.network, self.connections, [self.capture])
+        return snapshot(self.network, self.connections, [self.capture] + self.extras)
 
 
 def both(each_kernel: str, script, **scene_options) -> Scene:
@@ -302,6 +305,152 @@ class TestPolicyStaysPython:
 
         assert chain(each_kernel) == chain("python")
         assert len(chain(each_kernel)[0]) == 5
+
+
+class TestStockTapIsNative:
+    """The stock ``PacketCapture.on_packet`` runs in C on a ``KernelSim`` host;
+    every scene compares the stored row bytes with the Python kernel's
+    (``snapshot``'s ``capture_rows``), so these pin where the C body stops."""
+
+    def test_the_row_layout_is_one_layout(self, each_kernel):
+        assert capture_module._ROW.size == capture_module._ROW_DTYPE.itemsize == 72
+        if each_kernel == "compiled":
+            assert kernel.compiled_module().CAPTURE_ROW_SIZE == capture_module._ROW.size
+
+    def test_a_subclass_overriding_on_packet_keeps_its_python_body(self, each_kernel):
+        class Counting(PacketCapture):
+            def on_packet(self, packet, now):
+                self.calls += 1
+                super().on_packet(packet, now)
+
+        def script(scene):
+            counting = Counting(data_only=True)
+            counting.calls = 0
+            scene.extras.append(counting)
+            scene.network.host("d").add_capture(counting.on_packet)
+            scene.run(0.4)
+
+        scene = both(each_kernel, script)
+        counting = scene.extras[0]
+        assert counting.calls == scene.network.host("d").stats.delivered == len(counting) > 0
+
+    def test_a_subclass_that_inherits_on_packet_is_called_too(self, each_kernel):
+        # Exact class only: the slots a subclass shows need not be the ones it uses.
+        class DataOnly(PacketCapture):
+            data_only = property(lambda self: True, lambda self, value: None)
+
+        def script(scene):
+            scene.extras.append(DataOnly("acks-at-s"))
+            scene.network.host("s").add_capture(scene.extras[0].on_packet)
+            scene.run(0.4)
+
+        scene = both(each_kernel, script)
+        assert scene.network.host("s").stats.delivered > 0 == len(scene.extras[0])
+
+    def test_taps_fire_in_list_order_whatever_their_kind(self, each_kernel):
+        def script(scene):
+            second = PacketCapture("second")
+            scene.extras.append(second)
+            scene.order = []
+            host = scene.network.host("d")
+            # [stock tap, plain function, stock tap]: the function sees the
+            # first capture's row written and the second's not yet.
+            host.add_capture(
+                lambda packet, now: scene.order.append((len(scene.capture), len(second))))
+            host.add_capture(second.on_packet)
+            scene.run(0.4)
+
+        scene = both(each_kernel, script)
+        assert len(scene.order) == len(scene.capture) == len(scene.extras[0]) > 0
+        assert scene.order == [(k + 1, k) for k in range(len(scene.order))]
+
+    def test_negative_tag_raises_the_python_text_and_writes_no_row(self, each_kernel):
+        def script(scene):
+            host = scene.network.host("s")
+            good = [Packet("s", "d", 200, tag=1, flow_id=7, seq=seq) for seq in (1, 3)]
+            scene.sim.schedule_at(0.1, host.send, good[0])
+            # Straight onto the last link: no route is installed for tag -3.
+            scene.sim.schedule_at(0.2, scene.bottleneck.send, Packet("s", "d", 200, tag=-3, seq=2))
+            scene.sim.schedule_at(0.3, host.send, good[1])
+            untagged = Packet("s", "d", 200, flow_id=7, seq=4)
+            scene.sim.schedule_at(0.4, host.send, untagged)
+            with pytest.raises(
+                ValueError, match=r"^negative path tags are reserved by the capture, got -3$"
+            ):
+                scene.run(1.0)
+            assert len(scene.capture) == 1 and len(scene.capture._rows) == 72
+            scene.run(1.0)
+
+        scene = both(each_kernel, script, flows=0)
+        assert [(r.seq, r.tag) for r in scene.capture.records] == [(1, 1), (3, 1), (4, None)]
+
+    def test_a_field_struct_pack_refuses_is_the_python_bodys_error(self, each_kernel):
+        import struct
+
+        def script(scene):
+            scene.sim.schedule_at(0.1, scene.bottleneck.send, Packet("s", "d", 200, dsn=2**70))
+            with pytest.raises(struct.error):
+                scene.run(1.0)
+            assert len(scene.capture._rows) == 0
+            # An int-like field converts through __index__, as struct.pack does.
+            scene.sim.schedule_at(1.1, scene.bottleneck.send, Packet("s", "d", 200, dsn=_Index(9)))
+            scene.run(2.0)
+
+        scene = both(each_kernel, script, flows=0)
+        assert [r.dsn for r in scene.capture.records] == [9]
+
+    def test_filters_are_read_per_packet(self, each_kernel):
+        def script(scene):
+            acks = scene.network.attach_capture("s")
+            scene.extras.append(acks)
+            scene.counts = []
+            for until, data_only, flow_id in (
+                (0.2, False, None), (0.3, True, None), (0.4, False, 8), (0.5, False, None),
+            ):
+                acks.data_only, acks.flow_id = data_only, flow_id
+                before = len(acks)
+                scene.run(until)
+                scene.counts.append({r.flow_id for r in acks.records[before:]})
+
+        scene = both(each_kernel, script, flows=2)
+        # Only ACKs reach s: data_only records nothing, a flow filter one flow.
+        assert scene.counts == [{7, 8}, set(), {8}, {7, 8}]
+
+    def test_a_live_view_makes_the_next_delivery_a_buffer_error(self, each_kernel):
+        def script(scene):
+            scene.run(0.2)
+            rows = len(scene.capture)
+            view = scene.capture._all_columns()
+            with pytest.raises(BufferError):
+                scene.run(0.3)
+            assert len(view) == rows == len(scene.capture)
+            del view
+            scene.run(0.4)
+            assert len(scene.capture) > rows
+
+        both(each_kernel, script)
+
+    def test_clear_between_windows(self, each_kernel):
+        def script(scene):
+            scene.run(0.2)
+            scene.first = scene.capture.records
+            scene.capture.clear()
+            assert len(scene.capture) == 0 and scene.capture.records == ()
+            scene.run(0.4)
+
+        scene = both(each_kernel, script)
+        assert scene.first and scene.capture.records
+        assert scene.capture.records[0].time > scene.first[-1].time
+
+
+class _Index:
+    """An int-like that is not an int (``struct.pack`` takes it, the C tap defers)."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 class TestRunLoopContract:

@@ -108,19 +108,57 @@ class TestDataOnlyCapture:
 
 
 class TestRejectedPacketLeavesNoPartialRow:
-    def test_negative_tag_is_refused_before_any_column_grows(self, capture):
+    def test_negative_tag_is_refused_and_the_rows_stay_whole(self, capture):
         before = len(capture)
         bad, t = data_packet(tag=-3, time=0.3)
         with pytest.raises(ValueError, match="negative path tags"):
             capture.on_packet(bad, t)
-        assert len(capture) == before
+        assert len(capture) == before and len(capture._rows) == before * 72
         good, t = data_packet(tag=2, subflow_id=1, time=0.4, dsn=77)
         capture.on_packet(good, t)
-        columns = (capture._time, capture._size, capture._payload, capture._tag,
-                   capture._flow, capture._subflow, capture._flags, capture._seq,
-                   capture._dsn)
-        assert {len(column) for column in columns} == {before + 1}
+        assert len(capture) == before + 1 and len(capture._rows) % 72 == 0
         # The row reads back aligned through every view.
         assert capture.records[-1].time == 0.4 and capture.records[-1].dsn == 77
         assert len(capture.filter(tag=2)) == 4
         assert capture.columns(tag=2).time[-1] == 0.4
+
+    def test_a_field_that_does_not_fit_a_row_is_refused_whole(self, capture):
+        import struct
+
+        before = bytes(capture._rows)
+        packet, t = data_packet(tag=1, dsn=2**70)
+        with pytest.raises(struct.error):
+            capture.on_packet(packet, t)
+        assert bytes(capture._rows) == before
+
+
+class TestRowStorage:
+    def test_one_storage_and_no_instance_dict(self, capture):
+        assert not hasattr(capture, "__dict__")
+        assert set(PacketCapture.__slots__) == {
+            "name", "data_only", "flow_id", "_rows", "_record_cache"}
+        assert type(capture._rows) is bytearray
+
+    def test_records_are_python_scalars(self, capture):
+        record = capture.records[0]
+        assert type(record.time) is float and type(record.size) is int
+        assert type(record.is_ack) is bool and record.tag == 1
+        assert type(capture.first_time()) is float and type(capture.last_time()) is float
+
+    def test_untagged_packets_read_back_as_none(self):
+        cap = PacketCapture()
+        packet, t = data_packet(tag=None)
+        cap.on_packet(packet, t)
+        assert cap.records[0].tag is None and cap.tags() == []
+        assert cap.columns().tag.tolist() == [-1]
+
+    def test_columns_are_compacted_copies(self, capture):
+        columns = capture.columns(data_only=False)
+        assert all(
+            getattr(columns, name).flags["C_CONTIGUOUS"] and getattr(columns, name).flags["OWNDATA"]
+            for name in ("time", "size", "payload_len", "tag", "flow_id", "subflow_id", "flags",
+                         "seq", "dsn")
+        )
+        packet, t = data_packet(tag=1, time=0.9)
+        capture.on_packet(packet, t)  # no BufferError: nothing returned aliases the rows
+        assert len(capture) == len(columns) + 1
