@@ -51,7 +51,7 @@ def test_fig1_lp_optimum(benchmark):
             comparison_row("FIG1-LP", "optimal total [Mbps]", 90, round(optimum.total, 2)),
             comparison_row("FIG1-LP", "optimal rates [Mbps]", "(30, 10, 50) as stated*",
                            tuple(round(r, 1) for r in optimum.rates),
-                           note="*paper prints (10,30,50); see DESIGN.md on the labelling typo"),
+                           note="*paper prints (10,30,50): README, \"Reading the paper's numbers\""),
             comparison_row("FIG1-GREEDY", "greedy (Path 2 first) total [Mbps]",
                            "suboptimal, Pareto-optimal", round(greedy.total, 2)),
             comparison_row("FIG1-GREEDY", "joint exchange recovers [Mbps]", ">0",

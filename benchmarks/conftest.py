@@ -3,7 +3,7 @@
 Every benchmark regenerates one paper artefact (a figure panel, a results
 claim or an ablation) and prints a ``paper vs measured`` block so the console
 output of ``pytest benchmarks/ --benchmark-only`` documents the reproduction
-directly; EXPERIMENTS.md records the same rows.
+directly; ``benchmarks/latest_results.txt`` (untracked) keeps the same rows.
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ The package provides four layers:
   of Fig. 1c, greedy/max-min/proportional-fair baselines, Pareto analysis,
   projected-gradient ascent and fluid models.
 
+Names resolve on first use: ``import repro`` (and each layer package) loads
+no submodule until one of its names is asked for (:mod:`repro._lazy`).
+
 Quickstart::
 
     from repro import paper_experiment, run_experiment
@@ -23,106 +26,34 @@ Quickstart::
     print(result.summary())
 """
 
-from ._version import __version__
-from .core import MptcpConnection, Subflow, TagPathManager
-from .errors import (
-    ConfigurationError,
-    ModelError,
-    ProtocolError,
-    ReproError,
-    RoutingError,
-    SimulationError,
-    TopologyError,
-)
-from .experiments import (
-    ExperimentConfig,
-    ExperimentResult,
-    FlowSpec,
-    MultiFlowConfig,
-    MultiFlowResult,
-    fig2a_cubic,
-    fig2b_olia,
-    fig2c_fine,
-    paper_experiment,
-    run_experiment,
-    run_multiflow,
-)
-from .model import (
-    Path,
-    PathSet,
-    build_constraints,
-    greedy_fill,
-    max_min_fair_rates,
-    max_total_throughput,
-)
-from .netsim import (
-    DynamicsSpec,
-    LinkDelayChange,
-    LinkDown,
-    LinkRateChange,
-    LinkUp,
-    LossBurst,
-    Network,
-    PacketCapture,
-    Schedule,
-    Simulator,
-    Topology,
-)
-from .tcp import TcpConnection
-from .topologies import (
-    PAPER_DEFAULT_PATH_INDEX,
-    PAPER_OPTIMAL_RATES,
-    PAPER_OPTIMAL_TOTAL,
-    build_paper_topology,
-    paper_paths,
-    paper_scenario,
-)
+from ._lazy import lazy_exports
 
-__all__ = [
-    "ConfigurationError",
-    "DynamicsSpec",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FlowSpec",
-    "LinkDelayChange",
-    "LinkDown",
-    "LinkRateChange",
-    "LinkUp",
-    "LossBurst",
-    "ModelError",
-    "MptcpConnection",
-    "MultiFlowConfig",
-    "MultiFlowResult",
-    "Network",
-    "PAPER_DEFAULT_PATH_INDEX",
-    "PAPER_OPTIMAL_RATES",
-    "PAPER_OPTIMAL_TOTAL",
-    "PacketCapture",
-    "Path",
-    "PathSet",
-    "ProtocolError",
-    "ReproError",
-    "RoutingError",
-    "Schedule",
-    "SimulationError",
-    "Simulator",
-    "Subflow",
-    "TagPathManager",
-    "TcpConnection",
-    "Topology",
-    "TopologyError",
-    "__version__",
-    "build_constraints",
-    "build_paper_topology",
-    "fig2a_cubic",
-    "fig2b_olia",
-    "fig2c_fine",
-    "greedy_fill",
-    "max_min_fair_rates",
-    "max_total_throughput",
-    "paper_experiment",
-    "paper_paths",
-    "paper_scenario",
-    "run_experiment",
-    "run_multiflow",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "._version": ("__version__",),
+        ".core": ("MptcpConnection", "Subflow", "TagPathManager"),
+        ".errors": (
+            "ConfigurationError", "ModelError", "ProtocolError", "ReproError", "RoutingError",
+            "SimulationError", "TopologyError",
+        ),
+        ".experiments": (
+            "ExperimentConfig", "ExperimentResult", "FlowSpec", "MultiFlowConfig",
+            "MultiFlowResult", "fig2a_cubic", "fig2b_olia", "fig2c_fine", "paper_experiment",
+            "run_experiment", "run_multiflow",
+        ),
+        ".model": (
+            "Path", "PathSet", "build_constraints", "greedy_fill", "max_min_fair_rates",
+            "max_total_throughput",
+        ),
+        ".netsim": (
+            "DynamicsSpec", "LinkDelayChange", "LinkDown", "LinkRateChange", "LinkUp", "LossBurst",
+            "Network", "PacketCapture", "Schedule", "Simulator", "Topology",
+        ),
+        ".tcp": ("TcpConnection",),
+        ".topologies": (
+            "PAPER_DEFAULT_PATH_INDEX", "PAPER_OPTIMAL_RATES", "PAPER_OPTIMAL_TOTAL",
+            "build_paper_topology", "paper_paths", "paper_scenario",
+        ),
+    },
+)

@@ -43,34 +43,12 @@ import json
 import sys
 from typing import List, Optional
 
-from . import __version__
-from .core.coupled import MULTIPATH_ALGORITHMS, PAPER_ALGORITHMS
-from .experiments.ascii_plot import ascii_chart, plot_figure
+from ._version import __version__
 from .errors import FabricError
-from .experiments.campaign import CAMPAIGN_GRIDS
-from .experiments.chaos import ChaosSpec
-from .experiments.fabric import FabricConfig, drive_campaign, merge_stores
-from .experiments.figures import fig2a_cubic, fig2b_olia, fig2c_fine, figure_with_algorithm
-from .experiments.harness import run_experiment
-from .experiments.multiflow import run_multiflow
-from .experiments.scenarios import (
-    COMPETITION_SCENARIOS,
-    DYNAMICS_SCENARIOS,
-    cc_comparison,
-    competition_config,
-    olia_default_path_sweep,
-    summarize_results,
-)
-from .measure.report import format_table, sanitize_metrics
-from .measure.sampling import TimeSeries
-from .measure.validation import compare_workload_backends
-from .model.bottleneck import build_constraints
-from .model.greedy import greedy_fill
-from .model.lp import max_total_throughput, proportional_fair_rates
-from .model.maxmin import max_min_fair_rates
-from .topologies.paper import PAPER_DEFAULT_PATH_INDEX, paper_scenario
-from .workload.runner import run_workload
-from .workload.scenarios import WORKLOAD_SCENARIOS
+
+# Nothing else is imported here: a sub-command's argument set-up and handler
+# import what that command runs, so ``--version``, ``--help``, ``info`` and
+# ``lp`` never load the simulator and every cold call loads only its own layers.
 
 
 def _dumps(payload: object) -> str:
@@ -80,6 +58,8 @@ def _dumps(payload: object) -> str:
     guarantees that any non-finite value slipping past the sanitiser raises
     instead of emitting a bare ``NaN`` token (invalid JSON).
     """
+    from .measure.report import sanitize_metrics
+
     return json.dumps(sanitize_metrics(payload), indent=2, allow_nan=False)
 
 
@@ -88,15 +68,11 @@ def _cell(value: Optional[float], spec: str = ".4f") -> str:
     return "-" if value is None else format(value, spec)
 
 
-def _scenario_command(
-    subparsers, name: str, registry: dict, *, help: str, metavar: str = "scenario", also: str = ""
-) -> argparse.ArgumentParser:
-    """A sub-command that runs one named entry of ``registry``.
-
-    Declares what :func:`_resolve_scenario` reads -- the optional positional
-    name and ``--list`` -- plus ``--json``.
-    """
-    command = subparsers.add_parser(name, help=help)
+def _scenario_arguments(
+    command: argparse.ArgumentParser, registry: dict, *, metavar: str = "scenario", also: str = ""
+) -> None:
+    """What :func:`_resolve_scenario` reads -- the optional positional name of
+    one ``registry`` entry and ``--list`` -- plus ``--json``."""
     command.add_argument(
         "scenario",
         nargs="?",
@@ -107,55 +83,51 @@ def _scenario_command(
         "--list", action="store_true", help=f"list the available {metavar}s and exit"
     )
     command.add_argument("--json", action="store_true")
-    return command
+
+
+def _add_cc(command: argparse.ArgumentParser, default: str, help: Optional[str] = None) -> None:
+    from .core.coupled import MULTIPATH_ALGORITHMS
+
+    command.add_argument("--cc", default=default, choices=sorted(MULTIPATH_ALGORITHMS), help=help)
 
 
 def _add_backend(command: argparse.ArgumentParser, default: Optional[str], help: str) -> None:
-    command.add_argument(
-        "--backend", default=default, choices=("packet", "flowlevel"), help=help
-    )
+    from .units import BACKENDS
+
+    command.add_argument("--backend", default=default, choices=BACKENDS, help=help)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mptcp-overlap",
-        description="Reproduction of 'The Performance of Multi-Path TCP with Overlapping Paths'",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    lp = subparsers.add_parser("lp", help="print the Fig. 1c constraints and reference allocations")
+def _arguments_lp(lp: argparse.ArgumentParser) -> None:
     lp.add_argument("--variant", default="as_stated", choices=("as_stated", "as_solution"))
     lp.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
-    figure = subparsers.add_parser("figure", help="regenerate one panel of Fig. 2")
+
+def _arguments_figure(figure: argparse.ArgumentParser) -> None:
     figure.add_argument("panel", choices=("2a", "2b", "2c", "custom"))
-    figure.add_argument("--cc", default="cubic", choices=sorted(MULTIPATH_ALGORITHMS))
+    _add_cc(figure, "cubic")
     figure.add_argument("--duration", type=float, default=4.0)
     figure.add_argument("--variant", default="as_stated", choices=("as_stated", "as_solution"))
 
-    compare = subparsers.add_parser("compare", help="congestion-control comparison (RES-CC)")
+
+def _arguments_compare(compare: argparse.ArgumentParser) -> None:
+    from .core.coupled import PAPER_ALGORITHMS
+
     compare.add_argument("--algorithms", nargs="+", default=list(PAPER_ALGORITHMS))
     compare.add_argument("--duration", type=float, default=4.0)
     compare.add_argument("--json", action="store_true")
 
-    sweep = subparsers.add_parser("sweep", help="OLIA default-path sweep (RES-OLIA-DEFAULT)")
-    sweep.add_argument("--cc", default="olia", choices=sorted(MULTIPATH_ALGORITHMS))
+
+def _arguments_sweep(sweep: argparse.ArgumentParser) -> None:
+    _add_cc(sweep, "olia")
     sweep.add_argument("--duration", type=float, default=4.0)
     sweep.add_argument("--json", action="store_true")
 
-    fairness = _scenario_command(
-        subparsers,
-        "fairness",
-        COMPETITION_SCENARIOS,
-        help="run a multi-flow competition scenario and report fairness",
-    )
-    fairness.add_argument(
-        "--cc",
-        default="lia",
-        choices=sorted(MULTIPATH_ALGORITHMS),
-        help="coupled congestion control of the MPTCP connection(s)",
-    )
+
+def _arguments_fairness(fairness: argparse.ArgumentParser) -> None:
+    from .experiments.scenarios import COMPETITION_SCENARIOS
+
+    _scenario_arguments(fairness, COMPETITION_SCENARIOS)
+    _add_cc(fairness, "lia", "coupled congestion control of the MPTCP connection(s)")
     fairness.add_argument("--duration", type=float, default=4.0)
     fairness.add_argument("--bottleneck-mbps", type=float, default=50.0)
     _add_backend(
@@ -164,26 +136,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulation fidelity: per-packet ground truth or the flow-level fluid backend",
     )
 
-    dynamics = _scenario_command(
-        subparsers,
-        "dynamics",
-        DYNAMICS_SCENARIOS,
-        help="run a network-dynamics scenario (failover / capacity step / handover)",
-    )
-    dynamics.add_argument(
-        "--cc",
-        default="lia",
-        choices=sorted(MULTIPATH_ALGORITHMS),
-        help="congestion control of the MPTCP connection",
-    )
+
+def _arguments_dynamics(dynamics: argparse.ArgumentParser) -> None:
+    from .experiments.scenarios import DYNAMICS_SCENARIOS
+
+    _scenario_arguments(dynamics, DYNAMICS_SCENARIOS)
+    _add_cc(dynamics, "lia", "congestion control of the MPTCP connection")
     dynamics.add_argument("--duration", type=float, default=5.0)
     dynamics.add_argument("--no-plot", action="store_true", help="skip the terminal plot")
 
-    campaign = _scenario_command(
-        subparsers,
-        "campaign",
+
+def _arguments_campaign(campaign: argparse.ArgumentParser) -> None:
+    from .experiments.campaign import CAMPAIGN_GRIDS
+
+    _scenario_arguments(
+        campaign,
         CAMPAIGN_GRIDS,
-        help="run a sharded, resumable parameter-sweep grid with model validation",
         metavar="grid",
         also="; or 'merge' to merge/compact shard stores",
     )
@@ -270,12 +238,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument("--no-plot", action="store_true", help="skip the error plot")
 
-    workload = _scenario_command(
-        subparsers,
-        "workload",
-        WORKLOAD_SCENARIOS,
-        help="run a named workload scenario and report flow completion times",
-    )
+
+def _arguments_workload(workload: argparse.ArgumentParser) -> None:
+    from .workload.scenarios import WORKLOAD_SCENARIOS
+
+    _scenario_arguments(workload, WORKLOAD_SCENARIOS)
     _add_backend(
         workload, "flowlevel", "simulation fidelity (default: the fast flow-level backend)"
     )
@@ -294,10 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also run the other fidelity and report the cross-backend FCT error",
     )
 
-    info = subparsers.add_parser(
-        "info",
-        help="print the active kernel, version, environment and baseline drift",
-    )
+
+def _arguments_info(info: argparse.ArgumentParser) -> None:
     info.add_argument(
         "--baseline",
         default=None,
@@ -306,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "benchmarks/ file matching the active kernel, when present)",
     )
     info.add_argument("--json", action="store_true")
-    return parser
 
 
 def _resolve_scenario(args: argparse.Namespace, registry: dict, kind: str) -> Optional[str]:
@@ -340,6 +304,13 @@ def _resolve_scenario(args: argparse.Namespace, registry: dict, kind: str) -> Op
 
 
 def _command_lp(args: argparse.Namespace) -> int:
+    from .measure.report import format_table
+    from .model.bottleneck import build_constraints
+    from .model.greedy import greedy_fill
+    from .model.lp import max_total_throughput, proportional_fair_rates
+    from .model.maxmin import max_min_fair_rates
+    from .topologies.paper import PAPER_DEFAULT_PATH_INDEX, paper_scenario
+
     topology, paths = paper_scenario(args.variant)
     system = build_constraints(topology, paths, include_private_links=False)
     optimum = max_total_throughput(system)
@@ -375,6 +346,9 @@ def _command_lp(args: argparse.Namespace) -> int:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
+    from .experiments.ascii_plot import plot_figure
+    from .experiments.figures import fig2a_cubic, fig2b_olia, fig2c_fine, figure_with_algorithm
+
     if args.panel == "2a":
         data = fig2a_cubic(duration=args.duration, variant=args.variant)
     elif args.panel == "2b":
@@ -390,6 +364,9 @@ def _command_figure(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
+    from .experiments.scenarios import cc_comparison, summarize_results
+    from .measure.report import format_table
+
     results = cc_comparison(args.algorithms, duration=args.duration)
     summaries = summarize_results(results)
     if args.json:
@@ -416,6 +393,9 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from .experiments.scenarios import olia_default_path_sweep, summarize_results
+    from .measure.report import format_table
+
     results = olia_default_path_sweep(duration=args.duration, algorithm=args.cc)
     summaries = summarize_results(results)
     if args.json:
@@ -435,6 +415,10 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_fairness(args: argparse.Namespace) -> int:
+    from .experiments.multiflow import run_multiflow
+    from .experiments.scenarios import COMPETITION_SCENARIOS, competition_config
+    from .measure.report import format_table
+
     scenario = _resolve_scenario(args, COMPETITION_SCENARIOS, "fairness")
     if scenario is None:
         return args.exit_code
@@ -473,6 +457,11 @@ def _command_fairness(args: argparse.Namespace) -> int:
 
 
 def _command_dynamics(args: argparse.Namespace) -> int:
+    from .experiments.ascii_plot import plot_figure
+    from .experiments.harness import run_experiment
+    from .experiments.scenarios import DYNAMICS_SCENARIOS
+    from .measure.report import format_table
+
     scenario = _resolve_scenario(args, DYNAMICS_SCENARIOS, "dynamics")
     if scenario is None:
         return args.exit_code
@@ -515,6 +504,8 @@ def _command_dynamics(args: argparse.Namespace) -> int:
 
 def _command_campaign_merge(args: argparse.Namespace) -> int:
     """``campaign merge STORE... --into OUT``: combine worker shard stores."""
+    from .experiments.fabric import merge_stores
+
     if not args.sources:
         print(
             "error: campaign merge needs at least one source store",
@@ -538,19 +529,14 @@ def _command_campaign_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _campaign_chaos(args: argparse.Namespace) -> Optional[ChaosSpec]:
-    if not args.chaos:
-        return None
-    return ChaosSpec.parse(
-        args.chaos,
-        fire_attempts=args.chaos_attempts,
-        hang_duration=args.chaos_hang_duration,
-    )
-
-
 def _command_campaign(args: argparse.Namespace) -> int:
     if args.scenario == "merge":
         return _command_campaign_merge(args)
+    from .experiments.campaign import CAMPAIGN_GRIDS
+    from .experiments.chaos import ChaosSpec
+    from .experiments.fabric import FabricConfig, drive_campaign
+    from .measure.report import format_table
+
     grid = _resolve_scenario(args, CAMPAIGN_GRIDS, "campaign")
     if grid is None:
         return args.exit_code
@@ -567,6 +553,13 @@ def _command_campaign(args: argparse.Namespace) -> int:
             print(f"campaign {grid}: {done}/{total} pending points", file=sys.stderr)
 
     try:
+        chaos = None
+        if args.chaos:
+            chaos = ChaosSpec.parse(
+                args.chaos,
+                fire_attempts=args.chaos_attempts,
+                hang_duration=args.chaos_hang_duration,
+            )
         fabric = None
         if (
             args.worker_id is not None
@@ -585,7 +578,7 @@ def _command_campaign(args: argparse.Namespace) -> int:
             spec,
             store_path,
             fabric=fabric,
-            chaos=_campaign_chaos(args),
+            chaos=chaos,
             max_attempts=args.max_attempts,
             chunk_size=args.chunk_size,
             max_workers=args.max_workers,
@@ -684,6 +677,9 @@ def _command_campaign(args: argparse.Namespace) -> int:
             f"rank agreement {cross['mean_rank_agreement']}"
         )
     if not args.no_plot and lp_errors:
+        from .experiments.ascii_plot import ascii_chart
+        from .measure.sampling import TimeSeries
+
         print()
         series = TimeSeries(
             times=[float(i + 1) for i in range(len(lp_errors))],
@@ -703,6 +699,11 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
 
 def _command_workload(args: argparse.Namespace) -> int:
+    from .measure.report import format_table
+    from .measure.validation import compare_workload_backends
+    from .workload.runner import run_workload
+    from .workload.scenarios import WORKLOAD_SCENARIOS
+
     scenario = _resolve_scenario(args, WORKLOAD_SCENARIOS, "workload")
     if scenario is None:
         return args.exit_code
@@ -863,22 +864,67 @@ def _command_info(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Sub-command -> (help line, argument set-up, handler).
+_COMMANDS = {
+    "lp": ("print the Fig. 1c constraints and reference allocations", _arguments_lp, _command_lp),
+    "figure": ("regenerate one panel of Fig. 2", _arguments_figure, _command_figure),
+    "compare": ("congestion-control comparison (RES-CC)", _arguments_compare, _command_compare),
+    "sweep": ("OLIA default-path sweep (RES-OLIA-DEFAULT)", _arguments_sweep, _command_sweep),
+    "fairness": (
+        "run a multi-flow competition scenario and report fairness",
+        _arguments_fairness,
+        _command_fairness,
+    ),
+    "dynamics": (
+        "run a network-dynamics scenario (failover / capacity step / handover)",
+        _arguments_dynamics,
+        _command_dynamics,
+    ),
+    "campaign": (
+        "run a sharded, resumable parameter-sweep grid with model validation",
+        _arguments_campaign,
+        _command_campaign,
+    ),
+    "workload": (
+        "run a named workload scenario and report flow completion times",
+        _arguments_workload,
+        _command_workload,
+    ),
+    "info": (
+        "print the active kernel, version, environment and baseline drift",
+        _arguments_info,
+        _command_info,
+    ),
+}
+
+
+def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser, with the arguments of ``command`` alone set up.
+
+    Every sub-command is listed (``--help`` names them all); only the one the
+    call asked for pays for its registries.
+    """
+    parser = argparse.ArgumentParser(
+        prog="mptcp-overlap",
+        description="Reproduction of 'The Performance of Multi-Path TCP with Overlapping Paths'",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, (help, add_arguments, _) in _COMMANDS.items():
+        subparser = subparsers.add_parser(name, help=help)
+        if name == command:
+            add_arguments(subparser)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point (also exposed as the ``mptcp-overlap`` console script)."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "lp": _command_lp,
-        "figure": _command_figure,
-        "compare": _command_compare,
-        "sweep": _command_sweep,
-        "fairness": _command_fairness,
-        "dynamics": _command_dynamics,
-        "campaign": _command_campaign,
-        "workload": _command_workload,
-        "info": _command_info,
-    }
-    return handlers[args.command](args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so the first
+    # word that is not an option is the sub-command.
+    command = next((word for word in argv if not word.startswith("-")), None)
+    args = _build_parser(command).parse_args(argv)
+    return _COMMANDS[args.command][2](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

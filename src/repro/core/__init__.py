@@ -12,61 +12,27 @@ Public surface:
   CUBIC/Reno wrappers, created via :func:`make_multipath_congestion_control`
 """
 
-from .connection import MptcpConnection
-from .coupled import (
-    BaliaCongestionControl,
-    CoupledCongestionControl,
-    CouplingGroup,
-    LiaCongestionControl,
-    MULTIPATH_ALGORITHMS,
-    OliaCongestionControl,
-    PAPER_ALGORITHMS,
-    UncoupledCubic,
-    UncoupledReno,
-    WVegasCongestionControl,
-    make_multipath_congestion_control,
-)
-from .options import DsnAllocator, DsnReassembler
-from .path_manager import (
-    FailoverPathManager,
-    FullMeshPathManager,
-    NdiffportsPathManager,
-    PathManager,
-    TagPathManager,
-)
-from .scheduler import (
-    MinRttScheduler,
-    RedundantScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    make_scheduler,
-)
-from .subflow import Subflow
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaliaCongestionControl",
-    "CoupledCongestionControl",
-    "CouplingGroup",
-    "DsnAllocator",
-    "DsnReassembler",
-    "FailoverPathManager",
-    "FullMeshPathManager",
-    "LiaCongestionControl",
-    "MULTIPATH_ALGORITHMS",
-    "MinRttScheduler",
-    "MptcpConnection",
-    "NdiffportsPathManager",
-    "OliaCongestionControl",
-    "PAPER_ALGORITHMS",
-    "PathManager",
-    "RedundantScheduler",
-    "RoundRobinScheduler",
-    "Scheduler",
-    "Subflow",
-    "TagPathManager",
-    "UncoupledCubic",
-    "UncoupledReno",
-    "WVegasCongestionControl",
-    "make_multipath_congestion_control",
-    "make_scheduler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".connection": ("MptcpConnection",),
+        ".coupled": (
+            "BaliaCongestionControl", "CoupledCongestionControl", "CouplingGroup",
+            "LiaCongestionControl", "MULTIPATH_ALGORITHMS", "OliaCongestionControl",
+            "PAPER_ALGORITHMS", "UncoupledCubic", "UncoupledReno", "WVegasCongestionControl",
+            "make_multipath_congestion_control",
+        ),
+        ".options": ("DsnAllocator", "DsnReassembler"),
+        ".path_manager": (
+            "FailoverPathManager", "FullMeshPathManager", "NdiffportsPathManager", "PathManager",
+            "TagPathManager",
+        ),
+        ".scheduler": (
+            "MinRttScheduler", "RedundantScheduler", "RoundRobinScheduler", "Scheduler",
+            "make_scheduler",
+        ),
+        ".subflow": ("Subflow",),
+    },
+)

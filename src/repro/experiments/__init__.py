@@ -1,114 +1,38 @@
 """Experiment orchestration: harness, named scenarios and figure regeneration."""
 
-from .ascii_plot import ascii_chart, plot_figure
-from .campaign import (
-    CAMPAIGN_GRIDS,
-    CampaignPoint,
-    CampaignResult,
-    CampaignSpec,
-    ResultStore,
-    ecn_aqm_fairness_campaign,
-    multiflow_fairness_campaign,
-    paper_cc_rate_campaign,
-    point_key,
-    run_campaign,
-)
-from .chaos import ChaosSpec
-from .fabric import (
-    FabricConfig,
-    LeaseManager,
-    MergeReport,
-    backoff_delay,
-    drive_campaign,
-    merge_stores,
-    run_campaign_fabric,
-)
-from .figures import FigureData, fig2a_cubic, fig2b_olia, fig2c_fine, figure_with_algorithm
-from .harness import (
-    ExperimentConfig,
-    ExperimentResult,
-    WorkerPool,
-    paper_experiment,
-    run_experiment,
-    run_scenarios_parallel,
-)
-from .multiflow import (
-    FlowResult,
-    FlowSpec,
-    MultiFlowConfig,
-    MultiFlowResult,
-    run_multiflow,
-)
-from .scenarios import (
-    COMPETITION_SCENARIOS,
-    DYNAMICS_SCENARIOS,
-    aqm_vs_droptail,
-    capacity_step_tracking,
-    cc_comparison,
-    cross_traffic_perturbation,
-    ecn_mptcp_fairness,
-    handover_subflow_migration,
-    link_flap_failover,
-    mptcp_vs_tcp_shared_bottleneck,
-    olia_default_path_sweep,
-    queue_size_sweep,
-    scheduler_comparison,
-    summarize_results,
-    two_mptcp_competition,
-    variant_comparison,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CAMPAIGN_GRIDS",
-    "COMPETITION_SCENARIOS",
-    "CampaignPoint",
-    "CampaignResult",
-    "CampaignSpec",
-    "ChaosSpec",
-    "DYNAMICS_SCENARIOS",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FabricConfig",
-    "LeaseManager",
-    "MergeReport",
-    "ResultStore",
-    "FigureData",
-    "FlowResult",
-    "FlowSpec",
-    "MultiFlowConfig",
-    "MultiFlowResult",
-    "WorkerPool",
-    "aqm_vs_droptail",
-    "ascii_chart",
-    "backoff_delay",
-    "capacity_step_tracking",
-    "cc_comparison",
-    "cross_traffic_perturbation",
-    "drive_campaign",
-    "ecn_aqm_fairness_campaign",
-    "ecn_mptcp_fairness",
-    "fig2a_cubic",
-    "fig2b_olia",
-    "fig2c_fine",
-    "figure_with_algorithm",
-    "handover_subflow_migration",
-    "link_flap_failover",
-    "merge_stores",
-    "mptcp_vs_tcp_shared_bottleneck",
-    "multiflow_fairness_campaign",
-    "olia_default_path_sweep",
-    "paper_cc_rate_campaign",
-    "paper_experiment",
-    "plot_figure",
-    "point_key",
-    "queue_size_sweep",
-    "run_campaign",
-    "run_campaign_fabric",
-    "run_experiment",
-    "run_multiflow",
-    "run_scenarios_parallel",
-    "scheduler_comparison",
-    "summarize_results",
-    "two_mptcp_competition",
-    "variant_comparison",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".ascii_plot": ("ascii_chart", "plot_figure"),
+        ".campaign": (
+            "CAMPAIGN_GRIDS", "CampaignPoint", "CampaignResult", "CampaignSpec", "ResultStore",
+            "ecn_aqm_fairness_campaign", "multiflow_fairness_campaign", "paper_cc_rate_campaign",
+            "point_key", "run_campaign",
+        ),
+        ".chaos": ("ChaosSpec",),
+        ".fabric": (
+            "FabricConfig", "LeaseManager", "MergeReport", "backoff_delay", "drive_campaign",
+            "merge_stores", "run_campaign_fabric",
+        ),
+        ".figures": (
+            "FigureData", "fig2a_cubic", "fig2b_olia", "fig2c_fine", "figure_with_algorithm",
+        ),
+        ".harness": (
+            "ExperimentConfig", "ExperimentResult", "WorkerPool", "paper_experiment",
+            "run_experiment", "run_scenarios_parallel",
+        ),
+        ".multiflow": (
+            "FlowResult", "FlowSpec", "MultiFlowConfig", "MultiFlowResult", "run_multiflow",
+        ),
+        ".scenarios": (
+            "COMPETITION_SCENARIOS", "DYNAMICS_SCENARIOS", "aqm_vs_droptail",
+            "capacity_step_tracking", "cc_comparison", "cross_traffic_perturbation",
+            "ecn_mptcp_fairness", "handover_subflow_migration", "link_flap_failover",
+            "mptcp_vs_tcp_shared_bottleneck", "olia_default_path_sweep", "queue_size_sweep",
+            "scheduler_comparison", "summarize_results", "two_mptcp_competition",
+            "variant_comparison",
+        ),
+    },
+)

@@ -39,7 +39,7 @@ from ..netsim.dynamics import DynamicsSpec
 from ..netsim.network import Network
 from ..netsim.topology import Topology
 from ..topologies.paper import PAPER_DEFAULT_PATH_INDEX, paper_scenario
-from ..units import DEFAULT_MSS
+from ..units import BACKENDS, DEFAULT_MSS
 
 ScenarioBuilder = Callable[[], Tuple[Topology, PathSet]]
 
@@ -90,7 +90,6 @@ class ExperimentConfig:
     ecn: bool = False
 
     def __post_init__(self) -> None:
-        from ..flowsim.backend import BACKENDS
         from ..netsim.queues import QUEUE_KINDS
 
         if self.backend not in BACKENDS:
@@ -459,11 +458,8 @@ def _start_worker(runner: Callable) -> Tuple:
     """Start one worker: the only place this package creates a process."""
     ctx = multiprocessing.get_context()
     if ctx.get_start_method() == "fork":
-        # Every point builds a Network (networkx, ~0.15 s to import) and its
-        # validation solves with scipy.optimize (~0.3 s): load them once here
-        # and each forked worker inherits them.
-        import networkx  # noqa: F401
-
+        # Every point's validation solves with scipy.optimize (~0.3 s to
+        # import): load it once here and each forked worker inherits it.
         try:
             import scipy.optimize  # noqa: F401
         except ImportError:

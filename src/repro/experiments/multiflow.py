@@ -42,7 +42,7 @@ from ..netsim.network import Network
 from ..netsim.topology import Topology
 from ..tcp.connection import TcpConnection
 from ..topologies.paper import paper_scenario
-from ..units import DEFAULT_MSS
+from ..units import BACKENDS, DEFAULT_MSS
 from ..workload.sources import OnOffSource, UdpConstantBitRate
 from ..workload.spec import WorkloadSpec
 
@@ -151,7 +151,6 @@ class MultiFlowConfig:
     ecn: bool = False
 
     def __post_init__(self) -> None:
-        from ..flowsim.backend import BACKENDS
         from ..netsim.queues import QUEUE_KINDS
 
         if self.backend not in BACKENDS:

@@ -125,7 +125,7 @@ def queue_size_sweep(
     duration: float = 3.0,
     variant: str = "as_stated",
 ) -> Dict[int, ExperimentResult]:
-    """Ablate the bottleneck buffer size (design decision #1 in DESIGN.md)."""
+    """Ablate the bottleneck buffer size (README, "Reading the paper's numbers")."""
     results: Dict[int, ExperimentResult] = {}
     for queue_packets in queue_sizes:
         config = ExperimentConfig(

@@ -22,19 +22,15 @@ not billions of packets.
   fidelity (``backend="flowlevel"``).
 """
 
-from .allocator import ALLOCATORS, FluidAllocator, MaxMinAllocator, ProportionalFairAllocator
-from .engine import FlowCompletion, FlowDescriptor, FlowLevelResult, FlowLevelSim
-from ..workload.population import heavy_tailed_workload, pareto_size_sampler
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALLOCATORS",
-    "FluidAllocator",
-    "FlowCompletion",
-    "FlowDescriptor",
-    "FlowLevelResult",
-    "FlowLevelSim",
-    "MaxMinAllocator",
-    "ProportionalFairAllocator",
-    "heavy_tailed_workload",
-    "pareto_size_sampler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".allocator": (
+            "ALLOCATORS", "FluidAllocator", "MaxMinAllocator", "ProportionalFairAllocator",
+        ),
+        ".engine": ("FlowCompletion", "FlowDescriptor", "FlowLevelResult", "FlowLevelSim"),
+        "..workload.population": ("heavy_tailed_workload", "pareto_size_sampler"),
+    },
+)

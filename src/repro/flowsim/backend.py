@@ -57,9 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..experiments.harness import ExperimentConfig, ExperimentResult
     from ..experiments.multiflow import FlowSpec, MultiFlowConfig, MultiFlowResult
 
-#: Backends an experiment configuration can select.
-BACKENDS = ("packet", "flowlevel")
-
 #: Effective-capacity factor of an AQM discipline at flow level: keeping the
 #: standing queue short costs a sliver of throughput relative to a brimming
 #: drop-tail buffer (CoDel's 5 ms target trims less than RED's mid-threshold

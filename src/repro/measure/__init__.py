@@ -1,126 +1,42 @@
 """Measurement and post-processing: sampling, convergence, statistics, reports."""
 
-from .convergence import (
-    ConvergenceReport,
-    analyze_convergence,
-    stability_coefficient,
-    sustained_time_to_fraction,
-    time_to_fraction,
-)
-from .dynamics import (
-    DynamicsReport,
-    EpochMetrics,
-    analyze_dynamics,
-    capacity_at,
-    capacity_tracking_error,
-    failover_gap,
-    reconvergence_time,
-)
-from .fairness import (
-    FairnessReport,
-    analyze_fairness,
-    bottleneck_share,
-    jains_index,
-    mptcp_vs_tcp_ratio,
-    settle_time,
-)
-from .fct import (
-    FctRecord,
-    FctReport,
-    fct_percentiles,
-    page_load_times,
-    percentile,
-    size_decile_breakdown,
-)
-from .flowstats import ConnectionStats, SubflowStats, connection_stats, subflow_stats
-from .signalplane import SignalPlaneReport, modeled_signal_plane, signal_plane_report
-from .report import (
-    comparison_row,
-    format_comparison,
-    format_table,
-    print_section,
-    sanitize_metrics,
-)
-from .validation import (
-    BackendComparison,
-    FctComparison,
-    ModelErrorStats,
-    ModelPrediction,
-    PointValidation,
-    ValidationReport,
-    compare_backend_rates,
-    compare_fct_reports,
-    compare_multiflow_backends,
-    compare_workload_backends,
-    rank_agreement,
-    relative_error,
-    validate_against_models,
-    validate_experiment,
-    validate_multiflow,
-)
-from .sampling import (
-    TimeSeries,
-    per_tag_timeseries,
-    sum_series,
-    throughput_timeseries,
-    total_timeseries,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BackendComparison",
-    "ConnectionStats",
-    "ConvergenceReport",
-    "DynamicsReport",
-    "EpochMetrics",
-    "FairnessReport",
-    "FctComparison",
-    "FctRecord",
-    "FctReport",
-    "ModelErrorStats",
-    "ModelPrediction",
-    "PointValidation",
-    "SignalPlaneReport",
-    "SubflowStats",
-    "TimeSeries",
-    "ValidationReport",
-    "analyze_convergence",
-    "analyze_dynamics",
-    "analyze_fairness",
-    "bottleneck_share",
-    "capacity_at",
-    "capacity_tracking_error",
-    "compare_backend_rates",
-    "compare_fct_reports",
-    "compare_multiflow_backends",
-    "compare_workload_backends",
-    "comparison_row",
-    "connection_stats",
-    "failover_gap",
-    "fct_percentiles",
-    "page_load_times",
-    "percentile",
-    "size_decile_breakdown",
-    "jains_index",
-    "modeled_signal_plane",
-    "mptcp_vs_tcp_ratio",
-    "reconvergence_time",
-    "settle_time",
-    "format_comparison",
-    "format_table",
-    "per_tag_timeseries",
-    "print_section",
-    "rank_agreement",
-    "relative_error",
-    "sanitize_metrics",
-    "signal_plane_report",
-    "stability_coefficient",
-    "validate_against_models",
-    "validate_experiment",
-    "validate_multiflow",
-    "subflow_stats",
-    "sum_series",
-    "sustained_time_to_fraction",
-    "throughput_timeseries",
-    "time_to_fraction",
-    "total_timeseries",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".convergence": (
+            "ConvergenceReport", "analyze_convergence", "stability_coefficient",
+            "sustained_time_to_fraction", "time_to_fraction",
+        ),
+        ".dynamics": (
+            "DynamicsReport", "EpochMetrics", "analyze_dynamics", "capacity_at",
+            "capacity_tracking_error", "failover_gap", "reconvergence_time",
+        ),
+        ".fairness": (
+            "FairnessReport", "analyze_fairness", "bottleneck_share", "jains_index",
+            "mptcp_vs_tcp_ratio", "settle_time",
+        ),
+        ".fct": (
+            "FctRecord", "FctReport", "fct_percentiles", "page_load_times", "percentile",
+            "size_decile_breakdown",
+        ),
+        ".flowstats": ("ConnectionStats", "SubflowStats", "connection_stats", "subflow_stats"),
+        ".report": (
+            "comparison_row", "format_comparison", "format_table", "print_section",
+            "sanitize_metrics",
+        ),
+        ".sampling": (
+            "TimeSeries", "per_tag_timeseries", "sum_series", "throughput_timeseries",
+            "total_timeseries",
+        ),
+        ".signalplane": ("SignalPlaneReport", "modeled_signal_plane", "signal_plane_report"),
+        ".validation": (
+            "BackendComparison", "FctComparison", "ModelErrorStats", "ModelPrediction",
+            "PointValidation", "ValidationReport", "compare_backend_rates", "compare_fct_reports",
+            "compare_multiflow_backends", "compare_workload_backends", "rank_agreement",
+            "relative_error", "validate_against_models", "validate_experiment",
+            "validate_multiflow",
+        ),
+    },
+)

@@ -1,8 +1,8 @@
 """Plain-text reporting helpers (tables and paper-vs-measured comparisons).
 
 Benchmarks and examples print their results through these helpers so every
-figure/table reproduction emits the same row format that EXPERIMENTS.md
-records.
+figure/table reproduction emits the same row format, which
+``benchmarks/conftest.py`` collects in ``benchmarks/latest_results.txt``.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def comparison_row(
     measured_value: object,
     note: str = "",
 ) -> Dict[str, object]:
-    """One paper-vs-measured record, as written to EXPERIMENTS.md."""
+    """One paper-vs-measured record (a row of :func:`format_comparison`)."""
     return {
         "experiment": experiment,
         "metric": metric,

@@ -8,53 +8,24 @@ Pareto-optimality checks, projected-gradient ascent and fluid models of the
 congestion-control dynamics.
 """
 
-from .bottleneck import Constraint, ConstraintSystem, build_constraints, shared_bottleneck_summary
-from .fluid import FluidModel, FluidResult, compare_equilibria
-from .gradient import GradientTrace, project_onto_feasible, projected_gradient_ascent
-from .greedy import GreedyResult, best_greedy_order, greedy_fill, worst_greedy_order
-from .lp import LpResult, max_total_throughput, proportional_fair_rates
-from .maxmin import MaxMinResult, max_min_fair_rates
-from .pareto import (
-    Exchange,
-    blocking_constraints,
-    improving_exchange,
-    is_pareto_optimal,
-    optimality_gap,
-    pareto_frontier_2d,
-)
-from .paths import Path, PathSet, paths_from_node_lists
-from .polytope import enumerate_vertices, feasible_region_volume, maximize_over_vertices
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Constraint",
-    "ConstraintSystem",
-    "Exchange",
-    "FluidModel",
-    "FluidResult",
-    "GradientTrace",
-    "GreedyResult",
-    "LpResult",
-    "MaxMinResult",
-    "Path",
-    "PathSet",
-    "best_greedy_order",
-    "blocking_constraints",
-    "build_constraints",
-    "compare_equilibria",
-    "enumerate_vertices",
-    "feasible_region_volume",
-    "greedy_fill",
-    "improving_exchange",
-    "is_pareto_optimal",
-    "max_min_fair_rates",
-    "max_total_throughput",
-    "maximize_over_vertices",
-    "optimality_gap",
-    "pareto_frontier_2d",
-    "paths_from_node_lists",
-    "project_onto_feasible",
-    "projected_gradient_ascent",
-    "proportional_fair_rates",
-    "shared_bottleneck_summary",
-    "worst_greedy_order",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".bottleneck": (
+            "Constraint", "ConstraintSystem", "build_constraints", "shared_bottleneck_summary",
+        ),
+        ".fluid": ("FluidModel", "FluidResult", "compare_equilibria"),
+        ".gradient": ("GradientTrace", "project_onto_feasible", "projected_gradient_ascent"),
+        ".greedy": ("GreedyResult", "best_greedy_order", "greedy_fill", "worst_greedy_order"),
+        ".lp": ("LpResult", "max_total_throughput", "proportional_fair_rates"),
+        ".maxmin": ("MaxMinResult", "max_min_fair_rates"),
+        ".pareto": (
+            "Exchange", "blocking_constraints", "improving_exchange", "is_pareto_optimal",
+            "optimality_gap", "pareto_frontier_2d",
+        ),
+        ".paths": ("Path", "PathSet", "paths_from_node_lists"),
+        ".polytope": ("enumerate_vertices", "feasible_region_volume", "maximize_over_vertices"),
+    },
+)

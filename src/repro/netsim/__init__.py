@@ -14,54 +14,23 @@ Public surface:
   events (:class:`LinkRateChange`, :class:`LinkDown`, ...)
 """
 
-from .capture import CaptureRecord, PacketCapture
-from .dynamics import (
-    DynamicsEvent,
-    DynamicsSpec,
-    LinkDelayChange,
-    LinkDown,
-    LinkRateChange,
-    LinkUp,
-    LossBurst,
-    Schedule,
-)
-from .engine import Event, Simulator
-from .link import Link
-from .network import Network
-from .node import Host, Node, Router
-from .packet import Packet
-from .queues import DropTailQueue, Queue, REDQueue, make_queue
-from .routing import EcmpRoutingTable, RoutingTable, StaticRoutingTable, TagRoutingTable
-from .topology import LinkSpec, NodeSpec, Topology
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CaptureRecord",
-    "DropTailQueue",
-    "DynamicsEvent",
-    "DynamicsSpec",
-    "EcmpRoutingTable",
-    "Event",
-    "Host",
-    "Link",
-    "LinkDelayChange",
-    "LinkDown",
-    "LinkRateChange",
-    "LinkSpec",
-    "LinkUp",
-    "LossBurst",
-    "Network",
-    "Node",
-    "NodeSpec",
-    "Packet",
-    "PacketCapture",
-    "Queue",
-    "REDQueue",
-    "Router",
-    "RoutingTable",
-    "Schedule",
-    "Simulator",
-    "StaticRoutingTable",
-    "TagRoutingTable",
-    "Topology",
-    "make_queue",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".capture": ("CaptureRecord", "PacketCapture"),
+        ".dynamics": (
+            "DynamicsEvent", "DynamicsSpec", "LinkDelayChange", "LinkDown", "LinkRateChange",
+            "LinkUp", "LossBurst", "Schedule",
+        ),
+        ".engine": ("Event", "Simulator"),
+        ".link": ("Link",),
+        ".network": ("Network",),
+        ".node": ("Host", "Node", "Router"),
+        ".packet": ("Packet",),
+        ".queues": ("DropTailQueue", "Queue", "REDQueue", "make_queue"),
+        ".routing": ("EcmpRoutingTable", "RoutingTable", "StaticRoutingTable", "TagRoutingTable"),
+        ".topology": ("LinkSpec", "NodeSpec", "Topology"),
+    },
+)

@@ -54,7 +54,7 @@ class Network:
         self.topology = topology
         self.sim = sim if sim is not None else make_simulator()
         if routing is None:
-            fallback = StaticRoutingTable(topology.undirected_graph())
+            fallback = StaticRoutingTable(topology.adjacency())
             routing = TagRoutingTable(fallback=fallback)
         self.routing = routing
         self.nodes: Dict[str, Node] = {}

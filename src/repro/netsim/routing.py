@@ -11,16 +11,16 @@ destination default route when the tag is unknown.
 :class:`EcmpRoutingTable` hashes flows across equal-cost next hops, which is
 the other tagging realisation mentioned in the paper (ECMP hashing).
 
-:mod:`networkx` loads when a shortest-path table is built (every
-:class:`~repro.netsim.network.Network` builds one as its fallback), not when
-this module is imported.
+:class:`StaticRoutingTable` (every :class:`~repro.netsim.network.Network`
+builds one as its fallback) is a breadth-first search of its own;
+:mod:`networkx` loads only when an :class:`EcmpRoutingTable` is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import RoutingError
 from .packet import Packet
@@ -56,18 +56,31 @@ class RoutingTable(ABC):
 
 
 class StaticRoutingTable(RoutingTable):
-    """Shortest-path routing computed once from a topology graph."""
+    """Hop-count shortest-path routing computed once from an adjacency mapping.
 
-    def __init__(self, graph: nx.Graph, weight: Optional[str] = None) -> None:
-        import networkx as nx
+    ``adjacency`` maps every node to its neighbours
+    (:meth:`Topology.adjacency() <repro.netsim.topology.Topology.adjacency>`;
+    an undirected :class:`networkx.Graph` is such a mapping too).  One
+    breadth-first search per destination; among equally short routes the
+    neighbour that discovers a node first becomes its next hop, so the table
+    -- entries and their order -- is what ``networkx.shortest_path(graph,
+    target=dst)`` gives over the same adjacency order.
+    """
 
+    def __init__(self, adjacency: Mapping[str, Iterable[str]]) -> None:
         self._next: Dict[Tuple[str, str], str] = {}
-        for dst in graph.nodes:
-            paths = nx.shortest_path(graph, target=dst, weight=weight)
-            for src, path in paths.items():
-                if src == dst or len(path) < 2:
-                    continue
-                self._next[(src, dst)] = path[1]
+        for dst in adjacency:
+            seen = {dst}
+            level = [dst]
+            while level:
+                discovered = []
+                for via in level:
+                    for node in adjacency[via]:
+                        if node not in seen:
+                            seen.add(node)
+                            self._next[(node, dst)] = via
+                            discovered.append(node)
+                level = discovered
 
     def next_hop(self, node: str, packet: Packet) -> Optional[str]:
         return self._next.get((node, packet.dst))

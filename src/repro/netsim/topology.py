@@ -2,16 +2,20 @@
 
 A :class:`Topology` is a lightweight description of hosts, routers and
 bidirectional links (capacity, delay, queue size) that is later instantiated
-into simulator objects by :class:`repro.netsim.network.Network`.  It is backed
-by a :mod:`networkx` graph so path enumeration and shortest-path queries are
-available directly.  :mod:`networkx` loads on the first graph query, never at
-import: declaring topologies, expanding a campaign grid and resuming a
-finished store need no graph.
+into simulator objects by :class:`repro.netsim.network.Network`.  Path
+enumeration and shortest-path queries (:meth:`Topology.graph`,
+:meth:`~Topology.shortest_path`, :meth:`~Topology.simple_paths`,
+:meth:`~Topology.k_shortest_paths`) go through :mod:`networkx`, which loads on
+the first such query and never on the run path: declaring topologies, building
+a :class:`~repro.netsim.network.Network` (its fallback routes come from
+:meth:`Topology.adjacency`) and running a campaign need no graph library.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
@@ -222,6 +226,24 @@ class Topology:
         return self.link(a, b).capacity_mbps
 
     # ------------------------------------------------------------------ graph
+    def adjacency(self) -> Dict[str, List[str]]:
+        """``{node: neighbours}`` of the undirected view, isolated nodes included.
+
+        Nodes and neighbours come in exactly the order :meth:`undirected_graph`
+        holds them -- node-major over the directed links, each edge entering
+        both endpoints' lists when first met -- because breadth-first next hops
+        depend on that order and the golden scenes pin them.
+        """
+        successors: Dict[str, List[str]] = {name: [] for name in self._nodes}
+        for src, dst in self._links:
+            successors[src].append(dst)
+        neighbours: Dict[str, Dict[str, None]] = {name: {} for name in self._nodes}
+        for node, nexts in successors.items():
+            for other in nexts:
+                neighbours[node][other] = None
+                neighbours[other][node] = None
+        return {name: list(found) for name, found in neighbours.items()}
+
     def graph(self) -> nx.DiGraph:
         """Return a directed networkx view with capacity/delay attributes."""
         import networkx as nx
@@ -247,30 +269,34 @@ class Topology:
 
     # ------------------------------------------------------------------ paths
     def shortest_path(self, src: str, dst: str, weight: Optional[str] = None) -> List[str]:
-        import networkx as nx
-
-        try:
+        with self._path_query(src, dst) as nx:
             return nx.shortest_path(self.undirected_graph(), src, dst, weight=weight)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise TopologyError(f"no path from {src!r} to {dst!r}") from exc
 
     def simple_paths(self, src: str, dst: str, cutoff: Optional[int] = None) -> Iterator[List[str]]:
         """All simple paths from ``src`` to ``dst`` (optionally length-bounded)."""
-        import networkx as nx
-
-        return nx.all_simple_paths(self.undirected_graph(), src, dst, cutoff=cutoff)
+        with self._path_query(src, dst) as nx:
+            yield from nx.all_simple_paths(self.undirected_graph(), src, dst, cutoff=cutoff)
 
     def k_shortest_paths(self, src: str, dst: str, k: int) -> List[List[str]]:
         """The ``k`` shortest simple paths by hop count."""
+        with self._path_query(src, dst) as nx:
+            return list(islice(nx.shortest_simple_paths(self.undirected_graph(), src, dst), k))
+
+    @contextmanager
+    def _path_query(self, src: str, dst: str):
+        """Yield :mod:`networkx` for a query between two known nodes.
+
+        Unknown endpoints and unreachable destinations raise
+        :class:`TopologyError`, never a networkx exception.
+        """
         import networkx as nx
 
-        generator = nx.shortest_simple_paths(self.undirected_graph(), src, dst)
-        paths: List[List[str]] = []
-        for path in generator:
-            paths.append(path)
-            if len(paths) >= k:
-                break
-        return paths
+        self.node(src)
+        self.node(dst)
+        try:
+            yield nx
+        except nx.NetworkXNoPath as exc:
+            raise TopologyError(f"no path from {src!r} to {dst!r}") from exc
 
     def validate_path(self, nodes: Sequence[str]) -> None:
         """Raise :class:`TopologyError` unless consecutive nodes are linked."""

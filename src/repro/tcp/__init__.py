@@ -1,24 +1,17 @@
 """Single-path TCP substrate: congestion control, sender, receiver."""
 
-from .cc import (
-    CongestionControl,
-    CubicCongestionControl,
-    RenoCongestionControl,
-    make_congestion_control,
-)
-from .connection import BulkDataAdapter, TcpConnection
-from .receiver import TcpReceiver
-from .rtt import RttEstimator
-from .sender import TcpSender
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BulkDataAdapter",
-    "CongestionControl",
-    "CubicCongestionControl",
-    "RenoCongestionControl",
-    "RttEstimator",
-    "TcpConnection",
-    "TcpReceiver",
-    "TcpSender",
-    "make_congestion_control",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".cc": (
+            "CongestionControl", "CubicCongestionControl", "RenoCongestionControl",
+            "make_congestion_control",
+        ),
+        ".connection": ("BulkDataAdapter", "TcpConnection"),
+        ".receiver": ("TcpReceiver",),
+        ".rtt": ("RttEstimator",),
+        ".sender": ("TcpSender",),
+    },
+)

@@ -35,6 +35,10 @@ DEFAULT_QUEUE_PACKETS = 100
 #: the default 100").
 DEFAULT_CAPACITY_MBPS = 100.0
 
+#: Simulation fidelities a configuration's ``backend`` can select: per-packet
+#: ground truth, or the flow-level engine of :mod:`repro.flowsim`.
+BACKENDS = ("packet", "flowlevel")
+
 
 def mbps(value: float) -> float:
     """Convert megabits per second to bits per second."""

@@ -20,62 +20,19 @@ named scenarios (:mod:`~repro.workload.scenarios`) behind
 ``repro.cli workload``.
 """
 
-from .population import distribution_sampler, heavy_tailed_workload, pareto_size_sampler
-from .spec import (
-    ArrivalProcess,
-    RequestResponseSpec,
-    SessionPlan,
-    SizeDistribution,
-    TransferPlan,
-    WorkloadPlan,
-    WorkloadSpec,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".flowlevel": ("FlowLevelWorkloadRun",),
+        ".packet": ("PacketWorkloadDriver",),
+        ".population": ("distribution_sampler", "heavy_tailed_workload", "pareto_size_sampler"),
+        ".runner": ("WorkloadConfig", "WorkloadResult", "run_workload"),
+        ".scenarios": ("WORKLOAD_SCENARIOS", "conferencing_load", "web_page_load"),
+        ".spec": (
+            "ArrivalProcess", "RequestResponseSpec", "SessionPlan", "SizeDistribution",
+            "TransferPlan", "WorkloadPlan", "WorkloadSpec",
+        ),
+    },
 )
-
-__all__ = [
-    "ArrivalProcess",
-    "FlowLevelWorkloadRun",
-    "PacketWorkloadDriver",
-    "RequestResponseSpec",
-    "SessionPlan",
-    "SizeDistribution",
-    "TransferPlan",
-    "WORKLOAD_SCENARIOS",
-    "WorkloadConfig",
-    "WorkloadPlan",
-    "WorkloadResult",
-    "WorkloadSpec",
-    "conferencing_load",
-    "distribution_sampler",
-    "heavy_tailed_workload",
-    "pareto_size_sampler",
-    "run_workload",
-    "web_page_load",
-]
-
-#: Lazily imported attribute -> defining submodule.  The runner/driver
-#: modules pull in the packet and flow-level engines; importing them eagerly
-#: from here would cycle through ``repro.flowsim`` (whose package __init__
-#: re-exports :func:`heavy_tailed_workload` from this package).
-_LAZY = {
-    "FlowLevelWorkloadRun": "flowlevel",
-    "PacketWorkloadDriver": "packet",
-    "WORKLOAD_SCENARIOS": "scenarios",
-    "WorkloadConfig": "runner",
-    "WorkloadResult": "runner",
-    "conferencing_load": "scenarios",
-    "run_workload": "runner",
-    "web_page_load": "scenarios",
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    from importlib import import_module
-
-    module = import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

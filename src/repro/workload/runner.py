@@ -28,6 +28,7 @@ from ..measure.validation import FctComparison, compare_workload_backends
 from ..model.paths import PathSet
 from ..netsim.network import Network
 from ..netsim.topology import Topology
+from ..units import BACKENDS
 from .spec import WorkloadPlan, WorkloadSpec
 
 ScenarioBuilder = Callable[[], Tuple[Topology, PathSet]]
@@ -54,8 +55,6 @@ class WorkloadConfig:
     flow_allocator: str = "maxmin"
 
     def __post_init__(self) -> None:
-        from ..flowsim.backend import BACKENDS
-
         if self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; choose from {BACKENDS}"

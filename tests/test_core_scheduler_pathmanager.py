@@ -14,10 +14,10 @@ from repro.core.scheduler import (
     RoundRobinScheduler,
     make_scheduler,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.model.paths import Path
 from repro.netsim.network import Network
-from repro.topologies.paper import paper_paths
+from repro.topologies.paper import paper_paths, paper_scenario
 
 from .conftest import make_two_path_scenario
 
@@ -218,3 +218,9 @@ class TestFullMeshPathManager:
     def test_max_subflows_validated(self):
         with pytest.raises(ConfigurationError):
             FullMeshPathManager(max_subflows=0)
+
+    def test_unreachable_destination_is_a_topology_error(self):
+        topology, _ = paper_scenario()
+        topology.add_host("island")
+        with pytest.raises(TopologyError, match="no path from 's' to 'island'"):
+            FullMeshPathManager(max_subflows=2).build_subflows(Network(topology), "s", "island")

@@ -399,7 +399,11 @@ class TestWorkerPool:
 
 
 class TestCliJsonNanSafety:
-    """Every handler's --json output must be valid JSON with NaN -> null."""
+    """Every handler's --json output must be valid JSON with NaN -> null.
+
+    A handler imports what it runs when it runs, so each stub is patched
+    into the module the handler imports it from.
+    """
 
     @staticmethod
     def _parse(out):
@@ -412,11 +416,8 @@ class TestCliJsonNanSafety:
     def test_lp_json_sanitizes_nan(self, capsys, monkeypatch):
         from types import SimpleNamespace
 
-        import repro.cli as cli
-
         monkeypatch.setattr(
-            cli,
-            "greedy_fill",
+            "repro.model.greedy.greedy_fill",
             lambda system, order=None: SimpleNamespace(
                 rates=[float("nan")], total=float("nan")
             ),
@@ -427,12 +428,11 @@ class TestCliJsonNanSafety:
         assert data["greedy_from_default"]["rates"] == [None]
 
     def test_compare_json_sanitizes_nan(self, capsys, monkeypatch):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "cc_comparison", lambda algorithms, duration: {})
         monkeypatch.setattr(
-            cli,
-            "summarize_results",
+            "repro.experiments.scenarios.cc_comparison", lambda algorithms, duration: {}
+        )
+        monkeypatch.setattr(
+            "repro.experiments.scenarios.summarize_results",
             lambda results: [{"key": "cubic", "settle_s": float("nan")}],
         )
         assert cli_main(["compare", "--json"]) == 0
@@ -440,12 +440,11 @@ class TestCliJsonNanSafety:
         assert data[0]["settle_s"] is None
 
     def test_sweep_json_sanitizes_inf(self, capsys, monkeypatch):
-        import repro.cli as cli
-
-        monkeypatch.setattr(cli, "olia_default_path_sweep", lambda duration, algorithm: {})
         monkeypatch.setattr(
-            cli,
-            "summarize_results",
+            "repro.experiments.scenarios.olia_default_path_sweep", lambda duration, algorithm: {}
+        )
+        monkeypatch.setattr(
+            "repro.experiments.scenarios.summarize_results",
             lambda results: [{"key": "0", "time_to_optimum_s": float("inf")}],
         )
         assert cli_main(["sweep", "--json"]) == 0
@@ -455,11 +454,8 @@ class TestCliJsonNanSafety:
     def test_fairness_json_sanitizes_nan(self, capsys, monkeypatch):
         from types import SimpleNamespace
 
-        import repro.cli as cli
-
         monkeypatch.setattr(
-            cli,
-            "run_multiflow",
+            "repro.experiments.multiflow.run_multiflow",
             lambda config: SimpleNamespace(summary=lambda: {"jain_index": float("nan")}),
         )
         assert cli_main(["fairness", "mptcp_vs_tcp_shared_bottleneck", "--json"]) == 0
@@ -469,11 +465,8 @@ class TestCliJsonNanSafety:
     def test_dynamics_json_sanitizes_nan(self, capsys, monkeypatch):
         from types import SimpleNamespace
 
-        import repro.cli as cli
-
         monkeypatch.setattr(
-            cli,
-            "run_experiment",
+            "repro.experiments.harness.run_experiment",
             lambda config: SimpleNamespace(
                 summary=lambda: {"settle_time_s": float("nan")}, dynamics=None
             ),
@@ -485,11 +478,8 @@ class TestCliJsonNanSafety:
     def test_figure_json_sanitizes_nan(self, capsys, monkeypatch):
         from types import SimpleNamespace
 
-        import repro.cli as cli
-
         monkeypatch.setattr(
-            cli,
-            "fig2c_fine",
+            "repro.experiments.figures.fig2c_fine",
             lambda variant: SimpleNamespace(
                 per_path_series={},
                 total_series=TimeSeries(),

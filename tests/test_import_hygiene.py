@@ -1,21 +1,37 @@
-"""scipy.optimize (~0.3 s) loads only where something is solved, networkx
-(~0.15 s) only where a graph is queried.
+"""A cold process loads what its command runs.
 
-Each check needs an interpreter that has not imported them yet, so each runs
-a short script in a fresh subprocess and reads what it prints.
+``import repro.cli`` loads the standard library, ``repro._version`` and
+``repro.errors``; package names resolve on first use (``repro._lazy``);
+scipy.optimize (~0.3 s) loads only where something is solved; networkx
+(~0.15 s) only where a graph is queried, which no run does.
+
+Each check needs an interpreter that has not imported anything yet, so each
+runs a short script in a fresh subprocess and reads what it prints.
 """
 
+import importlib
 import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
 import repro
 
 SRC = str(pathlib.Path(repro.__file__).resolve().parents[1])
+
+#: The layer packages whose ``__init__`` is a lazy table (with ``repro`` itself).
+LAYERS = (
+    "core", "experiments", "flowsim", "measure", "model", "netsim", "tcp", "topologies", "workload"
+)
+THIRD_PARTY = ("numpy", "scipy", "networkx")
+#: What ``info`` and ``lp`` must never load: the simulator proper.
+SIMULATOR = ("repro.netsim.link", "repro.tcp", "repro.core")
+
+CAMPAIGN = ["campaign", "paper_cc_rate", "--duration", "0.3", "--no-plot"]
 
 
 def _run_python(*args: str) -> str:
@@ -27,31 +43,63 @@ def _run_python(*args: str) -> str:
     return done.stdout
 
 
-def _loaded_modules(script: str, package: str) -> str:
-    """Run ``script``, then report the ``package`` modules its interpreter holds."""
+def _loaded(script: str, *prefixes: str) -> list:
+    """Run ``script``; the modules its interpreter then holds at or under ``prefixes``."""
     report = (
         "\nimport sys\n"
-        f"print('LOADED', sorted(m for m in sys.modules if m.startswith({package!r})))"
+        f"print('LOADED', *sorted(m for m in sys.modules if any("
+        f"m == p or m.startswith(p + '.') for p in {prefixes!r})))"
     )
-    return _run_python("-c", script + report).splitlines()[-1]
+    return _run_python("-c", script + report).splitlines()[-1].split()[1:]
 
 
-def _loaded_scipy_modules(script: str) -> str:
-    return _loaded_modules(script, "scipy")
+def _cli(*argv: str) -> str:
+    return f"from repro.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+class TestImportingLoadsNoLayer:
+    @pytest.mark.parametrize(
+        "module, held",
+        [
+            ("repro.cli", ["repro", "repro._lazy", "repro._version", "repro.cli", "repro.errors"]),
+            ("repro.errors", ["repro", "repro._lazy", "repro.errors"]),
+        ],
+    )
+    def test_no_third_party_and_no_layer(self, module, held):
+        assert _loaded(f"import {module}", "repro", *THIRD_PARTY) == held
+
+    def test_a_public_name_still_resolves_to_the_harness_function(self):
+        script = (
+            "from repro import paper_experiment\n"
+            "from repro.experiments.harness import paper_experiment as defined\n"
+            "assert paper_experiment is defined"
+        )
+        assert "repro.experiments.harness" in _loaded(script, "repro.experiments")
+
+    @pytest.mark.parametrize("argv", [("info",), ("lp", "--json")])
+    def test_info_and_lp_load_no_simulator(self, argv):
+        assert _loaded(_cli(*argv), *SIMULATOR) == []
+
+    def test_version_and_help_load_nothing(self):
+        script = (
+            "from repro.cli import main\n"
+            "for flag in ('--version', '--help'):\n"
+            "    try:\n"
+            "        main([flag])\n"
+            "    except SystemExit as done:\n"
+            "        assert done.code == 0"
+        )
+        assert _loaded(script, *THIRD_PARTY, *(f"repro.{layer}" for layer in LAYERS)) == []
 
 
 class TestScipyStaysUnloaded:
     def test_importing_the_cli_loads_no_scipy(self):
-        assert _loaded_scipy_modules("import repro.cli") == "LOADED []"
+        assert _loaded("import repro.cli", "scipy") == []
 
     def test_resuming_a_finished_campaign_loads_no_scipy(self, tmp_path):
-        store = str(tmp_path / "store.jsonl")
-        campaign = ["campaign", "paper_cc_rate", "--duration", "0.3", "--store", store, "--no-plot"]
+        campaign = [*CAMPAIGN, "--store", str(tmp_path / "store.jsonl")]
         assert "9 executed, 0 resumed" in _run_python("-m", "repro.cli", *campaign)
-        resumed = _loaded_scipy_modules(
-            f"from repro.cli import main\nassert main({campaign!r}) == 0"
-        )
-        assert resumed == "LOADED []"
+        assert _loaded(_cli(*campaign), "scipy") == []
 
     def test_a_solve_loads_it(self):
         script = (
@@ -60,29 +108,48 @@ class TestScipyStaysUnloaded:
             "from repro.topologies.paper import paper_scenario\n"
             "assert max_total_throughput(build_constraints(*paper_scenario())).solver == 'highs'"
         )
-        assert "'scipy.optimize'" in _loaded_scipy_modules(script)
+        assert "scipy.optimize" in _loaded(script, "scipy")
 
 
 class TestNetworkxStaysUnloaded:
+    """No run loads it: routes come from ``Topology.adjacency()``."""
+
     def test_importing_the_cli_loads_no_networkx(self):
-        assert _loaded_modules("import repro.cli", "networkx") == "LOADED []"
+        assert _loaded("import repro.cli", "networkx") == []
 
     def test_resuming_a_finished_campaign_loads_no_networkx(self, tmp_path):
-        store = str(tmp_path / "store.jsonl")
-        campaign = ["campaign", "paper_cc_rate", "--duration", "0.3", "--store", store, "--no-plot"]
+        campaign = [*CAMPAIGN, "--store", str(tmp_path / "store.jsonl")]
         assert "9 executed, 0 resumed" in _run_python("-m", "repro.cli", *campaign)
-        resumed = _loaded_modules(
-            f"from repro.cli import main\nassert main({campaign!r}) == 0", "networkx"
-        )
-        assert resumed == "LOADED []"
+        assert _loaded(_cli(*campaign), "networkx") == []
 
-    def test_building_a_network_loads_it(self):
+    def test_building_a_network_loads_no_networkx(self):
         script = (
             "from repro.netsim.network import Network\n"
             "from repro.topologies.paper import paper_scenario\n"
             "Network(paper_scenario()[0])"
         )
-        assert "'networkx'" in _loaded_modules(script, "networkx")
+        assert _loaded(script, "networkx") == []
+
+    def test_running_an_experiment_loads_no_networkx(self):
+        script = (
+            "from repro import paper_experiment, run_experiment\n"
+            "assert run_experiment(paper_experiment('lia', duration=0.3)).total_series.values"
+        )
+        assert _loaded(script, "networkx") == []
+
+    def test_a_cold_campaign_loads_no_networkx(self, tmp_path):
+        """Nor, the grid being single-connection and packet-level, the flow-level
+        engine or the multi-flow and workload runners."""
+        campaign = [*CAMPAIGN, "--max-workers", "1", "--store", str(tmp_path / "store.jsonl")]
+        unused = ("networkx", "repro.flowsim", "repro.workload", "repro.experiments.multiflow")
+        assert _loaded(_cli(*campaign), *unused) == []
+
+    def test_a_path_query_loads_it(self):
+        script = (
+            "from repro.topologies.paper import paper_scenario\n"
+            "assert len(paper_scenario()[0].k_shortest_paths('s', 'd', 3)) == 3"
+        )
+        assert "networkx" in _loaded(script, "networkx")
 
 
 _FORKED_WORKER_SCRIPT = """
@@ -90,9 +157,9 @@ import sys
 from repro.experiments.harness import WorkerPool
 
 def loaded(_):
-    return "scipy.optimize" in sys.modules and "networkx" in sys.modules
+    return ["scipy.optimize" in sys.modules, "networkx" in sys.modules]
 
-assert not loaded(None)  # nothing in this process has solved or built anything
+assert loaded(None) == [False, False]  # nothing in this process has solved anything
 print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
 """
 
@@ -103,5 +170,27 @@ print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
 )
 def test_forked_workers_start_with_scipy_optimize_loaded():
     """Without the pre-fork load every worker would import scipy.optimize on its
-    first solve and networkx on its first network."""
-    assert _run_python("-c", _FORKED_WORKER_SCRIPT).splitlines()[-1] == "WORKERS [True, True]"
+    first solve; networkx is no longer anything a point needs."""
+    workers = _run_python("-c", _FORKED_WORKER_SCRIPT).splitlines()[-1]
+    assert workers == "WORKERS [[True, False], [True, False]]"
+
+
+@pytest.mark.parametrize("package", ["repro", *(f"repro.{layer}" for layer in LAYERS)])
+def test_package_names_are_declared_once_and_resolve_lazily(package):
+    """``__all__``, ``dir()``, ``from pkg import *`` and attribute access all
+    read the one table the package's ``__init__`` hands to ``lazy_exports``."""
+    module = importlib.import_module(package)
+    assert module.__all__ == sorted(set(module.__all__))
+    assert set(module.__all__) <= set(dir(module))
+    star: dict = {}
+    exec(f"from {package} import *", star)
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert star[name] is value
+        assert not isinstance(value, types.ModuleType), name  # a submodule of the same name
+        defined_in = getattr(value, "__module__", None)
+        if isinstance(defined_in, str) and defined_in.startswith("repro."):
+            # Classes and functions say where they were written.
+            assert getattr(importlib.import_module(defined_in), name) is value
+    with pytest.raises(AttributeError, match=f"module '{package}' has no attribute 'nonsense'"):
+        module.nonsense

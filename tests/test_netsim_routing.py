@@ -2,6 +2,8 @@
 
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RoutingError
 from repro.netsim.packet import Packet
@@ -11,6 +13,7 @@ from repro.netsim.routing import (
     TagRoutingTable,
     paths_edges,
 )
+from repro.netsim.topology import Topology
 
 
 def diamond_graph():
@@ -36,6 +39,73 @@ class TestStaticRouting:
         table = StaticRoutingTable(diamond_graph())
         packet = Packet("s", "nowhere", 100)
         assert table.next_hop("s", packet) is None
+
+
+@st.composite
+def topologies(draw):
+    """2-12 hosts and routers created in shuffled order; 1...all node pairs
+    linked in shuffled order with random orientation.  Disconnected components
+    and isolated nodes come out of sparse draws."""
+    count = draw(st.integers(2, 12))
+    names = draw(st.permutations([f"n{i}" for i in range(count)]))
+    topology = Topology("drawn")
+    for name in names:
+        (topology.add_host if draw(st.booleans()) else topology.add_router)(name)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    linked = draw(st.integers(1, len(pairs)))
+    for a, b in draw(st.permutations(pairs))[:linked]:
+        topology.add_link(*((a, b) if draw(st.booleans()) else (b, a)))
+    return topology
+
+
+def networkx_next_hops(graph):
+    """The table as it was built before the BFS: the oracle of the twin test."""
+    table = {}
+    for dst in graph.nodes:
+        for src, path in nx.shortest_path(graph, target=dst).items():
+            if src != dst:
+                table[(src, dst)] = path[1]
+    return table
+
+
+_DEEP = settings.get_profile("deep")
+#: ``--hypothesis-profile=deep`` soaks; anything else is the fixed CI draw.
+_TWIN_SETTINGS = (
+    _DEEP
+    if settings.default is _DEEP
+    else settings(
+        max_examples=300,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+)
+
+
+class TestStaticRoutingMatchesNetworkx:
+    @given(topologies())
+    @_TWIN_SETTINGS
+    def test_same_next_hops_in_the_same_order(self, topology):
+        graph = topology.undirected_graph()
+        assert topology.adjacency() == {node: list(graph.adj[node]) for node in graph}
+        assert list(topology.adjacency()) == list(graph)
+        expected = networkx_next_hops(graph)
+        built = StaticRoutingTable(topology.adjacency())._next
+        assert built == expected
+        assert list(built) == list(expected)
+        assert StaticRoutingTable(graph)._next == expected
+
+    def test_unknown_destination_returns_none(self):
+        topology = Topology("pair")
+        topology.add_host("a")
+        topology.add_host("b")
+        topology.add_host("island")
+        topology.add_link("a", "b")
+        table = StaticRoutingTable(topology.adjacency())
+        assert table.next_hop("a", Packet("a", "b", 100)) == "b"
+        assert table.next_hop("a", Packet("a", "island", 100)) is None
+        assert table.next_hop("a", Packet("a", "nowhere", 100)) is None
 
 
 class TestTagRouting:

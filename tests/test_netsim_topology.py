@@ -110,6 +110,21 @@ class TestGraphsAndPaths:
         with pytest.raises(TopologyError):
             square.shortest_path("s", "island")
 
+    def test_k_shortest_paths_unreachable_or_unknown_raises(self, square):
+        """Was networkx.NetworkXNoPath / NodeNotFound."""
+        square.add_router("island")
+        with pytest.raises(TopologyError, match="no path"):
+            square.k_shortest_paths("s", "island", 2)
+        with pytest.raises(TopologyError, match="unknown node"):
+            square.k_shortest_paths("s", "nowhere", 2)
+
+    def test_simple_paths_unknown_endpoint_raises_on_first_next(self, square):
+        """Was networkx.NodeNotFound for the source, silence for the target."""
+        with pytest.raises(TopologyError, match="unknown node"):
+            next(square.simple_paths("nowhere", "d"))
+        with pytest.raises(TopologyError, match="unknown node"):
+            next(square.simple_paths("s", "nowhere"))
+
     def test_simple_paths_enumerates_both(self, square):
         paths = list(square.simple_paths("s", "d"))
         assert sorted(paths) == [["s", "a", "d"], ["s", "b", "d"]]
