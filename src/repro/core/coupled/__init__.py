@@ -8,30 +8,67 @@ share one :class:`CouplingGroup` per MPTCP connection.
 
 from __future__ import annotations
 
-from typing import Optional
+import sys
+from collections.abc import Mapping
+from typing import TYPE_CHECKING, Optional
 
+from ..._lazy import lazy_exports
 from ...errors import ConfigurationError
-from ...tcp.cc.base import CongestionControl
-from .balia import BaliaCongestionControl
-from .base import CoupledCongestionControl, CouplingGroup
-from .lia import LiaCongestionControl
-from .olia import OliaCongestionControl
-from .signal import MultipathSfc, MultipathTelehaptic
-from .uncoupled import UncoupledCubic, UncoupledReno
-from .wvegas import WVegasCongestionControl
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ...tcp.cc.base import CongestionControl
+    from .base import CouplingGroup
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        ".balia": ("BaliaCongestionControl",),
+        ".base": ("CoupledCongestionControl", "CouplingGroup"),
+        ".lia": ("LiaCongestionControl",),
+        ".olia": ("OliaCongestionControl",),
+        ".signal": ("MultipathSfc", "MultipathTelehaptic"),
+        ".uncoupled": ("UncoupledCubic", "UncoupledReno"),
+        ".wvegas": ("WVegasCongestionControl",),
+    },
+)
+__all__ = sorted(
+    [*__all__, "MULTIPATH_ALGORITHMS", "PAPER_ALGORITHMS", "make_multipath_congestion_control"]
+)
+
+
+class _Registry(Mapping):
+    """``name -> controller class``; a class loads on lookup, the names load nothing."""
+
+    def __init__(self, class_names: dict) -> None:
+        self._class_names = class_names
+
+    def __getitem__(self, name: str) -> type:
+        return getattr(sys.modules[__name__], self._class_names[name])
+
+    def __contains__(self, name: object) -> bool:  # Mapping's own would look the class up
+        return name in self._class_names
+
+    def __iter__(self):
+        return iter(self._class_names)
+
+    def __len__(self) -> int:
+        return len(self._class_names)
+
 
 #: Algorithms the paper measures plus the extensions, keyed by the names used
 #: throughout the experiment configurations.
-MULTIPATH_ALGORITHMS = {
-    "cubic": UncoupledCubic,
-    "reno": UncoupledReno,
-    "lia": LiaCongestionControl,
-    "olia": OliaCongestionControl,
-    "balia": BaliaCongestionControl,
-    "wvegas": WVegasCongestionControl,
-    "sfc": MultipathSfc,
-    "telehaptic": MultipathTelehaptic,
-}
+MULTIPATH_ALGORITHMS = _Registry(
+    {
+        "cubic": "UncoupledCubic",
+        "reno": "UncoupledReno",
+        "lia": "LiaCongestionControl",
+        "olia": "OliaCongestionControl",
+        "balia": "BaliaCongestionControl",
+        "wvegas": "WVegasCongestionControl",
+        "sfc": "MultipathSfc",
+        "telehaptic": "MultipathTelehaptic",
+    }
+)
 
 #: The three algorithms evaluated in the paper's measurements.
 PAPER_ALGORITHMS = ("cubic", "lia", "olia")
@@ -53,20 +90,3 @@ def make_multipath_congestion_control(
             f"choose from {sorted(MULTIPATH_ALGORITHMS)}"
         ) from None
     return cls(mss=mss, group=group, **kwargs)
-
-
-__all__ = [
-    "BaliaCongestionControl",
-    "CoupledCongestionControl",
-    "CouplingGroup",
-    "LiaCongestionControl",
-    "MULTIPATH_ALGORITHMS",
-    "MultipathSfc",
-    "MultipathTelehaptic",
-    "OliaCongestionControl",
-    "PAPER_ALGORITHMS",
-    "UncoupledCubic",
-    "UncoupledReno",
-    "WVegasCongestionControl",
-    "make_multipath_congestion_control",
-]

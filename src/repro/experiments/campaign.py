@@ -39,6 +39,7 @@ import os
 import pathlib
 from dataclasses import dataclass
 from functools import partial
+from importlib import import_module
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -57,8 +58,6 @@ try:
 except ImportError:  # pragma: no cover - not POSIX: appends stay unserialised
     fcntl = None
 
-from ..core.coupled import MULTIPATH_ALGORITHMS
-from ..core.path_manager import FailoverPathManager
 from ..errors import ConfigurationError, ModelError
 from ..measure.report import sanitize_metrics
 from ..measure.validation import ValidationReport
@@ -150,7 +149,8 @@ _AXES: Tuple[_Axis, ...] = (
     ),
     _Axis(
         "congestion_controls", "congestion_control", "cubic", str, _EVERY_KIND, str,
-        choices=lambda kind: MULTIPATH_ALGORITHMS, noun="congestion control",
+        choices=lambda kind: import_module("..core.coupled", __package__).MULTIPATH_ALGORITHMS,
+        noun="congestion control",
         always_labelled=True,
     ),
     _Axis(
@@ -426,6 +426,11 @@ class CampaignSpec:
             (name, values[name]) for name in ("queue_kind", "ecn") if values[name] is not None
         )
         if self.kind == "single":
+            path_manager = None
+            if values["path_manager"] == "failover":
+                from ..core.path_manager import FailoverPathManager
+
+                path_manager = FailoverPathManager(list(paths))
             config = ExperimentConfig(
                 scenario=partial(_build_single_scenario, scenario, rate_scale, delay_scale),
                 congestion_control=congestion_control,
@@ -434,11 +439,7 @@ class CampaignSpec:
                 default_path_index=(
                     PAPER_DEFAULT_PATH_INDEX if scenario == "paper" else 0
                 ),
-                path_manager=(
-                    FailoverPathManager(list(paths))
-                    if values["path_manager"] == "failover"
-                    else None
-                ),
+                path_manager=path_manager,
                 **overrides,
             )
         else:

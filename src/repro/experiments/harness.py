@@ -9,37 +9,30 @@ series, and compare the result against the analytical optimum.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from multiprocessing.connection import wait
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.connection import MptcpConnection
-from ..core.path_manager import PathManager
 from ..errors import ConfigurationError
-from ..measure.convergence import ConvergenceReport, analyze_convergence
-from ..measure.dynamics import DynamicsReport, analyze_dynamics
-from ..measure.flowstats import ConnectionStats, connection_stats
-from ..measure.sampling import TimeSeries, per_tag_timeseries, total_timeseries
-from ..measure.signalplane import SignalPlaneReport, signal_plane_report
-from ..measure.validation import (
-    BackendComparison,
-    PointValidation,
-    compare_experiment_backends,
-    validate_experiment,
-)
-from ..model.bottleneck import ConstraintSystem, build_constraints
-from ..model.lp import LpResult, max_total_throughput
 from ..model.paths import PathSet
-from ..netsim.dynamics import DynamicsSpec
-from ..netsim.network import Network
 from ..netsim.topology import Topology
 from ..topologies.paper import PAPER_DEFAULT_PATH_INDEX, paper_scenario
 from ..units import BACKENDS, DEFAULT_MSS
+
+if TYPE_CHECKING:  # pragma: no cover - a configuration declares, run_experiment loads
+    from ..core.path_manager import PathManager
+    from ..measure.convergence import ConvergenceReport
+    from ..measure.dynamics import DynamicsReport
+    from ..measure.flowstats import ConnectionStats
+    from ..measure.sampling import TimeSeries
+    from ..measure.signalplane import SignalPlaneReport
+    from ..measure.validation import BackendComparison, PointValidation
+    from ..model.bottleneck import ConstraintSystem
+    from ..model.lp import LpResult
+    from ..netsim.dynamics import DynamicsSpec
 
 ScenarioBuilder = Callable[[], Tuple[Topology, PathSet]]
 
@@ -156,10 +149,14 @@ class ExperimentResult:
 
     def validate(self) -> PointValidation:
         """Cross-validate the measured per-path rates against the model suite."""
+        from ..measure.validation import validate_experiment
+
         return validate_experiment(self)
 
     def compare(self, packet: "ExperimentResult") -> BackendComparison:
         """Rate agreement of this (flow-level) run with its packet-level twin."""
+        from ..measure.validation import compare_experiment_backends
+
         return compare_experiment_backends(self, packet)
 
     def summary(self) -> dict:
@@ -200,6 +197,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         from ..flowsim.backend import run_experiment_flowlevel
 
         return run_experiment_flowlevel(config)
+    # Loaded where a point executes: a call that only declares configurations
+    # (a resumed, listed or merged campaign) imports no simulator or analyser.
+    from ..core.connection import MptcpConnection
+    from ..measure.convergence import analyze_convergence
+    from ..measure.dynamics import analyze_dynamics
+    from ..measure.flowstats import connection_stats
+    from ..measure.sampling import per_tag_timeseries, total_timeseries
+    from ..measure.signalplane import signal_plane_report
+    from ..model.bottleneck import build_constraints
+    from ..model.lp import max_total_throughput
+    from ..netsim.network import Network
+
     topology, paths = config.build_scenario()
     if config.queue_kind is not None:
         topology.set_queue_kind(config.queue_kind)
@@ -333,6 +342,8 @@ class WorkerPool:
         if in_process:
             return [self._run_here(config, tick) for config in configs]
 
+        from multiprocessing.connection import wait
+
         results: List = [None] * len(configs)
         queue = deque(enumerate(configs))
         busy: Dict = {}  # pipe -> (process, index, config, time started)
@@ -456,6 +467,8 @@ def _worker_main(conn, parent_conn, runner: Callable) -> None:
 
 def _start_worker(runner: Callable) -> Tuple:
     """Start one worker: the only place this package creates a process."""
+    import multiprocessing
+
     ctx = multiprocessing.get_context()
     if ctx.get_start_method() == "fork":
         # Every point's validation solves with scipy.optimize (~0.3 s to

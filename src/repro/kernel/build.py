@@ -6,7 +6,9 @@ dependency beyond a C compiler and the Python headers: the extension is
 compiled lazily on first use, cached next to the source (or under the user
 cache directory when the package directory is read-only) and keyed by a
 content hash of the source, so editing ``_ckernel.c`` triggers a rebuild
-while repeated imports pay only a file-stat.
+while repeated imports pay three file reads and a stat.  That cache hit is
+looked up first and needs neither compiler nor headers nor any import beyond
+``os``, ``sys`` and ``importlib``; the toolchain loads in :func:`_compile`.
 
 Every failure mode (no compiler, no headers, unwritable cache, compile
 error) degrades to ``(None, reason)`` so the facade can fall back to the
@@ -15,78 +17,83 @@ pure-Python kernel; nothing here ever raises on the import path.
 
 from __future__ import annotations
 
-import hashlib
 import importlib.machinery
 import importlib.util
 import os
-import pathlib
-import shlex
-import subprocess
 import sys
-import sysconfig
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
-_SOURCE = pathlib.Path(__file__).with_name("_ckernel.c")
+_DIR = os.path.dirname(os.path.abspath(__file__))
+_SOURCE = os.path.join(_DIR, "_ckernel.c")
 #: What ``_ckernel.c`` includes from beside it (hashed with it, not compiled).
-_INCLUDED = (_SOURCE.with_name("_transport.h"), _SOURCE.with_name("_fluid.h"))
+_INCLUDED = (os.path.join(_DIR, "_transport.h"), os.path.join(_DIR, "_fluid.h"))
 
 #: Bump to force a rebuild when the build recipe (not the source) changes.
 _RECIPE = "2"
 
 
 def _source_key() -> str:
-    digest = hashlib.sha256()
-    digest.update(_RECIPE.encode())
+    blob = _RECIPE.encode()
     for path in (_SOURCE,) + _INCLUDED:
-        digest.update(path.read_bytes())
-    return digest.hexdigest()[:12]
+        with open(path, "rb") as handle:
+            blob += handle.read()
+    # The hash ``.pyc`` files are checked with: C, and loaded already.
+    return importlib.util.source_hash(blob).hex()[:12]
 
 
-def _candidate_dirs() -> list:
-    dirs = [_SOURCE.parent]
+def cache_filename() -> str:
+    """The file a candidate directory holds the extension of these sources in."""
+    return f"_ckernel-{_source_key()}{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+
+
+def _candidate_dirs() -> List[str]:
     cache_root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
     version = f"cp{sys.version_info[0]}{sys.version_info[1]}"
-    dirs.append(pathlib.Path(cache_root) / "repro-kernel" / version)
-    return dirs
-
-
-def _compiler_command() -> list:
-    cc = sysconfig.get_config_var("CC") or "cc"
-    return shlex.split(cc)
+    return [_DIR, os.path.join(cache_root, "repro-kernel", version)]
 
 
 def build_extension() -> Tuple[Optional[str], str]:
     """Return ``(path_to_shared_object, reason)``; path is None on failure."""
-    for path in (_SOURCE,) + _INCLUDED:
-        if not path.exists():
-            return None, f"kernel source missing: {path}"
     try:
-        key = _source_key()
+        filename = cache_filename()
+    except FileNotFoundError as exc:
+        return None, f"kernel source missing: {exc.filename}"
     except OSError as exc:  # pragma: no cover - unreadable source
         return None, f"kernel source unreadable: {exc}"
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    filename = f"_ckernel-{key}{suffix}"
+    directories = _candidate_dirs()
+    for directory in directories:
+        target = os.path.join(directory, filename)
+        if os.path.exists(target):
+            return target, "cached"
+    return _compile(filename, directories)
+
+
+def _compile(filename: str, directories: List[str]) -> Tuple[Optional[str], str]:
+    """Build the extension into the first of ``directories`` that takes it."""
+    import shlex
+    import subprocess
+    import sysconfig
+
     include_dir = sysconfig.get_paths().get("include")
     if not include_dir or not os.path.exists(os.path.join(include_dir, "Python.h")):
         return None, f"Python.h not found under {include_dir!r}"
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
 
     last_error = "no writable cache directory"
-    for directory in _candidate_dirs():
-        target = directory / filename
-        if target.exists():
-            return str(target), "cached"
+    for directory in directories:
         try:
-            directory.mkdir(parents=True, exist_ok=True)
+            os.makedirs(directory, exist_ok=True)
         except OSError as exc:
             last_error = f"cannot create {directory}: {exc}"
             continue
         if not os.access(directory, os.W_OK):
             last_error = f"{directory} not writable"
             continue
-        tmp = directory / f".{filename}.tmp{os.getpid()}"
-        cmd = _compiler_command() + [
+        target = os.path.join(directory, filename)
+        tmp = os.path.join(directory, f".{filename}.tmp{os.getpid()}")
+        cmd = compiler + [
             "-O2",
             # Byte identity with CPython's floats: a * b + c stays two roundings
             # where the target has FMA (GCC's default contracts it into one).
@@ -95,9 +102,9 @@ def build_extension() -> Tuple[Optional[str], str]:
             "-shared",
             "-fno-strict-aliasing",
             f"-I{include_dir}",
-            str(_SOURCE),
+            _SOURCE,
             "-o",
-            str(tmp),
+            tmp,
             "-lm",
         ]
         try:
@@ -106,19 +113,18 @@ def build_extension() -> Tuple[Optional[str], str]:
             )
         except (OSError, subprocess.SubprocessError) as exc:
             last_error = f"compiler launch failed: {exc}"
-            continue
-        if proc.returncode != 0:
-            tmp.unlink(missing_ok=True)
-            tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-6:]
-            last_error = "compile failed: " + " | ".join(tail)
-            continue
-        try:
-            os.replace(tmp, target)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            last_error = f"cannot install extension: {exc}"
-            continue
-        return str(target), "built"
+        else:
+            if proc.returncode != 0:
+                tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-6:]
+                last_error = "compile failed: " + " | ".join(tail)
+            else:
+                try:
+                    os.replace(tmp, target)
+                    return target, "built"
+                except OSError as exc:
+                    last_error = f"cannot install extension: {exc}"
+        if os.path.exists(tmp):  # a failed or timed-out compile's partial output
+            os.unlink(tmp)
     return None, last_error
 
 

@@ -32,16 +32,14 @@ import numpy as np
 
 from ..errors import ModelError
 from ..model.bottleneck import ConstraintSystem, build_constraints
-from ..model.fluid import FLUID_FAMILIES, FluidModel
-from ..model.lp import max_total_throughput, proportional_fair_rates
-from ..model.maxmin import max_min_fair_rates
-from .sampling import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..experiments.harness import ExperimentResult
     from ..experiments.multiflow import MultiFlowResult
+    from ..model.lp import LpResult
     from ..workload.runner import WorkloadResult
     from .fct import FctReport
+    from .sampling import TimeSeries
 
 #: The reference allocations a measurement is held against, in report order.
 VALIDATION_MODELS = ("lp", "max_min", "proportional_fair", "fluid")
@@ -158,6 +156,7 @@ def validate_against_models(
     algorithm: str = "cubic",
     rtts: Optional[Sequence[float]] = None,
     fluid_duration: float = 8.0,
+    lp: Optional[LpResult] = None,
 ) -> PointValidation:
     """Compare measured per-path rates against every reference allocation.
 
@@ -172,7 +171,14 @@ def validate_against_models(
         family (unknown algorithms fall back to uncoupled AIMD).
     rtts:
         Optional per-path RTTs for the fluid model.
+    lp:
+        The max-throughput optimum of ``system``, if the caller has solved it.
     """
+    # Loaded where a point is validated: ``ValidationReport`` solves nothing.
+    from ..model.fluid import FLUID_FAMILIES, FluidModel
+    from ..model.lp import max_total_throughput, proportional_fair_rates
+    from ..model.maxmin import max_min_fair_rates
+
     if len(measured_rates) != system.path_count:
         raise ModelError(
             f"expected {system.path_count} measured rates, got {len(measured_rates)}"
@@ -194,7 +200,7 @@ def validate_against_models(
         )
 
     predictions: Dict[str, ModelPrediction] = {}
-    predictions["lp"] = _prediction("lp", max_total_throughput(system).rates)
+    predictions["lp"] = _prediction("lp", (lp or max_total_throughput(system)).rates)
     predictions["max_min"] = _prediction("max_min", max_min_fair_rates(system).rates)
     try:
         predictions["proportional_fair"] = _prediction(
@@ -243,6 +249,7 @@ def validate_experiment(
         result.constraint_system,
         measured,
         algorithm=result.config.congestion_control,
+        lp=result.optimum,
     )
 
 

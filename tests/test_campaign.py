@@ -287,6 +287,23 @@ class TestRunCampaign:
         assert report.points == 1
         assert report.models["lp"].count == 1
 
+    def test_a_point_solves_its_lp_once(self, monkeypatch):
+        """The run's optimum is handed to the validation, not solved again:
+        the summary and the ``lp`` prediction are one solve by construction."""
+        optimize = pytest.importorskip("scipy.optimize")
+        linprog, calls = optimize.linprog, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "linprog", counted)
+        record = _execute_point(small_spec(duration=0.3).expand()[0])
+        assert record["status"] == "ok"
+        assert len(calls) == 1
+        lp = record["validation"]["predictions"]["lp"]
+        assert record["summary"]["optimum_mbps"] == round(lp["total"], 3) == 90.0
+
     def test_execute_point_turns_failures_into_error_records(self):
         point = small_spec().expand()[0]
         point.config = point.config.with_overrides(congestion_control="nonsense")

@@ -9,7 +9,9 @@ Each check needs an interpreter that has not imported anything yet, so each
 runs a short script in a fresh subprocess and reads what it prints.
 """
 
+import gc
 import importlib
+import json
 import multiprocessing
 import os
 import pathlib
@@ -57,6 +59,22 @@ def _cli(*argv: str) -> str:
     return f"from repro.cli import main\nassert main({list(argv)!r}) == 0"
 
 
+#: What only a point that executes needs: the simulator, the solvers, the pool.
+EXECUTION = (
+    "repro.netsim.network", "repro.netsim.link", "repro.tcp", "repro.core.connection",
+    "repro.kernel._ckernel", "multiprocessing", "scipy",
+)
+
+
+@pytest.fixture(scope="module")
+def cold_campaign(tmp_path_factory):
+    """``(argv, modules)`` of one cold ``campaign paper_cc_rate`` on two workers:
+    the call that filled the store, and what its interpreter then held."""
+    store = tmp_path_factory.mktemp("campaign") / "store.jsonl"
+    argv = [*CAMPAIGN, "--max-workers", "2", "--store", str(store)]
+    return argv, _loaded(_cli(*argv), *EXECUTION)
+
+
 class TestImportingLoadsNoLayer:
     @pytest.mark.parametrize(
         "module, held",
@@ -96,10 +114,8 @@ class TestScipyStaysUnloaded:
     def test_importing_the_cli_loads_no_scipy(self):
         assert _loaded("import repro.cli", "scipy") == []
 
-    def test_resuming_a_finished_campaign_loads_no_scipy(self, tmp_path):
-        campaign = [*CAMPAIGN, "--store", str(tmp_path / "store.jsonl")]
-        assert "9 executed, 0 resumed" in _run_python("-m", "repro.cli", *campaign)
-        assert _loaded(_cli(*campaign), "scipy") == []
+    def test_resuming_a_finished_campaign_loads_no_scipy(self, cold_campaign):
+        assert _loaded(_cli(*cold_campaign[0]), "scipy") == []
 
     def test_a_solve_loads_it(self):
         script = (
@@ -117,10 +133,8 @@ class TestNetworkxStaysUnloaded:
     def test_importing_the_cli_loads_no_networkx(self):
         assert _loaded("import repro.cli", "networkx") == []
 
-    def test_resuming_a_finished_campaign_loads_no_networkx(self, tmp_path):
-        campaign = [*CAMPAIGN, "--store", str(tmp_path / "store.jsonl")]
-        assert "9 executed, 0 resumed" in _run_python("-m", "repro.cli", *campaign)
-        assert _loaded(_cli(*campaign), "networkx") == []
+    def test_resuming_a_finished_campaign_loads_no_networkx(self, cold_campaign):
+        assert _loaded(_cli(*cold_campaign[0]), "networkx") == []
 
     def test_building_a_network_loads_no_networkx(self):
         script = (
@@ -152,6 +166,80 @@ class TestNetworkxStaysUnloaded:
         assert "networkx" in _loaded(script, "networkx")
 
 
+class TestDeclaringExecutesNothing:
+    """``ExperimentConfig``, ``CampaignSpec`` and ``ValidationReport`` declare and
+    aggregate; the simulator, the solvers and the pool load where a point runs."""
+
+    def test_a_cold_campaign_loads_what_its_points_run(self, cold_campaign):
+        expected = set(EXECUTION)
+        if os.environ.get("REPRO_KERNEL", "").strip().lower() == "python":
+            expected.discard("repro.kernel._ckernel")
+        assert expected <= set(cold_campaign[1])
+
+    def test_a_resumed_campaign_loads_none_of_it(self, cold_campaign):
+        assert _loaded(_cli(*cold_campaign[0]), *EXECUTION) == []
+
+    def test_listing_the_grids_loads_none_of_it(self):
+        assert _loaded(_cli("campaign", "--list"), *EXECUTION) == []
+
+    def test_merging_stores_loads_none_of_it(self, cold_campaign, tmp_path):
+        store = cold_campaign[0][-1]
+        merge = ["campaign", "merge", store, "--into", str(tmp_path / "merged.jsonl")]
+        assert _loaded(_cli(*merge), *EXECUTION) == []
+
+
+class TestProcessEntry:
+    """``python -m repro.cli`` and the ``repro`` script enter through ``cli.run``:
+    ``main``, then ``gc.freeze()``, then a normal ``sys.exit``."""
+
+    @staticmethod
+    def _process(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_exit_codes_and_output_reach_the_caller(self, cold_campaign, tmp_path):
+        resumed = self._process(*cold_campaign[0], "--json")
+        assert resumed.returncode == 0, resumed.stderr
+        # Nine points of JSON outgrow the pipe's buffer: all of it arrived.
+        assert json.loads(resumed.stdout)["campaign"]["skipped"] == 9
+        assert resumed.stdout.endswith("}\n")
+
+        store = pathlib.Path(cold_campaign[0][-1])
+        records = [json.loads(line) for line in store.read_text().splitlines()]
+        records[0].update(status="quarantined", attempts=3, error="Boom: injected")
+        given_up = tmp_path / "quarantined.jsonl"
+        given_up.write_text("".join(json.dumps(record) + "\n" for record in records))
+        quarantined = self._process(*cold_campaign[0][:-1], str(given_up))
+        assert quarantined.returncode == 1
+        assert "0 executed, 9 resumed" in quarantined.stdout
+        assert "quarantined after 3 attempts" in quarantined.stderr
+
+        missing = self._process("campaign", "merge", str(tmp_path / "nope.jsonl"))
+        assert missing.returncode == 2
+        assert "missing store" in missing.stderr
+
+    def test_the_process_freezes_and_atexit_hooks_still_run(self):
+        script = (
+            "import atexit, gc, sys\n"
+            "from repro.cli import run\n"
+            "atexit.register(lambda: print('AT EXIT', gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['repro', 'info']\n"
+            "run()"
+        )
+        assert _run_python("-c", script).splitlines()[-1] == "AT EXIT True"
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["--version"])
+        assert main(["info"]) == 0
+        assert "kernel:" in capsys.readouterr().out
+        assert gc.get_freeze_count() == 0
+
+
 _FORKED_WORKER_SCRIPT = """
 import sys
 from repro.experiments.harness import WorkerPool
@@ -175,7 +263,9 @@ def test_forked_workers_start_with_scipy_optimize_loaded():
     assert workers == "WORKERS [[True, False], [True, False]]"
 
 
-@pytest.mark.parametrize("package", ["repro", *(f"repro.{layer}" for layer in LAYERS)])
+@pytest.mark.parametrize(
+    "package", ["repro", *(f"repro.{layer}" for layer in LAYERS), "repro.core.coupled"]
+)
 def test_package_names_are_declared_once_and_resolve_lazily(package):
     """``__all__``, ``dir()``, ``from pkg import *`` and attribute access all
     read the one table the package's ``__init__`` hands to ``lazy_exports``."""
