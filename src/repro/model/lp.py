@@ -65,7 +65,7 @@ def max_total_throughput(
     weights:
         Optional per-path weights; uniform by default (the paper's objective).
     solver:
-        ``"highs"`` (scipy), ``"vertex"`` (exact enumeration) or ``"auto"``.
+        ``"highs"`` (scipy's HiGHS bindings), ``"vertex"`` (exact enumeration) or ``"auto"``.
     """
     system.validate()
     n = system.path_count
@@ -74,23 +74,17 @@ def max_total_throughput(
     if len(weights) != n:
         raise ModelError("weights length must match the number of paths")
 
-    use_scipy = solver in ("auto", "highs") and _HAVE_SCIPY
-    if solver == "highs" and not _HAVE_SCIPY:
-        raise ModelError("scipy is not available for the 'highs' solver")
+    core = None
+    if solver in ("auto", "highs") and _HAVE_SCIPY:
+        try:  # scipy's HiGHS bindings, imported at the first solve
+            from scipy.optimize._highspy import _core as core
+        except ImportError:  # scipy older than 1.15
+            pass
+    if solver == "highs" and core is None:
+        raise ModelError("the 'highs' solver needs scipy.optimize._highspy (scipy >= 1.15)")
 
-    if use_scipy:
-        from scipy.optimize import linprog
-
-        result = linprog(
-            c=[-w for w in weights],
-            A_ub=system.matrix(),
-            b_ub=system.rhs(),
-            bounds=[(0, None)] * n,
-            method="highs",
-        )
-        if not result.success:  # pragma: no cover - defensive
-            raise ModelError(f"LP solver failed: {result.message}")
-        rates = [float(x) for x in result.x]
+    if core is not None:
+        rates = _solve_highs(core, system.matrix(), system.rhs(), weights)
         solver_used = "highs"
     else:
         rates = maximize_over_vertices(system, weights)
@@ -104,6 +98,46 @@ def max_total_throughput(
         objective="max-total" if all(w == 1.0 for w in weights) else "max-weighted",
         solver=solver_used,
     )
+
+
+def _solve_highs(core, a: np.ndarray, b: np.ndarray, weights: Sequence[float]) -> List[float]:
+    """``linprog(-weights, A_ub=a, b_ub=b, method="highs").x`` as one HiGHS call:
+    ``linprog``'s model, options and post-check (``_linprog_highs``,
+    ``_linprog_util._check_result``) without re-checking them on every call."""
+    m, n = a.shape
+    inf = core.kHighsInf
+    cols, rows = np.nonzero(a.T)
+    rhs = np.clip(b, -inf, inf)  # ±inf as ±kHighsInf, which HiGHS reads as no bound
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = a.T[cols, rows]
+    lp.col_cost_ = -np.asarray(weights, dtype=float)
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, inf)
+    lp.row_lower_ = np.full(m, -inf)
+    lp.row_upper_ = rhs
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    options.output_flag = options.log_to_console = False
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    if highs.getModelStatus() != core.HighsModelStatus.kOptimal:
+        raise ModelError(f"LP solver failed: {highs.modelStatusToString(highs.getModelStatus())}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = rhs - np.array(solution.row_value)
+    # x >= 0 and b - A x >= 0 within linprog's tolerance; a NaN fails too.
+    if not np.concatenate((x, slack)).min() >= -np.sqrt(1e-9) * 10:
+        raise ModelError("LP solver failed: the solution violates x >= 0 or A x <= b")
+    return [float(v) for v in x]
 
 
 def proportional_fair_rates(

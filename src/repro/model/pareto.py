@@ -103,13 +103,13 @@ def pareto_frontier_2d(
         reduced_c = c - a[:, fixed_index] * value
         if np.any(reduced_c < -1e-9) or value < 0:
             continue
-        remaining = [i for i in range(n) if i != fixed_index]
-        sub_system = _reduced_system(system, remaining, reduced_c)
-        sub_optimum = max_total_throughput(sub_system)
         rates = [0.0] * n
         rates[fixed_index] = value
-        for position, original_index in enumerate(remaining):
-            rates[original_index] = sub_optimum.rates[position]
+        remaining = [i for i in range(n) if i != fixed_index]
+        if remaining:  # a one-path system has nothing left to optimise
+            sub_optimum = max_total_throughput(_reduced_system(system, remaining, reduced_c))
+            for position, original_index in enumerate(remaining):
+                rates[original_index] = sub_optimum.rates[position]
         results.append(rates)
     return results
 

@@ -287,22 +287,44 @@ class TestRunCampaign:
         assert report.points == 1
         assert report.models["lp"].count == 1
 
+    @staticmethod
+    def _count_solves(monkeypatch) -> list:
+        """Every HiGHS solve from here on appends its arguments to the list."""
+        pytest.importorskip("scipy.optimize")
+        from repro.model import lp
+
+        solve, calls = lp._solve_highs, []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "_solve_highs", counted)
+        return calls
+
     def test_a_point_solves_its_lp_once(self, monkeypatch):
         """The run's optimum is handed to the validation, not solved again:
         the summary and the ``lp`` prediction are one solve by construction."""
-        optimize = pytest.importorskip("scipy.optimize")
-        linprog, calls = optimize.linprog, []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return linprog(*args, **kwargs)
-
-        monkeypatch.setattr(optimize, "linprog", counted)
+        calls = self._count_solves(monkeypatch)
         record = _execute_point(small_spec(duration=0.3).expand()[0])
         assert record["status"] == "ok"
         assert len(calls) == 1
         lp = record["validation"]["predictions"]["lp"]
         assert record["summary"]["optimum_mbps"] == round(lp["total"], 3) == 90.0
+
+    def test_a_multiflow_point_solves_once_per_mptcp_flow_and_once_to_validate(
+        self, monkeypatch
+    ):
+        calls = self._count_solves(monkeypatch)
+        spec = small_spec(
+            kind="multiflow", scenarios=("two_mptcp_competition",), duration=0.3
+        )
+        (point,) = spec.expand()
+        assert [flow.kind for flow in point.config.flows] == ["mptcp", "mptcp"]
+        record = _execute_point(point)
+        assert record["status"] == "ok"
+        assert len(calls) == 2 + 1
+        assert "lp" in record["validation"]["predictions"]
 
     def test_execute_point_turns_failures_into_error_records(self):
         point = small_spec().expand()[0]

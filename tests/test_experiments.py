@@ -165,6 +165,22 @@ class TestCli:
         assert data["optimum"]["total"] == pytest.approx(90.0)
         assert data["greedy_from_default"]["total"] < 90.0
 
+    def test_lp_command_without_scipy(self, capsys, monkeypatch):
+        """The vertex LP, greedy and max-min rows; the proportional-fair
+        reference is skipped, as a point's validation skips it."""
+        monkeypatch.setattr("repro.model.lp._HAVE_SCIPY", False)
+        assert cli_main(["lp"]) == 0
+        out = capsys.readouterr().out
+        assert "LP optimum" in out and "Max-min fair" in out
+        assert "Proportional fair " not in out
+        assert "proportional fair: skipped (proportional fairness requires scipy)" in out
+        assert cli_main(["lp", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["optimum"]["solver"] == "vertex"
+        assert data["optimum"]["total"] == pytest.approx(90.0)
+        assert data["max_min"]["total"] == pytest.approx(80.0)
+        assert data["proportional_fair"] is None
+
     def test_figure_command(self, capsys):
         assert cli_main(["figure", "2c"]) == 0
         out = capsys.readouterr().out

@@ -2,8 +2,8 @@
 
 ``import repro.cli`` loads the standard library, ``repro._version`` and
 ``repro.errors``; package names resolve on first use (``repro._lazy``);
-scipy.optimize (~0.3 s) loads only where something is solved; networkx
-(~0.15 s) only where a graph is queried, which no run does.
+scipy.optimize (~0.3 s) and its HiGHS bindings load only where something is
+solved; networkx (~0.15 s) only where a graph is queried, which no run does.
 
 Each check needs an interpreter that has not imported anything yet, so each
 runs a short script in a fresh subprocess and reads what it prints.
@@ -11,6 +11,7 @@ runs a short script in a fresh subprocess and reads what it prints.
 
 import gc
 import importlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -58,6 +59,9 @@ def _loaded(script: str, *prefixes: str) -> list:
 def _cli(*argv: str) -> str:
     return f"from repro.cli import main\nassert main({list(argv)!r}) == 0"
 
+
+#: The module of scipy's HiGHS bindings, what an LP solve calls.
+HIGHS = "scipy.optimize._highspy._core"
 
 #: What only a point that executes needs: the simulator, the solvers, the pool.
 EXECUTION = (
@@ -114,17 +118,22 @@ class TestScipyStaysUnloaded:
     def test_importing_the_cli_loads_no_scipy(self):
         assert _loaded("import repro.cli", "scipy") == []
 
+    def test_importing_the_lp_loads_no_scipy(self):
+        assert _loaded("import repro.model.lp", "scipy") == []
+
     def test_resuming_a_finished_campaign_loads_no_scipy(self, cold_campaign):
         assert _loaded(_cli(*cold_campaign[0]), "scipy") == []
 
     def test_a_solve_loads_it(self):
+        """The first LP solve imports the bindings (and so ``scipy.optimize``)."""
+        pytest.importorskip("scipy.optimize")
         script = (
             "from repro.model.bottleneck import build_constraints\n"
             "from repro.model.lp import max_total_throughput\n"
             "from repro.topologies.paper import paper_scenario\n"
             "assert max_total_throughput(build_constraints(*paper_scenario())).solver == 'highs'"
         )
-        assert "scipy.optimize" in _loaded(script, "scipy")
+        assert {"scipy.optimize", HIGHS} <= set(_loaded(script, "scipy"))
 
 
 class TestNetworkxStaysUnloaded:
@@ -174,6 +183,8 @@ class TestDeclaringExecutesNothing:
         expected = set(EXECUTION)
         if os.environ.get("REPRO_KERNEL", "").strip().lower() == "python":
             expected.discard("repro.kernel._ckernel")
+        if importlib.util.find_spec("scipy") is None:
+            expected.discard("scipy")
         assert expected <= set(cold_campaign[1])
 
     def test_a_resumed_campaign_loads_none_of_it(self, cold_campaign):
@@ -245,7 +256,7 @@ import sys
 from repro.experiments.harness import WorkerPool
 
 def loaded(_):
-    return ["scipy.optimize" in sys.modules, "networkx" in sys.modules]
+    return ["scipy.optimize._highspy._core" in sys.modules, "networkx" in sys.modules]
 
 assert loaded(None) == [False, False]  # nothing in this process has solved anything
 print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
@@ -257,8 +268,10 @@ print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
     reason="only forked workers inherit the parent's modules",
 )
 def test_forked_workers_start_with_scipy_optimize_loaded():
-    """Without the pre-fork load every worker would import scipy.optimize on its
-    first solve; networkx is no longer anything a point needs."""
+    """Without the pre-fork load every worker would import scipy.optimize, and
+    with it the HiGHS bindings, on its first solve; networkx is no longer
+    anything a point needs."""
+    pytest.importorskip("scipy.optimize")
     workers = _run_python("-c", _FORKED_WORKER_SCRIPT).splitlines()[-1]
     assert workers == "WORKERS [[True, False], [True, False]]"
 

@@ -186,4 +186,7 @@ class TestGoldenValidationEquivalence:
     """
 
     def test_validation_golden_exact(self, each_kernel):
+        # Recorded with HiGHS's picks and the SLSQP reference: a scipy without
+        # the HiGHS bindings falls back to the vertex solver and fails here.
+        pytest.importorskip("scipy.optimize")
         assert golden_validation.compute_golden() == golden_validation.load_golden()

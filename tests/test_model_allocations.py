@@ -131,6 +131,31 @@ class TestPareto:
         # Forcing the default path to its full 40 Mbps lowers the best total.
         assert totals[-1] < 90.0
 
+    @staticmethod
+    def _system(path_count, constraints):
+        from repro.model.bottleneck import Constraint, ConstraintSystem
+        from repro.model.paths import Path
+
+        paths = [Path(["s", f"r{i}", "d"], tag=i + 1) for i in range(path_count)]
+        return ConstraintSystem(
+            paths,
+            [
+                Constraint(link=(f"l{row}", "x"), capacity=capacity, path_indices=indices)
+                for row, (indices, capacity) in enumerate(constraints)
+            ],
+        )
+
+    def test_pareto_frontier_of_one_path_is_every_feasible_value(self):
+        system = self._system(1, [((0,), 30.0)])
+        frontier = pareto_frontier_2d(system, fixed_index=0, fixed_values=[-5, 0, 10, 30, 40])
+        assert frontier == [[0], [10], [30]]
+
+    def test_pareto_frontier_of_two_paths(self):
+        # x1 + x2 <= 50, x1 <= 30, x2 <= 40: for x1 = v the best x2 is min(40, 50 - v).
+        system = self._system(2, [((0, 1), 50.0), ((0,), 30.0), ((1,), 40.0)])
+        frontier = pareto_frontier_2d(system, fixed_index=0, fixed_values=[0, 10, 20, 30, 35])
+        assert frontier == [[0, 40.0], [10, 40.0], [20, 30.0], [30, 20.0]]
+
 
 class TestGradient:
     def test_projection_of_feasible_point_is_identity(self, system):

@@ -1,5 +1,7 @@
 """Constraint extraction (Fig. 1c) and the max-throughput LP."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,7 +94,14 @@ class TestMaxThroughputLp:
     def test_full_system_gives_same_optimum(self, paper_system_full):
         assert max_total_throughput(paper_system_full).total == pytest.approx(90.0)
 
+    def test_installed_scipy_solves_with_highs(self, paper_system):
+        """Skips only without scipy: a scipy whose HiGHS bindings moved or were
+        renamed fails here instead of falling back to the vertex solver."""
+        pytest.importorskip("scipy.optimize")
+        assert max_total_throughput(paper_system).solver == "highs"
+
     def test_vertex_solver_agrees_with_highs(self, paper_system):
+        pytest.importorskip("scipy.optimize")
         highs = max_total_throughput(paper_system, solver="highs")
         vertex = max_total_throughput(paper_system, solver="vertex")
         assert vertex.total == pytest.approx(highs.total)
@@ -123,6 +132,10 @@ class TestMaxThroughputLp:
 
 
 class TestProportionalFairness:
+    @pytest.fixture(autouse=True)
+    def needs_scipy(self):
+        pytest.importorskip("scipy.optimize")
+
     def test_rates_are_feasible(self, paper_system):
         result = proportional_fair_rates(paper_system)
         assert paper_system.is_feasible(result.rates, tol=1e-3)
@@ -171,6 +184,24 @@ class TestWithoutScipy:
             proportional_fair_rates(paper_system)
 
 
+class TestWithoutHighsBindings:
+    """scipy without ``scipy.optimize._highspy`` (older than 1.15) is no scipy
+    to the LP: the vertex solver runs and ``solver="highs"`` names the bindings."""
+
+    @pytest.fixture(autouse=True)
+    def no_bindings(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+
+    def test_max_total_falls_back_to_the_vertex_solver(self, paper_system):
+        result = max_total_throughput(paper_system)
+        assert result.solver == "vertex"
+        assert result.total == pytest.approx(90.0)
+
+    def test_asking_for_highs_names_the_bindings(self, paper_system):
+        with pytest.raises(ModelError, match=r"scipy\.optimize\._highspy"):
+            max_total_throughput(paper_system, solver="highs")
+
+
 class TestConstraintSystemValidate:
     """A path crossing no capacity constraint must fail with a named error."""
 
@@ -216,5 +247,6 @@ class TestConstraintSystemValidate:
             max_min_fair_rates(self._degenerate_system())
 
     def test_proportional_fair_reports_unconstrained_path(self):
+        pytest.importorskip("scipy.optimize")
         with pytest.raises(ModelError, match="capacity constraint"):
             proportional_fair_rates(self._degenerate_system())

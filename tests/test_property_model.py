@@ -6,6 +6,7 @@ ordering between the allocation strategies, and consistency between the LP
 solvers.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model.bottleneck import build_constraints
@@ -52,6 +53,7 @@ class TestLpProperties:
     @given(capacity_triples)
     @settings(max_examples=25, deadline=None)
     def test_highs_and_vertex_solvers_agree(self, capacities):
+        pytest.importorskip("scipy.optimize")
         system = system_for(capacities)
         highs = max_total_throughput(system, solver="highs")
         vertex = max_total_throughput(system, solver="vertex")
