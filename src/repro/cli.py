@@ -849,6 +849,7 @@ def _command_info(args: argparse.Namespace) -> int:
         f"({kernel['transport_handlers_reason']})"
     )
     print(f"capture:   {kernel['capture_tap']} tap ({kernel['capture_tap_reason']})")
+    print(f"counters:  {kernel['counters']} fields ({kernel['counters_reason']})")
     print(
         f"fluid:     {kernel['fluid_integrator']} integrator "
         f"({kernel['fluid_integrator_reason']})"

@@ -17,12 +17,14 @@ The simulator has two interchangeable kernels:
     scoreboard, recovery, the retransmission timer, RTT estimation and packet
     build/recycle run in C over the Python objects' slots, calling Python
     for the congestion controller, the data provider and the connection
-    sink), the stock capture tap (``PacketCapture.on_packet`` of an exact
-    ``PacketCapture``, run where a ``KernelSim`` host fans a delivery out to
-    its taps), the fluid integrator (``fluid_run``, the loop of
+    sink), stats types whose counters are C fields (``link_stats_type`` and
+    siblings; :class:`~repro.netsim.link.LinkStats`), the stock capture tap
+    (``PacketCapture.on_packet`` of an exact ``PacketCapture``, run where a
+    ``KernelSim`` host fans a delivery out to its taps), the fluid
+    integrator (``fluid_run``, the loop of
     :meth:`repro.model.fluid.FluidModel.run`, in ``_fluid.h``) and a
-    whole-window native bypass for :meth:`Network.run` that
-    quiescent single-path TCP scenes take (see :mod:`repro.kernel.pipeline`).
+    whole-window native bypass for :meth:`Network.run` that quiescent
+    single-path TCP scenes take (see :mod:`repro.kernel.pipeline`).
     The transport exists once in C (``_transport.h``), instantiated for the
     agent types and for the bypass.  Results are byte-identical to the
     Python kernel.
@@ -132,6 +134,8 @@ _NATIVE_BODIES = (
     ),
     # Which body of FluidModel.run's loop produces a fluid prediction.
     ("fluid_integrator", "FluidModel.run hands its loop to the extension's fluid_run"),
+    # What a new scene's link/node/agent counters and link clocks are.
+    ("counters", "on a KernelSim, stats counters and link clocks are C int64/double fields"),
 )
 
 

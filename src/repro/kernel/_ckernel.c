@@ -426,9 +426,13 @@ ksim_dealloc(KernelSimObject *self)
 static int native_kind(PyObject *cb, PyObject **owner);
 static int native_fire(int kind, PyObject *owner);
 static const char *native_method(int kind);
-static PyObject *ksim_get_link_type(PyObject *self, void *closure);
-static PyObject *ksim_get_sender_type(PyObject *self, void *closure);
-static PyObject *ksim_get_receiver_type(PyObject *self, void *closure);
+/* The link layer's classes, then (from T_SENDER) the transport's: the two
+ * halves bind separately, each on the first use of its native type. */
+enum { T_LINK, T_LSTATS, T_NODE, T_NSTATS, T_HOST, T_PACKET, T_QUEUE, T_QSTATS,
+       T_DROPTAIL, T_CAPTURE, T_SENDER, T_SSTATS, T_SEG, T_RTT, T_RECV, T_RSTATS,
+       T_COUNT };
+
+static PyObject *ksim_get_native(PyObject *self, void *closure);
 
 /* Shared push: builds the entry from (t, seq, callback, args...) and pushes
  * it.  A bound _deliver / _serve_queue of a native link, or _fire_rto of a
@@ -830,14 +834,22 @@ static PyGetSetDef ksim_getset[] = {
      "Number of events still in the heap (including cancelled ones).", NULL},
     {"free_list_size", (getter)ksim_get_free_list, NULL,
      "Always 0: the compiled heap stores entries by value.", NULL},
-    {"link_type", ksim_get_link_type, NULL,
-     "The Link subclass whose handlers run in C; Link(sim, ...) selects it.", NULL},
-    {"sender_type", ksim_get_sender_type, NULL,
-     "The TcpSender subclass whose ACK clocking runs in C; TcpSender(host, ...) selects it.",
-     NULL},
-    {"receiver_type", ksim_get_receiver_type, NULL,
-     "The TcpReceiver subclass whose handle_packet runs in C; TcpReceiver(host, ...) selects it.",
-     NULL},
+#define KSIM_NATIVE(name, T, doc) {name, ksim_get_native, NULL, doc, (void *)(intptr_t)(T)},
+    KSIM_NATIVE("link_type", T_LINK,
+                "The Link subclass whose handlers run in C; Link(sim, ...) selects it.")
+    KSIM_NATIVE("sender_type", T_SENDER,
+                "The TcpSender subclass whose ACK clocking runs in C; "
+                "TcpSender(host, ...) selects it.")
+    KSIM_NATIVE("receiver_type", T_RECV,
+                "The TcpReceiver subclass whose handle_packet runs in C; "
+                "TcpReceiver(host, ...) selects it.")
+    KSIM_NATIVE("link_stats_type", T_LSTATS, "LinkStats with C counters; Link builds it.")
+    KSIM_NATIVE("node_stats_type", T_NSTATS, "NodeStats with C counters; Node builds it.")
+    KSIM_NATIVE("sender_stats_type", T_SSTATS,
+                "SenderStats with C counters; TcpSender builds it.")
+    KSIM_NATIVE("receiver_stats_type", T_RSTATS,
+                "ReceiverStats with C counters; TcpReceiver builds it.")
+#undef KSIM_NATIVE
     {"_running", (getter)ksim_get_running, NULL, NULL, NULL},
     {"_stopped", (getter)ksim_get_stopped, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
@@ -869,19 +881,20 @@ static PyTypeObject KernelSimType = {
  * differ, and their heap entries are KN_DELIVER / KN_SERVE.
  *
  * All state is read and written in place, in the __slots__ of the Python
- * Link / LinkStats / Node / NodeStats / Host / Queue / QueueStats / Packet
- * objects, through member offsets resolved once (nl_bind).  Counters move
- * through PyNumber_Add on the stored objects, so any value the Python
- * bodies accept behaves the same here.  Every function mirrors its Python
- * twin statement by statement (link.py, node.py, queues.py: keep in sync),
- * and calls Python wherever the twin calls something it does not define.
+ * Link / Node / Host / Queue / QueueStats / Packet objects, through member
+ * offsets resolved once (nl_bind), except for the counters and the
+ * transmitter clock: on a KernelSim, LinkStats / NodeStats / SenderStats /
+ * ReceiverStats and the link itself are native subclasses (NC_FIELDS, one
+ * helper: nl_subtype) whose counters and _busy_until / _serve_at are C
+ * int64 / double fields under the slot names, added in place.  The
+ * replaced base slots stay unset and no C path reads them, so the state
+ * exists once; Python sees member descriptors that take ints only (floats
+ * for the double fields), bounded by int64 and not deletable.  QueueStats,
+ * queue._bytes and packet.hops stay Python numbers and move through
+ * PyNumber_Add (nl_iadd).  Every function mirrors its Python twin statement
+ * by statement (link.py, node.py, queues.py: keep in sync), and calls
+ * Python wherever the twin calls something it does not define.
  */
-
-/* The link layer's classes, then (from T_SENDER) the transport's: the two
- * halves bind separately, each on the first use of its native type. */
-enum { T_LINK, T_LSTATS, T_NODE, T_NSTATS, T_HOST, T_PACKET, T_QUEUE, T_QSTATS,
-       T_DROPTAIL, T_CAPTURE, T_SENDER, T_SSTATS, T_SEG, T_RTT, T_RECV, T_RSTATS,
-       T_COUNT };
 
 static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     {"repro.netsim.link", "Link"}, {"repro.netsim.link", "LinkStats"},
@@ -897,14 +910,12 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
 
 #define NL_SLOTS(X)                                                         \
     X(LINK, sim) X(LINK, dst) X(LINK, rate_bps) X(LINK, delay)              \
-    X(LINK, queue) X(LINK, _enqueue) X(LINK, stats) X(LINK, _busy_until)    \
-    X(LINK, _serving) X(LINK, _dst_receive) X(LINK, _fused_receive)         \
-    X(LINK, _fused_host) X(LINK, _in_flight) X(LINK, _impaired)             \
-    X(LINK, _dynamic) X(LINK, _deadlines) X(LINK, _serve_at)                \
-    X(LSTATS, packets_sent) X(LSTATS, bytes_sent) X(LSTATS, busy_time)      \
+    X(LINK, queue) X(LINK, _enqueue) X(LINK, stats) X(LINK, _serving)       \
+    X(LINK, _dst_receive) X(LINK, _fused_receive) X(LINK, _fused_host)      \
+    X(LINK, _in_flight) X(LINK, _impaired) X(LINK, _dynamic)                \
+    X(LINK, _deadlines)                                                     \
     X(NODE, name) X(NODE, sim) X(NODE, routing) X(NODE, stats)              \
     X(NODE, _hop_cache) X(NODE, _hop_version)                               \
-    X(NSTATS, received) X(NSTATS, forwarded) X(NSTATS, delivered)           \
     X(HOST, _agents_by_flow) X(HOST, _sole_agent) X(HOST, _sole_flow)       \
     X(HOST, _sole_subflow) X(HOST, _captures)                               \
     X(PACKET, dst) X(PACKET, size) X(PACKET, tag) X(PACKET, flow_id)        \
@@ -932,9 +943,6 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     X(SENDER, _rto_event) X(SENDER, _rto_deadline) X(SENDER, _rto_fire_at)  \
     X(SENDER, _rto_backoff) X(SENDER, closed) X(SENDER, path_down)          \
     X(SENDER, on_idle)                                                      \
-    X(SSTATS, segments_sent) X(SSTATS, bytes_sent) X(SSTATS, bytes_acked)   \
-    X(SSTATS, retransmissions) X(SSTATS, fast_retransmits)                  \
-    X(SSTATS, timeouts) X(SSTATS, dupacks) X(SSTATS, ecn_echoes)            \
     X(SEG, seq) X(SEG, length) X(SEG, dsn) X(SEG, sent_at)                  \
     X(SEG, retransmitted) X(SEG, sacked) X(SEG, lost) X(SEG, lost_pending)  \
     X(SEG, retx_in_recovery)                                                \
@@ -946,9 +954,6 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     X(RECV, peer) X(RECV, flow_id) X(RECV, subflow_id) X(RECV, tag)         \
     X(RECV, connection_sink) X(RECV, ack_size) X(RECV, stats)               \
     X(RECV, rcv_nxt) X(RECV, _out_of_order) X(RECV, _last_dack)             \
-    X(RSTATS, segments_received) X(RSTATS, bytes_received)                  \
-    X(RSTATS, duplicates) X(RSTATS, out_of_order) X(RSTATS, acks_sent)      \
-    X(RSTATS, ce_received)                                                  \
     X(PACKET, packet_id) X(PACKET, src) X(PACKET, protocol) X(PACKET, ack)  \
     X(PACKET, dack) X(PACKET, sack_blocks) X(PACKET, ts_echo)               \
     X(PACKET, created_at) X(PACKET, ecn) X(PACKET, _poolable)
@@ -959,6 +964,30 @@ enum { NL_SLOTS(NL_ENUM) O_LINK_COUNT, O_LINK_LAST = O_LINK_COUNT - 1,
        NT_SLOTS(NL_ENUM) O_COUNT };
 static const struct { int type; const char *name; } NL_SLOT_TABLE[O_COUNT] = {
     NL_SLOTS(NL_ROW) NT_SLOTS(NL_ROW)
+};
+
+/* The C numbers of the native subclasses: Python class, slot name, member
+ * type.  A class's rows follow its instance layout in this order. */
+#define NC_FIELDS(X)                                                        \
+    X(LINK, _busy_until, T_DOUBLE) X(LINK, _serve_at, T_DOUBLE)             \
+    X(LSTATS, packets_sent, T_LONGLONG) X(LSTATS, bytes_sent, T_LONGLONG)   \
+    X(LSTATS, packets_dropped, T_LONGLONG) X(LSTATS, busy_time, T_DOUBLE)   \
+    X(NSTATS, received, T_LONGLONG) X(NSTATS, forwarded, T_LONGLONG)        \
+    X(NSTATS, delivered, T_LONGLONG) X(NSTATS, routing_drops, T_LONGLONG)   \
+    X(SSTATS, segments_sent, T_LONGLONG) X(SSTATS, bytes_sent, T_LONGLONG)  \
+    X(SSTATS, bytes_acked, T_LONGLONG) X(SSTATS, retransmissions, T_LONGLONG) \
+    X(SSTATS, fast_retransmits, T_LONGLONG) X(SSTATS, timeouts, T_LONGLONG) \
+    X(SSTATS, dupacks, T_LONGLONG) X(SSTATS, ecn_echoes, T_LONGLONG)        \
+    X(RSTATS, segments_received, T_LONGLONG)                                \
+    X(RSTATS, bytes_received, T_LONGLONG) X(RSTATS, duplicates, T_LONGLONG) \
+    X(RSTATS, out_of_order, T_LONGLONG) X(RSTATS, acks_sent, T_LONGLONG)    \
+    X(RSTATS, ce_received, T_LONGLONG)
+
+#define NC_ENUM(T, name, kind) F_##T##_##name,
+#define NC_ROW(T, name, kind) {T_##T, #name, kind},
+enum { NC_FIELDS(NC_ENUM) F_COUNT };
+static const struct { int type; const char *name; int kind; } NC_TABLE[F_COUNT] = {
+    NC_FIELDS(NC_ROW)
 };
 
 #define NL_NAMES(X)                                                         \
@@ -973,7 +1002,8 @@ static const struct { int type; const char *name; } NL_SLOT_TABLE[O_COUNT] = {
 static struct {
     PyTypeObject *type[T_COUNT];    /* the Python classes */
     Py_ssize_t off[O_COUNT];        /* slot offsets inside their instances */
-    PyTypeObject *link_type;        /* the subclass of Link defined here */
+    PyTypeObject *native[T_COUNT];  /* the subclasses defined here, by base */
+    Py_ssize_t foff[F_COUNT];       /* C field offsets inside their instances */
     PyObject *droptail_enqueue;     /* DropTailQueue.enqueue, the function */
     PyObject *capture_on_packet;    /* PacketCapture.on_packet, the function */
     PyTypeObject *deque_type;       /* collections.deque and its two */
@@ -981,8 +1011,6 @@ static struct {
     PyObject *deque_popleft;
     PyObject *one;
     /* native transport */
-    PyTypeObject *sender_type;      /* the subclasses of TcpSender and */
-    PyTypeObject *receiver_type;    /*   TcpReceiver defined here */
     PyObject *packet_pool;          /* repro.netsim.packet._pool and its */
     PyObject *pool_pop;             /*   bound pop / append */
     PyObject *pool_append;
@@ -993,6 +1021,10 @@ static struct {
 } NL;
 
 #define NL_SLOT(obj, T, name) (*(PyObject **)((char *)(obj) + NL.off[O_##T##_##name]))
+/* A C field of an instance of the native subclass of T. */
+#define NC_AT(obj, f, ctype) (*(ctype *)((char *)(obj) + NL.foff[f]))
+#define NC_I64(obj, T, name) NC_AT(obj, F_##T##_##name, long long)
+#define NC_F64(obj, T, name) NC_AT(obj, F_##T##_##name, double)
 
 static int
 nl_unset(const char *name)
@@ -1021,6 +1053,22 @@ nl_expect(PyObject *obj, int type, const char *what)
 #define NL_GET_AS(var, obj, T, name, AS)                                    \
     NL_GET(var, obj, T, name);                                              \
     if (nl_expect(var, T_##AS, #name) < 0)                                  \
+        return -1
+
+/* C fields exist only on the native subclass itself (it has no subclasses). */
+static int
+nc_expect(PyObject *obj, int type, const char *what)
+{
+    if (Py_IS_TYPE(obj, NL.native[type]))
+        return 0;
+    PyErr_Format(PyExc_TypeError, "native kernel: %s must be a %s, not %s", what,
+                 NL.native[type]->tp_name, Py_TYPE(obj)->tp_name);
+    return -1;
+}
+
+#define NL_GET_NATIVE(var, obj, T, name, AS)                                \
+    NL_GET(var, obj, T, name);                                              \
+    if (nc_expect(var, T_##AS, #name) < 0)                                  \
         return -1
 
 /* *slot = value, which is stolen; NULL passes an error through. */
@@ -1061,6 +1109,28 @@ nl_double(PyObject *v)
 }
 
 #define NL_FAILED(x) ((x) == -1.0 && PyErr_Occurred())
+
+static int
+nt_type_error(const char *name, const char *want, PyObject *v)
+{
+    PyErr_Format(PyExc_TypeError, "native kernel: %s must be %s, not %s", name, want,
+                 Py_TYPE(v)->tp_name);
+    return -1;
+}
+
+static inline int
+nt_i64(PyObject *v, int64_t *out, const char *name)
+{
+    if (v == NULL)
+        return nl_unset(name);
+    if (!PyLong_Check(v))
+        return nt_type_error(name, "an int", v);
+    long long x = PyLong_AsLongLong(v);
+    if (x == -1 && PyErr_Occurred())
+        return -1;
+    *out = x;
+    return 0;
+}
 
 /* Discard a call's result; -1 when the call raised. */
 static int
@@ -1205,63 +1275,57 @@ nl_transmit(KernelSimObject *sim, PyObject *link, PyObject *packet, double now,
     NL_GET(size, packet, PACKET, size);
     NL_GET(rate_obj, link, LINK, rate_bps);
     NL_GET(delay_obj, link, LINK, delay);
-    NL_GET_AS(stats, link, LINK, stats, LSTATS);
+    NL_GET_NATIVE(stats, link, LINK, stats, LSTATS);
     NL_GET(in_flight, link, LINK, _in_flight);
     NL_GET(dynamic, link, LINK, _dynamic);
-    double bytes = nl_double(size), rate = nl_double(rate_obj), delay = nl_double(delay_obj);
-    if (NL_FAILED(bytes) || NL_FAILED(rate) || NL_FAILED(delay))
+    int64_t bytes;
+    if (nt_i64(size, &bytes, "size") < 0)
+        return -1;
+    double rate = nl_double(rate_obj), delay = nl_double(delay_obj);
+    if (NL_FAILED(rate) || NL_FAILED(delay))
         return -1;
     if (rate == 0.0) {
         PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
         return -1;
     }
-    double tx_time = bytes * 8.0 / rate;
+    double tx_time = (double)bytes * 8.0 / rate;
     *tx_end = now + tx_time;
-    PyObject *tx_obj = PyFloat_FromDouble(tx_time);
-    if (tx_obj == NULL)
+    NC_F64(link, LINK, _busy_until) = *tx_end;
+    NC_F64(stats, LSTATS, busy_time) += tx_time;
+    NC_I64(stats, LSTATS, packets_sent) += 1;
+    NC_I64(stats, LSTATS, bytes_sent) += bytes;
+    if (nl_append(in_flight, packet) < 0)
         return -1;
-    Py_INCREF(size);    /* outlives a reassignment of packet.size */
-    int rc = -1;
-    if (NL_SET(link, LINK, _busy_until, PyFloat_FromDouble(*tx_end)) < 0 ||
-        NL_IADD(stats, LSTATS, busy_time, tx_obj) < 0 ||
-        NL_IADD(stats, LSTATS, packets_sent, NL.one) < 0 ||
-        NL_IADD(stats, LSTATS, bytes_sent, size) < 0 ||
-        nl_append(in_flight, packet) < 0)
-        goto done;
     double deliver_at = *tx_end + delay;
     int dyn = nl_true(dynamic);
     if (dyn < 0)
-        goto done;
+        return -1;
     if (dyn) {
         /* Non-decreasing deadline clamp: the link never reorders. */
-        PyObject *deadlines = NL_SLOT(link, LINK, _deadlines);
-        Py_ssize_t n = deadlines == NULL ? nl_unset("_deadlines") : PyObject_Size(deadlines);
+        NL_GET(deadlines, link, LINK, _deadlines);
+        Py_ssize_t n = PyObject_Size(deadlines);
         if (n < 0)
-            goto done;
+            return -1;
         if (n > 0) {
             PyObject *last_obj = PySequence_GetItem(deadlines, n - 1);
             if (last_obj == NULL)
-                goto done;
+                return -1;
             double last = nl_double(last_obj);
             Py_DECREF(last_obj);
             if (NL_FAILED(last))
-                goto done;
+                return -1;
             if (deliver_at < last)
                 deliver_at = last;
         }
         PyObject *deadline = PyFloat_FromDouble(deliver_at);
         if (deadline == NULL)
-            goto done;
+            return -1;
         int appended = nl_append(deadlines, deadline);
         Py_DECREF(deadline);
         if (appended < 0)
-            goto done;
+            return -1;
     }
-    rc = nl_push(sim, deliver_at, link, KN_DELIVER);
-done:
-    Py_DECREF(size);
-    Py_DECREF(tx_obj);
-    return rc;
+    return nl_push(sim, deliver_at, link, KN_DELIVER);
 }
 
 /* send() on a busy transmitter: the queue's verdict, and the serve event
@@ -1289,16 +1353,15 @@ nl_enqueue(KernelSimObject *sim, PyObject *link, PyObject *packet, double now)
     if (accepted <= 0)
         return accepted;
     NL_GET(serving_obj, link, LINK, _serving);
-    NL_GET(free_obj, link, LINK, _busy_until);
     int serving = nl_true(serving_obj);
     if (serving < 0)
         return -1;
     if (!serving) {
-        double free_at = nl_double(free_obj);
-        if (NL_FAILED(free_at) ||
-            NL_SET(link, LINK, _serving, Py_NewRef(Py_True)) < 0 ||
-            NL_SET(link, LINK, _serve_at, Py_NewRef(free_obj)) < 0 ||
-            nl_push(sim, free_at, link, KN_SERVE) < 0)
+        double free_at = NC_F64(link, LINK, _busy_until);
+        if (NL_SET(link, LINK, _serving, Py_NewRef(Py_True)) < 0)
+            return -1;
+        NC_F64(link, LINK, _serve_at) = free_at;
+        if (nl_push(sim, free_at, link, KN_SERVE) < 0)
             return -1;
     }
     return 1;
@@ -1325,13 +1388,11 @@ nl_send(PyObject *link, PyObject *packet)
     if (sim == NULL)
         return -1;
     double now = sim->now, tx_end;
-    NL_GET(busy_obj, link, LINK, _busy_until);
     NL_GET(serving_obj, link, LINK, _serving);
-    double busy_until = nl_double(busy_obj);
     int serving = nl_true(serving_obj);
-    if (NL_FAILED(busy_until) || serving < 0)
+    if (serving < 0)
         return -1;
-    if (now < busy_until || serving)
+    if (now < NC_F64(link, LINK, _busy_until) || serving)
         return nl_enqueue(sim, link, packet, now);
     return nl_transmit(sim, link, packet, now, &tx_end) < 0 ? -1 : 1;
 }
@@ -1351,16 +1412,11 @@ nl_serve(PyObject *link)
     if (dyn) {
         /* Only the event armed for _serve_at is live; a rate reduction may
          * have moved the transmitter-free time past it. */
-        NL_GET(serve_obj, link, LINK, _serve_at);
-        NL_GET(busy_obj, link, LINK, _busy_until);
-        double serve_at = nl_double(serve_obj), busy_until = nl_double(busy_obj);
-        if (NL_FAILED(serve_at) || NL_FAILED(busy_until))
-            return -1;
-        if (now != serve_at)
+        double busy_until = NC_F64(link, LINK, _busy_until);
+        if (now != NC_F64(link, LINK, _serve_at))
             return 0;
         if (now < busy_until) {
-            if (NL_SET(link, LINK, _serve_at, Py_NewRef(busy_obj)) < 0)
-                return -1;
+            NC_F64(link, LINK, _serve_at) = busy_until;
             return nl_push(sim, busy_until, link, KN_SERVE);
         }
     }
@@ -1399,10 +1455,10 @@ nl_serve(PyObject *link)
             rc = -1;
         else if (empty)
             rc = NL_SET(link, LINK, _serving, Py_NewRef(Py_False));
-        else if (NL_SET(link, LINK, _serve_at, PyFloat_FromDouble(tx_end)) < 0)
-            rc = -1;
-        else
+        else {
+            NC_F64(link, LINK, _serve_at) = tx_end;
             rc = nl_push(sim, tx_end, link, KN_SERVE);
+        }
     }
     Py_DECREF(queue);
     return rc;
@@ -1568,8 +1624,8 @@ nl_deliver_locally(PyObject *host, PyObject *packet)
     if (agent == NULL || agent == Py_None)
         return 0;
     Py_INCREF(agent);
-    int rc = Py_IS_TYPE(agent, NL.sender_type) ? nt_sender_receive(agent, packet)
-           : Py_IS_TYPE(agent, NL.receiver_type) ? nt_receiver_receive(agent, packet)
+    int rc = Py_IS_TYPE(agent, NL.native[T_SENDER]) ? nt_sender_receive(agent, packet)
+           : Py_IS_TYPE(agent, NL.native[T_RECV]) ? nt_receiver_receive(agent, packet)
            : nl_done(PyObject_CallMethodOneArg(agent, NL.s_handle_packet, packet));
     Py_DECREF(agent);
     return rc;
@@ -1603,7 +1659,7 @@ nl_forward(PyObject *node, PyObject *packet)
                 return -1;
             if (next != NULL && next != Py_None) {
                 Py_INCREF(next);
-                int rc = Py_IS_TYPE(next, NL.link_type)
+                int rc = Py_IS_TYPE(next, NL.native[T_LINK])
                     ? nl_send(next, packet)
                     : nl_done(PyObject_CallMethodOneArg(next, NL.s_send, packet));
                 Py_DECREF(next);
@@ -1632,16 +1688,17 @@ nl_arrive(PyObject *link, PyObject *packet)
         return nl_done(PyObject_CallFunctionObjArgs(receive, packet, link, NULL));
     }
     NL_GET_AS(node, link, LINK, dst, NODE);
-    NL_GET_AS(stats, node, NODE, stats, NSTATS);
+    NL_GET_NATIVE(stats, node, NODE, stats, NSTATS);
     NL_GET(dst, packet, PACKET, dst);
     NL_GET(name, node, NODE, name);
-    if (NL_IADD(stats, NSTATS, received, NL.one) < 0)
-        return -1;
+    NC_I64(stats, NSTATS, received) += 1;
     int local = PyObject_RichCompareBool(dst, name, Py_EQ);
-    if (local < 0 ||
-        (local ? NL_IADD(stats, NSTATS, delivered, NL.one)
-               : NL_IADD(stats, NSTATS, forwarded, NL.one)) < 0)
+    if (local < 0)
         return -1;
+    if (local)
+        NC_I64(stats, NSTATS, delivered) += 1;
+    else
+        NC_I64(stats, NSTATS, forwarded) += 1;
     Py_INCREF(node);    /* a handler may drop the link's reference */
     int rc;
     if (!local)
@@ -1790,24 +1847,109 @@ nl_import(PyObject **slot, const char *module, const char *name)
     return *slot == NULL ? -1 : 0;
 }
 
-/* The subclass of NL.type[base] that spec describes. */
-static PyTypeObject *
-nl_subtype(PyType_Spec *spec, int base)
+/* Python's view of a C field (closure: its NC_TABLE row).  Unlike CPython's
+ * member setters, which store before they check, a refused value leaves the
+ * field as it was, and an int field takes ints only on every version. */
+static PyObject *
+nc_get(PyObject *self, void *closure)
 {
-    PyObject *bases = PyTuple_Pack(1, NL.type[base]);
-    if (bases == NULL)
-        return NULL;
-    PyObject *type = PyType_FromSpecWithBases(spec, bases);
-    Py_DECREF(bases);
-    return (PyTypeObject *)type;
+    int f = (int)(intptr_t)closure;
+    return NC_TABLE[f].kind == T_DOUBLE ? PyFloat_FromDouble(NC_AT(self, f, double))
+                                        : PyLong_FromLongLong(NC_AT(self, f, long long));
 }
 
-/* Resolve the link layer's classes, their slot offsets and the link type;
- * once. */
+static int
+nc_set(PyObject *self, PyObject *value, void *closure)
+{
+    int f = (int)(intptr_t)closure;
+    if (value == NULL) {
+        PyErr_Format(PyExc_TypeError, "cannot delete %s", NC_TABLE[f].name);
+        return -1;
+    }
+    if (NC_TABLE[f].kind == T_DOUBLE) {
+        double d = PyFloat_AsDouble(value);
+        if (NL_FAILED(d))
+            return -1;
+        NC_AT(self, f, double) = d;
+        return 0;
+    }
+    int64_t i;
+    if (nt_i64(value, &i, NC_TABLE[f].name) < 0)
+        return -1;
+    NC_AT(self, f, long long) = i;
+    return 0;
+}
+
+/* NL.native[base]: the subclass of NL.type[base] that spec describes, with
+ * base's rows of NC_FIELDS as C numbers after base's instance layout. */
+static int
+nl_subtype(PyType_Spec *spec, int base)
+{
+    static PyGetSetDef getsets[T_COUNT][F_COUNT + 1];   /* types keep pointers */
+    Py_BUILD_ASSERT(sizeof(long long) == 8 && sizeof(double) == 8);
+    if (NL.native[base] != NULL)
+        return 0;
+    Py_ssize_t size = (NL.type[base]->tp_basicsize + 7) & ~(Py_ssize_t)7;
+    for (int f = 0, n = 0; f < F_COUNT; f++) {
+        if (NC_TABLE[f].type == base) {
+            NL.foff[f] = size;
+            size += 8;
+            getsets[base][n++] = (PyGetSetDef){NC_TABLE[f].name, nc_get, nc_set, NULL,
+                                               (void *)(intptr_t)f};
+        }
+    }
+    PyType_Slot slots[8] = {{Py_tp_getset, getsets[base]}};
+    for (int k = 0; spec->slots[k].slot != 0; k++)
+        slots[k + 1] = spec->slots[k];
+    PyType_Spec sized = {spec->name, (int)size, 0, spec->flags, slots};
+    PyObject *bases = PyTuple_Pack(1, NL.type[base]);
+    if (bases == NULL)
+        return -1;
+    NL.native[base] = (PyTypeObject *)PyType_FromSpecWithBases(&sized, bases);
+    Py_DECREF(bases);
+    return NL.native[base] == NULL ? -1 : 0;
+}
+
+/* copy / pickle of a native stats object: its Python base class, with the C
+ * fields as that class's slot state. */
+static PyObject *
+nc_reduce(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    PyTypeObject *tp = Py_TYPE(self);
+    PyObject *state = PyDict_New();
+    for (PyGetSetDef *g = tp->tp_getset; state != NULL && g->name != NULL; g++) {
+        PyObject *value = nc_get(self, g->closure);
+        if (value == NULL || PyDict_SetItemString(state, g->name, value) < 0)
+            Py_CLEAR(state);
+        Py_XDECREF(value);
+    }
+    return state == NULL ? NULL : Py_BuildValue("O()(ON)", tp->tp_base, Py_None, state);
+}
+
+static PyMethodDef nc_stats_methods[] = {
+    {"__reduce__", nc_reduce, METH_NOARGS, "Copy and pickle as the Python base class."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyType_Slot nc_stats_slots[] = {
+    {Py_tp_doc, "A stats class whose counters are C int64 / double fields."},
+    {Py_tp_methods, nc_stats_methods},
+    {0, NULL},
+};
+
+#define NC_STATS_SPEC(T, name)                                              \
+    [T] = {"repro.kernel._ckernel." name, 0, 0, Py_TPFLAGS_DEFAULT, nc_stats_slots},
+static PyType_Spec nc_stats_specs[T_COUNT] = {
+    NC_STATS_SPEC(T_LSTATS, "LinkStats") NC_STATS_SPEC(T_NSTATS, "NodeStats")
+    NC_STATS_SPEC(T_SSTATS, "SenderStats") NC_STATS_SPEC(T_RSTATS, "ReceiverStats")
+};
+
+/* Resolve the link layer's classes, their slot offsets, the link type and
+ * the stats types of links and nodes; once. */
 static int
 nl_bind(void)
 {
-    if (NL.link_type != NULL)
+    if (NL.native[T_LINK] != NULL)
         return 0;
     if (nl_resolve(0, T_SENDER, 0, O_LINK_COUNT) < 0)
         return -1;
@@ -1832,16 +1974,10 @@ nl_bind(void)
         NL.deque_popleft = PyObject_GetAttrString((PyObject *)NL.deque_type, "popleft");
     if (NL.deque_append == NULL || NL.deque_popleft == NULL)
         return -1;
-    NL.link_type = nl_subtype(&nlink_spec, T_LINK);
-    return NL.link_type == NULL ? -1 : 0;
-}
-
-static PyObject *
-ksim_get_link_type(PyObject *self, void *closure)
-{
-    if (nl_bind() < 0)
-        return NULL;
-    return Py_NewRef((PyObject *)NL.link_type);
+    if (nl_subtype(&nc_stats_specs[T_LSTATS], T_LSTATS) < 0 ||
+        nl_subtype(&nc_stats_specs[T_NSTATS], T_NSTATS) < 0)
+        return -1;
+    return nl_subtype(&nlink_spec, T_LINK);
 }
 
 /* -------------------------------------------------------- native transport
@@ -1854,9 +1990,10 @@ ksim_get_link_type(PyObject *self, void *closure)
  * shared ones of _transport.h, instantiated here over the *slot* accessor
  * layer: every read and write goes to the __slots__ of the Python objects
  * (offsets resolved once in nt_bind, NULL- and type-checked like the native
- * links'), so Python code -- the MPTCP scheduler, close_subflow, the
- * inherited start/resume/close/on_path_restored, a test -- sees and may
- * change the same state between any two events.  Python is called exactly
+ * links') or, for the counters, to the C fields of the native SenderStats /
+ * ReceiverStats (NC_FIELDS), so Python code -- the MPTCP scheduler,
+ * close_subflow, the inherited start/resume/close/on_path_restored, a test
+ * -- sees and may change the same state between any two events.  Python is called exactly
  * where the Python body calls something it does not define: cc.*,
  * data_provider.*, connection_sink.on_subflow_data, on_idle, a non-stock
  * rtt, a link that is not native, host.send on a route-memo miss.
@@ -1898,28 +2035,6 @@ sack_blocks(const OooEnt *ooo, Py_ssize_t n, int64_t blocks[8])
 }
 
 /* ---- slot values ---- */
-
-static int
-nt_type_error(const char *name, const char *want, PyObject *v)
-{
-    PyErr_Format(PyExc_TypeError, "native transport: %s must be %s, not %s", name, want,
-                 Py_TYPE(v)->tp_name);
-    return -1;
-}
-
-static inline int
-nt_i64(PyObject *v, int64_t *out, const char *name)
-{
-    if (v == NULL)
-        return nl_unset(name);
-    if (!PyLong_Check(v))
-        return nt_type_error(name, "an int", v);
-    long long x = PyLong_AsLongLong(v);
-    if (x == -1 && PyErr_Occurred())
-        return -1;
-    *out = x;
-    return 0;
-}
 
 static inline int
 nt_f64(PyObject *v, double *out, const char *name)
@@ -1987,21 +2102,17 @@ nt_set_flag(PyObject **slot, int v)
     return *slot == value ? 0 : nl_set(slot, Py_NewRef(value));
 }
 
-/* counter += delta on the stats object in the agent's `stats` slot. */
+/* counter += delta on the native stats object in the agent's `stats` slot. */
 static int
-nt_stat_add(PyObject *agent, int stats_slot, int stats_type, int counter, int64_t delta,
-            const char *name)
+nt_stat_add(PyObject *agent, int stats_slot, int stats_type, int field, int64_t delta)
 {
     PyObject *stats = *(PyObject **)((char *)agent + NL.off[stats_slot]);
     if (stats == NULL)
         return nl_unset("stats");
-    if (nl_expect(stats, stats_type, "stats") < 0)
+    if (nc_expect(stats, stats_type, "stats") < 0)
         return -1;
-    PyObject **slot = (PyObject **)((char *)stats + NL.off[counter]);
-    int64_t value;
-    if (nt_i64(*slot, &value, name) < 0)
-        return -1;
-    return nl_set(slot, PyLong_FromLongLong(value + delta));
+    NC_AT(stats, field, long long) += delta;
+    return 0;
 }
 
 #define NT_I64(var, obj, T, name)                                           \
@@ -2110,7 +2221,7 @@ nt_egress(PyObject *agent, const RouteSlots *r, PyObject *packet)
             goto done;
         if (current) {
             Py_INCREF(link);
-            rc = Py_IS_TYPE(link, NL.link_type)
+            rc = Py_IS_TYPE(link, NL.native[T_LINK])
                 ? nl_send(link, packet)
                 : nl_done(PyObject_CallMethodOneArg(link, NL.s_send, packet));
             Py_DECREF(link);
@@ -2156,12 +2267,12 @@ done:
 #define SND_SET_F64(S, name, v) NT_CHECKED(nt_set_f64(&NL_SLOT(S, SENDER, name), v))
 #define SND_SET_FLAG(S, name, v) NT_CHECKED(nt_set_flag(&NL_SLOT(S, SENDER, name), v))
 #define SND_STAT_ADD(S, name, d)                                            \
-    NT_CHECKED(nt_stat_add(S, O_SENDER_stats, T_SSTATS, O_SSTATS_##name, d, #name))
+    NT_CHECKED(nt_stat_add(S, O_SENDER_stats, T_SSTATS, F_SSTATS_##name, d))
 #define SND_PATH_DOWN(var, S) NT_FLAG(var, S, SENDER, path_down)
 #define RCV_I64(var, R, name) NT_I64(var, R, RECV, name)
 #define RCV_SET_I64(R, name, v) NT_CHECKED(nt_set_i64(&NL_SLOT(R, RECV, name), v))
 #define RCV_STAT_ADD(R, name, d)                                            \
-    NT_CHECKED(nt_stat_add(R, O_RECV_stats, T_RSTATS, O_RSTATS_##name, d, #name))
+    NT_CHECKED(nt_stat_add(R, O_RECV_stats, T_RSTATS, F_RSTATS_##name, d))
 #define SEG_I64(var, g, name) NT_I64(var, g, SEG, name)
 #define SEG_F64(var, g, name) NT_F64(var, g, SEG, name)
 #define SEG_FLAG(var, g, name) NT_FLAG(var, g, SEG, name)
@@ -2967,7 +3078,7 @@ static PyType_Spec nreceiver_spec = {
 static int
 nt_bind(void)
 {
-    if (NL.receiver_type != NULL)
+    if (NL.native[T_RECV] != NULL)
         return 0;
     if (nl_bind() < 0 || nl_resolve(T_SENDER, T_COUNT, O_LINK_COUNT, O_COUNT) < 0 ||
         nl_import(&NL.packet_pool, "repro.netsim.packet", "_pool") < 0 ||
@@ -2990,28 +3101,21 @@ nt_bind(void)
     NT_CONST(f_zero, PyFloat_FromDouble(0.0))
     NT_CONST(f_minus_one, PyFloat_FromDouble(-1.0))
 #undef NT_CONST
-    if (NL.sender_type == NULL)
-        NL.sender_type = nl_subtype(&nsender_spec, T_SENDER);
-    if (NL.sender_type == NULL)
+    if (nl_subtype(&nc_stats_specs[T_SSTATS], T_SSTATS) < 0 ||
+        nl_subtype(&nc_stats_specs[T_RSTATS], T_RSTATS) < 0 ||
+        nl_subtype(&nsender_spec, T_SENDER) < 0)
         return -1;
-    NL.receiver_type = nl_subtype(&nreceiver_spec, T_RECV);
-    return NL.receiver_type == NULL ? -1 : 0;
+    return nl_subtype(&nreceiver_spec, T_RECV);
 }
 
+/* KernelSim.<x>_type: NL.native[closure], bound on first use. */
 static PyObject *
-ksim_get_sender_type(PyObject *self, void *closure)
+ksim_get_native(PyObject *self, void *closure)
 {
-    if (nt_bind() < 0)
+    int base = (int)(intptr_t)closure;
+    if ((base < T_SENDER ? nl_bind() : nt_bind()) < 0)
         return NULL;
-    return Py_NewRef((PyObject *)NL.sender_type);
-}
-
-static PyObject *
-ksim_get_receiver_type(PyObject *self, void *closure)
-{
-    if (nt_bind() < 0)
-        return NULL;
-    return Py_NewRef((PyObject *)NL.receiver_type);
+    return Py_NewRef((PyObject *)NL.native[base]);
 }
 
 /* ---- native heap entries ---- */

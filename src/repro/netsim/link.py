@@ -41,10 +41,11 @@ fires.
 
 Kernels: this class is the Python kernel's link and the reference.  On a
 compiled simulator ``Link(sim, ...)`` builds ``sim.link_type`` instead -- a
-subclass with the same slots whose :meth:`send`, :meth:`_serve_queue` and
-:meth:`_deliver` are the C twins of the bodies below (``kernel/_ckernel.c``,
-"native links"; keep the two in sync).  Everything else, dynamics included,
-is inherited from here, and all state stays in these slots.
+subclass whose :meth:`send`, :meth:`_serve_queue` and :meth:`_deliver` are
+the C twins of the bodies below (``kernel/_ckernel.c``, "native links"; keep
+the two in sync).  Everything else, dynamics included, is inherited from
+here, and all state stays in these slots except ``_busy_until`` and
+``_serve_at``, which that subclass keeps as C doubles under the same names.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ class LinkStats:
     serialisation hook), so a run truncated mid-transmission includes the
     in-flight packet.  ``busy_time`` is kept for inspection; ``utilization``
     derives busy time from ``bytes_sent`` and the rate instead.
+
+    On a compiled simulator links build ``sim.link_stats_type``: C int64
+    fields (``busy_time`` a double) under these names, which take ints only,
+    stay within int64 and cannot be deleted; it copies as :class:`LinkStats`.
     """
 
     __slots__ = ("packets_sent", "bytes_sent", "packets_dropped", "busy_time")
@@ -166,7 +171,7 @@ class Link:
         self.queue = queue if queue is not None else DropTailQueue()
         self._enqueue = self.queue.enqueue  # bound once; runs per offered packet
         self.name = name or f"{src.name}->{dst.name}"
-        self.stats = LinkStats()
+        self.stats = getattr(sim, "link_stats_type", LinkStats)()
         self._busy_until = 0.0
         self._serving = False
         # Bound once: _deliver runs per packet per hop and the downstream

@@ -21,7 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class NodeStats:
-    """Per-node forwarding counters."""
+    """Per-node forwarding counters (on a compiled simulator, the C fields of
+    ``sim.node_stats_type``: see :class:`~repro.netsim.link.LinkStats`)."""
 
     __slots__ = ("received", "forwarded", "delivered", "routing_drops")
 
@@ -59,7 +60,7 @@ class Node:
         self.sim = sim
         self.routing = routing
         self.links: Dict[str, "Link"] = {}
-        self.stats = NodeStats()
+        self.stats = getattr(sim, "node_stats_type", NodeStats)()
         cache_ok = routing is not None and routing.hop_cache_safe()
         self._hop_cache: Optional[Dict[tuple, "Link"]] = {} if cache_ok else None
         self._hop_version = routing.version if cache_ok else 0

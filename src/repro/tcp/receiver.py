@@ -37,7 +37,8 @@ class ConnectionSink(Protocol):
 
 
 class ReceiverStats:
-    """Counters exported by a receiver."""
+    """Counters exported by a receiver (on a compiled simulator, the C fields of
+    ``sim.receiver_stats_type``: see :class:`~repro.netsim.link.LinkStats`)."""
 
     __slots__ = (
         "segments_received",
@@ -112,7 +113,7 @@ class TcpReceiver:
         self.tag = tag
         self.connection_sink = connection_sink
         self.ack_size = ack_size
-        self.stats = ReceiverStats()
+        self.stats = getattr(host.sim, "receiver_stats_type", ReceiverStats)()
 
         self.rcv_nxt = 0
         self._out_of_order: Dict[int, Tuple[int, int]] = {}  # seq -> (length, dsn)

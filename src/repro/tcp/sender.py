@@ -20,7 +20,8 @@ builds ``sim.sender_type`` instead -- a subclass with the same slots whose
 :meth:`~TcpSender._fire_rto` and :meth:`~TcpSender._on_rto` run the C twins
 of the bodies below over these very slots (``kernel/_transport.h``, shared
 with the whole-window Scene; keep the two in sync, :class:`_SegmentInfo`,
-:class:`SenderStats` and :class:`~repro.tcp.rtt.RttEstimator` included).
+:class:`SenderStats` and :class:`~repro.tcp.rtt.RttEstimator` included; the
+counters are the C fields of ``sim.sender_stats_type``).
 Everything else -- ``start``/``resume``/``close``/``on_path_restored``, the
 properties -- is inherited from here, and the congestion controller, the data
 provider and ``on_idle`` are called from C exactly where they are called
@@ -106,7 +107,8 @@ def _acquire_segment(seq: int, length: int, dsn: int, sent_at: float) -> _Segmen
 
 
 class SenderStats:
-    """Counters exported by a sender."""
+    """Counters exported by a sender (on a compiled simulator, the C fields of
+    ``sim.sender_stats_type``: see :class:`~repro.netsim.link.LinkStats`)."""
 
     __slots__ = (
         "segments_sent",
@@ -233,7 +235,7 @@ class TcpSender:
         #: sender reacts to echoed CE marks (see handle_packet).
         self.ecn = bool(ecn)
         self.rtt = rtt_estimator if rtt_estimator is not None else RttEstimator()
-        self.stats = SenderStats()
+        self.stats = getattr(host.sim, "sender_stats_type", SenderStats)()
 
         self.snd_una = 0
         self.snd_nxt = 0

@@ -145,3 +145,40 @@ def snapshot(network, connections, captures, *, senders=(), receivers=()) -> dic
             for capture in captures
         ],
     }
+
+
+def conservation_problems(network) -> list:
+    """What breaks the network's packet conservation laws; empty when none.
+
+    * every node: ``received == delivered + forwarded`` (``Node.receive``
+      counts each arrival once, as one or the other);
+    * every node: ``received`` equals the sum, over the links into it, of
+      ``packets_sent - len(_in_flight)``.  A packet counts as sent when it
+      starts serialising and leaves ``_in_flight`` only when it is handed to
+      the downstream node, and a dynamic link (rate or delay change, outage,
+      loss burst) drops at admission or from its queue, never on the wire, so
+      the law needs no drop term and covers static and dynamic links alike;
+    * every drop-tail queue: ``enqueued - dequeued == len(queue)`` (an
+      outage flush dequeues what it drops).
+    """
+    from repro.netsim.queues import DropTailQueue
+
+    problems = []
+    arrived = dict.fromkeys(network.nodes, 0)
+    for (a, b), link in network.links.items():
+        arrived[b] += link.stats.packets_sent - len(link._in_flight)
+        queue = link.queue
+        if type(queue) is DropTailQueue:
+            held = queue.stats.enqueued - queue.stats.dequeued
+            if held != len(queue._queue):
+                problems.append(f"queue {a}->{b}: enqueued - dequeued = {held}, "
+                                f"{len(queue._queue)} queued")
+    for name, node in network.nodes.items():
+        stats = node.stats
+        if stats.received != stats.delivered + stats.forwarded:
+            problems.append(f"node {name}: received {stats.received} != delivered "
+                            f"{stats.delivered} + forwarded {stats.forwarded}")
+        if stats.received != arrived[name]:
+            problems.append(f"node {name}: received {stats.received}, "
+                            f"links into it handed over {arrived[name]}")
+    return problems

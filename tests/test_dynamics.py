@@ -21,7 +21,7 @@ import pytest
 from repro.core.connection import MptcpConnection
 from repro.core.path_manager import FailoverPathManager, TagPathManager
 from repro.errors import ConfigurationError
-from repro.experiments.harness import run_experiment
+from repro.experiments.harness import paper_experiment, run_experiment
 from repro.experiments.scenarios import (
     DYNAMICS_SCENARIOS,
     capacity_step_tracking,
@@ -593,6 +593,39 @@ class TestEmptyScheduleByteIdentical:
         )
         assert fresh == golden["multi/two_mptcp_competition"]
         assert fresh == golden["multi/two_mptcp_empty_dynamics"]
+
+
+class TestNoOpEventChangesNothing:
+    """Setting a link to the rate or delay it already has flips it into
+    dynamic mode and changes nothing else: the paper run's series, drops and
+    delivered bytes stay the static run's, and the event is the only extra
+    event.  Dynamic mode's send / serve / deliver branches (which read
+    ``_busy_until`` and ``_serve_at``) must reproduce the static timing:
+    ``v1 -> v4`` never queues in these runs, ``s -> v1`` queues deep."""
+
+    @staticmethod
+    def observe(cc: str, *timed_events) -> tuple:
+        config = paper_experiment(cc, duration=1.5)
+        if timed_events:
+            config = config.with_overrides(
+                dynamics=DynamicsSpec(schedule=Schedule().at(*timed_events))
+            )
+        result = run_experiment(config)
+        return (result.per_path_series, result.drops, result.stats.bytes_delivered,
+                result.events_processed)
+
+    @pytest.mark.parametrize("link", [("v1", "v4"), ("s", "v1")], ids="->".join)
+    @pytest.mark.parametrize("kind", ["rate", "delay"])
+    @pytest.mark.parametrize("cc", ["cubic", "lia"])
+    def test_a_link_set_to_what_it_is(self, each_kernel, cc, kind, link):
+        spec = paper_experiment(cc).build_scenario()[0].link(*link)
+        event = (LinkRateChange(*link, spec.capacity_mbps) if kind == "rate"
+                 else LinkDelayChange(*link, spec.delay))
+        *static, events = self.observe(cc)
+        for at in (0.3, 0.7, 1.1):
+            *fired, fired_events = self.observe(cc, at, event)
+            assert fired == static, at
+            assert fired_events == events + 1, at
 
 
 class TestDynamicsCli:

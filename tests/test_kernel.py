@@ -118,11 +118,13 @@ class TestKernelFacade:
                              "link_handlers", "link_handlers_reason",
                              "transport_handlers", "transport_handlers_reason",
                              "capture_tap", "capture_tap_reason",
-                             "fluid_integrator", "fluid_integrator_reason"}
+                             "fluid_integrator", "fluid_integrator_reason",
+                             "counters", "counters_reason"}
         assert info["kernel"] in ("compiled", "python")
         # Every body with a C twin is native exactly when the kernel is compiled.
         tier = {"compiled": "native", "python": "python"}[info["kernel"]]
-        bodies = ("link_handlers", "transport_handlers", "capture_tap", "fluid_integrator")
+        bodies = ("link_handlers", "transport_handlers", "capture_tap", "fluid_integrator",
+                  "counters")
         assert {info[body] for body in bodies} == {tier}
         assert all(info[body + "_reason"] for body in bodies)
 
@@ -130,7 +132,7 @@ class TestKernelFacade:
         with kernel.override("python"):
             info = kernel.kernel_info()
         assert info["kernel"] == info["link_handlers"] == info["transport_handlers"] == "python"
-        assert info["capture_tap"] == info["fluid_integrator"] == "python"
+        assert info["capture_tap"] == info["fluid_integrator"] == info["counters"] == "python"
         assert "REPRO_KERNEL=python" in info["fluid_integrator_reason"]
         assert info["extension"] is None
 

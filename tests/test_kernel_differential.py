@@ -9,11 +9,13 @@ a queue discipline, ECN on or off, greedy or bytes-limited transfers, and an
 optional :mod:`repro.netsim.dynamics` schedule -- runs it through
 ``run_multiflow`` under ``REPRO_KERNEL=python`` and ``=compiled`` and demands
 the same result JSON and the same observable network state
-(:func:`tests.kernel_state.network_snapshot`).  A second, smaller draw keeps
-to what the whole-window Scene takes (single-path reno/cubic over drop-tail,
-no ECN, no dynamics) and makes the links fat and long -- to 1 Gbps, to 20 ms,
-hundreds of packets per link direction, the depth the Scene's calendar lanes
-hold -- which only those scenes can afford on the reference kernel.
+(:func:`tests.kernel_state.network_snapshot`), with the packet conservation
+laws (:func:`tests.kernel_state.conservation_problems`) holding on both.  A
+second, smaller draw keeps to what the whole-window Scene takes (single-path
+reno/cubic over drop-tail, no ECN, no dynamics) and makes the links fat and
+long -- to 1 Gbps, to 20 ms, hundreds of packets per link direction, the
+depth the Scene's calendar lanes hold -- which only those scenes can afford
+on the reference kernel.
 
 Budget: the default run draws a fixed (derandomised) set of examples in well
 under a minute; ``--hypothesis-profile=deep`` is the local soak (random, a
@@ -44,7 +46,7 @@ from repro.netsim.dynamics import (
 )
 from repro.netsim.network import Network
 from repro.netsim.topology import Topology
-from tests.kernel_state import network_snapshot
+from tests.kernel_state import conservation_problems, network_snapshot
 
 SINGLE_PATH_CC = ("reno", "cubic", "sfc", "telehaptic")
 MULTIPATH_CC = ("reno", "cubic", "lia", "olia", "balia", "wvegas", "sfc", "telehaptic")
@@ -160,12 +162,22 @@ def scene_config(scene: dict) -> MultiFlowConfig:
     )
 
 
+class ConservingNetwork(Network):
+    """A :class:`Network` that checks :func:`conservation_problems` at every
+    window boundary: after each :meth:`run`, whichever tier ran the window."""
+
+    def run(self, duration: float) -> float:
+        now = super().run(duration)
+        assert conservation_problems(self) == []
+        return now
+
+
 def run_scene(scene: dict, mode: str):
     """(result JSON, observable network state) of ``scene`` on kernel ``mode``."""
     built = []
 
     def recording_network(topology):
-        network = Network(topology)
+        network = ConservingNetwork(topology)
         built.append(network)
         return network
 

@@ -15,7 +15,9 @@ computed on the Python kernel, so the ``python`` leg pins determinism and the
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -31,14 +33,16 @@ from repro.experiments.scenarios import (
 from repro.netsim import capture as capture_module
 from repro.netsim.capture import PacketCapture
 from repro.netsim.engine import make_simulator
-from repro.netsim.link import Link
+from repro.netsim.link import Link, LinkStats
 from repro.netsim.network import Network
-from repro.netsim.node import Host, Router
+from repro.netsim.node import Host, NodeStats, Router
 from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.routing import TagRoutingTable
 from repro.netsim.topology import Topology
 from repro.tcp.connection import TcpConnection
+from repro.tcp.receiver import ReceiverStats
+from repro.tcp.sender import SenderStats
 from tests.kernel_state import snapshot
 from tests.test_kernel import run_micro
 
@@ -128,6 +132,111 @@ class TestLinkTypeSelection:
         del link.stats
         with pytest.raises(AttributeError, match="stats"):
             link.send(Packet("s", "d", 100))
+
+
+def stats_owners(scene: Scene) -> dict:
+    """Every link, node and TCP agent of ``scene``, by a readable name."""
+    owners = {f"link {a}->{b}": link for (a, b), link in scene.network.links.items()}
+    owners.update((f"node {name}", node) for name, node in scene.network.nodes.items())
+    for connection in scene.connections:
+        owners[f"sender {connection.flow_id}"] = connection.sender
+        owners[f"receiver {connection.flow_id}"] = connection.receiver
+    return owners
+
+
+def counters(scene: Scene) -> dict:
+    """Every counter of every stats object in ``scene``, with its type."""
+    return {
+        (who, name): (type(value).__name__, value)
+        for who, owner in stats_owners(scene).items()
+        for name in type(owner.stats).__slots__
+        for value in [getattr(owner.stats, name)]
+    }
+
+
+#: By owner kind: the KernelSim attribute naming its native stats type, and
+#: the Python class that type extends.
+NATIVE_STATS = {"link": ("link_stats_type", LinkStats), "node": ("node_stats_type", NodeStats),
+                "sender": ("sender_stats_type", SenderStats),
+                "receiver": ("receiver_stats_type", ReceiverStats)}
+
+
+class TestNativeCounters:
+    """On a KernelSim the stats of links, nodes and agents, and a link's
+    ``_busy_until`` / ``_serve_at``, are C numbers under the slot names."""
+
+    def test_owners_build_the_simulators_stats_types(self, each_kernel):
+        scene = Scene(each_kernel)
+        for who, owner in stats_owners(scene).items():
+            attr, python_class = NATIVE_STATS[who.split()[0]]
+            if each_kernel == "compiled":
+                native = getattr(scene.sim, attr)
+                assert type(owner.stats) is native and native.__base__ is python_class, who
+            else:
+                assert type(owner.stats) is python_class and not hasattr(scene.sim, attr), who
+        if each_kernel == "compiled":
+            fields = vars(scene.sim.link_type)
+            assert {type(fields[name]).__name__ for name in ("_busy_until", "_serve_at")} == {
+                "getset_descriptor"}
+
+    @pytest.mark.parametrize("line", [
+        {"flows": 4, "queue_packets": 8},
+        {"flows": 4, "queue_kind": "red", "ecn": True},
+    ], ids=["droptail-4-flows", "red-ecn-4-flows"])
+    def test_every_counter_equals_the_python_tiers(self, each_kernel, line):
+        counted = counters(Scene(each_kernel, **line).run(1.0))
+        assert counted == counters(Scene("python", **line).run(1.0))
+        assert sum(v for (_, name), (_, v) in counted.items() if name == "dupacks") > 0
+
+    def test_a_counter_takes_ints_and_nothing_it_cannot_hold(self, each_kernel):
+        if each_kernel != "compiled":
+            pytest.skip("a Python counter holds any object")
+        scene = Scene(each_kernel).run(0.05)
+        stats, link = scene.bottleneck.stats, scene.bottleneck
+        stats.packets_sent = 7
+        stats.busy_time = 2
+        link._serve_at = 3
+        assert (stats.packets_sent, stats.busy_time, link._serve_at) == (7, 2.0, 3.0)
+        assert type(stats.busy_time) is type(link._serve_at) is float
+        bytes_sent = stats.bytes_sent
+        with pytest.raises(TypeError, match="packets_sent must be an int, not float"):
+            stats.packets_sent = 1.5
+        with pytest.raises(TypeError):
+            stats.busy_time = "slow"
+        with pytest.raises(OverflowError):
+            stats.bytes_sent = 2 ** 63
+        for owner, name in ((stats, "packets_sent"), (stats, "busy_time"), (link, "_busy_until")):
+            with pytest.raises(TypeError, match=f"cannot delete {name}"):
+                delattr(owner, name)
+        # A refused value leaves the field as it was.
+        assert (stats.packets_sent, stats.busy_time, stats.bytes_sent) == (7, 2.0, bytes_sent)
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda stats: pickle.loads(pickle.dumps(stats)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_the_python_class_with_the_same_counters(self, each_kernel, duplicate):
+        if each_kernel != "compiled":
+            pytest.skip("nothing native to copy")
+        scene = Scene(each_kernel).run(0.3)
+        for who, owner in stats_owners(scene).items():
+            twin = duplicate(owner.stats)
+            assert type(twin) is type(owner.stats).__base__, who
+            assert [getattr(twin, name) for name in twin.__slots__] == [
+                getattr(owner.stats, name) for name in twin.__slots__], who
+
+    def test_a_foreign_stats_object_is_a_type_error_naming_the_native_type(self, each_kernel):
+        if each_kernel != "compiled":
+            pytest.skip("the Python link is duck-typed")
+        network = line_network()
+        upstream = network.link("s", "r")
+        upstream.stats = LinkStats()
+        with pytest.raises(TypeError, match=r"must be a repro\.kernel\._ckernel\.LinkStats"):
+            upstream.send(Packet("s", "d", 100))
+        network = line_network()
+        network.node("r").stats = NodeStats()
+        assert network.link("s", "r").send(Packet("s", "d", 100))
+        with pytest.raises(TypeError, match=r"must be a repro\.kernel\._ckernel\.NodeStats"):
+            network.sim.run(until=1.0)
 
 
 class TestDynamicsMidRun:

@@ -27,9 +27,9 @@ from repro.netsim.network import Network
 from repro.netsim.packet import Packet
 from repro.tcp import connection as tcp_connection
 from repro.tcp.connection import BulkDataAdapter, TcpConnection, TransferQueueAdapter
-from repro.tcp.receiver import TcpReceiver
+from repro.tcp.receiver import ReceiverStats, TcpReceiver
 from repro.tcp.rtt import RttEstimator
-from repro.tcp.sender import TcpSender
+from repro.tcp.sender import SenderStats, TcpSender
 from tests.conftest import make_two_path_scenario
 from tests.kernel_state import network_snapshot, snapshot
 from tests.test_kernel import micro_network
@@ -409,9 +409,11 @@ class TestPythonSubclass:
         assert sender.dupacks_seen == sender.stats.dupacks > 0
         if each_kernel == "compiled":
             # The receiver is stock, so it is native; the sender's timer is
-            # the Python bound method, not a native entry.
+            # the Python bound method, not a native entry.  Its Python bodies
+            # count in the native stats type all the same.
             assert type(scene.connections[0].receiver) is scene.sim.receiver_type
             assert sender._rto_event is not None
+            assert type(sender.stats) is scene.sim.sender_stats_type
 
 
 class TestSlotChecks:
@@ -427,6 +429,21 @@ class TestSlotChecks:
             del connection.receiver._out_of_order
             with pytest.raises(AttributeError, match="_out_of_order"):
                 connection.receiver.handle_packet(data_for(connection.receiver, 5000, 100))
+
+    def test_a_foreign_stats_object_is_a_type_error_naming_the_native_type(self, each_kernel):
+        if each_kernel != "compiled":
+            pytest.skip("the Python agents are duck-typed")
+        with kernel.override(each_kernel):
+            network = micro_network()
+            connection = TcpConnection(network, "s", "d", tag=1, flow_id=7)
+            connection.start(0.0)
+            network.sim.run(until=0.0005)
+        sender, receiver = connection.sender, connection.receiver
+        sender.stats, receiver.stats = SenderStats(), ReceiverStats()
+        with pytest.raises(TypeError, match=r"must be a repro\.kernel\._ckernel\.SenderStats"):
+            sender.handle_packet(ack_for(sender, 1460))
+        with pytest.raises(TypeError, match=r"must be a repro\.kernel\._ckernel\.ReceiverStats"):
+            receiver.handle_packet(data_for(receiver, 0, 100))
 
     def test_a_slot_of_the_wrong_type_is_a_type_error(self, each_kernel):
         with kernel.override(each_kernel):
