@@ -3,7 +3,9 @@
 Every benchmark regenerates one paper artefact (a figure panel, a results
 claim or an ablation) and prints a ``paper vs measured`` block so the console
 output of ``pytest benchmarks/ --benchmark-only`` documents the reproduction
-directly; ``benchmarks/latest_results.txt`` (untracked) keeps the same rows.
+directly; ``benchmarks/latest_results.txt`` (untracked) keeps the same rows
+for the latest session alone: it is removed when a session starts, and every
+benchmark that session runs appends its block.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ from repro.measure.report import format_comparison
 #: Every benchmark appends its paper-vs-measured block here, so the record
 #: survives pytest's output capturing.
 RESULTS_FILE = pathlib.Path(__file__).with_name("latest_results.txt")
+
+
+def pytest_sessionstart(session) -> None:
+    """Start each session with no results file, so it holds this run's blocks only."""
+    RESULTS_FILE.unlink(missing_ok=True)
 
 
 def report(title: str, rows: list[dict]) -> None:

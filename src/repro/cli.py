@@ -26,10 +26,8 @@ Sub-commands:
                   report; ``--compare`` also runs the other fidelity and
                   reports the cross-backend FCT error.
 * ``info``     -- print the active simulation kernel (compiled vs python,
-                  and why), the package version, the interpreter/platform,
-                  and whether the recorded bench baseline is comparable to
-                  this environment (same drift detection as
-                  ``benchmarks/check_regression.py``).
+                  and why, handler by handler), the package version and the
+                  interpreter/platform.
 
 All ``--json`` output is NaN-safe: non-finite metrics are emitted as
 ``null`` and serialisation runs with ``allow_nan=False`` so a regression
@@ -263,13 +261,6 @@ def _arguments_workload(workload: argparse.ArgumentParser) -> None:
 
 
 def _arguments_info(info: argparse.ArgumentParser) -> None:
-    info.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="bench baseline JSON to check for drift (default: the "
-        "benchmarks/ file matching the active kernel, when present)",
-    )
     info.add_argument("--json", action="store_true")
 
 
@@ -787,40 +778,12 @@ def _command_workload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _baseline_status(kernel: str, explicit: Optional[str]) -> dict:
-    """Bench-baseline drift status for ``info`` (no benchmarks are run).
-
-    Reuses :func:`repro.measure.baseline.environment_drift` -- the same
-    detection ``check_regression.py`` warns with -- so the CLI can state
-    whether the committed baseline numbers are comparable to this machine.
-    """
-    from .measure.baseline import environment_drift, find_baseline, load_baseline
-
-    path = find_baseline(kernel, explicit)
-    if path is None:
-        return {"status": "missing", "path": explicit, "drift": []}
-    try:
-        payload = load_baseline(path)
-    except (OSError, ValueError) as error:
-        return {"status": "unreadable", "path": str(path), "drift": [str(error)]}
-    drift = environment_drift(payload, kernel=kernel)
-    return {
-        "status": "drift" if drift else "comparable",
-        "path": str(path),
-        "drift": drift,
-        "recorded": {
-            field: payload.get(field) for field in ("python", "platform", "kernel")
-        },
-    }
-
-
 def _command_info(args: argparse.Namespace) -> int:
     import platform
 
     from .kernel import kernel_info
 
     kernel = kernel_info()
-    baseline = _baseline_status(kernel["kernel"], args.baseline)
     if args.json:
         print(
             _dumps(
@@ -829,7 +792,6 @@ def _command_info(args: argparse.Namespace) -> int:
                     "python": sys.version.split()[0],
                     "platform": platform.platform(),
                     "kernel": kernel,
-                    "baseline": baseline,
                 }
             )
         )
@@ -854,20 +816,6 @@ def _command_info(args: argparse.Namespace) -> int:
         f"fluid:     {kernel['fluid_integrator']} integrator "
         f"({kernel['fluid_integrator_reason']})"
     )
-    if baseline["status"] == "missing":
-        print(
-            f"baseline:  none recorded for the {kernel['kernel']} kernel "
-            "(record with: pytest benchmarks/bench_perf_baseline.py)"
-        )
-    elif baseline["status"] == "unreadable":
-        print(f"baseline:  {baseline['path']} unreadable: {baseline['drift'][0]}")
-    elif baseline["drift"]:
-        print(f"baseline:  {baseline['path']} DRIFT")
-        for message in baseline["drift"]:
-            print(f"  - {message}")
-        print("  (timings are cross-environment; re-record with bench_perf_baseline.py)")
-    else:
-        print(f"baseline:  {baseline['path']} comparable to this environment")
     return 0
 
 
@@ -898,7 +846,7 @@ _COMMANDS = {
         _command_workload,
     ),
     "info": (
-        "print the active kernel, version, environment and baseline drift",
+        "print the active kernel, version and environment",
         _arguments_info,
         _command_info,
     ),

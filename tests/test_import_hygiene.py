@@ -248,6 +248,16 @@ class TestProcessEntry:
             main(["--version"])
         assert main(["info"]) == 0
         assert "kernel:" in capsys.readouterr().out
+        # ``info --json`` reports what ``info`` prints and nothing more.
+        from repro.kernel import kernel_info
+
+        assert main(["info", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"version", "python", "platform", "kernel"}
+        assert report["kernel"] == kernel_info()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["info", "--baseline", "x"])
+        assert exit_info.value.code == 2
         assert gc.get_freeze_count() == 0
 
 
