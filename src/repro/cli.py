@@ -886,7 +886,7 @@ def run() -> None:
     """Process entry (``python -m repro.cli``, the ``repro`` script): :func:`main`, then exit.
 
     ``gc.freeze()`` leaves shutdown's collections nothing to walk (numpy's and
-    scipy's objects: 0.07 s of a cold campaign call) while ``atexit`` hooks,
+    scipy's objects: 0.02 s of a cold campaign call) while ``atexit`` hooks,
     buffered writes and the exit code work as ever, which ``os._exit`` would
     not give.  In-process callers use :func:`main`, which freezes nothing.
     """

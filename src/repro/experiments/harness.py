@@ -471,12 +471,15 @@ def _start_worker(runner: Callable) -> Tuple:
 
     ctx = multiprocessing.get_context()
     if ctx.get_start_method() == "fork":
-        # Every point's validation solves with scipy.optimize (~0.3 s to
-        # import): load it once here and each forked worker inherits it.
-        try:
-            import scipy.optimize  # noqa: F401
-        except ImportError:
-            pass  # the model layer then uses its scipy-free solvers
+        # Every point's validation solves with scipy's HiGHS and SLSQP
+        # modules: load them once here and each forked worker inherits them.
+        from ..model._scipy_solvers import HIGHS, SLSQP, load
+
+        for name in (HIGHS, SLSQP):
+            try:
+                load(name)
+            except ImportError:
+                pass  # the model layer then uses the vertex LP / skips PF
     conn, child_conn = ctx.Pipe()
     process = ctx.Process(
         target=_worker_main, args=(child_conn, conn, runner), daemon=True

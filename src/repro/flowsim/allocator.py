@@ -166,7 +166,11 @@ class ProportionalFairAllocator(RateAllocator):
     scipy's SLSQP (the solver behind
     :func:`repro.model.lp.proportional_fair_rates`).  Weighted subflow terms
     approximate coupled connections; intended for validation-scale scenarios,
-    not the 10k-flow regime.
+    not the 10k-flow regime.  A responsive class capped below ``min_rate`` is
+    served at its cap after the constant-bit-rate classes; one that crosses a
+    link left with less than ``min_rate`` per responsive flow (capacity 0, or
+    taken by the served classes) gets 0.  Neither enters the solve, whose
+    bounds ``[min_rate, cap]`` they could not meet.
     """
 
     name = "proportional_fair"
@@ -177,27 +181,44 @@ class ProportionalFairAllocator(RateAllocator):
     def solve(
         self, demands: Sequence[ClassDemand], capacity: Sequence[float]
     ) -> List[float]:
-        try:
-            import numpy as np
-            from scipy.optimize import minimize
-        except Exception as error:  # pragma: no cover - scipy is baked in
-            raise ModelError("proportional fairness requires scipy") from error
+        import numpy as np
+
+        from ..model._scipy_solvers import EXIT_MODES, minimize_slsqp
 
         populated = [i for i, d in enumerate(demands) if d.count > 0]
         if not populated:
             return [0.0] * len(demands)
         fixed: Dict[int, float] = {}
         remaining = [float(c) for c in capacity]
-        for index in list(populated):
+        # Constant-bit-rate classes first, then responsive ones capped below
+        # min_rate: each takes its cap, or its share of what is left.
+        constant = [i for i in populated if not demands[i].responsive]
+        below = [
+            i
+            for i in populated
+            if demands[i].responsive
+            and demands[i].cap is not None
+            and demands[i].cap < self.min_rate
+        ]
+        for index in constant + below:
             demand = demands[index]
-            if demand.responsive:
-                continue
             share = min(remaining[link] for link in demand.links) / demand.count
             rate = max(0.0, share if demand.cap is None else min(demand.cap, share))
             fixed[index] = rate
             for link in demand.links:
                 remaining[link] -= rate * demand.count
             populated.remove(index)
+        # A link that cannot give every responsive flow on it min_rate (float
+        # dust included) is exhausted: the classes crossing it get 0.
+        flows: Dict[int, int] = {}
+        for index in populated:
+            for link in demands[index].links:
+                flows[link] = flows.get(link, 0) + demands[index].count
+        exhausted = {link for link, n in flows.items() if remaining[link] < self.min_rate * n}
+        for index in list(populated):
+            if any(link in exhausted for link in demands[index].links):
+                fixed[index] = 0.0
+                populated.remove(index)
         if not populated:
             return [fixed.get(i, 0.0) for i in range(len(demands))]
 
@@ -221,35 +242,25 @@ class ProportionalFairAllocator(RateAllocator):
         for row, link in enumerate(links):
             for column, count in rows[link]:
                 matrix[row, column] += count
-        budget = np.asarray([max(remaining[link], 0.0) for link in links])
-        jacobian = -matrix
-        constraints = {
-            "type": "ineq",
-            "fun": lambda x: budget - matrix @ x,
-            "jac": lambda x: jacobian,
-        }
-        bounds = [
-            (self.min_rate, demands[i].cap if demands[i].cap is not None else None)
-            for i in populated
-        ]
+        budget = np.asarray([remaining[link] for link in links])  # none exhausted, see above
         start = np.full(
             len(populated),
             max(self.min_rate, min(max(r, 0.0) for r in remaining) / (2.0 * counts.sum())),
         )
-        result = minimize(
+        x, mode, _ = minimize_slsqp(
             negative_utility,
+            gradient,
             start,
-            jac=gradient,
-            bounds=bounds,
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": 1e-10},
+            matrix,
+            budget,
+            np.full(len(populated), float(self.min_rate)),
+            np.asarray([np.inf if demands[i].cap is None else demands[i].cap for i in populated]),
         )
-        if not result.success:  # pragma: no cover - defensive
-            raise ModelError(f"proportional-fair allocator failed: {result.message}")
+        if mode != 0:
+            raise ModelError(f"proportional-fair allocator failed: {EXIT_MODES[mode]}")
         rates = [0.0] * len(demands)
         for column, index in enumerate(populated):
-            rates[index] = float(result.x[column])
+            rates[index] = float(x[column])
         for index, rate in fixed.items():
             rates[index] = rate
         return rates

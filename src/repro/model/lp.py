@@ -4,6 +4,8 @@
 with the following objective function max x1 + x2 + x3" -- this module solves
 exactly that problem: maximise total throughput subject to the link-capacity
 constraints, using scipy's HiGHS solver with a vertex-enumeration fallback.
+Both scipy solvers here (HiGHS and, below, SLSQP) are its compiled modules,
+loaded by :mod:`repro.model._scipy_solvers` without ``scipy.optimize``.
 
 It also provides a proportionally fair allocation (log-utility maximisation)
 as an alternative objective, since coupled congestion controllers are
@@ -19,11 +21,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import ModelError
+from ._scipy_solvers import EXIT_MODES, HIGHS, load, minimize_slsqp
 from .bottleneck import Constraint, ConstraintSystem
 from .polytope import maximize_over_vertices
 
-#: scipy.optimize costs ~0.3 s to import, so only the functions that solve
-#: load it; WorkerPool loads it once in the parent before forking workers.
+#: Only the functions that solve load scipy's solver modules (≈ 8 ms, never
+#: ``scipy.optimize``); WorkerPool loads them in the parent before it forks.
 _HAVE_SCIPY = find_spec("scipy") is not None
 
 
@@ -76,8 +79,8 @@ def max_total_throughput(
 
     core = None
     if solver in ("auto", "highs") and _HAVE_SCIPY:
-        try:  # scipy's HiGHS bindings, imported at the first solve
-            from scipy.optimize._highspy import _core as core
+        try:  # scipy's HiGHS bindings, loaded at the first solve
+            core = load(HIGHS)
         except ImportError:  # scipy older than 1.15
             pass
     if solver == "highs" and core is None:
@@ -151,7 +154,6 @@ def proportional_fair_rates(
     """
     if not _HAVE_SCIPY:
         raise ModelError("proportional fairness requires scipy")
-    from scipy.optimize import minimize
 
     system.validate()
     n = system.path_count
@@ -165,21 +167,13 @@ def proportional_fair_rates(
         return -1.0 / np.maximum(x, 1e-12)
 
     # One stacked constraint c - A x >= 0 whose Jacobian is exactly -A.
-    jacobian = -a
-    constraints = {"type": "ineq", "fun": lambda x: c - a @ x, "jac": lambda x: jacobian}
     start = np.full(n, max(min_rate, float(np.min(c)) / (2.0 * n)))
-    result = minimize(
-        negative_log_utility,
-        start,
-        jac=gradient,
-        bounds=[(min_rate, None)] * n,
-        constraints=constraints,
-        method="SLSQP",
-        options={"maxiter": 500, "ftol": 1e-10},
+    x, mode, _ = minimize_slsqp(
+        negative_log_utility, gradient, start, a, c, np.full(n, float(min_rate)), np.full(n, np.inf)
     )
-    if not result.success:  # pragma: no cover - defensive
-        raise ModelError(f"proportional fairness solver failed: {result.message}")
-    rates = [float(x) for x in result.x]
+    if mode != 0:
+        raise ModelError(f"proportional fairness solver failed: {EXIT_MODES[mode]}")
+    rates = [float(rate) for rate in x]
     return LpResult(
         rates=rates,
         total=float(sum(rates)),

@@ -2,8 +2,9 @@
 
 ``import repro.cli`` loads the standard library, ``repro._version`` and
 ``repro.errors``; package names resolve on first use (``repro._lazy``);
-scipy.optimize (~0.3 s) and its HiGHS bindings load only where something is
-solved; networkx (~0.15 s) only where a graph is queried, which no run does.
+scipy's HiGHS and SLSQP modules load only where something is solved, and
+``scipy.optimize`` (~0.3 s) never; networkx (~0.15 s) only where a graph is
+queried, which no run does.
 
 Each check needs an interpreter that has not imported anything yet, so each
 runs a short script in a fresh subprocess and reads what it prints.
@@ -62,6 +63,10 @@ def _cli(*argv: str) -> str:
 
 #: The module of scipy's HiGHS bindings, what an LP solve calls.
 HIGHS = "scipy.optimize._highspy._core"
+#: The module of scipy's SLSQP, what a proportional-fair solve calls.
+SLSQP = "scipy.optimize._slsqplib"
+#: What ``import scipy.optimize`` loads and no solve needs.
+SCIPY_PACKAGES = ("scipy.optimize", "scipy.linalg")
 
 #: What only a point that executes needs: the simulator, the solvers, the pool.
 EXECUTION = (
@@ -124,16 +129,59 @@ class TestScipyStaysUnloaded:
     def test_resuming_a_finished_campaign_loads_no_scipy(self, cold_campaign):
         assert _loaded(_cli(*cold_campaign[0]), "scipy") == []
 
-    def test_a_solve_loads_it(self):
-        """The first LP solve imports the bindings (and so ``scipy.optimize``)."""
+    def test_a_solve_loads_the_two_solver_modules_and_not_scipy_optimize(self):
+        """An LP and a proportional-fair solve load HiGHS's and SLSQP's modules
+        from their files, never the ``scipy.optimize`` package around them."""
         pytest.importorskip("scipy.optimize")
         script = (
             "from repro.model.bottleneck import build_constraints\n"
-            "from repro.model.lp import max_total_throughput\n"
+            "from repro.model.lp import max_total_throughput, proportional_fair_rates\n"
             "from repro.topologies.paper import paper_scenario\n"
-            "assert max_total_throughput(build_constraints(*paper_scenario())).solver == 'highs'"
+            "system = build_constraints(*paper_scenario())\n"
+            "assert max_total_throughput(system).solver == 'highs'\n"
+            "assert proportional_fair_rates(system).solver == 'slsqp'"
         )
-        assert {"scipy.optimize", HIGHS} <= set(_loaded(script, "scipy"))
+        loaded = set(_loaded(script, "scipy"))
+        assert {HIGHS, SLSQP} <= loaded
+        assert loaded.isdisjoint(SCIPY_PACKAGES)
+
+    def test_a_cold_campaign_loads_the_solvers_not_scipy_optimize(self, cold_campaign):
+        loaded = set(cold_campaign[1])
+        assert loaded.isdisjoint(SCIPY_PACKAGES)
+        if importlib.util.find_spec("scipy") is not None:
+            assert {HIGHS, SLSQP} <= loaded
+
+    def test_scipy_optimize_imported_after_a_solve_answers_as_repro(self):
+        """A later ``import scipy.optimize`` reuses the registered modules (the
+        pybind module initialised once) and its ``linprog`` / ``minimize``
+        answer what repro answered."""
+        pytest.importorskip("scipy.optimize")
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.model.bottleneck import build_constraints\n"
+            "from repro.model.lp import max_total_throughput, proportional_fair_rates\n"
+            "from repro.topologies.paper import paper_scenario\n"
+            "system = build_constraints(*paper_scenario())\n"
+            "lp, fair = max_total_throughput(system), proportional_fair_rates(system)\n"
+            f"solvers = [sys.modules[name] for name in {(HIGHS, SLSQP)!r}]\n"
+            "assert 'scipy.optimize' not in sys.modules\n"
+            "from scipy.optimize import linprog, minimize\n"
+            f"assert solvers == [sys.modules[name] for name in {(HIGHS, SLSQP)!r}]\n"
+            "a, c, n = system.matrix(), system.rhs(), system.path_count\n"
+            "x = linprog([-1.0] * n, A_ub=a, b_ub=c, bounds=[(0, None)] * n, method='highs').x\n"
+            "assert [float(v) for v in x] == lp.rates\n"
+            "x = minimize(\n"
+            "    lambda x: -float(np.sum(np.log(np.maximum(x, 1e-12)))),\n"
+            "    np.full(n, max(1e-3, float(np.min(c)) / (2.0 * n))),\n"
+            "    jac=lambda x: -1.0 / np.maximum(x, 1e-12),\n"
+            "    bounds=[(1e-3, None)] * n,\n"
+            "    constraints={'type': 'ineq', 'fun': lambda x: c - a @ x, 'jac': lambda x: -a},\n"
+            "    method='SLSQP', options={'maxiter': 500, 'ftol': 1e-10},\n"
+            ").x\n"
+            "assert [float(v) for v in x] == fair.rates"
+        )
+        assert "scipy.optimize" in _loaded(script, "scipy.optimize")
 
 
 class TestNetworkxStaysUnloaded:
@@ -266,9 +314,17 @@ import sys
 from repro.experiments.harness import WorkerPool
 
 def loaded(_):
-    return ["scipy.optimize._highspy._core" in sys.modules, "networkx" in sys.modules]
+    return [
+        name in sys.modules
+        for name in (
+            "scipy.optimize._highspy._core",
+            "scipy.optimize._slsqplib",
+            "scipy.optimize",
+            "networkx",
+        )
+    ]
 
-assert loaded(None) == [False, False]  # nothing in this process has solved anything
+assert loaded(None) == [False] * 4  # nothing in this process has solved anything
 print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
 """
 
@@ -277,13 +333,13 @@ print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
     multiprocessing.get_context().get_start_method() != "fork",
     reason="only forked workers inherit the parent's modules",
 )
-def test_forked_workers_start_with_scipy_optimize_loaded():
-    """Without the pre-fork load every worker would import scipy.optimize, and
-    with it the HiGHS bindings, on its first solve; networkx is no longer
+def test_forked_workers_start_with_both_solvers_loaded():
+    """The pre-fork load maps HiGHS and SLSQP once, so no worker loads them on
+    its first solve, and none holds ``scipy.optimize``; networkx is no longer
     anything a point needs."""
     pytest.importorskip("scipy.optimize")
     workers = _run_python("-c", _FORKED_WORKER_SCRIPT).splitlines()[-1]
-    assert workers == "WORKERS [[True, False], [True, False]]"
+    assert workers == "WORKERS [[True, True, False, False], [True, True, False, False]]"
 
 
 @pytest.mark.parametrize(

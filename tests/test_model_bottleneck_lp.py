@@ -100,6 +100,15 @@ class TestMaxThroughputLp:
         pytest.importorskip("scipy.optimize")
         assert max_total_throughput(paper_system).solver == "highs"
 
+    def test_installed_scipy_ships_both_solvers(self):
+        """Skips only without scipy: a scipy that moved or renamed the HiGHS or
+        the SLSQP module fails here instead of falling back to the vertex LP or
+        dropping the proportional-fair reference unnoticed."""
+        pytest.importorskip("scipy")
+        from repro.model._scipy_solvers import HIGHS, SLSQP, load
+
+        assert [load(name).__name__ for name in (HIGHS, SLSQP)] == [HIGHS, SLSQP]
+
     def test_vertex_solver_agrees_with_highs(self, paper_system):
         pytest.importorskip("scipy.optimize")
         highs = max_total_throughput(paper_system, solver="highs")
