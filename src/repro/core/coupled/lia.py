@@ -30,10 +30,17 @@ class LiaCongestionControl(CoupledCongestionControl):
     def alpha(self) -> float:
         """The LIA aggressiveness factor computed over all subflows."""
         members = self.group.members_view
-        total_cwnd = sum(m.cwnd for m in members)
+        # Plain additions in member order, as the fused walk makes them:
+        # sum() compensates float additions from Python 3.12 and would round
+        # apart from it.
+        total_cwnd = 0
+        rate_sum = 0
+        for m in members:
+            total_cwnd = total_cwnd + m.cwnd
+            rate_sum = rate_sum + m.cwnd / m.rtt_or_default()
         if total_cwnd <= 0:
             return 1.0
-        denominator = sum(m.cwnd / m.rtt_or_default() for m in members) ** 2
+        denominator = rate_sum ** 2
         if denominator <= 0:
             return 1.0
         numerator = max(m.cwnd / (m.rtt_or_default() ** 2) for m in members)

@@ -4,7 +4,10 @@ This is the programmatic equivalent of the paper's measurement procedure
 (Section 2.2): build the Mininet-like network, pin the subflows to the
 pre-selected tagged paths, generate bulk traffic, capture packets with the
 tshark substitute at the receiver, filter by tag and bin into throughput time
-series, and compare the result against the analytical optimum.
+series, and compare the result against the analytical optimum.  The network
+is built and run by the multi-flow build step (``multiflow._simulate``) with
+the connection as its one ``mptcp`` flow; what is single-connection here is
+the measurement.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - a configuration declares, run_experiment
     from ..model.bottleneck import ConstraintSystem
     from ..model.lp import LpResult
     from ..netsim.dynamics import DynamicsSpec
+    from .multiflow import FlowSpec
 
 ScenarioBuilder = Callable[[], Tuple[Topology, PathSet]]
 
@@ -199,76 +203,59 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         return run_experiment_flowlevel(config)
     # Loaded where a point executes: a call that only declares configurations
     # (a resumed, listed or merged campaign) imports no simulator or analyser.
-    from ..core.connection import MptcpConnection
     from ..measure.convergence import analyze_convergence
-    from ..measure.dynamics import analyze_dynamics
     from ..measure.flowstats import connection_stats
     from ..measure.sampling import per_tag_timeseries, total_timeseries
     from ..measure.signalplane import signal_plane_report
-    from ..model.bottleneck import build_constraints
-    from ..model.lp import max_total_throughput
-    from ..netsim.network import Network
+    from .multiflow import _simulate
 
-    topology, paths = config.build_scenario()
-    if config.queue_kind is not None:
-        topology.set_queue_kind(config.queue_kind)
-    network = Network(topology)
-    capture = network.attach_capture(paths.dst, data_only=True)
+    network, (flow,) = _simulate(config, [_connection_spec(config)], config.path_manager)
 
-    connection = MptcpConnection(
-        network,
-        paths.src,
-        paths.dst,
-        None if config.path_manager is not None else paths,
-        congestion_control=config.congestion_control,
-        scheduler=config.scheduler,
-        path_manager=config.path_manager,
-        default_path_index=config.default_path_index,
-        mss=config.mss,
-        ecn=config.ecn,
-        total_bytes=config.total_bytes,
-        send_buffer_bytes=config.send_buffer_bytes,
-        join_delay=config.join_delay,
-    )
-    connection.start(at=0.0)
-    if config.dynamics is not None:
-        # Registered after the connection so its dynamics listener sees the
-        # events; an empty spec registers nothing.
-        config.dynamics.apply(network)
-    network.run(config.duration)
-
-    start = config.warmup
-    end = config.duration
-    tags = [path.tag for path in paths]
+    start, end = config.warmup, config.duration
     per_path = per_tag_timeseries(
-        capture, config.sampling_interval, start=start, end=end, tags=tags
+        flow.capture, config.sampling_interval, start=start, end=end, tags=list(flow.tag_map)
     )
-    total = total_timeseries(capture, config.sampling_interval, start=start, end=end)
-
-    system = build_constraints(topology, paths)
-    optimum = max_total_throughput(system)
-    convergence = analyze_convergence(total, optimum.total)
-    stats = connection_stats(connection, config.duration)
-    dynamics_report = None
-    spec = config.dynamics
-    if spec is not None and (spec.measurement_epochs() or spec.capacity_profile):
-        # Epochs or a capacity profile may also describe events driven
-        # outside the Schedule; an entirely empty spec yields no report.
-        dynamics_report = analyze_dynamics(total, spec)
+    total = total_timeseries(flow.capture, config.sampling_interval, start=start, end=end)
 
     return ExperimentResult(
         config=config,
         per_path_series=per_path,
         total_series=total,
-        optimum=optimum,
-        convergence=convergence,
-        stats=stats,
-        constraint_system=system,
+        optimum=flow.optimum,
+        convergence=analyze_convergence(total, flow.optimum.total),
+        stats=connection_stats(flow.connection, config.duration),
+        constraint_system=flow.system,
         drops=network.total_drops(),
         events_processed=network.sim.events_processed,
-        dynamics=dynamics_report,
+        dynamics=_dynamics_report(total, config.dynamics),
         signal_plane=signal_plane_report(network, config.duration),
     )
+
+
+def _connection_spec(config: ExperimentConfig) -> FlowSpec:
+    """The configuration's MPTCP connection as the one flow of a multi-flow build."""
+    from .multiflow import FlowSpec
+
+    return FlowSpec(
+        kind="mptcp",
+        congestion_control=config.congestion_control,
+        scheduler=config.scheduler,
+        default_path_index=config.default_path_index,
+        mss=config.mss,
+        total_bytes=config.total_bytes,
+        send_buffer_bytes=config.send_buffer_bytes,
+        join_delay=config.join_delay,
+    )
+
+
+def _dynamics_report(total: TimeSeries, spec: Optional[DynamicsSpec]) -> Optional[DynamicsReport]:
+    """A report when ``spec`` declares epochs or a capacity profile (they may also
+    describe events driven outside the Schedule); an empty spec yields none."""
+    from ..measure.dynamics import analyze_dynamics
+
+    if spec is None or not (spec.measurement_epochs() or spec.capacity_profile):
+        return None
+    return analyze_dynamics(total, spec)
 
 
 class WorkerPool:

@@ -14,37 +14,38 @@ TCP flow, constant-rate UDP or bursty on-off cross-traffic),
 :func:`run_multiflow` builds the network, gives every flow its own tag
 namespace and receiver-side capture, runs the simulation and post-processes
 per-flow throughput series plus a :class:`~repro.measure.fairness.FairnessReport`.
+The build-and-run step, :func:`_simulate`, is the packet backend's only one:
+the single-flow harness runs its connection through it as one ``mptcp`` flow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.connection import MptcpConnection
 from ..errors import ConfigurationError
-from ..measure.fairness import FairnessReport, analyze_fairness
-from ..measure.fct import FctReport
 from ..measure.flowstats import ConnectionStats, connection_stats
 from ..measure.sampling import TimeSeries, per_tag_timeseries, throughput_timeseries
 from ..measure.signalplane import SignalPlaneReport, signal_plane_report
-from ..measure.validation import (
-    BackendComparison,
-    PointValidation,
-    compare_multiflow_backends,
-    validate_multiflow,
-)
 from ..model.bottleneck import build_constraints
 from ..model.lp import max_total_throughput
 from ..model.paths import Path, PathSet
-from ..netsim.dynamics import DynamicsSpec
 from ..netsim.network import Network
 from ..netsim.topology import Topology
 from ..tcp.connection import TcpConnection
 from ..topologies.paper import paper_scenario
 from ..units import BACKENDS, DEFAULT_MSS
-from ..workload.sources import OnOffSource, UdpConstantBitRate
-from ..workload.spec import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - each is loaded where a flow or a result needs it
+    from ..core.path_manager import PathManager
+    from ..measure.fairness import FairnessReport
+    from ..measure.fct import FctReport
+    from ..measure.validation import BackendComparison, PointValidation
+    from ..model.bottleneck import ConstraintSystem
+    from ..model.lp import LpResult
+    from ..netsim.dynamics import DynamicsSpec
+    from ..workload.spec import WorkloadSpec
 
 ScenarioBuilder = Callable[[], Tuple[Topology, PathSet]]
 
@@ -235,10 +236,14 @@ class MultiFlowResult:
 
     def validate(self) -> PointValidation:
         """Cross-validate the per-base-path rates against the model suite."""
+        from ..measure.validation import validate_multiflow
+
         return validate_multiflow(self)
 
     def compare(self, packet: "MultiFlowResult") -> BackendComparison:
         """Rate agreement of this (flow-level) run with its packet-level twin."""
+        from ..measure.validation import compare_multiflow_backends
+
         return compare_multiflow_backends(self, packet)
 
     def summary(self) -> dict:
@@ -311,6 +316,38 @@ class _BuiltFlow:
         self.workload_plan = None
         self.tag_map: Dict[int, int] = {}  # original tag -> namespaced tag
         self.optimum_mbps: Optional[float] = None
+        # The LP of an mptcp or workload flow's paths, solved once at build time.
+        self.system: Optional[ConstraintSystem] = None
+        self.optimum: Optional[LpResult] = None
+
+
+def _simulate(
+    config, specs: Sequence[FlowSpec], path_manager: Optional[PathManager] = None
+) -> Tuple[Network, List[_BuiltFlow]]:
+    """Build ``config``'s network (either configuration class) with one flow per
+    spec, then run it: the packet build step behind both front doors."""
+    if not specs:
+        raise ConfigurationError("a multi-flow run needs at least one flow")
+    topology, base_paths = config.build_scenario()
+    if config.queue_kind is not None:
+        topology.set_queue_kind(config.queue_kind)
+    network = Network(topology)
+
+    built: List[_BuiltFlow] = []
+    for index, spec in enumerate(specs):
+        name = spec.name or f"{spec.kind}-{index + 1}"
+        if any(b.name == name for b in built):
+            raise ConfigurationError(f"duplicate flow name {name!r}")
+        flow = _BuiltFlow(spec, name, flow_id=index + 1, tag_base=index * TAG_STRIDE)
+        _instantiate_flow(flow, network, base_paths, config, path_manager)
+        built.append(flow)
+
+    if config.dynamics is not None:
+        # After the flows: MPTCP connections register dynamics listeners at
+        # construction and must see the events.  Empty specs register nothing.
+        config.dynamics.apply(network)
+    network.run(config.duration)
+    return network, built
 
 
 def run_multiflow(config: MultiFlowConfig) -> MultiFlowResult:
@@ -324,27 +361,9 @@ def run_multiflow(config: MultiFlowConfig) -> MultiFlowResult:
         from ..flowsim.backend import run_multiflow_flowlevel
 
         return run_multiflow_flowlevel(config)
-    if not config.flows:
-        raise ConfigurationError("a multi-flow run needs at least one flow")
-    topology, base_paths = config.build_scenario()
-    if config.queue_kind is not None:
-        topology.set_queue_kind(config.queue_kind)
-    network = Network(topology)
+    from ..measure.fairness import analyze_fairness
 
-    built: List[_BuiltFlow] = []
-    for index, spec in enumerate(config.flows):
-        name = spec.name or f"{spec.kind}-{index + 1}"
-        if any(b.name == name for b in built):
-            raise ConfigurationError(f"duplicate flow name {name!r}")
-        flow = _BuiltFlow(spec, name, flow_id=index + 1, tag_base=index * TAG_STRIDE)
-        _instantiate_flow(flow, network, base_paths, config)
-        built.append(flow)
-
-    if config.dynamics is not None:
-        # After the flows: MPTCP connections register dynamics listeners at
-        # construction and must see the events.  Empty specs register nothing.
-        config.dynamics.apply(network)
-    network.run(config.duration)
+    network, built = _simulate(config, config.flows)
 
     start, end = config.warmup, config.duration
     interval = config.sampling_interval
@@ -367,7 +386,7 @@ def run_multiflow(config: MultiFlowConfig) -> MultiFlowResult:
 
     bottleneck_capacity = None
     if config.bottleneck_link is not None:
-        bottleneck_capacity = topology.capacity_of(*config.bottleneck_link)
+        bottleneck_capacity = network.topology.capacity_of(*config.bottleneck_link)
     fairness = analyze_fairness(
         {flow.name: series for flow, series, _ in measured},
         {flow.name: flow.spec.kind for flow, _, _ in measured},
@@ -393,27 +412,36 @@ def _instantiate_flow(
     flow: _BuiltFlow,
     network: Network,
     base_paths: PathSet,
-    config: MultiFlowConfig,
+    config,
+    path_manager: Optional[PathManager] = None,
 ) -> None:
     spec = flow.spec
     src = spec.src or base_paths.src
     dst = spec.dst or base_paths.dst
     flow.capture = network.attach_capture(dst, data_only=True, flow_id=flow.flow_id)
 
-    if spec.kind == "mptcp":
+    if spec.kind in ("mptcp", "workload"):
         raw = _coerce_path_objects(spec.paths) if spec.paths is not None else list(base_paths)
         paths = _retag_paths(raw, flow.tag_base)
         flow.tag_map = {
             (orig.tag if orig.tag is not None else i + 1): installed.tag
             for i, (orig, installed) in enumerate(zip(raw, paths))
         }
+        flow.system = build_constraints(network.topology, paths)
+        flow.optimum = max_total_throughput(flow.system)
+        flow.optimum_mbps = flow.optimum.total
+
+    if spec.kind == "mptcp":
+        # A path manager decides which subflows open, and when; the paths
+        # still tag the capture and pose the LP.
         flow.connection = MptcpConnection(
             network,
             src,
             dst,
-            paths,
+            None if path_manager is not None else paths,
             congestion_control=spec.congestion_control or "lia",
             scheduler=spec.scheduler,
+            path_manager=path_manager,
             default_path_index=spec.default_path_index,
             mss=spec.mss,
             ecn=config.ecn,
@@ -422,20 +450,12 @@ def _instantiate_flow(
             join_delay=spec.join_delay,
             flow_id=flow.flow_id,
         )
-        system = build_constraints(network.topology, paths)
-        flow.optimum_mbps = max_total_throughput(system).total
         flow.connection.start(at=spec.start)
         return
 
     if spec.kind == "workload":
         from ..workload.packet import PacketWorkloadDriver
 
-        raw = _coerce_path_objects(spec.paths) if spec.paths is not None else list(base_paths)
-        paths = _retag_paths(raw, flow.tag_base)
-        flow.tag_map = {
-            (orig.tag if orig.tag is not None else i + 1): installed.tag
-            for i, (orig, installed) in enumerate(zip(raw, paths))
-        }
         plan = spec.workload.compile(len(paths))
         driver = PacketWorkloadDriver(
             network,
@@ -451,9 +471,6 @@ def _instantiate_flow(
         driver.install()
         flow.workload_driver = driver
         flow.workload_plan = plan
-        flow.optimum_mbps = max_total_throughput(
-            build_constraints(network.topology, paths)
-        ).total
         return
 
     path = _single_path_for(spec, base_paths)
@@ -476,6 +493,8 @@ def _instantiate_flow(
         flow.optimum_mbps = path.capacity(network.topology)
         flow.tcp.start(at=spec.start)
         return
+
+    from ..workload.sources import OnOffSource, UdpConstantBitRate
 
     stop_at = spec.stop if spec.stop is not None else config.duration
     if spec.kind == "udp":
@@ -523,6 +542,8 @@ def _flow_result(
         retransmissions = flow.tcp.sender.stats.retransmissions
         stats = None
     elif flow.workload_driver is not None:
+        from ..measure.fct import FctReport
+
         records = flow.workload_driver.records
         delivered = sum(record.size_bytes for record in records)
         retransmissions = 0

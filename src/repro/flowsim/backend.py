@@ -6,7 +6,9 @@ packet-level runners take, execute them on :class:`~repro.flowsim.engine.FlowLev
 and return results of the same shape (:class:`~repro.experiments.harness.ExperimentResult`
 / :class:`~repro.experiments.multiflow.MultiFlowResult`) -- per-path throughput
 time series, fairness reports, convergence metrics -- so everything downstream
-(validation, campaign records, plots) works on either backend.
+(validation, campaign records, plots) works on either backend.  Both adapters
+build and run through one step, :func:`_simulate`; a single connection is its
+one ``mptcp`` flow, as at packet level.
 
 Fidelity mapping:
 
@@ -30,11 +32,10 @@ cross-fidelity comparison quantifies.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..measure.convergence import analyze_convergence
-from ..measure.dynamics import analyze_dynamics
 from ..measure.fairness import analyze_fairness
 from ..measure.fct import FctReport
 from ..measure.flowstats import ConnectionStats, SubflowStats
@@ -51,11 +52,21 @@ from ..netsim.dynamics import (
     LinkUp,
     LossBurst,
 )
-from .engine import FlowDescriptor, FlowLevelSim, FlowOutcome, segments_to_timeseries
+from .engine import (
+    FlowDescriptor,
+    FlowLevelResult,
+    FlowLevelSim,
+    FlowOutcome,
+    segments_to_timeseries,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..experiments.harness import ExperimentConfig, ExperimentResult
     from ..experiments.multiflow import FlowSpec, MultiFlowConfig, MultiFlowResult
+    from ..model.bottleneck import ConstraintSystem
+    from ..model.lp import LpResult
+    from ..model.paths import Path
+    from ..netsim.topology import Topology
 
 #: Effective-capacity factor of an AQM discipline at flow level: keeping the
 #: standing queue short costs a sliver of throughput relative to a brimming
@@ -137,90 +148,55 @@ def apply_dynamics(sim: FlowLevelSim, spec: Optional[DynamicsSpec]) -> None:
             )
 
 
-def _outcome_series(
-    outcome: FlowOutcome, interval: float, *, start: float, end: float, label: str
-) -> TimeSeries:
-    merged = [segment for unit in outcome.segments for segment in unit]
-    return segments_to_timeseries(merged, interval, start=start, end=end, label=label)
-
-
 # ------------------------------------------------------------- run_experiment
 def run_experiment_flowlevel(config: "ExperimentConfig") -> "ExperimentResult":
     """Flow-level twin of :func:`repro.experiments.harness.run_experiment`."""
-    from ..experiments.harness import ExperimentResult
+    from ..experiments.harness import ExperimentResult, _connection_spec, _dynamics_report
 
     if config.path_manager is not None:
         raise ConfigurationError(
             "the flow-level backend has no subflow lifecycle; "
             "path_manager scenarios need backend='packet'"
         )
-    topology, paths = config.build_scenario()
-    sim = FlowLevelSim(
-        topology, allocator=config.flow_allocator, record_timeseries=True
-    )
-    _apply_queue_kind(sim, topology, config.queue_kind)
-    coupled = coupled_algorithm(config.congestion_control)
-    tags = tuple(
-        path.tag if path.tag is not None else index + 1
-        for index, path in enumerate(paths)
-    )
-    sim.add_flow(
-        FlowDescriptor(
-            name="connection",
-            routes=tuple(tuple(path.nodes) for path in paths),
-            start=0.0,
-            size_bytes=config.total_bytes,
-            coupled=coupled,
-            tags=tags,
-            kind="mptcp",
-        )
-    )
-    apply_dynamics(sim, config.dynamics)
-    run = sim.run(config.duration)
-    outcome = run.flows["connection"]
+    _, run, (plan,) = _simulate(config, [_connection_spec(config)])
+    outcome = run.flows[plan.name]
 
     start, end = config.warmup, config.duration
     interval = config.sampling_interval
+    tags = tuple(plan.tag_map)
     per_path = {
         tag: outcome.unit_series(
             index, interval, start=start, end=end, label=f"tag {tag}"
         )
         for index, tag in enumerate(tags)
     }
-    total = _outcome_series(outcome, interval, start=start, end=end, label="total")
-
-    system = build_constraints(topology, paths)
-    optimum = max_total_throughput(system)
-    convergence = analyze_convergence(total, optimum.total)
-    spec = config.dynamics
-    dynamics_report = None
-    if spec is not None and (spec.measurement_epochs() or spec.capacity_profile):
-        dynamics_report = analyze_dynamics(total, spec)
+    total = outcome.series(interval, start=start, end=end, label="total")
+    convergence = analyze_convergence(total, plan.optimum.total)
 
     return ExperimentResult(
         config=config,
         per_path_series=per_path,
         total_series=total,
-        optimum=optimum,
+        optimum=plan.optimum,
         convergence=convergence,
-        stats=_synthesize_stats(config, paths, tags, outcome, config.duration),
-        constraint_system=system,
+        stats=_synthesize_stats(config, plan.system.paths, tags, outcome, config.duration),
+        constraint_system=plan.system,
         drops=0,
         events_processed=run.transitions,
-        dynamics=dynamics_report,
+        dynamics=_dynamics_report(total, config.dynamics),
         signal_plane=modeled_signal_plane(
             duration=config.duration,
             queue_kind=config.queue_kind or "droptail",
             ecn=config.ecn,
             utilization=convergence.utilization_of_optimum,
-            flows=len(paths),
+            flows=len(tags),
         ),
     )
 
 
 def _synthesize_stats(
     config: "ExperimentConfig",
-    paths: PathSet,
+    paths: Sequence[Path],
     tags: Tuple[int, ...],
     outcome: FlowOutcome,
     duration: float,
@@ -271,7 +247,7 @@ class _FlowPlan:
 
     __slots__ = (
         "spec", "name", "flow_id", "engine_names", "tag_map", "optimum_mbps",
-        "workload_run", "workload_plan",
+        "system", "optimum", "workload_run", "workload_plan",
     )
 
     def __init__(self, spec: "FlowSpec", name: str, flow_id: int) -> None:
@@ -281,15 +257,21 @@ class _FlowPlan:
         self.engine_names: List[str] = []
         self.tag_map: Dict[int, int] = {}
         self.optimum_mbps: Optional[float] = None
+        # The LP of an mptcp or workload flow's paths, solved once at build time.
+        self.system: Optional[ConstraintSystem] = None
+        self.optimum: Optional[LpResult] = None
         self.workload_run = None  # FlowLevelWorkloadRun of a workload flow
         self.workload_plan = None
 
 
-def run_multiflow_flowlevel(config: "MultiFlowConfig") -> "MultiFlowResult":
-    """Flow-level twin of :func:`repro.experiments.multiflow.run_multiflow`."""
-    from ..experiments.multiflow import TAG_STRIDE, FlowResult, MultiFlowResult
+def _simulate(
+    config, specs: Sequence["FlowSpec"]
+) -> Tuple[Topology, FlowLevelResult, List[_FlowPlan]]:
+    """Build ``config``'s fluid network (either configuration class) with one
+    plan per spec, then run it: the flow-level build step behind both front doors."""
+    from ..experiments.multiflow import TAG_STRIDE
 
-    if not config.flows:
+    if not specs:
         raise ConfigurationError("a multi-flow run needs at least one flow")
     topology, base_paths = config.build_scenario()
     sim = FlowLevelSim(
@@ -298,7 +280,7 @@ def run_multiflow_flowlevel(config: "MultiFlowConfig") -> "MultiFlowResult":
     _apply_queue_kind(sim, topology, config.queue_kind)
 
     plans: List[_FlowPlan] = []
-    for index, spec in enumerate(config.flows):
+    for index, spec in enumerate(specs):
         name = spec.name or f"{spec.kind}-{index + 1}"
         if any(plan.name == name for plan in plans):
             raise ConfigurationError(f"duplicate flow name {name!r}")
@@ -307,7 +289,14 @@ def run_multiflow_flowlevel(config: "MultiFlowConfig") -> "MultiFlowResult":
         plans.append(plan)
 
     apply_dynamics(sim, config.dynamics)
-    run = sim.run(config.duration)
+    return topology, sim.run(config.duration), plans
+
+
+def run_multiflow_flowlevel(config: "MultiFlowConfig") -> "MultiFlowResult":
+    """Flow-level twin of :func:`repro.experiments.multiflow.run_multiflow`."""
+    from ..experiments.multiflow import FlowResult, MultiFlowResult
+
+    topology, run, plans = _simulate(config, config.flows)
 
     start, end = config.warmup, config.duration
     interval = config.sampling_interval
@@ -404,13 +393,13 @@ def _plan_flow(
     sim: FlowLevelSim,
     topology,
     base_paths: PathSet,
-    config: "MultiFlowConfig",
+    config,
     tag_base: int,
 ) -> None:
     from ..experiments.multiflow import _coerce_path_objects, _single_path_for
 
     spec = plan.spec
-    if spec.kind == "mptcp":
+    if spec.kind in ("mptcp", "workload"):
         raw = (
             _coerce_path_objects(spec.paths)
             if spec.paths is not None
@@ -421,6 +410,11 @@ def _plan_flow(
             for index, path in enumerate(raw)
         )
         plan.tag_map = {tag: tag_base + tag for tag in tags}
+        plan.system = build_constraints(topology, raw)
+        plan.optimum = max_total_throughput(plan.system)
+        plan.optimum_mbps = plan.optimum.total
+
+    if spec.kind == "mptcp":
         coupled = coupled_algorithm(spec.congestion_control or "lia")
         sim.add_flow(
             FlowDescriptor(
@@ -434,24 +428,11 @@ def _plan_flow(
             )
         )
         plan.engine_names = [plan.name]
-        plan.optimum_mbps = max_total_throughput(
-            build_constraints(topology, raw)
-        ).total
         return
 
     if spec.kind == "workload":
         from ..workload.flowlevel import FlowLevelWorkloadRun
 
-        raw = (
-            _coerce_path_objects(spec.paths)
-            if spec.paths is not None
-            else list(base_paths)
-        )
-        tags = tuple(
-            path.tag if path.tag is not None else index + 1
-            for index, path in enumerate(raw)
-        )
-        plan.tag_map = {tag: tag_base + tag for tag in tags}
         workload_plan = spec.workload.compile(len(raw))
         workload_run = FlowLevelWorkloadRun(
             sim, workload_plan, raw, prefix=f"{plan.name}/"
@@ -459,9 +440,6 @@ def _plan_flow(
         workload_run.install()
         plan.workload_run = workload_run
         plan.workload_plan = workload_plan
-        plan.optimum_mbps = max_total_throughput(
-            build_constraints(topology, raw)
-        ).total
         return
 
     path = _single_path_for(spec, base_paths)

@@ -31,6 +31,7 @@ several class rates), which stays cheap while such flows are few.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -384,9 +385,9 @@ class FlowLevelSim:
         for descriptor in descriptors:
             self.add_flow(descriptor)
 
-    def schedule(self, time: float, action, *args) -> None:
-        """Schedule a dynamics callback ``action(*args)`` at ``time``."""
-        self._push_event(time, _DYNAMICS, (action, args))
+    def schedule(self, time: float, action, *args, **kwargs) -> None:
+        """Schedule a dynamics callback ``action(*args, **kwargs)`` at ``time``."""
+        self._push_event(time, _DYNAMICS, (functools.partial(action, **kwargs), args))
 
     def on_flow_complete(self, name: str, callback) -> None:
         """Register a one-shot ``callback(completion)`` for flow ``name``.

@@ -10,9 +10,6 @@ in congestion avoidance the window must be::
 exactly, ``total`` being the members' windows summed in member order.
 """
 
-import sys
-
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,10 +30,10 @@ _SETTINGS = (
     )
 )
 
-#: Python 3.12's ``sum()`` adds floats with compensation (Neumaier), so from
-#: 3.12 on ``alpha()``'s sums can round differently from the fused walk's
-#: plain additions.  Here they are one ulp apart: 1.640205816102623 (fused)
-#: against 1.6402058161026232 (``alpha()``).
+#: Python 3.12's ``sum()`` adds floats with compensation (Neumaier): summed
+#: with it, ``alpha()`` would give 1.6402058161026232 here, one ulp from the
+#: fused walk's 1.640205816102623.  ``alpha()`` adds in a plain loop instead,
+#: so the two agree on every Python version.
 SUM_COMPENSATED = (
     [(1.636, 0.295), (222.083, 0.0), (371.485, 0.7377), (97.799, 0.0)],
     0,
@@ -86,12 +83,6 @@ class TestLiaAlpha:
         fused, expected = fused_and_alpha(state)
         assert fused == expected
 
-    @pytest.mark.xfail(
-        sys.version_info >= (3, 12),
-        strict=True,
-        reason="sum() is compensated from Python 3.12: alpha() and the fused walk "
-        "disagree by one ulp here",
-    )
     def test_a_sum_that_compensation_rounds_apart(self):
         fused, expected = fused_and_alpha(SUM_COMPENSATED)
         assert fused == expected

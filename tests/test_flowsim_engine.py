@@ -272,6 +272,16 @@ class TestEngineExactness:
             (10.0 * 5.0 + 5.0 * 5.0) * MBPS_TO_BYTES
         )
 
+    def test_a_scheduled_action_takes_keyword_arguments(self):
+        # The backend's dynamics translation passes ``bidirectional=``.
+        sim = FlowLevelSim(one_link_topology(10.0))
+        sim.add_flow(greedy("f"))
+        sim.schedule(5.0, sim.set_link_rate, "a", "b", 5.0, bidirectional=False)
+        result = sim.run(10.0)
+        assert result.flows["f"].bytes_delivered == pytest.approx(
+            (10.0 * 5.0 + 5.0 * 5.0) * MBPS_TO_BYTES
+        )
+
     def test_unknown_link_rejected(self):
         sim = FlowLevelSim(one_link_topology())
         with pytest.raises(ConfigurationError):

@@ -68,10 +68,11 @@ SLSQP = "scipy.optimize._slsqplib"
 #: What ``import scipy.optimize`` loads and no solve needs.
 SCIPY_PACKAGES = ("scipy.optimize", "scipy.linalg")
 
-#: What only a point that executes needs: the simulator, the solvers, the pool.
+#: What only a point that executes needs: the simulator, the solvers, the pool,
+#: and the multi-flow build step a single connection runs through.
 EXECUTION = (
     "repro.netsim.network", "repro.netsim.link", "repro.tcp", "repro.core.connection",
-    "repro.kernel._ckernel", "multiprocessing", "scipy",
+    "repro.experiments.multiflow", "repro.kernel._ckernel", "multiprocessing", "scipy",
 )
 
 
@@ -210,9 +211,13 @@ class TestNetworkxStaysUnloaded:
 
     def test_a_cold_campaign_loads_no_networkx(self, tmp_path):
         """Nor, the grid being single-connection and packet-level, the flow-level
-        engine or the multi-flow and workload runners."""
+        engine, the workload runners or the fairness and FCT analysers: its one
+        connection runs through the multi-flow build step, not its measurement."""
         campaign = [*CAMPAIGN, "--max-workers", "1", "--store", str(tmp_path / "store.jsonl")]
-        unused = ("networkx", "repro.flowsim", "repro.workload", "repro.experiments.multiflow")
+        unused = (
+            "networkx", "repro.flowsim", "repro.workload",
+            "repro.measure.fairness", "repro.measure.fct",
+        )
         assert _loaded(_cli(*campaign), *unused) == []
 
     def test_a_path_query_loads_it(self):

@@ -4,6 +4,7 @@ tag namespacing and the named competition scenarios."""
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.harness import paper_experiment, run_experiment
 from repro.experiments.multiflow import (
     TAG_STRIDE,
     FlowSpec,
@@ -16,8 +17,8 @@ from repro.experiments.scenarios import (
     mptcp_vs_tcp_shared_bottleneck,
     two_mptcp_competition,
 )
+from repro.netsim.dynamics import DynamicsSpec, LinkRateChange, Schedule
 from repro.netsim.network import Network
-from repro.topologies.generators import shared_bottleneck
 
 from .conftest import make_two_path_scenario
 
@@ -208,3 +209,58 @@ class TestSingleFlowBackwardCompatibility:
         assert set(result.per_path_series) == {1, 2}
         assert len(result.total_series) == 10
         assert result.optimum.total > 0
+
+
+def _bottleneck_step(duration):
+    """The campaign's ``bottleneck_step``: the paper's most shared link (s-v1,
+    40 Mbps) halves at 40 % of the run and is restored at 70 %."""
+    schedule = Schedule()
+    schedule.at(0.4 * duration, LinkRateChange("s", "v1", 20.0))
+    schedule.at(0.7 * duration, LinkRateChange("s", "v1", 40.0))
+    return DynamicsSpec(schedule=schedule, description="s-v1 halves, then restores")
+
+
+class TestTheTwoFrontDoorsAgree:
+    """``run_experiment`` is one ``mptcp`` flow through the backend's multi-flow
+    build step, so a one-flow ``run_multiflow`` of the same scenario measures
+    the same connection."""
+
+    @pytest.mark.parametrize("variant", ["plain", "red_ecn", "bottleneck_step"])
+    @pytest.mark.parametrize("backend", ["packet", "flowlevel"])
+    def test_one_connection_is_one_mptcp_flow(self, backend, variant):
+        duration = 1.0
+        overrides = {
+            "plain": {},
+            "red_ecn": {"queue_kind": "red", "ecn": True},
+            "bottleneck_step": {"dynamics": _bottleneck_step(duration)},
+        }[variant]
+        single = run_experiment(
+            paper_experiment("lia", duration=duration, backend=backend, **overrides)
+        )
+        config = single.config
+        multi = run_multiflow(
+            MultiFlowConfig(
+                flows=[
+                    FlowSpec(
+                        kind="mptcp",
+                        congestion_control=config.congestion_control,
+                        default_path_index=config.default_path_index,
+                    )
+                ],
+                duration=duration,
+                backend=backend,
+                **overrides,
+            )
+        )
+        (flow,) = multi.flows
+
+        assert {tag: s.values for tag, s in single.per_path_series.items()} == {
+            tag: s.values for tag, s in flow.per_path_series.items()
+        }
+        assert single.total_series.values == flow.series.values
+        assert single.drops == multi.drops
+        assert single.events_processed == multi.events_processed
+        assert single.stats.retransmissions == flow.retransmissions
+        assert (single.dynamics is not None) == (variant == "bottleneck_step")
+        if backend == "packet" and variant == "red_ecn":
+            assert single.signal_plane.ecn_marks > 0
