@@ -42,7 +42,7 @@ import sys
 from typing import List, Optional
 
 from ._version import __version__
-from .errors import FabricError, ModelError
+from .errors import ModelError, ReproError
 
 # Nothing else is imported here: a sub-command's argument set-up and handler
 # import what that command runs, so ``--version``, ``--help``, ``info`` and
@@ -509,11 +509,7 @@ def _command_campaign_merge(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        report = merge_stores(args.sources, args.into)
-    except FabricError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    report = merge_stores(args.sources, args.into)
     if args.json:
         print(_dumps(report.as_dict()))
         return 0
@@ -549,42 +545,38 @@ def _command_campaign(args: argparse.Namespace) -> int:
         if total:
             print(f"campaign {grid}: {done}/{total} pending points", file=sys.stderr)
 
-    try:
-        chaos = None
-        if args.chaos:
-            chaos = ChaosSpec.parse(
-                args.chaos,
-                fire_attempts=args.chaos_attempts,
-                hang_duration=args.chaos_hang_duration,
-            )
-        fabric = None
-        if (
-            args.worker_id is not None
-            or args.point_timeout is not None
-            or args.single_pass
-            or args.chaos
-        ):
-            fabric = FabricConfig(
-                worker_id=args.worker_id or "",
-                lease_ttl=args.lease_ttl,
-                max_attempts=args.max_attempts,
-                point_timeout=args.point_timeout,
-                max_rounds=1 if args.single_pass else None,
-            )
-        result = drive_campaign(
-            spec,
-            store_path,
-            fabric=fabric,
-            chaos=chaos,
-            max_attempts=args.max_attempts,
-            chunk_size=args.chunk_size,
-            max_workers=args.max_workers,
-            resume=args.resume,
-            progress=progress,
+    chaos = None
+    if args.chaos:
+        chaos = ChaosSpec.parse(
+            args.chaos,
+            fire_attempts=args.chaos_attempts,
+            hang_duration=args.chaos_hang_duration,
         )
-    except FabricError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    fabric = None
+    if (
+        args.worker_id is not None
+        or args.point_timeout is not None
+        or args.single_pass
+        or args.chaos
+    ):
+        fabric = FabricConfig(
+            worker_id=args.worker_id or "",
+            lease_ttl=args.lease_ttl,
+            max_attempts=args.max_attempts,
+            point_timeout=args.point_timeout,
+            max_rounds=1 if args.single_pass else None,
+        )
+    result = drive_campaign(
+        spec,
+        store_path,
+        fabric=fabric,
+        chaos=chaos,
+        max_attempts=args.max_attempts,
+        chunk_size=args.chunk_size,
+        max_workers=args.max_workers,
+        resume=args.resume,
+        progress=progress,
+    )
     report = result.validation_report()
     # Partial grids must be visible to automation: retryable failures (retried
     # on the next invocation) and quarantined points exit non-zero.
@@ -879,7 +871,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     # word that is not an option is the sub-command.
     command = next((word for word in argv if not word.startswith("-")), None)
     args = _build_parser(command).parse_args(argv)
-    return _COMMANDS[args.command][2](args)
+    try:
+        return _COMMANDS[args.command][2](args)
+    except ReproError as error:  # bad input the library refused: one line, not a traceback
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

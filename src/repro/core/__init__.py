@@ -5,7 +5,7 @@ Public surface:
 * :class:`MptcpConnection` -- the multipath connection object
 * :class:`Subflow` -- one tagged TCP session along one path
 * path managers -- :class:`TagPathManager` (the paper's modified
-  ``ndiffports``), :class:`NdiffportsPathManager`, :class:`FullMeshPathManager`
+  ``ndiffports``) and :class:`FailoverPathManager` (mobile handover)
 * schedulers -- :class:`MinRttScheduler`, :class:`RoundRobinScheduler`,
   :class:`RedundantScheduler`
 * coupled congestion control -- LIA, OLIA, BALIA, wVegas and the uncoupled
@@ -25,10 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "make_multipath_congestion_control",
         ),
         ".options": ("DsnAllocator", "DsnReassembler"),
-        ".path_manager": (
-            "FailoverPathManager", "FullMeshPathManager", "NdiffportsPathManager", "PathManager",
-            "TagPathManager",
-        ),
+        ".path_manager": ("FailoverPathManager", "PathManager", "TagPathManager"),
         ".scheduler": (
             "MinRttScheduler", "RedundantScheduler", "RoundRobinScheduler", "Scheduler",
             "make_scheduler",

@@ -419,36 +419,9 @@ class MptcpConnection:
 
     # ------------------------------------------------------------------ views
     @property
-    def active_subflows(self) -> List[Subflow]:
-        """The subflows currently able to carry data."""
-        return [sf for sf in self.subflows if sf.state == "active"]
-
-    def subflow_states(self) -> Dict[int, str]:
-        """Lifecycle state per subflow id (``active`` / ``down`` / ``closed``)."""
-        return {sf.subflow_id: sf.state for sf in self.subflows}
-
-    @property
-    def default_subflow(self) -> Subflow:
-        for subflow in self.subflows:
-            if subflow.is_default:
-                return subflow
-        return self.subflows[0]
-
-    def subflow_by_tag(self, tag: int) -> Subflow:
-        for subflow in self.subflows:
-            if subflow.tag == tag:
-                return subflow
-        raise ConfigurationError(f"no subflow with tag {tag}")
-
-    @property
     def bytes_delivered(self) -> int:
         """Connection-level bytes delivered in order at the receiver."""
         return self.reassembler.delivered_bytes
-
-    @property
-    def bytes_acked(self) -> int:
-        """Connection-level bytes acknowledged at subflow level."""
-        return self.allocator.acked_bytes
 
     def total_throughput_mbps(self, duration: Optional[float] = None) -> float:
         """Mean connection goodput in Mbps over ``duration`` (default: elapsed)."""
@@ -457,36 +430,8 @@ class MptcpConnection:
             duration = max(self.network.sim.now - start, 1e-9)
         return throughput_mbps(self.bytes_delivered, duration)
 
-    def subflow_throughputs_mbps(self, duration: Optional[float] = None) -> Dict[int, float]:
-        """Mean per-subflow goodput in Mbps keyed by subflow id."""
-        now = self.network.sim.now
-        result: Dict[int, float] = {}
-        for subflow in self.subflows:
-            if duration is not None:
-                result[subflow.subflow_id] = throughput_mbps(subflow.acked_bytes, duration)
-            else:
-                result[subflow.subflow_id] = subflow.mean_throughput_mbps(now)
-        return result
-
     def total_retransmissions(self) -> int:
         return sum(sf.retransmissions for sf in self.subflows)
-
-    def summary(self) -> Dict[str, object]:
-        """A dictionary summarising the connection state (for reports/tests)."""
-        now = self.network.sim.now
-        return {
-            "flow_id": self.flow_id,
-            "congestion_control": self.congestion_control_name,
-            "scheduler": self.scheduler.name,
-            "subflows": len(self.subflows),
-            "bytes_delivered": self.bytes_delivered,
-            "bytes_acked": self.bytes_acked,
-            "retransmissions": self.total_retransmissions(),
-            "total_throughput_mbps": self.total_throughput_mbps(),
-            "per_subflow_mbps": {
-                sf.name: round(sf.mean_throughput_mbps(now), 3) for sf in self.subflows
-            },
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

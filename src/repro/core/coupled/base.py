@@ -49,11 +49,6 @@ class CouplingGroup:
         return cached
 
     @property
-    def members(self) -> List["CoupledCongestionControl"]:
-        """A defensive copy of the registered members."""
-        return list(self._members)
-
-    @property
     def members_view(self) -> List["CoupledCongestionControl"]:
         """The live member list, NOT copied — read-only by convention.
 
@@ -72,27 +67,6 @@ class CouplingGroup:
     def total_cwnd(self) -> float:
         """Sum of the member congestion windows, in segments."""
         return sum(m.cwnd for m in self._members)
-
-    def total_cwnd_bytes(self) -> float:
-        return sum(m.cwnd_bytes for m in self._members)
-
-    def total_rate(self) -> float:
-        """Sum of cwnd/RTT across members (segments per second)."""
-        return sum(m.cwnd / m.rtt_or_default() for m in self._members)
-
-    def max_cwnd(self) -> float:
-        return max((m.cwnd for m in self._members), default=0.0)
-
-    def best_rate_member(self) -> Optional["CoupledCongestionControl"]:
-        """Member with the largest cwnd/RTT² term (the LIA numerator)."""
-        best = None
-        best_value = -1.0
-        for member in self._members:
-            value = member.cwnd / (member.rtt_or_default() ** 2)
-            if value > best_value:
-                best_value = value
-                best = member
-        return best
 
 
 class CoupledCongestionControl(CongestionControl):

@@ -28,9 +28,6 @@ class MultipathSfc(SfcCongestionControl):
         self.group = group if group is not None else CouplingGroup()
         self.group.register(self)  # type: ignore[arg-type]
 
-    def rtt_or_default(self, default: float = 0.01) -> float:
-        return self.srtt if self.srtt and self.srtt > 0 else default
-
 
 class MultipathTelehaptic(TelehapticCongestionControl):
     """Per-subflow telehaptic delay-gradient control on an MPTCP connection."""
@@ -43,6 +40,3 @@ class MultipathTelehaptic(TelehapticCongestionControl):
         super().__init__(*args, **kwargs)
         self.group = group if group is not None else CouplingGroup()
         self.group.register(self)  # type: ignore[arg-type]
-
-    def rtt_or_default(self, default: float = 0.01) -> float:
-        return self.srtt if self.srtt and self.srtt > 0 else default

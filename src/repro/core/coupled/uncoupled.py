@@ -29,9 +29,6 @@ class UncoupledCubic(CubicCongestionControl):
         self.group = group if group is not None else CouplingGroup()
         self.group.register(self)  # type: ignore[arg-type]
 
-    def rtt_or_default(self, default: float = 0.01) -> float:
-        return self.srtt if self.srtt and self.srtt > 0 else default
-
 
 class UncoupledReno(RenoCongestionControl):
     """Per-subflow Reno with no coupling."""
@@ -44,6 +41,3 @@ class UncoupledReno(RenoCongestionControl):
         super().__init__(*args, **kwargs)
         self.group = group if group is not None else CouplingGroup()
         self.group.register(self)  # type: ignore[arg-type]
-
-    def rtt_or_default(self, default: float = 0.01) -> float:
-        return self.srtt if self.srtt and self.srtt > 0 else default

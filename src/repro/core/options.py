@@ -37,24 +37,12 @@ class DsnAllocator:
         self.acked_bytes = 0
 
     # ------------------------------------------------------------------
-    @property
-    def outstanding_bytes(self) -> int:
-        """Connection-level bytes handed to subflows but not yet acknowledged."""
-        return self.next_dsn - self.acked_bytes
-
-    def available(self, max_bytes: int) -> int:
-        """How many new bytes may be allocated right now (0 if none)."""
-        grant = max_bytes
-        if self.total_bytes is not None:
-            grant = min(grant, self.total_bytes - self.next_dsn)
-        if self.send_buffer_bytes is not None:
-            grant = min(grant, self.send_buffer_bytes - self.outstanding_bytes)
-        return max(grant, 0)
-
     def allocate(self, max_bytes: int) -> Optional[Tuple[int, int]]:
-        """Reserve up to ``max_bytes`` new bytes; return ``(dsn, length)`` or None."""
-        # Per-segment hot path: ``available`` is inlined (same clamping, no
-        # property round-trips).
+        """Reserve up to ``max_bytes`` new bytes; return ``(dsn, length)`` or None.
+
+        The grant is clamped by what is left of a finite transfer and by the
+        room the send buffer has above the acknowledged bytes.
+        """
         grant = max_bytes
         dsn = self.next_dsn
         total = self.total_bytes
@@ -71,17 +59,6 @@ class DsnAllocator:
             return None
         self.next_dsn = dsn + grant
         return dsn, grant
-
-    def on_acked(self, length: int) -> None:
-        """Record ``length`` connection-level bytes as acknowledged."""
-        self.acked_bytes += length
-
-    @property
-    def finished(self) -> bool:
-        """True when a finite transfer has been fully allocated and acknowledged."""
-        if self.total_bytes is None:
-            return False
-        return self.acked_bytes >= self.total_bytes
 
 
 class DsnReassembler:

@@ -6,8 +6,7 @@ running connection (:mod:`repro.netsim.dynamics`) -- how the subflow set
 evolves when paths fail and recover.  The lifecycle is:
 
 * :meth:`PathManager.initial_subflows` produces the subflow descriptors the
-  connection opens before the first packet (the old one-shot
-  ``build_subflows``, kept as an alias);
+  connection opens before the first packet;
 * :meth:`PathManager.on_path_down` runs when a link on a subflow's path goes
   down; returning a :class:`~repro.model.paths.Path` tells the connection to
   open a replacement subflow on it at runtime (handover);
@@ -16,15 +15,13 @@ evolves when paths fail and recover.  The lifecycle is:
 The paper modifies the ``ndiffports`` path manager so that every subflow's
 packets carry a distinct tag ("the exact tags and the number of subflows is
 given as an argument for our path-manager module"); :class:`TagPathManager`
-reproduces that module.  The stock ``ndiffports`` (all subflows on the
-default route), a full-mesh manager for multi-homed hosts and the
-failure-driven :class:`FailoverPathManager` (mobile handover) are provided
-for comparison and dynamics scenarios.
+reproduces that module.  The failure-driven :class:`FailoverPathManager`
+(mobile handover) serves the dynamics scenarios.
 """
 
 from __future__ import annotations
 
-from abc import ABC
+from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..errors import ConfigurationError
@@ -39,25 +36,15 @@ if TYPE_CHECKING:  # pragma: no cover
 class PathManager(ABC):
     """Produces and maintains the subflow descriptors (path + tag) of a connection.
 
-    Subclasses implement :meth:`initial_subflows`; legacy subclasses that
-    only override the old one-shot :meth:`build_subflows` keep working --
-    each method's default delegates to the other, so exactly one must be
-    overridden.
+    Subclasses implement :meth:`initial_subflows` and may override the
+    lifecycle hooks.
     """
 
     name = "base"
 
+    @abstractmethod
     def initial_subflows(self, network: "Network", src: str, dst: str) -> List[Subflow]:
         """Return the subflows opened at connection setup (no transport yet)."""
-        if type(self).build_subflows is PathManager.build_subflows:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement initial_subflows()"
-            )
-        return self.build_subflows(network, src, dst)
-
-    def build_subflows(self, network: "Network", src: str, dst: str) -> List[Subflow]:
-        """Backwards-compatible alias for :meth:`initial_subflows`."""
-        return self.initial_subflows(network, src, dst)
 
     # ------------------------------------------------------------------ lifecycle
     def on_path_down(
@@ -118,62 +105,6 @@ class TagPathManager(PathManager):
         # The default subflow is listed first so that it starts first, like
         # the initial MPTCP subflow on the default route.
         subflows.sort(key=lambda sf: (not sf.is_default, sf.subflow_id))
-        return subflows
-
-
-class NdiffportsPathManager(PathManager):
-    """Stock ``ndiffports``: ``n`` subflows that all follow the default route.
-
-    Because every subflow shares the same path, this is the degenerate
-    overlapping case: all subflows compete for the same bottleneck.
-    """
-
-    name = "ndiffports"
-
-    def __init__(self, subflow_count: int = 2, default_path: Optional[Path] = None) -> None:
-        if subflow_count < 1:
-            raise ConfigurationError("need at least one subflow")
-        self.subflow_count = subflow_count
-        self.default_path = default_path
-
-    def initial_subflows(self, network: "Network", src: str, dst: str) -> List[Subflow]:
-        if self.default_path is not None:
-            path = self.default_path
-        else:
-            nodes = network.topology.shortest_path(src, dst)
-            path = Path(nodes, tag=None, name="default")
-        network.install_path(path.nodes, None, as_default=True)
-        return [
-            Subflow(subflow_id=i, path=path, tag=None, is_default=(i == 0))
-            for i in range(self.subflow_count)
-        ]
-
-
-class FullMeshPathManager(PathManager):
-    """One subflow per available path, discovered from the topology.
-
-    Models the full-mesh path manager of a multi-homed host (e.g. Wi-Fi and
-    cellular): the ``k`` shortest simple paths between the endpoints each get
-    a subflow and a tag.
-    """
-
-    name = "fullmesh"
-
-    def __init__(self, max_subflows: int = 4) -> None:
-        if max_subflows < 1:
-            raise ConfigurationError("need at least one subflow")
-        self.max_subflows = max_subflows
-
-    def initial_subflows(self, network: "Network", src: str, dst: str) -> List[Subflow]:
-        node_lists = network.topology.k_shortest_paths(src, dst, self.max_subflows)
-        subflows: List[Subflow] = []
-        for index, nodes in enumerate(node_lists):
-            tag = index + 1
-            path = Path(nodes, tag=tag, name=f"Path {index + 1}")
-            network.install_path(nodes, tag, as_default=(index == 0))
-            subflows.append(
-                Subflow(subflow_id=index, path=path, tag=tag, is_default=(index == 0))
-            )
         return subflows
 
 

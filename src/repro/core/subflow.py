@@ -78,11 +78,6 @@ class Subflow:
 
     # ------------------------------------------------------------------
     @property
-    def active(self) -> bool:
-        """True while the subflow may carry data (not down, not closed)."""
-        return self.state == "active"
-
-    @property
     def name(self) -> str:
         return self.path.name or f"subflow-{self.subflow_id}"
 

@@ -32,7 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ecn_mptcp_fairness", "handover_subflow_migration", "link_flap_failover",
             "mptcp_vs_tcp_shared_bottleneck", "olia_default_path_sweep", "queue_size_sweep",
             "scheduler_comparison", "summarize_results", "two_mptcp_competition",
-            "variant_comparison",
         ),
     },
 )

@@ -284,6 +284,11 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"unknown campaign backend {self.backend!r}; choose from {BACKENDS}"
             )
+        if not 0.0 < self.duration < math.inf:
+            # Refused here, not point by point: every point would fail alike.
+            raise ConfigurationError(
+                f"campaign duration must be positive and finite, got {self.duration!r}"
+            )
         for axis in _AXES:
             values = list(getattr(self, axis.field))
             if not values:

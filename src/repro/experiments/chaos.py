@@ -33,7 +33,6 @@ Fault kinds
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -110,54 +109,7 @@ class ChaosSpec:
             return None
         return self._actions.get(index)
 
-    def faulted_indices(self) -> Tuple[int, ...]:
-        """Every grid index this spec faults, across all kinds."""
-        return tuple(sorted(self._actions))
-
-    def describe(self) -> str:
-        parts = [
-            f"{kind}:{','.join(str(i) for i in getattr(self, f'{kind}_points'))}"
-            for kind in FAULT_KINDS
-            if getattr(self, f"{kind}_points")
-        ]
-        return "; ".join(parts) if parts else "no faults"
-
     # ------------------------------------------------------------------
-    @classmethod
-    def sample(
-        cls,
-        population: int,
-        *,
-        seed: int = 0,
-        crashes: int = 0,
-        hangs: int = 0,
-        torn: int = 0,
-        errors: int = 0,
-        **overrides,
-    ) -> "ChaosSpec":
-        """Draw disjoint faulted indices deterministically from the seed.
-
-        ``population`` is the grid size; the requested fault counts are
-        sampled without replacement, so no point receives two faults.
-        """
-        total = crashes + hangs + torn + errors
-        if total > population:
-            raise FabricError(
-                f"cannot fault {total} of {population} grid points"
-            )
-        picks = random.Random(seed).sample(range(population), total)
-        cursor = 0
-        groups = {}
-        for kind, count in (
-            ("crash", crashes),
-            ("hang", hangs),
-            ("torn", torn),
-            ("error", errors),
-        ):
-            groups[f"{kind}_points"] = tuple(picks[cursor:cursor + count])
-            cursor += count
-        return cls(seed=seed, **groups, **overrides)
-
     @classmethod
     def parse(
         cls,

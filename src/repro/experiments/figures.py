@@ -34,10 +34,6 @@ class FigureData:
     def total_series(self) -> TimeSeries:
         return self.result.total_series
 
-    @property
-    def optimum_mbps(self) -> float:
-        return self.result.optimum.total
-
     def summary(self) -> dict:
         data = self.result.summary()
         data["figure"] = self.figure_id

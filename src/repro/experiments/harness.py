@@ -148,9 +148,6 @@ class ExperimentResult:
     def utilization_of_optimum(self) -> float:
         return self.convergence.utilization_of_optimum
 
-    def path_series(self, tag: int) -> TimeSeries:
-        return self.per_path_series[tag]
-
     def validate(self) -> PointValidation:
         """Cross-validate the measured per-path rates against the model suite."""
         from ..measure.validation import validate_experiment

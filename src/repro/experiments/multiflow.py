@@ -119,9 +119,6 @@ class FlowSpec:
         if self.kind == "workload" and self.workload is None:
             raise ConfigurationError("a workload flow needs a WorkloadSpec")
 
-    def with_overrides(self, **kwargs) -> "FlowSpec":
-        return replace(self, **kwargs)
-
 
 @dataclass
 class MultiFlowConfig:

@@ -7,7 +7,6 @@
   that OLIA only reached the optimum when Path 2 was the default path.
 * :func:`scheduler_comparison` -- ABL-SCHED: the data-scheduler ablation.
 * :func:`queue_size_sweep` -- ablation over the bottleneck buffer size.
-* :func:`variant_comparison` -- both capacity labellings of the topology.
 
 Multi-flow competition scenarios (the fairness claims behind coupled
 congestion control, run through :func:`repro.experiments.multiflow.run_multiflow`):
@@ -40,6 +39,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.coupled import PAPER_ALGORITHMS
 from ..core.path_manager import FailoverPathManager
+from ..errors import ConfigurationError
 from ..netsim.dynamics import DynamicsSpec, LinkDown, LinkRateChange, LinkUp, Schedule
 from ..topologies.generators import shared_bottleneck, wifi_cellular
 from ..topologies.paper import PAPER_DEFAULT_PATH_INDEX, paper_scenario
@@ -136,18 +136,6 @@ def queue_size_sweep(
             paper_variant=variant,
         )
         results[queue_packets] = run_experiment(config)
-    return results
-
-
-def variant_comparison(
-    *, congestion_control: str = "cubic", duration: float = 4.0
-) -> Dict[str, ExperimentResult]:
-    """Run both capacity labellings of the paper topology."""
-    results: Dict[str, ExperimentResult] = {}
-    for variant in ("as_stated", "as_solution"):
-        config = paper_experiment(congestion_control, duration=duration, variant=variant)
-        config = config.with_overrides(name=f"paper-{congestion_control}-{variant}")
-        results[variant] = run_experiment(config)
     return results
 
 
@@ -461,7 +449,7 @@ def link_flap_failover(
     if up_at is None:
         up_at = 0.6 * duration
     if not 0.0 < down_at < up_at < duration:
-        raise ValueError("need 0 < down_at < up_at < duration")
+        raise ConfigurationError("need 0 < down_at < up_at < duration")
     topology, paths = wifi_cellular(wifi_mbps, cellular_mbps)
     schedule = (
         Schedule()
@@ -517,7 +505,7 @@ def capacity_step_tracking(
     if step_up_at is None:
         step_up_at = 0.6 * duration
     if not 0.0 < step_down_at < step_up_at < duration:
-        raise ValueError("need 0 < step_down_at < step_up_at < duration")
+        raise ConfigurationError("need 0 < step_down_at < step_up_at < duration")
     topology, paths = shared_bottleneck(n_paths, bottleneck_mbps, access_mbps)
     schedule = (
         Schedule()
@@ -568,7 +556,7 @@ def handover_subflow_migration(
     if handover_at is None:
         handover_at = 0.4 * duration
     if not 0.0 < handover_at < duration:
-        raise ValueError("need 0 < handover_at < duration")
+        raise ConfigurationError("need 0 < handover_at < duration")
     topology, paths = wifi_cellular(wifi_mbps, cellular_mbps)
     schedule = Schedule().at(handover_at, LinkDown("client", "wifi_ap"))
     spec = DynamicsSpec(

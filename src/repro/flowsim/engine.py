@@ -112,12 +112,6 @@ class FlowCompletion:
     def duration(self) -> float:
         return self.finish - self.start
 
-    @property
-    def mean_mbps(self) -> float:
-        if self.finish <= self.start:
-            return 0.0
-        return self.size_bytes * 8.0 / (self.finish - self.start) / 1e6
-
 
 @dataclass
 class FlowOutcome:
@@ -444,8 +438,8 @@ class FlowLevelSim:
     # ------------------------------------------------------------------- run
     def run(self, duration: float) -> FlowLevelResult:
         """Advance the simulation to ``duration`` and return the results."""
-        if duration <= 0:
-            raise ConfigurationError("duration must be positive")
+        if not 0 < duration < _INF:  # NaN too
+            raise ConfigurationError("duration must be positive and finite")
         heapq.heapify(self._events)
         self._running = True
         while True:

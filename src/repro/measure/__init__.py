@@ -7,7 +7,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".convergence": (
             "ConvergenceReport", "analyze_convergence", "stability_coefficient",
-            "sustained_time_to_fraction", "time_to_fraction",
+            "sustained_time_to_fraction",
         ),
         ".dynamics": (
             "DynamicsReport", "EpochMetrics", "analyze_dynamics", "capacity_at",
@@ -27,8 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "sanitize_metrics",
         ),
         ".sampling": (
-            "TimeSeries", "per_tag_timeseries", "sum_series", "throughput_timeseries",
-            "total_timeseries",
+            "TimeSeries", "per_tag_timeseries", "throughput_timeseries", "total_timeseries",
         ),
         ".signalplane": ("SignalPlaneReport", "modeled_signal_plane", "signal_plane_report"),
         ".validation": (

@@ -34,27 +34,6 @@ class ConvergenceReport:
     stability_cv: float
     threshold_fraction: float
 
-    def as_dict(self) -> dict:
-        return {
-            "optimum_mbps": round(self.optimum, 3),
-            "achieved_mean_mbps": round(self.achieved_mean, 3),
-            "achieved_peak_mbps": round(self.achieved_peak, 3),
-            "reached_optimum": self.reached_optimum,
-            "time_to_optimum_s": None
-            if self.time_to_optimum is None
-            else round(self.time_to_optimum, 4),
-            "utilization_of_optimum": round(self.utilization_of_optimum, 4),
-            "stability_cv": round(self.stability_cv, 4),
-            "threshold_fraction": self.threshold_fraction,
-        }
-
-
-def time_to_fraction(series: TimeSeries, optimum: float, fraction: float = 0.95) -> Optional[float]:
-    """First time the series reaches ``fraction`` of ``optimum`` (None if never)."""
-    if optimum <= 0:
-        return None
-    return series.first_time_above(fraction * optimum)
-
 
 def sustained_time_to_fraction(
     series: TimeSeries, optimum: float, fraction: float = 0.95, hold: int = 3

@@ -26,21 +26,6 @@ class SubflowStats:
     final_cwnd_segments: float
     srtt_ms: Optional[float]
 
-    def as_dict(self) -> dict:
-        return {
-            "subflow_id": self.subflow_id,
-            "name": self.name,
-            "tag": self.tag,
-            "is_default": self.is_default,
-            "bytes_acked": self.bytes_acked,
-            "mean_throughput_mbps": round(self.mean_throughput_mbps, 3),
-            "retransmissions": self.retransmissions,
-            "timeouts": self.timeouts,
-            "fast_retransmits": self.fast_retransmits,
-            "final_cwnd_segments": round(self.final_cwnd_segments, 2),
-            "srtt_ms": None if self.srtt_ms is None else round(self.srtt_ms, 3),
-        }
-
 
 @dataclass
 class ConnectionStats:
@@ -54,24 +39,6 @@ class ConnectionStats:
     retransmissions: int
     duplicate_bytes: int
     subflows: List[SubflowStats]
-
-    def as_dict(self) -> dict:
-        return {
-            "congestion_control": self.congestion_control,
-            "scheduler": self.scheduler,
-            "duration_s": round(self.duration, 3),
-            "bytes_delivered": self.bytes_delivered,
-            "total_throughput_mbps": round(self.total_throughput_mbps, 3),
-            "retransmissions": self.retransmissions,
-            "duplicate_bytes": self.duplicate_bytes,
-            "subflows": [s.as_dict() for s in self.subflows],
-        }
-
-    def subflow_by_name(self, name: str) -> SubflowStats:
-        for stats in self.subflows:
-            if stats.name == name:
-                return stats
-        raise KeyError(name)
 
 
 def subflow_stats(subflow: Subflow, now: float) -> SubflowStats:

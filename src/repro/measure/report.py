@@ -79,10 +79,6 @@ def format_comparison(rows: List[Dict[str, object]]) -> str:
     )
 
 
-def series_summary_row(label: str, mean: float, peak: float, stddev: float) -> List[object]:
-    return [label, mean, peak, stddev]
-
-
 def print_section(title: str, body: str = "", *, out=None) -> None:
     """Print a titled section (used by the example scripts)."""
     import sys

@@ -60,9 +60,6 @@ class TimeSeries:
     def max(self) -> float:
         return float(np.max(self.values)) if self.values else 0.0
 
-    def min(self) -> float:
-        return float(np.min(self.values)) if self.values else 0.0
-
     def stddev(self) -> float:
         if len(self.values) < 2:
             return 0.0
@@ -86,13 +83,6 @@ class TimeSeries:
     def mean_over(self, start: float, end: float) -> float:
         return self.window(start, end).mean()
 
-    def value_at(self, time: float) -> float:
-        """The sample whose interval contains ``time`` (0 outside the series)."""
-        times, values = self._arrays()
-        mask = (times - self.interval < time) & (time <= times)
-        index = int(np.argmax(mask)) if mask.any() else -1
-        return float(values[index]) if index >= 0 else 0.0
-
     def first_time_above(self, threshold: float) -> Optional[float]:
         """First sample time whose value is at least ``threshold`` (or None)."""
         times, values = self._arrays()
@@ -100,13 +90,6 @@ class TimeSeries:
         if not mask.any():
             return None
         return float(times[int(np.argmax(mask))])
-
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples at or above ``threshold``."""
-        if not self.values:
-            return 0.0
-        _, values = self._arrays()
-        return float(np.count_nonzero(values >= threshold)) / len(values)
 
 
 # ---------------------------------------------------------------------- binning
@@ -219,14 +202,3 @@ def total_timeseries(
     return throughput_timeseries(
         capture.columns(data_only=True), interval, start=start, end=end, label="Total"
     )
-
-
-def sum_series(series: Sequence[TimeSeries], label: str = "Total") -> TimeSeries:
-    """Pointwise sum of series sampled on the same grid."""
-    if not series:
-        return TimeSeries(label=label)
-    length = min(len(s) for s in series)
-    times = list(series[0].times[:length])
-    stacked = np.array([s.values[:length] for s in series], dtype=np.float64)
-    values = [float(v) for v in stacked.sum(axis=0)]
-    return TimeSeries(times=times, values=values, label=label, interval=series[0].interval)

@@ -128,11 +128,6 @@ class PointValidation:
     algorithm: str
     predictions: Dict[str, ModelPrediction] = field(default_factory=dict)
 
-    @property
-    def lp_rel_error(self) -> Optional[float]:
-        prediction = self.predictions.get("lp")
-        return prediction.rel_error if prediction is not None else None
-
     def as_dict(self) -> dict:
         return {
             "measured_rates": [round(r, 4) for r in self.measured_rates],

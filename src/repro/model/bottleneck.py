@@ -83,9 +83,6 @@ class ConstraintSystem:
     def tight_constraints(self, rates: Sequence[float], tol: float = 1e-6) -> List[Constraint]:
         return [c for c in self.constraints if c.is_tight(rates, tol)]
 
-    def slack_vector(self, rates: Sequence[float]) -> List[float]:
-        return [c.slack(rates) for c in self.constraints]
-
     def max_rate_for_path(self, index: int, rates: Sequence[float]) -> float:
         """Largest value path ``index`` could take with the other rates fixed."""
         limit = float("inf")
@@ -174,8 +171,3 @@ def build_constraints(
     # Deterministic ordering: shared links first (by capacity), then private.
     constraints.sort(key=lambda c: (-len(c.path_indices), c.capacity, c.link))
     return ConstraintSystem(path_list, constraints)
-
-
-def shared_bottleneck_summary(system: ConstraintSystem) -> List[Tuple[Edge, float, Tuple[int, ...]]]:
-    """(link, capacity, path indices) for every link shared by 2+ paths."""
-    return [(c.link, c.capacity, c.path_indices) for c in system.shared_constraints()]

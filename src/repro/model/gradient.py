@@ -72,10 +72,6 @@ class GradientTrace:
     totals: List[float] = field(default_factory=list)
 
     @property
-    def final_rates(self) -> List[float]:
-        return self.iterates[-1]
-
-    @property
     def final_total(self) -> float:
         return self.totals[-1]
 

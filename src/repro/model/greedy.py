@@ -57,35 +57,3 @@ def greedy_fill(
     for index in order:
         rates[index] = max(rates[index], system.max_rate_for_path(index, rates))
     return GreedyResult(rates=rates, total=float(sum(rates)), order=order)
-
-
-def best_greedy_order(system: ConstraintSystem) -> GreedyResult:
-    """Try every filling order and return the best greedy outcome.
-
-    Even the best order can be suboptimal relative to the LP, but on many
-    topologies the greedy gap depends strongly on which path goes first --
-    mirroring the paper's observation that OLIA only found the optimum when
-    Path 2 was the default path.
-    """
-    import itertools
-
-    best: Optional[GreedyResult] = None
-    for order in itertools.permutations(range(system.path_count)):
-        candidate = greedy_fill(system, list(order))
-        if best is None or candidate.total > best.total:
-            best = candidate
-    assert best is not None
-    return best
-
-
-def worst_greedy_order(system: ConstraintSystem) -> GreedyResult:
-    """Try every filling order and return the worst greedy outcome."""
-    import itertools
-
-    worst: Optional[GreedyResult] = None
-    for order in itertools.permutations(range(system.path_count)):
-        candidate = greedy_fill(system, list(order))
-        if worst is None or candidate.total < worst.total:
-            worst = candidate
-    assert worst is not None
-    return worst

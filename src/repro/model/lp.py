@@ -40,9 +40,6 @@ class LpResult:
     objective: str = "max-total"
     solver: str = "highs"
 
-    def rate_of(self, index: int) -> float:
-        return self.rates[index]
-
     def as_dict(self) -> dict:
         return {
             "rates": [round(r, 6) for r in self.rates],

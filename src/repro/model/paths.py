@@ -10,7 +10,7 @@ that makes the paper's throughput-maximisation problem non-trivial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ModelError
 from ..netsim.topology import Topology
@@ -55,28 +55,17 @@ class Path:
         return self.nodes[-1]
 
     @property
-    def hop_count(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
     def links(self) -> Tuple[Edge, ...]:
         """Directed links traversed, in order."""
         return tuple(zip(self.nodes, self.nodes[1:]))
 
-    @property
-    def link_set(self) -> FrozenSet[Edge]:
-        return frozenset(self.links)
-
     def shares_link_with(self, other: "Path") -> bool:
-        return bool(self.link_set & other.link_set)
+        return bool(self.shared_links(other))
 
     def shared_links(self, other: "Path") -> List[Edge]:
         """Directed links used by both paths, in this path's order."""
-        other_links = other.link_set
+        other_links = set(other.links)
         return [edge for edge in self.links if edge in other_links]
-
-    def uses_link(self, a: str, b: str) -> bool:
-        return (a, b) in self.link_set
 
     def capacity(self, topology: Topology) -> float:
         """Bottleneck (minimum) capacity of the path in Mbps."""
@@ -125,58 +114,7 @@ class PathSet:
         return self.paths[0].dst
 
     # ------------------------------------------------------------------
-    def all_links(self) -> List[Edge]:
-        """Every directed link used by at least one path (no duplicates)."""
-        seen: List[Edge] = []
-        for path in self.paths:
-            for edge in path.links:
-                if edge not in seen:
-                    seen.append(edge)
-        return seen
-
-    def paths_using(self, edge: Edge) -> List[int]:
-        """Indices of the paths that traverse ``edge``."""
-        return [i for i, path in enumerate(self.paths) if edge in path.link_set]
-
-    def overlap_matrix(self) -> List[List[int]]:
-        """Matrix of shared-link counts between every pair of paths."""
-        n = len(self.paths)
-        matrix = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    matrix[i][j] = len(self.paths[i].links)
-                else:
-                    matrix[i][j] = len(self.paths[i].shared_links(self.paths[j]))
-        return matrix
-
-    def pairwise_shared_links(self) -> Dict[Tuple[int, int], List[Edge]]:
-        """Shared links for every pair ``(i, j)`` with ``i < j``."""
-        result: Dict[Tuple[int, int], List[Edge]] = {}
-        for i in range(len(self.paths)):
-            for j in range(i + 1, len(self.paths)):
-                shared = self.paths[i].shared_links(self.paths[j])
-                if shared:
-                    result[(i, j)] = shared
-        return result
-
     def is_disjoint(self) -> bool:
         """True if no two paths share a link (the Wi-Fi + cellular use case)."""
-        return not self.pairwise_shared_links()
-
-
-def paths_from_node_lists(
-    node_lists: Iterable[Sequence[str]],
-    *,
-    tags: Optional[Sequence[int]] = None,
-    names: Optional[Sequence[str]] = None,
-) -> PathSet:
-    """Build a :class:`PathSet` from raw node lists, auto-assigning tags 1..n."""
-    node_lists = list(node_lists)
-    if tags is None:
-        tags = list(range(1, len(node_lists) + 1))
-    if names is None:
-        names = [f"Path {i + 1}" for i in range(len(node_lists))]
-    if not (len(node_lists) == len(tags) == len(names)):
-        raise ModelError("node_lists, tags and names must have equal length")
-    return PathSet([Path(nodes, tag=tag, name=name) for nodes, tag, name in zip(node_lists, tags, names)])
+        paths = self.paths
+        return not any(a.shares_link_with(b) for i, a in enumerate(paths) for b in paths[i + 1:])

@@ -70,22 +70,3 @@ def maximize_over_vertices(
     if len(weights) != system.path_count:
         raise ModelError("weights length must match the number of paths")
     return max(vertices, key=lambda v: sum(w * x for w, x in zip(weights, v)))
-
-
-def feasible_region_volume(system: ConstraintSystem, samples: int = 20000, seed: int = 0) -> float:
-    """Monte-Carlo estimate of the feasible region's volume (for visualisation).
-
-    The bounding box is ``[0, max_rate_i]`` per path; the volume is the box
-    volume times the fraction of uniformly sampled points that are feasible.
-    """
-    rng = np.random.default_rng(seed)
-    n = system.path_count
-    upper = np.array([system.max_rate_for_path(i, [0.0] * n) for i in range(n)])
-    if np.any(upper <= 0):
-        return 0.0
-    points = rng.uniform(0.0, upper, size=(samples, n))
-    a = system.matrix()
-    c = system.rhs()
-    feasible = np.all(points @ a.T <= c + 1e-9, axis=1)
-    box_volume = float(np.prod(upper))
-    return box_volume * float(np.count_nonzero(feasible)) / samples

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,14 +75,6 @@ class CaptureColumns:
 
     def __len__(self) -> int:
         return len(self.time)
-
-    @property
-    def is_ack(self) -> np.ndarray:
-        return (self.flags & _FLAG_ACK) != 0
-
-    @property
-    def is_retransmission(self) -> np.ndarray:
-        return (self.flags & _FLAG_RETX) != 0
 
     def select(self, mask: np.ndarray) -> "CaptureColumns":
         """The sub-view of rows where ``mask`` is True."""
@@ -287,28 +279,3 @@ class PacketCapture:
         cols = self._all_columns()
         data_tags = cols.tag[((cols.flags & _FLAG_ACK) == 0) & (cols.tag != _NO_TAG)]
         return [int(t) for t in np.unique(data_tags)]
-
-    def subflow_ids(self) -> List[int]:
-        """Distinct subflow identifiers seen on captured data packets, sorted."""
-        cols = self._all_columns()
-        data_subflows = cols.subflow_id[(cols.flags & _FLAG_ACK) == 0]
-        return [int(s) for s in np.unique(data_subflows)]
-
-    def bytes_captured(self, *, data_only: bool = True) -> int:
-        """Total wire bytes captured (data packets only by default)."""
-        cols = self._all_columns()
-        if data_only:
-            return int(cols.size[(cols.flags & _FLAG_ACK) == 0].sum())
-        return int(cols.size.sum())
-
-    def payload_bytes(self, records: Optional[Iterable[CaptureRecord]] = None) -> int:
-        """Total payload bytes across ``records`` (defaults to every record)."""
-        if records is None:
-            return int(self._all_columns().payload_len.sum())
-        return sum(r.payload_len for r in records)
-
-    def first_time(self) -> float:
-        return float(self._view()["time"][0]) if self._rows else 0.0
-
-    def last_time(self) -> float:
-        return float(self._view()["time"][-1]) if self._rows else 0.0

@@ -20,10 +20,9 @@ sweep harness):
   seeded).
 
 A :class:`Schedule` is a list of ``(time, event)`` pairs built with
-:meth:`Schedule.at` / :meth:`Schedule.every` and applied to a network with
-:meth:`Schedule.apply` (or ``network.apply_schedule``).  An **empty schedule
-is free**: nothing is registered on the event loop and the static fast paths
-of :mod:`repro.netsim.link` stay byte-identical.
+:meth:`Schedule.at` and applied to a network with :meth:`Schedule.apply`.
+An **empty schedule is free**: nothing is registered on the event loop and
+the static fast paths of :mod:`repro.netsim.link` stay byte-identical.
 
 :class:`DynamicsSpec` bundles a schedule with the measurement metadata the
 experiment layer needs (event epochs for re-convergence metrics and an
@@ -160,8 +159,7 @@ class Schedule:
             Schedule()
             .at(1.5, LinkDown("client", "wifi_ap"))
             .at(3.0, LinkUp("client", "wifi_ap"))
-            .every(0.5, LossBurst("agg", "core", 0.1, loss_rate=0.2),
-                   start=1.0, end=3.0)
+            .at(4.0, LossBurst("agg", "core", 0.1, loss_rate=0.2))
         )
         schedule.apply(network)   # before network.run()
 
@@ -183,43 +181,11 @@ class Schedule:
             self._entries.append((float(time), event))
         return self
 
-    def every(
-        self,
-        period: float,
-        event: DynamicsEvent,
-        *,
-        start: float = 0.0,
-        end: Optional[float] = None,
-        count: Optional[int] = None,
-    ) -> "Schedule":
-        """Add ``event`` periodically from ``start``; bounded by ``end`` or ``count``."""
-        if period <= 0:
-            raise ConfigurationError("period must be positive")
-        if end is None and count is None:
-            raise ConfigurationError("Schedule.every needs an end time or a count")
-        if count is None:
-            # The epsilon keeps an occurrence landing exactly on ``end``
-            # (the loop's break is inclusive) from being lost to float
-            # truncation, e.g. (0.3 - 0.0) / 0.1 == 2.9999....
-            count = int((end - start) / period + 1e-9) + 1
-        time = float(start)
-        tolerance = period * 1e-9
-        for _ in range(count):
-            if end is not None and time > end + tolerance:
-                break
-            self._entries.append((time, event))
-            time += period
-        return self
-
     # ------------------------------------------------------------------ views
     @property
     def entries(self) -> List[Tuple[float, DynamicsEvent]]:
         """The schedule's entries in firing order (stable for equal times)."""
         return sorted(self._entries, key=lambda entry: entry[0])
-
-    def event_times(self) -> List[float]:
-        """Sorted unique firing times."""
-        return sorted({time for time, _ in self._entries})
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -271,7 +237,7 @@ class DynamicsSpec:
         """The epochs to measure from (explicit ones, else the event times)."""
         if self.epochs:
             return sorted(self.epochs)
-        return self.schedule.event_times()
+        return sorted({time for time, _ in self.schedule.entries})
 
     def apply(self, network: "Network") -> None:
         self.schedule.apply(network)

@@ -209,11 +209,6 @@ class Link:
         self._loss_rng: Optional[random.Random] = None
 
     # ------------------------------------------------------------------
-    @property
-    def _busy(self) -> bool:
-        """Whether the transmitter is serialising a packet right now."""
-        return self.sim.now < self._busy_until or self._serving
-
     def send(self, packet: Packet) -> bool:
         """Offer ``packet`` to the link.
 
@@ -323,8 +318,8 @@ class Link:
             entry = [deliver_at, sim._seq, self._deliver, ()]
         _link_heappush(sim._heap, entry)
         sim._seq += 1
-        # Friend access to the queue's backing deque (is_empty property
-        # dispatch avoided; this fires once per queued packet).
+        # Friend access to the queue's backing deque (no method dispatch;
+        # this fires once per queued packet).
         if not queue._queue:
             self._serving = False
         else:

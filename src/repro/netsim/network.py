@@ -8,9 +8,10 @@ and runs the simulation for a given duration.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import TopologyError
+from ..errors import ConfigurationError, TopologyError
 from ..units import mbps
 from .capture import PacketCapture
 from .engine import Simulator, make_simulator
@@ -19,9 +20,6 @@ from .node import Host, Node, Router
 from .queues import make_queue
 from .routing import RoutingTable, StaticRoutingTable, TagRoutingTable
 from .topology import Topology
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dynamics import Schedule
 
 #: Signature of a dynamics listener: ``(kind, src, dst)`` where ``kind`` is
 #: ``"link_down"`` / ``"link_up"`` / ``"link_rate"`` / ``"link_delay"`` /
@@ -148,12 +146,6 @@ class Network:
         self._captures[key] = capture
         return capture
 
-    def capture(self, host_name: str, *, flow_id: Optional[int] = None) -> PacketCapture:
-        try:
-            return self._captures[(host_name, flow_id)]
-        except KeyError:
-            raise TopologyError(f"no capture attached at {host_name!r}") from None
-
     # ------------------------------------------------------------------ dynamics
     def add_dynamics_listener(self, listener: DynamicsListener) -> None:
         """Register a callback invoked after every dynamics event is applied.
@@ -238,13 +230,6 @@ class Network:
                 return False
         return True
 
-    def apply_schedule(self, schedule: "Schedule") -> None:
-        """Register a dynamics :class:`~repro.netsim.dynamics.Schedule`.
-
-        No-op for an empty schedule -- static scenarios pay nothing.
-        """
-        schedule.apply(self)
-
     # ------------------------------------------------------------------ run
     def run(self, duration: float) -> float:
         """Run the simulation for ``duration`` seconds (from the current time).
@@ -255,8 +240,12 @@ class Network:
         window is also expressible natively (static links, single-path TCP,
         tag/static routing -- see :mod:`repro.kernel.pipeline`), the run
         bypasses the event loop entirely.  Results are byte-identical
-        either way.
+        either way.  A ``duration`` that is not a positive finite number
+        (zero, negative, NaN or infinite) raises :class:`ConfigurationError`
+        on either kernel.
         """
+        if not 0 < duration < math.inf:
+            raise ConfigurationError(f"duration must be positive and finite, got {duration!r}")
         until = self.sim.now + duration
         from ..kernel import maybe_run_network  # lazy: kernel builds on first use
 
@@ -284,10 +273,6 @@ class Network:
     def total_drops(self) -> int:
         """Total packets dropped at any queue in the network."""
         return sum(link.drops for link in self.links.values())
-
-    def drops_by_link(self) -> Dict[Tuple[str, str], int]:
-        """Per-link drop counts, keyed by (src, dst)."""
-        return {edge: link.drops for edge, link in self.links.items() if link.drops}
 
     def signal_plane_totals(self) -> Dict[str, float]:
         """Aggregate congestion-signal counters over every queue.

@@ -72,12 +72,6 @@ class Node:
         if self._hop_cache is not None:
             self._hop_cache.clear()
 
-    def link_to(self, neighbor: str) -> "Link":
-        try:
-            return self.links[neighbor]
-        except KeyError:
-            raise RoutingError(f"{self.name} has no link to {neighbor}") from None
-
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Originate or forward ``packet`` towards its destination."""

@@ -151,16 +151,6 @@ class Packet:
             self._poolable = False
             _pool.append(self)
 
-    @property
-    def end_seq(self) -> int:
-        """Sequence number one past the last payload byte."""
-        return self.seq + self.payload_len
-
-    @property
-    def end_dsn(self) -> int:
-        """Data sequence number one past the last payload byte."""
-        return self.dsn + self.payload_len
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "ACK" if self.is_ack else "DATA"
         return (
@@ -307,8 +297,3 @@ def acquire_ack(
     packet.ecn = False
     packet._poolable = True
     return packet
-
-
-def pool_size() -> int:
-    """Number of packets currently waiting in the free list (for tests)."""
-    return len(_pool)

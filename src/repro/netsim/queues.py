@@ -78,11 +78,6 @@ class QueueStats:
         """Drops caused by buffer exhaustion (total minus early drops)."""
         return self.dropped - self.early_drops
 
-    @property
-    def mean_queue_delay(self) -> float:
-        """Mean sojourn time of delivered packets (AQM queues only)."""
-        return self.queue_delay_sum / self.dequeued if self.dequeued else 0.0
-
     def as_dict(self) -> dict:
         return {
             "enqueued": self.enqueued,
@@ -120,19 +115,11 @@ class Queue(ABC):
         """Total bytes currently queued."""
         return self._bytes
 
-    @property
-    def is_empty(self) -> bool:
-        return not self._queue
-
     # ------------------------------------------------------------------
     @abstractmethod
     def verdict(self, packet: Packet, now: float) -> int:
         """Render :data:`ADMIT` / :data:`MARK` / :data:`DROP_EARLY` /
         :data:`DROP_FULL` for ``packet`` arriving at time ``now``."""
-
-    def accepts(self, packet: Packet, now: float) -> bool:
-        """Back-compat view of the verdict: would the packet be admitted?"""
-        return self.verdict(packet, now) < DROP_EARLY
 
     def enqueue(self, packet: Packet, now: float) -> bool:
         """Apply the verdict: admit (possibly CE-marked) or count a drop."""
@@ -279,11 +266,6 @@ class REDQueue(AqmQueue):
         self.mean_pkt_time = mean_pkt_time
         self._avg = 0.0
         self._rng = random.Random(seed)
-
-    @property
-    def average_queue(self) -> float:
-        """Current EWMA of the queue length (in packets)."""
-        return self._avg
 
     def verdict(self, packet: Packet, now: float) -> int:
         depth = len(self._queue)

@@ -102,7 +102,6 @@ class TagRoutingTable(RoutingTable):
         self._entries: Dict[Tuple[str, str, Optional[int]], str] = {}
         self._defaults: Dict[Tuple[str, str], str] = {}
         self._fallback = fallback
-        self._installed_paths: Dict[Tuple[str, str, Optional[int]], List[str]] = {}
         self.version = 0
 
     # ------------------------------------------------------------------
@@ -138,7 +137,6 @@ class TagRoutingTable(RoutingTable):
             raise RoutingError(f"path {nodes!r} visits a node twice")
         for a, b in zip(nodes, nodes[1:]):
             self._entries[(a, dst, tag)] = b
-        self._installed_paths[(src, dst, tag)] = list(nodes)
         if as_default:
             for a, b in zip(nodes, nodes[1:]):
                 self._defaults[(a, dst)] = b
@@ -147,14 +145,9 @@ class TagRoutingTable(RoutingTable):
             rdst = reverse[-1]
             for a, b in zip(reverse, reverse[1:]):
                 self._entries[(a, rdst, tag)] = b
-            self._installed_paths[(reverse[0], rdst, tag)] = reverse
             if as_default:
                 for a, b in zip(reverse, reverse[1:]):
                     self._defaults[(a, rdst)] = b
-
-    def installed_path(self, src: str, dst: str, tag: Optional[int]) -> Optional[List[str]]:
-        """Return the node list installed for ``(src, dst, tag)``, if any."""
-        return self._installed_paths.get((src, dst, tag))
 
     # ------------------------------------------------------------------
     def next_hop(self, node: str, packet: Packet) -> Optional[str]:
@@ -217,9 +210,3 @@ class EcmpRoutingTable(RoutingTable):
         if not candidates:
             return None
         return candidates[self._hash(packet, node) % len(candidates)]
-
-
-def paths_edges(nodes: Iterable[str]) -> List[Tuple[str, str]]:
-    """Return the ordered list of directed edges traversed by a node list."""
-    node_list = list(nodes)
-    return list(zip(node_list, node_list[1:]))

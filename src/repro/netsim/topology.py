@@ -19,7 +19,7 @@ from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import TopologyError
-from ..units import DEFAULT_CAPACITY_MBPS, DEFAULT_LINK_DELAY, DEFAULT_QUEUE_PACKETS, mbps
+from ..units import DEFAULT_CAPACITY_MBPS, DEFAULT_LINK_DELAY, DEFAULT_QUEUE_PACKETS
 
 if TYPE_CHECKING:  # pragma: no cover
     import networkx as nx
@@ -35,14 +35,6 @@ class LinkSpec:
     delay: float = DEFAULT_LINK_DELAY
     queue_packets: int = DEFAULT_QUEUE_PACKETS
     queue_kind: str = "droptail"
-
-    @property
-    def capacity_bps(self) -> float:
-        return mbps(self.capacity_mbps)
-
-    @property
-    def edge(self) -> Tuple[str, str]:
-        return (self.src, self.dst)
 
 
 @dataclass
@@ -74,9 +66,6 @@ class Topology:
             raise TopologyError(f"node {name!r} already exists")
         self._nodes[name] = NodeSpec(name=name, kind=kind, metadata=dict(metadata))
 
-    def has_node(self, name: str) -> bool:
-        return name in self._nodes
-
     def node(self, name: str) -> NodeSpec:
         try:
             return self._nodes[name]
@@ -86,14 +75,6 @@ class Topology:
     @property
     def nodes(self) -> List[str]:
         return list(self._nodes)
-
-    @property
-    def hosts(self) -> List[str]:
-        return [n.name for n in self._nodes.values() if n.kind == "host"]
-
-    @property
-    def routers(self) -> List[str]:
-        return [n.name for n in self._nodes.values() if n.kind == "router"]
 
     # ------------------------------------------------------------------ links
     def add_link(
@@ -133,30 +114,6 @@ class Topology:
             return self._links[(a, b)]
         except KeyError:
             raise TopologyError(f"unknown link {a!r}->{b!r}") from None
-
-    def set_capacity(self, a: str, b: str, capacity_mbps: float, *, bidirectional: bool = True) -> None:
-        """Change the capacity of an existing link."""
-        spec = self.link(a, b)
-        self._links[(a, b)] = LinkSpec(
-            a, b, capacity_mbps, spec.delay, spec.queue_packets, spec.queue_kind
-        )
-        if bidirectional:
-            rspec = self.link(b, a)
-            self._links[(b, a)] = LinkSpec(
-                b, a, capacity_mbps, rspec.delay, rspec.queue_packets, rspec.queue_kind
-            )
-
-    def set_delay(self, a: str, b: str, delay: float, *, bidirectional: bool = True) -> None:
-        """Change the propagation delay of an existing link."""
-        spec = self.link(a, b)
-        self._links[(a, b)] = LinkSpec(
-            a, b, spec.capacity_mbps, delay, spec.queue_packets, spec.queue_kind
-        )
-        if bidirectional:
-            rspec = self.link(b, a)
-            self._links[(b, a)] = LinkSpec(
-                b, a, rspec.capacity_mbps, delay, rspec.queue_packets, rspec.queue_kind
-            )
 
     def set_queue_kind(
         self,

@@ -7,12 +7,8 @@ the standard scenarios of the MPTCP literature:
   fairness scenario coupled congestion control was designed for);
 * :func:`disjoint_paths` / :func:`wifi_cellular` -- fully disjoint paths
   ("the primary use case of MPTCP ... both Wi-Fi and cellular networks");
-* :func:`parking_lot` -- the classic chain topology with progressively
-  overlapping paths;
 * :func:`pairwise_overlap` -- the generalisation of the paper's construction
-  to ``n`` paths where every pair shares its own bottleneck link;
-* :func:`two_bottleneck_diamond` -- a small diamond with two partially
-  overlapping paths.
+  to ``n`` paths where every pair shares its own bottleneck link.
 
 Every generator returns ``(Topology, PathSet)`` ready to be passed to the
 experiment harness.
@@ -119,50 +115,6 @@ def wifi_cellular(
     return topology, paths
 
 
-def parking_lot(
-    segments: int = 3,
-    segment_mbps: float = 50.0,
-    *,
-    delay: float = DEFAULT_LINK_DELAY,
-    queue_packets: int = DEFAULT_QUEUE_PACKETS,
-) -> Scenario:
-    """The parking-lot chain: a long path overlapping several short hops.
-
-    Path 1 traverses the whole chain; path ``i > 1`` enters at hop ``i - 1``
-    and leaves at hop ``i``, so it crosses exactly the segment
-    ``chain[i-1] -> chain[i]`` and nothing else of the chain, while the long
-    path shares every segment.  Because all paths here connect the same
-    source and destination pair (as MPTCP requires), each short path uses a
-    private entry and exit detour (over-provisioned so that only its own
-    chain segment constrains it).
-    """
-    if segments < 2:
-        raise ConfigurationError("need at least two segments")
-    topology = Topology("parking-lot")
-    topology.add_host("s")
-    topology.add_host("d")
-    chain = [f"c{i}" for i in range(segments + 1)]
-    for node in chain:
-        topology.add_router(node)
-    topology.add_link("s", chain[0], segment_mbps * 4, delay, queue_packets)
-    topology.add_link(chain[-1], "d", segment_mbps * 4, delay, queue_packets)
-    for a, b in zip(chain, chain[1:]):
-        topology.add_link(a, b, segment_mbps, delay, queue_packets)
-
-    paths: List[Path] = [Path(["s", *chain, "d"], tag=1, name="Path 1 (long)")]
-    for index in range(1, segments):
-        entry, exit_node = f"b{index}", f"e{index}"
-        topology.add_router(entry)
-        topology.add_router(exit_node)
-        topology.add_link("s", entry, segment_mbps * 4, delay, queue_packets)
-        topology.add_link(entry, chain[index], segment_mbps * 4, delay, queue_packets)
-        topology.add_link(chain[index + 1], exit_node, segment_mbps * 4, delay, queue_packets)
-        topology.add_link(exit_node, "d", segment_mbps * 4, delay, queue_packets)
-        nodes = ["s", entry, chain[index], chain[index + 1], exit_node, "d"]
-        paths.append(Path(nodes, tag=index + 1, name=f"Path {index + 1}"))
-    return topology, PathSet(paths)
-
-
 def pairwise_overlap(
     n_paths: int = 3,
     capacities: Optional[Sequence[float]] = None,
@@ -222,31 +174,3 @@ def pairwise_overlap(
         hops.extend([exit_node, "d"])
         paths.append(Path(hops, tag=index + 1, name=f"Path {index + 1}"))
     return topology, PathSet(paths)
-
-
-def two_bottleneck_diamond(
-    top_mbps: float = 30.0,
-    bottom_mbps: float = 60.0,
-    shared_mbps: float = 80.0,
-    *,
-    delay: float = DEFAULT_LINK_DELAY,
-    queue_packets: int = DEFAULT_QUEUE_PACKETS,
-) -> Scenario:
-    """A diamond where two paths share the first hop then split."""
-    topology = Topology("diamond")
-    topology.add_host("s")
-    topology.add_host("d")
-    for router in ("in", "up", "down"):
-        topology.add_router(router)
-    topology.add_link("s", "in", shared_mbps, delay, queue_packets)
-    topology.add_link("in", "up", top_mbps, delay, queue_packets)
-    topology.add_link("in", "down", bottom_mbps, delay, queue_packets)
-    topology.add_link("up", "d", top_mbps * 2, delay, queue_packets)
-    topology.add_link("down", "d", bottom_mbps * 2, delay, queue_packets)
-    paths = PathSet(
-        [
-            Path(["s", "in", "up", "d"], tag=1, name="Path 1 (top)"),
-            Path(["s", "in", "down", "d"], tag=2, name="Path 2 (bottom)"),
-        ]
-    )
-    return topology, paths

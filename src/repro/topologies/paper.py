@@ -76,11 +76,6 @@ _LINK_DELAYS: Dict[Tuple[str, str], float] = {
 }
 
 
-def paper_variants() -> Tuple[str, ...]:
-    """The supported capacity labellings."""
-    return tuple(PAPER_SHARED_CAPACITIES)
-
-
 def build_paper_topology(
     variant: str = "as_stated",
     *,
@@ -90,7 +85,8 @@ def build_paper_topology(
     """Build the Fig. 1a topology with the requested capacity labelling."""
     if variant not in PAPER_SHARED_CAPACITIES:
         raise ConfigurationError(
-            f"unknown paper-topology variant {variant!r}; choose from {paper_variants()}"
+            f"unknown paper-topology variant {variant!r}; "
+            f"choose from {tuple(PAPER_SHARED_CAPACITIES)}"
         )
     shared = PAPER_SHARED_CAPACITIES[variant]
 
@@ -132,12 +128,3 @@ def paper_scenario(
 ) -> Tuple[Topology, PathSet]:
     """Topology and paths together -- the usual entry point for experiments."""
     return build_paper_topology(variant, queue_packets=queue_packets), paper_paths()
-
-
-def paper_shared_link(pair: Tuple[int, int]) -> Tuple[str, str]:
-    """Physical link shared by a pair of paths, e.g. ``(1, 2) -> ("s", "v1")``."""
-    key = tuple(sorted(pair))
-    try:
-        return _SHARED_LINKS[key]  # type: ignore[index]
-    except KeyError:
-        raise ConfigurationError(f"paths {pair} do not share a link") from None

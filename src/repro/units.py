@@ -7,7 +7,7 @@ All internal quantities use SI base units:
 * data rate  -- bits per second (float)
 
 The helpers below convert the human-friendly units that appear in the paper
-(Mbps link capacities, millisecond delays and sampling intervals) into those
+(Mbps link capacities and throughputs, milliseconds in reports) into those
 base units and back.
 """
 
@@ -50,26 +50,6 @@ def to_mbps(bits_per_second: float) -> float:
     return float(bits_per_second) / 1_000_000.0
 
 
-def kbps(value: float) -> float:
-    """Convert kilobits per second to bits per second."""
-    return float(value) * 1_000.0
-
-
-def gbps(value: float) -> float:
-    """Convert gigabits per second to bits per second."""
-    return float(value) * 1_000_000_000.0
-
-
-def milliseconds(value: float) -> float:
-    """Convert milliseconds to seconds."""
-    return float(value) / 1_000.0
-
-
-def microseconds(value: float) -> float:
-    """Convert microseconds to seconds."""
-    return float(value) / 1_000_000.0
-
-
 def to_milliseconds(seconds: float) -> float:
     """Convert seconds to milliseconds."""
     return float(seconds) * 1_000.0
@@ -78,11 +58,6 @@ def to_milliseconds(seconds: float) -> float:
 def bytes_to_bits(num_bytes: float) -> float:
     """Convert a byte count to bits."""
     return float(num_bytes) * BITS_PER_BYTE
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a bit count to bytes."""
-    return float(num_bits) / BITS_PER_BYTE
 
 
 def transmission_time(size_bytes: float, rate_bps: float) -> float:
@@ -97,8 +72,3 @@ def throughput_mbps(num_bytes: float, duration: float) -> float:
     if duration <= 0:
         return 0.0
     return to_mbps(bytes_to_bits(num_bytes) / duration)
-
-
-def bandwidth_delay_product(rate_bps: float, rtt: float) -> int:
-    """Bandwidth-delay product in bytes for a path of ``rate_bps`` and ``rtt`` seconds."""
-    return int(bits_to_bytes(rate_bps * rtt))

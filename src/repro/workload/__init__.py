@@ -27,7 +27,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         ".flowlevel": ("FlowLevelWorkloadRun",),
         ".packet": ("PacketWorkloadDriver",),
-        ".population": ("distribution_sampler", "heavy_tailed_workload", "pareto_size_sampler"),
+        ".population": ("heavy_tailed_workload", "pareto_size_sampler"),
         ".runner": ("WorkloadConfig", "WorkloadResult", "run_workload"),
         ".scenarios": ("WORKLOAD_SCENARIOS", "conferencing_load", "web_page_load"),
         ".spec": (

@@ -14,7 +14,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..model.paths import PathSet
-from .spec import SizeDistribution
 
 
 def pareto_size_sampler(
@@ -38,11 +37,6 @@ def pareto_size_sampler(
         return max(min_bytes, int(scale * rng.paretovariate(alpha)))
 
     return sample
-
-
-def distribution_sampler(distribution: SizeDistribution) -> Callable[[random.Random], int]:
-    """Adapt a :class:`SizeDistribution` to the sampler-callable protocol."""
-    return distribution.sample
 
 
 def heavy_tailed_workload(

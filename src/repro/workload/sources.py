@@ -1,14 +1,10 @@
-"""Packet-level traffic sources: bulk iperf, CBR UDP and on-off bursts.
+"""Packet-level traffic sources: CBR UDP and on-off bursts.
 
-These are the *open-ended* traffic generators -- rate decided by a
-congestion controller (iperf) or configured outright (UDP/on-off) -- as
-opposed to the sized request/response transfers the rest of this package
-compiles from a :class:`~repro.workload.spec.WorkloadSpec`.  Every way of
-offering load to the packet engine lives under this one roof:
+These are the *open-ended* traffic generators -- rate configured outright --
+as opposed to the greedy (MP)TCP bulk transfers of the experiment harness and
+the sized request/response transfers the rest of this package compiles from a
+:class:`~repro.workload.spec.WorkloadSpec`:
 
-* :class:`IperfClient` -- the paper's measurement tool: a greedy bulk
-  transfer over an existing (MP)TCP connection, reported as interval
-  throughput;
 * :class:`UdpConstantBitRate` / :class:`UdpSink` -- non-responsive
   cross-traffic at a fixed rate;
 * :class:`OnOffSource` -- deterministic bursty cross-traffic built on the
@@ -18,98 +14,14 @@ offering load to the packet engine lives under this one roof:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
-from ..core.connection import MptcpConnection
 from ..errors import ConfigurationError
-from ..measure.sampling import TimeSeries, throughput_timeseries
-from ..netsim.capture import PacketCapture
 from ..netsim.network import Network
 from ..netsim.packet import Packet, acquire as _acquire_packet
-from ..tcp.connection import TcpConnection
 from ..units import DEFAULT_MSS, HEADER_SIZE, mbps, throughput_mbps
 
-Connection = Union[MptcpConnection, TcpConnection]
-
 _udp_flow_ids = itertools.count(50000)
-
-
-# ---------------------------------------------------------------------- iperf
-@dataclass
-class IperfReport:
-    """Summary of one bulk transfer (what ``iperf`` prints at the end)."""
-
-    duration: float
-    bytes_transferred: int
-    mean_throughput_mbps: float
-    interval_series: TimeSeries = field(default_factory=TimeSeries)
-    retransmissions: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "duration_s": round(self.duration, 3),
-            "bytes_transferred": self.bytes_transferred,
-            "mean_throughput_mbps": round(self.mean_throughput_mbps, 3),
-            "retransmissions": self.retransmissions,
-            "intervals": [
-                {"time_s": round(t, 3), "mbps": round(v, 3)} for t, v in self.interval_series
-            ],
-        }
-
-
-class IperfClient:
-    """Drives a greedy bulk transfer over an existing connection object."""
-
-    def __init__(
-        self,
-        connection: Connection,
-        *,
-        capture: Optional[PacketCapture] = None,
-        report_interval: float = 1.0,
-    ) -> None:
-        self.connection = connection
-        self.capture = capture
-        self.report_interval = report_interval
-        self._started_at: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    def start(self, at: float = 0.0) -> None:
-        self._started_at = at
-        self.connection.start(at)
-
-    def report(self, duration: Optional[float] = None) -> IperfReport:
-        """Build the final report after the simulation has run."""
-        network = self.connection.network
-        start = self._started_at or 0.0
-        if duration is None:
-            duration = max(network.sim.now - start, 1e-9)
-
-        if isinstance(self.connection, MptcpConnection):
-            transferred = self.connection.bytes_delivered
-            throughput = self.connection.total_throughput_mbps(duration)
-            retransmissions = self.connection.total_retransmissions()
-        else:
-            transferred = self.connection.bytes_acked
-            throughput = self.connection.throughput_mbps(duration)
-            retransmissions = self.connection.sender.stats.retransmissions
-
-        series = TimeSeries()
-        if self.capture is not None:
-            series = throughput_timeseries(
-                self.capture.filter(data_only=True),
-                interval=self.report_interval,
-                start=start,
-                end=start + duration,
-                label="iperf",
-            )
-        return IperfReport(
-            duration=duration,
-            bytes_transferred=transferred,
-            mean_throughput_mbps=throughput,
-            interval_series=series,
-            retransmissions=retransmissions,
-        )
 
 
 # ------------------------------------------------------------------------ udp
@@ -204,12 +116,6 @@ class UdpConstantBitRate:
         self.src_host.send(packet)
         self.network.sim.schedule(self._interval, self._send_next)
 
-    @property
-    def delivery_ratio(self) -> float:
-        if self.packets_sent == 0:
-            return 0.0
-        return self.sink.packets_received / self.packets_sent
-
 
 # --------------------------------------------------------------------- on-off
 class OnOffSource:
@@ -247,14 +153,6 @@ class OnOffSource:
     @property
     def sink(self) -> UdpSink:
         return self._cbr.sink
-
-    @property
-    def flow_id(self) -> int:
-        return self._cbr.flow_id
-
-    @property
-    def packets_sent(self) -> int:
-        return self._cbr.packets_sent
 
     def start(self, at: float = 0.0, stop_at: Optional[float] = None) -> None:
         """Begin the on-off pattern at ``at``; stop entirely at ``stop_at``."""

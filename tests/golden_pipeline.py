@@ -31,11 +31,11 @@ from repro.experiments.scenarios import (
     mptcp_vs_tcp_shared_bottleneck,
     two_mptcp_competition,
 )
+from repro.measure.sampling import throughput_timeseries
 from repro.netsim.dynamics import DynamicsSpec
 from repro.netsim.network import Network
 from repro.topologies.generators import shared_bottleneck
 from repro.topologies.paper import paper_scenario
-from repro.workload.sources import IperfClient
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_pipeline.json"
 
@@ -94,26 +94,31 @@ def multi_flow_case(config) -> dict:
 
 
 def iperf_case() -> dict:
-    """A greedy IperfClient bulk transfer on the paper topology.
+    """A greedy bulk MPTCP transfer on the paper topology, reported as iperf does.
 
-    Pins the iperf wrapper's observable output (interval throughput series
-    plus the headline report counters) so the traffic-layer refactor can be
-    proven byte-identical.
+    Pins a bare connection's observable output (the interval throughput
+    series of a data-only capture plus the connection's headline counters),
+    built without the experiment harness.
     """
     topology, paths = paper_scenario()
     network = Network(topology)
     capture = network.attach_capture("d", data_only=True)
     connection = MptcpConnection(network, "s", "d", paths, congestion_control="cubic")
-    client = IperfClient(connection, capture=capture, report_interval=SAMPLING_INTERVAL)
-    client.start(0.0)
+    connection.start(0.0)
     network.run(SINGLE_FLOW_DURATION)
-    report = client.report(SINGLE_FLOW_DURATION)
+    series = throughput_timeseries(
+        capture.filter(data_only=True),
+        interval=SAMPLING_INTERVAL,
+        start=0.0,
+        end=SINGLE_FLOW_DURATION,
+        label="iperf",
+    )
     return {
-        "interval_times": list(report.interval_series.times),
-        "interval_values": list(report.interval_series.values),
-        "bytes_transferred": report.bytes_transferred,
-        "mean_throughput_mbps": report.mean_throughput_mbps,
-        "retransmissions": report.retransmissions,
+        "interval_times": list(series.times),
+        "interval_values": list(series.values),
+        "bytes_transferred": connection.bytes_delivered,
+        "mean_throughput_mbps": connection.total_throughput_mbps(SINGLE_FLOW_DURATION),
+        "retransmissions": connection.total_retransmissions(),
     }
 
 
@@ -185,9 +190,9 @@ def compute_golden() -> Dict[str, dict]:
                 duration=MULTI_FLOW_DURATION, sampling_interval=SAMPLING_INTERVAL
             ).with_overrides(dynamics=DynamicsSpec())
         ),
-        # Traffic-source coverage: the iperf wrapper, the on-off burst source
-        # and the plain CBR UDP source, pinned before the traffic layer moved
-        # under repro.workload (the sources must stay byte-identical).
+        # Traffic coverage: a bare bulk transfer read as iperf reports it,
+        # the on-off burst source and the plain CBR UDP source, pinned before
+        # the traffic layer moved under repro.workload (byte-identical since).
         "single/iperf_paper": iperf_case(),
         "multi/cross_traffic_perturbation": multi_flow_case(
             cross_traffic_perturbation(

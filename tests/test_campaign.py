@@ -170,6 +170,12 @@ class TestCampaignSpec:
         assert point.config.queue_kind == "droptail"
         assert point.config.ecn is False
 
+    @pytest.mark.parametrize("duration", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_a_run_length_that_is_not_positive_is_refused(self, duration):
+        # Every point of such a grid would fail alike; it is refused whole.
+        with pytest.raises(ConfigurationError, match="duration must be positive and finite"):
+            small_spec(duration=duration)
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigurationError, match="must not be empty"):
             small_spec(congestion_controls=())

@@ -35,12 +35,6 @@ class TestChaosSpec:
         assert spec.action_for(1, attempt=2) is None
         assert spec.action_for(0, attempt=0) is None
 
-    def test_faulted_indices_span_all_kinds(self):
-        spec = ChaosSpec(crash_points=(3,), hang_points=(1,),
-                         torn_points=(2,), error_points=(0,))
-        assert spec.faulted_indices() == (0, 1, 2, 3)
-        assert "crash:3" in spec.describe()
-
     def test_one_point_cannot_carry_two_faults(self):
         with pytest.raises(FabricError, match="assigned both"):
             ChaosSpec(crash_points=(0,), hang_points=(0,))
@@ -54,19 +48,6 @@ class TestChaosSpec:
             ChaosSpec(fire_attempts=0)
         with pytest.raises(FabricError):
             ChaosSpec(hang_duration=0.0)
-
-    def test_sample_is_deterministic_and_disjoint(self):
-        one = ChaosSpec.sample(10, seed=3, crashes=2, hangs=2, errors=2)
-        two = ChaosSpec.sample(10, seed=3, crashes=2, hangs=2, errors=2)
-        assert one.faulted_indices() == two.faulted_indices()
-        assert len(one.faulted_indices()) == 6  # no point drawn twice
-        assert one.faulted_indices() != ChaosSpec.sample(
-            10, seed=4, crashes=2, hangs=2, errors=2
-        ).faulted_indices()
-
-    def test_sample_rejects_overfull_plans(self):
-        with pytest.raises(FabricError, match="cannot fault"):
-            ChaosSpec.sample(3, crashes=2, hangs=2)
 
     def test_parse_cli_entries(self):
         spec = ChaosSpec.parse(["crash=0", "hang=2"], hang_duration=5.0)

@@ -63,21 +63,12 @@ class TestFactory:
 class TestCouplingGroup:
     def test_members_share_group(self):
         group, members = make_group("lia", 3)
-        assert group.members == members
+        assert group.members_view == members
         assert len(group) == 3
 
     def test_total_cwnd(self):
         group, members = make_group("lia", 3)
         assert group.total_cwnd() == pytest.approx(30.0)
-
-    def test_max_cwnd(self):
-        group, members = make_group("lia", 2)
-        members[1].cwnd = 25.0
-        assert group.max_cwnd() == 25.0
-
-    def test_best_rate_member_prefers_low_rtt(self):
-        group, members = make_group("lia", 2, rtts=[0.05, 0.01])
-        assert group.best_rate_member() is members[1]
 
     def test_unregister(self):
         group, members = make_group("lia", 2)

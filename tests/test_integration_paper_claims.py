@@ -13,6 +13,7 @@ from repro.experiments.harness import paper_experiment, run_experiment
 from repro.netsim.network import Network
 from repro.topologies.generators import shared_bottleneck, wifi_cellular
 from repro.topologies.paper import PAPER_OPTIMAL_TOTAL
+from repro.units import throughput_mbps
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,9 @@ class TestOtherScenarios:
         )
         connection.start(0.0)
         network.run(2.0)
-        per_path = connection.subflow_throughputs_mbps(2.0)
+        per_path = {
+            sf.subflow_id: throughput_mbps(sf.acked_bytes, 2.0) for sf in connection.subflows
+        }
         assert per_path[0] > 10.0   # Wi-Fi path carries the bulk
         assert per_path[1] > 2.0    # cellular path contributes
         # Receiver-side wire throughput (what tshark would measure) uses a

@@ -1,14 +1,15 @@
 """Convergence metrics, flow statistics and report formatting."""
 
+import io
+
 import pytest
 
 from repro.measure.convergence import (
     analyze_convergence,
     stability_coefficient,
     sustained_time_to_fraction,
-    time_to_fraction,
 )
-from repro.measure.report import comparison_row, format_comparison, format_table
+from repro.measure.report import comparison_row, format_comparison, format_table, print_section
 from repro.measure.sampling import TimeSeries
 
 
@@ -21,23 +22,10 @@ def ramp_series(values, interval=0.1):
 
 
 class TestTimeToFraction:
-    def test_simple_threshold_crossing(self):
-        series = ramp_series([10, 40, 70, 88, 89, 90])
-        assert time_to_fraction(series, optimum=90, fraction=0.95) == pytest.approx(0.4)
-
-    def test_never_reaching_returns_none(self):
-        series = ramp_series([10, 20, 30])
-        assert time_to_fraction(series, optimum=90) is None
-
-    def test_zero_optimum_returns_none(self):
-        assert time_to_fraction(ramp_series([1, 2]), optimum=0) is None
-
     def test_sustained_requires_hold(self):
         # A single spike above the threshold must not count as convergence.
         series = ramp_series([10, 90, 10, 10, 88, 89, 90, 90])
-        spike_time = time_to_fraction(series, 90, 0.95)
         sustained = sustained_time_to_fraction(series, 90, 0.95, hold=3)
-        assert spike_time == pytest.approx(0.2)
         assert sustained == pytest.approx(0.7)
 
     def test_sustained_none_when_never_held(self):
@@ -74,12 +62,6 @@ class TestAnalyzeConvergence:
         assert report.time_to_optimum is None
         assert report.utilization_of_optimum < 0.8
 
-    def test_as_dict_round_trips(self):
-        series = ramp_series([50, 90, 90, 90])
-        data = analyze_convergence(series, optimum=90.0).as_dict()
-        assert data["reached_optimum"] is True
-        assert data["optimum_mbps"] == 90.0
-
 
 class TestReportFormatting:
     def test_format_table_alignment(self):
@@ -92,6 +74,15 @@ class TestReportFormatting:
     def test_format_table_handles_none(self):
         text = format_table(["a"], [[None]])
         assert "-" in text
+
+    def test_print_section_frames_the_title(self):
+        out = io.StringIO()
+        print_section("LP optimum", "x1 + x2 <= 40", out=out)
+        assert out.getvalue() == "==========\nLP optimum\n==========\nx1 + x2 <= 40\n\n"
+
+    def test_print_section_rule_is_at_least_eight_wide(self, capsys):
+        print_section("Fig")
+        assert capsys.readouterr().out == "========\nFig\n========\n\n"
 
     def test_comparison_rows(self):
         rows = [

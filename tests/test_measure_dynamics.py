@@ -15,7 +15,6 @@ from repro.measure.convergence import (
     analyze_convergence,
     stability_coefficient,
     sustained_time_to_fraction,
-    time_to_fraction,
 )
 from repro.measure.dynamics import (
     analyze_dynamics,
@@ -147,7 +146,6 @@ class TestConvergenceEdgeCases:
     def test_empty_series(self):
         empty = series([])
         assert sustained_time_to_fraction(empty, 10.0) is None
-        assert time_to_fraction(empty, 10.0) is None
         assert stability_coefficient(empty) == 0.0
         report = analyze_convergence(empty, 10.0)
         assert report.achieved_mean == 0.0
@@ -170,7 +168,6 @@ class TestConvergenceEdgeCases:
     def test_nonpositive_optimum(self):
         s = series([1.0] * 10)
         assert sustained_time_to_fraction(s, 0.0) is None
-        assert time_to_fraction(s, -1.0) is None
         report = analyze_convergence(s, 0.0)
         assert report.utilization_of_optimum == 0.0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.model.bottleneck import build_constraints, shared_bottleneck_summary
+from repro.model.bottleneck import build_constraints
 from repro.model.lp import max_total_throughput, proportional_fair_rates
 from repro.topologies.paper import (
     PAPER_OPTIMAL_RATES,
@@ -67,10 +67,10 @@ class TestConstraintExtraction:
         assert "x1 + x2 <= 40" in text
         assert "x_i >= 0" in text
 
-    def test_shared_bottleneck_summary(self, paper_system):
-        summary = shared_bottleneck_summary(paper_system)
-        assert len(summary) == 3
-        capacities = sorted(capacity for _, capacity, _ in summary)
+    def test_shared_constraints(self, paper_system):
+        shared = paper_system.shared_constraints()
+        assert len(shared) == 3
+        capacities = sorted(constraint.capacity for constraint in shared)
         assert capacities == [40.0, 60.0, 80.0]
 
     def test_empty_paths_rejected(self):

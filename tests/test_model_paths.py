@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.model.paths import Path, PathSet, paths_from_node_lists
+from repro.model.paths import Path, PathSet
 from repro.topologies.paper import build_paper_topology, paper_paths
 
 
@@ -12,7 +12,6 @@ class TestPath:
         path = Path(["s", "v1", "d"], tag=1, name="Path 1")
         assert path.src == "s"
         assert path.dst == "d"
-        assert path.hop_count == 2
         assert path.links == (("s", "v1"), ("v1", "d"))
 
     def test_default_name(self):
@@ -38,11 +37,6 @@ class TestPath:
         assert not a.shares_link_with(b)
         assert a.shared_links(b) == []
 
-    def test_uses_link_is_directional(self):
-        path = Path(["s", "v1", "d"])
-        assert path.uses_link("s", "v1")
-        assert not path.uses_link("v1", "s")
-
     def test_capacity_is_bottleneck(self):
         topology = build_paper_topology()
         paths = paper_paths()
@@ -64,31 +58,8 @@ class TestPath:
 class TestPathSet:
     def test_paper_paths_pairwise_overlap(self):
         paths = paper_paths()
-        shared = paths.pairwise_shared_links()
-        assert set(shared) == {(0, 1), (0, 2), (1, 2)}
-        assert all(len(links) == 1 for links in shared.values())
-
-    def test_overlap_matrix_diagonal_is_path_length(self):
-        paths = paper_paths()
-        matrix = paths.overlap_matrix()
-        for i, path in enumerate(paths):
-            assert matrix[i][i] == len(path.links)
-
-    def test_overlap_matrix_symmetric(self):
-        paths = paper_paths()
-        matrix = paths.overlap_matrix()
-        for i in range(3):
-            for j in range(3):
-                assert matrix[i][j] == matrix[j][i]
-
-    def test_paths_using_link(self):
-        paths = paper_paths()
-        assert paths.paths_using(("s", "v1")) == [0, 1]
-
-    def test_all_links_unique(self):
-        paths = paper_paths()
-        links = paths.all_links()
-        assert len(links) == len(set(links))
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            assert len(paths[i].shared_links(paths[j])) == 1
 
     def test_is_disjoint(self):
         disjoint = PathSet([Path(["s", "a", "d"], tag=1), Path(["s", "b", "d"], tag=2)])
@@ -108,19 +79,3 @@ class TestPathSet:
         paths = paper_paths()
         assert paths[1].name == "Path 2"
         assert len(list(paths)) == 3
-
-
-class TestPathsFromNodeLists:
-    def test_auto_tags_and_names(self):
-        paths = paths_from_node_lists([["s", "a", "d"], ["s", "b", "d"]])
-        assert [p.tag for p in paths] == [1, 2]
-        assert [p.name for p in paths] == ["Path 1", "Path 2"]
-
-    def test_explicit_tags(self):
-        paths = paths_from_node_lists([["s", "a", "d"]], tags=[7], names=["up"])
-        assert paths[0].tag == 7
-        assert paths[0].name == "up"
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ModelError):
-            paths_from_node_lists([["s", "a", "d"]], tags=[1, 2])

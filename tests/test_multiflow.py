@@ -28,11 +28,15 @@ class TestFlowSpec:
         with pytest.raises(ConfigurationError):
             FlowSpec(kind="quic")
 
-    def test_overrides(self):
-        spec = FlowSpec(kind="udp", rate_mbps=5.0)
-        faster = spec.with_overrides(rate_mbps=9.0)
-        assert faster.rate_mbps == 9.0
-        assert spec.rate_mbps == 5.0
+
+class TestRunLength:
+    @pytest.mark.parametrize("duration", [float("nan"), 0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize("backend", ["packet", "flowlevel"])
+    def test_a_run_length_that_is_not_positive_is_refused(self, each_kernel, backend, duration):
+        """The engine refuses the run: a NaN or infinite horizon never ends
+        the packet loop, and 0 or -1 would return empty results."""
+        with pytest.raises(ConfigurationError, match="duration must be positive"):
+            run_experiment(paper_experiment("lia", duration=duration, backend=backend))
 
 
 class TestMultiFlowConfigValidation:
@@ -94,8 +98,8 @@ class TestPerFlowCaptureAttachment:
         flow2 = network.attach_capture("d", data_only=True, flow_id=2)
         assert shared is not flow1 and flow1 is not flow2
         assert network.attach_capture("d", flow_id=1) is flow1
-        assert network.capture("d", flow_id=2) is flow2
-        assert network.capture("d") is shared
+        assert network.attach_capture("d", data_only=True, flow_id=2) is flow2
+        assert network.attach_capture("d", data_only=True) is shared
 
     def test_flow_filter_drops_other_flows(self):
         from repro.netsim.capture import PacketCapture

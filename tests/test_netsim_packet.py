@@ -17,14 +17,6 @@ class TestPacketBasics:
         assert p.hops == 0
         assert p.protocol == "tcp"
 
-    def test_end_seq(self):
-        p = Packet("s", "d", 1460, seq=1000, payload_len=1400)
-        assert p.end_seq == 2400
-
-    def test_end_dsn(self):
-        p = Packet("s", "d", 1460, dsn=5000, payload_len=1400)
-        assert p.end_dsn == 6400
-
     def test_size_is_int(self):
         p = Packet("s", "d", 1460.0)
         assert isinstance(p.size, int)

@@ -70,12 +70,6 @@ class TestDropTailQueue:
         queue.enqueue(packet, 1.25)
         assert packet.enqueued_at == 1.25
 
-    def test_is_empty(self):
-        queue = DropTailQueue()
-        assert queue.is_empty
-        queue.enqueue(make_packet(), 0.0)
-        assert not queue.is_empty
-
 
 class TestRedQueue:
     def test_accepts_everything_when_lightly_loaded(self):
@@ -142,20 +136,20 @@ class TestRedIdleDecay:
             queue.enqueue(make_packet(), 0.0)
         while queue.dequeue(0.0) is not None:
             pass
-        busy_avg = queue.average_queue
+        busy_avg = queue._avg
         assert busy_avg > 0.0
         # One arrival after a long idle gap: the decayed average must be far
         # below the busy-period average.
         queue.enqueue(make_packet(), 10.0)
-        assert queue.average_queue < busy_avg * 0.01
+        assert queue._avg < busy_avg * 0.01
 
     def test_no_decay_without_idle_gap(self):
         queue = REDQueue(capacity_packets=50, seed=1, ecn=False)
         for _ in range(100):
             queue.enqueue(make_packet(), 0.0)
-        avg = queue.average_queue
+        avg = queue._avg
         queue.enqueue(make_packet(), 0.0)
-        assert queue.average_queue >= avg
+        assert queue._avg >= avg
 
 
 def sustain_backlog(queue, n, depth, ecn=0):
@@ -231,7 +225,7 @@ class TestCoDelQueue:
             now = 0.2 + step * 0.05
             if queue.dequeue(now) is not None:
                 dequeued += 1
-            if queue.is_empty:
+            if not len(queue):
                 break
         assert queue.stats.dropped > 0
         assert dequeued + queue.stats.dropped + len(queue) == 50
@@ -248,7 +242,7 @@ class TestCoDelQueue:
             packet = queue.dequeue(now)
             if packet is not None:
                 delivered.append(packet)
-            if queue.is_empty:
+            if not len(queue):
                 break
         assert queue.stats.dropped == 0
         assert queue.stats.ecn_marks > 0
@@ -260,14 +254,13 @@ class TestCoDelQueue:
         queue.enqueue(make_packet(), 1.0)
         queue.dequeue(1.5)
         assert queue.stats.queue_delay_sum == pytest.approx(0.5)
-        assert queue.stats.mean_queue_delay == pytest.approx(0.5)
 
     def test_recovers_after_load_subsides(self):
         queue = CoDelQueue(capacity_packets=100, target=0.005, interval=0.1, ecn=False)
         now = 0.0
         for _ in range(30):
             queue.enqueue(make_packet(), now)
-        while not queue.is_empty:
+        while len(queue):
             now += 0.05
             queue.dequeue(now)
         drops_during_overload = queue.stats.dropped

@@ -11,7 +11,6 @@ from repro.netsim.routing import (
     EcmpRoutingTable,
     StaticRoutingTable,
     TagRoutingTable,
-    paths_edges,
 )
 from repro.netsim.topology import Topology
 
@@ -139,12 +138,6 @@ class TestTagRouting:
         table = TagRoutingTable(fallback=fallback)
         assert table.next_hop("s", Packet("s", "d", 100, tag=5)) in ("a", "b")
 
-    def test_installed_path_retrievable(self):
-        table = TagRoutingTable()
-        table.install_path(["s", "a", "d"], tag=1)
-        assert table.installed_path("s", "d", 1) == ["s", "a", "d"]
-        assert table.installed_path("d", "s", 1) == ["d", "a", "s"]
-
     def test_short_path_rejected(self):
         with pytest.raises(RoutingError):
             TagRoutingTable().install_path(["s"], tag=1)
@@ -183,11 +176,3 @@ class TestEcmpRouting:
     def test_unknown_destination_returns_none(self):
         table = EcmpRoutingTable(diamond_graph())
         assert table.next_hop("s", Packet("s", "zzz", 100)) is None
-
-
-class TestPathEdges:
-    def test_edges_of_node_list(self):
-        assert paths_edges(["s", "a", "d"]) == [("s", "a"), ("a", "d")]
-
-    def test_empty_for_single_node(self):
-        assert paths_edges(["s"]) == []

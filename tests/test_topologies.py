@@ -8,20 +8,17 @@ from repro.model.lp import max_total_throughput
 from repro.topologies.generators import (
     disjoint_paths,
     pairwise_overlap,
-    parking_lot,
     shared_bottleneck,
-    two_bottleneck_diamond,
     wifi_cellular,
 )
 from repro.topologies.paper import (
     PAPER_DEFAULT_PATH_INDEX,
     PAPER_OPTIMAL_RATES,
     PAPER_OPTIMAL_TOTAL,
+    PAPER_SHARED_CAPACITIES,
     build_paper_topology,
     paper_paths,
     paper_scenario,
-    paper_shared_link,
-    paper_variants,
 )
 
 
@@ -29,7 +26,7 @@ class TestPaperTopology:
     def test_six_nodes(self):
         topology = build_paper_topology()
         assert len(topology.nodes) == 6
-        assert sorted(topology.hosts) == ["d", "s"]
+        assert [n for n in topology.nodes if topology.node(n).kind == "host"] == ["s", "d"]
 
     def test_paths_are_valid(self):
         topology, paths = paper_scenario()
@@ -41,19 +38,20 @@ class TestPaperTopology:
         assert paper_paths()[PAPER_DEFAULT_PATH_INDEX].name == "Path 2"
 
     def test_as_stated_capacities(self):
+        # Paths 1+2 share s-v1, paths 2+3 share v2-v3, paths 1+3 share v4-d.
         topology = build_paper_topology("as_stated")
-        assert topology.capacity_of(*paper_shared_link((1, 2))) == 40.0
-        assert topology.capacity_of(*paper_shared_link((2, 3))) == 60.0
-        assert topology.capacity_of(*paper_shared_link((1, 3))) == 80.0
+        assert topology.capacity_of("s", "v1") == 40.0
+        assert topology.capacity_of("v2", "v3") == 60.0
+        assert topology.capacity_of("v4", "d") == 80.0
 
     def test_as_solution_capacities(self):
         topology = build_paper_topology("as_solution")
-        assert topology.capacity_of(*paper_shared_link((1, 2))) == 40.0
-        assert topology.capacity_of(*paper_shared_link((2, 3))) == 80.0
-        assert topology.capacity_of(*paper_shared_link((1, 3))) == 60.0
+        assert topology.capacity_of("s", "v1") == 40.0
+        assert topology.capacity_of("v2", "v3") == 80.0
+        assert topology.capacity_of("v4", "d") == 60.0
 
     def test_both_variants_have_optimum_90(self):
-        for variant in paper_variants():
+        for variant in PAPER_SHARED_CAPACITIES:
             topology = build_paper_topology(variant)
             system = build_constraints(topology, paper_paths())
             result = max_total_throughput(system)
@@ -63,10 +61,6 @@ class TestPaperTopology:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError):
             build_paper_topology("mislabelled")
-
-    def test_unshared_pair_rejected(self):
-        with pytest.raises(ConfigurationError):
-            paper_shared_link((1, 1))
 
     def test_non_shared_links_default_to_100(self):
         topology = build_paper_topology()
@@ -108,44 +102,6 @@ class TestGenerators:
         assert max_total_throughput(system).total == pytest.approx(70.0)
         assert paths[0].propagation_delay(topology) < paths[1].propagation_delay(topology)
 
-    def test_parking_lot_long_path_overlaps_all(self):
-        topology, paths = parking_lot(segments=3, segment_mbps=40.0)
-        long_path = paths[0]
-        for short in list(paths)[1:]:
-            assert long_path.shares_link_with(short)
-        for path in paths:
-            topology.validate_path(path.nodes)
-
-    def test_parking_lot_short_paths_cross_exactly_their_own_segment(self):
-        # Regression: short paths used to traverse every downstream segment
-        # (chain[index:]) instead of only their own, contradicting the
-        # classic parking-lot construction promised by the docstring.
-        segments = 4
-        topology, paths = parking_lot(segments=segments, segment_mbps=40.0)
-        long_path = paths[0]
-        chain = [f"c{i}" for i in range(segments + 1)]
-        for index, short in enumerate(list(paths)[1:], start=1):
-            shared = short.shared_links(long_path)
-            assert shared == [(chain[index], chain[index + 1])]
-        # Short paths are pairwise link-disjoint: each one has a private
-        # detour and only its own chain segment.
-        shorts = list(paths)[1:]
-        for i in range(len(shorts)):
-            for j in range(i + 1, len(shorts)):
-                assert not shorts[i].shares_link_with(shorts[j])
-
-    def test_parking_lot_optimum_fills_every_segment(self):
-        topology, paths = parking_lot(segments=3, segment_mbps=40.0)
-        system = build_constraints(topology, paths)
-        # The short paths can saturate their segments while the long path
-        # stays off the chain: the optimum is one segment capacity per
-        # short path.
-        assert max_total_throughput(system).total == pytest.approx(80.0)
-
-    def test_parking_lot_validation(self):
-        with pytest.raises(ConfigurationError):
-            parking_lot(segments=1)
-
     def test_pairwise_overlap_reproduces_paper_structure(self):
         topology, paths = pairwise_overlap(3, capacities=(40.0, 60.0, 80.0))
         system = build_constraints(topology, paths, include_private_links=False)
@@ -168,10 +124,3 @@ class TestGenerators:
             pairwise_overlap(1)
         with pytest.raises(ConfigurationError):
             pairwise_overlap(3, capacities=(40.0,))
-
-    def test_diamond_constraints(self):
-        topology, paths = two_bottleneck_diamond(top_mbps=30.0, bottom_mbps=60.0, shared_mbps=80.0)
-        system = build_constraints(topology, paths, include_private_links=False)
-        result = max_total_throughput(system)
-        # Shared first hop caps the total at 80; the split is 30 + 50.
-        assert result.total == pytest.approx(80.0)

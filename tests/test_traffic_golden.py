@@ -1,7 +1,7 @@
 """Golden-equivalence tests for the traffic-source move under ``repro.workload``.
 
-The iperf / UDP / on-off sources migrated from ``repro.traffic`` (since
-removed) to ``repro.workload.sources``, and the TCP/MPTCP transports grew
+The UDP / on-off sources migrated from ``repro.traffic`` (since removed)
+to ``repro.workload.sources``, and the TCP/MPTCP transports grew
 transfer-queue hooks for the workload driver.
 ``tests/data/golden_pipeline.json`` pinned the observable output of three
 traffic-heavy scenarios *before* that refactor; these tests require the

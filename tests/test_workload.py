@@ -126,6 +126,13 @@ class TestPlanStructure:
             assert len(subs) == 2
             assert all(t.page == main.page and t.delay == 0.0 for t in subs)
 
+    def test_total_bytes_sum_every_transfer(self):
+        plan = tiny_spec(sessions=5).compile(2)
+        for session in plan.sessions:
+            assert session.total_bytes == sum(t.size_bytes for t in session.transfers) > 0
+        assert plan.total_bytes == sum(s.total_bytes for s in plan.sessions)
+        assert plan.total_transfers == sum(len(s.transfers) for s in plan.sessions)
+
     def test_arrivals_increase_monotonically(self):
         plan = tiny_spec(sessions=20).compile(2)
         starts = [s.start for s in plan.sessions]
