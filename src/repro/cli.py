@@ -885,12 +885,23 @@ def run() -> None:
     scipy's objects: 0.02 s of a cold campaign call) while ``atexit`` hooks,
     buffered writes and the exit code work as ever, which ``os._exit`` would
     not give.  In-process callers use :func:`main`, which freezes nothing.
+
+    A reader that closes the pipe early (``repro info --json | head -c 20``)
+    ends the process with exit code 1 and nothing on stderr: stdout is
+    pointed at ``os.devnull`` so the interpreter's own last flush cannot fail
+    again (the recipe of the :mod:`signal` docs, "Note on SIGPIPE").
     """
     import gc
 
-    code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     gc.freeze()
     sys.exit(code)
 

@@ -76,7 +76,7 @@
  *   - min()/max() pick the same operand Python would, which is value-equal
  *     for doubles, so plain comparisons suffice;
  *   - sequence numbers are consumed at exactly the same call sites as the
- *     Python hot path (including the raw heap pushes inlined in link.py).
+ *     Python bodies (one per schedule* call, link.py's included).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -673,12 +673,6 @@ ksim_get_pending(KernelSimObject *self, void *closure)
 }
 
 static PyObject *
-ksim_get_free_list(KernelSimObject *self, void *closure)
-{
-    return PyLong_FromLong(0);
-}
-
-static PyObject *
 ksim_get_running(KernelSimObject *self, void *closure)
 {
     return PyBool_FromLong(self->running);
@@ -832,8 +826,6 @@ static PyMethodDef ksim_methods[] = {
 static PyGetSetDef ksim_getset[] = {
     {"pending_events", (getter)ksim_get_pending, NULL,
      "Number of events still in the heap (including cancelled ones).", NULL},
-    {"free_list_size", (getter)ksim_get_free_list, NULL,
-     "Always 0: the compiled heap stores entries by value.", NULL},
 #define KSIM_NATIVE(name, T, doc) {name, ksim_get_native, NULL, doc, (void *)(intptr_t)(T)},
     KSIM_NATIVE("link_type", T_LINK,
                 "The Link subclass whose handlers run in C; Link(sim, ...) selects it.")
@@ -891,9 +883,12 @@ static PyTypeObject KernelSimType = {
  * exists once; Python sees member descriptors that take ints only (floats
  * for the double fields), bounded by int64 and not deletable.  QueueStats,
  * queue._bytes and packet.hops stay Python numbers and move through
- * PyNumber_Add (nl_iadd).  Every function mirrors its Python twin statement
- * by statement (link.py, node.py, queues.py: keep in sync), and calls
- * Python wherever the twin calls something it does not define.
+ * PyNumber_Add (nl_iadd).  Each function keeps its Python twin's operation
+ * order (link.py, node.py, queues.py: keep in sync) and calls Python
+ * wherever the twin calls something it does not define.  nl_deliver fuses
+ * what the Python Link._deliver calls -- Node.receive, Host._deliver_locally
+ * and Node.send's hop-cache hit (nl_arrive, nl_deliver_locally, nl_forward)
+ * -- where the Python tier makes one call per body.
  */
 
 static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
@@ -1173,7 +1168,8 @@ nl_sim(PyObject *link)
     return (KernelSimObject *)sim;
 }
 
-/* The raw heap pushes of link.py: no past-time check, one seq consumed. */
+/* link.py's schedule_fast_at pushes: one seq consumed, and no past-time
+ * check, since a link never schedules before now (tx > 0, delay >= 0). */
 static int
 nl_push(KernelSimObject *sim, double t, PyObject *link, int kind)
 {
@@ -2169,7 +2165,7 @@ nt_packet_acquire(PyObject *host, PyObject *dst, PyObject *tag, PyObject *flow_i
     return packet;
 }
 
-/* Packet.release inlined, as in both handle_packet bodies. */
+/* Packet.release, which both handle_packet bodies call. */
 static int
 slot_pkt_recycle(KernelSimObject *sim, PyObject *packet)
 {
@@ -2181,8 +2177,10 @@ slot_pkt_recycle(KernelSimObject *sim, PyObject *packet)
     return nl_done(PyObject_CallOneArg(NL.pool_append, packet));
 }
 
-/* _send_packet of either agent: the memoised egress link, re-validated
- * against the routing table's mutation version only. */
+/* host.send for either agent, through an egress memo the Python bodies do
+ * not keep: the link the host's hop cache resolved for the agent's
+ * (dst, tag), re-validated against the routing table's mutation version
+ * only (the _route_* slots). */
 typedef struct { int host, host_send, enabled, key, link, version; } RouteSlots;
 static const RouteSlots SENDER_ROUTE = {
     O_SENDER_host, O_SENDER__host_send, O_SENDER__route_enabled,
@@ -2879,7 +2877,7 @@ slot_pkt_sack(KernelSimObject *sim, PyObject *S, PyObject *packet)
     return rc;
 }
 
-/* _acquire_data(...) [+ ECT] + _send_packet */
+/* acquire_data(...) [+ ECT] + _host_send */
 static int
 slot_send_data(KernelSimObject *sim, PyObject *S, int64_t seq, int64_t length, int64_t dsn,
                int is_retransmission, double now)
@@ -2911,7 +2909,7 @@ slot_send_data(KernelSimObject *sim, PyObject *S, int64_t seq, int64_t length, i
     return rc;
 }
 
-/* _acquire_ack(...) [+ ECE] + _send_packet */
+/* acquire_ack(...) [+ ECE] + _host_send */
 static int
 slot_send_ack(KernelSimObject *sim, PyObject *R, double ts_echo, double now, int ece)
 {

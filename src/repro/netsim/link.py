@@ -9,9 +9,9 @@ seconds and is then delivered to the downstream node.
 This reproduces the behaviour of a ``tc htb`` shaped veth pair in the paper's
 Mininet setup: a fixed-rate bottleneck with a FIFO buffer in front of it.
 
-Hot-path design: the transmitter is tracked analytically through
+Event design: the transmitter is tracked analytically through
 ``_busy_until`` instead of a dedicated end-of-serialisation event, so an
-uncongested packet costs a *single* pooled delivery event (scheduled at
+uncongested packet costs a *single* delivery event (scheduled at
 ``start + tx + delay`` via :meth:`Simulator.schedule_fast_at`).  Only while
 packets are queued does the link keep one extra "serve" event alive, firing
 exactly when the transmitter frees so queue occupancy (and therefore the
@@ -35,17 +35,20 @@ into *dynamic mode*:
   burst) before the normal transmit/enqueue logic.
 
 Static links pay exactly two predictable branches per packet for all of
-this (``_impaired`` in :meth:`send`, ``_dynamic`` in :meth:`_deliver`); the
-event layout, pooling and delivery timing are unchanged until an event
-fires.
+this (``_impaired`` in :meth:`send`, ``_dynamic`` in :meth:`_transmit`
+and :meth:`_deliver`); the event layout and delivery timing are unchanged
+until an event fires.
 
 Kernels: this class is the Python kernel's link and the reference.  On a
 compiled simulator ``Link(sim, ...)`` builds ``sim.link_type`` instead -- a
 subclass whose :meth:`send`, :meth:`_serve_queue` and :meth:`_deliver` are
-the C twins of the bodies below (``kernel/_ckernel.c``, "native links"; keep
-the two in sync).  Everything else, dynamics included, is inherited from
-here, and all state stays in these slots except ``_busy_until`` and
-``_serve_at``, which that subclass keeps as C doubles under the same names.
+C (``kernel/_ckernel.c``, "native links"): the C ``_deliver`` fuses in what
+the Python one calls (``Node.receive``, ``Host._deliver_locally`` and the
+hop-cache hit of ``Node.send``), and the bodies here are the specification
+the two kernels are compared against.  Everything else, dynamics
+included, is inherited from here, and all state stays in these slots except
+``_busy_until`` and ``_serve_at``, which that subclass keeps as C doubles
+under the same names.
 """
 
 from __future__ import annotations
@@ -53,8 +56,6 @@ from __future__ import annotations
 import random
 from collections import deque
 from typing import TYPE_CHECKING, Optional
-
-from heapq import heappush as _link_heappush
 
 from ..units import BITS_PER_BYTE
 from .packet import Packet
@@ -174,18 +175,15 @@ class Link:
         self.stats = getattr(sim, "link_stats_type", LinkStats)()
         self._busy_until = 0.0
         self._serving = False
-        # Bound once: _deliver runs per packet per hop and the downstream
-        # node never changes after construction.  When the downstream node
-        # uses the stock Node.receive, its body is fused into _deliver (one
-        # call frame per hop saved); custom receive() overrides (tests,
-        # instrumented nodes) keep the virtual dispatch.
+        # The downstream node never changes after construction, so its
+        # receive is bound once.
         self._dst_receive = dst.receive
         from .node import Host, Node  # runtime import: node.py imports this module lazily
 
+        # Read by the native twin of _deliver only (nl_arrive): when the
+        # downstream node runs the stock Node.receive / Host._deliver_locally,
+        # it runs them in C instead of calling _dst_receive.
         self._fused_receive = type(dst).receive is Node.receive
-        # One level deeper: when the downstream node is a stock Host, the
-        # capture fan-out and sole-agent dispatch of _deliver_locally are
-        # inlined into _deliver as well.
         self._fused_host = (
             self._fused_receive
             and isinstance(dst, Host)
@@ -217,8 +215,7 @@ class Link:
         """
         if self._impaired and not self._admit_impaired(packet):
             return False
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         if now < self._busy_until or self._serving:
             accepted = self._enqueue(packet, now)
             if accepted and not self._serving:
@@ -226,13 +223,21 @@ class Link:
                 # the transmitter frees (the old end-of-serialisation time).
                 self._serving = True
                 self._serve_at = self._busy_until
-                sim.schedule_fast_at(self._busy_until, self._serve_queue)
+                self.sim.schedule_fast_at(self._busy_until, self._serve_queue)
             return accepted
-        # Idle transmitter: transmit inlined (one call frame per packet per
-        # hop adds up); keep in sync with the _serve_queue body.
+        self._transmit(packet)
+        return True
+
+    def _transmit(self, packet: Packet) -> float:
+        """Start serialising ``packet`` now; returns the transmitter-free time.
+
+        Charges the link's counters and schedules the packet's single merged
+        delivery event at ``tx_end + delay``.
+        """
+        sim = self.sim
         size = packet.size
         tx_time = size * 8.0 / self.rate_bps
-        tx_end = now + tx_time
+        tx_end = sim.now + tx_time
         self._busy_until = tx_end
         stats = self.stats
         stats.busy_time += tx_time
@@ -248,29 +253,12 @@ class Link:
             if deadlines and deliver_at < deadlines[-1]:
                 deliver_at = deadlines[-1]
             deadlines.append(deliver_at)
-        pool = sim._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = deliver_at
-            entry[1] = sim._seq
-            entry[2] = self._deliver
-            entry[3] = ()
-        else:
-            entry = [deliver_at, sim._seq, self._deliver, ()]
-        _link_heappush(sim._heap, entry)
-        sim._seq += 1
-        return True
+        sim.schedule_fast_at(deliver_at, self._deliver)
+        return tx_end
 
     # ------------------------------------------------------------------
     def _serve_queue(self) -> None:
-        """Runs at the instant the transmitter frees while packets are queued.
-
-        The transmit body (serialisation accounting + single merged
-        delivery event, the ``schedule_fast_at`` push inlined) lives here
-        and in the idle branch of :meth:`send`; keep the two in sync.  The
-        fire time is >= now by construction (tx > 0, delay >= 0), so the
-        engine's past-time guard is redundant.
-        """
+        """Runs at the instant the transmitter frees while packets are queued."""
         sim = self.sim
         if self._dynamic:
             # A dynamics event may have orphaned this serve event (rate
@@ -291,49 +279,12 @@ class Link:
             # every queued packet at departure time.
             self._serving = False
             return
-        size = packet.size
-        tx_time = size * 8.0 / self.rate_bps
-        tx_end = sim.now + tx_time
-        self._busy_until = tx_end
-        stats = self.stats
-        stats.busy_time += tx_time
-        stats.packets_sent += 1
-        stats.bytes_sent += size
-        self._in_flight.append(packet)
-        deliver_at = tx_end + self.delay
-        if self._dynamic:
-            # Same non-decreasing deadline clamp as in send().
-            deadlines = self._deadlines
-            if deadlines and deliver_at < deadlines[-1]:
-                deliver_at = deadlines[-1]
-            deadlines.append(deliver_at)
-        pool = sim._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = deliver_at
-            entry[1] = sim._seq
-            entry[2] = self._deliver
-            entry[3] = ()
-        else:
-            entry = [deliver_at, sim._seq, self._deliver, ()]
-        _link_heappush(sim._heap, entry)
-        sim._seq += 1
-        # Friend access to the queue's backing deque (no method dispatch;
-        # this fires once per queued packet).
+        tx_end = self._transmit(packet)
         if not queue._queue:
             self._serving = False
         else:
             self._serve_at = tx_end
-            if pool:
-                entry = pool.pop()
-                entry[0] = tx_end
-                entry[1] = sim._seq
-                entry[2] = self._serve_queue
-                entry[3] = ()
-            else:
-                entry = [tx_end, sim._seq, self._serve_queue, ()]
-            _link_heappush(sim._heap, entry)
-            sim._seq += 1
+            sim.schedule_fast_at(tx_end, self._serve_queue)
 
     def _deliver(self) -> None:
         if self._dynamic:
@@ -353,48 +304,6 @@ class Link:
             self._deadlines.popleft()
         packet = self._in_flight.popleft()
         packet.hops += 1
-        if self._fused_receive:
-            # Node.receive inlined; keep in sync with netsim/node.py.
-            dst = self.dst
-            stats = dst.stats
-            stats.received += 1
-            if packet.dst == dst.name:
-                stats.delivered += 1
-                if self._fused_host:
-                    # Host._deliver_locally inlined (captures + sole-agent
-                    # dispatch); keep in sync with netsim/node.py.
-                    captures = dst._captures
-                    if captures:
-                        now = dst.sim.now
-                        for capture in captures:
-                            capture(packet, now)
-                    sole = dst._sole_agent
-                    if sole is not None:
-                        if (
-                            packet.flow_id == dst._sole_flow
-                            and packet.subflow_id == dst._sole_subflow
-                        ):
-                            sole.handle_packet(packet)
-                        return
-                    per_flow = dst._agents_by_flow.get(packet.flow_id)
-                    if per_flow is not None:
-                        agent = per_flow.get(packet.subflow_id)
-                        if agent is not None:
-                            agent.handle_packet(packet)
-                    return
-                dst._deliver_locally(packet)
-            else:
-                stats.forwarded += 1
-                # Forwarding fast path: the downstream node's hop-cache
-                # lookup (Node.send) inlined for the cache-hit case.
-                cache = dst._hop_cache
-                if cache is not None and dst._hop_version == dst.routing.version:
-                    link = cache.get((packet.dst, packet.tag))
-                    if link is not None:
-                        link.send(packet)
-                        return
-                dst.send(packet)
-            return
         self._dst_receive(packet, self)
 
     # ------------------------------------------------------------------ dynamics

@@ -5,16 +5,16 @@ unreliable datagrams; the transport agents only fill in the fields they use.
 ``__slots__`` keeps per-packet overhead low because a 4-second MPTCP run
 creates tens of thousands of packets.
 
-Hot-path design: the transport agents create millions of short-lived packets
-per simulated minute, so a free-list pool recycles them instead of paying an
-allocation plus an 11-keyword ``__init__`` per segment.  :func:`acquire`
-reinitialises a recycled instance with positional stores and marks it
-poolable; the consumer that terminates a packet's life (the receiving
-transport agent) hands it back with :meth:`Packet.release`.  Packets built
-through the plain constructor are never pooled, so externally-held instances
-(tests, ad-hoc traffic) can never be mutated behind the holder's back, and
-``release`` flips the poolable flag off before recycling so a double release
-can never alias one object twice in the pool.
+Packet pool: the transport agents create millions of short-lived packets
+per simulated minute, so a free-list pool recycles them.  :func:`acquire`
+reinitialises a recycled instance and marks it poolable; the consumer that
+terminates a packet's life (the receiving transport agent) hands it back with
+:meth:`Packet.release`.  The compiled kernel's transport pops from and
+appends to the same pool.  Packets built through the plain constructor are
+never pooled, so externally-held instances (tests, ad-hoc traffic) can never
+be mutated behind the holder's back, and ``release`` flips the poolable flag
+off before recycling so a double release can never alias one object twice in
+the pool.
 """
 
 from __future__ import annotations
@@ -230,32 +230,9 @@ def acquire_data(
     is_retransmission: bool,
     created_at: float,
 ) -> Packet:
-    """:func:`acquire` specialised for TCP data segments (constants folded)."""
-    pool = _pool
-    packet = pool.pop() if pool else _new_packet(Packet)
-    packet.packet_id = next(_packet_counter)
-    packet.src = src
-    packet.dst = dst
-    packet.size = size
-    packet.tag = tag
-    packet.flow_id = flow_id
-    packet.subflow_id = subflow_id
-    packet.protocol = "tcp"
-    packet.seq = seq
-    packet.payload_len = payload_len
-    packet.is_ack = False
-    packet.ack = 0
-    packet.dsn = dsn
-    packet.dack = 0
-    packet.is_retransmission = is_retransmission
-    packet.sack_blocks = ()
-    packet.ts_echo = -1.0
-    packet.created_at = created_at
-    packet.enqueued_at = 0.0
-    packet.hops = 0
-    packet.ecn = False
-    packet._poolable = True
-    return packet
+    """:func:`acquire` for a TCP data segment."""
+    return acquire(src, dst, size, tag, flow_id, subflow_id, "tcp", seq, payload_len, False,
+                   0, dsn, 0, is_retransmission, (), -1.0, created_at)
 
 
 def acquire_ack(
@@ -271,29 +248,6 @@ def acquire_ack(
     ts_echo: float,
     created_at: float,
 ) -> Packet:
-    """:func:`acquire` specialised for pure TCP ACKs (constants folded)."""
-    pool = _pool
-    packet = pool.pop() if pool else _new_packet(Packet)
-    packet.packet_id = next(_packet_counter)
-    packet.src = src
-    packet.dst = dst
-    packet.size = size
-    packet.tag = tag
-    packet.flow_id = flow_id
-    packet.subflow_id = subflow_id
-    packet.protocol = "tcp"
-    packet.seq = 0
-    packet.payload_len = 0
-    packet.is_ack = True
-    packet.ack = ack
-    packet.dsn = 0
-    packet.dack = dack
-    packet.is_retransmission = False
-    packet.sack_blocks = sack_blocks
-    packet.ts_echo = ts_echo
-    packet.created_at = created_at
-    packet.enqueued_at = 0.0
-    packet.hops = 0
-    packet.ecn = False
-    packet._poolable = True
-    return packet
+    """:func:`acquire` for a pure TCP ACK."""
+    return acquire(src, dst, size, tag, flow_id, subflow_id, "tcp", 0, 0, True,
+                   ack, 0, dack, False, sack_blocks, ts_echo, created_at)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Protocol, Tuple
 
-from ..netsim.packet import _pool as _packet_pool
-from ..netsim.packet import acquire_ack as _acquire_ack
+from ..netsim.packet import acquire_ack
 from ..units import ACK_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,8 +100,9 @@ class TcpReceiver:
         self.host = host
         self.sim = host.sim
         self._host_send = host.send  # bound once; runs per generated ACK
-        # Receiver-held egress memo for ACKs (same scheme as the sender's
-        # _send_packet: fixed (peer, tag) route, invalidated by version).
+        # Egress memo of the native twin, as in TcpSender: C adopts the link
+        # the host's hop cache resolved for (peer, tag).  The Python body
+        # always calls _host_send.
         self._route_enabled = getattr(host, "_hop_cache", None) is not None
         self._route_key = (peer, tag)
         self._route_link = None
@@ -131,17 +131,8 @@ class TcpReceiver:
 
         rcv_nxt = self.rcv_nxt
         if seq == rcv_nxt:
-            # Fast path: the expected in-order segment (_deliver inlined).
-            if length > 0:
-                self.rcv_nxt = seq + length
-                stats.bytes_received += length
-                sink = self.connection_sink
-                if sink is not None:
-                    self._last_dack = sink.on_subflow_data(
-                        self.subflow_id, dsn, length, now
-                    )
-            if self._out_of_order:
-                self._drain_buffer(now)
+            self._deliver(seq, length, dsn, now)
+            self._drain_buffer(now)
         elif seq > rcv_nxt:
             stats.out_of_order += 1
             self._out_of_order.setdefault(seq, (length, dsn))
@@ -156,19 +147,10 @@ class TcpReceiver:
         # RFC 3168 echo: a CE-marked segment (codepoint 2, set by an
         # ECN-capable queue in place of a drop) raises ECE on the ACK.
         ece = packet.ecn == 2
-        # The data segment's life ends here; recycle it (Packet.release
-        # inlined -- no-op for packets that did not come from the pool).
-        # Recycling happens before the ACK is built so the freshly-freed
-        # packet is immediately reusable for that ACK.
-        if packet._poolable:
-            packet._poolable = False
-            _packet_pool.append(packet)
-        # _send_ack inlined (one call per delivered data segment).  Pure-ACK
-        # fast path: with an empty reassembly buffer the SACK merge (and its
-        # tuple churn) is skipped and the shared empty tuple is carried.
-        out_of_order = self._out_of_order
-        sack_blocks = self._sack_blocks() if out_of_order else ()
-        ack = _acquire_ack(
+        # The data segment's life ends here.  It is recycled before the ACK
+        # is built so the freed packet is reusable for that ACK.
+        packet.release()
+        ack = acquire_ack(
             self.host.name,
             self.peer,
             self.ack_size,
@@ -177,36 +159,15 @@ class TcpReceiver:
             self.subflow_id,
             self.rcv_nxt,
             self._last_dack,
-            sack_blocks,
+            self._sack_blocks(),
             ts_echo,
             now,
         )
         if ece:
             ack.ecn = True
-            self.stats.ce_received += 1
-        self.stats.acks_sent += 1
-        self._send_packet(ack)
-
-    def _send_packet(self, packet: "Packet") -> None:
-        """Hand ``packet`` to the network, via the memoised egress link.
-
-        Same protocol as :meth:`TcpSender._send_packet`: the resolved link is
-        adopted from the host's hop cache and re-validated against the
-        routing table's mutation version only.
-        """
-        if self._route_enabled:
-            link = self._route_link
-            version = self.host.routing.version
-            if link is not None and self._route_version == version:
-                link.send(packet)
-                return
-            self._host_send(packet)
-            # Adopt whatever the host's hop cache resolved (None on a
-            # routing drop: stays on the slow path and retries).
-            self._route_link = self.host._hop_cache.get(self._route_key)
-            self._route_version = version
-            return
-        self._host_send(packet)
+            stats.ce_received += 1
+        stats.acks_sent += 1
+        self._host_send(ack)
 
     # ------------------------------------------------------------------
     def _deliver(self, seq: int, length: int, dsn: int, now: float) -> None:

@@ -34,8 +34,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Dict, Optional, Protocol, Tuple
 
 from ..errors import ProtocolError
-from ..netsim.packet import _pool as _packet_pool
-from ..netsim.packet import acquire_data as _acquire_data
+from ..netsim.packet import acquire_data
 from ..units import DEFAULT_MSS, HEADER_SIZE
 from .cc.base import CongestionControl
 from .rtt import RttEstimator
@@ -81,29 +80,6 @@ class _SegmentInfo:
         self.lost = False
         self.lost_pending = False
         self.retx_in_recovery = False
-
-
-#: Free list recycling :class:`_SegmentInfo` records: one is created per
-#: transmitted segment and retired on the cumulative ACK that covers it, so
-#: the steady state churns exactly cwnd-many records per RTT.
-_SEGMENT_POOL_LIMIT = 2048
-_segment_pool: deque = deque(maxlen=_SEGMENT_POOL_LIMIT)
-_new_segment = _SegmentInfo.__new__
-
-
-def _acquire_segment(seq: int, length: int, dsn: int, sent_at: float) -> _SegmentInfo:
-    pool = _segment_pool
-    info = pool.pop() if pool else _new_segment(_SegmentInfo)
-    info.seq = seq
-    info.length = length
-    info.dsn = dsn
-    info.sent_at = sent_at
-    info.retransmitted = False
-    info.sacked = False
-    info.lost = False
-    info.lost_pending = False
-    info.retx_in_recovery = False
-    return info
 
 
 class SenderStats:
@@ -216,10 +192,11 @@ class TcpSender:
         self.host = host
         self.sim: "Simulator" = host.sim
         self._host_send = host.send  # bound once; runs per transmitted segment
-        # Sender-held egress memo: every segment of this subflow routes by
-        # the same (dst, tag), so once the host's hop cache resolves the
-        # link it is adopted here and re-validated against the routing
-        # table's mutation version only (see _send_packet).
+        # Egress memo of the native twin (kernel/_ckernel.c): every segment
+        # of this subflow routes by the same (dst, tag), so C adopts the link
+        # the host's hop cache resolved and re-validates it against the
+        # routing table's mutation version only.  The Python bodies always
+        # call _host_send.
         self._route_enabled = getattr(host, "_hop_cache", None) is not None
         self._route_key = (dst, tag)
         self._route_link = None
@@ -357,24 +334,16 @@ class TcpSender:
 
     # ------------------------------------------------------------------ send
     def _try_send(self) -> None:
-        # Hot loop: ``pipe`` and ``effective_window`` are inlined (the window
-        # only changes on ACK/loss events, never inside this loop, so the
-        # cwnd-bytes bound is hoisted), and so is the new-segment half of
-        # _transmit_segment (a fresh seq == snd_nxt is never in _segments,
-        # so the bookkeeping reduces to create-and-append).
+        # The window only moves on ACK and loss events, never inside this
+        # loop, so it is read once; the pipe is re-read on every turn.
         mss = self.mss
-        cc = self.cc
-        cwnd_bytes = cc.cwnd * cc.mss
-        request_data = self.data_provider.request_data
+        window = self.effective_window
         while True:
-            pipe = self.snd_nxt - self.snd_una - self._sacked_bytes - self._lost_pending_bytes
-            if pipe < 0:
-                pipe = 0
-            if pipe + mss > cwnd_bytes:
+            if self.pipe + mss > window:
                 return
             if self._in_fast_recovery and self._retransmit_next_hole():
                 continue
-            grant = request_data(self, mss)
+            grant = self.data_provider.request_data(self, mss)
             if grant is None:
                 # Off the greedy hot path (a refusing provider): with nothing
                 # left in flight either, the sender is fully drained.
@@ -385,31 +354,7 @@ class TcpSender:
             if length <= 0 or length > mss:
                 raise ProtocolError(f"data provider granted invalid length {length}")
             seq = self.snd_nxt
-            now = self.sim.now
-            packet = _acquire_data(
-                self.host.name,
-                self.dst,
-                length + HEADER_SIZE,
-                self.tag,
-                self.flow_id,
-                self.subflow_id,
-                seq,
-                length,
-                dsn,
-                False,
-                now,
-            )
-            if self.ecn:
-                packet.ecn = 1  # ECT: this segment may be CE-marked instead of dropped
-            info = _acquire_segment(seq, length, dsn, now)
-            self._segments[seq] = info
-            self._seg_queue.append(info)
-            stats = self.stats
-            stats.segments_sent += 1
-            stats.bytes_sent += length
-            self._send_packet(packet)
-            if self._rto_event is None:
-                self._arm_rto()
+            self._transmit_segment(seq, length, dsn, is_retransmission=False)
             self.snd_nxt = seq + length
 
     def _retransmit_next_hole(self) -> bool:
@@ -434,7 +379,7 @@ class TcpSender:
 
     def _transmit_segment(self, seq: int, length: int, dsn: int, *, is_retransmission: bool) -> None:
         now = self.sim.now
-        packet = _acquire_data(
+        packet = acquire_data(
             self.host.name,
             self.dst,
             length + HEADER_SIZE,
@@ -448,11 +393,12 @@ class TcpSender:
             now,
         )
         if self.ecn:
-            packet.ecn = 1
+            packet.ecn = 1  # ECT: this segment may be CE-marked instead of dropped
         segments = self._segments
         info = segments.get(seq)
         if info is None:
-            segments[seq] = info = _acquire_segment(seq, length, dsn, now)
+            # A new segment: seq is snd_nxt, so the record appends in order.
+            segments[seq] = info = _SegmentInfo(seq, length, dsn, now)
             self._seg_queue.append(info)
         else:
             info.sent_at = now
@@ -462,33 +408,16 @@ class TcpSender:
             stats.retransmissions += 1
         stats.segments_sent += 1
         stats.bytes_sent += length
-        self._send_packet(packet)
+        self._host_send(packet)
         if self._rto_event is None:
             self._arm_rto()
-
-    def _send_packet(self, packet: "Packet") -> None:
-        """Hand ``packet`` to the network, via the memoised egress link."""
-        if self._route_enabled:
-            link = self._route_link
-            version = self.host.routing.version
-            if link is not None and self._route_version == version:
-                link.send(packet)
-                return
-            self._host_send(packet)
-            # Adopt whatever the host's hop cache resolved (None on a
-            # routing drop: stays on the slow path and retries).
-            self._route_link = self.host._hop_cache.get(self._route_key)
-            self._route_version = version
-            return
-        self._host_send(packet)
 
     # ------------------------------------------------------------------ ACKs
     def handle_packet(self, packet: "Packet") -> None:
         """Entry point for packets delivered to this sender (ACKs).
 
-        The whole per-ACK reaction is inlined here (one call per delivered
-        ACK): RTT sampling, SACK processing, cumulative/duplicate dispatch,
-        window-driven transmission, and recycling of the ACK packet.
+        RTT sampling, SACK processing, cumulative/duplicate dispatch,
+        recycling of the ACK packet and window-driven transmission.
         """
         if not packet.is_ack:
             return
@@ -518,13 +447,9 @@ class TcpSender:
             self._on_new_ack(ack, now)
         elif ack == snd_una and self.snd_nxt > snd_una:
             self._on_dupack(now)
-        # The ACK's life ends here; recycle it (Packet.release inlined --
-        # no-op for packets that did not come from the pool).  Recycling
-        # happens before _try_send so the freshly-freed packet is available
-        # for the segments that this very ACK clocks out.
-        if packet._poolable:
-            packet._poolable = False
-            _packet_pool.append(packet)
+        # The ACK's life ends here.  It is recycled before _try_send so the
+        # freed packet is available for the segments this very ACK clocks out.
+        packet.release()
         self._try_send()
 
     def _apply_sack(self, blocks) -> None:
@@ -569,34 +494,25 @@ class TcpSender:
         if rtt.samples == 0:
             # Fallback when the peer does not echo timestamps.
             self._sample_rtt(ack, now)
-        # _ack_segments inlined (runs once per cumulative ACK): _seg_queue is
-        # ordered by seq (snd_nxt only grows, retransmissions reuse their
-        # entry), so the ACKed prefix pops from the left, no scan or sort.
+        # _seg_queue is ordered by seq (snd_nxt only grows, retransmissions
+        # reuse their entry), so the ACKed prefix pops from the left.
         queue = self._seg_queue
-        if queue:
-            segments = self._segments
-            on_data_acked = self.data_provider.on_data_acked
-            pool = _segment_pool
-            while queue:
-                info = queue[0]
-                if info.seq + info.length > ack:
-                    break
-                queue.popleft()
-                del segments[info.seq]
-                length = info.length
-                if info.sacked:
-                    self._sacked_bytes -= length
-                if info.lost_pending:
-                    self._lost_pending_bytes -= length
-                on_data_acked(self, info.dsn, length, now)
-                pool.append(info)
+        while queue and queue[0].seq + queue[0].length <= ack:
+            info = queue.popleft()
+            del self._segments[info.seq]
+            if info.sacked:
+                self._sacked_bytes -= info.length
+            if info.lost_pending:
+                self._lost_pending_bytes -= info.length
+            self.data_provider.on_data_acked(self, info.dsn, info.length, now)
         self.snd_una = ack
         self._dupacks = 0
         self._rto_backoff = 1.0
 
         cc = self.cc
-        # rtt.smoothed() inlined: srtt, or the estimator's 0.01 s default
-        # before the first sample.
+        # srtt, or 0.01 s before the first sample.  An estimator only has to
+        # define update / samples / srtt / _rto (tcp/rtt.py), so the sender
+        # reads those and not RttEstimator's smoothed() or rto.
         srtt = rtt.srtt
         if srtt is None:
             srtt = 0.01
@@ -670,8 +586,7 @@ class TcpSender:
         """
         if self._rto_event is not None and not restart:
             return
-        # rtt._rto is the cached value behind the public rto property; the
-        # direct read skips a descriptor call on every ACK.
+        # _rto, not the rto property: see _on_new_ack on the estimator contract.
         deadline = self.sim.now + self.rtt._rto * self._rto_backoff
         self._rto_deadline = deadline
         if self._rto_event is not None:

@@ -5,10 +5,9 @@ clock and event accounting, pending events with their ``(time, seq)``,
 transport state (window, segments, RTT, congestion control, recovery,
 receiver buffer), link/queue/node stats, a link's dynamics state (up,
 impaired, dynamic mode, delivery deadlines), the fields of queued and
-in-flight packets, and capture rows.  Caches (hop caches, route memos),
-packet ids and allocator pools (engine free list, packet pool) are
-deliberately absent: no result can see them and the compiled kernel does not
-reproduce them.
+in-flight packets, and capture rows.  Caches (hop caches, the compiled
+agents' route memos), packet ids and the packet pool are deliberately
+absent: no result can see them and the two kernels do not keep them alike.
 """
 
 from __future__ import annotations

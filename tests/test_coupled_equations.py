@@ -14,14 +14,27 @@ and ``α_r = max_p x_p / x_r``, must give exactly::
 
     w_r + (x_r / τ_r) / (Σ_p x_p)² · (1 + α_r)/2 · (4 + α_r)/5 · acked   per ACK
     w_r − w_r/2 · min(α_r, 1.5)                                      on a loss
+
+OLIA (Khalili, Gast, Popovic, Le Boudec, IEEE/ACM ToN 2013), with ``n``
+members, ``ℓ_r = max(ℓ1_r, ℓ2_r)`` the bytes acknowledged between the last
+two losses and since the last one, ``B`` the paths of largest ``ℓ_p² / τ_p``
+and ``M`` the paths of largest window, must give per ACK::
+
+    w_r + ((w_r / τ_r²) / (Σ_p w_p / τ_p)² + α_r / w_r) · acked
+
+    α_r = 1 / (n |B∖M|)    if r ∈ B∖M
+    α_r = −1 / (n |M|)     if r ∈ M and B∖M ≠ ∅
+    α_r = 0                otherwise (so always 0 when B∖M = ∅)
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.coupled.balia import BaliaCongestionControl
 from repro.core.coupled.base import CouplingGroup
 from repro.core.coupled.lia import LiaCongestionControl
+from repro.core.coupled.olia import OliaCongestionControl
 from repro.tcp.cc.base import MIN_CWND_SEGMENTS
 
 _DEEP = settings.get_profile("deep")
@@ -139,3 +152,88 @@ class TestBalia:
         acking.on_loss(0.0)
         # The floor of two segments is every controller's (CongestionControl.on_loss).
         assert acking.cwnd == max(w - w / 2 * min(alpha, 1.5), MIN_CWND_SEGMENTS)
+
+
+@st.composite
+def olia_groups(draw):
+    """A coupled group as :func:`coupled_groups` draws it, plus each member's
+    (ℓ2, ℓ1) in bytes: between the last two losses, and since the last one."""
+    members, acker, acked = draw(coupled_groups())
+    interval = st.just(0.0) | st.floats(0.0, 1e7)
+    intervals = draw(st.lists(st.tuples(interval, interval), min_size=len(members),
+                              max_size=len(members)))
+    return members, intervals, acker, acked
+
+
+def olia_alpha(windows, qualities, r):
+    """α_r over the best-quality set B and the max-window set M."""
+    n = len(windows)
+    best = {p for p, q in enumerate(qualities) if q == max(qualities)}
+    max_window = {p for p, w in enumerate(windows) if w == max(windows)}
+    collected = best - max_window
+    if r in collected:
+        return 1 / (n * len(collected))
+    if r in max_window and collected:
+        return -1 / (n * len(max_window))
+    return 0.0
+
+
+class TestOlia:
+    @given(olia_groups())
+    @_SETTINGS
+    def test_one_ack_follows_the_published_increase(self, state):
+        members, intervals, acker, acked = state
+        controllers = in_congestion_avoidance(OliaCongestionControl, members)
+        for controller, (between, since) in zip(controllers, intervals):
+            controller._bytes_between_losses, controller._bytes_since_loss = between, since
+        acking = controllers[acker]
+        # The ACK's own bytes count towards ℓ1 of its path before α is taken.
+        ells = [max(between, since) for between, since in intervals]
+        ells[acker] = max(intervals[acker][0], intervals[acker][1] + acked * acking.mss)
+        # The code floors ℓ at one segment; the paper does not (see
+        # test_an_interval_below_one_segment).
+        ells = [max(ell, acking.mss) for ell in ells]
+        taus = [c.rtt_or_default() for c in controllers]
+        windows = [c.cwnd for c in controllers]
+        qualities = [ell ** 2 / tau for ell, tau in zip(ells, taus)]
+        total = 0.0
+        for w, tau in zip(windows, taus):
+            total += w / tau
+        w, tau = windows[acker], taus[acker]
+        alpha = olia_alpha(windows, qualities, acker)
+        # The window never falls below one segment (the code's floor).
+        expected = max(1.0, w + ((w / tau ** 2) / total ** 2 + alpha / w) * acked)
+        acking._congestion_avoidance(acked, acking.srtt, 0.0)
+        assert acking.cwnd == expected
+
+    def test_l_is_the_larger_of_the_two_intervals(self):
+        olia = OliaCongestionControl(group=CouplingGroup())
+        olia._bytes_between_losses, olia._bytes_since_loss = 50_000.0, 20_000.0
+        assert olia.loss_interval_bytes == 50_000.0
+        olia._bytes_between_losses, olia._bytes_since_loss = 20_000.0, 50_000.0
+        assert olia.loss_interval_bytes == 50_000.0
+
+    def test_alpha_is_zero_when_every_best_path_has_the_largest_window(self):
+        group = CouplingGroup()
+        controllers = [OliaCongestionControl(group=group) for _ in range(3)]
+        for controller, cwnd, since in zip(controllers, (40.0, 40.0, 10.0),
+                                           (9e6, 9e6, 1e5)):
+            controller.cwnd, controller.srtt, controller._bytes_since_loss = cwnd, 0.05, since
+        assert [c._alpha() for c in controllers] == [0.0, 0.0, 0.0]
+        controllers[2]._bytes_since_loss = 9e6  # now best without the largest window
+        assert [c._alpha() for c in controllers] == [-1 / 6, -1 / 6, 1 / 3]
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 12(c): the code floors ℓ at one "
+                       "segment (OliaCongestionControl.loss_interval_bytes), the paper does not")
+    def test_an_interval_below_one_segment(self):
+        # Before the first loss, ℓ1 = ℓ2 = 0 on both paths: every path is best
+        # by the paper, so the smaller window is collected.  The floor makes
+        # the shorter RTT the only best path, and it has the largest window.
+        group = CouplingGroup()
+        controllers = [OliaCongestionControl(group=group) for _ in range(2)]
+        windows = [20.0, 10.0]
+        for controller, cwnd, srtt in zip(controllers, windows, (0.05, 0.1)):
+            controller.cwnd, controller.srtt = cwnd, srtt
+        published = [olia_alpha(windows, [0.0, 0.0], r) for r in range(2)]
+        assert published == [-0.5, 0.5]
+        assert [c._alpha() for c in controllers] == published

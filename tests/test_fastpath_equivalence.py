@@ -2,9 +2,9 @@
 
 The columnar capture, the vectorised binning and the merged link event chain
 replaced scalar per-record/per-event implementations, and the protocol-stack
-fast path (packet/segment free lists, inlined sender/receiver hot paths,
-O(1) scheduler dispatch, fused coupled-CC aggregation) rebuilt the per-packet
-work of the transport layers.  These tests pin the new code two ways:
+fast path (the packet pool, O(1) scheduler dispatch, fused coupled-CC
+aggregation) rebuilt the per-packet work of the transport layers.  These
+tests pin the new code two ways:
 
 * against reference implementations of the old behaviour on randomized
   inputs (identical filter results, bin-for-bin identical series, identical
@@ -282,40 +282,21 @@ class TestEngineFastPath:
         with pytest.raises(SimulationError):
             sim.schedule_fast_at(-1.0, lambda: None)
 
-    def test_cancelled_entries_feed_the_free_list(self):
-        sim = Simulator()
-        events = [sim.schedule(1.0, lambda: None) for _ in range(10)]
-        for event in events[:5]:
-            event.cancel()
-        sim.run()
-        assert sim.free_list_size == 5
-        # Recycled entries are reused by later schedules.
-        sim.schedule(1.0, lambda: None)
-        assert sim.free_list_size == 4
-
-    def test_fired_entries_recycled_by_until_bounded_runs(self):
-        # Network-style runs (run(until=...)) recycle fired entries too, so
-        # the per-packet link pushes reuse them instead of allocating.
-        sim = Simulator()
-        for _ in range(8):
-            sim.schedule(0.5, lambda: None)
-        sim.run(until=1.0)
-        assert sim.free_list_size == 8
-
-    def test_cancel_after_fire_does_not_corrupt_recycled_entry(self):
+    def test_cancel_after_fire_does_not_touch_a_later_event(self):
         sim = Simulator()
         stale = sim.schedule(0.5, lambda: None)
         cancelled = sim.schedule(0.6, lambda: None)
         cancelled.cancel()
-        sim.run()  # drains both; the cancelled entry enters the free list
+        sim.run()  # fires one, drops the cancelled one
         seen = []
         fresh = sim.schedule(1.0, seen.append, "fresh")
-        stale.cancel()  # stale handle may point at the recycled entry
+        stale.cancel()  # handles of entries that left the heap
         cancelled.cancel()
         sim.run()
         assert seen == ["fresh"]
         assert fresh.cancelled is False
         assert stale.cancelled is True
+        assert sim.pending_events == 0
 
 
 class TestParallelHarnessEquivalence:

@@ -284,6 +284,23 @@ class TestProcessEntry:
         assert missing.returncode == 2
         assert "missing store" in missing.stderr
 
+    @pytest.mark.parametrize("argv", [["info", "--json"], ["lp", "--json"]])
+    def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(self, argv):
+        # `repro ... | head -c 1` when head leaves before the process writes:
+        # the read end is closed before the process starts, so its first
+        # write to stdout fails, whatever the output's size.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv], env=dict(os.environ, PYTHONPATH=SRC),
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
+
     def test_the_process_freezes_and_atexit_hooks_still_run(self):
         script = (
             "import atexit, gc, sys\n"

@@ -202,9 +202,6 @@ class TestKernelSimSemantics:
         sim.run()
         assert fired == list(range(1, 5000, 2))
         assert sim.pending_events == 0
-        # KernelSim recycles storage natively; the Python-visible free list
-        # is defined to be empty.
-        assert sim.free_list_size == 0
 
 
 class TestRunObjectGraphIsCollectable:

@@ -15,6 +15,7 @@ computed on the Python kernel, so the ``python`` leg pins determinism and the
 
 from __future__ import annotations
 
+import collections
 import copy
 import json
 import pickle
@@ -23,7 +24,7 @@ import pytest
 
 from repro import kernel
 from repro.errors import SimulationError
-from repro.experiments import run_experiment, run_multiflow
+from repro.experiments import paper_experiment, run_experiment, run_multiflow
 from repro.experiments.scenarios import (
     aqm_vs_droptail,
     ecn_mptcp_fairness,
@@ -32,17 +33,17 @@ from repro.experiments.scenarios import (
 )
 from repro.netsim import capture as capture_module
 from repro.netsim.capture import PacketCapture
-from repro.netsim.engine import make_simulator
+from repro.netsim.engine import Simulator, make_simulator
 from repro.netsim.link import Link, LinkStats
 from repro.netsim.network import Network
-from repro.netsim.node import Host, NodeStats, Router
+from repro.netsim.node import Host, Node, NodeStats, Router
 from repro.netsim.packet import Packet
 from repro.netsim.queues import DropTailQueue
 from repro.netsim.routing import TagRoutingTable
 from repro.netsim.topology import Topology
 from repro.tcp.connection import TcpConnection
-from repro.tcp.receiver import ReceiverStats
-from repro.tcp.sender import SenderStats
+from repro.tcp.receiver import ReceiverStats, TcpReceiver
+from repro.tcp.sender import SenderStats, TcpSender
 from tests.kernel_state import snapshot
 from tests.test_kernel import run_micro
 
@@ -683,3 +684,48 @@ class TestAfterANativeSceneWindow:
         assert "Link._deliver" in pending
         sim.run(until=0.35)
         assert sim.events_native > before
+
+
+class TestThePythonTierRunsTheReferenceBodies:
+    """The python tier is the specification, so its hot path must *call* the
+    bodies the C twins are compared against, not carry copies of them."""
+
+    BODIES = (
+        (Node, "receive"),
+        (Host, "_deliver_locally"),
+        (Link, "_transmit"),
+        (Simulator, "schedule_fast_at"),
+        (TcpSender, "_transmit_segment"),
+        (TcpReceiver, "_deliver"),
+        (Packet, "release"),
+    )
+
+    def test_every_reference_body_runs(self, monkeypatch):
+        calls = collections.Counter()
+        receivers = set()
+
+        def counting(owner, name):
+            body = getattr(owner, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[f"{owner.__name__}.{name}"] += 1
+                if name == "receive":
+                    receivers.add(self)
+                return body(self, *args, **kwargs)
+
+            return wrapper
+
+        # Before any scene is built: a link binds its node's receive once.
+        for owner, name in self.BODIES:
+            monkeypatch.setattr(owner, name, counting(owner, name))
+        with kernel.override("python"):
+            result = run_experiment(paper_experiment("lia", duration=1.0))
+        assert result.summary()["achieved_mean_mbps"] > 0
+        Scene("python").run(0.2)  # s -> Router r -> d: one forwarded hop
+        assert set(calls) == {f"{owner.__name__}.{name}" for owner, name in self.BODIES}
+        assert all(count > 0 for count in calls.values()), calls
+        hosts = [node for node in receivers if isinstance(node, Host)]
+        routers = [node for node in receivers if isinstance(node, Router)]
+        assert calls["Host._deliver_locally"] == sum(host.stats.delivered for host in hosts)
+        assert calls["Node.receive"] == sum(node.stats.received for node in receivers)
+        assert routers and all(router.stats.forwarded > 0 for router in routers)
