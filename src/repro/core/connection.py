@@ -417,6 +417,22 @@ class MptcpConnection:
             subflow.started_at = start_at
             sim.schedule_at(start_at, subflow.sender.start)
 
+    def release(self) -> None:
+        """Let go of the subflows once the run is measured.
+
+        The subflow agents hold the connection (``data_provider`` /
+        ``connection_sink``) and the coupling group holds their controllers,
+        which hold the group: two cycles that outlive
+        :meth:`Network.close <repro.netsim.network.Network.close>`.  Dropping
+        the subflows and the group's members cuts both, so reference
+        counting frees the connection.  Afterwards it has no subflows: read
+        every statistic first.  The packet front doors release theirs once
+        the result is built.
+        """
+        self.subflows = []
+        self._senders.clear()
+        self.coupling_group.clear()
+
     # ------------------------------------------------------------------ views
     @property
     def bytes_delivered(self) -> int:

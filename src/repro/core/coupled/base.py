@@ -37,6 +37,11 @@ class CouplingGroup:
             self._members.remove(member)
             self._typed_cache.clear()
 
+    def clear(self) -> None:
+        """Drop every member (:meth:`~repro.core.connection.MptcpConnection.release`)."""
+        self._members.clear()
+        self._typed_cache.clear()
+
     def members_of(self, cls: type) -> List["CoupledCongestionControl"]:
         """The registered members that are instances of ``cls`` (cached).
 

@@ -206,27 +206,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     from ..measure.signalplane import signal_plane_report
     from .multiflow import _simulate
 
-    network, (flow,) = _simulate(config, [_connection_spec(config)], config.path_manager)
+    spec = _connection_spec(config)
+    with _simulate(config, [spec], config.path_manager) as (network, (flow,)):
+        start, end = config.warmup, config.duration
+        per_path = per_tag_timeseries(
+            flow.capture, config.sampling_interval, start=start, end=end, tags=list(flow.tag_map)
+        )
+        total = total_timeseries(flow.capture, config.sampling_interval, start=start, end=end)
 
-    start, end = config.warmup, config.duration
-    per_path = per_tag_timeseries(
-        flow.capture, config.sampling_interval, start=start, end=end, tags=list(flow.tag_map)
-    )
-    total = total_timeseries(flow.capture, config.sampling_interval, start=start, end=end)
-
-    return ExperimentResult(
-        config=config,
-        per_path_series=per_path,
-        total_series=total,
-        optimum=flow.optimum,
-        convergence=analyze_convergence(total, flow.optimum.total),
-        stats=connection_stats(flow.connection, config.duration),
-        constraint_system=flow.system,
-        drops=network.total_drops(),
-        events_processed=network.sim.events_processed,
-        dynamics=_dynamics_report(total, config.dynamics),
-        signal_plane=signal_plane_report(network, config.duration),
-    )
+        return ExperimentResult(
+            config=config,
+            per_path_series=per_path,
+            total_series=total,
+            optimum=flow.optimum,
+            convergence=analyze_convergence(total, flow.optimum.total),
+            stats=connection_stats(flow.connection, config.duration),
+            constraint_system=flow.system,
+            drops=network.total_drops(),
+            events_processed=network.sim.events_processed,
+            dynamics=_dynamics_report(total, config.dynamics),
+            signal_plane=signal_plane_report(network, config.duration),
+        )
 
 
 def _connection_spec(config: ExperimentConfig) -> FlowSpec:

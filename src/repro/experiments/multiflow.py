@@ -16,12 +16,16 @@ namespace and receiver-side capture, runs the simulation and post-processes
 per-flow throughput series plus a :class:`~repro.measure.fairness.FairnessReport`.
 The build-and-run step, :func:`_simulate`, is the packet backend's only one:
 the single-flow harness runs its connection through it as one ``mptcp`` flow.
+It also owns the run's end of life: the network is closed and the flows
+released when its ``with`` block exits, after the result is built, so the
+graph is freed by reference counting when the front door returns.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.connection import MptcpConnection
 from ..errors import ConfigurationError
@@ -317,12 +321,25 @@ class _BuiltFlow:
         self.system: Optional[ConstraintSystem] = None
         self.optimum: Optional[LpResult] = None
 
+    def release(self) -> None:
+        """Cut the cycles the flow's protocol objects keep among themselves."""
+        if self.connection is not None:
+            self.connection.release()
+        if self.workload_driver is not None:
+            self.workload_driver.release()
 
+
+@contextmanager
 def _simulate(
     config, specs: Sequence[FlowSpec], path_manager: Optional[PathManager] = None
-) -> Tuple[Network, List[_BuiltFlow]]:
+) -> Iterator[Tuple[Network, List[_BuiltFlow]]]:
     """Build ``config``'s network (either configuration class) with one flow per
-    spec, then run it: the packet build step behind both front doors."""
+    spec, then run it: the packet build step behind both front doors.
+
+    Yields ``(network, built)`` for the caller to measure; when the block
+    exits the flows are released and the network closed
+    (:meth:`Network.close`), so nothing may read them afterwards.
+    """
     if not specs:
         raise ConfigurationError("a multi-flow run needs at least one flow")
     topology, base_paths = config.build_scenario()
@@ -331,20 +348,25 @@ def _simulate(
     network = Network(topology)
 
     built: List[_BuiltFlow] = []
-    for index, spec in enumerate(specs):
-        name = spec.name or f"{spec.kind}-{index + 1}"
-        if any(b.name == name for b in built):
-            raise ConfigurationError(f"duplicate flow name {name!r}")
-        flow = _BuiltFlow(spec, name, flow_id=index + 1, tag_base=index * TAG_STRIDE)
-        _instantiate_flow(flow, network, base_paths, config, path_manager)
-        built.append(flow)
+    try:
+        for index, spec in enumerate(specs):
+            name = spec.name or f"{spec.kind}-{index + 1}"
+            if any(b.name == name for b in built):
+                raise ConfigurationError(f"duplicate flow name {name!r}")
+            flow = _BuiltFlow(spec, name, flow_id=index + 1, tag_base=index * TAG_STRIDE)
+            _instantiate_flow(flow, network, base_paths, config, path_manager)
+            built.append(flow)
 
-    if config.dynamics is not None:
-        # After the flows: MPTCP connections register dynamics listeners at
-        # construction and must see the events.  Empty specs register nothing.
-        config.dynamics.apply(network)
-    network.run(config.duration)
-    return network, built
+        if config.dynamics is not None:
+            # After the flows: MPTCP connections register dynamics listeners at
+            # construction and must see the events.  Empty specs register nothing.
+            config.dynamics.apply(network)
+        network.run(config.duration)
+        yield network, built
+    finally:
+        for flow in built:
+            flow.release()
+        network.close()
 
 
 def run_multiflow(config: MultiFlowConfig) -> MultiFlowResult:
@@ -358,9 +380,13 @@ def run_multiflow(config: MultiFlowConfig) -> MultiFlowResult:
         from ..flowsim.backend import run_multiflow_flowlevel
 
         return run_multiflow_flowlevel(config)
-    from ..measure.fairness import analyze_fairness
+    with _simulate(config, config.flows) as (network, built):
+        return _measure(config, network, built)
 
-    network, built = _simulate(config, config.flows)
+
+def _measure(config: MultiFlowConfig, network: Network, built: List[_BuiltFlow]) -> MultiFlowResult:
+    """Post-process a finished packet run per flow, before it is closed."""
+    from ..measure.fairness import analyze_fairness
 
     start, end = config.warmup, config.duration
     interval = config.sampling_interval

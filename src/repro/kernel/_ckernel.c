@@ -190,7 +190,7 @@ kevent_cancel(KernelEventObject *self, PyObject *Py_UNUSED(ignored))
 static PyObject *
 kevent_get_time(KernelEventObject *self, void *closure)
 {
-    return PyFloat_FromDouble(self->fired ? 0.0 : self->t);
+    return PyFloat_FromDouble(self->t);
 }
 
 static PyObject *
@@ -222,7 +222,8 @@ static PyMethodDef kevent_methods[] = {
 };
 
 static PyGetSetDef kevent_getset[] = {
-    {"time", (getter)kevent_get_time, NULL, "Scheduled fire time (0.0 once fired).", NULL},
+    {"time", (getter)kevent_get_time, NULL,
+     "Scheduled fire time, kept once fired or dropped (as Event.time).", NULL},
     {"seq", (getter)kevent_get_seq, NULL, "Sequence number of the underlying entry.", NULL},
     {"cancelled", (getter)kevent_get_cancelled, NULL, "Whether cancel() was called.", NULL},
     {NULL, NULL, NULL, NULL, NULL},
@@ -815,7 +816,7 @@ static PyMethodDef ksim_methods[] = {
     {"_export_entries", (PyCFunction)ksim_export_entries, METH_NOARGS,
      "Pending heap entries as (t, seq, callback_or_None, args) tuples."},
     {"_clear_pending", (PyCFunction)ksim_clear_pending, METH_NOARGS,
-     "Drop every pending heap entry (pipeline import support)."},
+     "Drop every pending heap entry: Network.close, and the pipeline's import."},
     {"_push_entry", (PyCFunction)ksim_push_entry, METH_VARARGS,
      "Push an entry with an explicit sequence number; returns its handle."},
     {"_advance", (PyCFunction)ksim_advance, METH_VARARGS,

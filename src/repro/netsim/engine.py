@@ -33,6 +33,11 @@ from ..errors import SimulationError
 
 _INF = float("inf")
 
+#: The callback slot of an entry :meth:`Simulator._clear_pending` dropped: not
+#: ``None``, so a dropped event reads as ended rather than cancelled, as a
+#: ``KernelSim`` handle does, and holds nothing of the graph.
+_DROPPED = object()
+
 
 def _bad_time(value: float, now: Optional[float]) -> str:
     """Why a ``schedule*`` call refused ``value`` (a delay when ``now`` is None).
@@ -158,6 +163,21 @@ class Simulator:
         """Number of events still in the heap (including cancelled ones)."""
         return len(self._heap)
 
+    def _clear_pending(self) -> None:
+        """Drop every pending event: :meth:`~repro.netsim.network.Network.close`.
+
+        Each entry also loses its callback and arguments, because an
+        :class:`Event` handle an agent still holds (``TcpSender._rto_event``)
+        keeps its entry alive after the heap lets go of it.  A dropped
+        handle reads as ``KernelSim._clear_pending`` leaves one: its
+        ``time``, and ``cancelled`` only if it was cancelled before.
+        """
+        for entry in self._heap:
+            if entry[2] is not None:
+                entry[2] = _DROPPED
+            entry[3] = ()
+        self._heap.clear()
+
     # ------------------------------------------------------------------ run
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the event loop.
@@ -184,9 +204,11 @@ class Simulator:
         # collections would otherwise rescan the large live graph (heap,
         # links, agents) thousands of times per simulated second.  That graph
         # is cyclic -- pending entries hold bound methods of links and agents,
-        # which hold the simulator -- so a finished run is reclaimed by the
-        # collector some time after run() returns, not by reference counting.
-        # The previous GC state is always restored.
+        # which hold the simulator.  The packet front doors (run_experiment,
+        # run_multiflow, run_workload) close it with Network.close once their
+        # result is built, so reference counting frees it when they return;
+        # a network nobody closes is still left to the collector.  The
+        # previous GC state is always restored.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

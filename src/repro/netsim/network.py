@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, TopologyError
+from ..errors import ConfigurationError, SimulationError, TopologyError
 from ..units import mbps
 from .capture import PacketCapture
 from .engine import Simulator, make_simulator
@@ -62,6 +62,7 @@ class Network:
         #: How the last :meth:`run` window executed: ``"native"`` when the
         #: compiled whole-window bypass took it, else why it declined.
         self.bypass_outcome: Optional[str] = None
+        self._closed = False
         self._build()
 
     # ------------------------------------------------------------------ build
@@ -242,8 +243,11 @@ class Network:
         bypasses the event loop entirely.  Results are byte-identical
         either way.  A ``duration`` that is not a positive finite number
         (zero, negative, NaN or infinite) raises :class:`ConfigurationError`
-        on either kernel.
+        on either kernel, and a closed network (:meth:`close`) raises
+        :class:`SimulationError`.
         """
+        if self._closed:
+            raise SimulationError(f"network {self.topology.name!r} is closed and cannot run")
         if not 0 < duration < math.inf:
             raise ConfigurationError(f"duration must be positive and finite, got {duration!r}")
         until = self.sim.now + duration
@@ -253,6 +257,25 @@ class Network:
         if result is not None:
             return result
         return self.sim.run(until=until)
+
+    def close(self) -> None:
+        """End the network's life: drop its pending events and cut its cycles.
+
+        A built network is one cyclic graph: pending events hold bound
+        methods of links and agents, which hold the simulator; nodes hold
+        their links, which hold their nodes; hosts hold their agents, which
+        hold their host; the dynamics listeners hold the connections, which
+        hold the network.  Closing cuts each of those edges, so the graph is
+        freed by reference counting once its last outside reference goes,
+        not by a later generation-2 collection.  Counters, captures and
+        topology stay readable; :meth:`run` refuses a closed network.  The
+        packet front doors close theirs once the result is built.
+        """
+        self._closed = True
+        self.sim._clear_pending()
+        for node in self.nodes.values():
+            node._close()
+        self._dynamics_listeners.clear()
 
     # ------------------------------------------------------------------ stats
     def link_utilization(self, a: str, b: str, duration: float) -> float:

@@ -119,6 +119,12 @@ class Node:
     def _deliver_locally(self, packet: Packet) -> None:  # pragma: no cover - overridden
         """Routers silently discard packets addressed to themselves."""
 
+    def _close(self) -> None:
+        """Let go of the outgoing links: :meth:`~repro.netsim.network.Network.close`."""
+        self.links.clear()
+        if self._hop_cache is not None:
+            self._hop_cache.clear()
+
 
 class Router(Node):
     """A pure forwarding node."""
@@ -188,6 +194,14 @@ class Host(Node):
     def add_capture(self, callback: Callable[[Packet, float], None]) -> None:
         """Attach a capture tap invoked for every packet delivered to this host."""
         self._captures.append(callback)
+
+    def _close(self) -> None:
+        """Also let go of the agents and capture taps."""
+        super()._close()
+        self._agents.clear()
+        self._agents_by_flow.clear()
+        self._captures.clear()
+        self._refresh_sole_agent()
 
     # ------------------------------------------------------------------
     def _deliver_locally(self, packet: Packet) -> None:

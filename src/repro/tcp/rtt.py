@@ -65,9 +65,8 @@ class RttEstimator:
         self.min_rtt: Optional[float] = None
         self.latest_rtt: Optional[float] = None
         self.samples = 0
-        # The RTO only moves when a sample arrives, but it is *read* on every
-        # transmission and every ACK (timer re-arm), so it is cached here and
-        # refreshed at the end of update().
+        #: The current retransmission timeout in seconds, refreshed at the end
+        #: of update(); the sender reads it on every timer (re-)arm.
         self._rto = initial_rto
 
     # ------------------------------------------------------------------
@@ -92,15 +91,6 @@ class RttEstimator:
         rto = srtt + max(4.0 * rttvar, 0.0001)
         self._rto = min(max(rto, self.min_rto), self.max_rto)
 
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout in seconds."""
-        return self._rto
-
-    def smoothed(self, default: float = 0.01) -> float:
-        """SRTT, or ``default`` before the first sample."""
-        return self.srtt if self.srtt is not None else default
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         srtt = f"{self.srtt * 1e3:.2f} ms" if self.srtt is not None else "n/a"
-        return f"RttEstimator(srtt={srtt}, rto={self.rto * 1e3:.1f} ms, samples={self.samples})"
+        return f"RttEstimator(srtt={srtt}, rto={self._rto * 1e3:.1f} ms, samples={self.samples})"

@@ -511,8 +511,7 @@ class TcpSender:
 
         cc = self.cc
         # srtt, or 0.01 s before the first sample.  An estimator only has to
-        # define update / samples / srtt / _rto (tcp/rtt.py), so the sender
-        # reads those and not RttEstimator's smoothed() or rto.
+        # define update / samples / srtt / _rto (tcp/rtt.py).
         srtt = rtt.srtt
         if srtt is None:
             srtt = 0.01
@@ -586,7 +585,7 @@ class TcpSender:
         """
         if self._rto_event is not None and not restart:
             return
-        # _rto, not the rto property: see _on_new_ack on the estimator contract.
+        # _rto: see _on_new_ack on the estimator contract.
         deadline = self.sim.now + self.rtt._rto * self._rto_backoff
         self._rto_deadline = deadline
         if self._rto_event is not None:

@@ -122,6 +122,19 @@ class PacketWorkloadDriver:
                 session.start, lambda _s=session: self._start_session(_s)
             )
 
+    def release(self) -> None:
+        """Let go of the sessions once the run is measured.
+
+        Each session's transfer callbacks hold this driver, which holds the
+        sessions: dropping them, and releasing each MPTCP session's
+        connection (:meth:`MptcpConnection.release`), leaves the driver to
+        reference counting once its network is closed.  ``records`` stay.
+        """
+        if self.transport == "mptcp":
+            for state in self._sessions.values():
+                state.connection.release()
+        self._sessions.clear()
+
     # ------------------------------------------------------------------
     def _install_paths(self) -> None:
         if self._paths_installed:

@@ -141,10 +141,15 @@ def run_workload(config: WorkloadConfig) -> WorkloadResult:
             transport=config.transport,
             congestion_control=config.congestion_control,
         )
-        driver.install()
-        network.run(config.duration)
-        records = driver.records
-        events = network.sim.events_processed
+        try:
+            driver.install()
+            network.run(config.duration)
+            records = driver.records
+            events = network.sim.events_processed
+        finally:
+            # The records are plain values: the graph is freed on return.
+            driver.release()
+            network.close()
 
     return WorkloadResult(
         config=config,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -20,6 +22,23 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+def left_to_collector(run):
+    """``(run(), n)``: ``n`` objects ``run`` created are garbage that only the
+    cyclic collector frees (``gc.collect()`` with the collector off during
+    the call).  What existed before the call is frozen out of the count, so
+    the collection costs what ``run`` allocated, not the whole suite's heap."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    try:
+        result = run()
+        return result, gc.collect()
+    finally:
+        gc.unfreeze()
+        if gc_was_enabled:
+            gc.enable()
 
 
 @pytest.fixture

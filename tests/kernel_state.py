@@ -2,6 +2,7 @@
 
 "Byte-identical under both kernels" means :func:`snapshot` compares equal:
 clock and event accounting, pending events with their ``(time, seq)``,
+the retransmission timer's handle as it reads (:func:`handle_state`),
 transport state (window, segments, RTT, congestion control, recovery,
 receiver buffer), link/queue/node stats, a link's dynamics state (up,
 impaired, dynamic mode, delivery deadlines), the fields of queued and
@@ -20,6 +21,11 @@ def packet_fields(p) -> list:
             p.created_at, p.enqueued_at, p.hops, int(p.ecn)]
 
 
+def handle_state(event):
+    """What an event handle reads, ``[time, seq, cancelled]``; None for none."""
+    return None if event is None else [event.time, event.seq, event.cancelled]
+
+
 def sender_state(snd) -> dict:
     cc = snd.cc
     return {
@@ -32,7 +38,7 @@ def sender_state(snd) -> dict:
         "dupacks": snd._dupacks, "in_rec": snd._in_fast_recovery,
         "recover": snd._recover, "backoff": snd._rto_backoff,
         "rto_deadline": snd._rto_deadline, "rto_fire_at": snd._rto_fire_at,
-        "rto_event": None if snd._rto_event is None else "live",
+        "rto_event": handle_state(snd._rto_event),
         "started": snd._started, "closed": snd.closed,
         "path_down": snd.path_down, "ecn_recover": snd._ecn_recover,
         "stats": [snd.stats.segments_sent, snd.stats.bytes_sent,

@@ -509,9 +509,6 @@ class TestSchedulerFastDispatch:
             def __init__(self, srtt):
                 self.srtt = srtt
 
-            def smoothed(self, default=0.01):
-                return self.srtt if self.srtt is not None else default
-
         class StubCc:
             cwnd = 10.0
             mss = 1460

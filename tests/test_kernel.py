@@ -5,8 +5,9 @@ Three layers of guarantees:
 * the ``repro.kernel`` facade honours ``REPRO_KERNEL`` / ``override`` and
   fails loudly when a hard-pinned compiled kernel is unavailable;
 * ``KernelSim`` is a drop-in :class:`~repro.netsim.engine.Simulator`
-  (scheduling, cancellation, until-bounded runs, event accounting) and,
-  like it, lets the collector reclaim a finished run's object graph;
+  (scheduling, cancellation, until-bounded runs, event accounting, event
+  handles that read alike pending, fired, cancelled or dropped) and, like
+  it, lets the collector reclaim a finished run's object graph;
 * the whole-window native bypass (:mod:`repro.kernel.pipeline`) leaves the
   network in the *observable* state the Python event loop would have
   produced -- :func:`tests.kernel_state.snapshot`, compared field by field
@@ -202,6 +203,58 @@ class TestKernelSimSemantics:
         sim.run()
         assert fired == list(range(1, 5000, 2))
         assert sim.pending_events == 0
+
+
+class _Owner:
+    """A callback's owner, to see whether a dropped event still holds it."""
+
+    def fire(self):
+        pass
+
+
+class TestEventHandlesAgreeAcrossKernels:
+    """An :class:`Event` and a ``KernelEvent`` read alike in every state."""
+
+    def test_pending_fired_cancelled_and_dropped_handles(self, each_kernel):
+        sim = make_simulator()
+        owner = _Owner()  # of every event still in the heap when it is cleared
+        fired = sim.schedule(0.5, _Owner().fire)
+        cancelled = sim.schedule_at(0.75, owner.fire)
+        cancelled.cancel()
+        pending = sim.schedule(2.0, owner.fire)
+        cancelled_pending = sim.schedule(3.0, owner.fire)
+        sim.run(until=1.0)
+        cancelled_pending.cancel()
+        dropped = sim.schedule_at(4.0, owner.fire)
+
+        def read():
+            return {name: [h.time, h.seq, h.cancelled] for name, h in (
+                ("fired", fired), ("cancelled", cancelled), ("pending", pending),
+                ("cancelled_pending", cancelled_pending), ("dropped", dropped))}
+
+        readings = {
+            "fired": [0.5, 0, False], "cancelled": [0.75, 1, True],
+            "pending": [2.0, 2, False], "cancelled_pending": [3.0, 3, True],
+            "dropped": [4.0, 4, False],
+        }
+        assert read() == readings
+        ref = weakref.ref(owner)
+        del owner
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim._clear_pending()
+            # The handles outlive the heap, but no dropped entry holds its callback.
+            assert ref() is None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        # A dropped event reads as it did, as a fired one does: not cancelled.
+        assert read() == readings
+        assert sim.pending_events == 0
+        assert sim.run(until=5.0) == 5.0 and sim.events_processed == 1
+        dropped.cancel()
+        assert dropped.cancelled
 
 
 class TestRunObjectGraphIsCollectable:

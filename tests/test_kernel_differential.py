@@ -10,12 +10,15 @@ optional :mod:`repro.netsim.dynamics` schedule -- runs it through
 ``run_multiflow`` under ``REPRO_KERNEL=python`` and ``=compiled`` and demands
 the same result JSON and the same observable network state
 (:func:`tests.kernel_state.network_snapshot`), with the packet conservation
-laws (:func:`tests.kernel_state.conservation_problems`) holding on both.  A
-second, smaller draw keeps to what the whole-window Scene takes (single-path
-reno/cubic over drop-tail, no ECN, no dynamics) and makes the links fat and
-long -- to 1 Gbps, to 20 ms, hundreds of packets per link direction, the
-depth the Scene's calendar lanes hold -- which only those scenes can afford
-on the reference kernel.
+laws (:func:`tests.kernel_state.conservation_problems`) holding on both.
+``run_multiflow`` closes each network once its result is built
+(:meth:`Network.close`); the state is read just before, and after the call
+``gc.collect()`` must find nothing: the closed graph was freed by reference
+counting, on both kernels.  A second, smaller draw keeps to what the
+whole-window Scene takes (single-path reno/cubic over drop-tail, no ECN, no
+dynamics) and makes the links fat and long -- to 1 Gbps, to 20 ms, hundreds
+of packets per link direction, the depth the Scene's calendar lanes hold --
+which only those scenes can afford on the reference kernel.
 
 Budget: the default run draws a fixed (derandomised) set of examples in well
 under a minute; ``--hypothesis-profile=deep`` is the local soak (random, a
@@ -46,6 +49,7 @@ from repro.netsim.dynamics import (
 )
 from repro.netsim.network import Network
 from repro.netsim.topology import Topology
+from tests.conftest import left_to_collector
 from tests.kernel_state import conservation_problems, network_snapshot
 
 SINGLE_PATH_CC = ("reno", "cubic", "sfc", "telehaptic")
@@ -164,12 +168,21 @@ def scene_config(scene: dict) -> MultiFlowConfig:
 
 class ConservingNetwork(Network):
     """A :class:`Network` that checks :func:`conservation_problems` at every
-    window boundary: after each :meth:`run`, whichever tier ran the window."""
+    window boundary: after each :meth:`run`, whichever tier ran the window,
+    and once more after :meth:`close`, whose counters stay readable.  It
+    keeps its observable state from just before the close in ``state``."""
+
+    state = None
 
     def run(self, duration: float) -> float:
         now = super().run(duration)
         assert conservation_problems(self) == []
         return now
+
+    def close(self) -> None:
+        self.state = network_snapshot(self)
+        super().close()
+        assert conservation_problems(self) == []
 
 
 def run_scene(scene: dict, mode: str):
@@ -181,11 +194,20 @@ def run_scene(scene: dict, mode: str):
         built.append(network)
         return network
 
-    with kernel.override(mode), mock.patch.object(multiflow_module, "Network", recording_network):
-        result = run_multiflow(scene_config(scene))
-    (network,) = built
-    native = network.bypass_outcome == "native"
-    return json.dumps(result.summary(), sort_keys=True), network_snapshot(network), native
+    config = scene_config(scene)
+    recording = mock.patch.object(multiflow_module, "Network", recording_network)
+
+    def run():
+        with kernel.override(mode), recording:
+            result = run_multiflow(config)
+        (network,) = built
+        built.clear()  # the recorder's reference: the network goes with this frame
+        return result, network.state, network.bypass_outcome == "native"
+
+    (result, state, native), left = left_to_collector(run)
+    assert state is not None, "run_multiflow did not close its network"
+    assert left == 0, f"{left} objects of a closed {mode} run left to the collector"
+    return json.dumps(result.summary(), sort_keys=True), state, native
 
 
 def assert_kernels_agree(scene: dict) -> None:

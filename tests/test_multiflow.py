@@ -1,5 +1,6 @@
 """Multi-flow competition runner: FlowSpec layer, per-flow measurement,
-tag namespacing and the named competition scenarios."""
+tag namespacing, the named competition scenarios, and the packet front
+doors' end of life."""
 
 import pytest
 
@@ -13,14 +14,19 @@ from repro.experiments.multiflow import (
 )
 from repro.experiments.scenarios import (
     COMPETITION_SCENARIOS,
+    aqm_vs_droptail,
     cross_traffic_perturbation,
+    ecn_mptcp_fairness,
+    link_flap_failover,
     mptcp_vs_tcp_shared_bottleneck,
     two_mptcp_competition,
+    workload_background,
 )
 from repro.netsim.dynamics import DynamicsSpec, LinkRateChange, Schedule
 from repro.netsim.network import Network
+from repro.workload.runner import WorkloadConfig, run_workload
 
-from .conftest import make_two_path_scenario
+from .conftest import left_to_collector, make_two_path_scenario
 
 
 class TestFlowSpec:
@@ -268,3 +274,39 @@ class TestTheTwoFrontDoorsAgree:
         assert (single.dynamics is not None) == (variant == "bottleneck_step")
         if backend == "packet" and variant == "red_ecn":
             assert single.signal_plane.ecn_marks > 0
+
+
+#: Every packet front door, on the scenes whose graphs differ: an MPTCP
+#: connection alone and through a link flap; TCP beside MPTCP, RED + ECN,
+#: CoDel and a workload population in competition; a workload run over TCP
+#: and over MPTCP sessions.
+PACKET_FRONT_DOORS = {
+    "experiment_mptcp": lambda: run_experiment(paper_experiment("lia", duration=0.5)),
+    "experiment_dynamics": lambda: run_experiment(link_flap_failover(duration=0.5)),
+    "multiflow_tcp_mptcp": lambda: run_multiflow(mptcp_vs_tcp_shared_bottleneck(duration=0.5)),
+    "multiflow_red_ecn": lambda: run_multiflow(
+        aqm_vs_droptail(queue_kind="red", ecn=True, duration=0.5)
+    ),
+    "multiflow_codel": lambda: run_multiflow(
+        ecn_mptcp_fairness(queue_kind="codel", duration=0.5)
+    ),
+    "multiflow_workload": lambda: run_multiflow(workload_background(duration=0.5)),
+    "workload_tcp": lambda: run_workload(WorkloadConfig(backend="packet", duration=0.5)),
+    "workload_mptcp": lambda: run_workload(
+        WorkloadConfig(backend="packet", transport="mptcp", duration=0.5)
+    ),
+}
+
+
+class TestAFinishedRunFreesItsGraph:
+    """A packet front door closes its network and releases its connections
+    once the result is built, so reference counting frees the whole graph
+    when it returns: nothing is left for the cyclic collector."""
+
+    @pytest.mark.parametrize("door", sorted(PACKET_FRONT_DOORS))
+    def test_nothing_is_left_to_the_collector(self, each_kernel, door):
+        run = PACKET_FRONT_DOORS[door]
+        run()  # first use loads what the run imports and caches
+        result, left = left_to_collector(run)
+        assert result.events_processed > 0
+        assert left == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigurationError, RoutingError, TopologyError
+from repro.errors import ConfigurationError, RoutingError, SimulationError, TopologyError
 from repro.netsim.network import Network
 from repro.netsim.packet import Packet
 
@@ -141,6 +141,37 @@ class TestNetworkRun:
         assert built_chain.sim.now == 0.0
         built_chain.run(1.0)  # the refused call left the network runnable
         assert len(agent.packets) == 1
+
+
+class TestNetworkClose:
+    def test_close_drops_the_graph_and_keeps_the_counters(self, each_kernel, built_chain):
+        agent = CollectingAgent()
+        built_chain.host("d").register_agent(1, 0, agent)
+        built_chain.attach_capture("d")
+        for _ in range(3):
+            built_chain.host("s").send(Packet("s", "d", 1500, tag=1, flow_id=1, subflow_id=0))
+        built_chain.run(0.0005)  # the first packet is still on the wire
+        assert built_chain.sim.pending_events > 0
+        sent = built_chain.link("s", "r1").stats.packets_sent
+        built_chain.close()
+        assert built_chain.sim.pending_events == 0
+        assert all(not node.links for node in built_chain.nodes.values())
+        host = built_chain.host("d")
+        assert not host._agents and not host._agents_by_flow and not host._captures
+        assert host._sole_agent is None
+        assert built_chain.link("s", "r1").stats.packets_sent == sent == 3
+
+    def test_a_closed_network_refuses_to_run(self, each_kernel, built_chain):
+        """A closed network has no links or agents left: running it would
+        simulate nothing and say nothing, so either kernel refuses."""
+        built_chain.host("d").register_agent(1, 0, CollectingAgent())
+        built_chain.host("s").send(Packet("s", "d", 1500, tag=1, flow_id=1, subflow_id=0))
+        built_chain.close()
+        refusal = "network 'chain' is closed and cannot run"
+        with pytest.raises(SimulationError, match=refusal) as refused:
+            built_chain.run(1.0)
+        assert str(refused.value) == refusal
+        assert built_chain.sim.now == 0.0 and built_chain.sim.events_processed == 0
 
 
 class TestNetworkStats:

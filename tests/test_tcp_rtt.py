@@ -1,4 +1,6 @@
-"""RTT estimation and RTO computation (RFC 6298)."""
+"""RTT estimation and RTO computation (RFC 6298).
+
+The asserts read what the sender reads: ``srtt`` and ``_rto``."""
 
 import pytest
 
@@ -14,11 +16,11 @@ class TestFirstSample:
 
     def test_rto_before_any_sample_is_initial(self):
         est = RttEstimator(initial_rto=0.3)
-        assert est.rto == 0.3
+        assert est._rto == 0.3
 
-    def test_smoothed_default_before_sample(self):
+    def test_no_srtt_before_sample(self):
         est = RttEstimator()
-        assert est.smoothed(default=0.123) == 0.123
+        assert est.srtt is None and est.samples == 0
 
 
 class TestSmoothing:
@@ -58,18 +60,18 @@ class TestRto:
     def test_rto_is_srtt_plus_four_rttvar(self):
         est = RttEstimator(min_rto=0.0)
         est.update(0.1)
-        assert est.rto == pytest.approx(0.1 + 4 * 0.05)
+        assert est._rto == pytest.approx(0.1 + 4 * 0.05)
 
     def test_rto_clamped_to_minimum(self):
         est = RttEstimator(min_rto=0.05)
         for _ in range(100):
             est.update(0.001)
-        assert est.rto == 0.05
+        assert est._rto == 0.05
 
     def test_rto_clamped_to_maximum(self):
         est = RttEstimator(max_rto=1.0)
         est.update(10.0)
-        assert est.rto == 1.0
+        assert est._rto == 1.0
 
     def test_rto_grows_with_variance(self):
         stable = RttEstimator(min_rto=0.0)
@@ -77,7 +79,7 @@ class TestRto:
         for i in range(20):
             stable.update(0.02)
             jittery.update(0.02 if i % 2 == 0 else 0.06)
-        assert jittery.rto > stable.rto
+        assert jittery._rto > stable._rto
 
 
 class TestValidation:
