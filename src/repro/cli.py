@@ -42,7 +42,7 @@ import sys
 from typing import List, Optional
 
 from ._version import __version__
-from .errors import ModelError, ReproError
+from .errors import ReproError
 
 # Nothing else is imported here: a sub-command's argument set-up and handler
 # import what that command runs, so ``--version``, ``--help``, ``info`` and
@@ -307,10 +307,7 @@ def _command_lp(args: argparse.Namespace) -> int:
     optimum = max_total_throughput(system)
     greedy = greedy_fill(system, order=[PAPER_DEFAULT_PATH_INDEX, 0, 2])
     maxmin = max_min_fair_rates(system)
-    try:
-        fair, skipped = proportional_fair_rates(system), None
-    except ModelError as error:  # no scipy: skipped, as validate_against_models does
-        fair, skipped = None, error
+    fair = proportional_fair_rates(system)
 
     if args.json:
         print(
@@ -320,7 +317,7 @@ def _command_lp(args: argparse.Namespace) -> int:
                     "optimum": optimum.as_dict(),
                     "greedy_from_default": {"rates": greedy.rates, "total": greedy.total},
                     "max_min": {"rates": maxmin.rates, "total": maxmin.total},
-                    "proportional_fair": None if skipped else fair.as_dict(),
+                    "proportional_fair": fair.as_dict(),
                 }
             )
         )
@@ -333,12 +330,9 @@ def _command_lp(args: argparse.Namespace) -> int:
         ["LP optimum (max total)", *[f"{r:.1f}" for r in optimum.rates], f"{optimum.total:.1f}"],
         ["Greedy from default path", *[f"{r:.1f}" for r in greedy.rates], f"{greedy.total:.1f}"],
         ["Max-min fair", *[f"{r:.1f}" for r in maxmin.rates], f"{maxmin.total:.1f}"],
+        ["Proportional fair", *[f"{r:.1f}" for r in fair.rates], f"{fair.total:.1f}"],
     ]
-    if not skipped:
-        rows.append(["Proportional fair", *[f"{r:.1f}" for r in fair.rates], f"{fair.total:.1f}"])
     print(format_table(["allocation", "x1", "x2", "x3", "total"], rows))
-    if skipped:
-        print(f"proportional fair: skipped ({skipped})")
     return 0
 
 

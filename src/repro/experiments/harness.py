@@ -455,15 +455,14 @@ def _start_worker(runner: Callable) -> Tuple:
 
     ctx = multiprocessing.get_context()
     if ctx.get_start_method() == "fork":
-        # Every point's validation solves with scipy's HiGHS and SLSQP
-        # modules: load them once here and each forked worker inherits them.
-        from ..model._scipy_solvers import HIGHS, SLSQP, load
+        # Every point's validation solves its LP with scipy's HiGHS module:
+        # load it once here and each forked worker inherits it.
+        from ..model._scipy_solvers import HIGHS, load
 
-        for name in (HIGHS, SLSQP):
-            try:
-                load(name)
-            except ImportError:
-                pass  # the model layer then uses the vertex LP / skips PF
+        try:
+            load(HIGHS)
+        except ImportError:
+            pass  # the model layer then uses the vertex LP
     conn, child_conn = ctx.Pipe()
     process = ctx.Process(
         target=_worker_main, args=(child_conn, conn, runner), daemon=True

@@ -4,19 +4,22 @@ Between two events the flow-level engine holds every flow's rate constant;
 whenever the set of active flows or the link capacities change it asks an
 allocator to re-solve the bandwidth sharing.  Flows with identical routing,
 weight and rate cap are interchangeable, so the engine aggregates them into
-*rate classes* and the allocator works on classes, never on individual flows
--- the solve cost scales with the number of distinct routes, not with the
-number of concurrent flows.
+*rate classes* (:class:`~repro.model.classes.ClassDemand`) and the allocator
+works on classes, never on individual flows -- the solve cost scales with the
+number of distinct routes, not with the number of concurrent flows.
 
-Three rules are provided, mirroring the reference allocations the analytical
-models already compute (:mod:`repro.model`):
+Three rules are provided.  The first two are the analytical models' own
+bodies (:mod:`repro.model`), which a constraint system reaches as one unit
+class per path:
 
 * :class:`MaxMinAllocator` (default) -- weighted progressive filling with
-  rate caps.  Coupled MPTCP connections give each subflow weight ``1/n`` so
-  a whole connection claims one TCP-fair share of a shared bottleneck, which
-  is exactly the operating point LIA/OLIA aim for.
+  rate caps (:func:`repro.model.maxmin.progressive_filling`).  Coupled MPTCP
+  connections give each subflow weight ``1/n`` so a whole connection claims
+  one TCP-fair share of a shared bottleneck, which is exactly the operating
+  point LIA/OLIA aim for.
 * :class:`ProportionalFairAllocator` -- weighted log-utility maximisation
-  (scipy SLSQP), the equilibrium of utility-fair congestion control.
+  (:func:`repro.model.lp.proportional_fair`, an interior-point solve with a
+  certified duality gap), the equilibrium of utility-fair congestion control.
 * :class:`FluidAllocator` -- the equilibrium of the matching
   :class:`~repro.model.fluid.FluidModel` congestion-control family, solved on
   a per-flow replicated constraint system (validation-scale scenarios only).
@@ -29,26 +32,11 @@ what is left.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Type
 
 from ..errors import ConfigurationError, ModelError
-
-
-class ClassDemand(NamedTuple):
-    """One rate class as the allocator sees it.
-
-    ``links`` are indices into the capacity vector; ``count`` is the number
-    of interchangeable flows in the class; ``weight`` scales the class's
-    claim per flow in weighted fair sharing; ``cap`` bounds the per-flow rate
-    (``None`` = greedy); ``responsive`` is False for constant-bit-rate
-    sources that do not back off under congestion.
-    """
-
-    links: Tuple[int, ...]
-    count: int
-    weight: float = 1.0
-    cap: Optional[float] = None
-    responsive: bool = True
+from ..model.classes import ClassDemand
+from ..model.maxmin import progressive_filling
 
 
 class RateAllocator:
@@ -63,17 +51,12 @@ class RateAllocator:
         raise NotImplementedError
 
 
-_EPS = 1e-9
-
-
 class MaxMinAllocator(RateAllocator):
     """Weighted max-min fairness by progressive filling, with rate caps.
 
     All unfrozen classes grow together in proportion to their weights until a
     link saturates (freezing every class crossing it) or a class reaches its
-    cap; repeat until nothing can grow.  With uniform weights and no caps
-    this is exactly :func:`repro.model.maxmin.max_min_fair_rates` evaluated
-    per flow.
+    cap; repeat until nothing can grow.
     """
 
     name = "maxmin"
@@ -81,96 +64,17 @@ class MaxMinAllocator(RateAllocator):
     def solve(
         self, demands: Sequence[ClassDemand], capacity: Sequence[float]
     ) -> List[float]:
-        remaining = [float(c) for c in capacity]
-        rates = [0.0] * len(demands)
-
-        # Non-responsive classes first: a CBR source takes min(cap, its share
-        # of what the link has) and never backs off below that.
-        for index, demand in enumerate(demands):
-            if demand.responsive or demand.count <= 0:
-                continue
-            share = min(remaining[link] for link in demand.links) / demand.count
-            rate = max(0.0, share if demand.cap is None else min(demand.cap, share))
-            rates[index] = rate
-            claimed = rate * demand.count
-            for link in demand.links:
-                remaining[link] -= claimed
-
-        active = {
-            index
-            for index, demand in enumerate(demands)
-            if demand.responsive and demand.count > 0
-        }
-        # A class that starts on an already-exhausted link stays at rate 0.
-        self._freeze_on_tight_links(demands, remaining, active)
-
-        max_rounds = len(demands) + len(remaining) + 1
-        for _ in range(max_rounds):
-            if not active:
-                break
-            weight_demand: Dict[int, float] = {}
-            for index in active:
-                demand = demands[index]
-                claim = demand.count * demand.weight
-                for link in demand.links:
-                    weight_demand[link] = weight_demand.get(link, 0.0) + claim
-            increment = min(
-                remaining[link] / total for link, total in weight_demand.items()
-            )
-            capped_now: List[int] = []
-            for index in active:
-                demand = demands[index]
-                if demand.cap is None:
-                    continue
-                headroom = (demand.cap - rates[index]) / demand.weight
-                if headroom <= increment + _EPS:
-                    increment = min(increment, headroom)
-                    capped_now.append(index)
-            increment = max(increment, 0.0)
-            for index in active:
-                demand = demands[index]
-                rates[index] += demand.weight * increment
-            for link, total in weight_demand.items():
-                remaining[link] -= total * increment
-            for index in capped_now:
-                rates[index] = demands[index].cap
-                active.discard(index)
-            frozen = self._freeze_on_tight_links(demands, remaining, active)
-            if increment <= 0.0 and not frozen and not capped_now:
-                break  # pragma: no cover - defensive against float stalls
-        return rates
-
-    @staticmethod
-    def _freeze_on_tight_links(
-        demands: Sequence[ClassDemand],
-        remaining: Sequence[float],
-        active: set,
-    ) -> bool:
-        tight = {link for link, slack in enumerate(remaining) if slack <= _EPS}
-        if not tight:
-            return False
-        frozen = [
-            index
-            for index in active
-            if any(link in tight for link in demands[index].links)
-        ]
-        for index in frozen:
-            active.discard(index)
-        return bool(frozen)
+        return progressive_filling(demands, capacity)
 
 
 class ProportionalFairAllocator(RateAllocator):
     """Weighted proportional fairness: maximise ``sum(n_c * w_c * log r_c)``.
 
-    The utility-fair equilibrium on the same capacity region, solved with
-    scipy's SLSQP (the solver behind
-    :func:`repro.model.lp.proportional_fair_rates`).  Weighted subflow terms
-    approximate coupled connections; intended for validation-scale scenarios,
-    not the 10k-flow regime.  A responsive class capped below ``min_rate`` is
-    served at its cap after the constant-bit-rate classes; one that crosses a
-    link left with less than ``min_rate`` per responsive flow (capacity 0, or
-    taken by the served classes) gets 0.  Neither enters the solve, whose
-    bounds ``[min_rate, cap]`` they could not meet.
+    The utility-fair equilibrium on the same capacity region.  Weighted
+    subflow terms approximate coupled connections; intended for
+    validation-scale scenarios, not the 10k-flow regime.  Rates below
+    ``min_rate`` are served before the solve or get 0, as
+    :func:`repro.model.lp.proportional_fair` says.
     """
 
     name = "proportional_fair"
@@ -181,89 +85,9 @@ class ProportionalFairAllocator(RateAllocator):
     def solve(
         self, demands: Sequence[ClassDemand], capacity: Sequence[float]
     ) -> List[float]:
-        import numpy as np
+        from ..model.lp import proportional_fair  # numpy loads where a PF run solves
 
-        from ..model._scipy_solvers import EXIT_MODES, minimize_slsqp
-
-        populated = [i for i, d in enumerate(demands) if d.count > 0]
-        if not populated:
-            return [0.0] * len(demands)
-        fixed: Dict[int, float] = {}
-        remaining = [float(c) for c in capacity]
-        # Constant-bit-rate classes first, then responsive ones capped below
-        # min_rate: each takes its cap, or its share of what is left.
-        constant = [i for i in populated if not demands[i].responsive]
-        below = [
-            i
-            for i in populated
-            if demands[i].responsive
-            and demands[i].cap is not None
-            and demands[i].cap < self.min_rate
-        ]
-        for index in constant + below:
-            demand = demands[index]
-            share = min(remaining[link] for link in demand.links) / demand.count
-            rate = max(0.0, share if demand.cap is None else min(demand.cap, share))
-            fixed[index] = rate
-            for link in demand.links:
-                remaining[link] -= rate * demand.count
-            populated.remove(index)
-        # A link that cannot give every responsive flow on it min_rate (float
-        # dust included) is exhausted: the classes crossing it get 0.
-        flows: Dict[int, int] = {}
-        for index in populated:
-            for link in demands[index].links:
-                flows[link] = flows.get(link, 0) + demands[index].count
-        exhausted = {link for link, n in flows.items() if remaining[link] < self.min_rate * n}
-        for index in list(populated):
-            if any(link in exhausted for link in demands[index].links):
-                fixed[index] = 0.0
-                populated.remove(index)
-        if not populated:
-            return [fixed.get(i, 0.0) for i in range(len(demands))]
-
-        counts = np.asarray([demands[i].count for i in populated], dtype=float)
-        weights = np.asarray([demands[i].weight for i in populated], dtype=float)
-        objective_weights = counts * weights
-
-        def negative_utility(x: "np.ndarray") -> float:
-            return -float(objective_weights @ np.log(np.maximum(x, 1e-12)))
-
-        def gradient(x: "np.ndarray") -> "np.ndarray":
-            return -objective_weights / np.maximum(x, 1e-12)
-
-        rows: Dict[int, List[Tuple[int, float]]] = {}
-        for column, index in enumerate(populated):
-            for link in demands[index].links:
-                rows.setdefault(link, []).append((column, demands[index].count))
-        # One stacked constraint budget - A x >= 0 whose Jacobian is exactly -A.
-        links = sorted(rows)
-        matrix = np.zeros((len(links), len(populated)))
-        for row, link in enumerate(links):
-            for column, count in rows[link]:
-                matrix[row, column] += count
-        budget = np.asarray([remaining[link] for link in links])  # none exhausted, see above
-        start = np.full(
-            len(populated),
-            max(self.min_rate, min(max(r, 0.0) for r in remaining) / (2.0 * counts.sum())),
-        )
-        x, mode, _ = minimize_slsqp(
-            negative_utility,
-            gradient,
-            start,
-            matrix,
-            budget,
-            np.full(len(populated), float(self.min_rate)),
-            np.asarray([np.inf if demands[i].cap is None else demands[i].cap for i in populated]),
-        )
-        if mode != 0:
-            raise ModelError(f"proportional-fair allocator failed: {EXIT_MODES[mode]}")
-        rates = [0.0] * len(demands)
-        for column, index in enumerate(populated):
-            rates[index] = float(x[column])
-        for index, rate in fixed.items():
-            rates[index] = rate
-        return rates
+        return proportional_fair(demands, capacity, min_rate=self.min_rate)[0]
 
 
 class FluidAllocator(RateAllocator):

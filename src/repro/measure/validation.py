@@ -197,14 +197,9 @@ def validate_against_models(
     predictions: Dict[str, ModelPrediction] = {}
     predictions["lp"] = _prediction("lp", (lp or max_total_throughput(system)).rates)
     predictions["max_min"] = _prediction("max_min", max_min_fair_rates(system).rates)
-    try:
-        predictions["proportional_fair"] = _prediction(
-            "proportional_fair", proportional_fair_rates(system).rates
-        )
-    except ModelError:
-        # No scipy (or the SLSQP solve failed): skip this reference rather
-        # than fail the whole point.
-        pass
+    predictions["proportional_fair"] = _prediction(
+        "proportional_fair", proportional_fair_rates(system).rates
+    )
     fluid = FluidModel(system, rtts).run(
         FLUID_FAMILIES.get(algorithm.lower(), "uncoupled"),
         duration=fluid_duration,

@@ -6,15 +6,22 @@ saturates, the paths crossing that link are frozen, and the process repeats.
 On the paper's topology the max-min allocation is strictly below the
 90 Mbps optimum, which illustrates why a fairness-seeking coupled controller
 (LIA) does not reach the maximum.
+
+:func:`progressive_filling` is the one body, over rate classes; a constraint
+system is one unit class per path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from ..errors import ModelError
-from .bottleneck import Constraint, ConstraintSystem
+from .classes import ClassDemand, check_classes, serve_first, unit_classes
+
+if TYPE_CHECKING:
+    from .bottleneck import ConstraintSystem
+
+_EPS = 1e-9
 
 
 @dataclass
@@ -23,53 +30,75 @@ class MaxMinResult:
 
     rates: List[float]
     total: float
-    #: Constraint that froze each path (parallel to ``rates``).
-    freezing_constraints: List[Constraint] = field(default_factory=list)
-    rounds: int = 0
 
 
-def max_min_fair_rates(system: ConstraintSystem, *, max_rounds: int = 1000) -> MaxMinResult:
+def max_min_fair_rates(system: "ConstraintSystem") -> MaxMinResult:
     """Compute the max-min fair allocation by progressive filling."""
     system.validate()
-    n = system.path_count
-    rates = [0.0] * n
-    frozen = [False] * n
-    freezing: List[Constraint] = [None] * n  # type: ignore[list-item]
-    rounds = 0
+    rates = progressive_filling(*unit_classes(system))
+    return MaxMinResult(rates=rates, total=float(sum(rates)))
 
-    while not all(frozen) and rounds < max_rounds:
-        rounds += 1
-        active = [i for i in range(n) if not frozen[i]]
-        # Largest equal increment the active paths can all take.
-        increment = float("inf")
-        for constraint in system.constraints:
-            active_on_link = [i for i in constraint.path_indices if not frozen[i]]
-            if not active_on_link:
-                continue
-            slack = constraint.slack(rates)
-            increment = min(increment, slack / len(active_on_link))
-        if increment == float("inf"):
-            # No remaining constraint touches an active path: unbounded growth
-            # is impossible in a well-formed system, so treat as an error.
-            raise ModelError("active paths cross no capacity constraint")
-        increment = max(increment, 0.0)
-        for i in active:
-            rates[i] += increment
-        # Freeze every path crossing a now-saturated link.
-        for constraint in system.constraints:
-            if constraint.is_tight(rates, tol=1e-9):
-                for i in constraint.path_indices:
-                    if not frozen[i]:
-                        frozen[i] = True
-                        freezing[i] = constraint
-        if increment == 0.0 and not any(
-            constraint.is_tight(rates, tol=1e-9) for constraint in system.constraints
-        ):  # pragma: no cover - defensive
+
+def progressive_filling(
+    demands: Sequence[ClassDemand], capacity: Sequence[float]
+) -> List[float]:
+    """Weighted max-min fair per-flow rate of each class, parallel to ``demands``.
+
+    Constant-bit-rate classes are served first (:func:`serve_first`).  Then
+    all unfrozen classes grow together in proportion to their weights until a
+    link saturates (freezing every class crossing it) or a class reaches its
+    cap; repeat until nothing can grow.  A class that starts on an exhausted
+    link stays at 0.
+    """
+    check_classes(demands, capacity)
+    remaining = [float(c) for c in capacity]
+    rates = [0.0] * len(demands)
+    populated = [i for i, d in enumerate(demands) if d.count > 0]
+    serve_first(demands, [i for i in populated if not demands[i].responsive], rates, remaining)
+    active = {i for i in populated if demands[i].responsive}
+    _freeze_on_tight_links(demands, remaining, active)
+
+    max_rounds = len(demands) + len(remaining) + 1
+    for _ in range(max_rounds):
+        if not active:
             break
+        weight_demand: Dict[int, float] = {}
+        for index in active:
+            demand = demands[index]
+            claim = demand.count * demand.weight
+            for link in demand.links:
+                weight_demand[link] = weight_demand.get(link, 0.0) + claim
+        increment = min(remaining[link] / total for link, total in weight_demand.items())
+        capped_now: List[int] = []
+        for index in active:
+            demand = demands[index]
+            if demand.cap is None:
+                continue
+            headroom = (demand.cap - rates[index]) / demand.weight
+            if headroom <= increment + _EPS:
+                increment = min(increment, headroom)
+                capped_now.append(index)
+        increment = max(increment, 0.0)
+        for index in active:
+            rates[index] += demands[index].weight * increment
+        for link, total in weight_demand.items():
+            remaining[link] -= total * increment
+        for index in capped_now:
+            rates[index] = demands[index].cap
+            active.discard(index)
+        frozen = _freeze_on_tight_links(demands, remaining, active)
+        if increment <= 0.0 and not frozen and not capped_now:
+            break  # pragma: no cover - defensive against float stalls
+    return rates
 
-    return MaxMinResult(
-        rates=rates,
-        total=float(sum(rates)),
-        freezing_constraints=freezing,
-        rounds=rounds,
-    )
+
+def _freeze_on_tight_links(
+    demands: Sequence[ClassDemand], remaining: Sequence[float], active: set
+) -> bool:
+    tight = {link for link, slack in enumerate(remaining) if slack <= _EPS}
+    if not tight:
+        return False
+    frozen = [index for index in active if not tight.isdisjoint(demands[index].links)]
+    for index in frozen:
+        active.discard(index)
+    return bool(frozen)

@@ -33,9 +33,10 @@ from ..errors import SimulationError
 
 _INF = float("inf")
 
-#: The callback slot of an entry :meth:`Simulator._clear_pending` dropped: not
-#: ``None``, so a dropped event reads as ended rather than cancelled, as a
-#: ``KernelSim`` handle does, and holds nothing of the graph.
+#: The callback slot of an entry that fired or that
+#: :meth:`Simulator._clear_pending` dropped: not ``None``, so the event reads as
+#: ended rather than cancelled, as a ``KernelSim`` handle does, and holds
+#: nothing of the graph.
 _DROPPED = object()
 
 
@@ -226,7 +227,12 @@ class Simulator:
                     break
                 heapq.heappop(heap)
                 self.now = entry[0]
-                callback(*entry[3])
+                args = entry[3]
+                # A fired handle keeps its time and reads as not cancelled, as
+                # on ``KernelSim``, but no longer holds the callback's owner.
+                entry[2] = _DROPPED
+                entry[3] = ()
+                callback(*args)
                 processed += 1
                 if self._stopped:
                     break

@@ -1,16 +1,19 @@
 """Golden model-validation output for the model-layer rewrite.
 
-The scalar fluid integrator, the exact SLSQP Jacobian and the lazy scipy
-import must not change a single predicted value.  This module runs one point
-per distinct (constraint system, controller) of the three stock packet grids,
-keeps each point's ``validate_against_models(...).as_dict()``, and adds the
-cases no grid reaches: non-default ``rtts`` and the raw (unrounded) fluid
-trajectories of the paper system for every fluid family.
+The scalar fluid integrator and the lazy scipy import must not change a
+single predicted value.  This module runs one point per distinct (constraint
+system, controller) of the three stock packet grids, keeps each point's
+``validate_against_models(...).as_dict()``, and adds the cases no grid
+reaches: non-default ``rtts`` and the raw (unrounded) fluid trajectories of
+the paper system for every fluid family.
 
 ``tests/data/golden_validation.json`` was generated from the tree *before*
-the model layer was touched (numpy integrator, finite-difference Jacobian);
-``tests/test_measure_validation.py`` re-computes it under both kernels and
-requires exact equality.
+the model layer was touched (numpy integrator); ``tests/test_measure_validation.py``
+re-computes it under both kernels and requires exact equality.  Two values
+were re-recorded since, when the proportional-fair reference moved from SLSQP
+(which stopped 2.6e-5 short of the optimum) to the certified interior-point
+solve: ``proportional_fair.rel_error`` of ``paper_cc_rate/paper/1.0/1.0/cubic``
+(0.031234 -> 0.031233) and of ``rtts`` (0.040864 -> 0.040863).
 
 Regenerate (only when intentionally changing a model) with::
 

@@ -202,20 +202,21 @@ class TestCli:
         assert data["greedy_from_default"]["total"] < 90.0
 
     def test_lp_command_without_scipy(self, capsys, monkeypatch):
-        """The vertex LP, greedy and max-min rows; the proportional-fair
-        reference is skipped, as a point's validation skips it."""
+        """The vertex LP, greedy, max-min and proportional-fair rows: only the
+        LP needs scipy, and it falls back to vertex enumeration."""
         monkeypatch.setattr("repro.model.lp._HAVE_SCIPY", False)
         assert cli_main(["lp"]) == 0
         out = capsys.readouterr().out
-        assert "LP optimum" in out and "Max-min fair" in out
-        assert "Proportional fair " not in out
-        assert "proportional fair: skipped (proportional fairness requires scipy)" in out
+        assert "LP optimum" in out and "Max-min fair" in out and "Proportional fair " in out
+        assert "skipped" not in out
         assert cli_main(["lp", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["optimum"]["solver"] == "vertex"
         assert data["optimum"]["total"] == pytest.approx(90.0)
         assert data["max_min"]["total"] == pytest.approx(80.0)
-        assert data["proportional_fair"] is None
+        assert data["proportional_fair"]["solver"] == "interior-point"
+        assert data["proportional_fair"]["total"] == pytest.approx(84.30501, rel=1e-6)
+        assert data["proportional_fair"]["gap"] <= 1e-9 * 3
 
     def test_figure_command(self, capsys):
         assert cli_main(["figure", "2c"]) == 0

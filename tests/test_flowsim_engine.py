@@ -112,14 +112,13 @@ class TestAllocatorFactory:
         assert make_allocator(alloc) is alloc
 
     def test_proportional_fair_equal_split(self):
-        pytest.importorskip("scipy")
         alloc = make_allocator("proportional_fair")
         demands = [ClassDemand(links=(0,), count=1) for _ in range(2)]
         rates = alloc.solve(demands, [40.0])
         assert rates == pytest.approx([20.0, 20.0], rel=1e-3)
 
     @pytest.mark.parametrize(
-        "demands, capacity, parent_rates",
+        "demands, capacity, exact",
         [
             (  # weights, counts and a cap
                 [
@@ -127,8 +126,9 @@ class TestAllocatorFactory:
                     ClassDemand(links=(1, 2), count=25, weight=2.0),
                     ClassDemand(links=(0, 2), count=10, cap=3.0),
                 ],
+                # link 1 binds: 40 x + 25 y = 60 with y = 2 x; the capped class takes 3
                 [100.0, 60.0, 80.0],
-                [0.6666666666671711, 1.3333333333343422, 2.9999999999973044],
+                [2 / 3, 4 / 3, 3.0],
             ),
             (  # a CBR class served first, an empty class
                 [
@@ -137,8 +137,9 @@ class TestAllocatorFactory:
                     ClassDemand(links=(1,), count=0),
                     ClassDemand(links=(1,), count=1, weight=0.5),
                 ],
+                # link 1 binds: 3 x + y = 30, split 3 : 0.5 by weight
                 [50.0, 30.0],
-                [5.0, 8.571428537408146, 0.0, 4.285714387775543],
+                [5.0, 60 / 7, 0.0, 30 / 7],
             ),
             (  # the paper's overlapping paths as three one-flow classes
                 [
@@ -146,18 +147,15 @@ class TestAllocatorFactory:
                     ClassDemand(links=(0, 1), count=1),
                     ClassDemand(links=(1,), count=1),
                 ],
+                # 3 x2^2 - 200 x2 + 2400 = 0 (tests/test_model_bottleneck_lp.py)
                 [40.0, 60.0, 40.0],
-                [24.30498319096862, 15.695016809031387, 44.30498319096861],
+                [(20 + 20 * 7**0.5) / 3, (100 - 20 * 7**0.5) / 3, (80 + 20 * 7**0.5) / 3],
             ),
         ],
     )
-    def test_proportional_fair_matches_the_finite_difference_solve(
-        self, demands, capacity, parent_rates
-    ):
-        """Rates recorded before SLSQP was given the exact constraint Jacobian."""
-        pytest.importorskip("scipy")
+    def test_proportional_fair_matches_the_closed_form(self, demands, capacity, exact):
         rates = make_allocator("proportional_fair").solve(demands, capacity)
-        assert rates == pytest.approx(parent_rates, rel=1e-9, abs=0.0)
+        assert rates == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 class TestFlowDescriptorValidation:

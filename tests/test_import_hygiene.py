@@ -2,9 +2,9 @@
 
 ``import repro.cli`` loads the standard library, ``repro._version`` and
 ``repro.errors``; package names resolve on first use (``repro._lazy``);
-scipy's HiGHS and SLSQP modules load only where something is solved, and
-``scipy.optimize`` (~0.3 s) never; networkx (~0.15 s) only where a graph is
-queried, which no run does.
+scipy's HiGHS module loads only where an LP is solved, SLSQP's never (the
+proportional-fair solve is numpy's), and ``scipy.optimize`` (~0.3 s) never;
+networkx (~0.15 s) only where a graph is queried, which no run does.
 
 Each check needs an interpreter that has not imported anything yet, so each
 runs a short script in a fresh subprocess and reads what it prints.
@@ -63,7 +63,7 @@ def _cli(*argv: str) -> str:
 
 #: The module of scipy's HiGHS bindings, what an LP solve calls.
 HIGHS = "scipy.optimize._highspy._core"
-#: The module of scipy's SLSQP, what a proportional-fair solve calls.
+#: The module of scipy's SLSQP: no solve loads it.
 SLSQP = "scipy.optimize._slsqplib"
 #: What ``import scipy.optimize`` loads and no solve needs.
 SCIPY_PACKAGES = ("scipy.optimize", "scipy.linalg")
@@ -130,57 +130,51 @@ class TestScipyStaysUnloaded:
     def test_resuming_a_finished_campaign_loads_no_scipy(self, cold_campaign):
         assert _loaded(_cli(*cold_campaign[0]), "scipy") == []
 
-    def test_a_solve_loads_the_two_solver_modules_and_not_scipy_optimize(self):
-        """An LP and a proportional-fair solve load HiGHS's and SLSQP's modules
-        from their files, never the ``scipy.optimize`` package around them."""
+    def test_a_solve_loads_the_highs_module_and_not_scipy_optimize(self):
+        """An LP solve loads HiGHS's module from its file, never the
+        ``scipy.optimize`` package around it; a proportional-fair solve loads
+        no scipy module at all."""
         pytest.importorskip("scipy.optimize")
         script = (
             "from repro.model.bottleneck import build_constraints\n"
             "from repro.model.lp import max_total_throughput, proportional_fair_rates\n"
             "from repro.topologies.paper import paper_scenario\n"
             "system = build_constraints(*paper_scenario())\n"
-            "assert max_total_throughput(system).solver == 'highs'\n"
-            "assert proportional_fair_rates(system).solver == 'slsqp'"
+            "assert proportional_fair_rates(system).solver == 'interior-point'\n"
+            "import sys\n"
+            "assert not any(name.startswith('scipy') for name in sys.modules)\n"
+            "assert max_total_throughput(system).solver == 'highs'"
         )
         loaded = set(_loaded(script, "scipy"))
-        assert {HIGHS, SLSQP} <= loaded
+        assert HIGHS in loaded and SLSQP not in loaded
         assert loaded.isdisjoint(SCIPY_PACKAGES)
 
-    def test_a_cold_campaign_loads_the_solvers_not_scipy_optimize(self, cold_campaign):
+    def test_a_cold_campaign_loads_highs_not_slsqp_or_scipy_optimize(self, cold_campaign):
         loaded = set(cold_campaign[1])
         assert loaded.isdisjoint(SCIPY_PACKAGES)
+        assert SLSQP not in loaded
         if importlib.util.find_spec("scipy") is not None:
-            assert {HIGHS, SLSQP} <= loaded
+            assert HIGHS in loaded
 
     def test_scipy_optimize_imported_after_a_solve_answers_as_repro(self):
-        """A later ``import scipy.optimize`` reuses the registered modules (the
-        pybind module initialised once) and its ``linprog`` / ``minimize``
-        answer what repro answered."""
+        """A later ``import scipy.optimize`` reuses the registered HiGHS module
+        (the pybind module initialised once) and its ``linprog`` answers what
+        repro answered."""
         pytest.importorskip("scipy.optimize")
         script = (
             "import sys\n"
-            "import numpy as np\n"
             "from repro.model.bottleneck import build_constraints\n"
-            "from repro.model.lp import max_total_throughput, proportional_fair_rates\n"
+            "from repro.model.lp import max_total_throughput\n"
             "from repro.topologies.paper import paper_scenario\n"
             "system = build_constraints(*paper_scenario())\n"
-            "lp, fair = max_total_throughput(system), proportional_fair_rates(system)\n"
-            f"solvers = [sys.modules[name] for name in {(HIGHS, SLSQP)!r}]\n"
+            "lp = max_total_throughput(system)\n"
+            f"solver = sys.modules[{HIGHS!r}]\n"
             "assert 'scipy.optimize' not in sys.modules\n"
-            "from scipy.optimize import linprog, minimize\n"
-            f"assert solvers == [sys.modules[name] for name in {(HIGHS, SLSQP)!r}]\n"
+            "from scipy.optimize import linprog\n"
+            f"assert solver is sys.modules[{HIGHS!r}]\n"
             "a, c, n = system.matrix(), system.rhs(), system.path_count\n"
             "x = linprog([-1.0] * n, A_ub=a, b_ub=c, bounds=[(0, None)] * n, method='highs').x\n"
-            "assert [float(v) for v in x] == lp.rates\n"
-            "x = minimize(\n"
-            "    lambda x: -float(np.sum(np.log(np.maximum(x, 1e-12)))),\n"
-            "    np.full(n, max(1e-3, float(np.min(c)) / (2.0 * n))),\n"
-            "    jac=lambda x: -1.0 / np.maximum(x, 1e-12),\n"
-            "    bounds=[(1e-3, None)] * n,\n"
-            "    constraints={'type': 'ineq', 'fun': lambda x: c - a @ x, 'jac': lambda x: -a},\n"
-            "    method='SLSQP', options={'maxiter': 500, 'ftol': 1e-10},\n"
-            ").x\n"
-            "assert [float(v) for v in x] == fair.rates"
+            "assert [float(v) for v in x] == lp.rates"
         )
         assert "scipy.optimize" in _loaded(script, "scipy.optimize")
 
@@ -355,13 +349,13 @@ print("WORKERS", WorkerPool(runner=loaded, max_workers=2).map([0, 1]))
     multiprocessing.get_context().get_start_method() != "fork",
     reason="only forked workers inherit the parent's modules",
 )
-def test_forked_workers_start_with_both_solvers_loaded():
-    """The pre-fork load maps HiGHS and SLSQP once, so no worker loads them on
-    its first solve, and none holds ``scipy.optimize``; networkx is no longer
-    anything a point needs."""
+def test_forked_workers_start_with_the_lp_solver_loaded():
+    """The pre-fork load maps HiGHS once, so no worker loads it on its first
+    solve; none holds SLSQP (no solve calls it) or ``scipy.optimize``, and
+    networkx is no longer anything a point needs."""
     pytest.importorskip("scipy.optimize")
     workers = _run_python("-c", _FORKED_WORKER_SCRIPT).splitlines()[-1]
-    assert workers == "WORKERS [[True, True, False, False], [True, True, False, False]]"
+    assert workers == "WORKERS [[True, False, False, False], [True, False, False, False]]"
 
 
 @pytest.mark.parametrize(

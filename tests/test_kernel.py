@@ -218,12 +218,23 @@ class TestEventHandlesAgreeAcrossKernels:
     def test_pending_fired_cancelled_and_dropped_handles(self, each_kernel):
         sim = make_simulator()
         owner = _Owner()  # of every event still in the heap when it is cleared
-        fired = sim.schedule(0.5, _Owner().fire)
+        fired_owner = _Owner()
+        fired = sim.schedule(0.5, fired_owner.fire)
+        fired_ref = weakref.ref(fired_owner)
+        del fired_owner
         cancelled = sim.schedule_at(0.75, owner.fire)
         cancelled.cancel()
         pending = sim.schedule(2.0, owner.fire)
         cancelled_pending = sim.schedule(3.0, owner.fire)
-        sim.run(until=1.0)
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim.run(until=1.0)
+            # The fired handle outlives its run, but not its callback's owner.
+            assert fired_ref() is None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
         cancelled_pending.cancel()
         dropped = sim.schedule_at(4.0, owner.fire)
 

@@ -106,13 +106,15 @@ class TestValidateAgainstModels:
         with pytest.raises(ModelError, match="duration"):
             validate_against_models(paper_system, [30.0, 10.0, 50.0], fluid_duration=0.001)
 
-    def test_without_scipy_the_proportional_fair_reference_is_skipped(
-        self, paper_system, monkeypatch
-    ):
+    def test_without_scipy_every_reference_is_kept(self, paper_system, monkeypatch):
+        """The vertex LP replaces HiGHS; the proportional-fair solve needs only numpy."""
         monkeypatch.setattr("repro.model.lp._HAVE_SCIPY", False)
         validation = validate_against_models(paper_system, [30.0, 10.0, 50.0])
-        assert set(validation.predictions) == {"lp", "max_min", "fluid"}
+        assert set(validation.predictions) == {"lp", "max_min", "proportional_fair", "fluid"}
         assert validation.predictions["lp"].total == pytest.approx(90.0)
+        assert validation.predictions["proportional_fair"].total == pytest.approx(
+            (200 + 20 * 7**0.5) / 3, rel=1e-9
+        )
 
 
 class TestValidateRuns:
@@ -181,12 +183,12 @@ class TestGoldenValidationEquivalence:
     """Predictions equal the pre-rewrite model layer's, to the last bit.
 
     ``tests/data/golden_validation.json`` was recorded with the numpy fluid
-    integrator and the finite-difference SLSQP Jacobian; see
-    ``tests/golden_validation.py`` for what it covers.
+    integrator; see ``tests/golden_validation.py`` for what it covers and the
+    two proportional-fair values re-recorded since.
     """
 
     def test_validation_golden_exact(self, each_kernel):
-        # Recorded with HiGHS's picks and the SLSQP reference: a scipy without
-        # the HiGHS bindings falls back to the vertex solver and fails here.
+        # Recorded with HiGHS's picks: a scipy without the HiGHS bindings
+        # falls back to the vertex solver and fails here.
         pytest.importorskip("scipy.optimize")
         assert golden_validation.compute_golden() == golden_validation.load_golden()

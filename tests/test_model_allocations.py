@@ -67,9 +67,15 @@ class TestMaxMin:
         min_rate = min(result.rates)
         assert min_rate == pytest.approx(20.0)  # equal split of the 40-link
 
-    def test_every_path_frozen_by_a_constraint(self, system):
-        result = max_min_fair_rates(system)
-        assert all(constraint is not None for constraint in result.freezing_constraints)
+    def test_every_path_has_a_bottleneck(self, system):
+        # Max-min fair: each path crosses a tight link on which its rate is the largest.
+        rates = max_min_fair_rates(system).rates
+        tight = system.tight_constraints(rates, tol=1e-9)
+        for path, rate in enumerate(rates):
+            assert any(
+                path in c.path_indices and rate >= max(rates[i] for i in c.path_indices) - 1e-9
+                for c in tight
+            )
 
     def test_disjoint_paths_each_fill_their_capacity(self):
         topology, paths = disjoint_paths((30.0, 50.0))

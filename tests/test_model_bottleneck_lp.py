@@ -1,5 +1,6 @@
 """Constraint extraction (Fig. 1c) and the max-throughput LP."""
 
+import math
 import sys
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from repro.errors import ModelError
 from repro.model.bottleneck import build_constraints
-from repro.model.lp import max_total_throughput, proportional_fair_rates
+from repro.model.lp import GAP_BOUND, max_total_throughput, proportional_fair_rates
 from repro.topologies.paper import (
     PAPER_OPTIMAL_RATES,
     PAPER_OPTIMAL_TOTAL,
@@ -15,6 +16,14 @@ from repro.topologies.paper import (
     paper_paths,
 )
 from repro.topologies.generators import disjoint_paths, shared_bottleneck
+
+
+#: The paper system's proportionally fair rates in closed form: x1 + x2 <= 40
+#: and x2 + x3 <= 60 bind with x3 = x1 + 20, and the optimality conditions
+#: 1/x1 = a, 1/x2 = a + b, 1/x3 = b leave 3 x2^2 - 200 x2 + 2400 = 0.
+PAPER_PF_RATES = [
+    (20 + 20 * math.sqrt(7.0)) / 3, (100 - 20 * math.sqrt(7.0)) / 3, (80 + 20 * math.sqrt(7.0)) / 3
+]
 
 
 @pytest.fixture
@@ -100,14 +109,13 @@ class TestMaxThroughputLp:
         pytest.importorskip("scipy.optimize")
         assert max_total_throughput(paper_system).solver == "highs"
 
-    def test_installed_scipy_ships_both_solvers(self):
-        """Skips only without scipy: a scipy that moved or renamed the HiGHS or
-        the SLSQP module fails here instead of falling back to the vertex LP or
-        dropping the proportional-fair reference unnoticed."""
+    def test_installed_scipy_ships_the_highs_module(self):
+        """Skips only without scipy: a scipy that moved or renamed the HiGHS
+        module fails here instead of falling back to the vertex LP unnoticed."""
         pytest.importorskip("scipy")
-        from repro.model._scipy_solvers import HIGHS, SLSQP, load
+        from repro.model._scipy_solvers import HIGHS, load
 
-        assert [load(name).__name__ for name in (HIGHS, SLSQP)] == [HIGHS, SLSQP]
+        assert load(HIGHS).__name__ == HIGHS
 
     def test_vertex_solver_agrees_with_highs(self, paper_system):
         pytest.importorskip("scipy.optimize")
@@ -141,10 +149,6 @@ class TestMaxThroughputLp:
 
 
 class TestProportionalFairness:
-    @pytest.fixture(autouse=True)
-    def needs_scipy(self):
-        pytest.importorskip("scipy.optimize")
-
     def test_rates_are_feasible(self, paper_system):
         result = proportional_fair_rates(paper_system)
         assert paper_system.is_feasible(result.rates, tol=1e-3)
@@ -163,13 +167,11 @@ class TestProportionalFairness:
         fair = proportional_fair_rates(system)
         assert fair.total == pytest.approx(80.0, rel=1e-2)
 
-    def test_rates_equal_the_finite_difference_solve(self, paper_system):
-        # Recorded before SLSQP was given the exact Jacobian (bit-identical on
-        # the recording machine; the tolerance is for other scipy builds).
+    def test_rates_equal_the_closed_form(self, paper_system):
         fair = proportional_fair_rates(paper_system)
-        assert fair.rates == pytest.approx(
-            [24.30498319096862, 15.695016809031387, 44.30498319096861], rel=1e-9
-        )
+        assert fair.rates == pytest.approx(PAPER_PF_RATES, rel=1e-9)
+        assert fair.solver == "interior-point"
+        assert fair.gap <= GAP_BOUND * 3
 
 
 class TestWithoutScipy:
@@ -188,9 +190,10 @@ class TestWithoutScipy:
         with pytest.raises(ModelError, match="scipy"):
             max_total_throughput(paper_system, solver="highs")
 
-    def test_proportional_fairness_is_an_error(self, paper_system):
-        with pytest.raises(ModelError, match="scipy"):
-            proportional_fair_rates(paper_system)
+    def test_proportional_fairness_needs_only_numpy(self, paper_system):
+        assert proportional_fair_rates(paper_system).rates == pytest.approx(
+            PAPER_PF_RATES, rel=1e-9
+        )
 
 
 class TestWithoutHighsBindings:
@@ -256,6 +259,5 @@ class TestConstraintSystemValidate:
             max_min_fair_rates(self._degenerate_system())
 
     def test_proportional_fair_reports_unconstrained_path(self):
-        pytest.importorskip("scipy.optimize")
         with pytest.raises(ModelError, match="capacity constraint"):
             proportional_fair_rates(self._degenerate_system())
