@@ -60,7 +60,7 @@ except ImportError:  # pragma: no cover - not POSIX: appends stay unserialised
 
 from ..errors import ConfigurationError, ModelError
 from ..measure.report import sanitize_metrics
-from ..measure.validation import ValidationReport
+from ..measure.validation import ValidationReport, mean_or_none, round_or_none
 from ..model.bottleneck import ConstraintSystem, build_constraints
 from ..model.paths import PathSet
 from ..netsim.dynamics import DynamicsSpec, LinkRateChange, LossBurst, Schedule
@@ -756,13 +756,9 @@ class CampaignResult:
         ]
         return {
             "points": len(comparisons),
-            "mean_rel_error": (
-                round(sum(errors) / len(errors), 6) if errors else None
-            ),
-            "max_rel_error": round(max(errors), 6) if errors else None,
-            "mean_rank_agreement": (
-                round(sum(ranks) / len(ranks), 4) if ranks else None
-            ),
+            "mean_rel_error": round_or_none(mean_or_none(errors), 6),
+            "max_rel_error": round_or_none(max(errors, default=None), 6),
+            "mean_rank_agreement": round_or_none(mean_or_none(ranks), 4),
         }
 
     def summary(self) -> dict:

@@ -15,10 +15,15 @@ metrics capture:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .sampling import TimeSeries
+
+#: Share of the optimum a run must hold to have reached it ("the default
+#: (CUBIC) congestion control algorithm always reached the optimum").
+REACH_FRACTION = 0.95
 
 
 @dataclass
@@ -35,53 +40,23 @@ class ConvergenceReport:
     threshold_fraction: float
 
 
-def sustained_time_to_fraction(
-    series: TimeSeries, optimum: float, fraction: float = 0.95, hold: int = 3
-) -> Optional[float]:
-    """First time the series stays at or above ``fraction`` of the optimum for
-    ``hold`` consecutive samples (a stricter notion of convergence)."""
+def sustained_time_to_fraction(series: TimeSeries, optimum: float) -> Optional[float]:
+    """First time the series holds at or above :data:`REACH_FRACTION` of the
+    optimum (:meth:`~repro.measure.sampling.TimeSeries.first_time_held`)."""
     if optimum <= 0 or not series.values:
         return None
-    threshold = fraction * optimum
-    run = 0
-    for t, v in zip(series.times, series.values):
-        if v >= threshold:
-            run += 1
-            if run >= hold:
-                return t
-        else:
-            run = 0
-    return None
+    return series.first_time_held(REACH_FRACTION * optimum, math.inf)
 
 
-def stability_coefficient(series: TimeSeries, tail_fraction: float = 0.5) -> float:
-    """Coefficient of variation over the last ``tail_fraction`` of the series."""
-    if not series.values:
-        return 0.0
-    start_index = int(len(series.values) * (1.0 - tail_fraction))
-    tail = TimeSeries(
-        times=series.times[start_index:],
-        values=series.values[start_index:],
-        interval=series.interval,
-    )
-    return tail.coefficient_of_variation()
+def stability_coefficient(series: TimeSeries) -> float:
+    """Coefficient of variation over the series' steady state."""
+    return series.steady_state().coefficient_of_variation()
 
 
-def analyze_convergence(
-    total_series: TimeSeries,
-    optimum: float,
-    *,
-    fraction: float = 0.95,
-    tail_fraction: float = 0.5,
-) -> ConvergenceReport:
+def analyze_convergence(total_series: TimeSeries, optimum: float) -> ConvergenceReport:
     """Produce a :class:`ConvergenceReport` for a total-throughput trajectory."""
-    time_to_optimum = sustained_time_to_fraction(total_series, optimum, fraction)
-    start_index = int(len(total_series.values) * (1.0 - tail_fraction))
-    tail_mean = (
-        sum(total_series.values[start_index:]) / max(len(total_series.values) - start_index, 1)
-        if total_series.values
-        else 0.0
-    )
+    time_to_optimum = sustained_time_to_fraction(total_series, optimum)
+    tail_mean = total_series.steady_state_mean()
     return ConvergenceReport(
         optimum=optimum,
         achieved_mean=tail_mean,
@@ -89,6 +64,6 @@ def analyze_convergence(
         reached_optimum=time_to_optimum is not None,
         time_to_optimum=time_to_optimum,
         utilization_of_optimum=(tail_mean / optimum) if optimum > 0 else 0.0,
-        stability_cv=stability_coefficient(total_series, tail_fraction),
-        threshold_fraction=fraction,
+        stability_cv=stability_coefficient(total_series),
+        threshold_fraction=REACH_FRACTION,
     )

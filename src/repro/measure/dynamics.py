@@ -8,9 +8,10 @@ the optimum, how fast, how stably?".  Once the network changes mid-run
   (the outage between a path failing and the surviving/new subflows taking
   over)?
 * :func:`reconvergence_time` -- how long after an event did throughput
-  settle again?  Reuses :func:`~repro.measure.convergence.sustained_time_to_fraction`
-  on the post-event window, so the notion of "settled" is identical to the
-  static convergence metric -- just measured from a mid-run epoch.
+  settle again?  The post-event window is held to the same rule as the
+  static convergence metric
+  (:meth:`~repro.measure.sampling.TimeSeries.first_time_held`), just
+  measured from a mid-run epoch against :data:`RECONVERGENCE_FRACTION`.
 * :func:`capacity_tracking_error` -- how closely did throughput follow a
   piecewise-constant capacity profile (the rate-step tracking scenario)?
 
@@ -20,31 +21,42 @@ one epoch entry per scheduled event.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from .convergence import sustained_time_to_fraction
 from .sampling import TimeSeries
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.dynamics import DynamicsSpec
+
+#: Seconds before an event whose mean throughput is the failover baseline.
+FAILOVER_BASELINE_S = 0.5
+#: Share of the baseline that throughput must fall below to count as an outage.
+FAILOVER_FLOOR = 0.5
+#: Share of the recovery level that throughput must regain to end an outage.
+FAILOVER_RECOVER = 0.8
+#: Share of the post-event reference a run must hold to have re-converged;
+#: looser than the static reach share, as the run restarts mid-disruption.
+RECONVERGENCE_FRACTION = 0.85
+#: Seconds after a capacity step excluded from the tracking error: the
+#: controller is granted that long to react.
+TRACKING_SETTLE_S = 0.5
 
 
 def failover_gap(
     series: TimeSeries,
     epoch: float,
     *,
-    baseline_window: float = 0.5,
-    floor_fraction: float = 0.5,
-    recover_fraction: float = 0.8,
     reference: Optional[float] = None,
 ) -> Optional[float]:
     """Duration of the throughput outage following an event at ``epoch``.
 
-    The pre-event baseline is the mean over the ``baseline_window`` seconds
-    before ``epoch``.  The gap is the time from ``epoch`` until the series
-    first climbs back to ``recover_fraction`` of the recovery level,
-    *provided* it fell below ``floor_fraction`` of the baseline at all.
+    The pre-event baseline is the mean over the :data:`FAILOVER_BASELINE_S`
+    seconds before ``epoch``.  The gap is the time from ``epoch`` until the
+    series first climbs back to :data:`FAILOVER_RECOVER` of the recovery
+    level, *provided* it fell below :data:`FAILOVER_FLOOR` of the baseline
+    at all.
 
     The recovery level is the baseline, capped by ``reference`` when given:
     a failover onto a lower-capacity path (Wi-Fi dies, cellular takes over)
@@ -60,14 +72,14 @@ def failover_gap(
     """
     if not series.values:
         return None
-    baseline = series.window(epoch - baseline_window, epoch).mean()
+    baseline = series.window(epoch - FAILOVER_BASELINE_S, epoch).mean()
     if baseline <= 0.0:
         return None
-    floor = floor_fraction * baseline
+    floor = FAILOVER_FLOOR * baseline
     recovery_level = baseline
     if reference is not None and 0.0 < reference < recovery_level:
         recovery_level = reference
-    target = recover_fraction * recovery_level
+    target = FAILOVER_RECOVER * recovery_level
     dipped = False
     for time, value in zip(series.times, series.values):
         if time <= epoch:
@@ -85,20 +97,14 @@ def failover_gap(
 
 
 def reconvergence_time(
-    series: TimeSeries,
-    epoch: float,
-    reference: Optional[float] = None,
-    *,
-    fraction: float = 0.85,
-    hold: int = 3,
-    tail_fraction: float = 0.5,
+    series: TimeSeries, epoch: float, reference: Optional[float] = None
 ) -> Optional[float]:
     """Settle time measured from a mid-run ``epoch``.
 
-    The post-event window is held against ``reference`` (the level the run
-    should re-converge to -- e.g. the post-event capacity).  When
-    ``reference`` is omitted, the mean of the window's own final
-    ``tail_fraction`` is used, i.e. "how long until the run reached its new
+    The post-event window must hold :data:`RECONVERGENCE_FRACTION` of
+    ``reference`` (the level the run should re-converge to -- e.g. the
+    post-event capacity).  When ``reference`` is omitted, the window's own
+    steady-state mean is used, i.e. "how long until the run reached its new
     steady state".  Returns seconds *after* the epoch, or None when the
     series never re-settles (or has no post-event samples).
     """
@@ -111,12 +117,10 @@ def reconvergence_time(
     if not post.values:
         return None
     if reference is None:
-        start_index = int(len(post.values) * (1.0 - tail_fraction))
-        tail = post.values[start_index:]
-        reference = sum(tail) / max(len(tail), 1)
-        if reference <= 0.0:
-            return None
-    settled_at = sustained_time_to_fraction(post, reference, fraction, hold)
+        reference = post.steady_state_mean()
+    if reference <= 0.0:
+        return None
+    settled_at = post.first_time_held(RECONVERGENCE_FRACTION * reference, math.inf)
     if settled_at is None:
         return None
     return settled_at - epoch
@@ -134,20 +138,17 @@ def capacity_at(profile: Sequence[Tuple[float, float]], time: float) -> float:
 
 
 def capacity_tracking_error(
-    series: TimeSeries,
-    profile: Sequence[Tuple[float, float]],
-    *,
-    settle: float = 0.5,
+    series: TimeSeries, profile: Sequence[Tuple[float, float]]
 ) -> Optional[float]:
     """Mean relative error between throughput and a capacity profile.
 
     ``profile`` is a sorted list of ``(time, capacity_mbps)`` steps.  Each
     sample is compared against the capacity at its bin *midpoint* (sample
     timestamps mark the end of a bin, so a step falling exactly on a
-    timestamp belongs to the next bin).  Samples within ``settle`` seconds
-    after any step are excluded (the controller is granted that long to
-    react); the remaining samples contribute ``|value - capacity| /
-    capacity``.  Returns None when no samples remain.
+    timestamp belongs to the next bin).  Samples within
+    :data:`TRACKING_SETTLE_S` after any step are excluded; the remaining
+    samples contribute ``|value - capacity| / capacity``.  Returns None when
+    no samples remain.
     """
     if not series.values or not profile:
         return None
@@ -157,7 +158,7 @@ def capacity_tracking_error(
     total = 0.0
     count = 0
     for time, value in zip(series.times, series.values):
-        if any(0.0 <= time - step_time < settle for step_time in step_times):
+        if any(0.0 <= time - step_time < TRACKING_SETTLE_S for step_time in step_times):
             continue
         capacity = capacity_at(profile, time - half_bin)
         if capacity <= 0.0:
@@ -212,14 +213,7 @@ class DynamicsReport:
         }
 
 
-def analyze_dynamics(
-    series: TimeSeries,
-    spec: "DynamicsSpec",
-    *,
-    baseline_window: float = 0.5,
-    fraction: float = 0.85,
-    hold: int = 3,
-) -> DynamicsReport:
+def analyze_dynamics(series: TimeSeries, spec: "DynamicsSpec") -> DynamicsReport:
     """Produce a :class:`DynamicsReport` for a total-throughput trajectory.
 
     One :class:`EpochMetrics` entry is produced per measurement epoch of the
@@ -236,14 +230,8 @@ def analyze_dynamics(
         epochs.append(
             EpochMetrics(
                 epoch=epoch,
-                failover_gap_s=failover_gap(
-                    series, epoch,
-                    baseline_window=baseline_window,
-                    reference=reference,
-                ),
-                reconvergence_s=reconvergence_time(
-                    series, epoch, reference, fraction=fraction, hold=hold
-                ),
+                failover_gap_s=failover_gap(series, epoch, reference=reference),
+                reconvergence_s=reconvergence_time(series, epoch, reference),
             )
         )
     tracking = capacity_tracking_error(series, profile) if profile else None

@@ -21,6 +21,10 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from .sampling import TimeSeries
 
+#: Half-width of the band around a flow's steady-state mean that it must
+#: hold to count as settled, relative to that mean.
+SETTLE_BAND = 0.25
+
 
 def jains_index(rates: Sequence[float]) -> float:
     """Jain's fairness index ``(sum x)^2 / (n * sum x^2)``.
@@ -66,38 +70,21 @@ def mptcp_vs_tcp_ratio(
     return (sum(mptcp) / len(mptcp)) / tcp_mean
 
 
-def settle_time(
-    series: TimeSeries,
-    *,
-    tail_fraction: float = 0.5,
-    band: float = 0.25,
-    hold: int = 3,
-) -> Optional[float]:
-    """First time the series stays within ``band`` of its tail mean.
+def settle_time(series: TimeSeries) -> Optional[float]:
+    """First time the series holds within :data:`SETTLE_BAND` of its
+    steady-state mean.
 
-    The tail mean over the last ``tail_fraction`` of the run is taken as the
-    flow's steady state; the settle time is the first sample from which the
-    series remains inside ``[(1-band), (1+band)] * tail_mean`` for ``hold``
-    consecutive samples.  ``None`` when the series never settles (or is
-    empty / converges to zero).
+    The settle time is the first sample from which the series remains inside
+    ``[(1-SETTLE_BAND), (1+SETTLE_BAND)] * steady_state_mean`` for
+    :data:`~repro.measure.sampling.HOLD_SAMPLES` consecutive samples.
+    ``None`` when the series never settles (or is empty / converges to zero).
     """
-    if not series.values:
-        return None
-    start_index = int(len(series.values) * (1.0 - tail_fraction))
-    tail = series.values[start_index:]
-    tail_mean = sum(tail) / max(len(tail), 1)
+    tail_mean = series.steady_state_mean()
     if tail_mean <= 0.0:
         return None
-    low, high = (1.0 - band) * tail_mean, (1.0 + band) * tail_mean
-    run = 0
-    for time, value in zip(series.times, series.values):
-        if low <= value <= high:
-            run += 1
-            if run >= hold:
-                return time
-        else:
-            run = 0
-    return None
+    return series.first_time_held(
+        (1.0 - SETTLE_BAND) * tail_mean, (1.0 + SETTLE_BAND) * tail_mean
+    )
 
 
 @dataclass
@@ -139,9 +126,6 @@ def analyze_fairness(
     kinds: Mapping[str, str],
     *,
     bottleneck_capacity_mbps: Optional[float] = None,
-    tail_fraction: float = 0.5,
-    band: float = 0.25,
-    hold: int = 3,
 ) -> FairnessReport:
     """Produce a :class:`FairnessReport` from per-flow throughput series.
 
@@ -158,12 +142,8 @@ def analyze_fairness(
     per_flow: Dict[str, float] = {}
     settle: Dict[str, Optional[float]] = {}
     for name, series in series_by_flow.items():
-        start_index = int(len(series.values) * (1.0 - tail_fraction))
-        tail = series.values[start_index:]
-        per_flow[name] = sum(tail) / max(len(tail), 1) if tail else 0.0
-        settle[name] = settle_time(
-            series, tail_fraction=tail_fraction, band=band, hold=hold
-        )
+        per_flow[name] = series.steady_state_mean()
+        settle[name] = settle_time(series)
     aggregate = sum(per_flow.values())
     return FairnessReport(
         per_flow_mbps=per_flow,

@@ -26,6 +26,13 @@ from ..netsim.capture import CaptureColumns, CaptureRecord, PacketCapture
 #: Anything :func:`throughput_timeseries` can bin.
 BinSource = Union[Iterable[CaptureRecord], CaptureColumns, PacketCapture]
 
+#: Share of a run, counted back from its end, read as its steady state: the
+#: paper judges a run on what it settles to, not on its start-up.
+STEADY_STATE_SHARE = 0.5
+#: Consecutive samples a level must hold to count as reached: one sample
+#: above a threshold is a spike, not convergence.
+HOLD_SAMPLES = 3
+
 
 @dataclass
 class TimeSeries:
@@ -82,6 +89,42 @@ class TimeSeries:
 
     def mean_over(self, start: float, end: float) -> float:
         return self.window(start, end).mean()
+
+    def _steady_state_start(self) -> int:
+        """Index of the first sample of the last :data:`STEADY_STATE_SHARE`."""
+        return int(len(self.values) * (1.0 - STEADY_STATE_SHARE))
+
+    def steady_state(self) -> "TimeSeries":
+        """The last :data:`STEADY_STATE_SHARE` of the series."""
+        start = self._steady_state_start()
+        return TimeSeries(
+            times=self.times[start:],
+            values=self.values[start:],
+            label=self.label,
+            interval=self.interval,
+        )
+
+    def steady_state_mean(self) -> float:
+        """Mean of :meth:`steady_state` (0.0 when empty).
+
+        A builtin ``sum`` over the list, not numpy's pairwise sum: every
+        recorded steady-state rate was computed this way, to the last bit.
+        """
+        values = self.values[self._steady_state_start():]
+        return sum(values) / len(values) if values else 0.0
+
+    def first_time_held(self, low: float, high: float) -> Optional[float]:
+        """Time of the sample that completes the first :data:`HOLD_SAMPLES`
+        consecutive samples inside ``[low, high]`` (None if none does)."""
+        run = 0
+        for time, value in zip(self.times, self.values):
+            if low <= value <= high:
+                run += 1
+                if run >= HOLD_SAMPLES:
+                    return time
+            else:
+                run = 0
+        return None
 
     def first_time_above(self, threshold: float) -> Optional[float]:
         """First sample time whose value is at least ``threshold`` (or None)."""

@@ -39,10 +39,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..model.lp import LpResult
     from ..workload.runner import WorkloadResult
     from .fct import FctReport
-    from .sampling import TimeSeries
 
 #: The reference allocations a measurement is held against, in report order.
 VALIDATION_MODELS = ("lp", "max_min", "proportional_fair", "fluid")
+#: Relative gap under which two backend rates count as tied: packet rates
+#: carry sampling noise that a strict comparison would misread as order.
+CROSS_FIDELITY_RANK_TOL = 0.02
+
+
+def round_or_none(value: Optional[float], digits: int) -> Optional[float]:
+    """``round(value, digits)``, passing None through."""
+    return None if value is None else round(value, digits)
+
+
+def mean_or_none(values: Sequence[float]) -> Optional[float]:
+    """Plain mean of ``values`` (None when there are none)."""
+    return sum(values) / len(values) if values else None
 
 
 def relative_error(measured: float, predicted: float) -> Optional[float]:
@@ -112,10 +124,8 @@ class ModelPrediction:
             "rates": [round(r, 4) for r in self.rates],
             "total": round(self.total, 4),
             "measured_total": round(self.measured_total, 4),
-            "rel_error": None if self.rel_error is None else round(self.rel_error, 6),
-            "rank_agreement": None
-            if self.rank_agreement is None
-            else round(self.rank_agreement, 4),
+            "rel_error": round_or_none(self.rel_error, 6),
+            "rank_agreement": round_or_none(self.rank_agreement, 4),
         }
 
 
@@ -214,23 +224,12 @@ def validate_against_models(
     )
 
 
-def _tail_mean(series: TimeSeries, tail_fraction: float = 0.5) -> float:
-    """Mean over the final ``tail_fraction`` of a series (0.0 when empty)."""
-    if not series.values:
-        return 0.0
-    start = int(len(series.values) * (1.0 - tail_fraction))
-    tail = series.values[min(start, len(series.values) - 1):]
-    return float(sum(tail)) / len(tail)
-
-
-def validate_experiment(
-    result: "ExperimentResult", *, tail_fraction: float = 0.5
-) -> PointValidation:
+def validate_experiment(result: "ExperimentResult") -> PointValidation:
     """Cross-validate one single-connection run against the model suite."""
     # The constraint system carries the exact paths the run was measured on
     # (same order, same tags) -- no need to rebuild the scenario.
     measured = [
-        _tail_mean(result.per_path_series[path.tag], tail_fraction)
+        result.per_path_series[path.tag].steady_state_mean()
         if path.tag in result.per_path_series
         else 0.0
         for path in result.constraint_system.paths
@@ -243,9 +242,7 @@ def validate_experiment(
     )
 
 
-def validate_multiflow(
-    result: "MultiFlowResult", *, tail_fraction: float = 0.5
-) -> PointValidation:
+def validate_multiflow(result: "MultiFlowResult") -> PointValidation:
     """Cross-validate one multi-flow run against the model suite.
 
     The scenario's base paths form the allocation units: each base path's
@@ -262,7 +259,7 @@ def validate_multiflow(
         for flow in result.flows:
             series = flow.per_path_series.get(tag)
             if series is not None and flow.tag_map.get(tag) is not None:
-                rate += _tail_mean(series, tail_fraction)
+                rate += series.steady_state_mean()
         measured.append(rate)
     algorithm = next(
         (
@@ -296,15 +293,12 @@ class BackendComparison:
     rank_agreement: Optional[float] = None
 
     def as_dict(self) -> dict:
-        def _round(value: Optional[float]) -> Optional[float]:
-            return None if value is None else round(value, 6)
-
         return {
             "scenario": self.scenario,
             "per_flow": self.per_flow,
-            "mean_rel_error": _round(self.mean_rel_error),
-            "max_rel_error": _round(self.max_rel_error),
-            "rank_agreement": _round(self.rank_agreement),
+            "mean_rel_error": round_or_none(self.mean_rel_error, 6),
+            "max_rel_error": round_or_none(self.max_rel_error, 6),
+            "rank_agreement": round_or_none(self.rank_agreement, 6),
         }
 
 
@@ -313,13 +307,11 @@ def compare_backend_rates(
     packet_mbps: Dict[str, float],
     *,
     scenario: str = "",
-    rank_tol: float = 0.02,
 ) -> BackendComparison:
     """Compare per-flow steady-state rates from the two backends.
 
-    Both dicts must cover the same flows.  ``rank_tol`` is the relative
-    tolerance under which two packet-level rates count as tied (packet rates
-    carry sampling noise that strict comparison would misread as order).
+    Both dicts must cover the same flows; rates within
+    :data:`CROSS_FIDELITY_RANK_TOL` of each other rank as tied.
     """
     if set(flowlevel_mbps) != set(packet_mbps):
         raise ModelError(
@@ -336,58 +328,47 @@ def compare_backend_rates(
         per_flow[name] = {
             "flowlevel_mbps": round(fluid, 4),
             "packet_mbps": round(packet, 4),
-            "rel_error": None if error is None else round(error, 6),
+            "rel_error": round_or_none(error, 6),
         }
         if error is not None:
             errors.append(error)
     return BackendComparison(
         scenario=scenario,
         per_flow=per_flow,
-        mean_rel_error=sum(errors) / len(errors) if errors else None,
-        max_rel_error=max(errors) if errors else None,
+        mean_rel_error=mean_or_none(errors),
+        max_rel_error=max(errors, default=None),
         rank_agreement=rank_agreement(
             [flowlevel_mbps[name] for name in names],
             [packet_mbps[name] for name in names],
-            tol=rank_tol,
+            tol=CROSS_FIDELITY_RANK_TOL,
         ),
     )
 
 
 def compare_experiment_backends(
-    flowlevel: "ExperimentResult",
-    packet: "ExperimentResult",
-    *,
-    tail_fraction: float = 0.5,
-    rank_tol: float = 0.02,
+    flowlevel: "ExperimentResult", packet: "ExperimentResult"
 ) -> BackendComparison:
     """Per-path rate agreement of one experiment run at both fidelities."""
 
     def _rates(result: "ExperimentResult") -> Dict[str, float]:
         return {
-            f"path-{tag}": _tail_mean(series, tail_fraction)
+            f"path-{tag}": series.steady_state_mean()
             for tag, series in result.per_path_series.items()
         }
 
     return compare_backend_rates(
-        _rates(flowlevel),
-        _rates(packet),
-        scenario=packet.config.name,
-        rank_tol=rank_tol,
+        _rates(flowlevel), _rates(packet), scenario=packet.config.name
     )
 
 
 def compare_multiflow_backends(
-    flowlevel: "MultiFlowResult",
-    packet: "MultiFlowResult",
-    *,
-    rank_tol: float = 0.02,
+    flowlevel: "MultiFlowResult", packet: "MultiFlowResult"
 ) -> BackendComparison:
     """Per-flow rate agreement of one multi-flow run at both fidelities."""
     return compare_backend_rates(
         {flow.name: flow.mean_mbps for flow in flowlevel.flows},
         {flow.name: flow.mean_mbps for flow in packet.flows},
         scenario=packet.config.name,
-        rank_tol=rank_tol,
     )
 
 
@@ -417,18 +398,15 @@ class FctComparison:
     max_rel_error: Optional[float] = None
 
     def as_dict(self) -> dict:
-        def _round(value: Optional[float]) -> Optional[float]:
-            return None if value is None else round(value, 6)
-
         return {
             "scenario": self.scenario,
             "offered": self.offered,
             "flowlevel_completed": self.flowlevel_completed,
             "packet_completed": self.packet_completed,
-            "completion_agreement": _round(self.completion_agreement),
+            "completion_agreement": round_or_none(self.completion_agreement, 6),
             "percentiles": self.percentiles,
-            "mean_rel_error": _round(self.mean_rel_error),
-            "max_rel_error": _round(self.max_rel_error),
+            "mean_rel_error": round_or_none(self.mean_rel_error, 6),
+            "max_rel_error": round_or_none(self.max_rel_error, 6),
         }
 
 
@@ -454,7 +432,7 @@ def compare_fct_reports(
         percentiles[key] = {
             "flowlevel_s": None if fluid is None else round(float(fluid), 6),
             "packet_s": None if truth is None else round(float(truth), 6),
-            "rel_error": None if error is None else round(error, 6),
+            "rel_error": round_or_none(error, 6),
         }
         if error is not None:
             errors.append(error)
@@ -469,8 +447,8 @@ def compare_fct_reports(
         packet_completed=packet.completed,
         completion_agreement=agreement,
         percentiles=percentiles,
-        mean_rel_error=sum(errors) / len(errors) if errors else None,
-        max_rel_error=max(errors) if errors else None,
+        mean_rel_error=mean_or_none(errors),
+        max_rel_error=max(errors, default=None),
     )
 
 
@@ -505,17 +483,14 @@ class ModelErrorStats:
     mean_rank_agreement: Optional[float]
 
     def as_dict(self) -> dict:
-        def _round(value: Optional[float]) -> Optional[float]:
-            return None if value is None else round(value, 6)
-
         return {
             "model": self.model,
             "count": self.count,
-            "mean_rel_error": _round(self.mean_rel_error),
-            "median_rel_error": _round(self.median_rel_error),
-            "p90_rel_error": _round(self.p90_rel_error),
-            "max_rel_error": _round(self.max_rel_error),
-            "mean_rank_agreement": _round(self.mean_rank_agreement),
+            "mean_rel_error": round_or_none(self.mean_rel_error, 6),
+            "median_rel_error": round_or_none(self.median_rel_error, 6),
+            "p90_rel_error": round_or_none(self.p90_rel_error, 6),
+            "max_rel_error": round_or_none(self.max_rel_error, 6),
+            "mean_rank_agreement": round_or_none(self.mean_rank_agreement, 6),
         }
 
 

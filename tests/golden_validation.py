@@ -59,11 +59,18 @@ def compute_golden() -> Dict[str, dict]:
     golden["rtts"] = validate_against_models(
         system, [38.5, 9.25, 40.0], algorithm="lia", rtts=[0.01, 0.02, 0.04]
     ).as_dict()
+    # In the committed file's order: each family where FLUID_FAMILIES first
+    # names it (uncoupled, lia, olia).
     golden["fluid_rates_mbps"] = {
         family: FluidModel(system).run(family, duration=8.0).rates_mbps.tolist()
-        for family in sorted(set(FLUID_FAMILIES.values()))
+        for family in dict.fromkeys(FLUID_FAMILIES.values())
     }
     return golden
+
+
+def dump(golden: Dict[str, dict]) -> str:
+    """The file's text for ``golden``: what :func:`main` writes."""
+    return json.dumps(golden, indent=1) + "\n"
 
 
 def load_golden() -> Dict[str, dict]:
@@ -72,7 +79,7 @@ def load_golden() -> Dict[str, dict]:
 
 def main() -> None:
     golden = compute_golden()
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
+    GOLDEN_PATH.write_text(dump(golden), encoding="utf-8")
     points = sum(len(golden[grid]) for grid in PACKET_GRIDS)
     print(f"wrote {GOLDEN_PATH} ({points} grid points)")
 

@@ -25,22 +25,22 @@ class TestTimeToFraction:
     def test_sustained_requires_hold(self):
         # A single spike above the threshold must not count as convergence.
         series = ramp_series([10, 90, 10, 10, 88, 89, 90, 90])
-        sustained = sustained_time_to_fraction(series, 90, 0.95, hold=3)
+        sustained = sustained_time_to_fraction(series, 90)
         assert sustained == pytest.approx(0.7)
 
     def test_sustained_none_when_never_held(self):
         series = ramp_series([90, 10, 90, 10, 90, 10])
-        assert sustained_time_to_fraction(series, 90, 0.95, hold=3) is None
+        assert sustained_time_to_fraction(series, 90) is None
 
 
 class TestStability:
     def test_constant_tail_has_zero_cv(self):
         series = ramp_series([10, 50, 90, 90, 90, 90])
-        assert stability_coefficient(series, tail_fraction=0.5) == pytest.approx(0.0)
+        assert stability_coefficient(series) == pytest.approx(0.0)
 
     def test_oscillating_tail_has_positive_cv(self):
         series = ramp_series([90, 90, 90, 60, 90, 60])
-        assert stability_coefficient(series, tail_fraction=0.5) > 0.1
+        assert stability_coefficient(series) > 0.1
 
     def test_empty_series(self):
         assert stability_coefficient(TimeSeries()) == 0.0
@@ -49,7 +49,7 @@ class TestStability:
 class TestAnalyzeConvergence:
     def test_converged_run(self):
         series = ramp_series([20, 60, 86, 88, 90, 89, 90, 90])
-        report = analyze_convergence(series, optimum=90.0, fraction=0.95)
+        report = analyze_convergence(series, optimum=90.0)
         assert report.reached_optimum
         assert report.time_to_optimum is not None
         assert report.utilization_of_optimum > 0.95

@@ -17,6 +17,7 @@ from repro.measure.convergence import (
     sustained_time_to_fraction,
 )
 from repro.measure.dynamics import (
+    TRACKING_SETTLE_S,
     analyze_dynamics,
     capacity_at,
     capacity_tracking_error,
@@ -102,17 +103,26 @@ class TestCapacityTracking:
         assert capacity_at(profile, 10.0) == 50.0
 
     def test_perfect_tracking_has_zero_error(self):
-        profile = [(0.0, 10.0), (2.0, 5.0)]
-        s = series([10.0] * 20 + [5.0] * 20)
-        assert capacity_tracking_error(s, profile, settle=0.0) == pytest.approx(0.0)
+        # 2 s bins: the step at 3.4 s falls inside the bin ending at 4.0 s,
+        # whose sample lies 0.6 s past the step (outside the settle window)
+        # and whose midpoint (3.0 s) lies before it, so that sample is judged
+        # against the old capacity, 10, not the new one.
+        profile = [(0.0, 10.0), (3.4, 5.0)]
+        s = series([10.0, 10.0, 5.0, 5.0], interval=2.0)
+        assert 4.0 - 3.4 >= TRACKING_SETTLE_S
+        assert capacity_at(profile, 4.0) == 5.0
+        assert capacity_tracking_error(s, profile) == 0.0
 
     def test_error_excludes_settle_window(self):
+        assert TRACKING_SETTLE_S == 0.5
         profile = [(0.0, 10.0), (2.0, 5.0)]
-        # One horrible sample right after the step, inside the settle window.
-        values = [10.0] * 20 + [0.0] * 3 + [5.0] * 17
-        s = series(values)
-        assert capacity_tracking_error(s, profile, settle=0.35) == pytest.approx(0.0)
-        assert capacity_tracking_error(s, profile, settle=0.0) > 0.0
+        # Horrible samples right after the step (t = 2.1 .. 2.4), inside the
+        # settle window, are not counted ...
+        inside = series([10.0] * 20 + [0.0] * 4 + [5.0] * 16)
+        assert capacity_tracking_error(inside, profile) == pytest.approx(0.0)
+        # ... the same samples past it (t = 2.6 .. 2.9) are.
+        past = series([10.0] * 20 + [5.0] * 5 + [0.0] * 4 + [5.0] * 11)
+        assert capacity_tracking_error(past, profile) > 0.0
 
     def test_empty_inputs_return_none(self):
         assert capacity_tracking_error(series([]), [(0.0, 10.0)]) is None
@@ -157,12 +167,12 @@ class TestConvergenceEdgeCases:
         # threshold is reached before the event but never afterwards.
         s = series([10.0] * 10 + [1.0] * 30)
         post_event = s.window(1.0, s.times[-1])
-        assert sustained_time_to_fraction(post_event, 10.0, 0.95, hold=3) is None
+        assert sustained_time_to_fraction(post_event, 10.0) is None
 
     def test_settle_time_from_mid_run_epoch_window(self):
         s = flap_series()
         post_event = s.window(2.0, s.times[-1])
-        settled_at = sustained_time_to_fraction(post_event, 9.0, 0.95, hold=3)
+        settled_at = sustained_time_to_fraction(post_event, 9.0)
         assert settled_at == pytest.approx(2.8)  # absolute time of 3rd sample
 
     def test_nonpositive_optimum(self):
@@ -173,4 +183,4 @@ class TestConvergenceEdgeCases:
 
     def test_hold_resets_on_dip(self):
         s = series([10.0, 10.0, 1.0, 10.0, 10.0, 10.0])
-        assert sustained_time_to_fraction(s, 10.0, 0.95, hold=3) == pytest.approx(0.6)
+        assert sustained_time_to_fraction(s, 10.0) == pytest.approx(0.6)

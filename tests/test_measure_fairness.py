@@ -3,13 +3,14 @@
 import pytest
 
 from repro.measure.fairness import (
+    SETTLE_BAND,
     analyze_fairness,
     bottleneck_share,
     jains_index,
     mptcp_vs_tcp_ratio,
     settle_time,
 )
-from repro.measure.sampling import TimeSeries
+from repro.measure.sampling import HOLD_SAMPLES, TimeSeries
 
 
 def make_series(values, interval=0.1):
@@ -73,15 +74,16 @@ class TestMptcpVsTcpRatio:
 
 class TestSettleTime:
     def test_converging_series_settles(self):
-        series = make_series([1.0, 5.0, 9.0, 10.0, 10.0, 10.0, 10.0, 10.0])
-        settled = settle_time(series, band=0.1, hold=3)
-        # Tail mean is 10; the run 9, 10, 10 (t=0.3, 0.4, 0.5) is the first
-        # three-sample stretch inside the 10% band.
-        assert settled == pytest.approx(0.5)
+        assert (SETTLE_BAND, HOLD_SAMPLES) == (0.25, 3)
+        series = make_series([1.0, 5.0, 7.0, 8.0, 10.0, 10.0, 10.0, 10.0])
+        settled = settle_time(series)
+        # Tail mean is 10; 7 is outside the 25% band, and the run 8, 10, 10
+        # (t=0.4, 0.5, 0.6) is the first three-sample stretch inside it.
+        assert settled == pytest.approx(0.6)
 
     def test_oscillating_series_never_settles(self):
         series = make_series([1.0, 20.0] * 10)
-        assert settle_time(series, band=0.1, hold=3) is None
+        assert settle_time(series) is None
 
     def test_empty_or_zero_series(self):
         assert settle_time(TimeSeries()) is None

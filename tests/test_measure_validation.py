@@ -191,4 +191,8 @@ class TestGoldenValidationEquivalence:
         # Recorded with HiGHS's picks: a scipy without the HiGHS bindings
         # falls back to the vertex solver and fails here.
         pytest.importorskip("scipy.optimize")
-        assert golden_validation.compute_golden() == golden_validation.load_golden()
+        computed = golden_validation.compute_golden()
+        assert computed == golden_validation.load_golden()
+        # Byte for byte too: a regeneration rewrites only the values it moves.
+        written = golden_validation.dump(computed).encode("utf-8")
+        assert written == golden_validation.GOLDEN_PATH.read_bytes()
