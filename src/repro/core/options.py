@@ -10,7 +10,7 @@ redundant scheduler.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 
 class DsnAllocator:
@@ -73,8 +73,6 @@ class DsnReassembler:
         self._pending: Dict[int, int] = {}  # dsn -> length
         self.duplicate_bytes = 0
         self.delivered_bytes = 0
-        #: (time, cumulative in-order bytes) appended whenever data_ack advances.
-        self.goodput_records: List[Tuple[float, int]] = []
 
     # ------------------------------------------------------------------
     def deliver(self, dsn: int, length: int, now: float) -> int:
@@ -87,7 +85,6 @@ class DsnReassembler:
             data_ack = dsn + length
             self.data_ack = data_ack
             self.delivered_bytes += length
-            self.goodput_records.append((now, data_ack))
             return data_ack
         end = dsn + length
         if end <= self.data_ack:
@@ -102,18 +99,14 @@ class DsnReassembler:
             self.duplicate_bytes += length
             return self.data_ack
         self._pending[dsn] = max(self._pending.get(dsn, 0), length)
-        self._advance(now)
+        self._advance()
         return self.data_ack
 
-    def _advance(self, now: float) -> None:
-        advanced = False
+    def _advance(self) -> None:
         while self.data_ack in self._pending:
             length = self._pending.pop(self.data_ack)
             self.data_ack += length
             self.delivered_bytes += length
-            advanced = True
-        if advanced:
-            self.goodput_records.append((now, self.data_ack))
 
     # ------------------------------------------------------------------
     @property

@@ -17,8 +17,11 @@ The simulator has two interchangeable kernels:
     scoreboard, recovery, the retransmission timer, RTT estimation and packet
     build/recycle run in C over the Python objects' slots, calling Python
     for the congestion controller, the data provider and the connection
-    sink), stats types whose counters are C fields (``link_stats_type`` and
-    siblings; :class:`~repro.netsim.link.LinkStats`), the stock capture tap
+    sink), the packet type those agents build (``KernelSim.packet_type``,
+    its numbers C fields; any other packet runs the Python bodies), stats
+    types whose counters are C fields (``link_stats_type``,
+    ``queue_stats_type`` and siblings; :class:`~repro.netsim.link.LinkStats`),
+    the stock capture tap
     (``PacketCapture.on_packet`` of an exact ``PacketCapture``, run where a
     ``KernelSim`` host fans a delivery out to its taps), the fluid
     integrator (``fluid_run``, the loop of
@@ -135,7 +138,11 @@ _NATIVE_BODIES = (
     # Which body of FluidModel.run's loop produces a fluid prediction.
     ("fluid_integrator", "FluidModel.run hands its loop to the extension's fluid_run"),
     # What a new scene's link/node/agent counters and link clocks are.
-    ("counters", "on a KernelSim, stats counters and link clocks are C int64/double fields"),
+    (
+        "counters",
+        "on a KernelSim, stats counters, link clocks and the numbers of the packets "
+        "the native agents build are C int64/double fields",
+    ),
 )
 
 

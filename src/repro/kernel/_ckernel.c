@@ -20,8 +20,10 @@
  *                  execute no Python frame; policy (any other tap, AQM
  *                  verdicts, impairment, overrides, routing misses, agents
  *                  that are not the native ones) is called from C at the
- *                  step where it occurs.  State lives in the Python objects'
- *                  __slots__ and nowhere else.
+ *                  step where it occurs, and a packet that is not the
+ *                  native one runs the Python bodies.  State lives in the
+ *                  Python objects' __slots__ and the C fields of their
+ *                  native subclasses, once.
  *
  *   native transport -- the agent types every scene on a KernelSim runs on:
  *                  slot-compatible subclasses of repro.tcp.sender.TcpSender
@@ -430,8 +432,8 @@ static const char *native_method(int kind);
 /* The link layer's classes, then (from T_SENDER) the transport's: the two
  * halves bind separately, each on the first use of its native type. */
 enum { T_LINK, T_LSTATS, T_NODE, T_NSTATS, T_HOST, T_PACKET, T_QUEUE, T_QSTATS,
-       T_DROPTAIL, T_CAPTURE, T_SENDER, T_SSTATS, T_SEG, T_RTT, T_RECV, T_RSTATS,
-       T_COUNT };
+       T_DROPTAIL, T_CAPTURE, T_ROUTING, T_SENDER, T_SSTATS, T_SEG, T_RTT, T_RECV,
+       T_RSTATS, T_CC, T_COUNT };
 
 static PyObject *ksim_get_native(PyObject *self, void *closure);
 
@@ -838,6 +840,10 @@ static PyGetSetDef ksim_getset[] = {
                 "TcpReceiver(host, ...) selects it.")
     KSIM_NATIVE("link_stats_type", T_LSTATS, "LinkStats with C counters; Link builds it.")
     KSIM_NATIVE("node_stats_type", T_NSTATS, "NodeStats with C counters; Node builds it.")
+    KSIM_NATIVE("queue_stats_type", T_QSTATS,
+                "QueueStats with C counters; a Link gives its queue one.")
+    KSIM_NATIVE("packet_type", T_PACKET,
+                "Packet with C numbers; every packet the native agents build is one.")
     KSIM_NATIVE("sender_stats_type", T_SSTATS,
                 "SenderStats with C counters; TcpSender builds it.")
     KSIM_NATIVE("receiver_stats_type", T_RSTATS,
@@ -874,22 +880,33 @@ static PyTypeObject KernelSimType = {
  * differ, and their heap entries are KN_DELIVER / KN_SERVE.
  *
  * All state is read and written in place, in the __slots__ of the Python
- * Link / Node / Host / Queue / QueueStats / Packet objects, through member
- * offsets resolved once (nl_bind), except for the counters and the
- * transmitter clock: on a KernelSim, LinkStats / NodeStats / SenderStats /
- * ReceiverStats and the link itself are native subclasses (NC_FIELDS, one
- * helper: nl_subtype) whose counters and _busy_until / _serve_at are C
- * int64 / double fields under the slot names, added in place.  The
- * replaced base slots stay unset and no C path reads them, so the state
- * exists once; Python sees member descriptors that take ints only (floats
- * for the double fields), bounded by int64 and not deletable.  QueueStats,
- * queue._bytes and packet.hops stay Python numbers and move through
- * PyNumber_Add (nl_iadd).  Each function keeps its Python twin's operation
- * order (link.py, node.py, queues.py: keep in sync) and calls Python
- * wherever the twin calls something it does not define.  nl_deliver fuses
- * what the Python Link._deliver calls -- Node.receive, Host._deliver_locally
- * and Node.send's hop-cache hit (nl_arrive, nl_deliver_locally, nl_forward)
- * -- where the Python tier makes one call per body.
+ * Link / Node / Host / Queue / Packet objects, through member offsets
+ * resolved once (nl_bind), except for the numbers a packet touches between
+ * two policy calls: on a KernelSim, LinkStats / NodeStats / QueueStats /
+ * SenderStats / ReceiverStats, the link itself and the packets the native
+ * agents build are native subclasses (NC_FIELDS, one helper: nl_subtype)
+ * whose counters, _busy_until / _serve_at and packet numbers (id, size,
+ * flow and subflow ids, seq, payload_len, ack, dsn, dack, hops, ts_echo,
+ * created_at, enqueued_at) are C int64 / double fields under the slot
+ * names, added in place.  The replaced base slots stay unset and no C path
+ * reads them, so the state exists once; Python sees getsets that take ints
+ * only (floats for the double fields), bounded by int64 and not deletable.
+ * The packet's strings, tag, flags and SACK tuple stay slots; queue._bytes
+ * stays a Python int (a queue is built without its simulator), written from
+ * C arithmetic.  Native packets come from a free list (free_pop) and draw
+ * their ids from the one sequence Packet() and acquire() draw from
+ * (PacketIds); any other packet is foreign and runs the Python body of the
+ * step it reaches (Link.send / _transmit / _deliver, Queue.dequeue, the
+ * agents' handle_packet), so no C path reads a foreign packet's slots.  A
+ * forwarded packet's next link comes from the inbound link's hop memo
+ * (HopMemo), checked against the node's hop-cache dict and the routing
+ * table's version, and Node.send on any miss.  Each function keeps its
+ * Python twin's operation order (link.py, node.py, queues.py: keep in sync)
+ * and calls Python wherever the twin calls something it does not define.
+ * nl_deliver fuses what the Python Link._deliver calls -- Node.receive,
+ * Host._deliver_locally and Node.send's hop-cache hit (nl_arrive,
+ * nl_deliver_locally, nl_forward) -- where the Python tier makes one call
+ * per body.
  */
 
 static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
@@ -898,10 +915,11 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     {"repro.netsim.node", "Host"}, {"repro.netsim.packet", "Packet"},
     {"repro.netsim.queues", "Queue"}, {"repro.netsim.queues", "QueueStats"},
     {"repro.netsim.queues", "DropTailQueue"},
-    {"repro.netsim.capture", "PacketCapture"},
+    {"repro.netsim.capture", "PacketCapture"}, {"repro.netsim.routing", "TagRoutingTable"},
     {"repro.tcp.sender", "TcpSender"}, {"repro.tcp.sender", "SenderStats"},
     {"repro.tcp.sender", "_SegmentInfo"}, {"repro.tcp.rtt", "RttEstimator"},
     {"repro.tcp.receiver", "TcpReceiver"}, {"repro.tcp.receiver", "ReceiverStats"},
+    {"repro.tcp.cc.base", "CongestionControl"},
 };
 
 #define NL_SLOTS(X)                                                         \
@@ -914,16 +932,13 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     X(NODE, _hop_cache) X(NODE, _hop_version)                               \
     X(HOST, _agents_by_flow) X(HOST, _sole_agent) X(HOST, _sole_flow)       \
     X(HOST, _sole_subflow) X(HOST, _captures)                               \
-    X(PACKET, dst) X(PACKET, size) X(PACKET, tag) X(PACKET, flow_id)        \
-    X(PACKET, subflow_id) X(PACKET, enqueued_at) X(PACKET, hops)            \
-    X(PACKET, seq) X(PACKET, payload_len) X(PACKET, is_ack) X(PACKET, dsn)  \
-    X(PACKET, is_retransmission)                                            \
+    X(PACKET, src) X(PACKET, dst) X(PACKET, tag) X(PACKET, protocol)        \
+    X(PACKET, is_ack) X(PACKET, is_retransmission) X(PACKET, sack_blocks)   \
+    X(PACKET, ecn) X(PACKET, _poolable)                                     \
     X(QUEUE, capacity_packets) X(QUEUE, stats) X(QUEUE, _queue)             \
     X(QUEUE, _bytes)                                                        \
-    X(QSTATS, enqueued) X(QSTATS, dequeued) X(QSTATS, dropped)              \
-    X(QSTATS, bytes_enqueued) X(QSTATS, bytes_dropped) X(QSTATS, max_depth) \
     X(CAPTURE, data_only) X(CAPTURE, flow_id) X(CAPTURE, _rows)             \
-    X(CAPTURE, _record_cache)
+    X(CAPTURE, _record_cache) X(ROUTING, version)
 
 /* What the transport reads on top of that ("native transport" below). */
 #define NT_SLOTS(X)                                                         \
@@ -932,13 +947,9 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     X(SENDER, _route_version) X(SENDER, dst) X(SENDER, flow_id)             \
     X(SENDER, subflow_id) X(SENDER, cc) X(SENDER, data_provider)            \
     X(SENDER, tag) X(SENDER, mss) X(SENDER, ecn) X(SENDER, rtt)             \
-    X(SENDER, stats) X(SENDER, snd_una) X(SENDER, snd_nxt)                  \
-    X(SENDER, _segments) X(SENDER, _seg_queue) X(SENDER, _sacked_bytes)     \
-    X(SENDER, _lost_pending_bytes) X(SENDER, _dupacks)                      \
-    X(SENDER, _in_fast_recovery) X(SENDER, _recover) X(SENDER, _ecn_recover) \
-    X(SENDER, _rto_event) X(SENDER, _rto_deadline) X(SENDER, _rto_fire_at)  \
-    X(SENDER, _rto_backoff) X(SENDER, closed) X(SENDER, path_down)          \
-    X(SENDER, on_idle)                                                      \
+    X(SENDER, stats) X(SENDER, _segments) X(SENDER, _seg_queue)             \
+    X(SENDER, _in_fast_recovery) X(SENDER, _rto_event) X(SENDER, closed)    \
+    X(SENDER, path_down) X(SENDER, on_idle)                                 \
     X(SEG, seq) X(SEG, length) X(SEG, dsn) X(SEG, sent_at)                  \
     X(SEG, retransmitted) X(SEG, sacked) X(SEG, lost) X(SEG, lost_pending)  \
     X(SEG, retx_in_recovery)                                                \
@@ -948,11 +959,8 @@ static const char *const NL_TYPE_NAMES[T_COUNT][2] = {
     X(RECV, host) X(RECV, sim) X(RECV, _host_send) X(RECV, _route_enabled)  \
     X(RECV, _route_key) X(RECV, _route_link) X(RECV, _route_version)        \
     X(RECV, peer) X(RECV, flow_id) X(RECV, subflow_id) X(RECV, tag)         \
-    X(RECV, connection_sink) X(RECV, ack_size) X(RECV, stats)               \
-    X(RECV, rcv_nxt) X(RECV, _out_of_order) X(RECV, _last_dack)             \
-    X(PACKET, packet_id) X(PACKET, src) X(PACKET, protocol) X(PACKET, ack)  \
-    X(PACKET, dack) X(PACKET, sack_blocks) X(PACKET, ts_echo)               \
-    X(PACKET, created_at) X(PACKET, ecn) X(PACKET, _poolable)
+    X(RECV, connection_sink) X(RECV, stats) X(RECV, _out_of_order)          \
+    X(CC, mss) X(CC, cwnd) X(CC, ssthresh)
 
 #define NL_ENUM(T, name) O_##T##_##name,
 #define NL_ROW(T, name) {T_##T, #name},
@@ -963,9 +971,25 @@ static const struct { int type; const char *name; } NL_SLOT_TABLE[O_COUNT] = {
 };
 
 /* The C numbers of the native subclasses: Python class, slot name, member
- * type.  A class's rows follow its instance layout in this order. */
+ * type.  A class's rows follow its instance layout in this order.  A
+ * T_OBJECT_EX row is no number but a reference C keeps: a member, visited
+ * and cleared with the instance's slots (CPython clears no read-only one),
+ * whose type C checks before it reads it. */
 #define NC_FIELDS(X)                                                        \
     X(LINK, _busy_until, T_DOUBLE) X(LINK, _serve_at, T_DOUBLE)             \
+    X(LINK, _hop_memo, T_OBJECT_EX)                                         \
+    X(PACKET, packet_id, T_LONGLONG) X(PACKET, size, T_LONGLONG)            \
+    X(PACKET, flow_id, T_LONGLONG) X(PACKET, subflow_id, T_LONGLONG)        \
+    X(PACKET, seq, T_LONGLONG) X(PACKET, payload_len, T_LONGLONG)           \
+    X(PACKET, ack, T_LONGLONG) X(PACKET, dsn, T_LONGLONG)                   \
+    X(PACKET, dack, T_LONGLONG) X(PACKET, hops, T_LONGLONG)                 \
+    X(PACKET, ts_echo, T_DOUBLE) X(PACKET, created_at, T_DOUBLE)            \
+    X(PACKET, enqueued_at, T_DOUBLE)                                        \
+    X(QSTATS, enqueued, T_LONGLONG) X(QSTATS, dequeued, T_LONGLONG)         \
+    X(QSTATS, dropped, T_LONGLONG) X(QSTATS, bytes_enqueued, T_LONGLONG)    \
+    X(QSTATS, bytes_dropped, T_LONGLONG) X(QSTATS, max_depth, T_LONGLONG)   \
+    X(QSTATS, early_drops, T_LONGLONG) X(QSTATS, ecn_marks, T_LONGLONG)     \
+    X(QSTATS, queue_delay_sum, T_DOUBLE)                                    \
     X(LSTATS, packets_sent, T_LONGLONG) X(LSTATS, bytes_sent, T_LONGLONG)   \
     X(LSTATS, packets_dropped, T_LONGLONG) X(LSTATS, busy_time, T_DOUBLE)   \
     X(NSTATS, received, T_LONGLONG) X(NSTATS, forwarded, T_LONGLONG)        \
@@ -977,7 +1001,15 @@ static const struct { int type; const char *name; } NL_SLOT_TABLE[O_COUNT] = {
     X(RSTATS, segments_received, T_LONGLONG)                                \
     X(RSTATS, bytes_received, T_LONGLONG) X(RSTATS, duplicates, T_LONGLONG) \
     X(RSTATS, out_of_order, T_LONGLONG) X(RSTATS, acks_sent, T_LONGLONG)    \
-    X(RSTATS, ce_received, T_LONGLONG)
+    X(RSTATS, ce_received, T_LONGLONG)                                      \
+    X(SENDER, snd_una, T_LONGLONG) X(SENDER, snd_nxt, T_LONGLONG)           \
+    X(SENDER, _sacked_bytes, T_LONGLONG)                                    \
+    X(SENDER, _lost_pending_bytes, T_LONGLONG)                              \
+    X(SENDER, _dupacks, T_LONGLONG) X(SENDER, _recover, T_LONGLONG)         \
+    X(SENDER, _ecn_recover, T_LONGLONG) X(SENDER, _rto_deadline, T_DOUBLE)  \
+    X(SENDER, _rto_fire_at, T_DOUBLE) X(SENDER, _rto_backoff, T_DOUBLE)     \
+    X(RECV, ack_size, T_LONGLONG) X(RECV, rcv_nxt, T_LONGLONG)              \
+    X(RECV, _last_dack, T_LONGLONG)
 
 #define NC_ENUM(T, name, kind) F_##T##_##name,
 #define NC_ROW(T, name, kind) {T_##T, #name, kind},
@@ -987,12 +1019,13 @@ static const struct { int type; const char *name; int kind; } NC_TABLE[F_COUNT] 
 };
 
 #define NL_NAMES(X)                                                         \
-    X(append) X(popleft) X(send) X(dequeue) X(handle_packet) X(version)     \
-    X(now) X(_queue) X(_admit_impaired) X(_deliver_locally)                 \
+    X(append) X(popleft) X(send) X(dequeue) X(version) X(now) X(_queue)     \
+    X(_admit_impaired) X(_deliver_locally) X(__slots__) X(_packet_counter)  \
     /* the transport's */                                                   \
     X(cwnd) X(mss) X(in_slow_start) X(on_ack) X(on_loss) X(on_ecn)          \
     X(on_timeout) X(request_data) X(on_data_acked) X(on_subflow_data)       \
-    X(update) X(samples) X(srtt) X(_rto) X(cancel) X(get) X(tcp)
+    X(update) X(samples) X(srtt) X(_rto) X(cancel) X(get) X(tcp)            \
+    X(handle_packet)
 
 #define NL_NAME_MEMBER(name) PyObject *s_##name;
 static struct {
@@ -1003,16 +1036,20 @@ static struct {
     PyObject *droptail_enqueue;     /* DropTailQueue.enqueue, the function */
     PyObject *capture_on_packet;    /* PacketCapture.on_packet, the function */
     PyTypeObject *deque_type;       /* collections.deque and its two */
-    PyObject *deque_append;         /*   method descriptors every hop uses */
+    PyObject *deque_append;         /*   method descriptors every hop uses, */
     PyObject *deque_popleft;
+    PyObject *deque_appendleft;
+    PyCFunction f_append, f_popleft, f_appendleft;  /* and their C functions */
     PyObject *one;
+    PyObject *reconstructor;        /* copyreg._reconstructor (nc_reduce) */
+    PyObject *ids;                  /* the PacketIds of packet.py's _packet_counter */
+    /* The Python bodies a foreign packet runs: Link.send / ._transmit /
+     * ._deliver, TcpSender.handle_packet, TcpReceiver.handle_packet. */
+    PyObject *py_send, *py_transmit, *py_deliver, *py_sender_handle, *py_receiver_handle;
     /* native transport */
-    PyObject *packet_pool;          /* repro.netsim.packet._pool and its */
-    PyObject *pool_pop;             /*   bound pop / append */
-    PyObject *pool_append;
-    PyObject *packet_counter;       /* repro.netsim.packet._packet_counter */
     int64_t header_size;            /* repro.units.HEADER_SIZE */
-    PyObject *two, *empty, *f_zero, *f_minus_one;
+    PyObject *cc_in_slow_start;     /* CongestionControl.in_slow_start, the property */
+    PyObject *two, *empty;
     NL_NAMES(NL_NAME_MEMBER)
 } NL;
 
@@ -1035,11 +1072,36 @@ nl_unset(const char *name)
     if (var == NULL)                                                        \
         return nl_unset(#name)
 
+/* isinstance(obj, NL.type[type]): the class itself, or one of the last
+ * subclasses that passed (held, so their addresses stay theirs), answered by
+ * a compare. */
+#define NL_SEEN 4
+static PyTypeObject *nl_seen[T_COUNT][NL_SEEN];
+
+static inline int
+nl_is(PyObject *obj, int type)
+{
+    PyTypeObject *tp = Py_TYPE(obj);
+    if (tp == NL.type[type])
+        return 1;
+    PyTypeObject **seen = nl_seen[type];
+    for (int i = 0; i < NL_SEEN; i++) {
+        if (seen[i] == tp)
+            return 1;
+    }
+    if (!PyType_IsSubtype(tp, NL.type[type]))
+        return 0;
+    Py_XDECREF(seen[NL_SEEN - 1]);
+    memmove(seen + 1, seen, (NL_SEEN - 1) * sizeof *seen);
+    seen[0] = (PyTypeObject *)Py_NewRef((PyObject *)tp);
+    return 1;
+}
+
 /* Offsets are only valid inside instances of the class they came from. */
-static int
+static inline int
 nl_expect(PyObject *obj, int type, const char *what)
 {
-    if (PyObject_TypeCheck(obj, NL.type[type]))
+    if (nl_is(obj, type))
         return 0;
     PyErr_Format(PyExc_TypeError, "native link: %s must be a %s, not %s", what,
                  NL.type[type]->tp_name, Py_TYPE(obj)->tp_name);
@@ -1079,16 +1141,6 @@ nl_set(PyObject **slot, PyObject *value)
     return 0;
 }
 
-/* *slot += delta */
-static int
-nl_iadd(PyObject **slot, PyObject *delta, const char *name)
-{
-    if (*slot == NULL)
-        return nl_unset(name);
-    return nl_set(slot, PyNumber_Add(*slot, delta));
-}
-
-#define NL_IADD(obj, T, name, delta) nl_iadd(&NL_SLOT(obj, T, name), delta, #name)
 #define NL_SET(obj, T, name, value) nl_set(&NL_SLOT(obj, T, name), value)
 
 static inline int
@@ -1097,11 +1149,13 @@ nl_true(PyObject *v)
     return v == Py_True ? 1 : v == Py_False ? 0 : PyObject_IsTrue(v);
 }
 
-/* -1.0 with an exception set on failure, like PyFloat_AsDouble. */
+/* -1.0 with an exception set on failure, like PyFloat_AsDouble (an exact
+ * int converts as float() does, without the intermediate float). */
 static inline double
 nl_double(PyObject *v)
 {
-    return PyFloat_CheckExact(v) ? PyFloat_AS_DOUBLE(v) : PyFloat_AsDouble(v);
+    return PyFloat_CheckExact(v) ? PyFloat_AS_DOUBLE(v)
+         : PyLong_CheckExact(v) ? PyLong_AsDouble(v) : PyFloat_AsDouble(v);
 }
 
 #define NL_FAILED(x) ((x) == -1.0 && PyErr_Occurred())
@@ -1138,24 +1192,42 @@ nl_done(PyObject *res)
     return 0;
 }
 
-/* deque.append / deque.popleft through the method descriptors resolved in
- * nl_bind (no lookup by name per hop); any other container gets the call. */
+/* deque.append / .popleft / .appendleft: on an exact deque the C function
+ * behind the method descriptor resolved in nl_bind, called directly (no
+ * lookup by name, no vectorcall per hop); any other container gets the
+ * call. */
 static int
 nl_append(PyObject *container, PyObject *item)
 {
-    if (PyObject_TypeCheck(container, NL.deque_type)) {
-        PyObject *argv[2] = {container, item};
-        return nl_done(PyObject_Vectorcall(NL.deque_append, argv, 2, NULL));
-    }
+    if (Py_IS_TYPE(container, NL.deque_type))
+        return nl_done(NL.f_append(container, item));
     return nl_done(PyObject_CallMethodOneArg(container, NL.s_append, item));
 }
 
 static PyObject *
 nl_popleft(PyObject *container)
 {
-    if (PyObject_TypeCheck(container, NL.deque_type))
-        return PyObject_Vectorcall(NL.deque_popleft, &container, 1, NULL);
+    if (Py_IS_TYPE(container, NL.deque_type))
+        return NL.f_popleft(container, NULL);
     return PyObject_CallMethodNoArgs(container, NL.s_popleft);
+}
+
+/* The C function of deque.name, which takes the flags given. */
+static int
+nl_deque_method(PyObject **descr, PyCFunction *fn, const char *name, int flags)
+{
+    if (*descr == NULL)
+        *descr = PyObject_GetAttrString((PyObject *)NL.deque_type, name);
+    if (*descr == NULL)
+        return -1;
+    PyMethodDef *def = Py_IS_TYPE(*descr, &PyMethodDescr_Type)
+        ? ((PyMethodDescrObject *)*descr)->d_method : NULL;
+    if (def == NULL || (def->ml_flags & ~METH_COEXIST) != flags) {
+        PyErr_Format(PyExc_TypeError, "native kernel: deque.%s is not a C method", name);
+        return -1;
+    }
+    *fn = def->ml_meth;
+    return 0;
 }
 
 static KernelSimObject *
@@ -1187,77 +1259,216 @@ nl_push(KernelSimObject *sim, double t, PyObject *link, int kind)
     return 0;
 }
 
-/* len(container) <op> bound */
+/* An exact int that fits int64_t; 0 leaves any other value to Python. */
 static int
-nl_len_cmp(Py_ssize_t len, PyObject *bound, int op)
+nl_int64(PyObject *v, int64_t *out)
 {
-    PyObject *len_obj = PyLong_FromSsize_t(len);
-    int res = len_obj == NULL ? -1 : PyObject_RichCompareBool(len_obj, bound, op);
-    Py_XDECREF(len_obj);
-    return res;
+    if (v == NULL || !PyLong_CheckExact(v))
+        return 0;
+    int overflow;
+    *out = PyLong_AsLongLongAndOverflow(v, &overflow);
+    return !overflow;
 }
 
-/* ---- DropTailQueue.enqueue / Queue.dequeue (queues.py) ---- */
+/* ---- native packets, their free list and id sequence ----
+ *
+ * Every packet the kernel makes is the native Packet (sim.packet_type): its
+ * numbers are C fields (NC_FIELDS), the strings, tag, flags and SACK tuple
+ * stay slots.  Any other packet -- a test's Packet(...), one a Python
+ * TcpSender subclass or a UDP source acquired -- is foreign: the step it
+ * reaches runs its Python body (Link.send / _transmit / _deliver,
+ * Queue.dequeue, TcpSender / TcpReceiver.handle_packet), so no C path reads
+ * a foreign packet's slots. */
+
+static inline int
+nl_native_packet(PyObject *p)
+{
+    return Py_IS_TYPE(p, NL.native[T_PACKET]);
+}
+
+/* A Python body C gives way to: func(*argv); -1 when it raised, else the
+ * truth of its result when want_truth, else 0. */
+static int
+nl_py_call(PyObject *func, PyObject *const *argv, size_t nargs, int want_truth)
+{
+    PyObject *res = PyObject_Vectorcall(func, argv, nargs, NULL);
+    if (res == NULL)
+        return -1;
+    int rc = want_truth ? PyObject_IsTrue(res) : 0;
+    Py_DECREF(res);
+    return rc;
+}
+
+/* Recycled native packets and segment records.  An object enters when its
+ * life ends (Packet.release, a retired segment) and is reused only once the
+ * list holds its last reference, so a holder never sees it change.  The
+ * packet an ACK or a segment just released is still held by the delivery
+ * that is running, so a pop looks a few entries deep for a free one. */
+#define FREE_LIMIT 256
+typedef struct {
+    PyObject *item[FREE_LIMIT];
+    int n;
+} FreeList;
+static FreeList free_packets, free_segments;
+
+static void
+free_push(FreeList *fl, PyObject *obj)
+{
+    if (fl->n < FREE_LIMIT)
+        fl->item[fl->n++] = Py_NewRef(obj);
+}
+
+#define FREE_SCAN 8
+
+/* A recycled object of fl (new reference), or a fresh instance of tp. */
+static PyObject *
+free_pop(FreeList *fl, PyTypeObject *tp)
+{
+    for (int i = fl->n - 1; i >= 0 && i >= fl->n - FREE_SCAN; i--) {
+        PyObject *obj = fl->item[i];
+        if (Py_REFCNT(obj) == 1) {
+            fl->item[i] = fl->item[--fl->n];
+            return obj;
+        }
+    }
+    return tp->tp_alloc(tp, 0);
+}
+
+/* The packet id sequence, one for the process: bound with the packet type,
+ * it takes over packet.py's _packet_counter where that one stood, so
+ * Packet(), acquire() and the native packets draw from one int64. */
+typedef struct {
+    PyObject_HEAD
+    int64_t next;
+} PacketIdsObject;
+
+static PyObject *
+pids_next(PacketIdsObject *self)
+{
+    return PyLong_FromLongLong((long long)self->next++);
+}
+
+static PyTypeObject PacketIdsType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.kernel._ckernel.PacketIds",
+    .tp_basicsize = sizeof(PacketIdsObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The packet id sequence of Packet(), acquire() and the native packets.",
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)pids_next,
+};
+
+/* Packet.release on a native packet: into the free list, once. */
+static int
+np_release(PyObject *packet)
+{
+    PyObject **poolable = &NL_SLOT(packet, PACKET, _poolable);
+    int yes = *poolable == NULL ? nl_unset("_poolable") : nl_true(*poolable);
+    if (yes <= 0)
+        return yes;
+    if (nl_set(poolable, Py_NewRef(Py_False)) < 0)
+        return -1;
+    free_push(&free_packets, packet);
+    return 0;
+}
+
+/* The head of the exact deque q, popped when it is a native packet (a new
+ * reference); a foreign one is put back and *head is NULL.  -1 raised. */
+static int
+nl_pop_native(PyObject *q, PyObject **head)
+{
+    *head = NL.f_popleft(q, NULL);
+    if (*head == NULL)
+        return -1;
+    if (nl_native_packet(*head))
+        return 0;
+    int rc = nl_done(NL.f_appendleft(q, *head));
+    Py_CLEAR(*head);
+    return rc;
+}
+
+/* ---- DropTailQueue.enqueue / Queue.dequeue (queues.py) ----
+ *
+ * On the native packet, with the queue's counters the native QueueStats
+ * (sim.queue_stats_type) and its deque, capacity and _bytes plain: anything
+ * else runs the Python body. */
 
 static int
-nl_droptail_enqueue(PyObject *q, PyObject *packet, PyObject *now, int *accepted)
+nl_queue_plain(PyObject *q, int64_t *capacity, int64_t *queued)
 {
-    NL_GET(queue, q, QUEUE, _queue);
-    NL_GET_AS(stats, q, QUEUE, stats, QSTATS);
-    NL_GET(size, packet, PACKET, size);
-    NL_GET(capacity, q, QUEUE, capacity_packets);
-    Py_ssize_t depth = PyObject_Size(queue);
-    if (depth < 0)
-        return -1;
-    int full = nl_len_cmp(depth, capacity, Py_GE);
-    if (full < 0)
-        return -1;
-    *accepted = !full;
-    if (full) {
-        if (NL_IADD(stats, QSTATS, dropped, NL.one) < 0)
+    PyObject *queue = NL_SLOT(q, QUEUE, _queue), *stats = NL_SLOT(q, QUEUE, stats);
+    return queue != NULL && Py_IS_TYPE(queue, NL.deque_type) && stats != NULL &&
+           Py_IS_TYPE(stats, NL.native[T_QSTATS]) &&
+           nl_int64(NL_SLOT(q, QUEUE, capacity_packets), capacity) &&
+           nl_int64(NL_SLOT(q, QUEUE, _bytes), queued);
+}
+
+/* 1 accepted, 0 dropped, -1 raised. */
+static int
+nl_droptail_enqueue(PyObject *q, PyObject *packet, double now)
+{
+    int64_t capacity, queued;
+    if (!nl_queue_plain(q, &capacity, &queued)) {
+        PyObject *now_obj = PyFloat_FromDouble(now);
+        if (now_obj == NULL)
             return -1;
-        return NL_IADD(stats, QSTATS, bytes_dropped, size);
+        PyObject *argv[3] = {q, packet, now_obj};
+        int rc = nl_py_call(NL.droptail_enqueue, argv, 3, 1);
+        Py_DECREF(now_obj);
+        return rc;
     }
-    if (NL_SET(packet, PACKET, enqueued_at, Py_NewRef(now)) < 0 ||
-        nl_append(queue, packet) < 0 ||
-        NL_IADD(q, QUEUE, _bytes, size) < 0 ||
-        NL_IADD(stats, QSTATS, enqueued, NL.one) < 0 ||
-        NL_IADD(stats, QSTATS, bytes_enqueued, size) < 0)
+    PyObject *queue = NL_SLOT(q, QUEUE, _queue), *stats = NL_SLOT(q, QUEUE, stats);
+    int64_t size = NC_I64(packet, PACKET, size);
+    Py_ssize_t depth = Py_SIZE(queue);
+    if (depth >= capacity) {
+        NC_I64(stats, QSTATS, dropped) += 1;
+        NC_I64(stats, QSTATS, bytes_dropped) += size;
+        return 0;
+    }
+    NC_F64(packet, PACKET, enqueued_at) = now;
+    if (nl_append(queue, packet) < 0 ||
+        NL_SET(q, QUEUE, _bytes, PyLong_FromLongLong(queued + size)) < 0)
         return -1;
-    NL_GET(max_depth, stats, QSTATS, max_depth);
-    int deeper = nl_len_cmp(depth + 1, max_depth, Py_GT);
-    if (deeper > 0)
-        return NL_SET(stats, QSTATS, max_depth, PyLong_FromSsize_t(depth + 1));
-    return deeper;
+    NC_I64(stats, QSTATS, enqueued) += 1;
+    NC_I64(stats, QSTATS, bytes_enqueued) += size;
+    if (depth + 1 > NC_I64(stats, QSTATS, max_depth))
+        NC_I64(stats, QSTATS, max_depth) = depth + 1;
+    return 1;
 }
 
 /* *packet is a new reference, or NULL for an empty queue (Python's None). */
 static int
-nl_droptail_dequeue(PyObject *q, PyObject **packet)
+nl_droptail_dequeue(PyObject *q, double now, PyObject **packet)
 {
     *packet = NULL;
-    NL_GET(queue, q, QUEUE, _queue);
-    NL_GET_AS(stats, q, QUEUE, stats, QSTATS);
-    NL_GET(bytes, q, QUEUE, _bytes);
-    int empty = PyObject_Not(queue);
-    if (empty)
-        return empty < 0 ? -1 : 0;
-    PyObject *head = nl_popleft(queue);
-    if (head == NULL)
+    int64_t capacity, queued;
+    int plain = nl_queue_plain(q, &capacity, &queued);
+    PyObject *queue = NL_SLOT(q, QUEUE, _queue), *head = NULL;
+    if (plain && Py_SIZE(queue) == 0)
+        return 0;
+    if (plain && nl_pop_native(queue, &head) < 0)
         return -1;
-    int rc = nl_expect(head, T_PACKET, "queued item");
-    if (rc == 0) {
-        PyObject *size = NL_SLOT(head, PACKET, size);
-        rc = size == NULL ? nl_unset("size")
-                          : NL_SET(q, QUEUE, _bytes, PyNumber_Subtract(bytes, size));
+    if (head == NULL) {
+        PyObject *now_obj = PyFloat_FromDouble(now);
+        if (now_obj == NULL)
+            return -1;
+        PyObject *dequeued = PyObject_CallMethodOneArg(q, NL.s_dequeue, now_obj);
+        Py_DECREF(now_obj);
+        if (dequeued == NULL)
+            return -1;
+        if (dequeued == Py_None)
+            Py_DECREF(dequeued);
+        else
+            *packet = dequeued;
+        return 0;
     }
-    if (rc == 0)
-        rc = NL_IADD(stats, QSTATS, dequeued, NL.one);
-    if (rc < 0)
+    if (NL_SET(q, QUEUE, _bytes, PyLong_FromLongLong(queued - NC_I64(head, PACKET, size))) < 0) {
         Py_DECREF(head);
-    else
-        *packet = head;
-    return rc;
+        return -1;
+    }
+    NC_I64(NL_SLOT(q, QUEUE, stats), QSTATS, dequeued) += 1;
+    *packet = head;
+    return 0;
 }
 
 /* ---- Link (link.py) ---- */
@@ -1269,15 +1480,12 @@ static int
 nl_transmit(KernelSimObject *sim, PyObject *link, PyObject *packet, double now,
             double *tx_end)
 {
-    NL_GET(size, packet, PACKET, size);
     NL_GET(rate_obj, link, LINK, rate_bps);
     NL_GET(delay_obj, link, LINK, delay);
     NL_GET_NATIVE(stats, link, LINK, stats, LSTATS);
     NL_GET(in_flight, link, LINK, _in_flight);
     NL_GET(dynamic, link, LINK, _dynamic);
-    int64_t bytes;
-    if (nt_i64(size, &bytes, "size") < 0)
-        return -1;
+    int64_t bytes = NC_I64(packet, PACKET, size);
     double rate = nl_double(rate_obj), delay = nl_double(delay_obj);
     if (NL_FAILED(rate) || NL_FAILED(delay))
         return -1;
@@ -1325,6 +1533,19 @@ nl_transmit(KernelSimObject *sim, PyObject *link, PyObject *packet, double now,
     return nl_push(sim, deliver_at, link, KN_DELIVER);
 }
 
+/* Link._transmit's Python body, for a foreign packet. */
+static int
+nl_py_transmit(PyObject *link, PyObject *packet, double *tx_end)
+{
+    PyObject *argv[2] = {link, packet};
+    PyObject *res = PyObject_Vectorcall(NL.py_transmit, argv, 2, NULL);
+    if (res == NULL)
+        return -1;
+    *tx_end = nl_double(res);
+    Py_DECREF(res);
+    return NL_FAILED(*tx_end) ? -1 : 0;
+}
+
 /* send() on a busy transmitter: the queue's verdict, and the serve event
  * armed behind the first queued packet for the instant the transmitter
  * frees.  The drop-tail enqueue bound at construction runs here. */
@@ -1332,21 +1553,19 @@ static int
 nl_enqueue(KernelSimObject *sim, PyObject *link, PyObject *packet, double now)
 {
     NL_GET(enqueue, link, LINK, _enqueue);
-    PyObject *now_obj = PyFloat_FromDouble(now);
-    if (now_obj == NULL)
-        return -1;
     int accepted;
     if (PyMethod_Check(enqueue) && PyMethod_GET_FUNCTION(enqueue) == NL.droptail_enqueue &&
         Py_IS_TYPE(PyMethod_GET_SELF(enqueue), NL.type[T_DROPTAIL])) {
-        if (nl_droptail_enqueue(PyMethod_GET_SELF(enqueue), packet, now_obj, &accepted) < 0)
-            accepted = -1;
+        accepted = nl_droptail_enqueue(PyMethod_GET_SELF(enqueue), packet, now);
     }
     else {
-        PyObject *verdict = PyObject_CallFunctionObjArgs(enqueue, packet, now_obj, NULL);
-        accepted = verdict == NULL ? -1 : PyObject_IsTrue(verdict);
-        Py_XDECREF(verdict);
+        PyObject *now_obj = PyFloat_FromDouble(now);
+        if (now_obj == NULL)
+            return -1;
+        PyObject *argv[2] = {packet, now_obj};
+        accepted = nl_py_call(enqueue, argv, 2, 1);
+        Py_DECREF(now_obj);
     }
-    Py_DECREF(now_obj);
     if (accepted <= 0)
         return accepted;
     NL_GET(serving_obj, link, LINK, _serving);
@@ -1368,8 +1587,10 @@ nl_enqueue(KernelSimObject *sim, PyObject *link, PyObject *packet, double now)
 static int
 nl_send(PyObject *link, PyObject *packet)
 {
-    if (nl_expect(packet, T_PACKET, "packet") < 0)
-        return -1;
+    if (!nl_native_packet(packet)) {
+        PyObject *argv[2] = {link, packet};
+        return nl_py_call(NL.py_send, argv, 2, 1);
+    }
     NL_GET(impaired, link, LINK, _impaired);
     int imp = nl_true(impaired);
     if (imp < 0)
@@ -1418,37 +1639,41 @@ nl_serve(PyObject *link)
         }
     }
     NL_GET(queue, link, LINK, queue);
+    Py_INCREF(queue);
     int stock = Py_IS_TYPE(queue, NL.type[T_DROPTAIL]);
-    PyObject *packet;
-    if (stock) {
-        if (nl_droptail_dequeue(queue, &packet) < 0)
-            return -1;
-    }
+    PyObject *packet = NULL;
+    int rc = 0;
+    if (stock)
+        rc = nl_droptail_dequeue(queue, now, &packet);
     else {
         PyObject *now_obj = PyFloat_FromDouble(now);
-        if (now_obj == NULL)
-            return -1;
-        packet = PyObject_CallMethodOneArg(queue, NL.s_dequeue, now_obj);
-        Py_DECREF(now_obj);
+        packet = now_obj == NULL ? NULL : PyObject_CallMethodOneArg(queue, NL.s_dequeue, now_obj);
+        Py_XDECREF(now_obj);
         if (packet == NULL)
-            return -1;
-        if (packet == Py_None)
+            rc = -1;
+        else if (packet == Py_None)
             Py_CLEAR(packet);
     }
-    if (packet == NULL)     /* drained elsewhere, or shed by the AQM law */
-        return NL_SET(link, LINK, _serving, Py_NewRef(Py_False));
-    Py_INCREF(queue);
-    double tx_end;
-    int rc = nl_expect(packet, T_PACKET, "dequeued item");
-    if (rc == 0)
-        rc = nl_transmit(sim, link, packet, now, &tx_end);
-    Py_DECREF(packet);
-    if (rc == 0) {
-        /* `not queue._queue`: friend access to the backing deque. */
-        PyObject *backing = PyObject_GetAttr(queue, NL.s__queue);
-        int empty = backing == NULL ? -1 : PyObject_Not(backing);
-        Py_XDECREF(backing);
-        if (empty < 0)
+    if (rc == 0 && packet == NULL)  /* drained elsewhere, or shed by the AQM law */
+        rc = NL_SET(link, LINK, _serving, Py_NewRef(Py_False));
+    else if (rc == 0) {
+        double tx_end;
+        rc = nl_native_packet(packet) ? nl_transmit(sim, link, packet, now, &tx_end)
+                                      : nl_py_transmit(link, packet, &tx_end);
+        Py_CLEAR(packet);
+        int empty = -1;
+        if (rc == 0) {
+            /* `not queue._queue`: friend access to the backing deque. */
+            PyObject *backing = stock ? NL_SLOT(queue, QUEUE, _queue) : NULL;
+            if (backing != NULL && Py_IS_TYPE(backing, NL.deque_type))
+                empty = Py_SIZE(backing) == 0;
+            else {
+                backing = PyObject_GetAttr(queue, NL.s__queue);
+                empty = backing == NULL ? -1 : PyObject_Not(backing);
+                Py_XDECREF(backing);
+            }
+        }
+        if (rc < 0 || empty < 0)
             rc = -1;
         else if (empty)
             rc = NL_SET(link, LINK, _serving, Py_NewRef(Py_False));
@@ -1474,17 +1699,6 @@ typedef struct {
     int64_t seq, dsn;
 } CapRow;
 
-/* An exact int that fits int64_t; 0 leaves any other value to Python. */
-static int
-nl_int64(PyObject *v, int64_t *out)
-{
-    if (v == NULL || !PyLong_CheckExact(v))
-        return 0;
-    int overflow;
-    *out = PyLong_AsLongLongAndOverflow(v, &overflow);
-    return !overflow;
-}
-
 /* A tap that is the stock bound on_packet of an exact PacketCapture. */
 static inline int
 nl_stock_tap(PyObject *tap)
@@ -1493,10 +1707,24 @@ nl_stock_tap(PyObject *tap)
            Py_IS_TYPE(PyMethod_GET_SELF(tap), NL.type[T_CAPTURE]);
 }
 
-/* PacketCapture.on_packet(packet, now) for a stock tap, `now` an exact float.
- * A field struct.pack would have to convert or refuse (not an exact int in
- * int64 range) and rows that are not a bytearray go to the Python body
- * before anything is written, so every such outcome is Python's own. */
+/* v == x, Python's comparison of the slot value v with the C number x. */
+static int
+nl_int_eq(PyObject *v, int64_t x)
+{
+    int64_t y;
+    if (nl_int64(v, &y))
+        return y == x;
+    PyObject *boxed = PyLong_FromLongLong((long long)x);
+    int eq = boxed == NULL ? -1 : PyObject_RichCompareBool(boxed, v, Py_EQ);
+    Py_XDECREF(boxed);
+    return eq;
+}
+
+/* PacketCapture.on_packet(packet, now) for a stock tap, the native packet
+ * and `now` an exact float.  A tag struct.pack would have to convert or
+ * refuse (not an exact int in int64 range) and rows that are not a
+ * bytearray go to the Python body before anything is written, so every
+ * such outcome is Python's own. */
 static int
 nl_capture(PyObject *cap, PyObject *packet, PyObject *now)
 {
@@ -1511,11 +1739,10 @@ nl_capture(PyObject *cap, PyObject *packet, PyObject *now)
             return only < 0 ? -1 : 0;
     }
     NL_GET(filter, cap, CAPTURE, flow_id);
-    NL_GET(flow_id, packet, PACKET, flow_id);
     if (filter != Py_None) {
-        int other = PyObject_RichCompareBool(flow_id, filter, Py_NE);
-        if (other)
-            return other < 0 ? -1 : 0;
+        int same = nl_int_eq(filter, NC_I64(packet, PACKET, flow_id));
+        if (same <= 0)
+            return same;
     }
     NL_GET(tag, packet, PACKET, tag);
     NL_GET(retx_obj, packet, PACKET, is_retransmission);
@@ -1533,15 +1760,15 @@ nl_capture(PyObject *cap, PyObject *packet, PyObject *now)
     int retx = nl_true(retx_obj);
     if (retx < 0)
         return -1;
-    row.flags = (int8_t)((is_ack ? 1 : 0) | (retx ? 2 : 0));
-    if (!nl_int64(NL_SLOT(packet, PACKET, size), &row.size) ||
-        !nl_int64(NL_SLOT(packet, PACKET, payload_len), &row.payload_len) ||
-        !nl_int64(flow_id, &row.flow_id) ||
-        !nl_int64(NL_SLOT(packet, PACKET, subflow_id), &row.subflow_id) ||
-        !nl_int64(NL_SLOT(packet, PACKET, seq), &row.seq) ||
-        !nl_int64(NL_SLOT(packet, PACKET, dsn), &row.dsn) ||
-        !PyByteArray_CheckExact(rows))
+    if (!PyByteArray_CheckExact(rows))
         goto python;
+    row.flags = (int8_t)((is_ack ? 1 : 0) | (retx ? 2 : 0));
+    row.size = NC_I64(packet, PACKET, size);
+    row.payload_len = NC_I64(packet, PACKET, payload_len);
+    row.flow_id = NC_I64(packet, PACKET, flow_id);
+    row.subflow_id = NC_I64(packet, PACKET, subflow_id);
+    row.seq = NC_I64(packet, PACKET, seq);
+    row.dsn = NC_I64(packet, PACKET, dsn);
     Py_ssize_t used = PyByteArray_GET_SIZE(rows);
     if (PyByteArray_Resize(rows, used + (Py_ssize_t)sizeof(CapRow)) < 0)
         return -1;      /* BufferError under a live view, as `+=` raises it */
@@ -1551,17 +1778,198 @@ python:
     return nl_done(PyObject_CallFunctionObjArgs(NL.capture_on_packet, cap, packet, now, NULL));
 }
 
-/* ---- Node.receive / Host._deliver_locally (node.py), fused ---- */
+/* ---- hop resolution and local dispatch ----
+ *
+ * A native link's hop memo (its _hop_memo, a HopMemo) remembers what its
+ * downstream node resolved, so a hop costs pointer and integer compares,
+ * not a tuple key, dict probes and an attribute read:
+ *   - for a router or a forwarding host, the outgoing link its hop cache
+ *     holds for a packet's (dst, tag), keyed by the identity of those two
+ *     objects.  An entry is valid while the node still holds the cache dict
+ *     it was read from and the routing table still reads the version it was
+ *     read under (routing.version: the slot of an exact TagRoutingTable,
+ *     which install_path moves).  Any miss runs Node.send, as without a
+ *     memo, and adopts what the hop cache then holds;
+ *   - for a host with several agents, the agent its _agents_by_flow holds
+ *     for a (flow_id, subflow_id), valid while the host still holds that
+ *     table.  A miss reads the table.
+ * The link or agent an entry names is borrowed from the dict it was read
+ * from, which node.py never empties or edits while the node holds it (it
+ * swaps in a fresh one: Node._reset_hop_cache, Host._replace_agent_tables),
+ * so a valid entry's object is alive. */
+
+#define HOP_MEMO_SIZE 8
+
+typedef struct {
+    PyObject *dst, *tag, *cache, *routing;  /* owned */
+    PyObject *link;                         /* borrowed from cache */
+    int64_t version;
+} HopEntry;
+
+typedef struct {
+    PyObject *table;                        /* owned: the host's _agents_by_flow */
+    PyObject *agent;                        /* borrowed from table */
+    int64_t flow_id, subflow_id;
+} AgentEntry;
+
+typedef struct {
+    PyObject_HEAD
+    int n, next, na, anext;
+    HopEntry e[HOP_MEMO_SIZE];
+    AgentEntry a[HOP_MEMO_SIZE];
+} HopMemoObject;
+
+static void
+hentry_clear(HopEntry *e)
+{
+    Py_CLEAR(e->dst);
+    Py_CLEAR(e->tag);
+    Py_CLEAR(e->cache);
+    Py_CLEAR(e->routing);
+    e->link = NULL;
+}
+
+static int
+hmemo_traverse(HopMemoObject *self, visitproc visit, void *arg)
+{
+    for (int i = 0; i < self->n; i++) {
+        Py_VISIT(self->e[i].dst);
+        Py_VISIT(self->e[i].tag);
+        Py_VISIT(self->e[i].cache);
+        Py_VISIT(self->e[i].routing);
+    }
+    for (int i = 0; i < self->na; i++)
+        Py_VISIT(self->a[i].table);
+    return 0;
+}
+
+/* Entries leave the memo before their references drop. */
+static int
+hmemo_clear(HopMemoObject *self)
+{
+    HopEntry gone[HOP_MEMO_SIZE];
+    AgentEntry gone_a[HOP_MEMO_SIZE];
+    int n = self->n, na = self->na;
+    memcpy(gone, self->e, sizeof gone);
+    memcpy(gone_a, self->a, sizeof gone_a);
+    memset(self->e, 0, sizeof self->e);
+    memset(self->a, 0, sizeof self->a);
+    self->n = self->next = self->na = self->anext = 0;
+    for (int i = 0; i < n; i++)
+        hentry_clear(&gone[i]);
+    for (int i = 0; i < na; i++)
+        Py_CLEAR(gone_a[i].table);
+    return 0;
+}
+
+static void
+hmemo_dealloc(HopMemoObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    hmemo_clear(self);
+    PyObject_GC_Del(self);
+}
+
+static PyTypeObject HopMemoType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.kernel._ckernel.HopMemo",
+    .tp_basicsize = sizeof(HopMemoObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "The outgoing links a native link's downstream node resolved.",
+    .tp_dealloc = (destructor)hmemo_dealloc,
+    .tp_traverse = (traverseproc)hmemo_traverse,
+    .tp_clear = (inquiry)hmemo_clear,
+};
+
+/* The link's memo, made on first use (anything else in _hop_memo is
+ * replaced); borrowed, NULL with an exception set. */
+static HopMemoObject *
+nl_memo(PyObject *link)
+{
+    PyObject **slot = &NC_AT(link, F_LINK__hop_memo, PyObject *);
+    if (*slot == NULL || !Py_IS_TYPE(*slot, &HopMemoType)) {
+        HopMemoObject *memo = PyObject_GC_New(HopMemoObject, &HopMemoType);
+        if (memo == NULL)
+            return NULL;
+        memo->n = memo->next = memo->na = memo->anext = 0;
+        memset(memo->e, 0, sizeof memo->e);
+        memset(memo->a, 0, sizeof memo->a);
+        PyObject_GC_Track(memo);
+        Py_XSETREF(*slot, (PyObject *)memo);
+    }
+    return (HopMemoObject *)*slot;
+}
+
+/* The slot a new entry takes among n of HOP_MEMO_SIZE (round robin once
+ * full). */
+static int
+hmemo_take(int *n, int *next)
+{
+    if (*n < HOP_MEMO_SIZE)
+        return (*n)++;
+    int i = *next;
+    *next = (i + 1) % HOP_MEMO_SIZE;
+    return i;
+}
+
+/* ---- Node.receive / Host._deliver_locally / Node.send (node.py), fused ---- */
 
 /* handle_packet of the native agents ("native transport" below). */
 static int nt_sender_receive(PyObject *sender, PyObject *packet);
 static int nt_receiver_receive(PyObject *receiver, PyObject *packet);
 
-/* Host._deliver_locally: capture fan-out (the stock tap runs here, any
- * other callable is called), then sole-agent or per-flow dispatch.  Unknown
- * flows are delivered but ignored. */
+/* _agents_by_flow[flow_id][subflow_id] (borrowed, NULL when absent):
+ * through the memo of the link the packet arrived on. */
 static int
-nl_deliver_locally(PyObject *host, PyObject *packet)
+nl_agent(PyObject *link, PyObject *by_flow, int64_t flow_id, int64_t subflow_id,
+         PyObject **agent)
+{
+    *agent = NULL;
+    PyObject *memo = NC_AT(link, F_LINK__hop_memo, PyObject *);
+    if (memo != NULL && Py_IS_TYPE(memo, &HopMemoType)) {
+        HopMemoObject *m = (HopMemoObject *)memo;
+        for (int i = 0; i < m->na; i++) {
+            AgentEntry *e = &m->a[i];
+            if (e->table == by_flow && e->flow_id == flow_id && e->subflow_id == subflow_id) {
+                *agent = e->agent;
+                return 0;
+            }
+        }
+    }
+    if (!PyDict_CheckExact(by_flow)) {
+        PyErr_SetString(PyExc_TypeError, "native link: agent tables must be dicts");
+        return -1;
+    }
+    PyObject *key = PyLong_FromLongLong((long long)flow_id);
+    PyObject *per_flow = key == NULL ? NULL : PyDict_GetItemWithError(by_flow, key);
+    Py_XDECREF(key);
+    if (per_flow != NULL && per_flow != Py_None) {
+        if (!PyDict_CheckExact(per_flow)) {
+            PyErr_SetString(PyExc_TypeError, "native link: agent tables must be dicts");
+            return -1;
+        }
+        key = PyLong_FromLongLong((long long)subflow_id);
+        *agent = key == NULL ? NULL : PyDict_GetItemWithError(per_flow, key);
+        Py_XDECREF(key);
+    }
+    if (*agent == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    HopMemoObject *m = nl_memo(link);
+    if (m == NULL)
+        return -1;
+    int i = hmemo_take(&m->na, &m->anext);
+    PyObject *gone = m->a[i].table;
+    m->a[i] = (AgentEntry){Py_NewRef(by_flow), *agent, flow_id, subflow_id};
+    Py_XDECREF(gone);
+    return 0;
+}
+
+/* Host._deliver_locally for a packet that arrived over link: capture
+ * fan-out (the stock tap runs here, any other callable is called), then
+ * sole-agent or per-flow dispatch.  Unknown flows are delivered but
+ * ignored. */
+static int
+nl_deliver_locally(PyObject *link, PyObject *host, PyObject *packet)
 {
     NL_GET(captures, host, HOST, _captures);
     if (!PyList_CheckExact(captures))
@@ -1589,15 +1997,15 @@ nl_deliver_locally(PyObject *host, PyObject *packet)
             return -1;
     }
     NL_GET(sole, host, HOST, _sole_agent);
-    NL_GET(flow_id, packet, PACKET, flow_id);
-    NL_GET(subflow_id, packet, PACKET, subflow_id);
+    int64_t flow_id = NC_I64(packet, PACKET, flow_id);
+    int64_t subflow_id = NC_I64(packet, PACKET, subflow_id);
     PyObject *agent = NULL;
     if (sole != Py_None) {
         NL_GET(sole_flow, host, HOST, _sole_flow);
         NL_GET(sole_subflow, host, HOST, _sole_subflow);
-        int match = PyObject_RichCompareBool(flow_id, sole_flow, Py_EQ);
+        int match = nl_int_eq(sole_flow, flow_id);
         if (match > 0)
-            match = PyObject_RichCompareBool(subflow_id, sole_subflow, Py_EQ);
+            match = nl_int_eq(sole_subflow, subflow_id);
         if (match < 0)
             return -1;
         if (match)
@@ -1605,17 +2013,7 @@ nl_deliver_locally(PyObject *host, PyObject *packet)
     }
     else {
         NL_GET(by_flow, host, HOST, _agents_by_flow);
-        /* A table that is not a dict falls into the type error below. */
-        PyObject *per_flow = PyDict_CheckExact(by_flow)
-            ? PyDict_GetItemWithError(by_flow, flow_id) : by_flow;
-        if (per_flow != NULL && per_flow != Py_None) {
-            if (!PyDict_CheckExact(per_flow)) {
-                PyErr_SetString(PyExc_TypeError, "native link: agent tables must be dicts");
-                return -1;
-            }
-            agent = PyDict_GetItemWithError(per_flow, subflow_id);
-        }
-        if (agent == NULL && PyErr_Occurred())
+        if (nl_agent(link, by_flow, flow_id, subflow_id, &agent) < 0)
             return -1;
     }
     if (agent == NULL || agent == Py_None)
@@ -1628,34 +2026,77 @@ nl_deliver_locally(PyObject *host, PyObject *packet)
     return rc;
 }
 
-/* Node.receive on a packet that is not for this node: the hop-cache hit
- * sends on the cached link, anything else is Node.send's business. */
+/* routing.version into *out: 0, or 1 when it is no int (no memo), -1. */
 static int
-nl_forward(PyObject *node, PyObject *packet)
+nl_routing_version(PyObject *routing, int64_t *out)
 {
-    NL_GET(cache, node, NODE, _hop_cache);
-    if (PyDict_CheckExact(cache)) {
-        NL_GET(routing, node, NODE, routing);
-        NL_GET(hop_version, node, NODE, _hop_version);
-        PyObject *version = PyObject_GetAttr(routing, NL.s_version);
+    if (Py_IS_TYPE(routing, NL.type[T_ROUTING])) {
+        PyObject *version = NL_SLOT(routing, ROUTING, version);
         if (version == NULL)
+            return nl_unset("version");
+        return nl_int64(version, out) ? 0 : 1;
+    }
+    PyObject *version = PyObject_GetAttr(routing, NL.s_version);
+    if (version == NULL)
+        return -1;
+    int rc = nl_int64(version, out) ? 0 : 1;
+    Py_DECREF(version);
+    return rc;
+}
+
+/* After Node.send: remember the link node's hop cache holds for (dst, tag). */
+static int
+nl_memo_adopt(PyObject *link, PyObject *node, PyObject *dst, PyObject *tag)
+{
+    PyObject *cache = NL_SLOT(node, NODE, _hop_cache), *routing = NL_SLOT(node, NODE, routing);
+    if (cache == NULL || routing == NULL || !PyDict_CheckExact(cache))
+        return 0;
+    int64_t version;
+    int usable = nl_routing_version(routing, &version);
+    if (usable != 0)
+        return usable < 0 ? -1 : 0;
+    PyObject *key = PyTuple_Pack(2, dst, tag);
+    if (key == NULL)
+        return -1;
+    PyObject *next = PyDict_GetItemWithError(cache, key);
+    Py_DECREF(key);
+    if (next == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    HopMemoObject *memo = nl_memo(link);
+    if (memo == NULL)
+        return -1;
+    int i = 0;
+    while (i < memo->n && !(memo->e[i].dst == dst && memo->e[i].tag == tag))
+        i++;
+    if (i == memo->n)
+        i = hmemo_take(&memo->n, &memo->next);
+    HopEntry gone = memo->e[i];
+    memo->e[i] = (HopEntry){Py_NewRef(dst), Py_NewRef(tag), Py_NewRef(cache),
+                            Py_NewRef(routing), next, version};
+    hentry_clear(&gone);
+    return 0;
+}
+
+/* Node.receive on a packet that is not for this node, arrived over link:
+ * the memo's link, or Node.send. */
+static int
+nl_forward(PyObject *link, PyObject *node, PyObject *packet)
+{
+    NL_GET(dst, packet, PACKET, dst);
+    NL_GET(tag, packet, PACKET, tag);
+    PyObject *cache = NL_SLOT(node, NODE, _hop_cache), *routing = NL_SLOT(node, NODE, routing);
+    PyObject *memo = NC_AT(link, F_LINK__hop_memo, PyObject *);
+    if (memo != NULL && Py_IS_TYPE(memo, &HopMemoType) && cache != NULL && routing != NULL) {
+        int64_t version;
+        int usable = nl_routing_version(routing, &version);
+        if (usable < 0)
             return -1;
-        int current = PyObject_RichCompareBool(hop_version, version, Py_EQ);
-        Py_DECREF(version);
-        if (current < 0)
-            return -1;
-        if (current) {
-            NL_GET(dst, packet, PACKET, dst);
-            NL_GET(tag, packet, PACKET, tag);
-            PyObject *key = PyTuple_Pack(2, dst, tag);
-            if (key == NULL)
-                return -1;
-            PyObject *next = PyDict_GetItemWithError(cache, key);
-            Py_DECREF(key);
-            if (next == NULL && PyErr_Occurred())
-                return -1;
-            if (next != NULL && next != Py_None) {
-                Py_INCREF(next);
+        HopMemoObject *m = (HopMemoObject *)memo;
+        for (int i = 0; usable == 0 && i < m->n; i++) {
+            HopEntry *e = &m->e[i];
+            if (e->dst == dst && e->tag == tag && e->cache == cache && e->routing == routing &&
+                e->version == version) {
+                PyObject *next = Py_NewRef(e->link);
                 int rc = Py_IS_TYPE(next, NL.native[T_LINK])
                     ? nl_send(next, packet)
                     : nl_done(PyObject_CallMethodOneArg(next, NL.s_send, packet));
@@ -1664,17 +2105,34 @@ nl_forward(PyObject *node, PyObject *packet)
             }
         }
     }
-    return nl_done(PyObject_CallMethodOneArg(node, NL.s_send, packet));
+    Py_INCREF(dst);
+    Py_INCREF(tag);
+    int rc = nl_done(PyObject_CallMethodOneArg(node, NL.s_send, packet));
+    if (rc == 0)
+        rc = nl_memo_adopt(link, node, dst, tag);
+    Py_DECREF(dst);
+    Py_DECREF(tag);
+    return rc;
 }
 
-/* _deliver from `packet.hops += 1` on: the virtual receive, or the stock
- * Node.receive fused in. */
+/* a == b for node names: two distinct interned strings differ. */
+static inline int
+nl_str_eq(PyObject *a, PyObject *b)
+{
+    if (a == b)
+        return 1;
+    if (PyUnicode_CheckExact(a) && PyUnicode_CheckExact(b) &&
+        PyUnicode_CHECK_INTERNED(a) && PyUnicode_CHECK_INTERNED(b))
+        return 0;
+    return PyObject_RichCompareBool(a, b, Py_EQ);
+}
+
+/* _deliver from `packet.hops += 1` on, for the native packet: the virtual
+ * receive, or the stock Node.receive fused in. */
 static int
 nl_arrive(PyObject *link, PyObject *packet)
 {
-    if (nl_expect(packet, T_PACKET, "in-flight item") < 0 ||
-        NL_IADD(packet, PACKET, hops, NL.one) < 0)
-        return -1;
+    NC_I64(packet, PACKET, hops) += 1;
     NL_GET(fused_obj, link, LINK, _fused_receive);
     NL_GET(fused_host_obj, link, LINK, _fused_host);
     int fused = nl_true(fused_obj), fused_host = nl_true(fused_host_obj);
@@ -1689,7 +2147,7 @@ nl_arrive(PyObject *link, PyObject *packet)
     NL_GET(dst, packet, PACKET, dst);
     NL_GET(name, node, NODE, name);
     NC_I64(stats, NSTATS, received) += 1;
-    int local = PyObject_RichCompareBool(dst, name, Py_EQ);
+    int local = nl_str_eq(dst, name);
     if (local < 0)
         return -1;
     if (local)
@@ -1699,16 +2157,16 @@ nl_arrive(PyObject *link, PyObject *packet)
     Py_INCREF(node);    /* a handler may drop the link's reference */
     int rc;
     if (!local)
-        rc = nl_forward(node, packet);
-    else if (fused_host && PyObject_TypeCheck(node, NL.type[T_HOST]))
-        rc = nl_deliver_locally(node, packet);
+        rc = nl_forward(link, node, packet);
+    else if (fused_host && nl_is(node, T_HOST))
+        rc = nl_deliver_locally(link, node, packet);
     else
         rc = nl_done(PyObject_CallMethodOneArg(node, NL.s__deliver_locally, packet));
     Py_DECREF(node);
     return rc;
 }
 
-/* Link._deliver. */
+/* Link._deliver.  A foreign packet at the head runs the Python body. */
 static int
 nl_deliver(PyObject *link)
 {
@@ -1717,6 +2175,8 @@ nl_deliver(PyObject *link)
         return -1;
     NL_GET(dynamic, link, LINK, _dynamic);
     NL_GET(in_flight, link, LINK, _in_flight);
+    if (!Py_IS_TYPE(in_flight, NL.deque_type))
+        goto python;
     int dyn = nl_true(dynamic);
     if (dyn < 0)
         return -1;
@@ -1724,9 +2184,8 @@ nl_deliver(PyObject *link)
         /* Deadline-driven: an extra event is swallowed when nothing is in
          * flight and bounced until the head packet is actually due. */
         NL_GET(deadlines, link, LINK, _deadlines);
-        int idle = PyObject_Not(in_flight);
-        if (idle)
-            return idle < 0 ? -1 : 0;
+        if (Py_SIZE(in_flight) == 0)
+            return 0;
         PyObject *head = PySequence_GetItem(deadlines, 0);
         if (head == NULL)
             return -1;
@@ -1736,15 +2195,23 @@ nl_deliver(PyObject *link)
             return -1;
         if (sim->now < deadline)
             return nl_push(sim, deadline, link, KN_DELIVER);
-        if (nl_done(nl_popleft(deadlines)) < 0)
-            return -1;
     }
-    PyObject *packet = nl_popleft(in_flight);
-    if (packet == NULL)
+    PyObject *packet;
+    if (nl_pop_native(in_flight, &packet) < 0)
         return -1;
+    if (packet == NULL)
+        goto python;
+    if (dyn && nl_done(nl_popleft(NL_SLOT(link, LINK, _deadlines))) < 0) {
+        Py_DECREF(packet);
+        return -1;
+    }
     int rc = nl_arrive(link, packet);
     Py_DECREF(packet);
     return rc;
+python: {
+        PyObject *argv[1] = {link};
+        return nl_py_call(NL.py_deliver, argv, 1, 0);
+    }
 }
 
 /* ---- the link type and its binding ---- */
@@ -1878,26 +2345,32 @@ nc_set(PyObject *self, PyObject *value, void *closure)
 }
 
 /* NL.native[base]: the subclass of NL.type[base] that spec describes, with
- * base's rows of NC_FIELDS as C numbers after base's instance layout. */
+ * base's rows of NC_FIELDS after base's instance layout: C numbers behind
+ * getsets, and T_OBJECT_EX rows as read-only members. */
 static int
 nl_subtype(PyType_Spec *spec, int base)
 {
     static PyGetSetDef getsets[T_COUNT][F_COUNT + 1];   /* types keep pointers */
-    Py_BUILD_ASSERT(sizeof(long long) == 8 && sizeof(double) == 8);
+    static PyMemberDef members[T_COUNT][4];
+    Py_BUILD_ASSERT(sizeof(long long) == 8 && sizeof(double) == 8 &&
+                    sizeof(PyObject *) <= 8);
     if (NL.native[base] != NULL)
         return 0;
     Py_ssize_t size = (NL.type[base]->tp_basicsize + 7) & ~(Py_ssize_t)7;
-    for (int f = 0, n = 0; f < F_COUNT; f++) {
-        if (NC_TABLE[f].type == base) {
-            NL.foff[f] = size;
-            size += 8;
+    for (int f = 0, n = 0, m = 0; f < F_COUNT; f++) {
+        if (NC_TABLE[f].type != base)
+            continue;
+        NL.foff[f] = size;
+        if (NC_TABLE[f].kind == T_OBJECT_EX)
+            members[base][m++] = (PyMemberDef){NC_TABLE[f].name, T_OBJECT_EX, size, 0, NULL};
+        else
             getsets[base][n++] = (PyGetSetDef){NC_TABLE[f].name, nc_get, nc_set, NULL,
                                                (void *)(intptr_t)f};
-        }
+        size += 8;
     }
-    PyType_Slot slots[8] = {{Py_tp_getset, getsets[base]}};
+    PyType_Slot slots[8] = {{Py_tp_getset, getsets[base]}, {Py_tp_members, members[base]}};
     for (int k = 0; spec->slots[k].slot != 0; k++)
-        slots[k + 1] = spec->slots[k];
+        slots[k + 2] = spec->slots[k];
     PyType_Spec sized = {spec->name, (int)size, 0, spec->flags, slots};
     PyObject *bases = PyTuple_Pack(1, NL.type[base]);
     if (bases == NULL)
@@ -1907,20 +2380,28 @@ nl_subtype(PyType_Spec *spec, int base)
     return NL.native[base] == NULL ? -1 : 0;
 }
 
-/* copy / pickle of a native stats object: its Python base class, with the C
- * fields as that class's slot state. */
+/* copy / pickle of a native object: its Python base class, with every set
+ * slot of the base (C fields included) as that class's slot state. */
 static PyObject *
 nc_reduce(PyObject *self, PyObject *Py_UNUSED(ignored))
 {
-    PyTypeObject *tp = Py_TYPE(self);
-    PyObject *state = PyDict_New();
-    for (PyGetSetDef *g = tp->tp_getset; state != NULL && g->name != NULL; g++) {
-        PyObject *value = nc_get(self, g->closure);
-        if (value == NULL || PyDict_SetItemString(state, g->name, value) < 0)
+    PyObject *base = (PyObject *)Py_TYPE(self)->tp_base;
+    PyObject *names = PyObject_GetAttr(base, NL.s___slots__);
+    PyObject *slots = names == NULL ? NULL : PySequence_Fast(names, "__slots__");
+    PyObject *state = slots == NULL ? NULL : PyDict_New();
+    Py_XDECREF(names);
+    for (Py_ssize_t i = 0; state != NULL && i < PySequence_Fast_GET_SIZE(slots); i++) {
+        PyObject *name = PySequence_Fast_GET_ITEM(slots, i);
+        PyObject *value = PyObject_GetAttr(self, name);
+        if (value == NULL && PyErr_ExceptionMatches(PyExc_AttributeError))
+            PyErr_Clear();      /* an unset slot stays unset */
+        else if (value == NULL || PyDict_SetItem(state, name, value) < 0)
             Py_CLEAR(state);
         Py_XDECREF(value);
     }
-    return state == NULL ? NULL : Py_BuildValue("O()(ON)", tp->tp_base, Py_None, state);
+    Py_XDECREF(slots);
+    return state == NULL ? NULL : Py_BuildValue("O(OOO)(ON)", NL.reconstructor, base,
+                                                &PyBaseObject_Type, Py_None, Py_None, state);
 }
 
 static PyMethodDef nc_stats_methods[] = {
@@ -1938,11 +2419,79 @@ static PyType_Slot nc_stats_slots[] = {
     [T] = {"repro.kernel._ckernel." name, 0, 0, Py_TPFLAGS_DEFAULT, nc_stats_slots},
 static PyType_Spec nc_stats_specs[T_COUNT] = {
     NC_STATS_SPEC(T_LSTATS, "LinkStats") NC_STATS_SPEC(T_NSTATS, "NodeStats")
+    NC_STATS_SPEC(T_QSTATS, "QueueStats")
     NC_STATS_SPEC(T_SSTATS, "SenderStats") NC_STATS_SPEC(T_RSTATS, "ReceiverStats")
 };
 
-/* Resolve the link layer's classes, their slot offsets, the link type and
- * the stats types of links and nodes; once. */
+static PyObject *
+npacket_release(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    if (np_release(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef npacket_methods[] = {
+    {"release", npacket_release, METH_NOARGS,
+     "Return a pool-acquired packet to the kernel's free list, once."},
+    {"__reduce__", nc_reduce, METH_NOARGS, "Copy and pickle as the Python Packet."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyType_Slot npacket_slots[] = {
+    {Py_tp_doc, "repro.netsim.packet.Packet with its numbers as C int64 / double fields."},
+    {Py_tp_methods, npacket_methods},
+    {0, NULL},
+};
+
+static PyType_Spec npacket_spec = {
+    .name = "repro.kernel._ckernel.Packet",
+    .flags = Py_TPFLAGS_DEFAULT,
+    .slots = npacket_slots,
+};
+
+/* The packet id sequence: packet.py's _packet_counter becomes a PacketIds
+ * that goes on from its next value; once. */
+static int
+nl_bind_ids(void)
+{
+    if (NL.ids != NULL)
+        return 0;
+    PyObject *mod = PyImport_ImportModule("repro.netsim.packet");
+    PyObject *counter = mod == NULL ? NULL : PyObject_GetAttr(mod, NL.s__packet_counter);
+    PyObject *ids = NULL;
+    if (counter != NULL && Py_IS_TYPE(counter, &PacketIdsType))
+        ids = Py_NewRef(counter);
+    else if (counter != NULL) {
+        PyObject *first = PyIter_Next(counter);
+        long long next = first == NULL ? -1 : PyLong_AsLongLong(first);
+        if (first == NULL && !PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "the packet id counter is exhausted");
+        else if (first != NULL && !(next == -1 && PyErr_Occurred()) &&
+                 (ids = (PyObject *)PyObject_New(PacketIdsObject, &PacketIdsType)) != NULL) {
+            ((PacketIdsObject *)ids)->next = next;
+            if (PyObject_SetAttr(mod, NL.s__packet_counter, ids) < 0)
+                Py_CLEAR(ids);
+        }
+        Py_XDECREF(first);
+    }
+    Py_XDECREF(counter);
+    Py_XDECREF(mod);
+    NL.ids = ids;
+    return ids == NULL ? -1 : 0;
+}
+
+/* *slot = the plain function cls.name, once. */
+static int
+nl_function(PyObject **slot, int cls, const char *name)
+{
+    if (*slot == NULL)
+        *slot = PyObject_GetAttrString((PyObject *)NL.type[cls], name);
+    return *slot == NULL ? -1 : 0;
+}
+
+/* Resolve the link layer's classes, their slot offsets, the link type, the
+ * packet type and the stats types of links, nodes and queues; once. */
 static int
 nl_bind(void)
 {
@@ -1963,16 +2512,20 @@ nl_bind(void)
     Py_XSETREF(NL.capture_on_packet,
                PyObject_GetAttrString((PyObject *)NL.type[T_CAPTURE], "on_packet"));
     if (NL.droptail_enqueue == NULL || NL.capture_on_packet == NULL ||
-        nl_import((PyObject **)&NL.deque_type, "collections", "deque") < 0)
+        nl_import((PyObject **)&NL.deque_type, "collections", "deque") < 0 ||
+        nl_import(&NL.reconstructor, "copyreg", "_reconstructor") < 0 ||
+        nl_function(&NL.py_send, T_LINK, "send") < 0 ||
+        nl_function(&NL.py_transmit, T_LINK, "_transmit") < 0 ||
+        nl_function(&NL.py_deliver, T_LINK, "_deliver") < 0)
         return -1;
-    if (NL.deque_append == NULL)
-        NL.deque_append = PyObject_GetAttrString((PyObject *)NL.deque_type, "append");
-    if (NL.deque_popleft == NULL)
-        NL.deque_popleft = PyObject_GetAttrString((PyObject *)NL.deque_type, "popleft");
-    if (NL.deque_append == NULL || NL.deque_popleft == NULL)
+    if (nl_deque_method(&NL.deque_append, &NL.f_append, "append", METH_O) < 0 ||
+        nl_deque_method(&NL.deque_popleft, &NL.f_popleft, "popleft", METH_NOARGS) < 0 ||
+        nl_deque_method(&NL.deque_appendleft, &NL.f_appendleft, "appendleft", METH_O) < 0)
         return -1;
     if (nl_subtype(&nc_stats_specs[T_LSTATS], T_LSTATS) < 0 ||
-        nl_subtype(&nc_stats_specs[T_NSTATS], T_NSTATS) < 0)
+        nl_subtype(&nc_stats_specs[T_NSTATS], T_NSTATS) < 0 ||
+        nl_subtype(&nc_stats_specs[T_QSTATS], T_QSTATS) < 0 ||
+        nl_subtype(&npacket_spec, T_PACKET) < 0 || nl_bind_ids() < 0)
         return -1;
     return nl_subtype(&nlink_spec, T_LINK);
 }
@@ -1990,10 +2543,14 @@ nl_bind(void)
  * links') or, for the counters, to the C fields of the native SenderStats /
  * ReceiverStats (NC_FIELDS), so Python code -- the MPTCP scheduler,
  * close_subflow, the inherited start/resume/close/on_path_restored, a test
- * -- sees and may change the same state between any two events.  Python is called exactly
- * where the Python body calls something it does not define: cc.*,
- * data_provider.*, connection_sink.on_subflow_data, on_idle, a non-stock
- * rtt, a link that is not native, host.send on a route-memo miss.
+ * -- sees and may change the same state between any two events.  The
+ * packets they build are native (sim.packet_type, from a free list) and a
+ * foreign packet handed to handle_packet runs the Python body.  Python is
+ * called exactly where the Python body calls something it does not define:
+ * cc.* (whose cwnd, mss and ssthresh are read as slots while the class's
+ * in_slow_start is the stock one), data_provider.*,
+ * connection_sink.on_subflow_data, on_idle, a non-stock rtt, a link that is
+ * not native, host.send on a route-memo miss.
  *
  * The retransmission timer is a native heap entry (KN_RTO, cb = the sender)
  * whose cancellation handle sits in _rto_event, so the inherited Python
@@ -2060,7 +2617,9 @@ nt_flag(PyObject *v, const char *name)
 }
 
 /* Writes keep the stored object when the value does not move: most fields
- * of most ACKs (_dupacks 0, _rto_backoff 1.0, min_rtt, a clamped _rto). */
+ * of most ACKs (_dupacks 0, _rto_backoff 1.0, min_rtt, a clamped _rto).  A
+ * float the slot holds the only reference to takes the new value in place:
+ * whoever could tell it apart from a fresh float would hold a reference. */
 static inline int
 nt_set_i64(PyObject **slot, int64_t v)
 {
@@ -2079,8 +2638,10 @@ nt_set_f64(PyObject **slot, double v)
 {
     PyObject *old = *slot;
     if (old != NULL && PyFloat_CheckExact(old) &&
-        memcmp(&((PyFloatObject *)old)->ob_fval, &v, sizeof v) == 0)
+        (Py_REFCNT(old) == 1 || memcmp(&((PyFloatObject *)old)->ob_fval, &v, sizeof v) == 0)) {
+        ((PyFloatObject *)old)->ob_fval = v;
         return 0;
+    }
     return nl_set(slot, PyFloat_FromDouble(v));
 }
 
@@ -2134,34 +2695,34 @@ nt_stat_add(PyObject *agent, int stats_slot, int stats_type, int field, int64_t 
 
 #define NT_PSET(packet, name, value) NL_SET(packet, PACKET, name, Py_NewRef(value))
 
-/* A pooled or fresh Packet with the fields acquire_data and acquire_ack set
- * alike; the caller sets the rest.  New reference. */
+/* A recycled or fresh native packet with the fields acquire_data and
+ * acquire_ack set alike (flow ids from the agent's slots, ints only); the
+ * caller sets the rest.  New reference. */
 static PyObject *
-nt_packet_acquire(PyObject *host, PyObject *dst, PyObject *tag, PyObject *flow_id,
-                  PyObject *subflow_id, double now)
+nt_packet_acquire(PyObject *host, PyObject *dst, PyObject *tag, PyObject *flow_obj,
+                  PyObject *subflow_obj, double now)
 {
-    Py_ssize_t pooled = PyObject_Size(NL.packet_pool);
-    if (pooled < 0)
+    int64_t flow_id, subflow_id;
+    PyObject *src = NL_SLOT(host, NODE, name);
+    if (src == NULL) {
+        nl_unset("name");
         return NULL;
-    PyTypeObject *cls = NL.type[T_PACKET];
-    PyObject *packet = pooled ? PyObject_CallNoArgs(NL.pool_pop) : cls->tp_alloc(cls, 0);
+    }
+    if (nt_i64(flow_obj, &flow_id, "flow_id") < 0 ||
+        nt_i64(subflow_obj, &subflow_id, "subflow_id") < 0)
+        return NULL;
+    PyObject *packet = free_pop(&free_packets, NL.native[T_PACKET]);
     if (packet == NULL)
         return NULL;
-    PyObject *src = NL_SLOT(host, NODE, name);
-    PyObject *created_at = PyFloat_FromDouble(now);
-    int ok = created_at != NULL && nl_expect(packet, T_PACKET, "pooled item") == 0 &&
-             (src != NULL || nl_unset("name") == 0) &&
-             NL_SET(packet, PACKET, packet_id, PyIter_Next(NL.packet_counter)) == 0 &&
-             NT_PSET(packet, src, src) == 0 && NT_PSET(packet, dst, dst) == 0 &&
-             NT_PSET(packet, tag, tag) == 0 && NT_PSET(packet, flow_id, flow_id) == 0 &&
-             NT_PSET(packet, subflow_id, subflow_id) == 0 &&
-             NT_PSET(packet, protocol, NL.s_tcp) == 0 &&
-             NT_PSET(packet, created_at, created_at) == 0 &&
-             NT_PSET(packet, enqueued_at, NL.f_zero) == 0 &&
-             NL_SET(packet, PACKET, hops, PyLong_FromLong(0)) == 0 &&
-             NT_PSET(packet, ecn, Py_False) == 0 && NT_PSET(packet, _poolable, Py_True) == 0;
-    Py_XDECREF(created_at);
-    if (!ok)
+    NC_I64(packet, PACKET, packet_id) = ((PacketIdsObject *)NL.ids)->next++;
+    NC_I64(packet, PACKET, flow_id) = flow_id;
+    NC_I64(packet, PACKET, subflow_id) = subflow_id;
+    NC_F64(packet, PACKET, created_at) = now;
+    NC_F64(packet, PACKET, enqueued_at) = 0.0;
+    NC_I64(packet, PACKET, hops) = 0;
+    if (NT_PSET(packet, src, src) < 0 || NT_PSET(packet, dst, dst) < 0 ||
+        NT_PSET(packet, tag, tag) < 0 || NT_PSET(packet, protocol, NL.s_tcp) < 0 ||
+        NT_PSET(packet, ecn, Py_False) < 0 || NT_PSET(packet, _poolable, Py_True) < 0)
         Py_CLEAR(packet);
     return packet;
 }
@@ -2170,12 +2731,7 @@ nt_packet_acquire(PyObject *host, PyObject *dst, PyObject *tag, PyObject *flow_i
 static int
 slot_pkt_recycle(KernelSimObject *sim, PyObject *packet)
 {
-    NT_FLAG(poolable, packet, PACKET, _poolable);
-    if (!poolable)
-        return 0;
-    if (NT_PSET(packet, _poolable, Py_False) < 0)
-        return -1;
-    return nl_done(PyObject_CallOneArg(NL.pool_append, packet));
+    return np_release(packet);
 }
 
 /* host.send for either agent, through an egress memo the Python bodies do
@@ -2210,42 +2766,36 @@ nt_egress(PyObject *agent, const RouteSlots *r, PyObject *packet)
     if (nl_expect(host, T_NODE, "host") < 0)
         return -1;
     NL_GET(routing, host, NODE, routing);
-    PyObject *version = PyObject_GetAttr(routing, NL.s_version);
-    if (version == NULL)
+    int64_t version, memo_at;
+    int usable = nl_routing_version(routing, &version);
+    if (usable < 0)
         return -1;
-    int rc = -1;
-    if (link != Py_None) {
-        int current = PyObject_RichCompareBool(memo_version, version, Py_EQ);
-        if (current < 0)
-            goto done;
-        if (current) {
-            Py_INCREF(link);
-            rc = Py_IS_TYPE(link, NL.native[T_LINK])
-                ? nl_send(link, packet)
-                : nl_done(PyObject_CallMethodOneArg(link, NL.s_send, packet));
-            Py_DECREF(link);
-            rc = rc < 0 ? -1 : 0;
-            goto done;
-        }
+    if (usable == 0 && link != Py_None && nl_int64(memo_version, &memo_at) &&
+        memo_at == version) {
+        Py_INCREF(link);
+        int rc = Py_IS_TYPE(link, NL.native[T_LINK])
+            ? nl_send(link, packet)
+            : nl_done(PyObject_CallMethodOneArg(link, NL.s_send, packet));
+        Py_DECREF(link);
+        return rc < 0 ? -1 : 0;
     }
     if (nl_done(PyObject_CallOneArg(host_send, packet)) < 0)
-        goto done;
+        return -1;
     /* Adopt whatever the host's hop cache resolved (None on a routing
-     * drop: stays on the slow path and retries). */
+     * drop: stays on the slow path and retries), under the version that
+     * routing reads now. */
     PyObject *cache = NL_SLOT(host, NODE, _hop_cache);
-    if (cache == NULL) {
-        nl_unset("_hop_cache");
-        goto done;
-    }
+    if (cache == NULL)
+        return nl_unset("_hop_cache");
+    routing = NL_SLOT(host, NODE, routing);
+    if (routing == NULL)
+        return nl_unset("routing");
+    if ((usable = nl_routing_version(routing, &version)) != 0)
+        return usable < 0 ? -1 : 0;
     PyObject *resolved = PyObject_CallMethodOneArg(cache, NL.s_get, key);
-    if (resolved == NULL)
-        goto done;
-    nl_set(&NT_AT(agent, r->link), resolved);
-    nl_set(&NT_AT(agent, r->version), Py_NewRef(version));
-    rc = 0;
-done:
-    Py_DECREF(version);
-    return rc;
+    if (resolved == NULL || nl_set(&NT_AT(agent, r->link), resolved) < 0)
+        return -1;
+    return nl_set(&NT_AT(agent, r->version), PyLong_FromLongLong((long long)version));
 }
 
 /* ---- the slot accessor layer (contract: _transport.h) ---- */
@@ -2259,17 +2809,18 @@ done:
 #define TP_NOW(c) ((c)->now)
 #define TP_ECN 1
 
-#define SND_I64(var, S, name) NT_I64(var, S, SENDER, name)
-#define SND_F64(var, S, name) NT_F64(var, S, SENDER, name)
+#define SND_I64(var, S, name) int64_t var = NC_I64(S, SENDER, name)
+#define SND_F64(var, S, name) double var = NC_F64(S, SENDER, name)
+#define SND_MSS(var, S) NT_I64(var, S, SENDER, mss)
 #define SND_FLAG(var, S, name) NT_FLAG(var, S, SENDER, name)
-#define SND_SET_I64(S, name, v) NT_CHECKED(nt_set_i64(&NL_SLOT(S, SENDER, name), v))
-#define SND_SET_F64(S, name, v) NT_CHECKED(nt_set_f64(&NL_SLOT(S, SENDER, name), v))
+#define SND_SET_I64(S, name, v) (NC_I64(S, SENDER, name) = (v))
+#define SND_SET_F64(S, name, v) (NC_F64(S, SENDER, name) = (v))
 #define SND_SET_FLAG(S, name, v) NT_CHECKED(nt_set_flag(&NL_SLOT(S, SENDER, name), v))
 #define SND_STAT_ADD(S, name, d)                                            \
     NT_CHECKED(nt_stat_add(S, O_SENDER_stats, T_SSTATS, F_SSTATS_##name, d))
 #define SND_PATH_DOWN(var, S) NT_FLAG(var, S, SENDER, path_down)
-#define RCV_I64(var, R, name) NT_I64(var, R, RECV, name)
-#define RCV_SET_I64(R, name, v) NT_CHECKED(nt_set_i64(&NL_SLOT(R, RECV, name), v))
+#define RCV_I64(var, R, name) int64_t var = NC_I64(R, RECV, name)
+#define RCV_SET_I64(R, name, v) (NC_I64(R, RECV, name) = (v))
 #define RCV_STAT_ADD(R, name, d)                                            \
     NT_CHECKED(nt_stat_add(R, O_RECV_stats, T_RSTATS, F_RSTATS_##name, d))
 #define SEG_I64(var, g, name) NT_I64(var, g, SEG, name)
@@ -2277,8 +2828,8 @@ done:
 #define SEG_FLAG(var, g, name) NT_FLAG(var, g, SEG, name)
 #define SEG_SET_F64(g, name, v) NT_CHECKED(nt_set_f64(&NL_SLOT(g, SEG, name), v))
 #define SEG_SET_FLAG(g, name, v) NT_CHECKED(nt_set_flag(&NL_SLOT(g, SEG, name), v))
-#define PKT_I64(var, c, p, name) NT_I64(var, p, PACKET, name)
-#define PKT_F64(var, c, p, name) NT_F64(var, p, PACKET, name)
+#define PKT_I64(var, c, p, name) int64_t var = NC_I64(p, PACKET, name)
+#define PKT_F64(var, c, p, name) double var = NC_F64(p, PACKET, name)
 #define PKT_FLAG(var, c, p, name) NT_FLAG(var, p, PACKET, name)
 
 /* _seg_queue (a deque, in ascending seq) and _segments (its index by seq).
@@ -2314,7 +2865,8 @@ static Py_ssize_t
 nt_segq_len(PyObject *S)
 {
     PyObject *queue = nt_segq(S);
-    return queue == NULL ? -1 : PyObject_Size(queue);
+    return queue == NULL ? -1 : Py_IS_TYPE(queue, NL.deque_type) ? Py_SIZE(queue)
+                                                                 : PyObject_Size(queue);
 }
 
 static PyObject *
@@ -2356,23 +2908,22 @@ nt_segq_find(PyObject *S, int64_t seq, PyObject **g)
     if (nt_segq_find(S, seq, &g) < 0)                                       \
         return -1
 
-/* A fresh record appended at snd_nxt (the Python body recycles records
- * through a free list; here they are simply allocated and dropped). */
+/* A record appended at snd_nxt: recycled from the records the sender
+ * retired (free_segments), or fresh. */
 static int
 slot_segq_push(PyObject *S, int64_t seq, int64_t length, int64_t dsn, double now)
 {
     PyObject *queue = nt_segq(S), *segments = nt_segments(S);
     if (queue == NULL || segments == NULL)
         return -1;
-    PyTypeObject *cls = NL.type[T_SEG];
-    PyObject *g = cls->tp_alloc(cls, 0);
+    PyObject *g = free_pop(&free_segments, NL.type[T_SEG]);
     if (g == NULL)
         return -1;
     int rc = -1;
-    if (NL_SET(g, SEG, seq, PyLong_FromLongLong(seq)) == 0 &&
-        NL_SET(g, SEG, length, PyLong_FromLongLong(length)) == 0 &&
-        NL_SET(g, SEG, dsn, PyLong_FromLongLong(dsn)) == 0 &&
-        NL_SET(g, SEG, sent_at, PyFloat_FromDouble(now)) == 0 &&
+    if (nt_set_i64(&NL_SLOT(g, SEG, seq), seq) == 0 &&
+        nt_set_i64(&NL_SLOT(g, SEG, length), length) == 0 &&
+        nt_set_i64(&NL_SLOT(g, SEG, dsn), dsn) == 0 &&
+        nt_set_f64(&NL_SLOT(g, SEG, sent_at), now) == 0 &&
         NL_SET(g, SEG, retransmitted, Py_NewRef(Py_False)) == 0 &&
         NL_SET(g, SEG, sacked, Py_NewRef(Py_False)) == 0 &&
         NL_SET(g, SEG, lost, Py_NewRef(Py_False)) == 0 &&
@@ -2395,6 +2946,9 @@ slot_segq_popleft(PyObject *S)
     PyObject *seq = nl_expect(g, T_SEG, "_seg_queue item") < 0 ? NULL : NL_SLOT(g, SEG, seq);
     int rc = seq == NULL ? (PyErr_Occurred() ? -1 : nl_unset("seq"))
                          : PyDict_DelItem(segments, seq);
+    /* Retired: a record of exactly _SegmentInfo is recycled. */
+    if (rc == 0 && Py_IS_TYPE(g, NL.type[T_SEG]))
+        free_push(&free_segments, g);
     Py_DECREF(g);
     return rc;
 }
@@ -2575,11 +3129,37 @@ nt_cc_call(PyObject *S, PyObject *name, PyObject **argv, size_t nargs)
     return rc;
 }
 
+/* A controller whose class keeps the stock in_slow_start (by identity, as
+ * nl_stock_tap): its cwnd / mss / ssthresh slots are read in place, the
+ * float cwnd (and ssthresh) by value, the int mss exactly. */
+static int
+nt_stock_cc(PyObject *cc, double *cwnd, int64_t *mss, double *ssthresh)
+{
+    if (!nl_is(cc, T_CC) ||
+        _PyType_Lookup(Py_TYPE(cc), NL.s_in_slow_start) != NL.cc_in_slow_start)
+        return 0;
+    PyObject *c = NL_SLOT(cc, CC, cwnd), *m = NL_SLOT(cc, CC, mss);
+    PyObject *t = NL_SLOT(cc, CC, ssthresh);
+    if (c == NULL || m == NULL || t == NULL || !PyFloat_CheckExact(c) ||
+        !PyFloat_CheckExact(t) || !nl_int64(m, mss) || *mss > ((int64_t)1 << 53) ||
+        *mss < -((int64_t)1 << 53))
+        return 0;
+    *cwnd = PyFloat_AS_DOUBLE(c);
+    *ssthresh = PyFloat_AS_DOUBLE(t);
+    return 1;
+}
+
 /* cc.cwnd * cc.mss */
 static int
 slot_cc_cwnd_bytes(PyObject *S, double *out)
 {
     NL_GET(cc, S, SENDER, cc);
+    double cwnd_f, ssthresh;
+    int64_t mss_i;
+    if (nt_stock_cc(cc, &cwnd_f, &mss_i, &ssthresh)) {
+        *out = cwnd_f * (double)mss_i;
+        return 0;
+    }
     PyObject *cwnd = PyObject_GetAttr(cc, NL.s_cwnd);
     PyObject *mss = cwnd == NULL ? NULL : PyObject_GetAttr(cc, NL.s_mss);
     PyObject *product = mss == NULL ? NULL : PyNumber_Multiply(cwnd, mss);
@@ -2596,6 +3176,12 @@ static int
 slot_cc_in_slow_start(PyObject *S, int *out)
 {
     NL_GET(cc, S, SENDER, cc);
+    double cwnd, ssthresh;
+    int64_t mss;
+    if (nt_stock_cc(cc, &cwnd, &mss, &ssthresh)) {
+        *out = cwnd < ssthresh;
+        return 0;
+    }
     PyObject *value = PyObject_GetAttr(cc, NL.s_in_slow_start);
     if (value == NULL)
         return -1;
@@ -2722,7 +3308,14 @@ slot_sink_deliver(KernelSimObject *sim, PyObject *R, int64_t dsn, int64_t length
     Py_XDECREF(argv[2]);
     Py_XDECREF(argv[3]);
     Py_XDECREF(argv[4]);
-    return NL_SET(R, RECV, _last_dack, dack);
+    if (dack == NULL)
+        return -1;
+    int64_t last_dack;
+    int rc = nt_i64(dack, &last_dack, "the data ACK on_subflow_data returned");
+    Py_DECREF(dack);
+    if (rc == 0)
+        NC_I64(R, RECV, _last_dack) = last_dack;
+    return rc;
 }
 
 /* The reorder buffer: _out_of_order, a dict seq -> (length, dsn). */
@@ -2842,7 +3435,8 @@ done:
  * reads as a flag). */
 #define PKT_CE(var, c, p)                                                   \
     NL_GET(ecn__##var, p, PACKET, ecn);                                     \
-    int var = PyObject_RichCompareBool(ecn__##var, NL.two, Py_EQ);          \
+    int var = ecn__##var == Py_False ? 0                                    \
+            : PyObject_RichCompareBool(ecn__##var, NL.two, Py_EQ);          \
     if (var < 0)                                                            \
         return -1
 
@@ -2892,17 +3486,17 @@ slot_send_data(KernelSimObject *sim, PyObject *S, int64_t seq, int64_t length, i
     PyObject *packet = nt_packet_acquire(host, dst, tag, flow_id, subflow_id, now);
     if (packet == NULL)
         return -1;
+    NC_I64(packet, PACKET, size) = length + NL.header_size;
+    NC_I64(packet, PACKET, seq) = seq;
+    NC_I64(packet, PACKET, payload_len) = length;
+    NC_I64(packet, PACKET, ack) = 0;
+    NC_I64(packet, PACKET, dsn) = dsn;
+    NC_I64(packet, PACKET, dack) = 0;
+    NC_F64(packet, PACKET, ts_echo) = -1.0;
     int rc = -1;
-    if (NL_SET(packet, PACKET, size, PyLong_FromLongLong(length + NL.header_size)) == 0 &&
-        NL_SET(packet, PACKET, seq, PyLong_FromLongLong(seq)) == 0 &&
-        NL_SET(packet, PACKET, payload_len, PyLong_FromLongLong(length)) == 0 &&
-        NT_PSET(packet, is_ack, Py_False) == 0 &&
-        NL_SET(packet, PACKET, ack, PyLong_FromLong(0)) == 0 &&
-        NL_SET(packet, PACKET, dsn, PyLong_FromLongLong(dsn)) == 0 &&
-        NL_SET(packet, PACKET, dack, PyLong_FromLong(0)) == 0 &&
+    if (NT_PSET(packet, is_ack, Py_False) == 0 &&
         NT_PSET(packet, is_retransmission, is_retransmission ? Py_True : Py_False) == 0 &&
         NT_PSET(packet, sack_blocks, NL.empty) == 0 &&
-        NT_PSET(packet, ts_echo, NL.f_minus_one) == 0 &&
         /* ECT: the segment may be CE-marked instead of dropped. */
         (!ecn || NT_PSET(packet, ecn, NL.one) == 0))
         rc = nt_egress(S, &SENDER_ROUTE, packet);
@@ -2919,9 +3513,9 @@ slot_send_ack(KernelSimObject *sim, PyObject *R, double ts_echo, double now, int
     NL_GET(tag, R, RECV, tag);
     NL_GET(flow_id, R, RECV, flow_id);
     NL_GET(subflow_id, R, RECV, subflow_id);
-    NL_GET(ack_size, R, RECV, ack_size);
-    NL_GET(rcv_nxt, R, RECV, rcv_nxt);
-    NL_GET(last_dack, R, RECV, _last_dack);
+    RCV_I64(ack_size, R, ack_size);
+    RCV_I64(rcv_nxt, R, rcv_nxt);
+    RCV_I64(last_dack, R, _last_dack);
     PyObject *buffer = nt_ooo(R);
     if (buffer == NULL)
         return -1;
@@ -2931,19 +3525,20 @@ slot_send_ack(KernelSimObject *sim, PyObject *R, double ts_echo, double now, int
         return -1;
     PyObject *packet = nt_packet_acquire(host, peer, tag, flow_id, subflow_id, now);
     int rc = -1;
-    if (packet != NULL &&
-        NT_PSET(packet, size, ack_size) == 0 &&
-        NL_SET(packet, PACKET, seq, PyLong_FromLong(0)) == 0 &&
-        NL_SET(packet, PACKET, payload_len, PyLong_FromLong(0)) == 0 &&
-        NT_PSET(packet, is_ack, Py_True) == 0 &&
-        NT_PSET(packet, ack, rcv_nxt) == 0 &&
-        NL_SET(packet, PACKET, dsn, PyLong_FromLong(0)) == 0 &&
-        NT_PSET(packet, dack, last_dack) == 0 &&
-        NT_PSET(packet, is_retransmission, Py_False) == 0 &&
-        NT_PSET(packet, sack_blocks, sack) == 0 &&
-        NL_SET(packet, PACKET, ts_echo, PyFloat_FromDouble(ts_echo)) == 0 &&
-        (!ece || NT_PSET(packet, ecn, Py_True) == 0))
-        rc = nt_egress(R, &RECV_ROUTE, packet);
+    if (packet != NULL) {
+        NC_I64(packet, PACKET, size) = ack_size;
+        NC_I64(packet, PACKET, seq) = 0;
+        NC_I64(packet, PACKET, payload_len) = 0;
+        NC_I64(packet, PACKET, ack) = rcv_nxt;
+        NC_I64(packet, PACKET, dsn) = 0;
+        NC_I64(packet, PACKET, dack) = last_dack;
+        NC_F64(packet, PACKET, ts_echo) = ts_echo;
+        if (NT_PSET(packet, is_ack, Py_True) == 0 &&
+            NT_PSET(packet, is_retransmission, Py_False) == 0 &&
+            NT_PSET(packet, sack_blocks, sack) == 0 &&
+            (!ece || NT_PSET(packet, ecn, Py_True) == 0))
+            rc = nt_egress(R, &RECV_ROUTE, packet);
+    }
     Py_XDECREF(packet);
     Py_DECREF(sack);
     return rc;
@@ -2965,22 +3560,31 @@ nt_agent_sim(PyObject *agent, int sim_slot)
     return (KernelSimObject *)sim;
 }
 
+/* handle_packet: the C body for the native packet, the Python body (py)
+ * for any other. */
+static int
+nt_receive(PyObject *agent, int sim_slot, PyObject *py, PyObject *packet,
+           int (*body)(KernelSimObject *, PyObject *, PyObject *))
+{
+    if (!nl_native_packet(packet)) {
+        PyObject *argv[2] = {agent, packet};
+        return nl_py_call(py, argv, 2, 0);
+    }
+    KernelSimObject *sim = nt_agent_sim(agent, sim_slot);
+    return sim == NULL ? -1 : body(sim, agent, packet);
+}
+
 static int
 nt_sender_receive(PyObject *sender, PyObject *packet)
 {
-    KernelSimObject *sim = nt_agent_sim(sender, O_SENDER_sim);
-    if (sim == NULL || nl_expect(packet, T_PACKET, "packet") < 0)
-        return -1;
-    return slot_sender_handle(sim, sender, packet);
+    return nt_receive(sender, O_SENDER_sim, NL.py_sender_handle, packet, slot_sender_handle);
 }
 
 static int
 nt_receiver_receive(PyObject *receiver, PyObject *packet)
 {
-    KernelSimObject *sim = nt_agent_sim(receiver, O_RECV_sim);
-    if (sim == NULL || nl_expect(packet, T_PACKET, "packet") < 0)
-        return -1;
-    return slot_receiver_handle(sim, receiver, packet);
+    return nt_receive(receiver, O_RECV_sim, NL.py_receiver_handle, packet,
+                      slot_receiver_handle);
 }
 
 static PyObject *
@@ -3080,9 +3684,17 @@ nt_bind(void)
     if (NL.native[T_RECV] != NULL)
         return 0;
     if (nl_bind() < 0 || nl_resolve(T_SENDER, T_COUNT, O_LINK_COUNT, O_COUNT) < 0 ||
-        nl_import(&NL.packet_pool, "repro.netsim.packet", "_pool") < 0 ||
-        nl_import(&NL.packet_counter, "repro.netsim.packet", "_packet_counter") < 0)
+        nl_function(&NL.py_sender_handle, T_SENDER, "handle_packet") < 0 ||
+        nl_function(&NL.py_receiver_handle, T_RECV, "handle_packet") < 0)
         return -1;
+    if (NL.cc_in_slow_start == NULL) {
+        PyObject *stock = _PyType_Lookup(NL.type[T_CC], NL.s_in_slow_start);
+        if (stock == NULL) {
+            PyErr_SetString(PyExc_TypeError, "CongestionControl has no in_slow_start");
+            return -1;
+        }
+        NL.cc_in_slow_start = Py_NewRef(stock);
+    }
     PyObject *header = NULL;
     if (nl_import(&header, "repro.units", "HEADER_SIZE") < 0)
         return -1;
@@ -3093,12 +3705,8 @@ nt_bind(void)
 #define NT_CONST(member, expr)                                              \
     if (NL.member == NULL && (NL.member = (expr)) == NULL)                  \
         return -1;
-    NT_CONST(pool_pop, PyObject_GetAttrString(NL.packet_pool, "pop"))
-    NT_CONST(pool_append, PyObject_GetAttrString(NL.packet_pool, "append"))
     NT_CONST(two, PyLong_FromLong(2))
     NT_CONST(empty, PyTuple_New(0))
-    NT_CONST(f_zero, PyFloat_FromDouble(0.0))
-    NT_CONST(f_minus_one, PyFloat_FromDouble(-1.0))
 #undef NT_CONST
     if (nl_subtype(&nc_stats_specs[T_SSTATS], T_SSTATS) < 0 ||
         nl_subtype(&nc_stats_specs[T_RSTATS], T_RSTATS) < 0 ||
@@ -3853,6 +4461,7 @@ cap_record(SceneObject *s, int32_t ci, int32_t pi)
 
 #define SND_I64(var, S, name) int64_t var = (S)->name
 #define SND_F64(var, S, name) double var = (S)->name
+#define SND_MSS(var, S) int64_t var = (S)->mss
 #define SND_FLAG(var, S, name) int var = (S)->name
 #define SND_SET_I64(S, name, v) ((S)->name = (v))
 #define SND_SET_F64(S, name, v) ((S)->name = (v))
@@ -4778,7 +5387,8 @@ PyInit__ckernel(void)
         return NULL;
     if (PyType_Ready(&KernelSimType) < 0)
         return NULL;
-    if (PyType_Ready(&SceneType) < 0)
+    if (PyType_Ready(&SceneType) < 0 || PyType_Ready(&PacketIdsType) < 0 ||
+        PyType_Ready(&HopMemoType) < 0)
         return NULL;
     PyObject *mod = PyModule_Create(&ckernel_module);
     if (mod == NULL)

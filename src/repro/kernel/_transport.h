@@ -6,8 +6,10 @@
  *
  *   slot_*  -- the agents of every scene on a KernelSim.  State is read and
  *              written in place in the __slots__ of the Python TcpSender /
- *              TcpReceiver / _SegmentInfo / SenderStats / ReceiverStats /
- *              RttEstimator / Packet objects; the congestion controller, the
+ *              TcpReceiver / _SegmentInfo / RttEstimator objects, the C
+ *              fields of the native SenderStats / ReceiverStats and of the
+ *              native packets (a foreign packet never reaches these
+ *              bodies: it runs the Python ones); the congestion controller, the
  *              data provider, the connection sink, on_idle and a non-stock
  *              RTT estimator are Python calls made where the Python body
  *              makes them.
@@ -23,11 +25,13 @@
  *   types      TP_CTX (simulator / scene), TP_SND, TP_RCV, TP_SEG, TP_PKT
  *   clock      TP_NOW(c)
  *   state      SND_I64 / SND_F64 / SND_FLAG (var, S, name) declare `var`
- *              from a sender field named as in sender.py; SND_SET_*(S, name,
- *              v) write it; SND_STAT_ADD(S, name, d).  RCV_* likewise for
- *              receiver.py; SEG_* for one _SegmentInfo; PKT_* for the fields
- *              of a delivered packet.  On the slot backend each of them
- *              returns -1 from the enclosing function on an unset slot or a
+ *              from a sender field named as in sender.py, SND_MSS(var, S)
+ *              from its mss; SND_SET_*(S, name, v) write it; SND_STAT_ADD(S,
+ *              name, d).  RCV_* likewise for receiver.py; SEG_* for one
+ *              _SegmentInfo; PKT_* for the fields of a delivered packet.  On
+ *              the slot backend the numbers are C fields of the native
+ *              types, and the accessors that read a slot (flags, mss, SEG_*)
+ *              return -1 from the enclosing function on an unset slot or a
  *              value of the wrong type; on the struct backend none can fail.
  *   gates      TP_ECN, defined when packets can carry ECT/CE/ECE (the Scene's
  *              drop-tail lines never mark, and its eligibility excludes
@@ -179,7 +183,7 @@ TP(try_send)(TP_CTX c, TP_SND S)
 {
     /* As in the Python loop, the window bound is read once (it only moves
      * on ACK and loss events) and the sequence state on every turn. */
-    SND_I64(mss, S, mss);
+    SND_MSS(mss, S);
     double cwnd_bytes;
     if (TP(cc_cwnd_bytes)(S, &cwnd_bytes) < 0)
         return -1;
@@ -409,7 +413,7 @@ TP(on_dupack)(TP_CTX c, TP_SND S, double now)
     if (in_recovery)
         return 0;
     SND_I64(sacked, S, _sacked_bytes);
-    SND_I64(mss, S, mss);
+    SND_MSS(mss, S);
     if (dupacks >= 3 || sacked >= 3 * mss)     /* DUPACK_THRESHOLD */
         return TP(enter_fast_recovery)(c, S, now);
     return 0;
@@ -627,6 +631,7 @@ TP(receiver_handle)(TP_CTX c, TP_RCV R, TP_PKT packet)
 #undef TP_ECN
 #undef SND_I64
 #undef SND_F64
+#undef SND_MSS
 #undef SND_FLAG
 #undef SND_SET_I64
 #undef SND_SET_F64

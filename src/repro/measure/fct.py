@@ -23,8 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Default report percentiles (fractions).
+#: The FCT percentiles every report carries (fractions): median, tail and
+#: far tail, the three web-workload studies quote.
 DEFAULT_PERCENTILES = (0.50, 0.90, 0.99)
+
+#: Size classes of a report's breakdown: deciles of the transfer sizes, fine
+#: enough to split mice from elephants in every stock size distribution.
+SIZE_DECILES = 10
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ def fct_percentiles(
     }
 
 
-def size_decile_breakdown(records: Sequence[FctRecord], *, deciles: int = 10) -> List[dict]:
+def size_decile_breakdown(records: Sequence[FctRecord], *, deciles: int = SIZE_DECILES) -> List[dict]:
     """Per-size-decile FCT statistics.
 
     Records are sorted by size and split into ``deciles`` equal-count groups
@@ -137,8 +142,6 @@ class FctReport:
         records: Sequence[FctRecord],
         *,
         offered: Optional[int] = None,
-        percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-        deciles: int = 10,
     ) -> "FctReport":
         durations = [record.fct for record in records]
         plt = sorted(page_load_times(records).values())
@@ -147,13 +150,13 @@ class FctReport:
             offered=len(records) if offered is None else offered,
             total_bytes=sum(record.size_bytes for record in records),
             mean_fct_s=(sum(durations) / len(durations)) if durations else None,
-            percentiles=fct_percentiles(records, percentiles),
-            size_deciles=size_decile_breakdown(records, deciles=deciles),
+            percentiles=fct_percentiles(records, DEFAULT_PERCENTILES),
+            size_deciles=size_decile_breakdown(records),
             pages=len(plt),
             mean_page_load_s=(sum(plt) / len(plt)) if plt else None,
             page_load_percentiles={
                 f"p{int(round(fraction * 100))}": percentile(plt, fraction)
-                for fraction in percentiles
+                for fraction in DEFAULT_PERCENTILES
             },
         )
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
+from ..units import DEFAULT_QUEUE_PACKETS
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.network import Network
 
@@ -90,6 +92,10 @@ NOMINAL_SIGNALS_PER_FLOW_PER_S = 20.0
 #: congested (greedy responsive flows pin the allocation at capacity).
 CONGESTION_UTILIZATION = 0.9
 
+#: Serialisation time of one queued packet in the analytic queue delays: a
+#: 1500-byte packet at 12 Mbps, the order of the stock bottlenecks.
+MEAN_PACKET_TIME_S = 0.001
+
 
 def modeled_signal_plane(
     *,
@@ -98,8 +104,6 @@ def modeled_signal_plane(
     ecn: bool,
     utilization: float,
     flows: int = 1,
-    queue_packets: int = 100,
-    mean_pkt_time: float = 0.001,
 ) -> SignalPlaneReport:
     """Analytic stand-in used by the flow-level backend.
 
@@ -125,12 +129,12 @@ def modeled_signal_plane(
             duration=duration,
             full_drops=signals,
             total_drops=signals,
-            mean_queue_delay_s=queue_packets * mean_pkt_time,
+            mean_queue_delay_s=DEFAULT_QUEUE_PACKETS * MEAN_PACKET_TIME_S,
         )
     if queue_kind == "codel":
         standing_delay = 0.005
     else:
-        standing_delay = 0.5 * queue_packets * mean_pkt_time
+        standing_delay = 0.5 * DEFAULT_QUEUE_PACKETS * MEAN_PACKET_TIME_S
     if ecn:
         return SignalPlaneReport(
             duration=duration,

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..units import BITS_PER_BYTE
 from .packet import Packet
-from .queues import DropTailQueue, Queue
+from .queues import DropTailQueue, Queue, QueueStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Simulator
@@ -170,6 +170,14 @@ class Link:
         self.rate_bps = float(rate_bps)
         self.delay = float(delay)
         self.queue = queue if queue is not None else DropTailQueue()
+        queue_stats_type = getattr(sim, "queue_stats_type", None)
+        if queue_stats_type is not None and type(self.queue.stats) is QueueStats:
+            # A queue is built without its simulator: on a compiled one the
+            # link swaps in C counters, carrying over what it counted so far.
+            counted = self.queue.stats
+            self.queue.stats = queue_stats_type()
+            for field in QueueStats.__slots__:
+                setattr(self.queue.stats, field, getattr(counted, field))
         self._enqueue = self.queue.enqueue  # bound once; runs per offered packet
         self.name = name or f"{src.name}->{dst.name}"
         self.stats = getattr(sim, "link_stats_type", LinkStats)()

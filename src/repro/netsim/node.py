@@ -42,7 +42,10 @@ class Node:
     ``(destination, tag)``.  Every forwarded packet then costs one dict
     lookup instead of a virtual ``next_hop`` dispatch plus the table's own
     lookup chain; the cache is invalidated whenever the table's mutation
-    ``version`` moves (``install_path``).
+    ``version`` moves (``install_path``).  The cache is never emptied in
+    place while the node holds it: :meth:`_reset_hop_cache` swaps in a fresh
+    dict, so the compiled kernel's hop memo, which checks the dict's
+    identity and borrows the links in it, never sees a stale entry.
     """
 
     __slots__ = (
@@ -69,8 +72,14 @@ class Node:
     def attach_link(self, link: "Link") -> None:
         """Register an outgoing link (keyed by the downstream node's name)."""
         self.links[link.dst.name] = link
-        if self._hop_cache is not None:
-            self._hop_cache.clear()
+        self._reset_hop_cache()
+
+    def _reset_hop_cache(self) -> None:
+        """Forget every resolved hop: a fresh dict, then the old one emptied."""
+        stale = self._hop_cache
+        if stale is not None:
+            self._hop_cache = {}
+            stale.clear()
 
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
@@ -79,7 +88,8 @@ class Node:
         if cache is not None:
             routing = self.routing
             if self._hop_version != routing.version:
-                cache.clear()
+                self._reset_hop_cache()
+                cache = self._hop_cache
                 self._hop_version = routing.version
             link = cache.get((packet.dst, packet.tag))
             if link is not None:
@@ -122,8 +132,7 @@ class Node:
     def _close(self) -> None:
         """Let go of the outgoing links: :meth:`~repro.netsim.network.Network.close`."""
         self.links.clear()
-        if self._hop_cache is not None:
-            self._hop_cache.clear()
+        self._reset_hop_cache()
 
 
 class Router(Node):
@@ -148,7 +157,11 @@ class Host(Node):
         super().__init__(name, sim, routing)
         self._agents: Dict[Tuple[int, int], object] = {}
         #: Hot-path mirror of ``_agents``: flow_id -> subflow_id -> agent.
-        #: Two int-keyed lookups beat building a tuple key per delivery.
+        #: Two int-keyed lookups beat building a tuple key per delivery.  A
+        #: change replaces the tables it touches and never edits them in
+        #: place, so the compiled kernel's dispatch memo, which checks the
+        #: outer table's identity and borrows the agents in it, never sees
+        #: a stale entry.
         self._agents_by_flow: Dict[int, Dict[int, object]] = {}
         #: Single-agent fast path: most hosts terminate exactly one
         #: (sender or receiver) endpoint, so delivery reduces to two int
@@ -168,17 +181,29 @@ class Host(Node):
         if key in self._agents:
             raise RoutingError(f"{self.name}: agent already registered for flow {key}")
         self._agents[key] = agent
-        self._agents_by_flow.setdefault(flow_id, {})[subflow_id] = agent
+        by_flow = dict(self._agents_by_flow)
+        by_flow[flow_id] = {**by_flow.get(flow_id, {}), subflow_id: agent}
+        self._replace_agent_tables(by_flow)
         self._refresh_sole_agent()
 
     def unregister_agent(self, flow_id: int, subflow_id: int) -> None:
         self._agents.pop((flow_id, subflow_id), None)
         per_flow = self._agents_by_flow.get(flow_id)
-        if per_flow is not None:
-            per_flow.pop(subflow_id, None)
-            if not per_flow:
-                del self._agents_by_flow[flow_id]
+        if per_flow is not None and subflow_id in per_flow:
+            by_flow = dict(self._agents_by_flow)
+            rest = {sub: agent for sub, agent in per_flow.items() if sub != subflow_id}
+            if rest:
+                by_flow[flow_id] = rest
+            else:
+                del by_flow[flow_id]
+            self._replace_agent_tables(by_flow)
         self._refresh_sole_agent()
+
+    def _replace_agent_tables(self, by_flow: Dict[int, Dict[int, object]]) -> None:
+        """Install ``by_flow``, then empty the table it replaces."""
+        stale = self._agents_by_flow
+        self._agents_by_flow = by_flow
+        stale.clear()
 
     def _refresh_sole_agent(self) -> None:
         if len(self._agents) == 1:
@@ -199,7 +224,7 @@ class Host(Node):
         """Also let go of the agents and capture taps."""
         super()._close()
         self._agents.clear()
-        self._agents_by_flow.clear()
+        self._replace_agent_tables({})
         self._captures.clear()
         self._refresh_sole_agent()
 

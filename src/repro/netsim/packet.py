@@ -9,12 +9,21 @@ Packet pool: the transport agents create millions of short-lived packets
 per simulated minute, so a free-list pool recycles them.  :func:`acquire`
 reinitialises a recycled instance and marks it poolable; the consumer that
 terminates a packet's life (the receiving transport agent) hands it back with
-:meth:`Packet.release`.  The compiled kernel's transport pops from and
-appends to the same pool.  Packets built through the plain constructor are
+:meth:`Packet.release`.  Packets built through the plain constructor are
 never pooled, so externally-held instances (tests, ad-hoc traffic) can never
 be mutated behind the holder's back, and ``release`` flips the poolable flag
 off before recycling so a double release can never alias one object twice in
 the pool.
+
+Kernels: on a compiled simulator the native agents build
+``sim.packet_type`` instead, a subclass whose numbers (id, size, flow ids,
+sequence fields, hops, times) are C int64 / double fields under these names
+(ints only, within int64, not deletable; it copies and pickles as
+:class:`Packet`) and whose ``release`` hands it to the kernel's own free
+list.  Every other packet -- this module's, a UDP source's, a hand-built one
+-- runs the Python bodies on either kernel.  Once the compiled kernel binds,
+``_packet_counter`` is its id sequence, continuing this one, so ids stay
+unique and increasing across both kinds of packet.
 """
 
 from __future__ import annotations

@@ -96,7 +96,12 @@ class TagRoutingTable(RoutingTable):
     direction carries data segments and the reverse direction carries the
     subflow's acknowledgements, both keyed by the same tag so that ACKs follow
     the reverse of the data path.
+
+    ``version`` is a slot: the compiled kernel's hop resolution reads it in
+    place on every forwarded packet.
     """
+
+    __slots__ = ("_entries", "_defaults", "_fallback", "version")
 
     def __init__(self, fallback: Optional[RoutingTable] = None) -> None:
         self._entries: Dict[Tuple[str, str, Optional[int]], str] = {}

@@ -74,13 +74,12 @@ class TestDsnReassembler:
 
     def test_goodput_records_are_monotone(self):
         reasm = DsnReassembler()
-        reasm.deliver(1400, 1400, now=0.1)
-        reasm.deliver(0, 1400, now=0.2)
-        reasm.deliver(2800, 1400, now=0.3)
-        times = [t for t, _ in reasm.goodput_records]
-        values = [v for _, v in reasm.goodput_records]
-        assert times == sorted(times)
-        assert values == sorted(values)
+        progress = []
+        for dsn, now in ((1400, 0.1), (0, 0.2), (2800, 0.3)):
+            reasm.deliver(dsn, 1400, now=now)
+            progress.append((reasm.data_ack, reasm.delivered_bytes))
+        assert progress == sorted(progress)
+        assert progress[-1] == (4200, 4200)
 
     def test_zero_length_delivery_is_noop(self):
         reasm = DsnReassembler()

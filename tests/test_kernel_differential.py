@@ -4,8 +4,10 @@ The goldens pin fifteen scenes; the compiled kernel reads Python
 ``__slots__`` by offset for every link and every TCP agent.  This module is
 the oracle for everything in between: a hypothesis strategy draws a scene --
 a small random topology of one to three (optionally overlapping) paths, one
-to four flows over {reno, cubic, lia, olia, balia, wvegas, sfc, telehaptic},
-a queue discipline, ECN on or off, greedy or bytes-limited transfers, and an
+to four flows over {reno, cubic, lia, olia, balia, wvegas, sfc, telehaptic}
+or UDP constant-bit-rate / on-off cross-traffic (packets a Python source
+acquires, which the compiled kernel hands to the Python bodies), a queue
+discipline, ECN on or off, greedy or bytes-limited transfers, and an
 optional :mod:`repro.netsim.dynamics` schedule -- runs it through
 ``run_multiflow`` under ``REPRO_KERNEL=python`` and ``=compiled`` and demands
 the same result JSON and the same observable network state
@@ -149,6 +151,12 @@ def scene_config(scene: dict) -> MultiFlowConfig:
                 congestion_control=flow["cc"], total_bytes=flow["bytes"],
                 start=flow["start"],
             ))
+        elif flow["kind"] in ("udp", "onoff"):
+            flows.append(FlowSpec(
+                kind=flow["kind"], path_index=flow["path"] % count,
+                rate_mbps=flow["rate"], start=flow["start"],
+                on_duration=0.05, off_duration=0.05,
+            ))
         else:
             flows.append(FlowSpec(
                 kind="mptcp", congestion_control=flow["cc"], scheduler=flow["scheduler"],
@@ -235,6 +243,10 @@ _flow = st.one_of(
         "kind": st.just("mptcp"), "cc": st.sampled_from(MULTIPATH_CC),
         "scheduler": st.sampled_from(("minrtt", "roundrobin")),
         "bytes": _bytes, "start": _start,
+    }),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(("udp", "onoff")), "path": st.integers(0, 2),
+        "rate": st.sampled_from((2.0, 12.0)), "start": _start,
     }),
 )
 _event = st.fixed_dictionaries({

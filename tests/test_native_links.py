@@ -124,15 +124,20 @@ class TestLinkTypeSelection:
         else:
             assert type(link) is Link and not hasattr(sim, "link_type")
 
+    def test_a_foreign_packet_runs_the_python_body(self, each_kernel):
+        # Anything but sim.packet_type is handed to Link.send's Python body,
+        # which fails on what it cannot read, as on the Python kernel.
+        link = line_network().link("s", "r")
+        with pytest.raises(AttributeError, match="size"):
+            link.send(object())
+
     def test_native_link_rejects_what_it_cannot_read(self, each_kernel):
         if each_kernel != "compiled":
             pytest.skip("the Python link is duck-typed")
         link = line_network().link("s", "r")
-        with pytest.raises(TypeError, match="packet must be a"):
-            link.send(object())
         del link.stats
         with pytest.raises(AttributeError, match="stats"):
-            link.send(Packet("s", "d", 100))
+            link.send(link.sim.packet_type("s", "d", 100))
 
 
 def stats_owners(scene: Scene) -> dict:
@@ -232,10 +237,10 @@ class TestNativeCounters:
         upstream = network.link("s", "r")
         upstream.stats = LinkStats()
         with pytest.raises(TypeError, match=r"must be a repro\.kernel\._ckernel\.LinkStats"):
-            upstream.send(Packet("s", "d", 100))
+            upstream.send(network.sim.packet_type("s", "d", 100))
         network = line_network()
         network.node("r").stats = NodeStats()
-        assert network.link("s", "r").send(Packet("s", "d", 100))
+        assert network.link("s", "r").send(network.sim.packet_type("s", "d", 100))
         with pytest.raises(TypeError, match=r"must be a repro\.kernel\._ckernel\.NodeStats"):
             network.sim.run(until=1.0)
 
@@ -476,13 +481,15 @@ class TestStockTapIsNative:
 
     def test_negative_tag_raises_the_python_text_and_writes_no_row(self, each_kernel):
         def script(scene):
+            # The kernel's own packet type, so the C tap is the one refusing.
+            kind = getattr(scene.sim, "packet_type", Packet)
             host = scene.network.host("s")
-            good = [Packet("s", "d", 200, tag=1, flow_id=7, seq=seq) for seq in (1, 3)]
+            good = [kind("s", "d", 200, tag=1, flow_id=7, seq=seq) for seq in (1, 3)]
             scene.sim.schedule_at(0.1, host.send, good[0])
             # Straight onto the last link: no route is installed for tag -3.
-            scene.sim.schedule_at(0.2, scene.bottleneck.send, Packet("s", "d", 200, tag=-3, seq=2))
+            scene.sim.schedule_at(0.2, scene.bottleneck.send, kind("s", "d", 200, tag=-3, seq=2))
             scene.sim.schedule_at(0.3, host.send, good[1])
-            untagged = Packet("s", "d", 200, flow_id=7, seq=4)
+            untagged = kind("s", "d", 200, flow_id=7, seq=4)
             scene.sim.schedule_at(0.4, host.send, untagged)
             with pytest.raises(
                 ValueError, match=r"^negative path tags are reserved by the capture, got -3$"
@@ -498,9 +505,15 @@ class TestStockTapIsNative:
         import struct
 
         def script(scene):
+            # A number no C field holds: a foreign packet's, or the native
+            # packet's tag slot, which the C tap leaves to the Python body.
+            kind = getattr(scene.sim, "packet_type", Packet)
             scene.sim.schedule_at(0.1, scene.bottleneck.send, Packet("s", "d", 200, dsn=2**70))
             with pytest.raises(struct.error):
                 scene.run(1.0)
+            scene.sim.schedule_at(1.05, scene.bottleneck.send, kind("s", "d", 200, tag=2**70))
+            with pytest.raises(struct.error):
+                scene.run(1.1)
             assert len(scene.capture._rows) == 0
             # An int-like field converts through __index__, as struct.pack does.
             scene.sim.schedule_at(1.1, scene.bottleneck.send, Packet("s", "d", 200, dsn=_Index(9)))
