@@ -371,12 +371,18 @@ kheap_pop(KernelSimObject *self)
     return top;
 }
 
+/* The simulators alive: the native packet and segment free lists (below)
+ * are emptied when the last one goes, so they do not outlive the runs. */
+static Py_ssize_t live_sims;
+static void free_lists_drain(void);
+
 static PyObject *
 ksim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     KernelSimObject *self = (KernelSimObject *)type->tp_alloc(type, 0);
     if (self == NULL)
         return NULL;
+    live_sims++;
     self->now = 0.0;
     self->events_processed = 0;
     self->events_native = 0;
@@ -423,6 +429,8 @@ ksim_dealloc(KernelSimObject *self)
     ksim_clear(self);
     PyMem_Free(self->heap);
     Py_TYPE(self)->tp_free((PyObject *)self);
+    if (--live_sims == 0)
+        free_lists_drain();
 }
 
 /* The "native links" and "native transport" sections below. */
@@ -900,7 +908,7 @@ static PyTypeObject KernelSimType = {
  * agents' handle_packet), so no C path reads a foreign packet's slots.  A
  * forwarded packet's next link comes from the inbound link's hop memo
  * (HopMemo), checked against the node's hop-cache dict and the routing
- * table's version, and Node.send on any miss.  Each function keeps its
+ * table's version, and Node.send on any miss; Link._close drops the memo.  Each function keeps its
  * Python twin's operation order (link.py, node.py, queues.py: keep in sync)
  * and calls Python wherever the twin calls something it does not define.
  * nl_deliver fuses what the Python Link._deliver calls -- Node.receive,
@@ -1303,7 +1311,8 @@ nl_py_call(PyObject *func, PyObject *const *argv, size_t nargs, int want_truth)
  * life ends (Packet.release, a retired segment) and is reused only once the
  * list holds its last reference, so a holder never sees it change.  The
  * packet an ACK or a segment just released is still held by the delivery
- * that is running, so a pop looks a few entries deep for a free one. */
+ * that is running, so a pop looks a few entries deep for a free one.  Both
+ * lists empty when the last KernelSim goes. */
 #define FREE_LIMIT 256
 typedef struct {
     PyObject *item[FREE_LIMIT];
@@ -1316,6 +1325,15 @@ free_push(FreeList *fl, PyObject *obj)
 {
     if (fl->n < FREE_LIMIT)
         fl->item[fl->n++] = Py_NewRef(obj);
+}
+
+static void
+free_lists_drain(void)
+{
+    while (free_packets.n > 0)
+        Py_DECREF(free_packets.item[--free_packets.n]);
+    while (free_segments.n > 0)
+        Py_DECREF(free_segments.item[--free_segments.n]);
 }
 
 #define FREE_SCAN 8
@@ -1793,22 +1811,19 @@ python:
  *   - for a host with several agents, the agent its _agents_by_flow holds
  *     for a (flow_id, subflow_id), valid while the host still holds that
  *     table.  A miss reads the table.
- * The link or agent an entry names is borrowed from the dict it was read
- * from, which node.py never empties or edits while the node holds it (it
- * swaps in a fresh one: Node._reset_hop_cache, Host._replace_agent_tables),
- * so a valid entry's object is alive. */
+ * An entry owns what it names, so a stale entry is a miss, never a dangling
+ * pointer.  Those references run link -> agent -> (egress memo) link, a
+ * cycle Network.close cuts through each link's _close. */
 
 #define HOP_MEMO_SIZE 8
 
 typedef struct {
-    PyObject *dst, *tag, *cache, *routing;  /* owned */
-    PyObject *link;                         /* borrowed from cache */
+    PyObject *dst, *tag, *cache, *routing, *link;
     int64_t version;
 } HopEntry;
 
 typedef struct {
-    PyObject *table;                        /* owned: the host's _agents_by_flow */
-    PyObject *agent;                        /* borrowed from table */
+    PyObject *table, *agent;                /* the host's _agents_by_flow */
     int64_t flow_id, subflow_id;
 } AgentEntry;
 
@@ -1826,7 +1841,14 @@ hentry_clear(HopEntry *e)
     Py_CLEAR(e->tag);
     Py_CLEAR(e->cache);
     Py_CLEAR(e->routing);
-    e->link = NULL;
+    Py_CLEAR(e->link);
+}
+
+static void
+aentry_clear(AgentEntry *e)
+{
+    Py_CLEAR(e->table);
+    Py_CLEAR(e->agent);
 }
 
 static int
@@ -1837,9 +1859,12 @@ hmemo_traverse(HopMemoObject *self, visitproc visit, void *arg)
         Py_VISIT(self->e[i].tag);
         Py_VISIT(self->e[i].cache);
         Py_VISIT(self->e[i].routing);
+        Py_VISIT(self->e[i].link);
     }
-    for (int i = 0; i < self->na; i++)
+    for (int i = 0; i < self->na; i++) {
         Py_VISIT(self->a[i].table);
+        Py_VISIT(self->a[i].agent);
+    }
     return 0;
 }
 
@@ -1858,7 +1883,7 @@ hmemo_clear(HopMemoObject *self)
     for (int i = 0; i < n; i++)
         hentry_clear(&gone[i]);
     for (int i = 0; i < na; i++)
-        Py_CLEAR(gone_a[i].table);
+        aentry_clear(&gone_a[i]);
     return 0;
 }
 
@@ -1958,9 +1983,9 @@ nl_agent(PyObject *link, PyObject *by_flow, int64_t flow_id, int64_t subflow_id,
     if (m == NULL)
         return -1;
     int i = hmemo_take(&m->na, &m->anext);
-    PyObject *gone = m->a[i].table;
-    m->a[i] = (AgentEntry){Py_NewRef(by_flow), *agent, flow_id, subflow_id};
-    Py_XDECREF(gone);
+    AgentEntry gone = m->a[i];
+    m->a[i] = (AgentEntry){Py_NewRef(by_flow), Py_NewRef(*agent), flow_id, subflow_id};
+    aentry_clear(&gone);
     return 0;
 }
 
@@ -2072,7 +2097,7 @@ nl_memo_adopt(PyObject *link, PyObject *node, PyObject *dst, PyObject *tag)
         i = hmemo_take(&memo->n, &memo->next);
     HopEntry gone = memo->e[i];
     memo->e[i] = (HopEntry){Py_NewRef(dst), Py_NewRef(tag), Py_NewRef(cache),
-                            Py_NewRef(routing), next, version};
+                            Py_NewRef(routing), Py_NewRef(next), version};
     hentry_clear(&gone);
     return 0;
 }
@@ -2239,6 +2264,13 @@ nlink_deliver(PyObject *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
+static PyObject *
+nlink_close(PyObject *self, PyObject *Py_UNUSED(ignored))
+{
+    Py_CLEAR(NC_AT(self, F_LINK__hop_memo, PyObject *));
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef nlink_methods[] = {
     {"send", (PyCFunction)nlink_send, METH_O,
      "Offer packet to the link; False if it was dropped."},
@@ -2246,11 +2278,13 @@ static PyMethodDef nlink_methods[] = {
      "Runs at the instant the transmitter frees while packets are queued."},
     {"_deliver", (PyCFunction)nlink_deliver, METH_NOARGS,
      "Hand the head in-flight packet to the downstream node."},
+    {"_close", (PyCFunction)nlink_close, METH_NOARGS,
+     "Drop the hop memo, whose entries own links and agents downstream."},
     {NULL, NULL, 0, NULL},
 };
 
 static PyType_Slot nlink_slots[] = {
-    {Py_tp_doc, "repro.netsim.link.Link with send/_serve_queue/_deliver in C."},
+    {Py_tp_doc, "repro.netsim.link.Link with send/_serve_queue/_deliver/_close in C."},
     {Py_tp_methods, nlink_methods},
     {0, NULL},
 };

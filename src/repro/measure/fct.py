@@ -4,7 +4,7 @@ Throughput time series answer "who gets the bandwidth"; user experience is
 decided by *flow completion time* (FCT).  This module turns a list of
 completed transfers (:class:`FctRecord`) into the standard workload report:
 
-* FCT percentiles (p50/p90/p99 by default) and the mean;
+* FCT percentiles (p50/p90/p99) and the mean;
 * a size-decile breakdown -- mice and elephants live in different FCT
   regimes, so one aggregate percentile hides the interesting structure;
 * page-load times -- a page is one request/response group (main response
@@ -58,38 +58,34 @@ def percentile(sorted_values: Sequence[float], fraction: float) -> Optional[floa
     return sorted_values[index]
 
 
-def fct_percentiles(
-    records: Iterable[FctRecord],
-    percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-) -> Dict[str, Optional[float]]:
-    """``{"p50": ..., "p90": ..., ...}`` of the completion times (seconds)."""
+def fct_percentiles(records: Iterable[FctRecord]) -> Dict[str, Optional[float]]:
+    """``{"p50": ..., "p90": ..., "p99": ...}`` of the completion times
+    (seconds), at :data:`DEFAULT_PERCENTILES`."""
     durations = sorted(record.fct for record in records)
     return {
         f"p{int(round(fraction * 100))}": percentile(durations, fraction)
-        for fraction in percentiles
+        for fraction in DEFAULT_PERCENTILES
     }
 
 
-def size_decile_breakdown(records: Sequence[FctRecord], *, deciles: int = SIZE_DECILES) -> List[dict]:
+def size_decile_breakdown(records: Sequence[FctRecord]) -> List[dict]:
     """Per-size-decile FCT statistics.
 
-    Records are sorted by size and split into ``deciles`` equal-count groups
-    (the last group absorbs the remainder); each row reports the group's
-    size range, mean FCT and tail FCT.  Fewer records than groups simply
-    yields fewer rows.
+    Records are sorted by size and split into :data:`SIZE_DECILES`
+    equal-count groups (the last group absorbs the remainder); each row
+    reports the group's size range, mean FCT and tail FCT.  Fewer records
+    than groups simply yields fewer rows.
     """
-    if deciles < 1:
-        raise ValueError("need at least one decile")
     ordered = sorted(records, key=lambda r: (r.size_bytes, r.name))
     if not ordered:
         return []
-    group_size = max(len(ordered) // deciles, 1)
+    group_size = max(len(ordered) // SIZE_DECILES, 1)
     rows: List[dict] = []
-    for group_index in range(deciles):
+    for group_index in range(SIZE_DECILES):
         lo = group_index * group_size
         if lo >= len(ordered):
             break
-        hi = len(ordered) if group_index == deciles - 1 else min(lo + group_size, len(ordered))
+        hi = len(ordered) if group_index == SIZE_DECILES - 1 else min(lo + group_size, len(ordered))
         group = ordered[lo:hi]
         if not group:
             break
@@ -150,7 +146,7 @@ class FctReport:
             offered=len(records) if offered is None else offered,
             total_bytes=sum(record.size_bytes for record in records),
             mean_fct_s=(sum(durations) / len(durations)) if durations else None,
-            percentiles=fct_percentiles(records, DEFAULT_PERCENTILES),
+            percentiles=fct_percentiles(records),
             size_deciles=size_decile_breakdown(records),
             pages=len(plt),
             mean_page_load_s=(sum(plt) / len(plt)) if plt else None,

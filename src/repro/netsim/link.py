@@ -314,6 +314,13 @@ class Link:
         packet.hops += 1
         self._dst_receive(packet, self)
 
+    def _close(self) -> None:
+        """Forget what was resolved downstream: :meth:`~repro.netsim.network.Network.close`.
+
+        This link resolves nothing; the compiled kernel's link drops its hop
+        memo here, whose entries hold the links and agents further on.
+        """
+
     # ------------------------------------------------------------------ dynamics
     def _go_dynamic(self) -> None:
         """Flip the link into dynamic mode (first dynamics event only).

@@ -265,7 +265,8 @@ class Network:
         methods of links and agents, which hold the simulator; nodes hold
         their links, which hold their nodes; hosts hold their agents, which
         hold their host; the dynamics listeners hold the connections, which
-        hold the network.  Closing cuts each of those edges, so the graph is
+        hold the network; a compiled kernel's links hold what they resolved
+        downstream.  Closing cuts each of those edges, so the graph is
         freed by reference counting once its last outside reference goes,
         not by a later generation-2 collection.  Counters, captures and
         topology stay readable; :meth:`run` refuses a closed network.  The
@@ -275,6 +276,8 @@ class Network:
         self.sim._clear_pending()
         for node in self.nodes.values():
             node._close()
+        for link in self.links.values():
+            link._close()
         self._dynamics_listeners.clear()
 
     # ------------------------------------------------------------------ stats

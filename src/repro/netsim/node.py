@@ -45,7 +45,7 @@ class Node:
     ``version`` moves (``install_path``).  The cache is never emptied in
     place while the node holds it: :meth:`_reset_hop_cache` swaps in a fresh
     dict, so the compiled kernel's hop memo, which checks the dict's
-    identity and borrows the links in it, never sees a stale entry.
+    identity, never serves a stale entry.
     """
 
     __slots__ = (
@@ -160,8 +160,7 @@ class Host(Node):
         #: Two int-keyed lookups beat building a tuple key per delivery.  A
         #: change replaces the tables it touches and never edits them in
         #: place, so the compiled kernel's dispatch memo, which checks the
-        #: outer table's identity and borrows the agents in it, never sees
-        #: a stale entry.
+        #: outer table's identity, never serves a stale entry.
         self._agents_by_flow: Dict[int, Dict[int, object]] = {}
         #: Single-agent fast path: most hosts terminate exactly one
         #: (sender or receiver) endpoint, so delivery reduces to two int

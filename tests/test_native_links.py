@@ -356,25 +356,56 @@ class TestPolicyStaysPython:
         first, second = seen.values()
         assert first == second and len(first) == len(scene.capture.records)
 
-    def test_two_agents_and_an_unknown_flow(self, each_kernel):
-        def script(scene):
-            stray = Packet("s", "d", 200, tag=1, flow_id=999)
-            scene.sim.schedule_at(0.2, scene.network.host("s").send, stray)
-            scene.run(0.5)
+    @staticmethod
+    def count_python_deliveries(monkeypatch):
+        """Count the runs of ``Host._deliver_locally``'s Python body, by host.
 
-        scene = both(each_kernel, script, flows=2)
+        Patched after the links are built, so it never turns their fused
+        receive off: on a ``KernelSim`` a native packet's local delivery
+        runs in C and is not counted; any other packet's is."""
+        seen = []
+        body = Host._deliver_locally
+
+        def counting(self, packet):
+            seen.append(self)
+            body(self, packet)
+
+        monkeypatch.setattr(Host, "_deliver_locally", counting)
+        return seen
+
+    def stray_scene(self, each_kernel, monkeypatch, stray_fields, until, **scene_options):
+        """A scene whose host s sends one stray packet of the kernel's own
+        packet type at 0.2 s: the C dispatch meets a flow it has no agent for."""
+        seen = self.count_python_deliveries(monkeypatch)
+
+        def script(scene):
+            kind = getattr(scene.sim, "packet_type", Packet)
+            scene.stray = kind("s", "d", 200, tag=1, **stray_fields)
+            scene.sim.schedule_at(0.2, scene.network.host("s").send, scene.stray)
+            scene.run(until)
+            scene.python_deliveries = sum(host is scene.network.host("d") for host in seen)
+
+        scene = both(each_kernel, script, **scene_options)
+        host = scene.network.host("d")
+        assert scene.stray.hops == 2
+        if each_kernel == "compiled":
+            assert type(scene.stray) is scene.sim.packet_type
+            assert scene.python_deliveries == 0
+        else:
+            assert scene.python_deliveries == host.stats.delivered
+        return scene
+
+    def test_two_agents_and_an_unknown_flow(self, each_kernel, monkeypatch):
+        # Two agents: the stray flow is a miss of the dispatch memo.
+        scene = self.stray_scene(each_kernel, monkeypatch, {"flow_id": 999}, 0.5, flows=2)
         host = scene.network.host("d")
         assert host._sole_agent is None and len(host._agents) == 2
         assert all(c.receiver.stats.bytes_received > 0 for c in scene.connections)
         assert host.stats.delivered == len(scene.capture.records)
 
-    def test_sole_agent_ignores_its_flows_other_subflows(self, each_kernel):
-        def script(scene):
-            stray = Packet("s", "d", 200, tag=1, flow_id=7, subflow_id=3, seq=10**9)
-            scene.sim.schedule_at(0.2, scene.network.host("s").send, stray)
-            scene.run(0.4)
-
-        scene = both(each_kernel, script)
+    def test_sole_agent_ignores_its_flows_other_subflows(self, each_kernel, monkeypatch):
+        scene = self.stray_scene(each_kernel, monkeypatch,
+                                 {"flow_id": 7, "subflow_id": 3, "seq": 10**9}, 0.4)
         host = scene.network.host("d")
         assert host._sole_agent is scene.connections[0].receiver
         assert host.stats.delivered == scene.connections[0].receiver.stats.segments_received + 1
@@ -396,7 +427,8 @@ class TestPolicyStaysPython:
             __slots__ = ("seen",)
 
             def receive(self, packet, link=None):
-                self.seen.append((packet.seq, link.name))
+                kind = getattr(self.sim, "packet_type", Packet)
+                self.seen.append((packet.seq, link.name, type(packet) is kind))
                 super().receive(packet, link)
 
         def chain(mode):
@@ -411,15 +443,24 @@ class TestPolicyStaysPython:
                     a.attach_link(Link(sim, a, b, rate_bps=1e7, delay=0.001))
                 got = []
                 d.add_capture(lambda packet, now: got.append((now, packet.seq, packet.hops)))
+                # The kernel's own packet type: on a KernelSim the link's C
+                # _deliver meets the override and calls it.
+                kind = getattr(sim, "packet_type", Packet)
                 for seq in range(5):
-                    sim.schedule_at(seq * 1e-4, s.send, Packet("s", "d", 1000, tag=1, seq=seq))
+                    sim.schedule_at(seq * 1e-4, s.send, kind("s", "d", 1000, tag=1, seq=seq))
                 sim.run()
                 stats = [(n.stats.received, n.stats.forwarded, n.stats.delivered)
                          for n in (s, r, d)]
-                return r.seen, got, stats, sim.events_processed, sim._seq
+                native = getattr(sim, "events_native", 0)
+                return (r.seen, got, stats, sim.events_processed, sim._seq), native
 
-        assert chain(each_kernel) == chain("python")
-        assert len(chain(each_kernel)[0]) == 5
+        here, native = chain(each_kernel)
+        assert here == chain("python")[0]
+        seen = here[0]
+        assert len(seen) == 5 and all(ours for _seq, _link, ours in seen)
+        if each_kernel == "compiled":
+            # Every event but the five sends was a link's, and ran in C.
+            assert native == here[3] - len(seen)
 
 
 class TestStockTapIsNative:
