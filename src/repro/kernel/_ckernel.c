@@ -2384,25 +2384,32 @@ nc_set(PyObject *self, PyObject *value, void *closure)
 static int
 nl_subtype(PyType_Spec *spec, int base)
 {
-    static PyGetSetDef getsets[T_COUNT][F_COUNT + 1];   /* types keep pointers */
-    static PyMemberDef members[T_COUNT][4];
+    /* Each type's rows, then a zeroed sentinel, packed one type after the
+     * other (types keep pointers into these). */
+    static PyGetSetDef getsets[F_COUNT + T_COUNT];
+    static PyMemberDef members[F_COUNT + T_COUNT];
+    static int getsets_used, members_used;
     Py_BUILD_ASSERT(sizeof(long long) == 8 && sizeof(double) == 8 &&
                     sizeof(PyObject *) <= 8);
     if (NL.native[base] != NULL)
         return 0;
+    PyGetSetDef *gs = &getsets[getsets_used];
+    PyMemberDef *ms = &members[members_used];
     Py_ssize_t size = (NL.type[base]->tp_basicsize + 7) & ~(Py_ssize_t)7;
-    for (int f = 0, n = 0, m = 0; f < F_COUNT; f++) {
+    int n = 0, m = 0;
+    for (int f = 0; f < F_COUNT; f++) {
         if (NC_TABLE[f].type != base)
             continue;
         NL.foff[f] = size;
         if (NC_TABLE[f].kind == T_OBJECT_EX)
-            members[base][m++] = (PyMemberDef){NC_TABLE[f].name, T_OBJECT_EX, size, 0, NULL};
+            ms[m++] = (PyMemberDef){NC_TABLE[f].name, T_OBJECT_EX, size, 0, NULL};
         else
-            getsets[base][n++] = (PyGetSetDef){NC_TABLE[f].name, nc_get, nc_set, NULL,
-                                               (void *)(intptr_t)f};
+            gs[n++] = (PyGetSetDef){NC_TABLE[f].name, nc_get, nc_set, NULL, (void *)(intptr_t)f};
         size += 8;
     }
-    PyType_Slot slots[8] = {{Py_tp_getset, getsets[base]}, {Py_tp_members, members[base]}};
+    getsets_used += n + 1;
+    members_used += m + 1;
+    PyType_Slot slots[8] = {{Py_tp_getset, gs}, {Py_tp_members, ms}};
     for (int k = 0; spec->slots[k].slot != 0; k++)
         slots[k + 2] = spec->slots[k];
     PyType_Spec sized = {spec->name, (int)size, 0, spec->flags, slots};
