@@ -74,6 +74,17 @@ MULTIPATH_ALGORITHMS = _Registry(
 PAPER_ALGORITHMS = ("cubic", "lia", "olia")
 
 
+def _multipath_class(name: str) -> type:
+    """The multipath algorithm registered as ``name``, or a ConfigurationError."""
+    try:
+        return MULTIPATH_ALGORITHMS[name.lower()]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown multipath congestion control {name!r}; "
+            f"choose from {sorted(MULTIPATH_ALGORITHMS)}"
+        ) from None
+
+
 def make_multipath_congestion_control(
     name: str,
     *,
@@ -82,11 +93,4 @@ def make_multipath_congestion_control(
     **kwargs,
 ) -> CongestionControl:
     """Create one per-subflow congestion controller registered with ``group``."""
-    try:
-        cls = MULTIPATH_ALGORITHMS[name.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown multipath congestion control {name!r}; "
-            f"choose from {sorted(MULTIPATH_ALGORITHMS)}"
-        ) from None
-    return cls(mss=mss, group=group, **kwargs)
+    return _multipath_class(name)(mss=mss, group=group, **kwargs)

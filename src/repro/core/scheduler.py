@@ -176,12 +176,16 @@ _SCHEDULERS = {
 }
 
 
-def make_scheduler(name: str) -> Scheduler:
-    """Instantiate a scheduler by name (``minrtt``, ``roundrobin``, ``redundant``)."""
+def _scheduler_class(name: str) -> type:
+    """The scheduler class registered as ``name``, or a ConfigurationError."""
     try:
-        cls = _SCHEDULERS[name.lower()]
+        return _SCHEDULERS[name.lower()]
     except KeyError:
         raise ConfigurationError(
             f"unknown scheduler {name!r}; choose from {sorted(set(_SCHEDULERS))}"
         ) from None
-    return cls()
+
+
+def make_scheduler(name: str) -> Scheduler:
+    """Instantiate a scheduler by name (``minrtt``, ``roundrobin``, ``redundant``)."""
+    return _scheduler_class(name)()

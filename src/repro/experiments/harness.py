@@ -207,12 +207,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     from .multiflow import _simulate
 
     spec = _connection_spec(config)
-    with _simulate(config, [spec], config.path_manager) as (network, (flow,)):
+    with _simulate(config, [spec], config.path_manager) as (network, (built,)):
+        flow, capture = built.flow, built.capture
         start, end = config.warmup, config.duration
         per_path = per_tag_timeseries(
-            flow.capture, config.sampling_interval, start=start, end=end, tags=list(flow.tag_map)
+            capture, config.sampling_interval, start=start, end=end, tags=list(flow.tag_map)
         )
-        total = total_timeseries(flow.capture, config.sampling_interval, start=start, end=end)
+        total = total_timeseries(capture, config.sampling_interval, start=start, end=end)
 
         return ExperimentResult(
             config=config,
@@ -220,7 +221,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             total_series=total,
             optimum=flow.optimum,
             convergence=analyze_convergence(total, flow.optimum.total),
-            stats=connection_stats(flow.connection, config.duration),
+            stats=connection_stats(built.connection, config.duration),
             constraint_system=flow.system,
             drops=network.total_drops(),
             events_processed=network.sim.events_processed,

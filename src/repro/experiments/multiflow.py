@@ -14,6 +14,11 @@ TCP flow, constant-rate UDP or bursty on-off cross-traffic),
 :func:`run_multiflow` builds the network, gives every flow its own tag
 namespace and receiver-side capture, runs the simulation and post-processes
 per-flow throughput series plus a :class:`~repro.measure.fairness.FairnessReport`.
+Whatever about a flow does not depend on the backend -- its checks, name,
+flow id, tag namespace, default controller and LP -- is resolved once, by
+:func:`_resolve`, before either backend builds anything; each backend then
+only lowers the resolved flows to its engine objects, and :func:`_report`
+turns either's measurements into the fairness report and the flow results.
 The build-and-run step, :func:`_simulate`, is the packet backend's only one:
 the single-flow harness runs its connection through it as one ``mptcp`` flow.
 It also owns the run's end of life: the network is closed and the flows
@@ -90,6 +95,37 @@ class FlowSpec:
         ``onoff`` only; TCP-based flows are bounded by ``total_bytes``).
     rate_mbps, on_duration, off_duration:
         Source parameters for ``udp`` / ``onoff`` flows.
+
+    Checks
+    ------
+    One contract, the same on both backends; every check runs before
+    either backend builds anything.
+
+    At declaration (``FlowSpec(...)``; no scenario needed):
+
+    * ``kind`` is one of :data:`FLOW_KINDS`; a ``workload`` flow has its
+      ``workload``;
+    * ``start >= 0``, and ``stop``, when given, is after ``start``;
+    * ``join_delay >= 0``; ``mss`` is positive, and ``total_bytes`` and
+      ``send_buffer_bytes`` when given;
+    * ``udp`` / ``onoff``: ``rate_mbps`` is positive; ``onoff``:
+      ``on_duration`` is positive and ``off_duration >= 0``.
+
+    At resolution against the run's scenario (``run_multiflow`` and
+    ``run_experiment``, before a ``Network`` or ``FlowLevelSim`` exists):
+
+    * each flow's name (given or generated) is unique;
+    * a single-path kind has exactly one path -- its ``paths``, or the
+      scenario path ``path_index`` names -- and ``mptcp`` / ``workload``
+      at least one;
+    * every path runs from the flow's ``src`` to its ``dst``;
+    * every path tag is in ``1..TAG_STRIDE - 1`` (the flow's namespace),
+      and no two of a flow's paths share one;
+    * ``mptcp``: ``default_path_index`` names one of its paths, and
+      ``scheduler`` is a registered scheduler;
+    * the controller, after the kind's default is filled in, is registered:
+      ``mptcp`` in the multipath registry (default ``"lia"``), ``tcp`` and
+      ``workload`` in the single-path one (default ``"cubic"``).
     """
 
     kind: str = "mptcp"
@@ -98,7 +134,8 @@ class FlowSpec:
     path_index: int = 0
     src: Optional[str] = None
     dst: Optional[str] = None
-    #: ``None`` picks the kind's default: "lia" for mptcp, "cubic" for tcp.
+    #: ``None`` picks the kind's default: "lia" for mptcp, "cubic" for tcp
+    #: and workload.
     congestion_control: Optional[str] = None
     scheduler: str = "minrtt"
     default_path_index: int = 0
@@ -111,17 +148,37 @@ class FlowSpec:
     rate_mbps: float = 10.0
     on_duration: float = 0.5
     off_duration: float = 0.5
-    packet_size: int = DEFAULT_MSS
     #: The offered load of a ``kind="workload"`` flow.
     workload: Optional[WorkloadSpec] = None
 
     def __post_init__(self) -> None:
+        # Negated comparisons, so that NaN fails each check too.
         if self.kind not in FLOW_KINDS:
             raise ConfigurationError(
                 f"unknown flow kind {self.kind!r}; choose from {FLOW_KINDS}"
             )
         if self.kind == "workload" and self.workload is None:
             raise ConfigurationError("a workload flow needs a WorkloadSpec")
+        if not self.start >= 0:
+            raise ConfigurationError(f"{self.kind} flow cannot start at t={self.start}")
+        if self.stop is not None and not self.stop > self.start:
+            raise ConfigurationError(
+                f"{self.kind} flow stop t={self.stop} is not after its start t={self.start}"
+            )
+        if not self.join_delay >= 0:
+            raise ConfigurationError(f"join_delay must be >= 0, got {self.join_delay}")
+        if not self.mss > 0:
+            raise ConfigurationError(f"mss must be positive, got {self.mss}")
+        if self.total_bytes is not None and not self.total_bytes > 0:
+            raise ConfigurationError(f"total_bytes must be positive, got {self.total_bytes}")
+        if self.send_buffer_bytes is not None and not self.send_buffer_bytes > 0:
+            raise ConfigurationError(
+                f"send_buffer_bytes must be positive, got {self.send_buffer_bytes}"
+            )
+        if self.kind in ("udp", "onoff") and not self.rate_mbps > 0:
+            raise ConfigurationError("UDP rate must be positive")
+        if self.kind == "onoff" and not (self.on_duration > 0 and self.off_duration >= 0):
+            raise ConfigurationError("on_duration must be positive and off_duration non-negative")
 
 
 @dataclass
@@ -265,61 +322,272 @@ class MultiFlowResult:
         return summary
 
 
-# ---------------------------------------------------------------------- build
-def _retag_paths(paths: Sequence[Path], base: int) -> List[Path]:
-    """Copies of ``paths`` with tags moved into the flow's tag namespace."""
-    retagged = []
-    for index, path in enumerate(paths):
-        tag = path.tag if path.tag is not None else index + 1
-        if not 0 < tag < TAG_STRIDE:
-            raise ConfigurationError(
-                f"path tag {tag} does not fit the flow tag namespace "
-                f"(must be in 1..{TAG_STRIDE - 1})"
-            )
-        retagged.append(Path(path.nodes, tag=base + tag, name=path.name))
-    return retagged
-
-
+# -------------------------------------------------------------------- resolve
 #: Path coercion shared with the connection layer (PathSet / Path / node
 #: lists -> List[Path] with tags defaulting to 1..n).
 _coerce_path_objects = MptcpConnection._coerce_paths
 
 
-def _single_path_for(spec: FlowSpec, base_paths: PathSet) -> Path:
-    """The one pinned path of a tcp/udp/onoff flow."""
-    if spec.paths is not None:
-        candidates = _coerce_path_objects(spec.paths)
-        if len(candidates) != 1:
-            raise ConfigurationError(
-                f"{spec.kind} flow {spec.name!r} needs exactly one path, got {len(candidates)}"
-            )
-        return candidates[0]
-    if not 0 <= spec.path_index < len(base_paths):
-        raise ConfigurationError(
-            f"path_index {spec.path_index} out of range for {len(base_paths)} scenario paths"
-        )
-    return base_paths[spec.path_index]
+class _ResolvedFlow:
+    """One :class:`FlowSpec` checked and resolved against its run's scenario.
 
+    Everything about a flow that does not depend on the backend: each
+    backend's ``_simulate`` lowers it to its own engine objects.  ``paths``
+    are the flow's paths with their own tags, ``installed`` the same paths
+    in the flow's tag namespace (``(flow_id - 1) * TAG_STRIDE + tag``).
+    """
 
-class _BuiltFlow:
-    """One instantiated flow: simulation objects plus measurement hooks."""
-
-    def __init__(self, spec: FlowSpec, name: str, flow_id: int, tag_base: int) -> None:
+    def __init__(self, spec: FlowSpec, name: str, index: int, config, topology, base_paths) -> None:
         self.spec = spec
         self.name = name
-        self.flow_id = flow_id
-        self.tag_base = tag_base
-        self.capture = None
+        self.flow_id = index + 1
+        self.src = spec.src or base_paths.src
+        self.dst = spec.dst or base_paths.dst
+        if spec.paths is not None:
+            declared = _coerce_path_objects(spec.paths)
+        elif spec.kind in ("mptcp", "workload"):
+            declared = list(base_paths)
+        elif 0 <= spec.path_index < len(base_paths):
+            declared = [base_paths[spec.path_index]]
+        else:
+            raise ConfigurationError(
+                f"path_index {spec.path_index} out of range for {len(base_paths)} scenario paths"
+            )
+        if spec.kind in ("mptcp", "workload"):
+            if not declared:
+                raise ConfigurationError(f"{spec.kind} flow {name!r} needs at least one path")
+        elif len(declared) != 1:
+            raise ConfigurationError(
+                f"{spec.kind} flow {name!r} needs exactly one path, got {len(declared)}"
+            )
+        self.paths: List[Path] = []
+        self.installed: List[Path] = []
+        for position, path in enumerate(declared):
+            if path.src != self.src or path.dst != self.dst:
+                raise ConfigurationError(
+                    f"path {path} does not connect {self.src!r} to {self.dst!r}"
+                )
+            tag = path.tag if path.tag is not None else position + 1
+            if not 0 < tag < TAG_STRIDE:
+                raise ConfigurationError(
+                    f"path tag {tag} does not fit the flow tag namespace "
+                    f"(must be in 1..{TAG_STRIDE - 1})"
+                )
+            if any(other.tag == tag for other in self.paths):
+                raise ConfigurationError(f"{spec.kind} flow {name!r} has two paths tagged {tag}")
+            self.paths.append(Path(path.nodes, tag=tag, name=path.name))
+            self.installed.append(Path(path.nodes, tag=index * TAG_STRIDE + tag, name=path.name))
+        #: Original path tag -> tag installed in this flow's namespace.
+        self.tag_map = {path.tag: installed.tag for path, installed in zip(self.paths, self.installed)}
+
+        self.congestion_control: Optional[str] = None
+        if spec.kind == "mptcp":
+            from ..core.coupled import _multipath_class
+            from ..core.scheduler import _scheduler_class
+
+            self.congestion_control = spec.congestion_control or "lia"
+            _multipath_class(self.congestion_control)
+            _scheduler_class(spec.scheduler)
+            if not 0 <= spec.default_path_index < len(self.paths):
+                raise ConfigurationError(
+                    f"default_index {spec.default_path_index} out of range "
+                    f"for {len(self.paths)} paths"
+                )
+        elif spec.kind in ("tcp", "workload"):
+            from ..tcp.cc import _single_path_class
+
+            self.congestion_control = spec.congestion_control or "cubic"
+            _single_path_class(self.congestion_control)
+        #: TCP-based flows back off under congestion; udp / onoff do not.
+        self.responsive = spec.kind not in ("udp", "onoff")
+        #: When an unreliable source stops: its ``stop``, else the run's end.
+        self.stop = spec.stop if spec.stop is not None else config.duration
+        self.workload_plan = (
+            spec.workload.compile(len(self.paths)) if spec.kind == "workload" else None
+        )
+
+        # The LP of an mptcp or workload flow's paths, solved once here.
+        self.system: Optional[ConstraintSystem] = None
+        self.optimum: Optional[LpResult] = None
+        if spec.kind in ("mptcp", "workload"):
+            self.system = build_constraints(topology, self.installed)
+            self.optimum = max_total_throughput(self.system)
+            self.optimum_mbps = self.optimum.total
+        elif spec.kind == "tcp":
+            self.optimum_mbps = self.paths[0].capacity(topology)
+        else:
+            self.optimum_mbps = min(spec.rate_mbps, self.paths[0].capacity(topology))
+
+
+def _resolve(config, specs: Sequence[FlowSpec]) -> Tuple[Topology, List[_ResolvedFlow]]:
+    """Build ``config``'s scenario (either configuration class) and resolve
+    one flow per spec against it: the step both backends' ``_simulate`` take
+    first, so a spec is checked, named and solved the same way on each."""
+    if not specs:
+        raise ConfigurationError("a multi-flow run needs at least one flow")
+    topology, base_paths = config.build_scenario()
+    flows: List[_ResolvedFlow] = []
+    for index, spec in enumerate(specs):
+        name = spec.name or f"{spec.kind}-{index + 1}"
+        if any(flow.name == name for flow in flows):
+            raise ConfigurationError(f"duplicate flow name {name!r}")
+        flows.append(_ResolvedFlow(spec, name, index, config, topology, base_paths))
+    return topology, flows
+
+
+def _report(config, topology: Topology, measured) -> Tuple[FairnessReport, List[FlowResult]]:
+    """The fairness report and the :class:`FlowResult` of each flow of a
+    finished run, on either backend.
+
+    ``measured`` holds ``(flow, series, per_path, delivered,
+    retransmissions, stats, records)`` per resolved flow; ``records`` are a
+    workload flow's FCT records, None for the other kinds.
+    """
+    from ..measure.fairness import analyze_fairness
+    from ..measure.fct import FctReport
+
+    bottleneck_capacity = None
+    if config.bottleneck_link is not None:
+        bottleneck_capacity = topology.capacity_of(*config.bottleneck_link)
+    fairness = analyze_fairness(
+        {flow.name: series for flow, series, *_ in measured},
+        {flow.name: flow.spec.kind for flow, *_ in measured},
+        bottleneck_capacity_mbps=bottleneck_capacity,
+    )
+    # The fairness report is the single source of the per-flow (tail) means;
+    # each FlowResult reads its mean back from there so the two never drift.
+    results = [
+        FlowResult(
+            spec=flow.spec,
+            name=flow.name,
+            kind=flow.spec.kind,
+            flow_id=flow.flow_id,
+            series=series,
+            per_path_series=per_path,
+            mean_mbps=fairness.per_flow_mbps[flow.name],
+            bytes_delivered=delivered,
+            retransmissions=retransmissions,
+            tag_map=dict(flow.tag_map),
+            optimum_mbps=flow.optimum_mbps,
+            stats=stats,
+            fct=(
+                None
+                if records is None
+                else FctReport.from_records(records, offered=flow.workload_plan.total_transfers)
+            ),
+        )
+        for flow, series, per_path, delivered, retransmissions, stats, records in measured
+    ]
+    return fairness, results
+
+
+# ---------------------------------------------------------------------- build
+class _BuiltFlow:
+    """One resolved flow's packet-level objects and measurement hooks.
+
+    Built in the order a run has always built them: the receiver-side
+    capture, the path install, the connection or source, its start.
+    """
+
+    def __init__(self, flow: _ResolvedFlow, network: Network, config, path_manager) -> None:
+        self.flow = flow
         self.connection: Optional[MptcpConnection] = None
         self.tcp: Optional[TcpConnection] = None
         self.source = None  # udp / onoff
         self.workload_driver = None  # PacketWorkloadDriver of a workload flow
-        self.workload_plan = None
-        self.tag_map: Dict[int, int] = {}  # original tag -> namespaced tag
-        self.optimum_mbps: Optional[float] = None
-        # The LP of an mptcp or workload flow's paths, solved once at build time.
-        self.system: Optional[ConstraintSystem] = None
-        self.optimum: Optional[LpResult] = None
+        spec = flow.spec
+        self.capture = network.attach_capture(flow.dst, data_only=True, flow_id=flow.flow_id)
+
+        if spec.kind == "mptcp":
+            # A path manager decides which subflows open, and when; the paths
+            # still tag the capture and pose the LP.
+            self.connection = MptcpConnection(
+                network,
+                flow.src,
+                flow.dst,
+                None if path_manager is not None else flow.installed,
+                congestion_control=flow.congestion_control,
+                scheduler=spec.scheduler,
+                path_manager=path_manager,
+                default_path_index=spec.default_path_index,
+                mss=spec.mss,
+                ecn=config.ecn,
+                total_bytes=spec.total_bytes,
+                send_buffer_bytes=spec.send_buffer_bytes,
+                join_delay=spec.join_delay,
+                flow_id=flow.flow_id,
+            )
+            self.connection.start(at=spec.start)
+            return
+
+        if spec.kind == "workload":
+            from ..workload.packet import PacketWorkloadDriver
+
+            self.workload_driver = PacketWorkloadDriver(
+                network,
+                flow.workload_plan,
+                flow.installed,
+                src=flow.src,
+                dst=flow.dst,
+                transport="tcp",
+                congestion_control=flow.congestion_control,
+                mss=spec.mss,
+                flow_id=flow.flow_id,
+            )
+            self.workload_driver.install()
+            return
+
+        (path,) = flow.installed
+        network.install_path(path.nodes, path.tag)
+        if spec.kind == "tcp":
+            self.tcp = TcpConnection(
+                network,
+                flow.src,
+                flow.dst,
+                cc=flow.congestion_control,
+                tag=path.tag,
+                mss=spec.mss,
+                ecn=config.ecn,
+                total_bytes=spec.total_bytes,
+                flow_id=flow.flow_id,
+            )
+            self.tcp.start(at=spec.start)
+            return
+
+        from ..workload.sources import OnOffSource, UdpConstantBitRate
+
+        if spec.kind == "udp":
+            self.source = UdpConstantBitRate(
+                network, flow.src, flow.dst, spec.rate_mbps, tag=path.tag, flow_id=flow.flow_id
+            )
+        else:  # onoff
+            self.source = OnOffSource(
+                network,
+                flow.src,
+                flow.dst,
+                spec.rate_mbps,
+                on_duration=spec.on_duration,
+                off_duration=spec.off_duration,
+                tag=path.tag,
+                flow_id=flow.flow_id,
+            )
+        self.source.start(at=spec.start, stop_at=flow.stop)
+
+    def counters(self, duration: float) -> Tuple[int, int, Optional[ConnectionStats], Optional[list]]:
+        """``(delivered, retransmissions, stats, records)`` of the finished run."""
+        if self.connection is not None:
+            return (
+                self.connection.bytes_delivered,
+                self.connection.total_retransmissions(),
+                connection_stats(self.connection, duration),
+                None,
+            )
+        if self.tcp is not None:
+            return self.tcp.bytes_acked, self.tcp.sender.stats.retransmissions, None, None
+        if self.workload_driver is not None:
+            records = self.workload_driver.records
+            return sum(record.size_bytes for record in records), 0, None, records
+        return self.source.sink.bytes_received, 0, None, None
 
     def release(self) -> None:
         """Cut the cycles the flow's protocol objects keep among themselves."""
@@ -333,29 +601,23 @@ class _BuiltFlow:
 def _simulate(
     config, specs: Sequence[FlowSpec], path_manager: Optional[PathManager] = None
 ) -> Iterator[Tuple[Network, List[_BuiltFlow]]]:
-    """Build ``config``'s network (either configuration class) with one flow per
-    spec, then run it: the packet build step behind both front doors.
+    """Resolve ``specs`` against ``config`` (either configuration class),
+    build its network with one flow per spec, then run it: the packet build
+    step behind both front doors.
 
     Yields ``(network, built)`` for the caller to measure; when the block
     exits the flows are released and the network closed
     (:meth:`Network.close`), so nothing may read them afterwards.
     """
-    if not specs:
-        raise ConfigurationError("a multi-flow run needs at least one flow")
-    topology, base_paths = config.build_scenario()
+    topology, flows = _resolve(config, specs)
     if config.queue_kind is not None:
         topology.set_queue_kind(config.queue_kind)
     network = Network(topology)
 
     built: List[_BuiltFlow] = []
     try:
-        for index, spec in enumerate(specs):
-            name = spec.name or f"{spec.kind}-{index + 1}"
-            if any(b.name == name for b in built):
-                raise ConfigurationError(f"duplicate flow name {name!r}")
-            flow = _BuiltFlow(spec, name, flow_id=index + 1, tag_base=index * TAG_STRIDE)
-            _instantiate_flow(flow, network, base_paths, config, path_manager)
-            built.append(flow)
+        for flow in flows:
+            built.append(_BuiltFlow(flow, network, config, path_manager))
 
         if config.dynamics is not None:
             # After the flows: MPTCP connections register dynamics listeners at
@@ -386,41 +648,23 @@ def run_multiflow(config: MultiFlowConfig) -> MultiFlowResult:
 
 def _measure(config: MultiFlowConfig, network: Network, built: List[_BuiltFlow]) -> MultiFlowResult:
     """Post-process a finished packet run per flow, before it is closed."""
-    from ..measure.fairness import analyze_fairness
-
     start, end = config.warmup, config.duration
     interval = config.sampling_interval
-    measured: List[Tuple[_BuiltFlow, TimeSeries, Dict[int, TimeSeries]]] = []
-    for flow in built:
+    measured = []
+    for hooks in built:
+        flow = hooks.flow
         series = throughput_timeseries(
-            flow.capture, interval, start=start, end=end, label=flow.name
+            hooks.capture, interval, start=start, end=end, label=flow.name
         )
-        per_path: Dict[int, TimeSeries] = {}
-        if flow.tag_map:
-            namespaced = per_tag_timeseries(
-                flow.capture, interval, start=start, end=end,
-                tags=list(flow.tag_map.values()),
-            )
-            per_path = {
-                original: namespaced[installed]
-                for original, installed in flow.tag_map.items()
-            }
-        measured.append((flow, series, per_path))
+        namespaced = per_tag_timeseries(
+            hooks.capture, interval, start=start, end=end, tags=list(flow.tag_map.values()),
+        )
+        per_path = {
+            original: namespaced[installed] for original, installed in flow.tag_map.items()
+        }
+        measured.append((flow, series, per_path, *hooks.counters(config.duration)))
 
-    bottleneck_capacity = None
-    if config.bottleneck_link is not None:
-        bottleneck_capacity = network.topology.capacity_of(*config.bottleneck_link)
-    fairness = analyze_fairness(
-        {flow.name: series for flow, series, _ in measured},
-        {flow.name: flow.spec.kind for flow, _, _ in measured},
-        bottleneck_capacity_mbps=bottleneck_capacity,
-    )
-    # The fairness report is the single source of the per-flow (tail) means;
-    # each FlowResult reads its mean back from there so the two never drift.
-    results = [
-        _flow_result(flow, series, per_path, config.duration, fairness.per_flow_mbps[flow.name])
-        for flow, series, per_path in measured
-    ]
+    fairness, results = _report(config, network.topology, measured)
     return MultiFlowResult(
         config=config,
         flows=results,
@@ -428,168 +672,4 @@ def _measure(config: MultiFlowConfig, network: Network, built: List[_BuiltFlow])
         drops=network.total_drops(),
         events_processed=network.sim.events_processed,
         signal_plane=signal_plane_report(network, config.duration),
-    )
-
-
-def _instantiate_flow(
-    flow: _BuiltFlow,
-    network: Network,
-    base_paths: PathSet,
-    config,
-    path_manager: Optional[PathManager] = None,
-) -> None:
-    spec = flow.spec
-    src = spec.src or base_paths.src
-    dst = spec.dst or base_paths.dst
-    flow.capture = network.attach_capture(dst, data_only=True, flow_id=flow.flow_id)
-
-    if spec.kind in ("mptcp", "workload"):
-        raw = _coerce_path_objects(spec.paths) if spec.paths is not None else list(base_paths)
-        paths = _retag_paths(raw, flow.tag_base)
-        flow.tag_map = {
-            (orig.tag if orig.tag is not None else i + 1): installed.tag
-            for i, (orig, installed) in enumerate(zip(raw, paths))
-        }
-        flow.system = build_constraints(network.topology, paths)
-        flow.optimum = max_total_throughput(flow.system)
-        flow.optimum_mbps = flow.optimum.total
-
-    if spec.kind == "mptcp":
-        # A path manager decides which subflows open, and when; the paths
-        # still tag the capture and pose the LP.
-        flow.connection = MptcpConnection(
-            network,
-            src,
-            dst,
-            None if path_manager is not None else paths,
-            congestion_control=spec.congestion_control or "lia",
-            scheduler=spec.scheduler,
-            path_manager=path_manager,
-            default_path_index=spec.default_path_index,
-            mss=spec.mss,
-            ecn=config.ecn,
-            total_bytes=spec.total_bytes,
-            send_buffer_bytes=spec.send_buffer_bytes,
-            join_delay=spec.join_delay,
-            flow_id=flow.flow_id,
-        )
-        flow.connection.start(at=spec.start)
-        return
-
-    if spec.kind == "workload":
-        from ..workload.packet import PacketWorkloadDriver
-
-        plan = spec.workload.compile(len(paths))
-        driver = PacketWorkloadDriver(
-            network,
-            plan,
-            paths,
-            src=src,
-            dst=dst,
-            transport="tcp",
-            congestion_control=spec.congestion_control,
-            mss=spec.mss,
-            flow_id=flow.flow_id,
-        )
-        driver.install()
-        flow.workload_driver = driver
-        flow.workload_plan = plan
-        return
-
-    path = _single_path_for(spec, base_paths)
-    tag = flow.tag_base + (path.tag if path.tag is not None else 1)
-    network.install_path(path.nodes, tag)
-    flow.tag_map = {(path.tag if path.tag is not None else 1): tag}
-
-    if spec.kind == "tcp":
-        flow.tcp = TcpConnection(
-            network,
-            src,
-            dst,
-            cc=spec.congestion_control or "cubic",
-            tag=tag,
-            mss=spec.mss,
-            ecn=config.ecn,
-            total_bytes=spec.total_bytes,
-            flow_id=flow.flow_id,
-        )
-        flow.optimum_mbps = path.capacity(network.topology)
-        flow.tcp.start(at=spec.start)
-        return
-
-    from ..workload.sources import OnOffSource, UdpConstantBitRate
-
-    stop_at = spec.stop if spec.stop is not None else config.duration
-    if spec.kind == "udp":
-        flow.source = UdpConstantBitRate(
-            network,
-            src,
-            dst,
-            spec.rate_mbps,
-            tag=tag,
-            packet_size=spec.packet_size,
-            flow_id=flow.flow_id,
-        )
-        flow.source.start(at=spec.start, stop_at=stop_at)
-    else:  # onoff
-        flow.source = OnOffSource(
-            network,
-            src,
-            dst,
-            spec.rate_mbps,
-            on_duration=spec.on_duration,
-            off_duration=spec.off_duration,
-            tag=tag,
-            packet_size=spec.packet_size,
-            flow_id=flow.flow_id,
-        )
-        flow.source.start(at=spec.start, stop_at=stop_at)
-    flow.optimum_mbps = min(spec.rate_mbps, path.capacity(network.topology))
-
-
-def _flow_result(
-    flow: _BuiltFlow,
-    series: TimeSeries,
-    per_path: Dict[int, TimeSeries],
-    duration: float,
-    mean: float,
-) -> FlowResult:
-    spec = flow.spec
-    fct = None
-    if flow.connection is not None:
-        delivered = flow.connection.bytes_delivered
-        retransmissions = flow.connection.total_retransmissions()
-        stats = connection_stats(flow.connection, duration)
-    elif flow.tcp is not None:
-        delivered = flow.tcp.bytes_acked
-        retransmissions = flow.tcp.sender.stats.retransmissions
-        stats = None
-    elif flow.workload_driver is not None:
-        from ..measure.fct import FctReport
-
-        records = flow.workload_driver.records
-        delivered = sum(record.size_bytes for record in records)
-        retransmissions = 0
-        stats = None
-        fct = FctReport.from_records(
-            records, offered=flow.workload_plan.total_transfers
-        )
-    else:
-        delivered = flow.source.sink.bytes_received
-        retransmissions = 0
-        stats = None
-    return FlowResult(
-        spec=spec,
-        name=flow.name,
-        kind=spec.kind,
-        flow_id=flow.flow_id,
-        series=series,
-        per_path_series=per_path,
-        mean_mbps=mean,
-        bytes_delivered=delivered,
-        retransmissions=retransmissions,
-        tag_map=dict(flow.tag_map),
-        optimum_mbps=flow.optimum_mbps,
-        stats=stats,
-        fct=fct,
     )

@@ -22,8 +22,11 @@ Fidelity mapping:
 * dynamics events translate to capacity changes (`LinkRateChange`,
   `LinkDown`/`LinkUp`, `LossBurst` as a transient capacity scale);
   `LinkDelayChange` is a no-op -- flow-level rates do not see RTT;
-* packet-scale parameters (``mss``, ``scheduler``, ``join_delay``,
-  buffers, queue sizes) have no flow-level equivalent and are ignored.
+* packet-scale parameters (buffers, queue sizes) have no flow-level
+  equivalent and are ignored; ``mss``, ``scheduler`` and ``join_delay`` are
+  checked on both backends (one :class:`~repro.experiments.multiflow.FlowSpec`
+  contract, resolved once before either builds anything) but ignored by the
+  fluid arithmetic.
 
 What you lose is microstructure -- slow-start transients, RTT unfairness,
 retransmissions -- which is exactly what :mod:`repro.measure.validation`'s
@@ -36,14 +39,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..measure.convergence import analyze_convergence
-from ..measure.fairness import analyze_fairness
-from ..measure.fct import FctReport
 from ..measure.flowstats import ConnectionStats, SubflowStats
-from ..measure.sampling import TimeSeries
 from ..measure.signalplane import modeled_signal_plane
-from ..model.bottleneck import build_constraints
-from ..model.lp import max_total_throughput
-from ..model.paths import PathSet
 from ..netsim.dynamics import (
     DynamicsSpec,
     LinkDelayChange,
@@ -62,11 +59,10 @@ from .engine import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..experiments.harness import ExperimentConfig, ExperimentResult
-    from ..experiments.multiflow import FlowSpec, MultiFlowConfig, MultiFlowResult
-    from ..model.bottleneck import ConstraintSystem
-    from ..model.lp import LpResult
+    from ..experiments.multiflow import FlowSpec, MultiFlowConfig, MultiFlowResult, _ResolvedFlow
     from ..model.paths import Path
     from ..netsim.topology import Topology
+    from ..workload.flowlevel import FlowLevelWorkloadRun
 
 #: Effective-capacity factor of an AQM discipline at flow level: keeping the
 #: standing queue short costs a sliver of throughput relative to a brimming
@@ -89,17 +85,10 @@ def _apply_queue_kind(sim: FlowLevelSim, topology, queue_kind: Optional[str]) ->
 
 def coupled_algorithm(congestion_control: str) -> bool:
     """Whether a congestion-control name denotes a coupled MPTCP algorithm."""
-    from ..core.coupled import MULTIPATH_ALGORITHMS
+    from ..core.coupled import _multipath_class
     from ..core.coupled.base import CoupledCongestionControl
 
-    try:
-        algorithm = MULTIPATH_ALGORITHMS[congestion_control.lower()]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown multipath congestion control {congestion_control!r}; "
-            f"choose from {sorted(MULTIPATH_ALGORITHMS)}"
-        ) from None
-    return issubclass(algorithm, CoupledCongestionControl)
+    return issubclass(_multipath_class(congestion_control), CoupledCongestionControl)
 
 
 def apply_dynamics(sim: FlowLevelSim, spec: Optional[DynamicsSpec]) -> None:
@@ -159,11 +148,12 @@ def run_experiment_flowlevel(config: "ExperimentConfig") -> "ExperimentResult":
             "path_manager scenarios need backend='packet'"
         )
     _, run, (plan,) = _simulate(config, [_connection_spec(config)])
-    outcome = run.flows[plan.name]
+    flow = plan.flow
+    outcome = run.flows[flow.name]
 
     start, end = config.warmup, config.duration
     interval = config.sampling_interval
-    tags = tuple(plan.tag_map)
+    tags = tuple(flow.tag_map)
     per_path = {
         tag: outcome.unit_series(
             index, interval, start=start, end=end, label=f"tag {tag}"
@@ -171,16 +161,16 @@ def run_experiment_flowlevel(config: "ExperimentConfig") -> "ExperimentResult":
         for index, tag in enumerate(tags)
     }
     total = outcome.series(interval, start=start, end=end, label="total")
-    convergence = analyze_convergence(total, plan.optimum.total)
+    convergence = analyze_convergence(total, flow.optimum.total)
 
     return ExperimentResult(
         config=config,
         per_path_series=per_path,
         total_series=total,
-        optimum=plan.optimum,
+        optimum=flow.optimum,
         convergence=convergence,
-        stats=_synthesize_stats(config, plan.system.paths, tags, outcome, config.duration),
-        constraint_system=plan.system,
+        stats=_synthesize_stats(config, flow.system.paths, tags, outcome, config.duration),
+        constraint_system=flow.system,
         drops=0,
         events_processed=run.transitions,
         dynamics=_dynamics_report(total, config.dynamics),
@@ -243,132 +233,78 @@ def _synthesize_stats(
 
 # -------------------------------------------------------------- run_multiflow
 class _FlowPlan:
-    """How one :class:`FlowSpec` maps onto engine flows."""
+    """The engine flows one resolved flow became: their names, or the workload
+    run that adds them mid-run."""
 
-    __slots__ = (
-        "spec", "name", "flow_id", "engine_names", "tag_map", "optimum_mbps",
-        "system", "optimum", "workload_run", "workload_plan",
-    )
+    __slots__ = ("flow", "engine_names", "workload_run")
 
-    def __init__(self, spec: "FlowSpec", name: str, flow_id: int) -> None:
-        self.spec = spec
-        self.name = name
-        self.flow_id = flow_id
+    def __init__(self, flow: "_ResolvedFlow") -> None:
+        self.flow = flow
         self.engine_names: List[str] = []
-        self.tag_map: Dict[int, int] = {}
-        self.optimum_mbps: Optional[float] = None
-        # The LP of an mptcp or workload flow's paths, solved once at build time.
-        self.system: Optional[ConstraintSystem] = None
-        self.optimum: Optional[LpResult] = None
-        self.workload_run = None  # FlowLevelWorkloadRun of a workload flow
-        self.workload_plan = None
+        self.workload_run: Optional[FlowLevelWorkloadRun] = None
 
 
 def _simulate(
     config, specs: Sequence["FlowSpec"]
 ) -> Tuple[Topology, FlowLevelResult, List[_FlowPlan]]:
-    """Build ``config``'s fluid network (either configuration class) with one
-    plan per spec, then run it: the flow-level build step behind both front doors."""
-    from ..experiments.multiflow import TAG_STRIDE
+    """Resolve ``specs`` against ``config`` (either configuration class),
+    build its fluid network with one plan per flow, then run it: the
+    flow-level build step behind both front doors."""
+    from ..experiments.multiflow import _resolve
 
-    if not specs:
-        raise ConfigurationError("a multi-flow run needs at least one flow")
-    topology, base_paths = config.build_scenario()
+    topology, flows = _resolve(config, specs)
     sim = FlowLevelSim(
         topology, allocator=config.flow_allocator, record_timeseries=True
     )
     _apply_queue_kind(sim, topology, config.queue_kind)
-
-    plans: List[_FlowPlan] = []
-    for index, spec in enumerate(specs):
-        name = spec.name or f"{spec.kind}-{index + 1}"
-        if any(plan.name == name for plan in plans):
-            raise ConfigurationError(f"duplicate flow name {name!r}")
-        plan = _FlowPlan(spec, name, flow_id=index + 1)
-        _plan_flow(plan, sim, topology, base_paths, config, index * TAG_STRIDE)
-        plans.append(plan)
-
+    plans = [_plan_flow(flow, sim) for flow in flows]
     apply_dynamics(sim, config.dynamics)
     return topology, sim.run(config.duration), plans
 
 
 def run_multiflow_flowlevel(config: "MultiFlowConfig") -> "MultiFlowResult":
     """Flow-level twin of :func:`repro.experiments.multiflow.run_multiflow`."""
-    from ..experiments.multiflow import FlowResult, MultiFlowResult
+    from ..experiments.multiflow import MultiFlowResult, _report
 
     topology, run, plans = _simulate(config, config.flows)
 
     start, end = config.warmup, config.duration
     interval = config.sampling_interval
-    measured: List[Tuple[_FlowPlan, TimeSeries, Dict[int, TimeSeries], int]] = []
+    measured = []
     for plan in plans:
+        flow = plan.flow
+        records = None
+        engine_names = plan.engine_names
         if plan.workload_run is not None:
             # Workload transfers are added mid-run from completion callbacks,
             # so the engine names are only known afterwards.
             prefix = plan.workload_run.prefix
             engine_names = [name for name in run.flows if name.startswith(prefix)]
-        else:
-            engine_names = plan.engine_names
-        outcomes = [run.flows[engine_name] for engine_name in engine_names]
+            records = plan.workload_run.records
         segments_by_tag: Dict[int, list] = {}
         delivered = 0
-        for outcome in outcomes:
+        for engine_name in engine_names:
+            outcome = run.flows[engine_name]
             delivered += outcome.bytes_delivered
             for unit, tag in zip(outcome.segments, outcome.tags):
                 segments_by_tag.setdefault(tag, []).extend(unit)
         series = segments_to_timeseries(
             [seg for segs in segments_by_tag.values() for seg in segs],
-            interval, start=start, end=end, label=plan.name,
+            interval, start=start, end=end, label=flow.name,
         )
         per_path = {
             original: segments_to_timeseries(
                 segments_by_tag.get(original, []),
                 interval, start=start, end=end, label=f"tag {installed}",
             )
-            for original, installed in plan.tag_map.items()
+            for original, installed in flow.tag_map.items()
         }
-        measured.append((plan, series, per_path, delivered))
+        measured.append((flow, series, per_path, delivered, 0, None, records))
 
-    bottleneck_capacity = None
-    if config.bottleneck_link is not None:
-        bottleneck_capacity = topology.capacity_of(*config.bottleneck_link)
-    fairness = analyze_fairness(
-        {plan.name: series for plan, series, _, _ in measured},
-        {plan.name: plan.spec.kind for plan, _, _, _ in measured},
-        bottleneck_capacity_mbps=bottleneck_capacity,
-    )
-    results = [
-        FlowResult(
-            spec=plan.spec,
-            name=plan.name,
-            kind=plan.spec.kind,
-            flow_id=plan.flow_id,
-            series=series,
-            per_path_series=per_path,
-            mean_mbps=fairness.per_flow_mbps[plan.name],
-            bytes_delivered=delivered,
-            retransmissions=0,
-            tag_map=dict(plan.tag_map),
-            optimum_mbps=plan.optimum_mbps,
-            stats=None,
-            fct=(
-                None
-                if plan.workload_run is None
-                else FctReport.from_records(
-                    plan.workload_run.records,
-                    offered=plan.workload_plan.total_transfers,
-                )
-            ),
-        )
-        for plan, series, per_path, delivered in measured
-    ]
-    responsive_flows = sum(
-        1 for plan in plans if plan.spec.kind in ("mptcp", "tcp", "workload")
-    )
-    if bottleneck_capacity:
-        total_mbps = sum(fairness.per_flow_mbps.values())
-        bottleneck_utilization = total_mbps / bottleneck_capacity
-    else:
+    fairness, results = _report(config, topology, measured)
+    responsive_flows = sum(plan.flow.responsive for plan in plans)
+    bottleneck_utilization = fairness.bottleneck_utilization
+    if bottleneck_utilization is None:
         # No declared bottleneck: greedy responsive flows saturate whatever
         # the binding constraint is, so treat the run as congested.
         bottleneck_utilization = 1.0 if responsive_flows else 0.0
@@ -388,120 +324,68 @@ def run_multiflow_flowlevel(config: "MultiFlowConfig") -> "MultiFlowResult":
     )
 
 
-def _plan_flow(
-    plan: _FlowPlan,
-    sim: FlowLevelSim,
-    topology,
-    base_paths: PathSet,
-    config,
-    tag_base: int,
-) -> None:
-    from ..experiments.multiflow import _coerce_path_objects, _single_path_for
-
-    spec = plan.spec
-    if spec.kind in ("mptcp", "workload"):
-        raw = (
-            _coerce_path_objects(spec.paths)
-            if spec.paths is not None
-            else list(base_paths)
-        )
-        tags = tuple(
-            path.tag if path.tag is not None else index + 1
-            for index, path in enumerate(raw)
-        )
-        plan.tag_map = {tag: tag_base + tag for tag in tags}
-        plan.system = build_constraints(topology, raw)
-        plan.optimum = max_total_throughput(plan.system)
-        plan.optimum_mbps = plan.optimum.total
-
-    if spec.kind == "mptcp":
-        coupled = coupled_algorithm(spec.congestion_control or "lia")
-        sim.add_flow(
-            FlowDescriptor(
-                name=plan.name,
-                routes=tuple(tuple(path.nodes) for path in raw),
-                start=spec.start,
-                size_bytes=spec.total_bytes,
-                coupled=coupled,
-                tags=tags,
-                kind="mptcp",
-            )
-        )
-        plan.engine_names = [plan.name]
-        return
-
+def _plan_flow(flow: "_ResolvedFlow", sim: FlowLevelSim) -> _FlowPlan:
+    """Lower one resolved flow to engine flows on ``sim``."""
+    plan = _FlowPlan(flow)
+    spec = flow.spec
     if spec.kind == "workload":
         from ..workload.flowlevel import FlowLevelWorkloadRun
 
-        workload_plan = spec.workload.compile(len(raw))
-        workload_run = FlowLevelWorkloadRun(
-            sim, workload_plan, raw, prefix=f"{plan.name}/"
+        plan.workload_run = FlowLevelWorkloadRun(
+            sim, flow.workload_plan, flow.paths, prefix=f"{flow.name}/"
         )
-        workload_run.install()
-        plan.workload_run = workload_run
-        plan.workload_plan = workload_plan
-        return
+        plan.workload_run.install()
+        return plan
 
-    path = _single_path_for(spec, base_paths)
-    tag = path.tag if path.tag is not None else 1
-    plan.tag_map = {tag: tag_base + tag}
-    route = tuple(path.nodes)
-
-    if spec.kind == "tcp":
-        sim.add_flow(
+    routes = tuple(tuple(path.nodes) for path in flow.paths)
+    tags = tuple(path.tag for path in flow.paths)
+    if spec.kind == "onoff":
+        # One capped non-responsive mini-flow per ON burst.
+        period = spec.on_duration + spec.off_duration
+        descriptors, burst_start = [], spec.start
+        while burst_start < flow.stop:
+            descriptors.append(
+                FlowDescriptor(
+                    name=f"{flow.name}#on{len(descriptors)}",
+                    routes=routes,
+                    start=burst_start,
+                    stop=min(burst_start + spec.on_duration, flow.stop),
+                    cap_mbps=spec.rate_mbps,
+                    responsive=False,
+                    tags=tags,
+                    kind="onoff",
+                )
+            )
+            burst_start = spec.start + len(descriptors) * period
+    elif spec.kind == "udp":
+        descriptors = []
+        # A source that starts at or after its stop (the run's end) sends nothing.
+        if spec.start < flow.stop:
+            descriptors.append(
+                FlowDescriptor(
+                    name=flow.name,
+                    routes=routes,
+                    start=spec.start,
+                    stop=flow.stop,
+                    cap_mbps=spec.rate_mbps,
+                    responsive=False,
+                    tags=tags,
+                    kind="udp",
+                )
+            )
+    else:  # mptcp / tcp
+        descriptors = [
             FlowDescriptor(
-                name=plan.name,
-                routes=(route,),
+                name=flow.name,
+                routes=routes,
                 start=spec.start,
                 size_bytes=spec.total_bytes,
-                tags=(tag,),
-                kind="tcp",
+                coupled=spec.kind == "mptcp" and coupled_algorithm(flow.congestion_control),
+                tags=tags,
+                kind=spec.kind,
             )
-        )
-        plan.engine_names = [plan.name]
-        plan.optimum_mbps = path.capacity(topology)
-        return
-
-    stop_at = spec.stop if spec.stop is not None else config.duration
-    plan.optimum_mbps = min(spec.rate_mbps, path.capacity(topology))
-    if spec.kind == "udp":
-        sim.add_flow(
-            FlowDescriptor(
-                name=plan.name,
-                routes=(route,),
-                start=spec.start,
-                stop=stop_at,
-                cap_mbps=spec.rate_mbps,
-                responsive=False,
-                tags=(tag,),
-                kind="udp",
-            )
-        )
-        plan.engine_names = [plan.name]
-        return
-
-    # On-off: one capped non-responsive mini-flow per ON burst.
-    period = spec.on_duration + spec.off_duration
-    if period <= 0:
-        raise ConfigurationError(
-            f"onoff flow {plan.name!r} needs a positive on+off period"
-        )
-    burst_start = spec.start
-    burst = 0
-    while burst_start < stop_at:
-        engine_name = f"{plan.name}#on{burst}"
-        sim.add_flow(
-            FlowDescriptor(
-                name=engine_name,
-                routes=(route,),
-                start=burst_start,
-                stop=min(burst_start + spec.on_duration, stop_at),
-                cap_mbps=spec.rate_mbps,
-                responsive=False,
-                tags=(tag,),
-                kind="onoff",
-            )
-        )
-        plan.engine_names.append(engine_name)
-        burst += 1
-        burst_start = spec.start + burst * period
+        ]
+    for descriptor in descriptors:
+        sim.add_flow(descriptor)
+        plan.engine_names.append(descriptor.name)
+    return plan

@@ -64,7 +64,8 @@ class FlowDescriptor:
         Transfer size; ``None`` makes the flow greedy (it stays until
         ``stop`` or the end of the run).
     stop:
-        Departure time for greedy flows (ignored for sized flows).
+        Departure time for greedy flows, after ``start`` (ignored for sized
+        flows).
     cap_mbps:
         Per-unit rate cap (CBR sources, application-limited flows).
     coupled:
@@ -96,6 +97,11 @@ class FlowDescriptor:
             raise ConfigurationError(f"flow {self.name!r} size must be positive")
         if self.start < 0:
             raise ConfigurationError(f"flow {self.name!r} cannot start at t={self.start}")
+        if self.size_bytes is None and self.stop is not None and self.stop <= self.start:
+            raise ConfigurationError(
+                f"flow {self.name!r} cannot stop at t={self.stop}, "
+                f"not after its start t={self.start}"
+            )
 
 
 @dataclass

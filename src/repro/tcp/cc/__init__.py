@@ -23,16 +23,20 @@ _SINGLE_PATH_ALGORITHMS = {
 }
 
 
-def make_congestion_control(name: str, *, mss: int, **kwargs) -> CongestionControl:
-    """Instantiate a single-path congestion-control algorithm by name."""
+def _single_path_class(name: str) -> type:
+    """The single-path algorithm registered as ``name``, or a ConfigurationError."""
     try:
-        cls = _SINGLE_PATH_ALGORITHMS[name.lower()]
+        return _SINGLE_PATH_ALGORITHMS[name.lower()]
     except KeyError:
         raise ConfigurationError(
             f"unknown single-path congestion control {name!r}; "
             f"choose from {sorted(_SINGLE_PATH_ALGORITHMS)}"
         ) from None
-    return cls(mss=mss, **kwargs)
+
+
+def make_congestion_control(name: str, *, mss: int, **kwargs) -> CongestionControl:
+    """Instantiate a single-path congestion-control algorithm by name."""
+    return _single_path_class(name)(mss=mss, **kwargs)
 
 
 __all__ = [

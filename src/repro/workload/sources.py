@@ -136,7 +136,7 @@ class OnOffSource:
         on_duration: float = 0.5,
         off_duration: float = 0.5,
         tag: Optional[int] = None,
-        packet_size: int = 1400,
+        packet_size: int = DEFAULT_MSS,
         flow_id: Optional[int] = None,
     ) -> None:
         if on_duration <= 0 or off_duration < 0:

@@ -17,6 +17,7 @@ weighted max-min fixed point.
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.errors import ConfigurationError
 from repro.experiments.campaign import multiflow_fairness_campaign, run_campaign
@@ -36,6 +37,7 @@ from repro.measure.validation import (
 )
 
 from .conftest import make_two_path_scenario
+from .test_kernel_differential import scene_config, scenes
 
 
 def tail_mean(series) -> float:
@@ -235,3 +237,29 @@ class TestFlowlevelCampaign:
         spec = multiflow_fairness_campaign(duration=1.0)
         for point in spec.expand():
             assert "backend" not in point.params
+
+
+class TestOneResolutionOnEveryScene:
+    """Both backends resolve a spec in one place, so on any scene the
+    differential fuzzer draws they name, number, tag and solve each flow
+    alike; what they then measure is theirs."""
+
+    @settings(
+        max_examples=100,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(scenes)
+    def test_flows_resolve_alike_on_both_backends(self, scene):
+        config = scene_config(scene)
+
+        def resolved(result):
+            return [
+                (flow.name, flow.kind, flow.flow_id, flow.tag_map, flow.optimum_mbps)
+                for flow in result.flows
+            ]
+
+        packet = run_multiflow(config)
+        assert resolved(run_multiflow(config.with_overrides(backend="flowlevel"))) == resolved(packet)

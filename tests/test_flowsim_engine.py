@@ -171,6 +171,20 @@ class TestFlowDescriptorValidation:
         with pytest.raises(ConfigurationError):
             greedy("f", start=-1.0)
 
+    @pytest.mark.parametrize("stop", [0.1, 0.2])
+    def test_a_greedy_flow_must_stop_after_it_starts(self, stop):
+        """Departures sort before arrivals at one instant, so a flow whose stop
+        is not after its start arrived after its own departure and then ran
+        to the end of the run: 500 000 B here, where stop=0.5 gives 187 500."""
+        with pytest.raises(ConfigurationError, match="not after its start"):
+            greedy("f", start=0.2, stop=stop, cap_mbps=5.0)
+        sim = FlowLevelSim(one_link_topology(10.0))
+        sim.add_flow(greedy("f", start=0.2, stop=0.5, cap_mbps=5.0))
+        assert sim.run(1.0).flows["f"].bytes_delivered == 187_500
+
+    def test_a_sized_flow_ignores_its_stop(self):
+        assert greedy("f", start=0.2, stop=0.1, size_bytes=1000).stop == 0.1
+
 
 class TestEngineExactness:
     def test_three_greedy_flows_split_evenly(self):

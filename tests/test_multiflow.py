@@ -5,6 +5,7 @@ doors' end of life."""
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import multiflow as multiflow_module
 from repro.experiments.harness import paper_experiment, run_experiment
 from repro.experiments.multiflow import (
     TAG_STRIDE,
@@ -22,8 +23,12 @@ from repro.experiments.scenarios import (
     two_mptcp_competition,
     workload_background,
 )
+from repro.flowsim import backend as flowlevel_module
+from repro.model.paths import Path
 from repro.netsim.dynamics import DynamicsSpec, LinkRateChange, Schedule
 from repro.netsim.network import Network
+from repro.topologies.paper import paper_scenario
+from repro.units import BACKENDS
 from repro.workload.runner import WorkloadConfig, run_workload
 
 from .conftest import left_to_collector, make_two_path_scenario
@@ -93,6 +98,112 @@ class TestMultiFlowConfigValidation:
         )
         with pytest.raises(ConfigurationError):
             run_multiflow(config)
+
+
+def _paper_paths_tagged_from(first: int):
+    _, paths = paper_scenario()
+    return [Path(path.nodes, tag=first + i, name=path.name) for i, path in enumerate(paths)]
+
+
+_SINGLE_PATH_CC = "choose from ['cubic', 'newreno', 'reno', 'sfc', 'telehaptic']"
+
+#: Specs the contract refuses, each run as the second flow beside an
+#: ``mptcp`` flow on the paper topology unless marked alone:
+#: ``(spec, alone, the one error text, refused at declaration)``.  Each is a
+#: spec on which a backend that checks it in its own lowering would answer
+#: apart from the other: run on one and fail on the other, fail with another
+#: error, or run on both at different rates.
+REFUSED_SPECS = {
+    "mptcp-tags-100-102": (
+        lambda: FlowSpec(kind="mptcp", paths=_paper_paths_tagged_from(100)), True,
+        "path tag 100 does not fit the flow tag namespace (must be in 1..99)", False,
+    ),
+    "onoff-on-0": (
+        lambda: FlowSpec(kind="onoff", on_duration=0, rate_mbps=5), False,
+        "on_duration must be positive and off_duration non-negative", True,
+    ),
+    "onoff-off-negative": (
+        lambda: FlowSpec(kind="onoff", off_duration=-0.5, rate_mbps=5), False,
+        "on_duration must be positive and off_duration non-negative", True,
+    ),
+    "udp-rate-0": (
+        lambda: FlowSpec(kind="udp", rate_mbps=0), False, "UDP rate must be positive", True,
+    ),
+    "udp-rate-negative": (
+        lambda: FlowSpec(kind="udp", rate_mbps=-5), False, "UDP rate must be positive", True,
+    ),
+    "start-negative": (
+        lambda: FlowSpec(kind="tcp", start=-1), False, "tcp flow cannot start at t=-1", True,
+    ),
+    "tcp-total-bytes-0": (
+        lambda: FlowSpec(kind="tcp", total_bytes=0), False,
+        "total_bytes must be positive, got 0", True,
+    ),
+    "udp-stop-before-start": (
+        lambda: FlowSpec(kind="udp", start=0.2, stop=0.1, rate_mbps=5), False,
+        "udp flow stop t=0.1 is not after its start t=0.2", True,
+    ),
+    "mptcp-default-path-7-of-3": (
+        lambda: FlowSpec(kind="mptcp", default_path_index=7), False,
+        "default_index 7 out of range for 3 paths", False,
+    ),
+    "tcp-cc-unknown": (
+        lambda: FlowSpec(kind="tcp", congestion_control="nope"), False,
+        f"unknown single-path congestion control 'nope'; {_SINGLE_PATH_CC}", False,
+    ),
+    "tcp-cc-multipath": (
+        lambda: FlowSpec(kind="tcp", congestion_control="lia"), False,
+        f"unknown single-path congestion control 'lia'; {_SINGLE_PATH_CC}", False,
+    ),
+    "mptcp-scheduler-unknown": (
+        lambda: FlowSpec(kind="mptcp", scheduler="nope"), False,
+        "unknown scheduler 'nope'; "
+        "choose from ['default', 'lowest-rtt', 'minrtt', 'redundant', 'roundrobin']", False,
+    ),
+    "mptcp-send-buffer-0": (
+        lambda: FlowSpec(kind="mptcp", send_buffer_bytes=0), False,
+        "send_buffer_bytes must be positive, got 0", True,
+    ),
+    "mptcp-two-paths-one-tag": (
+        lambda: FlowSpec(kind="mptcp", paths=_paper_paths_tagged_from(1)[:1] * 2), True,
+        "mptcp flow 'mptcp-1' has two paths tagged 1", False,
+    ),
+    "mptcp-src-off-its-paths": (
+        lambda: FlowSpec(kind="mptcp", src="nowhere"), False,
+        "path Path 1: s -> v1 -> v4 -> d does not connect 'nowhere' to 'd'", False,
+    ),
+    "tcp-endpoints-swapped": (
+        lambda: FlowSpec(kind="tcp", src="d", dst="s"), False,
+        "path Path 1: s -> v1 -> v4 -> d does not connect 'd' to 's'", False,
+    ),
+    "mptcp-mss-0": (
+        lambda: FlowSpec(kind="mptcp", mss=0), False, "mss must be positive, got 0", True,
+    ),
+}
+
+
+class TestOneFlowSpecContract:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("case", sorted(REFUSED_SPECS))
+    def test_a_bad_spec_is_refused_alike_before_any_engine_exists(self, monkeypatch, case, backend):
+        """A check that needs no scenario refuses at ``FlowSpec(...)``; the
+        rest refuse from ``run_multiflow`` before a ``Network`` or a
+        ``FlowLevelSim`` is built.  Either way the text is one text."""
+        build, alone, message, declared = REFUSED_SPECS[case]
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built for a refused spec")
+
+        monkeypatch.setattr(multiflow_module, "Network", no_engine)
+        monkeypatch.setattr(flowlevel_module, "FlowLevelSim", no_engine)
+        if declared:
+            with pytest.raises(ConfigurationError) as refused:
+                build()
+        else:
+            flows = [build()] if alone else [FlowSpec(kind="mptcp", name="m"), build()]
+            with pytest.raises(ConfigurationError) as refused:
+                run_multiflow(MultiFlowConfig(flows=flows, duration=0.3, backend=backend))
+        assert str(refused.value) == message
 
 
 class TestPerFlowCaptureAttachment:
